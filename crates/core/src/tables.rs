@@ -129,7 +129,7 @@ impl DistanceTables {
     }
 
     /// Per-table minima, `min_i D_j[i]` — the per-table biases of the Fast
-    /// Scan distance quantization (DESIGN §3).
+    /// Scan distance quantization (docs/FASTSCAN.md §1).
     pub fn per_table_min(&self) -> Vec<f32> {
         (0..self.m)
             .map(|j| self.table(j).iter().copied().fold(f32::INFINITY, f32::min))

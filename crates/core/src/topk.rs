@@ -138,13 +138,16 @@ impl TopK {
             .peek()
             .unwrap_or_else(|| unreachable!("full heap has a root"))
             .0;
-        if cmp_neighbors(&cand, &worst) == std::cmp::Ordering::Less {
-            self.heap.pop();
-            self.heap.push(HeapItem(cand));
-            true
-        } else {
-            false
+        if cmp_neighbors(&cand, &worst) != std::cmp::Ordering::Less {
+            return false;
         }
+        // Replace the root in place: one sift-down when the guard drops,
+        // where `pop` + `push` would sift twice. (The reject path above
+        // stays a bare `peek`: scans call this once per vector.)
+        if let Some(mut root) = self.heap.peek_mut() {
+            *root = HeapItem(cand);
+        }
+        true
     }
 
     /// Consumes the collector and returns neighbors sorted ascending by
@@ -237,6 +240,26 @@ mod tests {
         oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         oracle.truncate(25);
         assert_eq!(got, oracle);
+    }
+
+    #[test]
+    fn duplicate_distances_match_a_full_sort() {
+        // Few distinct distances, so most pushes tie with the root and the
+        // id decides; the in-place root replacement must keep that order.
+        let candidates: Vec<(f32, u64)> = (0..3000u64)
+            .map(|i| (((i * 7919) % 13) as f32, (i * 2654435761) % 3001))
+            .collect();
+        let mut oracle = candidates.clone();
+        oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for k in [1usize, 7, 1000] {
+            let mut topk = TopK::new(k);
+            for &(d, id) in &candidates {
+                let accepts = topk.would_accept(d, id);
+                assert_eq!(topk.push(d, id), accepts, "k={k}");
+            }
+            let got: Vec<(f32, u64)> = topk.into_sorted().iter().map(|n| (n.dist, n.id)).collect();
+            assert_eq!(got, oracle[..k], "k={k}");
+        }
     }
 
     #[test]

@@ -66,25 +66,32 @@ pub fn assert_lanes_match(kernel: &str, simd: &[f32], portable: &[f32]) {
     }
 }
 
-/// Asserts two candidate visit sequences (`(group, index_in_group)` pairs,
-/// in visit order) are identical, with a diagnostic naming the kernel and
-/// the first divergence.
+/// Asserts two fast-scan hand-off sequences (`(group, block, lane mask)`
+/// triples, in hand-off order) are identical, with a diagnostic naming the
+/// kernel and the first divergence.
 #[track_caller]
-pub fn assert_visits_match(kernel: &str, simd: &[(usize, usize)], portable: &[(usize, usize)]) {
-    let n = simd.len().min(portable.len());
-    for i in 0..n {
-        let (sg, si) = simd[i];
-        let (pg, pi) = portable[i];
+pub fn assert_blocks_match(
+    kernel: &str,
+    simd: &[(usize, usize, u16)],
+    portable: &[(usize, usize, u16)],
+) {
+    for (i, (s, p)) in simd.iter().zip(portable).enumerate() {
         assert!(
-            sg == pg && si == pi,
-            "checked-kernels[{kernel}]: visit {i} diverged: simd=(g{sg}, {si}) \
-             portable=(g{pg}, {pi})"
+            s == p,
+            "checked-kernels[{kernel}]: hand-off {i} diverged: simd=(g{}, b{}, {:#06x}) \
+             portable=(g{}, b{}, {:#06x})",
+            s.0,
+            s.1,
+            s.2,
+            p.0,
+            p.1,
+            p.2
         );
     }
     assert_eq!(
         simd.len(),
         portable.len(),
-        "checked-kernels[{kernel}]: visit count diverged (simd={}, portable={})",
+        "checked-kernels[{kernel}]: hand-off count diverged (simd={}, portable={})",
         simd.len(),
         portable.len()
     );
@@ -106,14 +113,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "visit count diverged")]
-    fn missing_visit_is_detected() {
-        assert_visits_match("test", &[(1, 2)], &[(1, 2), (2, 3)]);
+    #[should_panic(expected = "hand-off count diverged")]
+    fn missing_block_is_detected() {
+        assert_blocks_match("test", &[(1, 2, 1)], &[(1, 2, 1), (2, 3, 1)]);
     }
 
     #[test]
-    #[should_panic(expected = "visit 0 diverged")]
-    fn reordered_visit_is_detected() {
-        assert_visits_match("test", &[(1, 2), (2, 3)], &[(2, 3), (1, 2)]);
+    #[should_panic(expected = "hand-off 1 diverged")]
+    fn differing_mask_is_detected() {
+        assert_blocks_match(
+            "test",
+            &[(1, 2, 1), (2, 3, 0b11)],
+            &[(1, 2, 1), (2, 3, 0b01)],
+        );
     }
 }

@@ -185,15 +185,22 @@ impl GroupedCodes {
         &self.blocks[g.block_offset..g.block_offset + bytes]
     }
 
+    /// Packed block `b` of group `g` (its vectors `16 b .. 16 b + 16`).
+    #[inline]
+    pub fn block(&self, g: &GroupMeta, b: usize) -> &[u8] {
+        debug_assert!(b < g.num_blocks());
+        let bpb = self.layout.bytes_per_block();
+        let start = g.block_offset + b * bpb;
+        &self.blocks[start..start + bpb]
+    }
+
     /// Reconstructs the full code of the vector at storage position
     /// `g.start + idx`.
     #[inline]
     pub fn read_code(&self, g: &GroupMeta, idx: usize) -> [u8; FS_M] {
         debug_assert!(idx < g.len);
-        let bpb = self.layout.bytes_per_block();
-        let block_start = g.block_offset + (idx / FS_BLOCK) * bpb;
-        let block = &self.blocks[block_start..block_start + bpb];
-        self.layout.read_code(block, idx % FS_BLOCK, &g.key)
+        self.layout
+            .read_code(self.block(g, idx / FS_BLOCK), idx % FS_BLOCK, &g.key)
     }
 
     /// Bytes of packed code storage (padding included) — the §4.2 memory

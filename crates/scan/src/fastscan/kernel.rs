@@ -20,6 +20,14 @@
 //! group boundaries (solid arrows of the paper's Figure 13). A bit-exact
 //! portable implementation is always available and doubles as the test
 //! oracle.
+//!
+//! **Hand-off.** A kernel never looks at a survivor itself. Each block whose
+//! mask is non-zero goes to a [`BlockSink`] as `(group, block, lane mask)`,
+//! once, together with the kernel's own `C`; the sink verifies the masked
+//! lanes and returns the quantized threshold to prune the following blocks
+//! with (docs/FASTSCAN.md §3). [`scan_all`] is the one
+//! entry point: it picks the `C` instantiation and the back-end, and under
+//! the `checked-kernels` feature shadow-runs the portable oracle.
 
 // The kernels index fixed-size register arrays with the component number
 // `j`; explicit `j in c..FS_M` loops mirror the paper's per-component
@@ -27,7 +35,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::fastscan::grouping::GroupedCodes;
-use crate::fastscan::layout::{FS_BLOCK, FS_M, PORTION};
+use crate::fastscan::layout::{bytes_per_block, FS_BLOCK, FS_M, PORTION};
 use crate::ScanError;
 
 /// Kernel back-end selection.
@@ -110,20 +118,118 @@ pub(crate) struct ScanTables {
     /// table (16-entry portions selected per group).
     pub grouped: Vec<Vec<u8>>,
     /// For each component: the 16-entry small table. Entries `c..8` hold
-    /// the quantized minimum tables; entries `0..c` are scratch the kernels
-    /// refresh per group.
+    /// the quantized minimum tables; entries `0..c` are unused (the kernels
+    /// load the group's portions of `grouped` instead).
     pub small: [[u8; PORTION]; FS_M],
 }
 
-/// Visitor invoked for every candidate: `(group_index, index_in_group)`;
-/// returns the possibly updated quantized threshold.
-pub(crate) trait Visit: FnMut(usize, usize) -> u8 {}
-impl<F: FnMut(usize, usize) -> u8> Visit for F {}
+/// Receiver of the kernels' per-block hand-off.
+pub(crate) trait BlockSink {
+    /// Takes the survivors of block `block` of group `group`: bit `lane` of
+    /// `mask` is set when the lower bound of that lane passed the threshold.
+    /// `mask` is never zero and never names a padding lane of a ragged tail.
+    /// `C` is the grouping-component count the calling kernel is
+    /// monomorphized on (`C == grouped.layout().c()`). Returns the quantized
+    /// threshold the kernel prunes with from the next block on.
+    fn block<const C: usize>(&mut self, group: usize, block: usize, mask: u16) -> u8;
+}
+
+/// Closures are sinks that ignore `C` (recorders in tests and in the
+/// shadow check).
+impl<F: FnMut(usize, usize, u16) -> u8> BlockSink for F {
+    #[inline]
+    fn block<const C: usize>(&mut self, group: usize, block: usize, mask: u16) -> u8 {
+        self(group, block, mask)
+    }
+}
+
+/// Scans the whole grouped partition with `kernel`, handing every block
+/// with survivors to `sink` in storage order.
+pub(crate) fn scan_all<S: BlockSink>(
+    kernel: ResolvedKernel,
+    grouped: &GroupedCodes,
+    tables: &ScanTables,
+    threshold: u8,
+    sink: &mut S,
+) {
+    dispatch(kernel, grouped, tables, threshold, sink);
+
+    // Differential shadow execution (feature `checked-kernels`): on a
+    // sampled subset of scans, re-run the partition with both the SIMD
+    // kernel and the portable oracle under a frozen threshold and assert
+    // the hand-off sequences are identical. The threshold is frozen because
+    // the AVX2 pair kernel masks a block pair against one threshold
+    // snapshot, so only static-threshold runs are defined to be
+    // bit-identical (see `kernels_agree_under_dynamic_thresholds` for the
+    // dynamic-threshold equivalence of the SSSE3 kernel).
+    #[cfg(all(target_arch = "x86_64", feature = "avx2", feature = "checked-kernels"))]
+    if kernel != ResolvedKernel::Portable && crate::checked::should_check() {
+        let record = |kernel: ResolvedKernel| {
+            let mut blocks = Vec::new();
+            dispatch(kernel, grouped, tables, threshold, &mut |g, b, mask| {
+                blocks.push((g, b, mask));
+                threshold
+            });
+            blocks
+        };
+        let name = match kernel {
+            ResolvedKernel::Avx2 => "fastscan.avx2",
+            _ => "fastscan.ssse3",
+        };
+        crate::checked::assert_blocks_match(
+            name,
+            &record(kernel),
+            &record(ResolvedKernel::Portable),
+        );
+    }
+}
+
+/// Instantiates the kernels for the layout's grouping count.
+fn dispatch<S: BlockSink>(
+    kernel: ResolvedKernel,
+    grouped: &GroupedCodes,
+    tables: &ScanTables,
+    threshold: u8,
+    sink: &mut S,
+) {
+    match grouped.layout().c() {
+        0 => scan_all_c::<0, S>(kernel, grouped, tables, threshold, sink),
+        1 => scan_all_c::<1, S>(kernel, grouped, tables, threshold, sink),
+        2 => scan_all_c::<2, S>(kernel, grouped, tables, threshold, sink),
+        3 => scan_all_c::<3, S>(kernel, grouped, tables, threshold, sink),
+        4 => scan_all_c::<4, S>(kernel, grouped, tables, threshold, sink),
+        c => unreachable!("grouping is defined for c <= 4, got {c}"),
+    }
+}
+
+/// `C` must equal `grouped.layout().c()` (which [`dispatch`] passes).
+fn scan_all_c<const C: usize, S: BlockSink>(
+    kernel: ResolvedKernel,
+    grouped: &GroupedCodes,
+    tables: &ScanTables,
+    threshold: u8,
+    sink: &mut S,
+) {
+    match kernel {
+        ResolvedKernel::Portable => scan_all_portable::<C, S>(grouped, tables, threshold, sink),
+        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        // SAFETY: the SIMD variants of `ResolvedKernel` only come out of
+        // `Kernel::resolve`, which detected SSSE3 on this CPU.
+        ResolvedKernel::Ssse3 => unsafe {
+            x86::scan_all_ssse3::<C, S>(grouped, tables, threshold, sink)
+        },
+        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        // SAFETY: as above, with AVX2 detected.
+        ResolvedKernel::Avx2 => unsafe {
+            x86::scan_all_avx2::<C, S>(grouped, tables, threshold, sink)
+        },
+    }
+}
 
 /// Candidate bitmask of one block, portable reference: bit `lane` is set
 /// when the saturated lower bound of that lane is `<= threshold` (the
 /// vector survives pruning).
-pub(crate) fn block_mask_portable(
+fn block_mask_portable(
     c: usize,
     block: &[u8],
     small: &[[u8; PORTION]; FS_M],
@@ -158,55 +264,38 @@ pub(crate) fn block_mask_portable(
     mask
 }
 
-/// Scans the whole grouped partition with the portable kernel; returns the
-/// number of candidates surfaced to `visit`.
-pub(crate) fn scan_all_portable<F: Visit>(
+/// The portable kernel: scalar emulation of the SSSE3 one, block for block.
+fn scan_all_portable<const C: usize, S: BlockSink>(
     grouped: &GroupedCodes,
-    tables: &mut ScanTables,
+    tables: &ScanTables,
     mut threshold: u8,
-    visit: &mut F,
-) -> u64 {
-    let c = grouped.layout().c();
-    let bpb = grouped.layout().bytes_per_block();
-    let mut candidates = 0u64;
+    sink: &mut S,
+) {
+    let mut small = tables.small;
     for (gi, g) in grouped.groups().iter().enumerate() {
-        for j in 0..c {
+        for j in 0..C {
             let portion = g.key[j] as usize * PORTION;
-            tables.small[j].copy_from_slice(&tables.grouped[j][portion..portion + PORTION]);
+            small[j].copy_from_slice(&tables.grouped[j][portion..portion + PORTION]);
         }
-        let blocks = grouped.group_blocks(g);
-        for b in 0..g.num_blocks() {
+        let blocks = grouped.group_blocks(g).chunks_exact(bytes_per_block(C));
+        for (b, block) in blocks.enumerate() {
             let valid = (g.len - b * FS_BLOCK).min(FS_BLOCK);
-            let valid_mask = if valid == FS_BLOCK {
-                u16::MAX
-            } else {
-                (1u16 << valid) - 1
-            };
-            let block = &blocks[b * bpb..(b + 1) * bpb];
-            let mut mask = block_mask_portable(c, block, &tables.small, threshold) & valid_mask;
-            candidates += mask.count_ones() as u64;
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                threshold = visit(gi, b * FS_BLOCK + lane);
+            let mask =
+                block_mask_portable(C, block, &small, threshold) & (u16::MAX >> (16 - valid));
+            if mask != 0 {
+                threshold = sink.block::<C>(gi, b, mask);
             }
         }
     }
-    candidates
 }
 
 #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
-pub(crate) mod x86 {
-    //! The SSSE3 implementation (the paper's actual kernel), monomorphized
-    //! on the grouping-component count `C`.
+mod x86 {
+    //! The SSSE3 implementation (the paper's actual kernel) and its AVX2
+    //! widening, monomorphized on the grouping-component count `C`.
 
     use super::*;
     use std::arch::x86_64::*;
-
-    /// Bytes per block for grouping on `c` components (const-folded).
-    const fn bytes_per_block(c: usize) -> usize {
-        (c / 2 + c % 2 + (FS_M - c)) * FS_BLOCK
-    }
 
     /// Candidate bitmask of one block — SSSE3, unrolled for constant `C`.
     ///
@@ -264,91 +353,14 @@ pub(crate) mod x86 {
         _mm_movemask_epi8(cand) as u16
     }
 
-    /// # Safety
-    ///
-    /// CPU must support SSSE3, and `C` must equal `grouped.layout().c()`
-    /// (the layout the codes were packed for).
-    #[target_feature(enable = "ssse3")]
-    unsafe fn scan_all_ssse3_impl<const C: usize, F: Visit>(
-        grouped: &GroupedCodes,
-        tables: &ScanTables,
-        mut threshold: u8,
-        visit: &mut F,
-    ) -> u64 {
-        debug_assert_eq!(C, grouped.layout().c(), "kernel/layout c mismatch");
-        // Minimum tables: loaded once, resident for the entire scan.
-        let mut regs = [_mm_setzero_si128(); FS_M];
-        for j in C..FS_M {
-            // SAFETY: `tables.small[j]` is a `[u8; 16]` — exactly one
-            // unaligned 128-bit load.
-            regs[j] = unsafe { _mm_loadu_si128(tables.small[j].as_ptr() as *const __m128i) };
-        }
-        let mut tvec = _mm_set1_epi8(threshold as i8);
-        let bpb = bytes_per_block(C);
-        let mut candidates = 0u64;
-
-        for (gi, g) in grouped.groups().iter().enumerate() {
-            // Portion registers for this group (Figure 13, solid arrows).
-            for j in 0..C {
-                let portion = g.key[j] as usize * PORTION;
-                debug_assert!(portion + PORTION <= tables.grouped[j].len());
-                // SAFETY: group keys are 4-bit portion indexes, so
-                // `portion + 16 <= 256 == tables.grouped[j].len()`; the load
-                // reads 16 in-bounds bytes.
-                regs[j] = unsafe {
-                    _mm_loadu_si128(tables.grouped[j].as_ptr().add(portion) as *const __m128i)
-                };
-            }
-            let blocks = grouped.group_blocks(g);
-            let base = blocks.as_ptr();
-            let full_blocks = g.len / FS_BLOCK;
-            debug_assert!(blocks.len() >= g.num_blocks() * bpb);
-
-            // Hot loop over full blocks.
-            for b in 0..full_blocks {
-                // SAFETY: SSSE3 is a caller precondition; `group_blocks`
-                // yields `num_blocks() * bpb` bytes and `b < full_blocks <=
-                // num_blocks()`, so the block pointer covers `bpb` readable
-                // bytes.
-                let mut mask = unsafe { block_mask_ssse3::<C>(base.add(b * bpb), &regs, tvec) };
-                if mask != 0 {
-                    candidates += mask.count_ones() as u64;
-                    loop {
-                        let lane = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        let new_threshold = visit(gi, b * FS_BLOCK + lane);
-                        if new_threshold != threshold {
-                            threshold = new_threshold;
-                            tvec = _mm_set1_epi8(threshold as i8);
-                        }
-                        if mask == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
-            // Ragged tail block.
-            let tail = g.len % FS_BLOCK;
-            if tail != 0 {
-                let b = full_blocks;
-                let valid_mask = (1u16 << tail) - 1;
-                // SAFETY: as above; a ragged tail means `num_blocks() ==
-                // full_blocks + 1`, so block `b == full_blocks` is in range.
-                let mut mask =
-                    unsafe { block_mask_ssse3::<C>(base.add(b * bpb), &regs, tvec) } & valid_mask;
-                candidates += mask.count_ones() as u64;
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let new_threshold = visit(gi, b * FS_BLOCK + lane);
-                    if new_threshold != threshold {
-                        threshold = new_threshold;
-                        tvec = _mm_set1_epi8(threshold as i8);
-                    }
-                }
-            }
-        }
-        candidates
+    /// One unaligned 128-bit load of the first 16 bytes of `table`: a small
+    /// table, or the start of a portion of a quantized full table.
+    #[inline]
+    fn load_table(table: &[u8]) -> __m128i {
+        let table = &table[..PORTION];
+        // SAFETY: `table` is 16 readable bytes, and `_mm_loadu_si128` is
+        // SSE2, which every x86_64 CPU has.
+        unsafe { _mm_loadu_si128(table.as_ptr() as *const __m128i) }
     }
 
     /// SSSE3 whole-partition scan; same contract as
@@ -356,23 +368,59 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     ///
-    /// CPU must support SSSE3.
-    pub(crate) unsafe fn scan_all_ssse3<F: Visit>(
+    /// CPU must support SSSE3. (`C` must be `grouped.layout().c()`, the
+    /// layout the codes were packed for, or the results are wrong; memory
+    /// safety does not depend on it, the group's byte length is asserted.)
+    #[target_feature(enable = "ssse3")]
+    pub(crate) unsafe fn scan_all_ssse3<const C: usize, S: BlockSink>(
         grouped: &GroupedCodes,
         tables: &ScanTables,
         threshold: u8,
-        visit: &mut F,
-    ) -> u64 {
-        // SAFETY: SSSE3 is a caller precondition, and each arm instantiates
-        // the kernel with `C` equal to the layout's grouping count.
-        unsafe {
-            match grouped.layout().c() {
-                0 => scan_all_ssse3_impl::<0, F>(grouped, tables, threshold, visit),
-                1 => scan_all_ssse3_impl::<1, F>(grouped, tables, threshold, visit),
-                2 => scan_all_ssse3_impl::<2, F>(grouped, tables, threshold, visit),
-                3 => scan_all_ssse3_impl::<3, F>(grouped, tables, threshold, visit),
-                4 => scan_all_ssse3_impl::<4, F>(grouped, tables, threshold, visit),
-                c => unreachable!("grouping is defined for c <= 4, got {c}"),
+        sink: &mut S,
+    ) {
+        // Minimum tables: loaded once, resident for the entire scan.
+        let mut regs = [_mm_setzero_si128(); FS_M];
+        for j in C..FS_M {
+            regs[j] = load_table(&tables.small[j]);
+        }
+        let mut tvec = _mm_set1_epi8(threshold as i8);
+        let bpb = bytes_per_block(C);
+
+        for (gi, g) in grouped.groups().iter().enumerate() {
+            // Portion registers for this group (Figure 13, solid arrows).
+            for j in 0..C {
+                regs[j] = load_table(&tables.grouped[j][g.key[j] as usize * PORTION..]);
+            }
+            let blocks = grouped.group_blocks(g);
+            assert!(
+                blocks.len() >= g.num_blocks() * bpb,
+                "kernel/layout c mismatch"
+            );
+            let base = blocks.as_ptr();
+            let full_blocks = g.len / FS_BLOCK;
+
+            // Hot loop over full blocks.
+            for b in 0..full_blocks {
+                // SAFETY: SSSE3 is a caller precondition; `blocks` holds
+                // `num_blocks()` blocks of `bpb` bytes (asserted above) and
+                // `b < full_blocks <= num_blocks()`, so the block pointer
+                // covers `bytes_per_block(C)` readable bytes.
+                let mask = unsafe { block_mask_ssse3::<C>(base.add(b * bpb), &regs, tvec) };
+                if mask != 0 {
+                    tvec = _mm_set1_epi8(sink.block::<C>(gi, b, mask) as i8);
+                }
+            }
+            // Ragged tail block: the padding lanes are masked out.
+            let tail = g.len % FS_BLOCK;
+            if tail != 0 {
+                // SAFETY: as above; a ragged tail means `num_blocks() ==
+                // full_blocks + 1`, so block `full_blocks` is in range.
+                let mask =
+                    unsafe { block_mask_ssse3::<C>(base.add(full_blocks * bpb), &regs, tvec) }
+                        & ((1u16 << tail) - 1);
+                if mask != 0 {
+                    tvec = _mm_set1_epi8(sink.block::<C>(gi, full_blocks, mask) as i8);
+                }
             }
         }
     }
@@ -437,136 +485,84 @@ pub(crate) mod x86 {
         _mm256_movemask_epi8(cand) as u32
     }
 
-    /// # Safety
-    ///
-    /// CPU must support AVX2, and `C` must equal `grouped.layout().c()`
-    /// (the layout the codes were packed for).
-    #[target_feature(enable = "avx2")]
-    unsafe fn scan_all_avx2_impl<const C: usize, F: Visit>(
-        grouped: &GroupedCodes,
-        tables: &ScanTables,
-        mut threshold: u8,
-        visit: &mut F,
-    ) -> u64 {
-        debug_assert_eq!(C, grouped.layout().c(), "kernel/layout c mismatch");
-        // 128-bit registers for the single-block tail path...
-        let mut regs128 = [_mm_setzero_si128(); FS_M];
-        for j in C..FS_M {
-            // SAFETY: `tables.small[j]` is a `[u8; 16]` — exactly one
-            // unaligned 128-bit load.
-            regs128[j] = unsafe { _mm_loadu_si128(tables.small[j].as_ptr() as *const __m128i) };
-        }
-        // ...and their 256-bit broadcasts for the pair path.
-        let mut regs256 = [_mm256_setzero_si256(); FS_M];
-        for j in C..FS_M {
-            regs256[j] = _mm256_broadcastsi128_si256(regs128[j]);
-        }
-        let mut tvec128 = _mm_set1_epi8(threshold as i8);
-        let mut tvec256 = _mm256_set1_epi8(threshold as i8);
-        let bpb = bytes_per_block(C);
-        let mut candidates = 0u64;
-
-        for (gi, g) in grouped.groups().iter().enumerate() {
-            for j in 0..C {
-                let portion = g.key[j] as usize * PORTION;
-                debug_assert!(portion + PORTION <= tables.grouped[j].len());
-                // SAFETY: group keys are 4-bit portion indexes, so
-                // `portion + 16 <= 256 == tables.grouped[j].len()`.
-                regs128[j] = unsafe {
-                    _mm_loadu_si128(tables.grouped[j].as_ptr().add(portion) as *const __m128i)
-                };
-                regs256[j] = _mm256_broadcastsi128_si256(regs128[j]);
-            }
-            let blocks = grouped.group_blocks(g);
-            let base = blocks.as_ptr();
-            let full_blocks = g.len / FS_BLOCK;
-            let pairs = full_blocks / 2;
-            debug_assert!(blocks.len() >= g.num_blocks() * bpb);
-
-            // Two full blocks per iteration.
-            for pair in 0..pairs {
-                let b = pair * 2;
-                // SAFETY: AVX2 is a caller precondition; blocks `b` and
-                // `b + 1` are both full (`b + 1 < full_blocks`), so the
-                // pointer covers `2 * bpb` readable bytes inside the
-                // `num_blocks() * bpb` the group slice provides.
-                let mut mask =
-                    unsafe { block_pair_mask_avx2::<C>(base.add(b * bpb), &regs256, tvec256) };
-                if mask != 0 {
-                    candidates += mask.count_ones() as u64;
-                    loop {
-                        let lane = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        let new_threshold = visit(gi, b * FS_BLOCK + lane);
-                        if new_threshold != threshold {
-                            threshold = new_threshold;
-                            tvec128 = _mm_set1_epi8(threshold as i8);
-                            tvec256 = _mm256_set1_epi8(threshold as i8);
-                        }
-                        if mask == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
-            // Odd full block, then the ragged tail: 128-bit path.
-            let mut singles: [(usize, u16); 2] = [(0, 0); 2];
-            let mut n_singles = 0usize;
-            if full_blocks % 2 == 1 {
-                singles[n_singles] = (full_blocks - 1, u16::MAX);
-                n_singles += 1;
-            }
-            let tail = g.len % FS_BLOCK;
-            if tail != 0 {
-                singles[n_singles] = (full_blocks, (1u16 << tail) - 1);
-                n_singles += 1;
-            }
-            for &(b, valid_mask) in &singles[..n_singles] {
-                // SAFETY: AVX2 implies SSSE3; `b < num_blocks()`, so the
-                // block pointer covers `bpb` readable bytes.
-                let mut mask =
-                    unsafe { block_mask_ssse3::<C>(base.add(b * bpb), &regs128, tvec128) }
-                        & valid_mask;
-                candidates += mask.count_ones() as u64;
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let new_threshold = visit(gi, b * FS_BLOCK + lane);
-                    if new_threshold != threshold {
-                        threshold = new_threshold;
-                        tvec128 = _mm_set1_epi8(threshold as i8);
-                        tvec256 = _mm256_set1_epi8(threshold as i8);
-                    }
-                }
-            }
-        }
-        candidates
-    }
-
     /// AVX2 whole-partition scan; returns exactly the same neighbors as the
-    /// other kernels (candidate visiting order is identical; only the
+    /// other kernels (blocks are handed off in the same order; only the
     /// pruning statistics may differ marginally, because a block pair is
     /// masked against a single threshold snapshot).
     ///
     /// # Safety
     ///
-    /// CPU must support AVX2.
-    pub(crate) unsafe fn scan_all_avx2<F: Visit>(
+    /// CPU must support AVX2. (`C` must be `grouped.layout().c()`, as for
+    /// [`scan_all_ssse3`].)
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn scan_all_avx2<const C: usize, S: BlockSink>(
         grouped: &GroupedCodes,
         tables: &ScanTables,
-        threshold: u8,
-        visit: &mut F,
-    ) -> u64 {
-        // SAFETY: AVX2 is a caller precondition, and each arm instantiates
-        // the kernel with `C` equal to the layout's grouping count.
-        unsafe {
-            match grouped.layout().c() {
-                0 => scan_all_avx2_impl::<0, F>(grouped, tables, threshold, visit),
-                1 => scan_all_avx2_impl::<1, F>(grouped, tables, threshold, visit),
-                2 => scan_all_avx2_impl::<2, F>(grouped, tables, threshold, visit),
-                3 => scan_all_avx2_impl::<3, F>(grouped, tables, threshold, visit),
-                4 => scan_all_avx2_impl::<4, F>(grouped, tables, threshold, visit),
-                c => unreachable!("grouping is defined for c <= 4, got {c}"),
+        mut threshold: u8,
+        sink: &mut S,
+    ) {
+        // 128-bit registers for the single-block path and their 256-bit
+        // broadcasts for the pair path.
+        let mut regs128 = [_mm_setzero_si128(); FS_M];
+        let mut regs256 = [_mm256_setzero_si256(); FS_M];
+        for j in C..FS_M {
+            regs128[j] = load_table(&tables.small[j]);
+            regs256[j] = _mm256_broadcastsi128_si256(regs128[j]);
+        }
+        let mut tvec128 = _mm_set1_epi8(threshold as i8);
+        let mut tvec256 = _mm256_set1_epi8(threshold as i8);
+        let bpb = bytes_per_block(C);
+
+        for (gi, g) in grouped.groups().iter().enumerate() {
+            for j in 0..C {
+                regs128[j] = load_table(&tables.grouped[j][g.key[j] as usize * PORTION..]);
+                regs256[j] = _mm256_broadcastsi128_si256(regs128[j]);
+            }
+            let blocks = grouped.group_blocks(g);
+            assert!(
+                blocks.len() >= g.num_blocks() * bpb,
+                "kernel/layout c mismatch"
+            );
+            let base = blocks.as_ptr();
+            let full_blocks = g.len / FS_BLOCK;
+            let paired = full_blocks & !1;
+
+            // Two full blocks per iteration.
+            for b in (0..paired).step_by(2) {
+                // SAFETY: AVX2 is a caller precondition; `blocks` holds
+                // `num_blocks()` blocks of `bpb` bytes (asserted above) and
+                // `b + 1 < paired <= num_blocks()`, so the pointer covers
+                // `2 * bytes_per_block(C)` readable bytes.
+                let mask =
+                    unsafe { block_pair_mask_avx2::<C>(base.add(b * bpb), &regs256, tvec256) };
+                if mask != 0 {
+                    if mask as u16 != 0 {
+                        threshold = sink.block::<C>(gi, b, mask as u16);
+                    }
+                    if mask >> 16 != 0 {
+                        threshold = sink.block::<C>(gi, b + 1, (mask >> 16) as u16);
+                    }
+                    tvec128 = _mm_set1_epi8(threshold as i8);
+                    tvec256 = _mm256_set1_epi8(threshold as i8);
+                }
+            }
+            // Odd full block, then the ragged tail: 128-bit path.
+            for b in paired..g.num_blocks() {
+                // SAFETY: AVX2 implies SSSE3; `b < num_blocks()`, so the
+                // block pointer covers `bytes_per_block(C)` readable bytes
+                // (length asserted above).
+                let mut mask =
+                    unsafe { block_mask_ssse3::<C>(base.add(b * bpb), &regs128, tvec128) };
+                if b == full_blocks {
+                    // Only a ragged tail reaches past the full blocks, so
+                    // `len % 16 != 0` here: mask out the padding lanes.
+                    mask &= (1u16 << (g.len % FS_BLOCK)) - 1;
+                }
+                if mask != 0 {
+                    threshold = sink.block::<C>(gi, b, mask);
+                    tvec128 = _mm_set1_epi8(threshold as i8);
+                    tvec256 = _mm256_set1_epi8(threshold as i8);
+                }
             }
         }
     }
@@ -617,35 +613,31 @@ mod tests {
         acc
     }
 
-    fn collect_candidates(
+    type Blocks = Vec<(usize, usize, u16)>;
+
+    /// The hand-off sequence of one scan under the frozen threshold `t`.
+    fn collect_blocks(
+        kernel: ResolvedKernel,
         grouped: &GroupedCodes,
         tables: &ScanTables,
         t: u8,
-        ssse3: bool,
-    ) -> (Vec<(usize, usize)>, u64) {
-        let mut tables = tables.clone();
-        let mut visited = Vec::new();
-        let count = if ssse3 {
-            #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
-            {
-                assert!(std::arch::is_x86_feature_detected!("ssse3"));
-                // SAFETY: SSSE3 support asserted above.
-                unsafe {
-                    x86::scan_all_ssse3(grouped, &tables, t, &mut |g, idx| {
-                        visited.push((g, idx));
-                        t
-                    })
-                }
-            }
-            #[cfg(not(all(target_arch = "x86_64", feature = "avx2")))]
-            unreachable!()
-        } else {
-            scan_all_portable(grouped, &mut tables, t, &mut |g, idx| {
-                visited.push((g, idx));
-                t
-            })
-        };
-        (visited, count)
+    ) -> Blocks {
+        let mut blocks = Blocks::new();
+        scan_all(kernel, grouped, tables, t, &mut |g, b, mask| {
+            blocks.push((g, b, mask));
+            t
+        });
+        blocks
+    }
+
+    /// The resolved SIMD back-end, or `None` (test skipped) without it.
+    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    fn simd(kernel: Kernel) -> Option<ResolvedKernel> {
+        let resolved = kernel.resolve().ok();
+        if resolved.is_none() {
+            eprintln!("skipping: no {kernel:?}");
+        }
+        resolved
     }
 
     #[test]
@@ -654,19 +646,53 @@ mod tests {
             let grouped = sample_grouped(600, c);
             let tables = sample_tables(c, c as u8);
             for t in [0u8, 40, 90, 200, 255] {
-                let (visited, count) = collect_candidates(&grouped, &tables, t, false);
-                assert_eq!(visited.len() as u64, count);
-                let set: std::collections::HashSet<(usize, usize)> = visited.into_iter().collect();
+                let blocks = collect_blocks(ResolvedKernel::Portable, &grouped, &tables, t);
+                assert!(blocks.iter().all(|&(_, _, mask)| mask != 0));
+                let mut handed = blocks.iter().peekable();
                 for (gi, g) in grouped.groups().iter().enumerate() {
-                    for idx in 0..g.len {
-                        // The oracle uses the *exact* quantized entry for
-                        // grouped components, which equals the portion value
-                        // the kernel looks up.
-                        let bound = oracle_bound(&grouped, &tables, gi, idx);
+                    for b in 0..g.num_blocks() {
+                        let mask = handed
+                            .next_if(|&&(hg, hb, _)| (hg, hb) == (gi, b))
+                            .map_or(0, |&(_, _, mask)| mask);
+                        for lane in 0..FS_BLOCK {
+                            let idx = b * FS_BLOCK + lane;
+                            // The oracle uses the *exact* quantized entry
+                            // for grouped components, which equals the
+                            // portion value the kernel looks up. Padding
+                            // lanes must never be handed off.
+                            let survives =
+                                idx < g.len && oracle_bound(&grouped, &tables, gi, idx) <= t;
+                            assert_eq!(
+                                mask >> lane & 1 == 1,
+                                survives,
+                                "c={c} t={t} g={gi} idx={idx}"
+                            );
+                        }
+                    }
+                }
+                assert!(handed.next().is_none(), "hand-off out of storage order");
+            }
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[test]
+    fn simd_scans_match_portable_under_static_threshold() {
+        // With a static threshold the pair kernel's masks decompose into
+        // exactly the per-block masks: full equality of hand-off sequences.
+        for kernel in [Kernel::Ssse3, Kernel::Avx2] {
+            let Some(resolved) = simd(kernel) else {
+                continue;
+            };
+            for c in [0usize, 1, 2, 3, 4] {
+                for n in [15usize, 16, 31, 32, 33, 40, 700] {
+                    let grouped = sample_grouped(n, c);
+                    let tables = sample_tables(c, c as u8 + 11);
+                    for t in [0u8, 1, 63, 128, 254, 255] {
                         assert_eq!(
-                            set.contains(&(gi, idx)),
-                            bound <= t,
-                            "c={c} t={t} g={gi} idx={idx} bound={bound}"
+                            collect_blocks(ResolvedKernel::Portable, &grouped, &tables, t),
+                            collect_blocks(resolved, &grouped, &tables, t),
+                            "{kernel:?} c={c} n={n} t={t}"
                         );
                     }
                 }
@@ -676,83 +702,23 @@ mod tests {
 
     #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
     #[test]
-    fn ssse3_scan_is_bit_identical_to_portable() {
-        if !std::arch::is_x86_feature_detected!("ssse3") {
-            eprintln!("skipping: no SSSE3");
-            return;
-        }
-        for c in [0usize, 1, 2, 3, 4] {
-            for n in [40usize, 700] {
-                let grouped = sample_grouped(n, c);
-                let tables = sample_tables(c, c as u8 + 3);
-                for t in [0u8, 1, 63, 128, 254, 255] {
-                    let (vp, cp) = collect_candidates(&grouped, &tables, t, false);
-                    let (vs, cs) = collect_candidates(&grouped, &tables, t, true);
-                    assert_eq!(vp, vs, "c={c} n={n} t={t}");
-                    assert_eq!(cp, cs, "c={c} n={n} t={t}");
-                }
-            }
-        }
-    }
-
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
-    #[test]
-    fn avx2_scan_matches_portable_under_static_threshold() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            eprintln!("skipping: no AVX2");
-            return;
-        }
-        // With a static threshold the pair kernel's masks decompose into
-        // exactly the per-block masks: full equality of visit sequences.
-        for c in [0usize, 1, 2, 3, 4] {
-            for n in [15usize, 16, 31, 32, 33, 700] {
-                let grouped = sample_grouped(n, c);
-                let tables = sample_tables(c, c as u8 + 11);
-                for t in [0u8, 63, 128, 254, 255] {
-                    let (vp, cp) = collect_candidates(&grouped, &tables, t, false);
-                    let mut visited = Vec::new();
-                    // SAFETY: AVX2 detected above.
-                    let ca = unsafe {
-                        x86::scan_all_avx2(&grouped, &tables, t, &mut |g, idx| {
-                            visited.push((g, idx));
-                            t
-                        })
-                    };
-                    assert_eq!(vp, visited, "c={c} n={n} t={t}");
-                    assert_eq!(cp, ca, "c={c} n={n} t={t}");
-                }
-            }
-        }
-    }
-
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
-    #[test]
     fn kernels_agree_under_dynamic_thresholds() {
-        if !std::arch::is_x86_feature_detected!("ssse3") {
+        let Some(ssse3) = simd(Kernel::Ssse3) else {
             return;
-        }
+        };
         let grouped = sample_grouped(900, 4);
         let tables = sample_tables(4, 5);
-        let run = |ssse3: bool| -> Vec<(usize, usize)> {
+        let run = |kernel: ResolvedKernel| -> Blocks {
             let mut t = 255u8;
-            let mut visited = Vec::new();
-            let mut visit = |g: usize, idx: usize| {
-                visited.push((g, idx));
+            let mut blocks = Blocks::new();
+            scan_all(kernel, &grouped, &tables, 255, &mut |g, b, mask| {
+                blocks.push((g, b, mask));
                 t = t.saturating_sub(16);
                 t
-            };
-            if ssse3 {
-                // SAFETY: SSSE3 support checked at the top of the test.
-                unsafe {
-                    x86::scan_all_ssse3(&grouped, &tables, 255, &mut visit);
-                }
-            } else {
-                let mut tables = tables.clone();
-                scan_all_portable(&grouped, &mut tables, 255, &mut visit);
-            }
-            visited
+            });
+            blocks
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(ResolvedKernel::Portable), run(ssse3));
     }
 
     #[test]
@@ -769,8 +735,7 @@ mod tests {
                 *v = (*v).max(1);
             }
         }
-        let count = scan_all_portable(&grouped, &mut tables, 0, &mut |_, _| 0);
-        assert_eq!(count, 0);
+        assert!(collect_blocks(ResolvedKernel::Portable, &grouped, &tables, 0).is_empty());
     }
 
     #[test]

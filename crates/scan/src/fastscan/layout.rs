@@ -32,6 +32,62 @@ pub const FS_BLOCK: usize = 16;
 /// Entries per small table / distance-table portion.
 pub const PORTION: usize = 16;
 
+/// Entries per distance table (`PQ 8×8`: one per value of a code byte).
+pub const KSUB: usize = 256;
+
+/// Bytes of one block of 16 vectors for grouping on `c` components; `const`
+/// so the kernels and the verification loop, monomorphized on `c`, fold it.
+pub const fn bytes_per_block(c: usize) -> usize {
+    (c / 2 + c % 2 + (FS_M - c)) * FS_BLOCK
+}
+
+/// The exact ADC distance of the vector at `lane` of `block`, read straight
+/// from the packed arrays: the fusion of [`BlockLayout::read_code`] and
+/// `DistanceTables::distance` that verification runs per survivor.
+///
+/// `tables` holds the eight float distance tables `D_0 … D_7` back to back
+/// (`DistanceTables::raw` of a `PQ 8×8` query); `high[j]` is the group key's
+/// nibble of grouped component `j` already shifted into the high half
+/// (`key[j] << 4`), so every lookup is one `u8`-indexed read at a constant
+/// offset from one base pointer, with no bounds check left to make. The
+/// eight entries are added **in component order 0..7** starting from `0.0`,
+/// exactly as `DistanceTables::distance` does, so the sum is bit-identical
+/// to the one every other backend computes. `#[inline(always)]` with `c` a
+/// constant at the verification call site unrolls every loop.
+///
+/// # Panics
+///
+/// Panics if `block` is shorter than [`bytes_per_block`]`(c)`, if
+/// `lane >= FS_BLOCK` reaches past it, or if `c > 4`.
+#[inline(always)]
+pub(crate) fn lane_distance(
+    c: usize,
+    tables: &[f32; FS_M * KSUB],
+    high: [u8; 4],
+    block: &[u8],
+    lane: usize,
+) -> f32 {
+    let entry = |j: usize, index: u8| tables[j * KSUB + index as usize];
+    let mut d = 0f32;
+    let mut array = 0usize;
+    for p in 0..c / 2 {
+        let byte = block[array * FS_BLOCK + lane];
+        array += 1;
+        d += entry(2 * p, high[2 * p] | (byte & 0x0F));
+        d += entry(2 * p + 1, high[2 * p + 1] | (byte >> 4));
+    }
+    if c % 2 == 1 {
+        let byte = block[array * FS_BLOCK + lane];
+        array += 1;
+        d += entry(c - 1, high[c - 1] | (byte & 0x0F));
+    }
+    for j in c..FS_M {
+        d += entry(j, block[array * FS_BLOCK + lane]);
+        array += 1;
+    }
+    d
+}
+
 /// Describes the packed block layout for a given number of grouping
 /// components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,12 +123,12 @@ impl BlockLayout {
 
     /// Number of 16-byte arrays per block.
     pub fn arrays(&self) -> usize {
-        self.pairs() + (self.c % 2) + (FS_M - self.c)
+        bytes_per_block(self.c) / FS_BLOCK
     }
 
     /// Bytes of one block of 16 vectors.
     pub fn bytes_per_block(&self) -> usize {
-        self.arrays() * FS_BLOCK
+        bytes_per_block(self.c)
     }
 
     /// Average stored bytes per vector (`6.0` for the paper's `c = 4`).
@@ -208,6 +264,39 @@ mod tests {
                 assert_eq!(
                     layout.read_code(&block, lane, &key),
                     *code,
+                    "c={c} lane={lane}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_distance_is_the_adc_distance_of_the_read_code() {
+        // Floats whose sum depends on the order of the additions.
+        let raw: Vec<f32> = (0..FS_M * KSUB)
+            .map(|i| ((i as u64 * 2_654_435_761) % 100_003) as f32 / 977.0)
+            .collect();
+        let raw_array: &[f32; FS_M * KSUB] = raw.as_slice().try_into().unwrap();
+        let tables = pqfs_core::DistanceTables::from_raw(raw.clone(), FS_M, KSUB);
+        for c in 0..=4usize {
+            let layout = BlockLayout::new(c);
+            let mut block = vec![0u8; layout.bytes_per_block()];
+            let key: GroupKey =
+                std::array::from_fn(|j| if j < c { [0x3, 0xF, 0x0, 0x9][j] } else { 0 });
+            for lane in 0..FS_BLOCK {
+                let mut code: [u8; FS_M] =
+                    std::array::from_fn(|j| ((lane * 37 + j * 101 + c * 7) % 256) as u8);
+                for j in 0..c {
+                    code[j] = (key[j] << 4) | (code[j] & 0x0F);
+                }
+                layout.write_code(&mut block, lane, &code);
+            }
+            for lane in 0..FS_BLOCK {
+                let code = layout.read_code(&block, lane, &key);
+                let fused = lane_distance(c, raw_array, key.map(|k| k << 4), &block, lane);
+                assert_eq!(
+                    fused.to_bits(),
+                    tables.distance(&code).to_bits(),
                     "c={c} lane={lane}"
                 );
             }

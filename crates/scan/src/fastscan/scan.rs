@@ -1,8 +1,19 @@
-//! The Fast Scan driver: warm-up, quantization, kernel invocation (paper
-//! Figure 6).
+//! The Fast Scan driver: warm-up, quantization, kernel invocation and
+//! survivor verification (paper Figure 6; docs/FASTSCAN.md).
+//!
+//! A scan is four steps. **Warm-up** computes exact distances for a strided
+//! `keep` sample and pushes them into the result heap; the sample is walked
+//! with a monotone group cursor, so it costs O(sample), not O(groups).
+//! **Quantization** derives `qmax` from that heap and fills the 8-bit tables.
+//! The **kernel** ([`kernel::scan_all`]) lower-bounds every vector and hands
+//! each block with survivors to the [`Verifier`], which computes the exact
+//! distances of the masked lanes straight from the block's arrays, in a loop
+//! monomorphized on the kernel's `const C`, and feeds the tightened
+//! threshold back.
 
-use crate::fastscan::kernel::{scan_all_portable, ResolvedKernel, ScanTables};
-use crate::fastscan::layout::{FS_M, PORTION};
+use crate::fastscan::grouping::GroupedCodes;
+use crate::fastscan::kernel::{self, BlockSink, ScanTables};
+use crate::fastscan::layout::{bytes_per_block, lane_distance, FS_BLOCK, FS_M, KSUB, PORTION};
 use crate::fastscan::FastScanIndex;
 use crate::quantize::DistanceQuantizer;
 use crate::result::{ScanResult, ScanStats};
@@ -23,7 +34,7 @@ pub struct ScanParams {
     /// prefix would be a maximally biased sample. The warm-up therefore
     /// scans a **strided** sample of the grouped storage, which preserves
     /// the paper's intent (a representative sample of distances) on any
-    /// storage order (DESIGN.md §3).
+    /// storage order (docs/FASTSCAN.md §2).
     pub keep: f64,
 }
 
@@ -68,12 +79,17 @@ pub(crate) fn scan_with(
     params: &ScanParams,
     scratch: &mut ScanScratch,
 ) -> Result<ScanResult, ScanError> {
-    if tables.m() != 8 || tables.ksub() != 256 {
-        return Err(ScanError::NeedsPq8x8 {
-            m: tables.m(),
-            ksub: tables.ksub(),
-        });
-    }
+    // The eight float tables as one fixed-size array: `PQ 8×8` is checked
+    // here once, and no lookup below needs a bounds check.
+    let float_tables: &[f32; FS_M * KSUB] = match tables.raw().try_into() {
+        Ok(raw) if tables.m() == FS_M => raw,
+        _ => {
+            return Err(ScanError::NeedsPq8x8 {
+                m: tables.m(),
+                ksub: tables.ksub(),
+            })
+        }
+    };
     let kernel = index.kernel().resolve()?;
     let grouped = index.grouped();
     let c = grouped.layout().c();
@@ -91,24 +107,28 @@ pub(crate) fn scan_with(
     }
 
     // ---- Warm-up: plain PQ Scan over a strided keep% sample (§4.4). ----
-    // Sampled vectors are pushed into the real heap and excluded from the
-    // fast path, so the overall result is exactly PQ Scan's.
+    // Sampled vectors (storage positions 0, stride, 2·stride, …) are pushed
+    // into the real heap and excluded from the fast path, so the overall
+    // result is exactly PQ Scan's. Positions only grow, so one cursor over
+    // the groups finds each sample's group.
     let target = (params.keep.clamp(0.0, 1.0) * n as f64).ceil() as usize;
     let stride = n.checked_div(target).map_or(0, |s| s.max(1));
-    let mut warm = 0u64;
     if stride > 0 {
-        for g in grouped.groups() {
-            // First multiple of `stride` at or after the group start.
-            let mut pos = g.start.div_ceil(stride) * stride;
-            while pos < g.start + g.len {
-                let code = grouped.read_code(g, pos - g.start);
-                heap.push(tables.distance(&code), grouped.id(pos) as u64);
-                warm += 1;
-                pos += stride;
+        let groups = grouped.groups();
+        let mut gi = 0;
+        for pos in (0..n).step_by(stride) {
+            while pos >= groups[gi].start + groups[gi].len {
+                gi += 1;
             }
+            let g = &groups[gi];
+            let idx = pos - g.start;
+            let block = grouped.block(g, idx / FS_BLOCK);
+            let high = g.key.map(|k| k << 4);
+            let d = lane_distance(c, float_tables, high, block, idx % FS_BLOCK);
+            heap.push(d, grouped.id(pos) as u64);
         }
+        stats.warmup = n.div_ceil(stride) as u64;
     }
-    stats.warmup = warm;
 
     // ---- Quantization setup (§4.4): qmax = distance to the temporary
     // nearest neighbor, falling back to the maximum possible distance.
@@ -141,72 +161,27 @@ pub(crate) fn scan_with(
         }
     }
 
-    let threshold = quantizer.quantize_threshold(heap.threshold());
-
-    // ---- Fast path: the kernel walks every group/block; this closure
-    // verifies each surviving candidate.
-    let mut verified = 0u64;
-    let groups = grouped.groups();
-    let mut current_threshold = threshold;
-    let mut visit = |gi: usize, idx: usize| -> u8 {
-        let g = &groups[gi];
-        let pos = g.start + idx;
-        // Warm-up members were already pushed; skip to avoid duplicates.
-        if stride > 0 && pos % stride == 0 {
-            return current_threshold;
-        }
-        let code = grouped.read_code(g, idx);
-        let d = tables.distance(&code);
-        verified += 1;
-        if heap.push(d, grouped.id(pos) as u64) {
-            current_threshold = quantizer.quantize_threshold(heap.threshold());
-        }
-        current_threshold
+    // ---- Fast path: the kernel walks every group/block and hands the
+    // survivors to the verifier.
+    let bound = heap.threshold();
+    let threshold = quantizer.quantize_threshold(bound);
+    let mut verifier = Verifier {
+        grouped,
+        float_tables,
+        quantizer: &quantizer,
+        heap,
+        bound,
+        threshold,
+        verified: 0,
+        stride,
+        next_sample: if stride > 0 { 0 } else { usize::MAX },
+        group: usize::MAX,
+        start: 0,
+        high: [0; 4],
+        blocks: &[],
     };
-
-    match kernel {
-        ResolvedKernel::Portable => {
-            scan_all_portable(grouped, scan_tables, threshold, &mut visit);
-        }
-        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
-        ResolvedKernel::Ssse3 => {
-            // SAFETY: resolution verified SSSE3 support.
-            unsafe {
-                crate::fastscan::kernel::x86::scan_all_ssse3(
-                    grouped,
-                    scan_tables,
-                    threshold,
-                    &mut visit,
-                );
-            }
-        }
-        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
-        ResolvedKernel::Avx2 => {
-            // SAFETY: resolution verified AVX2 support.
-            unsafe {
-                crate::fastscan::kernel::x86::scan_all_avx2(
-                    grouped,
-                    scan_tables,
-                    threshold,
-                    &mut visit,
-                );
-            }
-        }
-    }
-    stats.verified = verified;
-
-    // Differential shadow execution (feature `checked-kernels`): on a
-    // sampled subset of scans, re-run the partition with both the SIMD
-    // kernel and the portable oracle under a frozen threshold and assert
-    // the candidate sequences are identical. The threshold is frozen
-    // because the AVX2 pair kernel shares one threshold snapshot across a
-    // block pair, so only static-threshold runs are defined to be
-    // bit-identical (see `kernels_agree_under_dynamic_thresholds` for the
-    // dynamic-threshold equivalence of the SSSE3 kernel).
-    #[cfg(all(target_arch = "x86_64", feature = "avx2", feature = "checked-kernels"))]
-    if kernel != ResolvedKernel::Portable && crate::checked::should_check() {
-        shadow_check(kernel, grouped, scan_tables, threshold);
-    }
+    kernel::scan_all(kernel, grouped, scan_tables, threshold, &mut verifier);
+    stats.verified = verifier.verified;
 
     // A vector is "pruned" when its exact pqdistance was never computed in
     // the fast path; warm-up members are accounted separately, so the
@@ -214,55 +189,77 @@ pub(crate) fn scan_with(
     stats.pruned = n as u64 - stats.warmup - stats.verified;
 
     Ok(ScanResult {
-        neighbors: heap.into_sorted(),
+        neighbors: verifier.heap.into_sorted(),
         stats,
     })
 }
 
-/// Re-runs one partition with the resolved SIMD kernel and the portable
-/// oracle under a frozen threshold, asserting identical candidate
-/// sequences. Panics (via [`crate::checked::assert_visits_match`]) on the
-/// first divergence.
-#[cfg(all(target_arch = "x86_64", feature = "avx2", feature = "checked-kernels"))]
-fn shadow_check(
-    kernel: ResolvedKernel,
-    grouped: &crate::fastscan::grouping::GroupedCodes,
-    scan_tables: &ScanTables,
+/// The exact side of the fast path: receives each block's survivors from
+/// the kernel and runs PQ Scan's `pqdistance` on them.
+struct Verifier<'a> {
+    grouped: &'a GroupedCodes,
+    /// The float distance tables `D_0 … D_7`, back to back.
+    float_tables: &'a [f32; FS_M * KSUB],
+    quantizer: &'a DistanceQuantizer,
+    heap: TopK,
+    /// `heap.threshold()`: a survivor above it cannot enter the heap.
+    bound: f32,
+    /// `bound`, quantized: what the kernel prunes with.
     threshold: u8,
-) {
-    use crate::fastscan::kernel::x86;
-    let name = match kernel {
-        ResolvedKernel::Ssse3 => "fastscan.ssse3",
-        ResolvedKernel::Avx2 => "fastscan.avx2",
-        ResolvedKernel::Portable => return,
-    };
-    let mut simd = Vec::new();
-    // SAFETY: `kernel` came out of `Kernel::resolve`, which verified the
-    // matching CPU feature at runtime.
-    unsafe {
-        match kernel {
-            ResolvedKernel::Ssse3 => {
-                x86::scan_all_ssse3(grouped, scan_tables, threshold, &mut |g, i| {
-                    simd.push((g, i));
-                    threshold
-                })
-            }
-            ResolvedKernel::Avx2 => {
-                x86::scan_all_avx2(grouped, scan_tables, threshold, &mut |g, i| {
-                    simd.push((g, i));
-                    threshold
-                })
-            }
-            ResolvedKernel::Portable => 0,
+    verified: u64,
+    /// Warm-up members sit at the multiples of `stride`; blocks arrive in
+    /// storage order, so a cursor over those multiples finds the lanes to
+    /// skip. `next_sample` is the smallest one not behind the last block
+    /// seen (`usize::MAX` when there was no warm-up).
+    stride: usize,
+    next_sample: usize,
+    /// The group the fields below were hoisted for.
+    group: usize,
+    /// Storage position of the group's first vector.
+    start: usize,
+    /// The group key's nibbles, shifted into the high half of a code byte.
+    high: [u8; 4],
+    /// The group's packed blocks.
+    blocks: &'a [u8],
+}
+
+impl BlockSink for Verifier<'_> {
+    #[inline]
+    fn block<const C: usize>(&mut self, group: usize, block: usize, mut mask: u16) -> u8 {
+        if group != self.group {
+            let g = &self.grouped.groups()[group];
+            self.group = group;
+            self.start = g.start;
+            self.high = g.key.map(|k| k << 4);
+            self.blocks = self.grouped.group_blocks(g);
         }
-    };
-    // The portable oracle refreshes the per-group scratch registers inside
-    // `small[..c]`, so it runs on a clone.
-    let mut oracle_tables = scan_tables.clone();
-    let mut oracle = Vec::new();
-    scan_all_portable(grouped, &mut oracle_tables, threshold, &mut |g, i| {
-        oracle.push((g, i));
-        threshold
-    });
-    crate::checked::assert_visits_match(name, &simd, &oracle);
+        let first = self.start + block * FS_BLOCK;
+        // Warm-up members were already pushed; drop their lanes to avoid
+        // duplicates.
+        while self.next_sample < first {
+            self.next_sample += self.stride;
+        }
+        let mut sample = self.next_sample;
+        while sample < first + FS_BLOCK {
+            mask &= !(1 << (sample - first));
+            sample += self.stride;
+        }
+        self.verified += mask.count_ones() as u64;
+
+        let bpb = bytes_per_block(C);
+        let bytes = &self.blocks[block * bpb..][..bpb];
+        // Copies, so they stay in registers across the calls to `push`.
+        let (float_tables, high) = (self.float_tables, self.high);
+        while mask != 0 {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let d = lane_distance(C, float_tables, high, bytes, lane);
+            // Cheap reject first; `push` settles ties on the id.
+            if d <= self.bound && self.heap.push(d, self.grouped.id(first + lane) as u64) {
+                self.bound = self.heap.threshold();
+                self.threshold = self.quantizer.quantize_threshold(self.bound);
+            }
+        }
+        self.threshold
+    }
 }

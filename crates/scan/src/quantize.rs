@@ -6,7 +6,7 @@
 //! nearest neighbor found by scanning the first `keep%` of the database);
 //! everything above `qmax` saturates.
 //!
-//! Our scheme makes the pruning **provably safe** (DESIGN §3): each table
+//! Our scheme makes the pruning **provably safe** (docs/FASTSCAN.md §1): each table
 //! `j` is quantized with its own bias `bias_j = min_i D_j[i]` and a shared
 //! step `Δ = (qmax − Σ_j bias_j) / bins`, rounding down:
 //!

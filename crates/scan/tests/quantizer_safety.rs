@@ -1,5 +1,5 @@
 //! Property-based verification of the lower-bound safety theorem
-//! (DESIGN.md §3): with per-table biases and floor rounding, a saturated
+//! (docs/FASTSCAN.md §1): with per-table biases and floor rounding, a saturated
 //! 8-bit sum exceeding the quantized threshold *proves* the true distance
 //! exceeds the float threshold — for any tables, any `qmax`, any bin count,
 //! any candidate and any threshold. This is the property that makes PQ Fast
