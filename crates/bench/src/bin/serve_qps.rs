@@ -2,16 +2,20 @@
 //!
 //! Starts an in-process `pqfs_server` on an ephemeral loopback port, then
 //! drives the same query stream through it at client batch sizes 1, 8 and
-//! 32. Larger frames amortize both the wire round-trip and the server-side
-//! coalescing into one parallel search wave, so QPS must rise with batch
-//! size; the binary exits 1 if the largest batch does not beat batch=1.
+//! 32. Larger frames amortize both the wire round-trip and the wave's
+//! fixed costs, so QPS must rise with batch size; the binary exits 1 if
+//! the largest batch does not beat batch=1. A last point sends
+//! single-query frames over 8 connections: the server has no timer to
+//! wait for company, so its `queries_per_wave` shows how much batching
+//! accumulation alone buys when clients do not batch.
 //!
 //! Environment: `PQFS_N` base vectors (default 20 000), `PQFS_QUERIES`
 //! per measurement point (default 512), `PQFS_CONNECTIONS` concurrent
-//! client connections (default 2).
+//! client connections of the batch-size points (default 2).
 //!
-//! Output: one JSON line per batch size plus a summary line with the
-//! batch=max over batch=1 speedup.
+//! Output: one JSON line per point (`queries_per_wave` is null when
+//! telemetry is compiled out) plus a summary line with the batch=max over
+//! batch=1 speedup.
 
 #![forbid(unsafe_code)]
 
@@ -24,6 +28,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const BATCH_SIZES: [usize; 3] = [1, 8, 32];
+/// Connections of the closing single-query-frame point.
+const ACCUMULATION_CONNECTIONS: usize = 8;
+const WAVES: &str = "pqfs_server_batches_total";
 
 fn main() {
     let n = env_usize("PQFS_N", 20_000);
@@ -48,14 +55,26 @@ fn main() {
     let addr = handle.local_addr().to_string();
 
     let mut qps_by_batch = Vec::new();
-    for batch in BATCH_SIZES {
+    let points = BATCH_SIZES
+        .map(|batch| (batch, connections))
+        .into_iter()
+        .chain([(1, ACCUMULATION_CONNECTIONS)]);
+    for (batch, connections) in points {
+        let waves_before = pqfs_obs::counter_value(WAVES, None);
         let (qps, p50_ms, seconds) =
             run_point(&addr, &queries, dim, queries_per_point, batch, connections);
+        let waves = pqfs_obs::counter_value(WAVES, None) - waves_before;
+        let queries_per_wave = if waves > 0 {
+            format!("{:.2}", queries_per_point as f64 / waves as f64)
+        } else {
+            "null".to_string()
+        };
         qps_by_batch.push(qps);
         println!(
             "{{\"batch\": {batch}, \"connections\": {connections}, \
              \"queries\": {queries_per_point}, \"seconds\": {seconds:.3}, \
-             \"qps\": {qps:.1}, \"p50_ms\": {p50_ms:.3}}}"
+             \"qps\": {qps:.1}, \"p50_ms\": {p50_ms:.3}, \
+             \"queries_per_wave\": {queries_per_wave}}}"
         );
     }
     handle.shutdown_and_join();

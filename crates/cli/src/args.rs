@@ -2,6 +2,9 @@
 
 use std::collections::BTreeMap;
 
+/// Flags `main` reads for every command, before and after dispatch.
+const GLOBAL_FLAGS: [&str; 2] = ["threads", "metrics-out"];
+
 /// Parsed `--key value` pairs.
 #[derive(Debug, Default)]
 pub struct Args {
@@ -28,6 +31,20 @@ impl Args {
             }
         }
         Ok(Args { values })
+    }
+
+    /// Rejects any flag that is neither in `flags` — the ones the calling
+    /// command reads — nor global, so a typo or a flag meant for another
+    /// command is an error instead of being silently ignored.
+    pub fn allow_only(&self, flags: &[&str]) -> Result<(), String> {
+        match self
+            .values
+            .keys()
+            .find(|key| !flags.contains(&key.as_str()) && !GLOBAL_FLAGS.contains(&key.as_str()))
+        {
+            Some(key) => Err(format!("unknown flag --{key} for this command")),
+            None => Ok(()),
+        }
     }
 
     /// The raw value of `key`, if present.
@@ -95,6 +112,17 @@ mod tests {
         assert!(parse(&["--n"]).is_err(), "missing value");
         assert!(parse(&["--n", "1", "--n", "2"]).is_err(), "duplicate");
         assert!(parse(&["--", "1"]).is_err(), "empty flag");
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_are_rejected_by_name() {
+        let args = parse(&["--n", "1", "--nprob", "8", "--threads", "2"]).unwrap();
+        assert!(
+            args.allow_only(&["n", "nprob"]).is_ok(),
+            "global flags pass"
+        );
+        let err = args.allow_only(&["n", "nprobe"]).unwrap_err();
+        assert!(err.contains("--nprob "), "names the flag: {err}");
     }
 
     #[test]

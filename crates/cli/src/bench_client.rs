@@ -19,6 +19,17 @@ struct Tally {
 }
 
 pub fn cmd_bench_client(args: &Args) -> Result<Outcome, CliError> {
+    args.allow_only(&[
+        "addr",
+        "n",
+        "batch",
+        "connections",
+        "topk",
+        "nprobe",
+        "keep",
+        "deadline-ms",
+        "seed",
+    ])?;
     let addr = args.require("addr")?;
     let n = args.usize("n", 1000)?;
     let batch = args.usize("batch", 1)?.max(1);

@@ -10,7 +10,7 @@
 //!              [--backend <name>] [--keep 0.005] [--nprobe 1]
 //!              [--batch true] [--threads N] [--trace true]
 //! pqfs serve   --index index.pqiv [--addr 127.0.0.1:7071] [--backend <name>]
-//!              [--max-batch 32] [--linger-us 500] [--queue 256] [--threads N]
+//!              [--max-batch 32] [--queue 256] [--threads N]
 //! pqfs bench-client --addr 127.0.0.1:7071 [--n 1000] [--batch 1]
 //!              [--connections 1] [--topk 10] [--nprobe 1] [--deadline-ms N]
 //! ```
@@ -162,8 +162,8 @@ USAGE:
               [--deadline-ms N] [--batch true] [--threads N]
               [--trace true]
   pqfs serve  --index <index.pqiv> [--addr 127.0.0.1:7071]
-              [--backend <name>] [--max-batch 32] [--linger-us 500]
-              [--queue 256] [--threads N]
+              [--backend <name>] [--max-batch 32] [--queue 256]
+              [--threads N]
   pqfs bench-client
               --addr <host:port> [--n 1000] [--batch 1] [--connections 1]
               [--topk 10] [--nprobe 1] [--keep 0.05] [--deadline-ms N]
@@ -191,16 +191,19 @@ USAGE:
   serve keeps the index hot in memory and answers the binary protocol
   (see docs/SERVING.md) until SIGTERM/ctrl-c, then drains in-flight
   requests and exits 0. It prints 'listening on <addr>' once ready.
-  --max-batch and --linger-us bound the server-side batch coalescing;
-  --queue caps the admission queue (overflow is shed with a typed
-  Overloaded response, never queued unboundedly).
+  A request reaching an idle server runs at once; requests that arrive
+  while a search wave runs leave together as the next wave, at most
+  --max-batch queries of them (there is no timer to tune). --queue caps
+  the admission queue (overflow is shed with a typed Overloaded
+  response, never queued unboundedly).
 
   bench-client sends synthetic load at a running serve and prints one
   JSON line: queries, qps, p50/p90/p99 latency (ms), errors, shed. It
   exits 1 if any request failed (shed responses are counted separately).
 
-EXIT CODES: 0 success | 1 error (including any bench-client request
-            failure) | 2 artifact load failure | 3 degraded results
+EXIT CODES: 0 success | 1 error (including a flag the command does not
+            read, and any bench-client request failure) |
+            2 artifact load failure | 3 degraded results
             (probe failures or deadline skips; query command only —
             serve reports degradation per response, not via its exit
             code)
@@ -229,6 +232,7 @@ fn apply_threads(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_gen(args: &Args) -> Result<Outcome, CliError> {
+    args.allow_only(&["out", "n", "dim", "seed"])?;
     let out = args.require("out")?;
     let n = args.usize("n", 0)?;
     if n == 0 {
@@ -247,6 +251,7 @@ fn cmd_gen(args: &Args) -> Result<Outcome, CliError> {
 }
 
 fn cmd_build(args: &Args) -> Result<Outcome, CliError> {
+    args.allow_only(&["base", "out", "train", "partitions", "seed", "backends"])?;
     let base_path = args.require("base")?;
     let out = args.require("out")?;
     let partitions = args.usize("partitions", 8)?;
@@ -317,6 +322,7 @@ fn cmd_build(args: &Args) -> Result<Outcome, CliError> {
 }
 
 fn cmd_info(args: &Args) -> Result<Outcome, CliError> {
+    args.allow_only(&["index"])?;
     let path = args.require("index")?;
     let index =
         IvfadcIndex::load_file(&path).map_err(|e| load_err(&format!("loading {path}"), e))?;
@@ -349,6 +355,17 @@ fn cmd_info(args: &Args) -> Result<Outcome, CliError> {
 }
 
 fn cmd_query(args: &Args) -> Result<Outcome, CliError> {
+    args.allow_only(&[
+        "index",
+        "queries",
+        "topk",
+        "keep",
+        "nprobe",
+        "deadline-ms",
+        "backend",
+        "batch",
+        "trace",
+    ])?;
     let index_path = args.require("index")?;
     let query_path = args.require("queries")?;
     let topk = args.usize("topk", 100)?;

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
+    args.allow_only(&["index", "addr", "backend", "max-batch", "queue"])?;
     let index_path = args.require("index")?;
     let addr = args
         .get("addr")
@@ -22,7 +23,6 @@ pub fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
         .parse()
         .map_err(CliError::Other)?;
     let max_batch = args.usize("max-batch", 32)?;
-    let linger_us = args.u64("linger-us", 500)?;
     let queue_capacity = args.usize("queue", 256)?;
     if max_batch == 0 || queue_capacity == 0 {
         return Err(CliError::Other(
@@ -44,7 +44,6 @@ pub fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
         addr,
         default_backend: backend,
         max_batch,
-        max_linger: Duration::from_micros(linger_us),
         queue_capacity,
         ..ServerConfig::default()
     };

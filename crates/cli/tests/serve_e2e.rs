@@ -209,6 +209,14 @@ fn serve_rejects_bad_flags_and_missing_index() {
         "missing artifact is a load error: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // A flag the command does not read is an error naming the flag, not
+    // a silent no-op: the removed linger knob, and a typo.
+    for (command, flag) in [("serve", "--linger-us"), ("bench-client", "--nprob")] {
+        let out = pqfs(&[command, "--addr", "127.0.0.1:1", flag, "8"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command} {flag}: {stderr}");
+        assert!(stderr.contains(flag), "{command} names {flag}: {stderr}");
+    }
 }
 
 #[test]
@@ -220,7 +228,6 @@ fn help_documents_the_serving_commands_and_exit_codes() {
         "pqfs serve",
         "pqfs bench-client",
         "--max-batch",
-        "--linger-us",
         "--queue",
         "Overloaded",
         "EXIT CODES",

@@ -114,6 +114,12 @@ impl<W: Write> FaultWrite<W> {
         }
     }
 
+    /// A view of the wrapped writer (for out-of-band control such as
+    /// socket options; writing through it would bypass the fault).
+    pub fn get_ref(&self) -> &W {
+        &self.inner
+    }
+
     /// The wrapped writer (to flush/finish it independently).
     pub fn into_inner(self) -> W {
         self.inner

@@ -20,15 +20,22 @@
 //!    the request is *shed immediately* with a typed `Overloaded` response
 //!    carrying the capacity and observed depth — latency under overload
 //!    stays bounded because work never stacks up invisibly.
-//! 3. **Batching** ([`server`]): a coalescing stage pops the queue,
-//!    lingers up to a configurable bound to accumulate up to `max_batch`
-//!    queries, and executes them as one parallel wave on the shared
-//!    [`pqfs_pool::ThreadPool`]. Per-request deadlines (measured from
-//!    arrival, so queue wait counts) flow into the budgeted multi-probe
-//!    search.
+//! 3. **Work-conserving batching** ([`queue`], [`server`]): there is no
+//!    batcher thread and no timer. A connection thread that finds no wave
+//!    in flight leads one itself — a lone request runs decode → search →
+//!    encode → write on its own thread — and requests that arrive while a
+//!    wave runs queue up behind it. The retiring leader offers its own
+//!    reply to the socket without blocking, promotes the owner of the
+//!    front request, and hands its followers their answers; the promoted
+//!    thread takes up to `max_batch` queued queries as the next parallel
+//!    wave on the shared [`pqfs_pool::ThreadPool`]. Waves fill by
+//!    accumulation, run one at a time, in FIFO order, and the lead is
+//!    never held across a wait on a peer. Per-request deadlines (measured
+//!    from arrival, so queue wait counts) flow into the budgeted
+//!    multi-probe search.
 //! 4. **Shutdown** ([`signal`]): SIGTERM/SIGINT set a flag; the acceptor
-//!    stops admitting, the queue closes, in-flight requests drain and are
-//!    answered, then every thread is joined.
+//!    stops admitting, the queue closes, queued and in-flight requests
+//!    are answered, then every thread is joined.
 //!
 //! Failure injection covers the accept/read/write/decode paths via
 //! `pqfs_fault` sites (`server.*` in `failpoints.sites`), and every stage
@@ -52,5 +59,5 @@ pub use proto::{
     read_frame, write_frame, ErrorCode, Frame, FrameKind, HealthInfo, ProtoError, QueryAnswer,
     QueryParams, QueryRequest, Request, Response,
 };
-pub use queue::{PushError, RequestQueue};
+pub use queue::{Admitted, PushError, RequestQueue, Seat};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -1,42 +1,58 @@
-//! The serving core: acceptor, per-connection protocol loops, and the
-//! batch-coalescing executor.
+//! The serving core: acceptor, per-connection protocol loops, and
+//! work-conserving wave execution.
 //!
 //! Thread structure (all plain std threads, all joined on shutdown):
 //!
 //! ```text
 //! acceptor ──spawns──▶ conn threads (one per client, protocol loop)
-//!                         │  push Job (bounded queue, shed on full)
+//!                         │  submit Job (bounded queue, shed on full)
 //!                         ▼
-//!                      batcher ── pop_batch (coalesce) ──▶ pool wave
+//!               no wave in flight?  ── yes ──▶ lead: run one wave on the pool,
+//!                         │                    offer own reply to the socket,
+//!                         no                   promote the owner of the next
+//!                         ▼                    queued job, answer its followers
+//!               follow: block until answered or promoted
 //! ```
 //!
-//! A connection thread never computes: it decodes a frame, validates it,
-//! pushes a [`Job`] carrying a reply channel, and blocks on the reply.
-//! The batcher pops coalesced batches and fans the flattened queries out
-//! on the shared [`ThreadPool`], one `search_probes_budgeted` call per
-//! query with the *remaining* deadline (arrival-to-now already spent in
-//! the queue counts against the budget). This is the amortization the
-//! paper's serving story needs: one wave of table computations per batch
-//! instead of one per round-trip.
+//! There is no batcher thread and no linger timer. A connection thread
+//! decodes a frame, validates it, and submits a `Job` to the
+//! [`RequestQueue`]. On an idle server it becomes the leader at once, so
+//! the request goes decode → search → encode → write on that one thread
+//! with no wake-up in between. While a wave runs, arriving jobs queue up;
+//! the retiring leader promotes the owner of the front job, which takes up
+//! to `max_batch` queued queries as the next wave. Waves therefore fill by
+//! accumulation — the busier the pool, the fuller the wave — and run one
+//! at a time in FIFO order. Each wave fans its flattened queries out on
+//! the shared [`ThreadPool`], one `search_probes_budgeted` call per query
+//! with the *remaining* deadline (arrival-to-now already spent in the
+//! queue counts against the budget): one wave of table computations per
+//! batch instead of one per round-trip.
+//!
+//! Before a leader passes the lead on, it encodes its own reply and offers
+//! it to the socket once, *without blocking* ([`RequestQueue::submit`]
+//! says why that comes first). A reply the socket does not take whole is
+//! finished after the lead has passed on, so a slow reader stalls its own
+//! connection thread and nobody else.
 //!
 //! Shutdown (SIGTERM, ctrl-c, or [`ServerHandle::trigger_shutdown`]):
-//! the acceptor stops admitting connections, the queue closes (new pushes
-//! get a typed shutting-down error), the batcher drains what is queued
-//! and answers it, connection threads finish their in-flight round trip
-//! and exit at the next frame boundary, and every thread is joined.
+//! the acceptor stops admitting connections, the queue closes (new
+//! submissions get a typed shutting-down error), the leader chain runs
+//! until everything queued is answered, connection threads finish their
+//! in-flight round trip and exit at the next frame boundary, and every
+//! thread is joined.
 
 use crate::proto::{
     read_frame, write_frame, ErrorCode, Frame, HealthInfo, QueryAnswer, Request, Response,
 };
-use crate::queue::{PushError, RequestQueue};
+use crate::queue::{PushError, RequestQueue, Seat};
 use pqfs_fault::{FaultRead, FaultWrite};
 use pqfs_ivf::{IvfadcIndex, SearchBackend};
 use pqfs_obs::{LazyCounter, LazyGauge, LazyHistogram};
 use pqfs_pool::ThreadPool;
-use std::io::{self, BufWriter, ErrorKind, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -86,11 +102,11 @@ static ACCEPT_ERRORS: LazyCounter = LazyCounter::new(
 );
 static BATCHES_TOTAL: LazyCounter = LazyCounter::new(
     "pqfs_server_batches_total",
-    "Coalesced batches executed by the batcher",
+    "Waves (coalesced batches) executed",
 );
 static BATCH_QUERIES: LazyHistogram = LazyHistogram::new(
     "pqfs_server_batch_queries",
-    "Queries per coalesced batch (count, not ns)",
+    "Queries per wave (count, not ns)",
 );
 static QUEUE_DEPTH_HWM: LazyGauge = LazyGauge::new(
     "pqfs_server_queue_depth_hwm",
@@ -98,7 +114,15 @@ static QUEUE_DEPTH_HWM: LazyGauge = LazyGauge::new(
 );
 static QUEUE_WAIT_NS: LazyHistogram = LazyHistogram::new(
     "pqfs_server_queue_wait_ns",
-    "Time requests spent queued before batching",
+    "Time requests spent queued before their wave started",
+);
+static EXECUTE_NS: LazyHistogram = LazyHistogram::new(
+    "pqfs_server_execute_ns",
+    "Per request: its wave's start to answers ready",
+);
+static WRITE_NS: LazyHistogram = LazyHistogram::new(
+    "pqfs_server_write_ns",
+    "Per request: response encode and socket flush",
 );
 static REQUEST_NS: LazyHistogram = LazyHistogram::new(
     "pqfs_server_request_ns",
@@ -116,12 +140,10 @@ pub struct ServerConfig {
     pub addr: String,
     /// Backend used when a request leaves the backend name empty.
     pub default_backend: SearchBackend,
-    /// Batch weight cap: the batcher stops coalescing at this many
-    /// queries (a batch-query frame weighs its query count).
+    /// Wave weight cap: a new leader takes queued requests up to this
+    /// many queries (a batch-query frame weighs its query count, and one
+    /// heavier than the cap ships alone).
     pub max_batch: usize,
-    /// How long the batcher lingers for more work once it holds at least
-    /// one request. Zero means ship immediately.
-    pub max_linger: Duration,
     /// Admission queue capacity, in *requests* (frames, not queries).
     pub queue_capacity: usize,
     /// Acceptor idle-poll interval (also the shutdown-latency bound for
@@ -131,10 +153,6 @@ pub struct ServerConfig {
     /// at this cadence, and a peer that stalls mid-frame is dropped
     /// after this long.
     pub read_timeout: Duration,
-    /// How long a connection thread waits for the batcher's reply before
-    /// giving up on the request (a backstop; the batcher answers every
-    /// queued job, so this only fires if execution itself wedges).
-    pub reply_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -143,17 +161,15 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             default_backend: SearchBackend::FastScan,
             max_batch: 32,
-            max_linger: Duration::from_micros(500),
             queue_capacity: 256,
             poll_interval: Duration::from_millis(5),
             read_timeout: Duration::from_millis(50),
-            reply_timeout: Duration::from_secs(60),
         }
     }
 }
 
-/// Search parameters resolved and validated at admission time, so the
-/// batcher never re-parses.
+/// Search parameters resolved and validated at admission time, so a
+/// wave never re-parses.
 struct Resolved {
     topk: usize,
     nprobe: usize,
@@ -162,15 +178,13 @@ struct Resolved {
     deadline: Option<Duration>,
 }
 
-/// One admitted request: queries, resolved parameters, arrival time, and
-/// the channel its connection thread blocks on.
+/// One admitted request: queries, resolved parameters, arrival time.
 struct Job {
     dim: usize,
     queries: Vec<f32>,
     batch: bool,
     resolved: Resolved,
     arrival: Instant,
-    reply: mpsc::Sender<Response>,
 }
 
 impl Job {
@@ -183,16 +197,19 @@ impl Job {
 struct Shared {
     index: Arc<IvfadcIndex>,
     config: ServerConfig,
-    queue: RequestQueue<Job>,
+    queue: RequestQueue<Job, Response>,
     shutdown: AtomicBool,
+    /// Each query unit of a wave runs its probes inline; parallelism
+    /// comes from the wave fan-out, not from nesting pools.
+    inline: ThreadPool,
 }
 
 /// The server entry point; see the module docs for the thread structure.
 pub struct Server;
 
 impl Server {
-    /// Binds `config.addr`, spawns the acceptor and batcher threads, and
-    /// returns a handle controlling the running server.
+    /// Binds `config.addr`, spawns the acceptor thread, and returns a
+    /// handle controlling the running server.
     ///
     /// # Errors
     ///
@@ -203,17 +220,12 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             index,
-            queue: RequestQueue::new(config.queue_capacity),
+            queue: RequestQueue::new(config.queue_capacity, config.max_batch),
             shutdown: AtomicBool::new(false),
+            inline: ThreadPool::new(1),
             config,
         });
 
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("pqfs-batcher".to_string())
-                .spawn(move || batcher_loop(&shared))?
-        };
         let acceptor = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
@@ -225,7 +237,6 @@ impl Server {
             local_addr,
             shared,
             acceptor: Mutex::new(Some(acceptor)),
-            batcher: Mutex::new(Some(batcher)),
         })
     }
 }
@@ -235,7 +246,6 @@ pub struct ServerHandle {
     local_addr: std::net::SocketAddr,
     shared: Arc<Shared>,
     acceptor: Mutex<Option<thread::JoinHandle<()>>>,
-    batcher: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
 impl ServerHandle {
@@ -262,8 +272,9 @@ impl ServerHandle {
     }
 
     /// Triggers shutdown and joins every server thread: in-flight
-    /// requests are answered, queued work drains, connections close at
-    /// their next frame boundary.
+    /// requests are answered, queued work drains (on the connection
+    /// threads that own it), connections close at their next frame
+    /// boundary.
     pub fn shutdown_and_join(&self) {
         self.trigger_shutdown();
         let acceptor = self
@@ -273,14 +284,6 @@ impl ServerHandle {
             .take();
         if let Some(h) = acceptor {
             // A panicked connection thread must not wedge shutdown.
-            let _ = h.join();
-        }
-        let batcher = self
-            .batcher
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(h) = batcher {
             let _ = h.join();
         }
     }
@@ -346,6 +349,62 @@ impl Drop for ActiveGuard {
     }
 }
 
+/// A connection's outgoing side: the socket and the response frame on its
+/// way out, sent in two steps so the first can run while the thread still
+/// leads the queue.
+struct ReplyWriter {
+    socket: FaultWrite<TcpStream>,
+    /// The encoded frame (reused across responses) and how much of it the
+    /// socket has taken.
+    frame: Vec<u8>,
+    sent: usize,
+    /// When the current response was handed over for writing.
+    began: Instant,
+}
+
+impl ReplyWriter {
+    fn new(stream: TcpStream) -> Self {
+        ReplyWriter {
+            socket: FaultWrite::new(stream, "server.conn.write"),
+            frame: Vec::new(),
+            sent: 0,
+            began: Instant::now(),
+        }
+    }
+
+    /// Encodes `response` and offers the frame to the socket once without
+    /// blocking: the kernel takes what its send buffer has room for —
+    /// every ordinary response whole — and [`ReplyWriter::finish`] writes
+    /// the rest. Never waits on the peer, so a leader may call it.
+    fn begin(&mut self, response: &Response) -> io::Result<()> {
+        self.began = Instant::now();
+        let frame = response.to_frame();
+        self.frame.clear();
+        self.sent = 0;
+        write_frame(&mut self.frame, frame.kind, &frame.payload)
+            .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
+        // `O_NONBLOCK` is shared with the read half (one socket, two
+        // descriptors); this thread owns both and reads only between
+        // responses.
+        self.socket.get_ref().set_nonblocking(true)?;
+        let offered = self.socket.write(&self.frame);
+        self.socket.get_ref().set_nonblocking(false)?;
+        match offered {
+            Ok(n) => self.sent = n,
+            Err(e) if is_wait(e.kind()) || e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        Ok(())
+    }
+
+    /// Blocks until the peer has taken the rest of the frame.
+    fn finish(&mut self) -> io::Result<()> {
+        self.socket.write_all(&self.frame[self.sent..])?;
+        self.sent = self.frame.len();
+        Ok(())
+    }
+}
+
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _active = ActiveGuard::enter();
     let _ = stream.set_nodelay(true);
@@ -353,19 +412,18 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let Ok(peek_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = FaultRead::new(read_half, "server.conn.read");
-    let mut writer = BufWriter::new(FaultWrite::new(stream, "server.conn.write"));
+    let mut reader = BufReader::new(FaultRead::new(read_half, "server.conn.read"));
+    let mut writer = ReplyWriter::new(stream);
+    let seat = Seat::new();
 
     loop {
-        // Poll for the next frame's first byte so an *idle* connection can
-        // notice shutdown; once a frame has started, reads time out per
-        // `read_timeout` and a stalled peer becomes a protocol error.
-        let mut probe = [0u8; 1];
-        match peek_half.peek(&mut probe) {
-            Ok(0) => return, // peer closed cleanly
+        // Between frames the buffer is empty unless the client pipelined,
+        // so this is the one socket read that brings the next frame in,
+        // and its timeout is where an *idle* connection notices shutdown.
+        // Once a frame has started, reads time out per `read_timeout` and
+        // a stalled peer becomes a protocol error.
+        match reader.fill_buf() {
+            Ok([]) => return, // peer closed cleanly
             Ok(_) => {}
             Err(e) if is_wait(e.kind()) || e.kind() == ErrorKind::Interrupted => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -398,15 +456,15 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             }
         };
         let started = Instant::now();
-        let (response, close) = handle_frame(&frame, shared);
-        let frame_out = response.to_frame();
-        if write_frame(&mut writer, frame_out.kind, &frame_out.payload).is_err() {
+        let Ok(close) = handle_frame(&frame, shared, &seat, &mut writer) else {
+            return;
+        };
+        if writer.finish().is_err() {
             return;
         }
-        if writer.flush().is_err() {
-            return;
-        }
-        REQUEST_NS.observe(started.elapsed());
+        let flushed = Instant::now();
+        WRITE_NS.observe(flushed - writer.began);
+        REQUEST_NS.observe(flushed - started);
         if close {
             return;
         }
@@ -415,55 +473,60 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
 
 /// Writes a typed error frame, ignoring failures (the connection is being
 /// dropped anyway).
-fn send_error(writer: &mut impl Write, code: ErrorCode, message: String) {
-    let frame = Response::Error { code, message }.to_frame();
-    if write_frame(writer, frame.kind, &frame.payload).is_ok() {
-        let _ = writer.flush();
+fn send_error(writer: &mut ReplyWriter, code: ErrorCode, message: String) {
+    if writer.begin(&Response::Error { code, message }).is_ok() {
+        let _ = writer.finish();
     }
 }
 
-/// Decodes, validates, and executes one request frame. Returns the
-/// response and whether the connection must close afterwards.
-fn handle_frame(frame: &Frame, shared: &Arc<Shared>) -> (Response, bool) {
+/// Decodes, validates, and executes one request frame, and begins writing
+/// its response (the caller finishes it). Returns whether the connection
+/// must close afterwards.
+///
+/// # Errors
+///
+/// The socket's error, when it refused the response.
+fn handle_frame(
+    frame: &Frame,
+    shared: &Arc<Shared>,
+    seat: &Arc<Seat<Response>>,
+    writer: &mut ReplyWriter,
+) -> io::Result<bool> {
     let request = match Request::from_frame(frame) {
         Ok(req) => req,
         Err(e) => {
             PROTO_ERRORS.inc();
-            return (
-                Response::Error {
-                    code: ErrorCode::BadFrame,
-                    message: e.to_string(),
-                },
-                true,
-            );
+            writer.begin(&Response::Error {
+                code: ErrorCode::BadFrame,
+                message: e.to_string(),
+            })?;
+            return Ok(true);
         }
     };
     match request {
         Request::Health => {
             REQ_HEALTH.inc();
             let index = &shared.index;
-            (
-                Response::Health(HealthInfo {
-                    vectors: index.len() as u64,
-                    partitions: index.num_partitions() as u32,
-                    dim: index.dim() as u32,
-                }),
-                false,
-            )
+            writer.begin(&Response::Health(HealthInfo {
+                vectors: index.len() as u64,
+                partitions: index.num_partitions() as u32,
+                dim: index.dim() as u32,
+            }))?;
         }
         Request::Stats => {
             REQ_STATS.inc();
-            (Response::Stats(pqfs_obs::global_json_snapshot()), false)
+            writer.begin(&Response::Stats(pqfs_obs::global_json_snapshot()))?;
         }
         Request::Query(req) => {
             REQ_QUERY.inc();
-            (submit(req, false, shared), false)
+            submit(req, false, shared, seat, writer)?;
         }
         Request::Batch(req) => {
             REQ_BATCH.inc();
-            (submit(req, true, shared), false)
+            submit(req, true, shared, seat, writer)?;
         }
     }
+    Ok(false)
 }
 
 /// Validates a query request against the loaded index and the server
@@ -511,83 +574,87 @@ fn resolve(
     })
 }
 
-/// Admits one query/batch request into the bounded queue and waits for
-/// the batcher's answer. This is where overload turns into a typed shed
-/// response instead of unbounded queueing.
-fn submit(req: crate::proto::QueryRequest, batch: bool, shared: &Arc<Shared>) -> Response {
+/// Admits one query/batch request into the bounded queue and begins
+/// writing its answer — computed on this thread if it leads the wave,
+/// handed over by the leading thread otherwise. This is where overload
+/// turns into a typed shed response instead of unbounded queueing.
+fn submit(
+    req: crate::proto::QueryRequest,
+    batch: bool,
+    shared: &Arc<Shared>,
+    seat: &Arc<Seat<Response>>,
+    writer: &mut ReplyWriter,
+) -> io::Result<()> {
     let resolved = match resolve(&req, shared) {
         Ok(r) => r,
-        Err((code, message)) => return Response::Error { code, message },
+        Err((code, message)) => return writer.begin(&Response::Error { code, message }),
     };
-    let (tx, rx) = mpsc::channel();
     let job = Job {
         dim: req.dim as usize,
         queries: req.queries,
         batch,
         resolved,
         arrival: Instant::now(),
-        reply: tx,
     };
-    match shared.queue.push(job) {
-        Ok(depth) => QUEUE_DEPTH_HWM.record_max(depth as u64),
+    let weight = job.count();
+    let admitted = shared.queue.submit(
+        seat,
+        job,
+        weight,
+        |jobs| execute_batch(jobs, shared),
+        |answer| {
+            writer.begin(&answer.unwrap_or_else(|| Response::Error {
+                code: ErrorCode::SearchFailed,
+                message: "the wave carrying this request was abandoned".to_string(),
+            }))
+        },
+    );
+    match admitted {
+        Ok(admitted) => {
+            QUEUE_DEPTH_HWM.record_max(admitted.depth as u64);
+            admitted.reply
+        }
         Err(PushError::Full { capacity, depth }) => {
             SHED_TOTAL.inc();
-            return Response::Overloaded {
+            writer.begin(&Response::Overloaded {
                 capacity: capacity as u32,
                 depth: depth as u32,
-            };
+            })
         }
-        Err(PushError::Closed) => {
-            return Response::Error {
-                code: ErrorCode::ShuttingDown,
-                message: "server is draining for shutdown".to_string(),
-            }
-        }
-    }
-    match rx.recv_timeout(shared.config.reply_timeout) {
-        Ok(response) => response,
-        Err(_) => Response::Error {
-            code: ErrorCode::SearchFailed,
-            message: "batch executor did not answer in time".to_string(),
-        },
+        Err(PushError::Closed) => writer.begin(&Response::Error {
+            code: ErrorCode::ShuttingDown,
+            message: "server is draining for shutdown".to_string(),
+        }),
     }
 }
 
-/// The batcher: pops coalesced batches and executes every query of every
-/// job as one parallel wave on the shared pool.
-fn batcher_loop(shared: &Arc<Shared>) {
-    let pool = ThreadPool::global();
-    // Each query unit runs its probes inline; parallelism comes from the
-    // wave fan-out, not from nesting pools.
-    let inline = ThreadPool::new(1);
-    while let Some(jobs) = shared.queue.pop_batch(
-        shared.config.max_batch,
-        |job| job.count().max(1),
-        shared.config.max_linger,
-    ) {
-        if jobs.is_empty() {
-            continue;
-        }
-        execute_batch(&jobs, shared, pool, &inline);
-    }
-}
-
-fn execute_batch(jobs: &[Job], shared: &Arc<Shared>, pool: &ThreadPool, inline: &ThreadPool) {
+/// Executes every query of every job as one parallel wave on the shared
+/// pool and returns one response per job, in order.
+fn execute_batch(jobs: &[Job], shared: &Shared) -> Vec<Response> {
+    let wave_start = Instant::now();
     let total_queries: usize = jobs.iter().map(Job::count).sum();
     BATCHES_TOTAL.inc();
     BATCH_QUERIES.observe_ns(total_queries as u64);
     for job in jobs {
-        QUEUE_WAIT_NS.observe(job.arrival.elapsed());
+        QUEUE_WAIT_NS.observe(wave_start.saturating_duration_since(job.arrival));
     }
+    let responses = run_wave(jobs, total_queries, shared);
+    let executed = wave_start.elapsed();
+    for _ in jobs {
+        EXECUTE_NS.observe(executed);
+    }
+    responses
+}
 
+fn run_wave(jobs: &[Job], total_queries: usize, shared: &Shared) -> Vec<Response> {
     if let Err(e) = pqfs_fault::check("server.batch.execute") {
-        for job in jobs {
-            let _ = job.reply.send(Response::Error {
+        return jobs
+            .iter()
+            .map(|_| Response::Error {
                 code: ErrorCode::SearchFailed,
                 message: e.to_string(),
-            });
-        }
-        return;
+            })
+            .collect();
     }
 
     // Flatten to (job, query-within-job) units so one slow batch frame
@@ -600,7 +667,8 @@ fn execute_batch(jobs: &[Job], shared: &Arc<Shared>, pool: &ThreadPool, inline: 
     }
 
     let index = &shared.index;
-    let answers: Vec<Result<QueryAnswer, String>> = pool.parallel_map(&units, |_, &(j, q)| {
+    let inline = &shared.inline;
+    let answers = ThreadPool::global().parallel_map(&units, |_, &(j, q)| {
         let job = &jobs[j];
         let r = &job.resolved;
         let query = &job.queries[q * job.dim..(q + 1) * job.dim];
@@ -618,39 +686,36 @@ fn execute_batch(jobs: &[Job], shared: &Arc<Shared>, pool: &ThreadPool, inline: 
             .map_err(|e| e.to_string())
     });
 
-    // Regroup per job and reply. Any failed query fails its whole
-    // request — partial batch answers would be ambiguous on the wire.
-    let mut cursor = 0usize;
-    for job in jobs {
-        let n = job.count();
-        let slice = &answers[cursor..cursor + n];
-        cursor += n;
-        let response = match slice.iter().find_map(|r| r.as_ref().err()) {
-            Some(msg) => Response::Error {
-                code: ErrorCode::SearchFailed,
-                message: msg.clone(),
-            },
-            None => {
-                let oks: Vec<QueryAnswer> = slice
-                    .iter()
-                    .filter_map(|r| r.as_ref().ok())
-                    .cloned()
-                    .collect();
-                if job.batch {
-                    Response::Batch(oks)
-                } else {
-                    match oks.into_iter().next() {
-                        Some(answer) => Response::Query(answer),
-                        None => Response::Error {
-                            code: ErrorCode::SearchFailed,
-                            message: "query produced no answer".to_string(),
-                        },
-                    }
+    // Regroup per job, moving each answer into its response. Any failed
+    // query fails its whole request — partial batch answers would be
+    // ambiguous on the wire.
+    let mut answers = answers.into_iter();
+    jobs.iter()
+        .map(|job| {
+            let mut oks = Vec::with_capacity(job.count());
+            let mut failed = None;
+            // Drain the job's whole share even after a failure, so the
+            // next job starts at its own answers.
+            for answer in answers.by_ref().take(job.count()) {
+                match answer {
+                    Ok(answer) => oks.push(answer),
+                    Err(message) => failed = failed.or(Some(message)),
                 }
             }
-        };
-        // The connection thread may have timed out and gone away; a
-        // dead receiver is not an error.
-        let _ = job.reply.send(response);
-    }
+            match failed {
+                Some(message) => Response::Error {
+                    code: ErrorCode::SearchFailed,
+                    message,
+                },
+                None if job.batch => Response::Batch(oks),
+                None => match oks.into_iter().next() {
+                    Some(answer) => Response::Query(answer),
+                    None => Response::Error {
+                        code: ErrorCode::SearchFailed,
+                        message: "query produced no answer".to_string(),
+                    },
+                },
+            }
+        })
+        .collect()
 }

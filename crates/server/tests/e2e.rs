@@ -1,7 +1,8 @@
 //! Client↔server integration over a real loopback socket: single and
 //! batch answers match direct index calls, deadlines degrade instead of
-//! failing, overload sheds with a typed response, and shutdown drains
-//! in-flight work.
+//! failing, overload sheds with a typed response, concurrent requests
+//! coalesce into waves without a timer, the per-stage histograms add up
+//! to the request latency, and shutdown drains in-flight work.
 //!
 //! Every test takes [`pqfs_fault::exclusive`]: the failpoint registry is
 //! process-global, so fault-arming tests must not interleave.
@@ -13,7 +14,7 @@ use pqfs_server::server::{Server, ServerConfig, ServerHandle};
 use pqfs_server::Client;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -146,7 +147,6 @@ fn overload_sheds_with_typed_response() {
     let config = ServerConfig {
         queue_capacity: 1,
         max_batch: 1,
-        max_linger: Duration::ZERO,
         ..ServerConfig::default()
     };
     let (_index, handle) = start(config);
@@ -191,6 +191,151 @@ fn overload_sheds_with_typed_response() {
     assert!(
         pqfs_obs::counter_value("pqfs_server_shed_total", None) >= shed as u64,
         "shed counter records admission rejections"
+    );
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn concurrent_requests_coalesce_into_waves_by_accumulation() {
+    let _lock = pqfs_fault::exclusive();
+    let (index, handle) = start(ServerConfig::default());
+    // Every wave stalls 50 ms: whatever arrives meanwhile is queued when
+    // it ends, and must leave as one wave — there is no timer to wait out.
+    let _stall = scoped("server.batch.execute", FaultAction::Delay(50));
+    #[cfg(feature = "telemetry")]
+    let waves_before = pqfs_obs::counter_value("pqfs_server_batches_total", None);
+
+    const CLIENTS: u64 = 8;
+    let addr = handle.local_addr();
+    let connected = Arc::new(Barrier::new(CLIENTS as usize));
+    let workers: Vec<_> = (0..CLIENTS)
+        .map(|seed| {
+            let connected = Arc::clone(&connected);
+            thread::spawn(move || {
+                let mut client =
+                    Client::connect_with(addr, Some(Duration::from_secs(10))).expect("connect");
+                connected.wait();
+                let params = QueryParams {
+                    topk: 5,
+                    nprobe: 2,
+                    keep: 0.05,
+                    ..QueryParams::default()
+                };
+                client
+                    .query(&query_vec(seed), params)
+                    .expect("transport ok")
+            })
+        })
+        .collect();
+
+    let inline = pqfs_pool::ThreadPool::new(1);
+    for (seed, worker) in (0..CLIENTS).zip(workers) {
+        let response = worker.join().expect("client thread");
+        let Response::Query(answer) = response else {
+            panic!("expected a query answer, got {response:?}");
+        };
+        let direct = index
+            .search_probes_budgeted_on(
+                &query_vec(seed),
+                5,
+                SearchBackend::FastScan,
+                0.05,
+                2,
+                None,
+                &inline,
+            )
+            .expect("direct search");
+        let bits = |ns: &[pqfs_core::Neighbor]| -> Vec<(u64, u32)> {
+            ns.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(&answer.neighbors),
+            bits(&direct.neighbors),
+            "a coalesced answer is bit-identical to the direct one (seed {seed})"
+        );
+    }
+    #[cfg(feature = "telemetry")]
+    {
+        let waves = pqfs_obs::counter_value("pqfs_server_batches_total", None) - waves_before;
+        assert!(
+            (1..CLIENTS).contains(&waves),
+            "{CLIENTS} concurrent requests must share waves, ran {waves}"
+        );
+    }
+    handle.shutdown_and_join();
+}
+
+/// `(sum_ns, count)` of one histogram in a stats-frame snapshot.
+#[cfg(feature = "telemetry")]
+fn histogram_totals(snapshot: &pqfs_obs::jsonv::Value, name: &str) -> (f64, f64) {
+    let field = |field: &str| {
+        snapshot
+            .get("histograms")
+            .and_then(|h| h.get(name))
+            .and_then(|h| h.get(field))
+            .and_then(pqfs_obs::jsonv::Value::as_f64)
+            .unwrap_or(0.0)
+    };
+    (field("sum_ns"), field("count"))
+}
+
+#[cfg(feature = "telemetry")]
+#[test]
+fn stage_histograms_reconcile_with_request_latency() {
+    let _lock = pqfs_fault::exclusive();
+    let (_index, handle) = start(ServerConfig::default());
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let snapshot = |client: &mut Client| {
+        pqfs_obs::jsonv::parse(&client.stats().expect("stats frame")).expect("JSON")
+    };
+
+    const REQUESTS: u64 = 300;
+    let before = snapshot(&mut client);
+    for seed in 0..REQUESTS {
+        let params = QueryParams {
+            topk: 10,
+            nprobe: PARTITIONS as u32,
+            keep: 0.05,
+            ..QueryParams::default()
+        };
+        let response = client.query(&query_vec(seed), params).expect("transport");
+        assert!(matches!(response, Response::Query(_)), "{response:?}");
+    }
+    let after = snapshot(&mut client);
+
+    let delta = |name: &str| {
+        let (sum_then, count_then) = histogram_totals(&before, name);
+        let (sum_now, count_now) = histogram_totals(&after, name);
+        (sum_now - sum_then, count_now - count_then)
+    };
+    let (total_ns, total_count) = delta("pqfs_server_request_ns");
+    // The window also holds the first stats request (observed after its
+    // own snapshot was rendered): one request, no queue wait or execute.
+    assert_eq!(total_count, (REQUESTS + 1) as f64);
+    let mut stages_ns = 0.0;
+    for (stage, count) in [
+        ("pqfs_server_queue_wait_ns", REQUESTS),
+        ("pqfs_server_execute_ns", REQUESTS),
+        ("pqfs_server_write_ns", REQUESTS + 1),
+    ] {
+        let (ns, observed) = delta(stage);
+        assert_eq!(
+            observed, count as f64,
+            "{stage} is observed once per request"
+        );
+        stages_ns += ns;
+    }
+    // The stages are disjoint intervals inside each request, so they can
+    // never exceed it; what they leave out (payload decode, validation,
+    // handing the answer over) is a few microseconds per request —
+    // about 1 % here when measured, so 20 % is slack for a noisy host.
+    assert!(
+        stages_ns <= total_ns,
+        "stages {stages_ns} ns exceed requests {total_ns} ns"
+    );
+    assert!(
+        stages_ns >= 0.8 * total_ns,
+        "stages {stages_ns} ns explain too little of requests {total_ns} ns"
     );
     handle.shutdown_and_join();
 }
@@ -292,10 +437,7 @@ fn bad_requests_get_typed_errors_and_connection_survives() {
 #[test]
 fn shutdown_answers_in_flight_work_then_drains() {
     let _lock = pqfs_fault::exclusive();
-    let (_index, handle) = start(ServerConfig {
-        max_linger: Duration::ZERO,
-        ..ServerConfig::default()
-    });
+    let (_index, handle) = start(ServerConfig::default());
     // Stall execution long enough that shutdown fires while the request
     // is in flight.
     let _stall = scoped("server.batch.execute", FaultAction::Delay(150));
@@ -316,7 +458,7 @@ fn shutdown_answers_in_flight_work_then_drains() {
             )
             .expect("transport ok")
     });
-    // Let the request reach the batcher, then start draining.
+    // Let the request start its wave, then start draining.
     thread::sleep(Duration::from_millis(40));
     handle.trigger_shutdown();
 

@@ -230,3 +230,140 @@ fn raw_garbage_bytes_get_a_typed_error_never_a_hang() {
     assert_server_alive(&handle);
     handle.shutdown_and_join();
 }
+
+#[test]
+fn a_peer_stalling_mid_frame_gets_bad_frame_after_the_read_timeout() {
+    let _lock = pqfs_fault::exclusive();
+    disarm_all();
+    let handle = start_server();
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(CLIENT_TIMEOUT))
+        .expect("timeout");
+    // A valid health-frame header announcing 8 payload bytes that never
+    // come: the server's buffered read returns the header, then the
+    // payload read must time out instead of waiting forever.
+    let mut torn = Vec::from(*b"PQSV");
+    torn.extend([1u8, 0x03, 0, 0]);
+    torn.extend(8u32.to_le_bytes());
+    stream.write_all(&torn).expect("write torn frame");
+    let mut buf = Vec::new();
+    let _ = stream.read_to_end(&mut buf);
+    let frame = pqfs_server::read_frame(&mut &buf[..])
+        .expect("a well-formed reply")
+        .expect("one frame before the hangup");
+    let response = Response::from_frame(&frame).expect("typed error frame");
+    assert!(
+        matches!(
+            response,
+            Response::Error {
+                code: ErrorCode::BadFrame,
+                ..
+            }
+        ),
+        "stall answered with bad-frame: {response:?}"
+    );
+    assert_server_alive(&handle);
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn a_slow_reader_stalls_only_its_own_connection() {
+    let _lock = pqfs_fault::exclusive();
+    disarm_all();
+    let handle = start_server();
+    use std::io::{ErrorKind, Read, Write};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
+    // Batch requests whose answers (~1.8 MB each) overflow every socket
+    // buffer on the way back, pipelined by a peer that drains them at
+    // 8 KB per 25 ms: one answer takes seconds to leave. The connection
+    // thread leads each of those waves, and a leader that kept the lead
+    // until its answer was out would stall every other client that long.
+    let count = 512usize;
+    let mut rng = StdRng::seed_from_u64(9);
+    let queries: Vec<f32> = (0..count * DIM)
+        .map(|_| rng.gen_range(0.0f32..255.0))
+        .collect();
+    let request = pqfs_server::Request::Batch(pqfs_server::QueryRequest {
+        params: QueryParams {
+            topk: 300,
+            nprobe: 4,
+            keep: 1.0,
+            ..QueryParams::default()
+        },
+        dim: DIM as u32,
+        queries,
+    })
+    .to_frame();
+    let mut bytes = Vec::new();
+    pqfs_server::write_frame(&mut bytes, request.kind, &request.payload).expect("encodes");
+
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    stream.set_nonblocking(true).expect("nonblocking");
+    let stop = Arc::new(AtomicBool::new(false));
+    let slow = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let (mut offset, mut drained) = (0usize, 0usize);
+            let mut sip = [0u8; 8 << 10];
+            while !stop.load(Ordering::SeqCst) {
+                // Whole frames, back to back: resume a torn write where it
+                // stopped so the server never sees a malformed stream.
+                match stream.write(&bytes[offset..]) {
+                    Ok(n) => offset = (offset + n) % bytes.len(),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                    Err(e) => panic!("the server dropped a peer that was only slow: {e}"),
+                }
+                match stream.read(&mut sip) {
+                    Ok(0) => panic!("the server hung up on a peer that was only slow"),
+                    Ok(n) => drained += n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                    Err(e) => panic!("the server dropped a peer that was only slow: {e}"),
+                }
+                std::thread::sleep(Duration::from_millis(25));
+            }
+            drained
+        })
+    };
+
+    let mut probe =
+        Client::connect_with(handle.local_addr(), Some(CLIENT_TIMEOUT)).expect("connect");
+    let begun = Instant::now();
+    let mut worst = Duration::ZERO;
+    while begun.elapsed() < Duration::from_secs(2) {
+        let asked = Instant::now();
+        let response = probe
+            .query(
+                &sample_query(),
+                QueryParams {
+                    topk: 3,
+                    nprobe: 1,
+                    keep: 0.05,
+                    ..QueryParams::default()
+                },
+            )
+            .expect("answered beside the slow reader");
+        assert!(matches!(response, Response::Query(_)), "{response:?}");
+        worst = worst.max(asked.elapsed());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    stop.store(true, Ordering::SeqCst);
+    let drained = slow.join().expect("slow reader");
+    // In those two seconds the slow reader was owed at least one whole
+    // answer and took a fraction of it, so its connection thread spent
+    // them blocked in a write.
+    assert!(
+        (1..1 << 20).contains(&drained),
+        "the slow reader drained {drained} bytes"
+    );
+    assert!(
+        worst < Duration::from_millis(500),
+        "a client beside the slow reader waited {worst:?}"
+    );
+    // Its stream is closed now (dropped with the thread), which fails the
+    // blocked write: shutdown must not wait on that peer either.
+    assert_server_alive(&handle);
+    handle.shutdown_and_join();
+}
