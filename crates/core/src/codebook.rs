@@ -7,13 +7,17 @@
 //! Permuting indexes changes nothing semantically — it is a bijective
 //! renaming — which is exactly why Fast Scan can adopt it for free.
 
-use pqfs_kmeans::distance::{distances_to_all, nearest_centroid};
+use pqfs_kmeans::distance::CentroidBlocks;
 
 /// The centroid set of one sub-quantizer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Codebook {
     /// Row-major `ksub × dsub` centroid matrix.
     centroids: Vec<f32>,
+    /// The same centroids regrouped for the point-to-codebook kernel (as
+    /// large again as `centroids`, 16 KB for a `PQ 8×8` codebook of 128-d
+    /// vectors); derived, never persisted.
+    blocks: CentroidBlocks,
     dsub: usize,
 }
 
@@ -29,7 +33,12 @@ impl Codebook {
             dsub > 0 && !centroids.is_empty() && centroids.len() % dsub == 0,
             "centroid matrix must be a non-empty ksub x dsub"
         );
-        Codebook { centroids, dsub }
+        let blocks = CentroidBlocks::new(&centroids, dsub);
+        Codebook {
+            centroids,
+            blocks,
+            dsub,
+        }
     }
 
     /// Number of centroids `k*`.
@@ -57,9 +66,13 @@ impl Codebook {
     }
 
     /// Index and squared distance of the centroid nearest to the sub-vector
-    /// `v` — the sub-quantizer function `q_j`.
+    /// `v` — the sub-quantizer function `q_j`. Ties go to the lower index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != dsub`.
     pub fn quantize(&self, v: &[f32]) -> (usize, f32) {
-        nearest_centroid(v, &self.centroids, self.dsub)
+        self.blocks.nearest(v)
     }
 
     /// Fills `out[i] = ||v − C_j[i]||²` for every centroid — one row `D_j`
@@ -67,9 +80,9 @@ impl Codebook {
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != ksub`.
+    /// Panics if `v.len() != dsub` or `out.len() != ksub`.
     pub fn distances(&self, v: &[f32], out: &mut [f32]) {
-        distances_to_all(v, &self.centroids, self.dsub, out);
+        self.blocks.distances(v, out);
     }
 
     /// Applies a permutation of centroid indexes: the centroid currently at
@@ -91,7 +104,7 @@ impl Codebook {
         for &old in perm {
             permuted.extend_from_slice(&self.centroids[old * self.dsub..(old + 1) * self.dsub]);
         }
-        self.centroids = permuted;
+        *self = Codebook::new(permuted, self.dsub);
     }
 }
 

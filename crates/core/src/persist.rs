@@ -490,6 +490,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
+        let _lock = pqfs_fault::exclusive();
         let pq = trained();
         let mut path = std::env::temp_dir();
         path.push(format!("pqfs-persist-{}.pqfs", std::process::id()));
@@ -631,6 +632,7 @@ mod tests {
         ));
     }
 
+    #[cfg(feature = "failpoints")]
     #[test]
     fn failed_save_leaves_the_previous_artifact_intact() {
         let _lock = pqfs_fault::exclusive();

@@ -131,8 +131,26 @@ impl DistanceTables {
     /// Per-table minima, `min_i D_j[i]` — the per-table biases of the Fast
     /// Scan distance quantization (docs/FASTSCAN.md §1).
     pub fn per_table_min(&self) -> Vec<f32> {
+        // Eight running minima per table, so the loop compiles to vector
+        // `min`s instead of one dependent chain of 256 (every bounded probe
+        // of a multi-probe query asks for these).
         (0..self.m)
-            .map(|j| self.table(j).iter().copied().fold(f32::INFINITY, f32::min))
+            .map(|j| {
+                let mut lanes = [f32::INFINITY; 8];
+                let chunks = self.table(j).chunks_exact(8);
+                let rest = chunks.remainder();
+                for chunk in chunks {
+                    for (min, &x) in lanes.iter_mut().zip(chunk) {
+                        if x < *min {
+                            *min = x;
+                        }
+                    }
+                }
+                rest.iter()
+                    .chain(&lanes)
+                    .copied()
+                    .fold(f32::INFINITY, f32::min)
+            })
             .collect()
     }
 

@@ -204,6 +204,7 @@ mod tests {
 
     #[test]
     fn fvecs_roundtrip() {
+        let _lock = pqfs_fault::exclusive();
         let path = tmp("f.fvecs");
         let data: Vec<f32> = (0..12).map(|i| i as f32 * 0.5).collect();
         write_fvecs(&path, &data, 4).unwrap();
@@ -216,6 +217,7 @@ mod tests {
 
     #[test]
     fn bvecs_roundtrip() {
+        let _lock = pqfs_fault::exclusive();
         let path = tmp("b.bvecs");
         let data: Vec<u8> = (0..=255).collect();
         write_bvecs(&path, &data, 128).unwrap();
@@ -228,6 +230,7 @@ mod tests {
 
     #[test]
     fn ivecs_roundtrip() {
+        let _lock = pqfs_fault::exclusive();
         let path = tmp("i.ivecs");
         let data: Vec<i32> = vec![5, -3, 1000000, 0, 7, 42];
         write_ivecs(&path, &data, 3).unwrap();
@@ -238,6 +241,7 @@ mod tests {
 
     #[test]
     fn empty_file_reads_as_empty() {
+        let _lock = pqfs_fault::exclusive();
         let path = tmp("empty.fvecs");
         std::fs::write(&path, b"").unwrap();
         let file = read_fvecs(&path).unwrap();
@@ -248,6 +252,7 @@ mod tests {
 
     #[test]
     fn truncated_record_is_a_format_error() {
+        let _lock = pqfs_fault::exclusive();
         let path = tmp("trunc.fvecs");
         let mut bytes = (4i32).to_le_bytes().to_vec();
         bytes.extend_from_slice(&1.0f32.to_le_bytes()); // only 1 of 4 floats
@@ -259,6 +264,7 @@ mod tests {
 
     #[test]
     fn inconsistent_dims_are_rejected() {
+        let _lock = pqfs_fault::exclusive();
         let path = tmp("mixed.fvecs");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&(1i32).to_le_bytes());
@@ -276,6 +282,7 @@ mod tests {
 
     #[test]
     fn absurd_dimension_marker_is_rejected_before_allocating() {
+        let _lock = pqfs_fault::exclusive();
         // A 2^30 dimension marker on an 8-byte file must fail the
         // remaining-bytes check, not attempt a 4 GiB allocation.
         let path = tmp("absurd.fvecs");

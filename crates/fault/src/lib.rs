@@ -263,6 +263,13 @@ mod registry {
 
     /// Serializes tests that touch the (global) registry. Hold the guard
     /// for the whole test; the mutex recovers from panicked holders.
+    ///
+    /// The registry is process-wide and `cargo test` runs a binary's tests
+    /// on parallel threads, so the lock is for both sides: the test that
+    /// arms a site, and **every test of the same binary that merely
+    /// crosses a site another test arms** — a plain `save_*_file`
+    /// roundtrip beside a test arming `*.persist.write` fails with the
+    /// injected error once in a few runs otherwise.
     pub fn exclusive() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|poison| poison.into_inner())

@@ -40,6 +40,10 @@ static PROBES_DEADLINE: LazyCounter = LazyCounter::labeled(
     "outcome",
     "deadline",
 );
+static PROBES_BOUNDED_OUT: LazyCounter = LazyCounter::new(
+    "pqfs_ivf_probes_bounded_out_total",
+    "Probes answered from the entry bound alone: it was below the sum of the table minima",
+);
 static TABLES_BUILT: LazyCounter = LazyCounter::new(
     "pqfs_ivf_tables_built_total",
     "Distance-table computations (Algorithm 1 step 2)",
@@ -354,6 +358,11 @@ pub struct SearchOutcome {
 struct ProbeSuccess {
     neighbors: Vec<Neighbor>,
     stats: ScanStats,
+    /// The entry bound the probe scanned under (`+∞`: none).
+    bound: f32,
+    /// The entry bound was below every distance the probe's tables can
+    /// produce, so the scan answered without reading a code.
+    bounded_out: bool,
     tables_ns: u64,
     scan_ns: u64,
 }
@@ -529,10 +538,20 @@ impl IvfadcIndex {
     /// the original IVFADC \[14\], which trades scan time for recall when a
     /// neighbor falls just across a Voronoi boundary.
     ///
-    /// The partition scans fan out across the global
-    /// [`pqfs_pool::ThreadPool`] (intra-query parallelism); the per-probe
-    /// result lists are merged in probe order, so the outcome is
-    /// bit-identical to a sequential probe loop for any pool size.
+    /// The query runs in two steps. The nearest partition is scanned first,
+    /// on the calling thread — for `nprobe = 1` that is the whole query. If
+    /// it returned `topk` neighbors, its k-th distance becomes the **entry
+    /// bound** ([`ScanParams::bound`]) of every further probe: a vector
+    /// farther than that cannot be in the merged top-k, so those probes
+    /// start pruning at a threshold no warm-up sample of a small cell would
+    /// find, and a probe whose tables cannot produce so small a distance
+    /// answers without reading a code (docs/FASTSCAN.md §5). The further
+    /// probes fan out across the global [`pqfs_pool::ThreadPool`]
+    /// (intra-query parallelism), all under that same bound, and the
+    /// per-probe result lists are merged in probe order — so neighbors,
+    /// stats and health are bit-identical to a sequential probe loop for any
+    /// pool size, and the neighbors are exactly those of independent
+    /// unbounded scans.
     ///
     /// `SearchOutcome::partition` reports the nearest (first) probed cell;
     /// `stats` accumulates over all probed cells.
@@ -540,8 +559,10 @@ impl IvfadcIndex {
     /// **Graceful degradation:** a probe whose scan fails (injected fault,
     /// caught panic, backend failure) is recorded in
     /// [`SearchOutcome::health`] and its candidates are simply missing from
-    /// the merged result. The query only errors when *every* probe failed
-    /// (the first failure is returned) or on input validation.
+    /// the merged result; when it is the nearest probe that failed, there
+    /// is no bound to inherit and the others scan unbounded. The query only
+    /// errors when *every* probe failed (the first failure is returned) or
+    /// on input validation.
     ///
     /// # Errors
     ///
@@ -605,13 +626,14 @@ impl IvfadcIndex {
     /// The full multi-probe entry point: optional deadline budget, explicit
     /// pool, graceful degradation.
     ///
-    /// The nearest probe always runs — a query never returns an empty
-    /// best-so-far just because the budget was tight. Each further probe
-    /// checks the elapsed time before scanning and is *skipped* (recorded
-    /// in [`SearchOutcome::health`]) once `deadline` has passed. With
-    /// `deadline: None` the schedule is deterministic and the merged result
-    /// is bit-identical to a sequential probe loop for any pool size; with
-    /// a deadline, which probes get skipped depends on measured time.
+    /// The nearest probe always runs, outside the budget — a query never
+    /// returns an empty best-so-far just because the budget was tight. Each
+    /// further probe checks the elapsed time before scanning and is
+    /// *skipped* (recorded in [`SearchOutcome::health`]) once `deadline`
+    /// has passed. With `deadline: None` the schedule is deterministic and
+    /// the merged result is bit-identical to a sequential probe loop for any
+    /// pool size; with a deadline, which probes get skipped depends on
+    /// measured time.
     ///
     /// # Errors
     ///
@@ -633,9 +655,9 @@ impl IvfadcIndex {
     /// [`search_probes_budgeted_on`](Self::search_probes_budgeted_on) that
     /// additionally fills a per-query [`QueryTrace`]: stage timings
     /// (coarse quantization, per-probe table build and scan, merge) and one
-    /// [`ProbeTrace`] per probe with its backend, outcome and pruning
-    /// counters. The trace is [reset](QueryTrace::reset) first, so one
-    /// trace can be reused across queries without reallocating.
+    /// [`ProbeTrace`] per probe with its backend, outcome, entry bound and
+    /// pruning counters. The trace is [reset](QueryTrace::reset) first, so
+    /// one trace can be reused across queries without reallocating.
     ///
     /// Tracing forces per-stage timestamps on, so a traced query is
     /// slightly slower than an untraced one; results are unaffected.
@@ -699,14 +721,7 @@ impl IvfadcIndex {
         // One relaxed load when no failpoint is armed anywhere; the
         // per-probe site string is only built under an armed registry.
         let faults_armed = pqfs_fault::armed();
-        let scans = pool.parallel_map(&probes, |i, &p| {
-            if i > 0 {
-                if let Some(budget) = deadline {
-                    if start.elapsed() >= budget {
-                        return ProbeScan::Skipped;
-                    }
-                }
-            }
+        let run_probe = |p: usize, bound: f32, deadline: Option<(Instant, Duration)>| {
             if faults_armed {
                 let site = format!("ivf.search.scan.{p}");
                 if let Err(e) =
@@ -718,22 +733,14 @@ impl IvfadcIndex {
                     });
                 }
             }
-            // The nearest probe never short-circuits: a query always
-            // returns a best-so-far answer even under a zero budget.
-            let probe_deadline = if i > 0 {
-                deadline.map(|budget| (start, budget))
-            } else {
-                None
-            };
             match panic::catch_unwind(AssertUnwindSafe(|| {
                 self.scan_partition_timed(
                     query,
                     p,
-                    topk,
+                    &ScanParams::new(topk).with_keep(keep).with_bound(bound),
                     backend,
-                    keep,
                     want_timing,
-                    probe_deadline,
+                    deadline,
                 )
             })) {
                 Ok(Ok(Some(success))) => ProbeScan::Ok(success),
@@ -744,7 +751,29 @@ impl IvfadcIndex {
                     message: panic_message(payload.as_ref()),
                 }),
             }
+        };
+
+        // Step one — all of an nprobe-1 query: the nearest probe, on this
+        // thread, with no bound and no deadline, so a query always returns a
+        // best-so-far answer even under a zero budget.
+        let nearest = run_probe(probes[0], f32::INFINITY, None);
+        // Step two: every further probe inherits the nearest probe's k-th
+        // distance as its entry bound. A vector it drops is farther than
+        // the bound, which is already no less than the final k-th distance;
+        // ties at the bound are kept and the merge settles them on the id.
+        // Each of them gets the same bound, whatever the order they run in,
+        // so neighbors and stats do not depend on the pool size.
+        let bound = match &nearest {
+            ProbeScan::Ok(success) if success.neighbors.len() == topk => {
+                success.neighbors[topk - 1].dist
+            }
+            _ => f32::INFINITY,
+        };
+        let later = pool.parallel_map(&probes[1..], |_, &p| match deadline {
+            Some(budget) if start.elapsed() >= budget => ProbeScan::Skipped,
+            _ => run_probe(p, bound, deadline.map(|budget| (start, budget))),
         });
+        let scans = std::iter::once(nearest).chain(later);
 
         // Merge in probe order (determinism), collecting health as we go.
         let merge_t0 = want_timing.then(Instant::now);
@@ -753,12 +782,14 @@ impl IvfadcIndex {
         let mut by_backend = PerBackendStats::new();
         let mut health = SearchHealth::default();
         let mut first_failure: Option<IvfError> = None;
-        for (scan, &p) in scans.into_iter().zip(&probes) {
+        for (scan, &p) in scans.zip(&probes) {
             let probe_trace = match scan {
                 ProbeScan::Ok(success) => {
                     let ProbeSuccess {
                         neighbors,
                         stats: s,
+                        bound,
+                        bounded_out,
                         tables_ns,
                         scan_ns,
                     } = success;
@@ -772,14 +803,16 @@ impl IvfadcIndex {
                     record_scan_counters(backend, &s);
                     TABLES_NS.observe_ns(tables_ns);
                     SCAN_NS.observe_ns(scan_ns);
+                    if bounded_out {
+                        PROBES_BOUNDED_OUT.inc();
+                    }
                     ProbeTrace {
-                        partition: p,
-                        backend: backend.name(),
-                        outcome: ProbeOutcome::Ok,
                         scanned: s.scanned,
                         pruned: s.pruned,
+                        bound: bound.is_finite().then_some(bound),
                         tables_ns,
                         scan_ns,
+                        ..ProbeTrace::outcome_only(p, backend.name(), ProbeOutcome::Ok)
                     }
                 }
                 ProbeScan::Failed(e) => {
@@ -890,8 +923,9 @@ impl IvfadcIndex {
         backend: SearchBackend,
         keep: f64,
     ) -> Result<(Vec<Neighbor>, ScanStats), IvfError> {
+        let params = ScanParams::new(topk).with_keep(keep);
         let success = self
-            .scan_partition_timed(query, p, topk, backend, keep, false, None)?
+            .scan_partition_timed(query, p, &params, backend, false, None)?
             .unwrap_or_else(|| unreachable!("a scan without a deadline never expires"));
         Ok((success.neighbors, success.stats))
     }
@@ -904,20 +938,21 @@ impl IvfadcIndex {
     /// expensive per-probe fixed cost), so a blown budget does not waste
     /// table work whose scan would be skipped anyway. Wasted builds avoided
     /// this way are counted in `pqfs_ivf_tables_wasted_total`.
-    #[allow(clippy::too_many_arguments)]
     fn scan_partition_timed(
         &self,
         query: &[f32],
         p: usize,
-        topk: usize,
+        params: &ScanParams,
         backend: SearchBackend,
-        keep: f64,
         want_timing: bool,
         deadline: Option<(Instant, Duration)>,
     ) -> Result<Option<ProbeSuccess>, IvfError> {
         let partition = &self.partitions[p];
         if partition.ids.is_empty() {
-            return Ok(Some(ProbeSuccess::default()));
+            return Ok(Some(ProbeSuccess {
+                bound: params.bound,
+                ..ProbeSuccess::default()
+            }));
         }
 
         SCRATCH.with(|cell| {
@@ -954,11 +989,8 @@ impl IvfadcIndex {
                         .join(", ")
                 ))
             })?;
-            let result: ScanResult = scanner.scan_with(
-                &scratch.tables,
-                &ScanParams::new(topk).with_keep(keep),
-                &mut scratch.scan,
-            )?;
+            let result: ScanResult =
+                scanner.scan_with(&scratch.tables, params, &mut scratch.scan)?;
             let t2 = want_timing.then(Instant::now);
 
             // Translate partition positions to global ids.
@@ -977,6 +1009,9 @@ impl IvfadcIndex {
             Ok(Some(ProbeSuccess {
                 neighbors,
                 stats: result.stats,
+                bound: params.bound,
+                bounded_out: params.bound.is_finite()
+                    && params.bound < scratch.tables.sum_of_mins(),
                 tables_ns: stage_ns(t0, t1),
                 scan_ns: stage_ns(t1, t2),
             }))
@@ -1215,6 +1250,7 @@ mod tests {
 
     #[test]
     fn multiprobe_improves_or_preserves_recall() {
+        let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(800);
         let mut improved_or_equal = true;
         for qi in (0..800).step_by(40) {
@@ -1246,6 +1282,7 @@ mod tests {
 
     #[test]
     fn multiprobe_with_all_cells_is_exhaustive() {
+        let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(400);
         let query = &base[..DIM];
         // Probing every partition = a full (residual-quantized) scan.
@@ -1277,6 +1314,7 @@ mod tests {
     /// backend and pool size.
     #[test]
     fn parallel_search_is_bit_identical_to_serial_for_every_backend() {
+        let _lock = pqfs_fault::exclusive();
         let train = clustered(1200, 7);
         let base = clustered(600, 8);
         let config = IvfadcConfig::new(DIM, 4).with_backends(SearchBackend::ALL.to_vec());
@@ -1325,8 +1363,122 @@ mod tests {
         }
     }
 
+    /// The distance tables probe `p` builds for `query`.
+    fn probe_tables(index: &IvfadcIndex, query: &[f32], p: usize) -> DistanceTables {
+        let mut residual = vec![0f32; DIM];
+        index.coarse().residual_into(query, p, &mut residual);
+        DistanceTables::compute(index.pq(), &residual).unwrap()
+    }
+
+    /// Multi-probe search as it was before probes inherited a bound, kept
+    /// as the oracle: an independent unbounded scan per probe, merged in
+    /// probe order. Returns `(distance bits, id)` pairs.
+    fn unbounded_merge(
+        index: &IvfadcIndex,
+        query: &[f32],
+        topk: usize,
+        backend: SearchBackend,
+        keep: f64,
+        probes: &[usize],
+    ) -> Vec<(u32, u64)> {
+        let mut merged = pqfs_core::TopK::new(topk);
+        for &p in probes {
+            let (neighbors, _) = index.scan_partition(query, p, topk, backend, keep).unwrap();
+            for n in neighbors {
+                merged.push(n.dist, n.id);
+            }
+        }
+        bits(&merged.into_sorted())
+    }
+
+    fn bits(neighbors: &[Neighbor]) -> Vec<(u32, u64)> {
+        neighbors.iter().map(|n| (n.dist.to_bits(), n.id)).collect()
+    }
+
+    /// Exactness of the inherited bound: whatever nprobe, topk, backend and
+    /// pool size, the answer is the unbounded algorithm's, and `stats` do
+    /// not depend on the pool.
+    #[test]
+    fn bounded_probes_answer_exactly_like_independent_unbounded_scans() {
+        let _lock = pqfs_fault::exclusive();
+        let train = clustered(1200, 7);
+        let base = clustered(900, 8);
+        let config = IvfadcConfig::new(DIM, 8).with_backends(SearchBackend::ALL.to_vec());
+        let index = IvfadcIndex::build(&train, &base, &config).unwrap();
+        let pools = [1usize, 2, 8].map(ThreadPool::new);
+        let mut rng = StdRng::seed_from_u64(15);
+        let (mut bounded, mut unbounded) = (0, 0);
+        for case in 0..24 {
+            let qi = rng.gen_range(0..900);
+            let query = &base[qi * DIM..(qi + 1) * DIM];
+            let nprobe = rng.gen_range(1..=8);
+            // Small topk: the nearest cell fills it and the bound engages.
+            // Large topk: it cannot, and the bound stays +inf.
+            let topk = if case % 2 == 0 {
+                rng.gen_range(1..=10)
+            } else {
+                rng.gen_range(1..=1000)
+            };
+            let probes = index.coarse().assign_multi(query, nprobe);
+            if index.partition_sizes()[probes[0]] >= topk {
+                bounded += 1;
+            } else {
+                unbounded += 1;
+            }
+            for backend in SearchBackend::ALL {
+                let want = unbounded_merge(&index, query, topk, backend, 0.01, &probes);
+                let outcomes: Vec<SearchOutcome> = pools
+                    .iter()
+                    .map(|pool| {
+                        index
+                            .search_probes_on(query, topk, backend, 0.01, nprobe, pool)
+                            .unwrap()
+                    })
+                    .collect();
+                for out in &outcomes {
+                    let at = format!("case {case} nprobe {nprobe} topk {topk} {backend}");
+                    assert_eq!(bits(&out.neighbors), want, "{at}");
+                    assert_eq!(out.stats, outcomes[0].stats, "{at}");
+                    assert_eq!(out.health, SearchHealth::healthy(nprobe), "{at}");
+                }
+            }
+        }
+        assert!(bounded >= 6 && unbounded >= 6, "{bounded} / {unbounded}");
+    }
+
+    /// When the nearest probe fails there is nothing to inherit: the other
+    /// probes scan unbounded and the degraded answer is their merge.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn a_failed_nearest_probe_leaves_the_others_unbounded() {
+        let _lock = pqfs_fault::exclusive();
+        let (index, base) = build_index(600);
+        let q = &base[..DIM];
+        let probes = index.coarse().assign_multi(q, 4);
+        let _g = pqfs_fault::scoped(
+            format!("ivf.search.scan.{}", probes[0]),
+            pqfs_fault::FaultAction::Error,
+        );
+        for backend in [SearchBackend::Naive, SearchBackend::FastScan] {
+            let mut trace = QueryTrace::new();
+            let pool = ThreadPool::new(2);
+            let out = index
+                .search_probes_traced(q, 5, backend, 0.01, 4, None, &pool, &mut trace)
+                .unwrap();
+            assert_eq!(out.health.probes_failed, 1);
+            assert_eq!(out.health.probes_ok, 3);
+            assert!(trace.probes.iter().all(|p| p.bound.is_none()));
+            assert_eq!(
+                bits(&out.neighbors),
+                unbounded_merge(&index, q, 5, backend, 0.01, &probes[1..]),
+                "{backend}"
+            );
+        }
+    }
+
     #[test]
     fn healthy_queries_report_full_probe_coverage() {
+        let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(400);
         let q = &base[..DIM];
         let single = index.search(q, 5, SearchBackend::Naive, 0.0).unwrap();
@@ -1338,6 +1490,7 @@ mod tests {
         assert_eq!(multi.health, SearchHealth::healthy(4));
     }
 
+    #[cfg(feature = "failpoints")]
     #[test]
     fn injected_probe_failure_degrades_instead_of_erroring() {
         let _lock = pqfs_fault::exclusive();
@@ -1374,6 +1527,7 @@ mod tests {
             .all(|n| !victim_ids.contains(&n.id)));
     }
 
+    #[cfg(feature = "failpoints")]
     #[test]
     fn all_probes_failing_returns_the_first_error() {
         let _lock = pqfs_fault::exclusive();
@@ -1388,6 +1542,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_still_answers_from_the_nearest_probe() {
+        let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(500);
         let q = &base[..DIM];
         let out = index
@@ -1410,6 +1565,7 @@ mod tests {
         assert_eq!(out.partition, single.partition);
     }
 
+    #[cfg(feature = "failpoints")]
     #[test]
     fn expired_probe_short_circuits_before_the_table_build() {
         let _lock = pqfs_fault::exclusive();
@@ -1467,10 +1623,13 @@ mod tests {
 
     #[test]
     fn traced_search_records_every_stage_and_probe() {
+        let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(500);
         let q = &base[..DIM];
         let pool = ThreadPool::new(1);
         let mut trace = QueryTrace::new();
+        #[cfg(feature = "telemetry")]
+        let bounded_out_before = pqfs_obs::counter_value("pqfs_ivf_probes_bounded_out_total", None);
         let out = index
             .search_probes_traced(
                 q,
@@ -1497,6 +1656,26 @@ mod tests {
         assert!(waterfall.contains("coarse_quantize"));
         assert!(waterfall.contains("fastscan"));
 
+        // The nearest probe scans under no bound; the others inherit its
+        // k-th distance, and the ones it rules out from their tables alone
+        // are counted.
+        let nearest = index.search(q, 8, SearchBackend::FastScan, 0.01).unwrap();
+        let kth = nearest.neighbors[7].dist;
+        assert_eq!(trace.probes[0].bound, None);
+        assert!(trace.probes[1..].iter().all(|p| p.bound == Some(kth)));
+        assert!(waterfall.contains(&format!("bound={kth:.1}")));
+        let ruled_out = trace.probes[1..]
+            .iter()
+            .filter(|p| p.scanned > 0 && kth < probe_tables(&index, q, p.partition).sum_of_mins())
+            .inspect(|p| assert_eq!(p.pruned, p.scanned))
+            .count() as u64;
+        assert!(ruled_out > 0, "the fixture must exercise the shortcut");
+        #[cfg(feature = "telemetry")]
+        assert_eq!(
+            pqfs_obs::counter_value("pqfs_ivf_probes_bounded_out_total", None),
+            bounded_out_before + ruled_out
+        );
+
         // The trace resets cleanly for reuse on a second query.
         let probes_cap = trace.probes.capacity();
         index
@@ -1509,6 +1688,7 @@ mod tests {
 
     #[test]
     fn by_backend_breakdown_matches_flat_stats() {
+        let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(500);
         let q = &base[..DIM];
         let single = index.search(q, 8, SearchBackend::Naive, 0.0).unwrap();
@@ -1533,6 +1713,7 @@ mod tests {
 
     #[test]
     fn generous_deadline_matches_unbudgeted_search() {
+        let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(500);
         let q = &base[..DIM];
         let budgeted = index

@@ -662,6 +662,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
+        let _lock = pqfs_fault::exclusive();
         let (index, _) = build();
         let mut path = std::env::temp_dir();
         path.push(format!("pqfs-ivf-{}.pqiv", std::process::id()));
@@ -700,6 +701,7 @@ mod tests {
         ));
     }
 
+    #[cfg(feature = "failpoints")]
     #[test]
     fn failed_save_leaves_the_previous_artifact_intact() {
         let _lock = pqfs_fault::exclusive();
@@ -728,6 +730,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    #[cfg(feature = "failpoints")]
     #[test]
     fn injected_read_faults_surface_as_typed_errors() {
         let _lock = pqfs_fault::exclusive();

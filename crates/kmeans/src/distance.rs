@@ -70,23 +70,136 @@ pub fn nearest_centroid(v: &[f32], centroids: &[f32], dim: usize) -> (usize, f32
     (best, best_d)
 }
 
-/// Squared distances from `v` to every row of `centroids` written into `out`.
+/// Centroids handled per step of the point-to-codebook kernel.
+const LANES: usize = 8;
+
+/// A centroid matrix regrouped for the point-to-codebook kernel: blocks of
+/// eight centroids, each block transposed (`dim` rows of eight coordinates),
+/// the last block padded with zero columns.
 ///
-/// This is the inner loop of distance-table computation (paper Eq. 2); it is
-/// kept allocation-free so callers can reuse a scratch buffer per query.
-///
-/// # Panics
-///
-/// Panics if `out.len() * dim != centroids.len()`.
-#[inline]
-pub fn distances_to_all(v: &[f32], centroids: &[f32], dim: usize, out: &mut [f32]) {
-    assert_eq!(
-        out.len() * dim,
-        centroids.len(),
-        "output length must match the number of centroids"
-    );
-    for (o, c) in out.iter_mut().zip(centroids.chunks_exact(dim)) {
-        *o = l2_sq(v, c);
+/// One step of the kernel takes one coordinate of the point against one row
+/// of a block, so eight distances advance together and the compiler turns
+/// the lane loops into vector instructions on any target. Every lane performs
+/// [`l2_sq`]'s operations in [`l2_sq`]'s order, so each distance is
+/// bit-identical to `l2_sq(v, centroid)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CentroidBlocks {
+    /// `k.div_ceil(LANES)` blocks of `dim × LANES` floats.
+    data: Vec<f32>,
+    dim: usize,
+    k: usize,
+}
+
+impl CentroidBlocks {
+    /// Regroups a row-major `k × dim` centroid matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `centroids.len()` is not a multiple of `dim`, or if it is
+    /// empty.
+    pub fn new(centroids: &[f32], dim: usize) -> Self {
+        assert!(dim > 0, "dim must be positive");
+        assert!(
+            !centroids.is_empty() && centroids.len() % dim == 0,
+            "centroid matrix must be a non-empty multiple of dim"
+        );
+        let k = centroids.len() / dim;
+        let mut data = vec![0f32; k.div_ceil(LANES) * dim * LANES];
+        for (i, c) in centroids.chunks_exact(dim).enumerate() {
+            let block = &mut data[i / LANES * dim * LANES..][..dim * LANES];
+            for (row, &x) in block.chunks_exact_mut(LANES).zip(c) {
+                row[i % LANES] = x;
+            }
+        }
+        CentroidBlocks { data, dim, k }
+    }
+
+    /// Squared distances from `v` to the `LANES` centroids of one block
+    /// (`dim × LANES` floats): `l2_sq` with every scalar widened to a lane
+    /// array — four strided accumulators, then the tail.
+    #[inline]
+    fn block_distances(v: &[f32], block: &[f32]) -> [f32; LANES] {
+        #[inline(always)]
+        fn step(acc: &mut [f32; LANES], x: f32, row: &[f32]) {
+            for (a, &c) in acc.iter_mut().zip(row) {
+                let d = x - c;
+                *a += d * d;
+            }
+        }
+        let mut acc = [[0f32; LANES]; 4];
+        let mut tail = [0f32; LANES];
+        let mut points = v.chunks_exact(4);
+        let mut rows = block.chunks_exact(4 * LANES);
+        for (x, r) in points.by_ref().zip(rows.by_ref()) {
+            for (s, acc) in acc.iter_mut().enumerate() {
+                step(acc, x[s], &r[s * LANES..(s + 1) * LANES]);
+            }
+        }
+        for (&x, row) in points
+            .remainder()
+            .iter()
+            .zip(rows.remainder().chunks_exact(LANES))
+        {
+            step(&mut tail, x, row);
+        }
+        let mut out = [0f32; LANES];
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]) + tail[l];
+        }
+        out
+    }
+
+    /// The blocks with the number of real (unpadded) centroids in each.
+    #[inline]
+    fn blocks(&self) -> impl Iterator<Item = (usize, &[f32])> {
+        let k = self.k;
+        self.data
+            .chunks_exact(self.dim * LANES)
+            .enumerate()
+            .map(move |(b, block)| (LANES.min(k - b * LANES), block))
+    }
+
+    /// Squared distances from `v` to every centroid written into `out` —
+    /// the inner loop of distance-table computation (paper Eq. 2), kept
+    /// allocation-free so callers can reuse a scratch buffer per query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != dim` or `out.len() != k`.
+    #[inline]
+    pub fn distances(&self, v: &[f32], out: &mut [f32]) {
+        assert_eq!(v.len(), self.dim, "point must have the centroids' dim");
+        assert_eq!(
+            out.len(),
+            self.k,
+            "output length must match the number of centroids"
+        );
+        for ((real, block), o) in self.blocks().zip(out.chunks_mut(LANES)) {
+            o.copy_from_slice(&Self::block_distances(v, block)[..real]);
+        }
+    }
+
+    /// Index and squared distance of the centroid nearest to `v`; ties go
+    /// to the lower index, as in [`nearest_centroid`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != dim`.
+    #[inline]
+    pub fn nearest(&self, v: &[f32]) -> (usize, f32) {
+        assert_eq!(v.len(), self.dim, "point must have the centroids' dim");
+        let mut best = 0usize;
+        let mut best_d = f32::INFINITY;
+        for (b, (real, block)) in self.blocks().enumerate() {
+            let lanes = Self::block_distances(v, block);
+            for (l, &d) in lanes[..real].iter().enumerate() {
+                if d < best_d {
+                    best_d = d;
+                    best = b * LANES + l;
+                }
+            }
+        }
+        (best, best_d)
     }
 }
 
@@ -130,19 +243,56 @@ mod tests {
         assert!((d - 0.01).abs() < 1e-6);
     }
 
+    /// A deterministic `k × dim` matrix and a point with values whose
+    /// squares and sums round (so a different operation order would show).
+    fn matrix(k: usize, dim: usize) -> (Vec<f32>, Vec<f32>) {
+        let value = |i: usize| ((i * 2_654_435_761) % 1_000_003) as f32 * 1e-3 - 400.0;
+        let centroids = (0..k * dim).map(value).collect();
+        let v = (0..dim).map(|d| value(d + 7_919)).collect();
+        (centroids, v)
+    }
+
     #[test]
-    fn distances_to_all_fills_every_slot() {
-        let centroids = [0.0f32, 0.0, 1.0, 0.0, 0.0, 1.0];
-        let mut out = [0.0f32; 3];
-        distances_to_all(&[0.0, 0.0], &centroids, 2, &mut out);
-        assert_eq!(out, [0.0, 1.0, 1.0]);
+    fn block_kernel_is_bit_identical_to_l2_sq_per_centroid() {
+        for dim in 1..=17usize {
+            for k in [1usize, 4, 8, 12, 16, 256] {
+                let (centroids, v) = matrix(k, dim);
+                let blocks = CentroidBlocks::new(&centroids, dim);
+                let mut out = vec![f32::NAN; k];
+                blocks.distances(&v, &mut out);
+                for (i, c) in centroids.chunks_exact(dim).enumerate() {
+                    assert_eq!(
+                        out[i].to_bits(),
+                        l2_sq(&v, c).to_bits(),
+                        "dim {dim} k {k} centroid {i}"
+                    );
+                }
+                assert_eq!(
+                    blocks.nearest(&v),
+                    nearest_centroid(&v, &centroids, dim),
+                    "dim {dim} k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_nearest_breaks_ties_low_like_nearest_centroid() {
+        // Every centroid appears three times, in different blocks and lanes.
+        for (k, dim) in [(5usize, 3usize), (8, 4), (11, 16)] {
+            let (distinct, v) = matrix(k, dim);
+            let centroids = [&distinct[..], &distinct[..], &distinct[..]].concat();
+            let blocks = CentroidBlocks::new(&centroids, dim);
+            let (idx, d) = blocks.nearest(&v);
+            assert_eq!((idx, d), nearest_centroid(&v, &centroids, dim));
+            assert!(idx < k, "tie must go to the first copy, got {idx}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "output length")]
-    fn distances_to_all_rejects_bad_output_len() {
-        let centroids = [0.0f32; 6];
-        let mut out = [0.0f32; 2];
-        distances_to_all(&[0.0, 0.0], &centroids, 2, &mut out);
+    fn block_distances_rejects_bad_output_len() {
+        let blocks = CentroidBlocks::new(&[0.0f32; 6], 2);
+        blocks.distances(&[0.0, 0.0], &mut [0.0f32; 2]);
     }
 }

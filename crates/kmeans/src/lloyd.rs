@@ -5,7 +5,7 @@
 //! `m` sub-quantizers of a product quantizer and the coarse quantizer of the
 //! IVFADC index.
 
-use crate::distance::{l2_sq, nearest_centroid};
+use crate::distance::{l2_sq, nearest_centroid, CentroidBlocks};
 use crate::KMeansError;
 use pqfs_pool::ThreadPool;
 use rand::rngs::StdRng;
@@ -43,11 +43,12 @@ fn assign_step(
             d = d_tail;
         }
     }
+    let blocks = CentroidBlocks::new(centroids, dim);
     let partials = pool.parallel_map_mut(&mut pieces, |_, (offset, a, d)| {
         let rows = &data[*offset * dim..(*offset + a.len()) * dim];
         let mut local = 0f64;
         for (k, v) in rows.chunks_exact(dim).enumerate() {
-            let (c, dist) = nearest_centroid(v, centroids, dim);
+            let (c, dist) = blocks.nearest(v);
             a[k] = c as u32;
             d[k] = dist;
             local += dist as f64;

@@ -12,6 +12,7 @@
 //! everywhere else and doubles as the test oracle.
 
 use crate::result::{ScanResult, ScanStats};
+use crate::ScanParams;
 use pqfs_core::layout::TRANSPOSED_BLOCK;
 use pqfs_core::{DistanceTables, TopK, TransposedCodes};
 
@@ -22,10 +23,14 @@ use pqfs_core::{DistanceTables, TopK, TransposedCodes};
 ///
 /// # Panics
 ///
-/// Panics if `topk == 0` or `tables.m() != codes.m()`.
-pub fn scan_avx(tables: &DistanceTables, codes: &TransposedCodes, topk: usize) -> ScanResult {
+/// Panics if `params.topk == 0` or `tables.m() != codes.m()`.
+pub fn scan_avx(
+    tables: &DistanceTables,
+    codes: &TransposedCodes,
+    params: &ScanParams,
+) -> ScanResult {
     assert_eq!(tables.m(), codes.m(), "tables and codes must share m");
-    let mut heap = TopK::new(topk);
+    let mut heap = TopK::new(params.topk);
     let n = codes.len();
     let mut dists = [0f32; TRANSPOSED_BLOCK];
 
@@ -34,7 +39,7 @@ pub fn scan_avx(tables: &DistanceTables, codes: &TransposedCodes, topk: usize) -
         let base = b * TRANSPOSED_BLOCK;
         for (lane, &d) in dists.iter().enumerate() {
             let i = base + lane;
-            if i < n {
+            if i < n && d <= params.bound {
                 heap.push(d, i as u64);
             }
         }
@@ -154,8 +159,8 @@ mod tests {
     fn matches_naive_including_ragged_tail() {
         for n in [1usize, 7, 8, 9, 100, 123] {
             let (tables, row, transposed) = fixture(n);
-            let a = scan_naive(&tables, &row, 10.min(n));
-            let b = scan_avx(&tables, &transposed, 10.min(n));
+            let a = scan_naive(&tables, &row, &ScanParams::new(10.min(n)));
+            let b = scan_avx(&tables, &transposed, &ScanParams::new(10.min(n)));
             assert_eq!(a.ids(), b.ids(), "n={n}");
             for (x, y) in a.distances().iter().zip(b.distances()) {
                 assert!((x - y).abs() < 1e-4, "n={n}: {x} vs {y}");
@@ -178,7 +183,7 @@ mod tests {
     #[test]
     fn padding_lanes_never_enter_results() {
         let (tables, _, transposed) = fixture(9); // tail block has 7 pad lanes
-        let result = scan_avx(&tables, &transposed, 9);
+        let result = scan_avx(&tables, &transposed, &ScanParams::new(9));
         assert_eq!(result.neighbors.len(), 9);
         assert!(result.ids().iter().all(|&id| id < 9));
     }

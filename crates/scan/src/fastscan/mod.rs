@@ -31,7 +31,7 @@
 //! let tables = DistanceTables::compute(&pq, &query).unwrap();
 //!
 //! let fast = index.scan(&tables, &ScanParams::new(10)).unwrap();
-//! let slow = scan_naive(&tables, &codes, 10);
+//! let slow = scan_naive(&tables, &codes, &ScanParams::new(10));
 //! assert_eq!(fast.ids(), slow.ids()); // identical results, fewer distance computations
 //! ```
 

@@ -10,6 +10,11 @@
 //! distances of the masked lanes straight from the block's arrays, in a loop
 //! monomorphized on the kernel's `const C`, and feeds the tightened
 //! threshold back.
+//!
+//! A caller that already knows a distance no answer can exceed passes it as
+//! [`ScanParams::bound`]: it replaces the warm-up as the source of `qmax`
+//! and caps the pruning threshold from the first block on (docs/FASTSCAN.md
+//! §5).
 
 use crate::fastscan::grouping::GroupedCodes;
 use crate::fastscan::kernel::{self, BlockSink, ScanTables};
@@ -20,7 +25,9 @@ use crate::result::{ScanResult, ScanStats};
 use crate::ScanError;
 use pqfs_core::{DistanceTables, TopK};
 
-/// Per-query scan parameters.
+/// Per-query scan parameters, with one meaning for every
+/// [`Backend`](crate::Backend): the result is the `topk` smallest
+/// `(distance, id)` pairs among the vectors with `distance <= bound`.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanParams {
     /// Number of nearest neighbors to return.
@@ -36,17 +43,41 @@ pub struct ScanParams {
     /// the paper's intent (a representative sample of distances) on any
     /// storage order (docs/FASTSCAN.md §2).
     pub keep: f64,
+    /// Entry bound: vectors farther than this are not part of the answer
+    /// (ties at the bound are). `+∞`, the default, admits every vector.
+    ///
+    /// A caller that merges several scans into one top-k — multi-probe
+    /// search — passes the k-th distance it already holds: a dropped vector
+    /// has `distance > bound >=` the final k-th distance, so the merged
+    /// result is unchanged. The exhaustive backends merely skip the heap for
+    /// such vectors; the pruning backends start with `qmax` and the pruning
+    /// threshold at the bound, which is where small partitions gain (the
+    /// warm-up of a few-hundred-vector partition is a dozen vectors and sets
+    /// a threshold that prunes little). Must not be NaN.
+    pub bound: f32,
 }
 
 impl ScanParams {
-    /// Parameters with the paper's default `keep = 0.5 %`.
+    /// Parameters with the paper's default `keep = 0.5 %` and no entry
+    /// bound.
     pub fn new(topk: usize) -> Self {
-        ScanParams { topk, keep: 0.005 }
+        ScanParams {
+            topk,
+            keep: 0.005,
+            bound: f32::INFINITY,
+        }
     }
 
     /// Replaces the `keep` fraction (clamped to `[0, 1]` at scan time).
     pub fn with_keep(mut self, keep: f64) -> Self {
         self.keep = keep;
+        self
+    }
+
+    /// Replaces the entry bound.
+    pub fn with_bound(mut self, bound: f32) -> Self {
+        debug_assert!(!bound.is_nan(), "the entry bound must not be NaN");
+        self.bound = bound;
         self
     }
 }
@@ -110,8 +141,15 @@ pub(crate) fn scan_with(
     // Sampled vectors (storage positions 0, stride, 2·stride, …) are pushed
     // into the real heap and excluded from the fast path, so the overall
     // result is exactly PQ Scan's. Positions only grow, so one cursor over
-    // the groups finds each sample's group.
-    let target = (params.keep.clamp(0.0, 1.0) * n as f64).ceil() as usize;
+    // the groups finds each sample's group. A finite entry bound is a
+    // threshold already, from a better sample than this partition's own:
+    // the warm-up is skipped.
+    let entry = params.bound;
+    let target = if entry.is_finite() {
+        0
+    } else {
+        (params.keep.clamp(0.0, 1.0) * n as f64).ceil() as usize
+    };
     let stride = n.checked_div(target).map_or(0, |s| s.max(1));
     if stride > 0 {
         let groups = grouped.groups();
@@ -130,14 +168,28 @@ pub(crate) fn scan_with(
         stats.warmup = n.div_ceil(stride) as u64;
     }
 
-    // ---- Quantization setup (§4.4): qmax = distance to the temporary
-    // nearest neighbor, falling back to the maximum possible distance.
-    let qmax = if heap.is_full() {
+    // ---- Quantization setup (§4.4): qmax = the entry bound, else the
+    // distance to the temporary nearest neighbor, falling back to the
+    // maximum possible distance.
+    let qmax = if entry.is_finite() {
+        entry
+    } else if heap.is_full() {
         heap.threshold()
     } else {
         tables.max_sum()
     };
     let quantizer = DistanceQuantizer::new(tables, qmax, index.bins());
+    if entry < quantizer.bias_sum() {
+        // No distance from these tables is below the sum of their minima:
+        // the bound excludes the whole partition before a code byte is
+        // read. (Left to the quantizer, `qmax` below the biases would
+        // disable pruning instead.)
+        stats.pruned = n as u64;
+        return Ok(ScanResult {
+            neighbors: Vec::new(),
+            stats,
+        });
+    }
 
     // Quantized full tables for the grouped components (their 16-entry
     // portions become S_0..S_{c-1}, selected per group by the kernel),
@@ -163,13 +215,14 @@ pub(crate) fn scan_with(
 
     // ---- Fast path: the kernel walks every group/block and hands the
     // survivors to the verifier.
-    let bound = heap.threshold();
+    let bound = heap.threshold().min(entry);
     let threshold = quantizer.quantize_threshold(bound);
     let mut verifier = Verifier {
         grouped,
         float_tables,
         quantizer: &quantizer,
         heap,
+        entry,
         bound,
         threshold,
         verified: 0,
@@ -202,7 +255,10 @@ struct Verifier<'a> {
     float_tables: &'a [f32; FS_M * KSUB],
     quantizer: &'a DistanceQuantizer,
     heap: TopK,
-    /// `heap.threshold()`: a survivor above it cannot enter the heap.
+    /// The caller's entry bound ([`ScanParams::bound`]).
+    entry: f32,
+    /// `min(heap.threshold(), entry)`: a survivor above it is not part of
+    /// the answer.
     bound: f32,
     /// `bound`, quantized: what the kernel prunes with.
     threshold: u8,
@@ -256,7 +312,7 @@ impl BlockSink for Verifier<'_> {
             let d = lane_distance(C, float_tables, high, bytes, lane);
             // Cheap reject first; `push` settles ties on the id.
             if d <= self.bound && self.heap.push(d, self.grouped.id(first + lane) as u64) {
-                self.bound = self.heap.threshold();
+                self.bound = self.heap.threshold().min(self.entry);
                 self.threshold = self.quantizer.quantize_threshold(self.bound);
             }
         }

@@ -9,6 +9,7 @@
 //! reproduces.
 
 use crate::result::{ScanResult, ScanStats};
+use crate::ScanParams;
 use pqfs_core::{DistanceTables, RowMajorCodes, TopK};
 
 /// Number of components this implementation is specialized for.
@@ -20,14 +21,18 @@ pub const LIBPQ_M: usize = 8;
 ///
 /// # Panics
 ///
-/// Panics if `topk == 0`, `codes.m() != 8` or `tables.m() != 8`.
-pub fn scan_libpq(tables: &DistanceTables, codes: &RowMajorCodes, topk: usize) -> ScanResult {
+/// Panics if `params.topk == 0`, `codes.m() != 8` or `tables.m() != 8`.
+pub fn scan_libpq(
+    tables: &DistanceTables,
+    codes: &RowMajorCodes,
+    params: &ScanParams,
+) -> ScanResult {
     assert_eq!(codes.m(), LIBPQ_M, "libpq scan is specialized for PQ 8x8");
     assert_eq!(tables.m(), LIBPQ_M, "tables must have m=8");
     let ksub = tables.ksub();
     let raw = tables.raw();
     let bytes = codes.as_bytes();
-    let mut heap = TopK::new(topk);
+    let mut heap = TopK::new(params.topk);
 
     for (i, chunk) in bytes.chunks_exact(LIBPQ_M).enumerate() {
         // mem1: a single 64-bit load.
@@ -42,7 +47,9 @@ pub fn scan_libpq(tables: &DistanceTables, codes: &RowMajorCodes, topk: usize) -
             let index = ((word >> (8 * j)) & 0xFF) as usize;
             d += raw[j * ksub + index];
         }
-        heap.push(d, i as u64);
+        if d <= params.bound {
+            heap.push(d, i as u64);
+        }
     }
 
     ScanResult {
@@ -80,8 +87,8 @@ mod tests {
         let tables = tables_8x16();
         let codes = codes(100);
         for topk in [1usize, 5, 17, 100] {
-            let a = scan_naive(&tables, &codes, topk);
-            let b = scan_libpq(&tables, &codes, topk);
+            let a = scan_naive(&tables, &codes, &ScanParams::new(topk));
+            let b = scan_libpq(&tables, &codes, &ScanParams::new(topk));
             assert_eq!(a.ids(), b.ids(), "topk={topk}");
             assert_eq!(a.distances(), b.distances(), "topk={topk}");
         }
@@ -93,7 +100,7 @@ mod tests {
         // A single code with distinct components 0..8.
         let codes = RowMajorCodes::new(vec![0, 1, 2, 3, 4, 5, 6, 7], 8);
         let expect: f32 = (0..8).map(|j| ((j + 1) * j) as f32).sum();
-        let result = scan_libpq(&tables, &codes, 1);
+        let result = scan_libpq(&tables, &codes, &ScanParams::new(1));
         assert_eq!(result.distances(), vec![expect]);
     }
 
@@ -102,6 +109,6 @@ mod tests {
     fn rejects_non_pq8_codes() {
         let tables = tables_8x16();
         let bad = RowMajorCodes::new(vec![0, 0], 2);
-        scan_libpq(&tables, &bad, 1);
+        scan_libpq(&tables, &bad, &ScanParams::new(1));
     }
 }

@@ -6,22 +6,30 @@
 //! tested for result-set equality against it.
 
 use crate::result::{ScanResult, ScanStats};
+use crate::ScanParams;
 use pqfs_core::{DistanceTables, RowMajorCodes, TopK};
 
-/// Scans `codes` and returns the `topk` nearest neighbors by ADC distance.
+/// Scans `codes` and returns the `params.topk` nearest neighbors by ADC
+/// distance among the vectors within `params.bound`.
 ///
 /// Vector ids are positions in `codes` (0-based). The result is the unique
 /// set of `topk` smallest `(distance, id)` pairs.
 ///
 /// # Panics
 ///
-/// Panics if `topk == 0` or if `tables.m() != codes.m()`.
-pub fn scan_naive(tables: &DistanceTables, codes: &RowMajorCodes, topk: usize) -> ScanResult {
+/// Panics if `params.topk == 0` or if `tables.m() != codes.m()`.
+pub fn scan_naive(
+    tables: &DistanceTables,
+    codes: &RowMajorCodes,
+    params: &ScanParams,
+) -> ScanResult {
     assert_eq!(tables.m(), codes.m(), "tables and codes must share m");
-    let mut heap = TopK::new(topk);
+    let mut heap = TopK::new(params.topk);
     for (i, code) in codes.iter().enumerate() {
         let d = tables.distance(code);
-        heap.push(d, i as u64);
+        if d <= params.bound {
+            heap.push(d, i as u64);
+        }
     }
     ScanResult {
         neighbors: heap.into_sorted(),
@@ -47,7 +55,7 @@ mod tests {
         let tables = tiny_tables();
         // Codes: (0,0) => 0, (3,3) => 33, (1,1) => 11
         let codes = RowMajorCodes::new(vec![0, 0, 3, 3, 1, 1], 2);
-        let result = scan_naive(&tables, &codes, 1);
+        let result = scan_naive(&tables, &codes, &ScanParams::new(1));
         assert_eq!(result.ids(), vec![0]);
         assert_eq!(result.distances(), vec![0.0]);
         assert_eq!(result.stats.scanned, 3);
@@ -59,7 +67,7 @@ mod tests {
         let tables = tiny_tables();
         // Two vectors with identical distance 11, then one with 33.
         let codes = RowMajorCodes::new(vec![1, 1, 1, 1, 3, 3], 2);
-        let result = scan_naive(&tables, &codes, 2);
+        let result = scan_naive(&tables, &codes, &ScanParams::new(2));
         assert_eq!(result.ids(), vec![0, 1], "tie must resolve by id");
     }
 
@@ -67,7 +75,7 @@ mod tests {
     fn topk_larger_than_partition_returns_everything() {
         let tables = tiny_tables();
         let codes = RowMajorCodes::new(vec![0, 0, 1, 0], 2);
-        let result = scan_naive(&tables, &codes, 10);
+        let result = scan_naive(&tables, &codes, &ScanParams::new(10));
         assert_eq!(result.neighbors.len(), 2);
     }
 
@@ -75,7 +83,7 @@ mod tests {
     fn empty_partition_returns_empty() {
         let tables = tiny_tables();
         let codes = RowMajorCodes::new(vec![], 2);
-        let result = scan_naive(&tables, &codes, 5);
+        let result = scan_naive(&tables, &codes, &ScanParams::new(5));
         assert!(result.neighbors.is_empty());
         assert_eq!(result.stats.scanned, 0);
     }

@@ -86,6 +86,12 @@ impl DistanceQuantizer {
         self.bins
     }
 
+    /// Sum of the per-table biases — [`DistanceTables::sum_of_mins`], which
+    /// no distance computed from the tables is below.
+    pub fn bias_sum(&self) -> f32 {
+        self.bias_sum
+    }
+
     /// The `qmax` bound this quantizer was built with.
     pub fn qmax(&self) -> f32 {
         self.qmax
@@ -175,6 +181,26 @@ mod tests {
         assert_eq!(DistanceQuantizer::new(&t, 44.0, 1000).bins(), 254);
     }
 
+    /// Asserts the safety theorem for every code of the 2×4 tables `t`
+    /// under `q`: a pruned code is farther than `thresh`.
+    fn assert_safe(t: &DistanceTables, q: &DistanceQuantizer, thresh: f32) {
+        let tq = q.quantize_threshold(thresh);
+        for c0 in 0..4u8 {
+            for c1 in 0..4u8 {
+                let d = t.distance(&[c0, c1]);
+                let sum = q
+                    .quantize_value(0, t.table(0)[c0 as usize])
+                    .saturating_add(q.quantize_value(1, t.table(1)[c1 as usize]));
+                assert!(
+                    sum <= tq || d > thresh,
+                    "unsafe prune: d={d} t={thresh} sum={sum} tq={tq} bins={} qmax={}",
+                    q.bins(),
+                    q.qmax()
+                );
+            }
+        }
+    }
+
     /// The safety theorem, tested directly: pruning implies the true
     /// distance exceeds the threshold.
     #[test]
@@ -182,26 +208,45 @@ mod tests {
         let t = tables_2x4();
         for bins in [1u16, 5, 126, 254] {
             for qmax_i in 1..60 {
-                let qmax = qmax_i as f32;
-                let q = DistanceQuantizer::new(&t, qmax, bins);
-                for c0 in 0..4u8 {
-                    for c1 in 0..4u8 {
-                        let d = t.distance(&[c0, c1]);
-                        let sum = q
-                            .quantize_value(0, t.table(0)[c0 as usize])
-                            .saturating_add(q.quantize_value(1, t.table(1)[c1 as usize]));
-                        for t10 in 0..50 {
-                            let thresh = t10 as f32;
-                            let tq = q.quantize_threshold(thresh);
-                            if sum > tq {
-                                assert!(
-                                    d > thresh,
-                                    "unsafe prune: d={d} t={thresh} sum={sum} tq={tq} \
-                                     bins={bins} qmax={qmax}"
-                                );
-                            }
-                        }
-                    }
+                let q = DistanceQuantizer::new(&t, qmax_i as f32, bins);
+                for t10 in 0..50 {
+                    assert_safe(&t, &q, t10 as f32);
+                }
+            }
+        }
+    }
+
+    /// The same with `qmax` = an entry bound (docs/FASTSCAN.md §5) instead
+    /// of a warm-up threshold: the bound is some other partition's k-th
+    /// distance, so it may sit anywhere — on a distance of these tables (a
+    /// tie at the bound must survive), between two, below the sum of the
+    /// minima — and the scan prunes with `min(heap threshold, bound)`.
+    ///
+    /// The entries are not round numbers on purpose. With
+    /// `[1.3, 2.6, 3.9, 5.3]` and `[10.7, 21.1, 30.2, 41.9]`, `bins = 126`
+    /// and `qmax = 43.2`, code `(0, 1)` quantizes to exactly 42 while its own
+    /// distance as the threshold quantizes to 41: `21.1 − 10.7` and
+    /// `(1.3 + 21.1) − 12.0` round to different floats, and the real product
+    /// sits on a bin edge. The theorem is exact over the reals and one ulp
+    /// loose in `f32` for a tie that lands on an edge (ROADMAP item 5); with
+    /// eight tables every term would have to land on one.
+    #[test]
+    fn pruning_is_safe_when_qmax_is_an_entry_bound() {
+        let t = DistanceTables::from_raw(
+            vec![1.37, 2.61, 3.93, 5.29, 10.73, 21.19, 30.23, 41.87],
+            2,
+            4,
+        );
+        let distances: Vec<f32> = (0..16u8).map(|c| t.distance(&[c / 4, c % 4])).collect();
+        let bounds = distances
+            .iter()
+            .flat_map(|&d| [d, d - 0.05, d + 0.05])
+            .chain([0.0, t.sum_of_mins() - 1.0, t.max_sum() * 2.0]);
+        for bound in bounds {
+            for bins in [1u16, 5, 126, 254] {
+                let q = DistanceQuantizer::new(&t, bound, bins);
+                for &heap_threshold in distances.iter().chain([&f32::INFINITY]) {
+                    assert_safe(&t, &q, heap_threshold.min(bound));
                 }
             }
         }

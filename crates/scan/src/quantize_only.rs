@@ -10,28 +10,34 @@
 
 use crate::quantize::DistanceQuantizer;
 use crate::result::{ScanResult, ScanStats};
+use crate::ScanParams;
 use pqfs_core::{DistanceTables, RowMajorCodes, TopK};
 
 /// Scans with 256-entry quantized tables, counting pruned distance
 /// computations. Returns exactly the same neighbors as
 /// [`crate::scan_naive`].
 ///
-/// `keep` is the warm-up fraction (as in Fast Scan) and `bins` the
-/// quantization bin count.
+/// `params.keep` is the warm-up fraction and `params.bound` caps `qmax` and
+/// the pruning threshold (as in Fast Scan); `bins` is the quantization bin
+/// count.
 ///
 /// # Panics
 ///
-/// Panics if `topk == 0` or `tables.m() != codes.m()`.
+/// Panics if `params.topk == 0` or `tables.m() != codes.m()`.
 pub fn scan_quantize_only(
     tables: &DistanceTables,
     codes: &RowMajorCodes,
-    topk: usize,
-    keep: f64,
+    params: &ScanParams,
     bins: u16,
 ) -> ScanResult {
     assert_eq!(tables.m(), codes.m(), "tables and codes must share m");
     let n = codes.len();
     let m = codes.m();
+    let ScanParams {
+        topk,
+        keep,
+        bound: entry,
+    } = *params;
     let mut heap = TopK::new(topk);
     let mut stats = ScanStats {
         scanned: n as u64,
@@ -47,7 +53,10 @@ pub fn scan_quantize_only(
     // Warm-up with exact distances.
     let warm = ((keep.clamp(0.0, 1.0) * n as f64).ceil() as usize).min(n);
     for i in 0..warm {
-        heap.push(tables.distance(codes.code(i)), i as u64);
+        let d = tables.distance(codes.code(i));
+        if d <= entry {
+            heap.push(d, i as u64);
+        }
     }
     stats.warmup = warm as u64;
 
@@ -56,7 +65,7 @@ pub fn scan_quantize_only(
     } else {
         tables.max_sum()
     };
-    let quantizer = DistanceQuantizer::new(tables, qmax, bins);
+    let quantizer = DistanceQuantizer::new(tables, qmax.min(entry), bins);
 
     // Full quantized tables: m rows of ksub bytes.
     let ksub = tables.ksub();
@@ -65,7 +74,7 @@ pub fn scan_quantize_only(
         qtables.extend(quantizer.quantize_table(j, tables.table(j)));
     }
 
-    let mut threshold = quantizer.quantize_threshold(heap.threshold());
+    let mut threshold = quantizer.quantize_threshold(heap.threshold().min(entry));
     for i in warm..n {
         let code = codes.code(i);
         // Saturating 8-bit lower bound from the full quantized tables.
@@ -79,8 +88,8 @@ pub fn scan_quantize_only(
         }
         stats.verified += 1;
         let d = tables.distance(code);
-        if heap.push(d, i as u64) {
-            threshold = quantizer.quantize_threshold(heap.threshold());
+        if d <= entry && heap.push(d, i as u64) {
+            threshold = quantizer.quantize_threshold(heap.threshold().min(entry));
         }
     }
 
@@ -118,8 +127,13 @@ mod tests {
             (10, 0.0),
             (10, 1.0),
         ] {
-            let a = scan_naive(&tables, &codes, topk);
-            let b = scan_quantize_only(&tables, &codes, topk, keep, DEFAULT_BINS);
+            let a = scan_naive(&tables, &codes, &ScanParams::new(topk));
+            let b = scan_quantize_only(
+                &tables,
+                &codes,
+                &ScanParams::new(topk).with_keep(keep),
+                DEFAULT_BINS,
+            );
             assert_eq!(a.ids(), b.ids(), "topk={topk} keep={keep}");
             assert_eq!(a.distances(), b.distances(), "topk={topk} keep={keep}");
         }
@@ -128,7 +142,12 @@ mod tests {
     #[test]
     fn prunes_most_distance_computations() {
         let (tables, codes) = fixture(5000);
-        let result = scan_quantize_only(&tables, &codes, 10, 0.01, DEFAULT_BINS);
+        let result = scan_quantize_only(
+            &tables,
+            &codes,
+            &ScanParams::new(10).with_keep(0.01),
+            DEFAULT_BINS,
+        );
         // §5.5: quantization-only pruning power is very high (99.9 % in the
         // paper). Synthetic tables are less favourable; require > 90 %.
         assert!(
@@ -141,7 +160,12 @@ mod tests {
     #[test]
     fn accounting_adds_up() {
         let (tables, codes) = fixture(1000);
-        let r = scan_quantize_only(&tables, &codes, 5, 0.01, DEFAULT_BINS);
+        let r = scan_quantize_only(
+            &tables,
+            &codes,
+            &ScanParams::new(5).with_keep(0.01),
+            DEFAULT_BINS,
+        );
         assert_eq!(
             r.stats.warmup + r.stats.pruned + r.stats.verified,
             r.stats.scanned
@@ -151,15 +175,25 @@ mod tests {
     #[test]
     fn paper_bins_mode_is_also_exact() {
         let (tables, codes) = fixture(2000);
-        let a = scan_naive(&tables, &codes, 20);
-        let b = scan_quantize_only(&tables, &codes, 20, 0.01, crate::quantize::PAPER_BINS);
+        let a = scan_naive(&tables, &codes, &ScanParams::new(20));
+        let b = scan_quantize_only(
+            &tables,
+            &codes,
+            &ScanParams::new(20).with_keep(0.01),
+            crate::quantize::PAPER_BINS,
+        );
         assert_eq!(a.ids(), b.ids());
     }
 
     #[test]
     fn keep_of_one_degenerates_to_naive() {
         let (tables, codes) = fixture(500);
-        let r = scan_quantize_only(&tables, &codes, 7, 1.0, DEFAULT_BINS);
+        let r = scan_quantize_only(
+            &tables,
+            &codes,
+            &ScanParams::new(7).with_keep(1.0),
+            DEFAULT_BINS,
+        );
         assert_eq!(r.stats.warmup, 500);
         assert_eq!(r.stats.pruned, 0);
         assert_eq!(r.stats.verified, 0);

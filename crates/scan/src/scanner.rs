@@ -160,8 +160,10 @@ pub trait PreparedScanner: fmt::Debug + Send + Sync {
     /// The backend this partition was prepared for.
     fn backend(&self) -> Backend;
 
-    /// Scans the prepared partition. `params.keep` applies to the pruning
-    /// backends; the exhaustive baselines ignore it.
+    /// Scans the prepared partition: the `params.topk` smallest
+    /// `(distance, id)` pairs among the vectors within `params.bound`, for
+    /// every backend. `params.keep` applies to the pruning backends; the
+    /// exhaustive baselines ignore it.
     ///
     /// # Errors
     ///
@@ -349,7 +351,7 @@ impl Scanner for NaiveScanner {
         topk: usize,
     ) -> Result<ScanResult, ScanError> {
         check_m(tables, codes.m())?;
-        Ok(scan_naive(tables, codes, topk))
+        Ok(scan_naive(tables, codes, &ScanParams::new(topk)))
     }
 
     fn prepare(&self, codes: Arc<RowMajorCodes>) -> Result<Box<dyn PreparedScanner>, ScanError> {
@@ -364,7 +366,7 @@ impl PreparedScanner for PreparedNaive {
 
     fn scan(&self, tables: &DistanceTables, params: &ScanParams) -> Result<ScanResult, ScanError> {
         check_m(tables, self.codes.m())?;
-        Ok(scan_naive(tables, &self.codes, params.topk))
+        Ok(scan_naive(tables, &self.codes, params))
     }
 
     fn code_memory_bytes(&self) -> usize {
@@ -405,7 +407,7 @@ impl Scanner for LibpqScanner {
     ) -> Result<ScanResult, ScanError> {
         check_pq8(codes.m(), tables.ksub())?;
         check_m(tables, codes.m())?;
-        Ok(scan_libpq(tables, codes, topk))
+        Ok(scan_libpq(tables, codes, &ScanParams::new(topk)))
     }
 
     fn prepare(&self, codes: Arc<RowMajorCodes>) -> Result<Box<dyn PreparedScanner>, ScanError> {
@@ -422,7 +424,7 @@ impl PreparedScanner for PreparedLibpq {
     fn scan(&self, tables: &DistanceTables, params: &ScanParams) -> Result<ScanResult, ScanError> {
         check_pq8(self.codes.m(), tables.ksub())?;
         check_m(tables, self.codes.m())?;
-        Ok(scan_libpq(tables, &self.codes, params.topk))
+        Ok(scan_libpq(tables, &self.codes, params))
     }
 
     fn code_memory_bytes(&self) -> usize {
@@ -452,11 +454,11 @@ struct PreparedTransposed {
 }
 
 impl PreparedTransposed {
-    fn run(&self, tables: &DistanceTables, topk: usize) -> Result<ScanResult, ScanError> {
+    fn run(&self, tables: &DistanceTables, params: &ScanParams) -> Result<ScanResult, ScanError> {
         check_m(tables, self.transposed.m())?;
         Ok(match self.backend {
-            Backend::Avx => scan_avx(tables, &self.transposed, topk),
-            _ => scan_gather(tables, &self.transposed, topk),
+            Backend::Avx => scan_avx(tables, &self.transposed, params),
+            _ => scan_gather(tables, &self.transposed, params),
         })
     }
 }
@@ -480,7 +482,7 @@ impl Scanner for AvxScanner {
         Ok(scan_avx(
             tables,
             &TransposedCodes::from_row_major(codes),
-            topk,
+            &ScanParams::new(topk),
         ))
     }
 
@@ -511,7 +513,7 @@ impl Scanner for GatherScanner {
         Ok(scan_gather(
             tables,
             &TransposedCodes::from_row_major(codes),
-            topk,
+            &ScanParams::new(topk),
         ))
     }
 
@@ -529,7 +531,7 @@ impl PreparedScanner for PreparedTransposed {
     }
 
     fn scan(&self, tables: &DistanceTables, params: &ScanParams) -> Result<ScanResult, ScanError> {
-        self.run(tables, params.topk)
+        self.run(tables, params)
     }
 
     fn code_memory_bytes(&self) -> usize {
@@ -574,7 +576,10 @@ impl Scanner for QuantizeOnlyScanner {
     ) -> Result<ScanResult, ScanError> {
         check_m(tables, codes.m())?;
         Ok(scan_quantize_only(
-            tables, codes, topk, self.keep, self.bins,
+            tables,
+            codes,
+            &ScanParams::new(topk).with_keep(self.keep),
+            self.bins,
         ))
     }
 
@@ -593,13 +598,7 @@ impl PreparedScanner for PreparedQuantizeOnly {
 
     fn scan(&self, tables: &DistanceTables, params: &ScanParams) -> Result<ScanResult, ScanError> {
         check_m(tables, self.codes.m())?;
-        Ok(scan_quantize_only(
-            tables,
-            &self.codes,
-            params.topk,
-            params.keep,
-            self.bins,
-        ))
+        Ok(scan_quantize_only(tables, &self.codes, params, self.bins))
     }
 
     fn code_memory_bytes(&self) -> usize {

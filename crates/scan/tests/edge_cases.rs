@@ -29,7 +29,7 @@ fn assert_exact(codes: &RowMajorCodes, topk: usize, keep: f64, c: usize, tag: &s
     let fast = index
         .scan(&tables, &ScanParams::new(topk).with_keep(keep))
         .unwrap();
-    let slow = scan_naive(&tables, codes, topk);
+    let slow = scan_naive(&tables, codes, &ScanParams::new(topk));
     assert_eq!(fast.ids(), slow.ids(), "{tag}: ids");
     assert_eq!(fast.distances(), slow.distances(), "{tag}: distances");
     assert_eq!(
@@ -116,7 +116,7 @@ fn zero_distance_tables() {
     let c = codes(100, 17);
     let index = FastScanIndex::build(&c, &FastScanOptions::default()).unwrap();
     let fast = index.scan(&tables, &ScanParams::new(10)).unwrap();
-    let slow = scan_naive(&tables, &c, 10);
+    let slow = scan_naive(&tables, &c, &ScanParams::new(10));
     assert_eq!(fast.ids(), slow.ids());
     assert_eq!(
         fast.ids(),
@@ -138,7 +138,7 @@ fn huge_distance_range_saturates_safely() {
     let fast = index
         .scan(&tables, &ScanParams::new(5).with_keep(0.01))
         .unwrap();
-    let slow = scan_naive(&tables, &c, 5);
+    let slow = scan_naive(&tables, &c, &ScanParams::new(5));
     assert_eq!(fast.ids(), slow.ids());
 }
 
@@ -150,7 +150,10 @@ fn explicit_bins_one_still_exact() {
     let fast = index
         .scan(&tables, &ScanParams::new(10).with_keep(0.01))
         .unwrap();
-    assert_eq!(fast.ids(), scan_naive(&tables, &c, 10).ids());
+    assert_eq!(
+        fast.ids(),
+        scan_naive(&tables, &c, &ScanParams::new(10)).ids()
+    );
 }
 
 #[test]

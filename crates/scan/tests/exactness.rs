@@ -46,7 +46,7 @@ proptest! {
             .with_kernel(kernel);
         let index = FastScanIndex::build(&codes, &opts).unwrap();
         let fast = index.scan(&tables, &ScanParams::new(topk).with_keep(keep)).unwrap();
-        let slow = scan_naive(&tables, &codes, topk);
+        let slow = scan_naive(&tables, &codes, &ScanParams::new(topk));
 
         prop_assert_eq!(fast.ids(), slow.ids());
         prop_assert_eq!(fast.distances(), slow.distances());
@@ -101,10 +101,10 @@ proptest! {
     ) {
         prop_assume!(!codes.is_empty());
         let transposed = TransposedCodes::from_row_major(&codes);
-        let a = scan_naive(&tables, &codes, topk);
-        let b = scan_libpq(&tables, &codes, topk);
-        let c = scan_avx(&tables, &transposed, topk);
-        let d = scan_gather(&tables, &transposed, topk);
+        let a = scan_naive(&tables, &codes, &ScanParams::new(topk));
+        let b = scan_libpq(&tables, &codes, &ScanParams::new(topk));
+        let c = scan_avx(&tables, &transposed, &ScanParams::new(topk));
+        let d = scan_gather(&tables, &transposed, &ScanParams::new(topk));
         prop_assert_eq!(a.ids(), b.ids());
         prop_assert_eq!(&a.ids(), &c.ids());
         prop_assert_eq!(&a.ids(), &d.ids());
@@ -118,8 +118,8 @@ proptest! {
         topk in 1usize..16,
         keep in 0.0f64..0.3,
     ) {
-        let a = scan_naive(&tables, &codes, topk);
-        let b = scan_quantize_only(&tables, &codes, topk, keep, 254);
+        let a = scan_naive(&tables, &codes, &ScanParams::new(topk));
+        let b = scan_quantize_only(&tables, &codes, &ScanParams::new(topk).with_keep(keep), 254);
         prop_assert_eq!(a.ids(), b.ids());
     }
 
@@ -134,7 +134,7 @@ proptest! {
         let tables = DistanceTables::from_raw(vec![value; M * KSUB], M, KSUB);
         let index = FastScanIndex::build(&codes, &FastScanOptions::default()).unwrap();
         let fast = index.scan(&tables, &ScanParams::new(topk)).unwrap();
-        let slow = scan_naive(&tables, &codes, topk);
+        let slow = scan_naive(&tables, &codes, &ScanParams::new(topk));
         prop_assert_eq!(fast.ids(), slow.ids());
     }
 }
@@ -177,7 +177,7 @@ fn end_to_end_with_trained_pq() {
         let fast = index
             .scan(&tables, &ScanParams::new(10).with_keep(0.01))
             .unwrap();
-        let slow = scan_naive(&tables, &codes, 10);
+        let slow = scan_naive(&tables, &codes, &ScanParams::new(10));
         assert_eq!(fast.ids(), slow.ids(), "query {q}");
         assert_eq!(fast.distances(), slow.distances(), "query {q}");
         total_pruned += fast.stats.pruned_fraction();

@@ -1,10 +1,12 @@
 //! Exactness matrix for the per-block hand-off (docs/FASTSCAN.md): for
 //! every grouping count, kernel, partition shape, `topk` and `keep`, Fast
 //! Scan returns the ids **and** the `f32` distances of `Backend::Naive`, bit
-//! for bit, and its counters account for every vector.
+//! for bit, and its counters account for every vector. A second matrix does
+//! the same for the entry bound (`ScanParams::bound`, docs/FASTSCAN.md §5)
+//! over every backend.
 
 use pqfs_core::{DistanceTables, RowMajorCodes};
-use pqfs_scan::{Backend, Kernel, ScanError, ScanOpts, ScanParams};
+use pqfs_scan::{Backend, Kernel, PreparedScanner, ScanError, ScanOpts, ScanParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -84,4 +86,108 @@ fn every_handoff_path_equals_naive() {
     }
     // The portable kernel alone is a third of the matrix.
     assert!(scans >= 7 * 2 * 4 * 5 * 3);
+}
+
+/// The largest float below a non-negative `x`.
+fn just_below(x: f32) -> f32 {
+    if x > 0.0 {
+        f32::from_bits(x.to_bits() - 1)
+    } else {
+        -f32::MIN_POSITIVE
+    }
+}
+
+#[test]
+fn every_backend_honours_the_entry_bound() {
+    let naive = Backend::Naive.scanner(&ScanOpts::default());
+    let mut scans = 0usize;
+    let mut bounded_out = 0usize;
+    for n in [17usize, 33, 5_000] {
+        let codes = codes(n);
+        // Every backend once, Fast Scan once per grouping count and kernel.
+        let mut prepared: Vec<(String, Box<dyn PreparedScanner>)> = Vec::new();
+        for backend in Backend::ALL {
+            if backend != Backend::FastScan {
+                let scanner = backend.scanner(&ScanOpts::default());
+                prepared.push((
+                    backend.to_string(),
+                    scanner.prepare(Arc::clone(&codes)).unwrap(),
+                ));
+            }
+        }
+        for c in 0..=4usize {
+            for kernel in [Kernel::Portable, Kernel::Ssse3, Kernel::Avx2] {
+                let opts = ScanOpts::default()
+                    .with_group_components(c)
+                    .with_kernel(kernel);
+                let scanner = Backend::FastScan.scanner(&opts);
+                prepared.push((
+                    format!("fastscan c={c} {kernel:?}"),
+                    scanner.prepare(Arc::clone(&codes)).unwrap(),
+                ));
+            }
+        }
+        for levels in [0u32, 5] {
+            let tables = tables(levels);
+            // Every vector, ascending by (distance, id): the oracle filters
+            // and cuts this list itself.
+            let all = naive.scan(&tables, &codes, n).unwrap().neighbors;
+            let tied = all
+                .windows(2)
+                .find(|w| w[0].dist == w[1].dist)
+                .map(|w| w[0].dist);
+            assert!(tied.is_some() || levels == 0, "integer tables tie");
+            let below_every_distance = just_below(tables.sum_of_mins());
+            for topk in [1, 100, n + 5] {
+                let kth = all[topk.min(n) - 1].dist;
+                let bounds = [Some(f32::INFINITY), Some(kth), Some(all[n / 2].dist), tied]
+                    .into_iter()
+                    .flatten()
+                    .chain([below_every_distance, 0.0]);
+                for bound in bounds {
+                    let want: Vec<(u32, u64)> = all
+                        .iter()
+                        .filter(|nb| nb.dist <= bound)
+                        .take(topk)
+                        .map(|nb| (nb.dist.to_bits(), nb.id))
+                        .collect();
+                    let params = ScanParams::new(topk).with_bound(bound);
+                    for (name, scanner) in &prepared {
+                        let case =
+                            format!("n={n} levels={levels} topk={topk} bound={bound} {name}");
+                        let got = match scanner.scan(&tables, &params) {
+                            Ok(got) => got,
+                            // The CPU lacks this kernel: nothing to check.
+                            Err(ScanError::KernelUnavailable { .. }) => continue,
+                            Err(e) => panic!("{case}: {e}"),
+                        };
+                        let have: Vec<(u32, u64)> = got
+                            .neighbors
+                            .iter()
+                            .map(|nb| (nb.dist.to_bits(), nb.id))
+                            .collect();
+                        assert_eq!(have, want, "{case}");
+                        let s = got.stats;
+                        assert_eq!(s.scanned, n as u64, "{case}");
+                        if matches!(scanner.backend(), Backend::FastScan | Backend::QuantizeOnly) {
+                            assert_eq!(s.warmup + s.pruned + s.verified, s.scanned, "{case}");
+                        }
+                        if scanner.backend() == Backend::FastScan && bound == below_every_distance {
+                            // Answered from the bound alone.
+                            assert_eq!(
+                                (s.pruned, s.verified, s.warmup),
+                                (n as u64, 0, 0),
+                                "{case}"
+                            );
+                            bounded_out += 1;
+                        }
+                        scans += 1;
+                    }
+                }
+            }
+        }
+    }
+    // Five other backends and the portable kernel at every grouping count.
+    assert!(scans >= 3 * 2 * 3 * 5 * (5 + 5));
+    assert!(bounded_out >= 3 * 2 * 3 * 5);
 }
