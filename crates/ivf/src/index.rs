@@ -809,6 +809,8 @@ impl IvfadcIndex {
                     ProbeTrace {
                         scanned: s.scanned,
                         pruned: s.pruned,
+                        warmup: s.warmup,
+                        verified: s.verified,
                         bound: bound.is_finite().then_some(bound),
                         tables_ns,
                         scan_ns,
@@ -1664,6 +1666,21 @@ mod tests {
         assert_eq!(trace.probes[0].bound, None);
         assert!(trace.probes[1..].iter().all(|p| p.bound == Some(kth)));
         assert!(waterfall.contains(&format!("bound={kth:.1}")));
+        // Only the unbounded probe warms up, and every probe accounts for
+        // each vector it scanned.
+        assert!(trace.probes[0].warmup > 0);
+        assert!(trace.probes[1..].iter().all(|p| p.warmup == 0));
+        for p in &trace.probes {
+            assert_eq!(p.warmup + p.pruned + p.verified, p.scanned);
+        }
+        assert_eq!(
+            trace.probes.iter().map(|p| p.verified).sum::<u64>(),
+            out.stats.verified
+        );
+        assert!(waterfall.contains(&format!(
+            "warmup={} verified={} bound=-",
+            trace.probes[0].warmup, trace.probes[0].verified
+        )));
         let ruled_out = trace.probes[1..]
             .iter()
             .filter(|p| p.scanned > 0 && kth < probe_tables(&index, q, p.partition).sum_of_mins())

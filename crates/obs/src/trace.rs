@@ -45,6 +45,13 @@ pub struct ProbeTrace {
     pub scanned: u64,
     /// Vectors pruned before exact distance evaluation.
     pub pruned: u64,
+    /// Vectors the scan's warm-up evaluated exactly before the fast path
+    /// (Fast Scan: the groups nearest to the query, docs/FASTSCAN.md §2).
+    pub warmup: u64,
+    /// Vectors that survived the lower-bound test and were evaluated
+    /// exactly. For a pruning backend `warmup + pruned + verified ==
+    /// scanned`; the exhaustive backends leave all three at 0.
+    pub verified: u64,
     /// The entry bound the probe scanned under — the nearest probe's k-th
     /// distance — or `None` when it had none: the nearest probe itself,
     /// every probe when the nearest one returned fewer than `topk`
@@ -66,6 +73,8 @@ impl ProbeTrace {
             outcome,
             scanned: 0,
             pruned: 0,
+            warmup: 0,
+            verified: 0,
             bound: None,
             tables_ns: 0,
             scan_ns: 0,
@@ -130,8 +139,8 @@ impl QueryTrace {
     /// ```text
     /// query trace: total 412.3µs, 4 probes
     ///   coarse_quantize      12.3µs   3.0% |##
-    ///   probe[0] p=17  fastscan    tables  40.1µs scan 210.0µs  scanned=1200 pruned=73.2% bound=- ok
-    ///   probe[1] p=3   fastscan    tables  38.7µs scan 100.5µs  scanned=800 pruned=91.0% bound=5120.5 ok
+    ///   probe[0] p=17  fastscan    tables  40.1µs scan 210.0µs  scanned=1200 pruned=73.2% warmup=75 verified=247 bound=- ok
+    ///   probe[1] p=3   fastscan    tables  38.7µs scan 100.5µs  scanned=800 pruned=91.0% warmup=0 verified=72 bound=5120.5 ok
     ///   merge                 2.1µs   0.5% |
     ///   stage sum 403.7µs (97.9% of wall)
     /// ```
@@ -153,13 +162,15 @@ impl QueryTrace {
         ));
         for (i, p) in self.probes.iter().enumerate() {
             out.push_str(&format!(
-                "  probe[{i}] p={:<4} {:<12} tables {:>9} scan {:>9}  scanned={} pruned={:.1}% bound={} {}\n",
+                "  probe[{i}] p={:<4} {:<12} tables {:>9} scan {:>9}  scanned={} pruned={:.1}% warmup={} verified={} bound={} {}\n",
                 p.partition,
                 p.backend,
                 fmt_ns(p.tables_ns),
                 fmt_ns(p.scan_ns),
                 p.scanned,
                 p.pruned_fraction() * 100.0,
+                p.warmup,
+                p.verified,
                 p.bound.map_or_else(|| "-".to_string(), |b| format!("{b:.1}")),
                 p.outcome.name()
             ));
@@ -209,6 +220,8 @@ mod tests {
                     outcome: ProbeOutcome::Ok,
                     scanned: 1000,
                     pruned: 900,
+                    warmup: 40,
+                    verified: 60,
                     bound: Some(1234.56),
                     tables_ns: 30_000,
                     scan_ns: 60_000,
@@ -219,6 +232,8 @@ mod tests {
                     outcome: ProbeOutcome::Skipped,
                     scanned: 0,
                     pruned: 0,
+                    warmup: 0,
+                    verified: 0,
                     bound: None,
                     tables_ns: 0,
                     scan_ns: 0,
@@ -245,8 +260,8 @@ mod tests {
         assert!(text.contains("coarse_quantize"));
         assert!(text.contains("probe[0] p=17"));
         assert!(text.contains("avx2"));
-        assert!(text.contains("pruned=90.0% bound=1234.6 ok"));
-        assert!(text.contains("bound=- skipped"));
+        assert!(text.contains("pruned=90.0% warmup=40 verified=60 bound=1234.6 ok"));
+        assert!(text.contains("warmup=0 verified=0 bound=- skipped"));
         assert!(text.contains("merge"));
         assert!(text.contains("stage sum"));
         assert!(text.contains("87.5% of wall"));

@@ -93,8 +93,8 @@ pub struct GroupedCodes {
 
 impl GroupedCodes {
     /// Groups a partition's codes on `c` components. Groups are ordered by
-    /// ascending key and vectors keep their relative order within a group
-    /// (the deterministic warm-up relies on both).
+    /// ascending key (the warm-up looks groups up by key) and vectors keep
+    /// their relative order within a group.
     ///
     /// # Panics
     ///

@@ -8,25 +8,23 @@
 //! assignment makes portions hold mutually close values so these minima are
 //! tight.
 
-use crate::fastscan::layout::PORTION;
+use crate::fastscan::layout::{KSUB, PORTION};
 use crate::quantize::DistanceQuantizer;
 use pqfs_core::DistanceTables;
 
-/// Minimum of each 16-entry portion of one distance table, in float domain.
+/// Minimum of each of the 16 portions of one 256-entry distance table, in
+/// float domain.
 ///
 /// # Panics
 ///
-/// Panics if `table.len()` is not a multiple of [`PORTION`].
-pub fn min_table(table: &[f32]) -> Vec<f32> {
-    assert_eq!(
-        table.len() % PORTION,
-        0,
-        "table must divide into 16-entry portions"
-    );
-    table
-        .chunks_exact(PORTION)
-        .map(|p| p.iter().copied().fold(f32::INFINITY, f32::min))
-        .collect()
+/// Panics if `table.len() != 256`.
+pub fn portion_minima(table: &[f32]) -> [f32; PORTION] {
+    assert_eq!(table.len(), KSUB, "a PQ 8x8 table has 256 entries");
+    let mut minima = [f32::INFINITY; PORTION];
+    for (min, portion) in minima.iter_mut().zip(table.chunks_exact(PORTION)) {
+        *min = portion.iter().copied().fold(f32::INFINITY, f32::min);
+    }
+    minima
 }
 
 /// Quantized minimum tables for components `c..m`, ready to be used as the
@@ -41,14 +39,7 @@ pub fn quantized_min_tables(
     c: usize,
 ) -> Vec<[u8; PORTION]> {
     (c..tables.m())
-        .map(|j| {
-            let mins = min_table(tables.table(j));
-            let mut out = [0u8; PORTION];
-            for (slot, &v) in out.iter_mut().zip(mins.iter()) {
-                *slot = quantizer.quantize_value(j, v);
-            }
-            out
-        })
+        .map(|j| portion_minima(tables.table(j)).map(|min| quantizer.quantize_value(j, min)))
         .collect()
 }
 
@@ -57,18 +48,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn min_table_takes_portion_minima() {
-        // 32-entry table: portion 0 = 16..32 reversed, portion 1 = 100+i.
-        let mut table: Vec<f32> = (0..16).map(|i| (31 - i) as f32).collect();
-        table.extend((0..16).map(|i| (100 + i) as f32));
-        let mins = min_table(&table);
-        assert_eq!(mins, vec![16.0, 100.0]);
+    fn portion_minima_fold_each_portion() {
+        // Portion 0 = 31 down to 16, every other portion p = 100·p + i.
+        let table: Vec<f32> = (0..256)
+            .map(|i| match i / PORTION {
+                0 => (31 - i) as f32,
+                p => (100 * p + i % PORTION) as f32,
+            })
+            .collect();
+        let mins = portion_minima(&table);
+        assert_eq!(mins[..3], [16.0, 100.0, 200.0]);
+        assert_eq!(mins[15], 1500.0);
     }
 
     #[test]
     fn min_is_lower_bound_for_every_entry() {
         let table: Vec<f32> = (0..256).map(|i| ((i * 97 + 13) % 509) as f32).collect();
-        let mins = min_table(&table);
+        let mins = portion_minima(&table);
         for (i, &v) in table.iter().enumerate() {
             assert!(mins[i / PORTION] <= v);
         }

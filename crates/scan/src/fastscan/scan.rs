@@ -1,15 +1,16 @@
 //! The Fast Scan driver: warm-up, quantization, kernel invocation and
 //! survivor verification (paper Figure 6; docs/FASTSCAN.md).
 //!
-//! A scan is four steps. **Warm-up** computes exact distances for a strided
-//! `keep` sample and pushes them into the result heap; the sample is walked
-//! with a monotone group cursor, so it costs O(sample), not O(groups).
-//! **Quantization** derives `qmax` from that heap and fills the 8-bit tables.
-//! The **kernel** ([`kernel::scan_all`]) lower-bounds every vector and hands
-//! each block with survivors to the [`Verifier`], which computes the exact
-//! distances of the masked lanes straight from the block's arrays, in a loop
-//! monomorphized on the kernel's `const C`, and feeds the tightened
-//! threshold back.
+//! A scan is four steps. **Warm-up** computes exact distances for the whole
+//! groups nearest to the query — those whose key selects, in every grouped
+//! component, one of the table's smallest portions ([`choose_warm_groups`])
+//! — and pushes them into the result heap. **Quantization** derives `qmax`
+//! from that heap and fills the 8-bit tables. The **kernel**
+//! ([`kernel::scan_all`]) lower-bounds every vector and hands each block
+//! with survivors to the [`Verifier`], which drops the warm-up's groups,
+//! computes the exact distances of the masked lanes straight from the
+//! block's arrays, in a loop monomorphized on the kernel's `const C`, and
+//! feeds the tightened threshold back.
 //!
 //! A caller that already knows a distance no answer can exceed passes it as
 //! [`ScanParams::bound`]: it replaces the warm-up as the source of `qmax`
@@ -19,6 +20,7 @@
 use crate::fastscan::grouping::GroupedCodes;
 use crate::fastscan::kernel::{self, BlockSink, ScanTables};
 use crate::fastscan::layout::{bytes_per_block, lane_distance, FS_BLOCK, FS_M, KSUB, PORTION};
+use crate::fastscan::mintables::portion_minima;
 use crate::fastscan::FastScanIndex;
 use crate::quantize::DistanceQuantizer;
 use crate::result::{ScanResult, ScanStats};
@@ -37,11 +39,14 @@ pub struct ScanParams {
     /// The paper recommends 0.1 %–1 %; the default is 0.5 %.
     ///
     /// The paper takes the *first* `keep%` of its (arbitrarily ordered)
-    /// database; our storage is grouped — i.e. sorted by code prefix — so a
-    /// prefix would be a maximally biased sample. The warm-up therefore
-    /// scans a **strided** sample of the grouped storage, which preserves
-    /// the paper's intent (a representative sample of distances) on any
-    /// storage order (docs/FASTSCAN.md §2).
+    /// database. Our storage is grouped, and the grouping says where the
+    /// query's near vectors are, so Fast Scan spends the fraction there: it
+    /// scans the whole groups whose key names one of the `t` smallest
+    /// portions of each grouped table, `t` the smallest count for which
+    /// such groups are expected to hold `max(keep · n, topk)` vectors
+    /// (docs/FASTSCAN.md §2). `keep` is therefore a floor on the expected
+    /// warm-up size, not its size: `0` means no warm-up, `1` (or a partition
+    /// of one group) an exact scan of everything.
     pub keep: f64,
     /// Entry bound: vectors farther than this are not part of the answer
     /// (ties at the bound are). `+∞`, the default, admits every vector.
@@ -84,16 +89,19 @@ impl ScanParams {
 
 /// Reusable per-thread scan state: the quantized table buffers a Fast Scan
 /// query fills (one 256-entry byte table per grouped component plus the
-/// 16-entry small tables).
+/// 16-entry small tables) and the list of groups its warm-up scanned.
 ///
-/// Building these tables is the only per-query heap allocation of a
-/// prepared Fast Scan query; batch drivers keep one `ScanScratch` per
+/// These are the only per-query heap allocations of a prepared Fast Scan
+/// query besides the result; batch drivers keep one `ScanScratch` per
 /// worker thread so steady-state scanning allocates nothing but the result
 /// vector. A default-constructed scratch is always valid — buffers grow on
 /// first use and are reused afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct ScanScratch {
     pub(crate) tables: ScanTables,
+    /// Indices into `GroupedCodes::groups()` of the groups the warm-up
+    /// scanned exactly, ascending; the fast path leaves them out.
+    pub(crate) warm_groups: Vec<u32>,
 }
 
 pub(crate) fn scan(
@@ -137,35 +145,25 @@ pub(crate) fn scan_with(
         });
     }
 
-    // ---- Warm-up: plain PQ Scan over a strided keep% sample (§4.4). ----
-    // Sampled vectors (storage positions 0, stride, 2·stride, …) are pushed
-    // into the real heap and excluded from the fast path, so the overall
-    // result is exactly PQ Scan's. Positions only grow, so one cursor over
-    // the groups finds each sample's group. A finite entry bound is a
-    // threshold already, from a better sample than this partition's own:
-    // the warm-up is skipped.
+    // ---- Warm-up: plain PQ Scan over the groups nearest to the query
+    // (§4.4; docs/FASTSCAN.md §2). Their vectors are pushed into the real
+    // heap and their groups left out of the fast path, so the overall
+    // result is exactly PQ Scan's. A finite entry bound is a threshold
+    // already, from a better sample than this partition's own: the warm-up
+    // is skipped.
     let entry = params.bound;
-    let target = if entry.is_finite() {
-        0
-    } else {
-        (params.keep.clamp(0.0, 1.0) * n as f64).ceil() as usize
-    };
-    let stride = n.checked_div(target).map_or(0, |s| s.max(1));
-    if stride > 0 {
-        let groups = grouped.groups();
-        let mut gi = 0;
-        for pos in (0..n).step_by(stride) {
-            while pos >= groups[gi].start + groups[gi].len {
-                gi += 1;
-            }
-            let g = &groups[gi];
-            let idx = pos - g.start;
-            let block = grouped.block(g, idx / FS_BLOCK);
-            let high = g.key.map(|k| k << 4);
-            let d = lane_distance(c, float_tables, high, block, idx % FS_BLOCK);
-            heap.push(d, grouped.id(pos) as u64);
+    let warm_groups = &mut scratch.warm_groups;
+    warm_groups.clear();
+    if entry == f32::INFINITY && params.keep > 0.0 {
+        stats.warmup =
+            choose_warm_groups(grouped, float_tables, params.keep, params.topk, warm_groups) as u64;
+        match c {
+            0 => warm_up::<0>(grouped, float_tables, warm_groups, &mut heap),
+            1 => warm_up::<1>(grouped, float_tables, warm_groups, &mut heap),
+            2 => warm_up::<2>(grouped, float_tables, warm_groups, &mut heap),
+            3 => warm_up::<3>(grouped, float_tables, warm_groups, &mut heap),
+            _ => warm_up::<4>(grouped, float_tables, warm_groups, &mut heap),
         }
-        stats.warmup = n.div_ceil(stride) as u64;
     }
 
     // ---- Quantization setup (§4.4): qmax = the entry bound, else the
@@ -182,8 +180,8 @@ pub(crate) fn scan_with(
     if entry < quantizer.bias_sum() {
         // No distance from these tables is below the sum of their minima:
         // the bound excludes the whole partition before a code byte is
-        // read. (Left to the quantizer, `qmax` below the biases would
-        // disable pruning instead.)
+        // read. (Left to the kernel, the vectors within a bin of the minima
+        // would be verified first.)
         stats.pruned = n as u64;
         return Ok(ScanResult {
             neighbors: Vec::new(),
@@ -200,17 +198,11 @@ pub(crate) fn scan_with(
         quantizer.quantize_table_into(j, tables.table(j), buf);
     }
     // ...and the minimum tables S_c..S_7, constant for the whole query
-    // (portion minima computed in float domain as in [`min_table`], then
-    // quantized — monotone, so this equals the minimum of quantized
-    // entries).
+    // (portion minima computed in float domain, then quantized — monotone,
+    // so this equals the minimum of quantized entries).
     for j in c..FS_M {
-        for (slot, portion) in scan_tables.small[j]
-            .iter_mut()
-            .zip(tables.table(j).chunks_exact(PORTION))
-        {
-            let min = portion.iter().copied().fold(f32::INFINITY, f32::min);
-            *slot = quantizer.quantize_value(j, min);
-        }
+        scan_tables.small[j] =
+            portion_minima(tables.table(j)).map(|min| quantizer.quantize_value(j, min));
     }
 
     // ---- Fast path: the kernel walks every group/block and hands the
@@ -226,9 +218,9 @@ pub(crate) fn scan_with(
         bound,
         threshold,
         verified: 0,
-        stride,
-        next_sample: if stride > 0 { 0 } else { usize::MAX },
+        warm_groups,
         group: usize::MAX,
+        warm: false,
         start: 0,
         high: [0; 4],
         blocks: &[],
@@ -247,6 +239,104 @@ pub(crate) fn scan_with(
     })
 }
 
+/// Picks the groups the warm-up scans and returns how many vectors they
+/// hold; their indices go to `chosen`, ascending.
+///
+/// A group's key selects one 16-entry portion of each grouped table
+/// `D_0 … D_{c−1}`, and a portion's minimum bounds what its group's vectors
+/// add for that component — the lower bound the kernel uses for the other
+/// components. The groups whose key names, in every grouped component, one
+/// of the table's `t` smallest portion minima are where the query's near
+/// vectors are. `t` is the smallest count with `(t/16)^c · n >=
+/// max(keep · n, topk)` — as many vectors as the paper's warm-up scans, and
+/// enough to fill the heap, if groups were equally large — widened while
+/// the groups found hold fewer than `topk` vectors. The `t^c` keys are
+/// looked up in the key-sorted group list; absent groups hold nothing.
+/// `c = 0` has one group and `t = 16` selects every group: both scan the
+/// partition exactly.
+fn choose_warm_groups(
+    grouped: &GroupedCodes,
+    float_tables: &[f32; FS_M * KSUB],
+    keep: f64,
+    topk: usize,
+    chosen: &mut Vec<u32>,
+) -> usize {
+    let c = grouped.layout().c();
+    let (n, groups) = (grouped.len(), grouped.groups());
+    // The portions of each grouped table, smallest minimum first.
+    let mut nearest = [[0u8; PORTION]; 4];
+    for (j, nearest) in nearest.iter_mut().enumerate().take(c) {
+        let minima = portion_minima(&float_tables[j * KSUB..][..KSUB]);
+        *nearest = std::array::from_fn(|p| p as u8);
+        nearest.sort_unstable_by(|&a, &b| {
+            minima[a as usize]
+                .total_cmp(&minima[b as usize])
+                .then(a.cmp(&b))
+        });
+    }
+    let target = ((keep.min(1.0) * n as f64).ceil() as u128).max(topk as u128);
+    // `t` portions per component select `t^c` of the `16^c` keys.
+    let keys = |t: usize| (t as u128).pow(c as u32);
+    let mut t = (1..PORTION)
+        .find(|&t| keys(t) * n as u128 >= target * keys(PORTION))
+        .unwrap_or(PORTION);
+    loop {
+        // The selected high nibbles of each key entry, as bit sets; the
+        // entries of ungrouped components are always 0.
+        let mut sets = [1u16; 4];
+        for (set, nearest) in sets.iter_mut().zip(&nearest).take(c) {
+            *set = nearest[..t].iter().fold(0, |set, &p| set | 1 << p);
+        }
+        let nibbles = |set: u16| (0..PORTION as u8).filter(move |p| set >> p & 1 == 1);
+        chosen.clear();
+        let (mut held, mut from) = (0, 0);
+        // Keys in ascending order, as the groups are: the search resumes
+        // where the previous key was found.
+        for k0 in nibbles(sets[0]) {
+            for k1 in nibbles(sets[1]) {
+                for k2 in nibbles(sets[2]) {
+                    for k3 in nibbles(sets[3]) {
+                        let key = [k0, k1, k2, k3];
+                        from += groups[from..].partition_point(|g| g.key < key);
+                        if let Some(g) = groups.get(from).filter(|g| g.key == key) {
+                            chosen.push(from as u32);
+                            held += g.len;
+                        }
+                    }
+                }
+            }
+        }
+        if held >= topk || t == PORTION {
+            return held;
+        }
+        t += 1;
+    }
+}
+
+/// Plain PQ Scan over whole groups: every vector of `groups` goes into
+/// `heap` with its exact distance. Monomorphized on the layout's grouping
+/// count like the verification loop, which is worth a quarter of the
+/// warm-up's time. `C` must equal `grouped.layout().c()`.
+fn warm_up<const C: usize>(
+    grouped: &GroupedCodes,
+    float_tables: &[f32; FS_M * KSUB],
+    groups: &[u32],
+    heap: &mut TopK,
+) {
+    for &gi in groups {
+        let g = &grouped.groups()[gi as usize];
+        let high = g.key.map(|k| k << 4);
+        let blocks = grouped.group_blocks(g).chunks_exact(bytes_per_block(C));
+        for (b, block) in blocks.enumerate() {
+            let first = b * FS_BLOCK;
+            for lane in 0..(g.len - first).min(FS_BLOCK) {
+                let d = lane_distance(C, float_tables, high, block, lane);
+                heap.push(d, grouped.id(g.start + first + lane) as u64);
+            }
+        }
+    }
+}
+
 /// The exact side of the fast path: receives each block's survivors from
 /// the kernel and runs PQ Scan's `pqdistance` on them.
 struct Verifier<'a> {
@@ -263,14 +353,15 @@ struct Verifier<'a> {
     /// `bound`, quantized: what the kernel prunes with.
     threshold: u8,
     verified: u64,
-    /// Warm-up members sit at the multiples of `stride`; blocks arrive in
-    /// storage order, so a cursor over those multiples finds the lanes to
-    /// skip. `next_sample` is the smallest one not behind the last block
-    /// seen (`usize::MAX` when there was no warm-up).
-    stride: usize,
-    next_sample: usize,
+    /// The warm-up's groups not behind the last block seen: blocks arrive in
+    /// storage order and the list ascends, so its head is the only one the
+    /// current group can be.
+    warm_groups: &'a [u32],
     /// The group the fields below were hoisted for.
     group: usize,
+    /// Whether the warm-up already scanned the group: its vectors are in
+    /// the heap, so its blocks are dropped.
+    warm: bool,
     /// Storage position of the group's first vector.
     start: usize,
     /// The group key's nibbles, shifted into the high half of a code byte.
@@ -288,18 +379,19 @@ impl BlockSink for Verifier<'_> {
             self.start = g.start;
             self.high = g.key.map(|k| k << 4);
             self.blocks = self.grouped.group_blocks(g);
+            while self
+                .warm_groups
+                .first()
+                .is_some_and(|&g| (g as usize) < group)
+            {
+                self.warm_groups = &self.warm_groups[1..];
+            }
+            self.warm = self.warm_groups.first() == Some(&(group as u32));
+        }
+        if self.warm {
+            return self.threshold;
         }
         let first = self.start + block * FS_BLOCK;
-        // Warm-up members were already pushed; drop their lanes to avoid
-        // duplicates.
-        while self.next_sample < first {
-            self.next_sample += self.stride;
-        }
-        let mut sample = self.next_sample;
-        while sample < first + FS_BLOCK {
-            mask &= !(1 << (sample - first));
-            sample += self.stride;
-        }
         self.verified += mask.count_ones() as u64;
 
         let bpb = bytes_per_block(C);
@@ -317,5 +409,63 @@ impl BlockSink for Verifier<'_> {
             }
         }
         self.threshold
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fastscan::{FastScanOptions, Kernel};
+    use pqfs_core::RowMajorCodes;
+    use std::collections::HashSet;
+
+    /// `n` codes spread over every group, and tables with a few integer
+    /// levels (`flat`: one level, so nothing can be pruned).
+    fn fixture(n: usize, flat: bool) -> (RowMajorCodes, DistanceTables) {
+        let bytes = (0..n * FS_M).map(|i| (i * 89 + i / 7) as u8).collect();
+        let levels = if flat { 1 } else { 23 };
+        let data = (0..FS_M * KSUB)
+            .map(|i| ((i * 131 + i / KSUB) % levels) as f32)
+            .collect();
+        (
+            RowMajorCodes::new(bytes, FS_M),
+            DistanceTables::from_raw(data, FS_M, KSUB),
+        )
+    }
+
+    #[test]
+    fn warm_up_counts_its_groups_and_the_fast_path_leaves_them_out() {
+        let n = 3_000;
+        for c in 0..=4usize {
+            for kernel in [Kernel::Portable, Kernel::Auto] {
+                let opts = FastScanOptions::default()
+                    .with_group_components(c)
+                    .with_kernel(kernel);
+                for flat in [false, true] {
+                    let (codes, tables) = fixture(n, flat);
+                    let index = FastScanIndex::build(&codes, &opts).unwrap();
+                    let groups = index.grouped().groups();
+                    let mut scratch = ScanScratch::default();
+                    for topk in [10, 100, n + 5] {
+                        let case = format!("c={c} {kernel:?} flat={flat} topk={topk}");
+                        let got = scan_with(&index, &tables, &ScanParams::new(topk), &mut scratch)
+                            .unwrap();
+                        let warm = &scratch.warm_groups;
+                        assert!(warm.windows(2).all(|w| w[0] < w[1]), "{case}");
+                        let held: usize = warm.iter().map(|&g| groups[g as usize].len).sum();
+                        assert_eq!(got.stats.warmup, held as u64, "{case}");
+                        assert!(held >= topk.min(n), "{case}");
+                        // A warm-up vector verified again would be counted
+                        // twice here...
+                        if flat {
+                            assert_eq!(got.stats.verified, (n - held) as u64, "{case}");
+                        }
+                        // ...and returned twice here.
+                        let ids: HashSet<u64> = got.ids().into_iter().collect();
+                        assert_eq!(ids.len(), topk.min(n), "{case}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -8,11 +8,12 @@
 //!
 //! Our scheme makes the pruning **provably safe** (docs/FASTSCAN.md §1): each table
 //! `j` is quantized with its own bias `bias_j = min_i D_j[i]` and a shared
-//! step `Δ = (qmax − Σ_j bias_j) / bins`, rounding down:
+//! step `Δ = (qmax − Σ_j bias_j) / bins`, rounding down; the threshold gets
+//! one bin of allowance for the `f32` rounding of the two sides:
 //!
 //! ```text
 //! q_j(v) = clamp(⌊(v − bias_j) / Δ⌋, 0, 255)
-//! T(t)   = clamp(⌊(t − Σ_j bias_j) / Δ⌋, 0, 255)
+//! T(t)   = clamp(⌊(t − Σ_j bias_j) / Δ⌋ + 1, 0, 255)
 //! ```
 //!
 //! For any code `p` with true distance `d = Σ_j D_j[p_j]` and any small
@@ -20,16 +21,22 @@
 //! `Σ_j q_j(v_j) ≤ (d − Σ_j bias_j)/Δ`, so `sat_sum_j q_j(v_j) > T(t)`
 //! implies `d > t` — a pruned vector can never belong to the exact top-k.
 //! Saturating adds (cap 255) only lower the left side, preserving safety.
+//! Over the reals the `+ 1` is not needed; computed in `f32` the two sides
+//! round apart by less than one bin as long as the bins are not finer than
+//! the rounding of the distances themselves, so `Δ` is never taken below
+//! `Σ_j bias_j / 2¹⁸` ([`MAX_SCALED_BIAS`]).
 //!
-//! `bins` defaults to [`DEFAULT_BINS`] = 254, using the full unsigned byte
-//! range (the SSE2 `min_epu8`/`cmpeq` trick gives us unsigned comparisons);
-//! `bins = 126` reproduces the paper's signed-range variant and is exposed
-//! for the ablation study.
+//! `bins` defaults to [`DEFAULT_BINS`] = 253, the full unsigned byte range
+//! (the SSE2 `min_epu8`/`cmpeq` trick gives us unsigned comparisons) less
+//! the allowance and the [`NO_PRUNE`] sentinel; `bins = 126` reproduces the
+//! paper's signed-range variant and is exposed for the ablation study.
 
 use pqfs_core::DistanceTables;
 
-/// Default number of quantization bins (full unsigned-byte range).
-pub const DEFAULT_BINS: u16 = 254;
+/// Default — and largest — number of quantization bins: `T(qmax) = bins + 1`
+/// must stay below [`NO_PRUNE`], or nothing would be pruned until the
+/// threshold has dropped a bin below `qmax`.
+pub const DEFAULT_BINS: u16 = 253;
 
 /// The paper's bin count (positive range of a signed byte, §4.4).
 pub const PAPER_BINS: u16 = 126;
@@ -37,6 +44,16 @@ pub const PAPER_BINS: u16 = 126;
 /// Sentinel threshold meaning "prune nothing": no saturated 8-bit sum can
 /// exceed it.
 pub const NO_PRUNE: u8 = u8::MAX;
+
+/// Largest `Σ_j bias_j / Δ` the quantizer works with. The one-bin allowance
+/// of [`DistanceQuantizer::quantize_threshold`] covers the `f32` rounding of
+/// both sides only while a bin is wider than the rounding of the summed
+/// distances: the proof (docs/FASTSCAN.md §1) bounds the gap by
+/// `14 · 2⁻²⁴ · Σ bias / Δ`, 0.22 bins here. A `qmax` closer to the sum of
+/// the minima than that — within 0.1 % of it, or on it: a warm-up that found
+/// `topk` copies of the best possible code — gets wider bins, not finer
+/// ones.
+pub const MAX_SCALED_BIAS: f32 = (1u32 << 18) as f32;
 
 /// Per-query quantizer mapping float distances to bytes.
 #[derive(Debug, Clone)]
@@ -53,18 +70,19 @@ impl DistanceQuantizer {
     ///
     /// `qmax` is the distance of the temporary nearest neighbor (or
     /// [`DistanceTables::max_sum`] when no warm-up ran). `bins` is clamped
-    /// into `1..=254` so an exact-`qmax` threshold is still representable
-    /// below the [`NO_PRUNE`] sentinel.
+    /// into `1..=`[`DEFAULT_BINS`] so an exact-`qmax` threshold is still
+    /// representable below the [`NO_PRUNE`] sentinel.
     pub fn new(tables: &DistanceTables, qmax: f32, bins: u16) -> Self {
-        let bins = bins.clamp(1, 254);
+        let bins = bins.clamp(1, DEFAULT_BINS);
         let biases = tables.per_table_min();
         let bias_sum: f32 = biases.iter().sum();
-        let span = qmax - bias_sum;
+        // The narrowest span whose bins `f32` sums still resolve.
+        let span = (qmax - bias_sum).max(bias_sum * (bins as f32 / MAX_SCALED_BIAS));
         let inv_delta = if qmax.is_finite() && span > 0.0 {
             bins as f32 / span
         } else {
-            // Degenerate tables (all entries equal) or an unusable qmax:
-            // quantize everything to 0 and never prune.
+            // All-zero tables or an unusable qmax: quantize everything to 0
+            // and never prune.
             0.0
         };
         DistanceQuantizer {
@@ -122,15 +140,17 @@ impl DistanceQuantizer {
         out.extend(table.iter().map(|&v| self.quantize_value(j, v)));
     }
 
-    /// Quantizes the pruning threshold `t` (the current top-k distance).
-    /// Returns [`NO_PRUNE`] for an infinite `t` or when quantization is
-    /// degenerate.
+    /// Quantizes the pruning threshold `t` (the current top-k distance),
+    /// one bin up: the allowance for the `f32` rounding that separates the
+    /// summed [`quantize_value`](Self::quantize_value)s of a vector tied
+    /// with `t` from `t`'s own bin (docs/FASTSCAN.md §1). Returns
+    /// [`NO_PRUNE`] for an infinite `t` or when quantization is degenerate.
     #[inline]
     pub fn quantize_threshold(&self, t: f32) -> u8 {
         if !t.is_finite() || self.inv_delta == 0.0 {
             return NO_PRUNE;
         }
-        let scaled = ((t - self.bias_sum) * self.inv_delta).floor();
+        let scaled = ((t - self.bias_sum) * self.inv_delta).floor() + 1.0;
         scaled.clamp(0.0, NO_PRUNE as f32) as u8
     }
 }
@@ -156,20 +176,25 @@ mod tests {
     }
 
     #[test]
-    fn threshold_of_qmax_is_bins() {
+    fn threshold_of_qmax_is_one_above_bins() {
         let t = tables_2x4();
         let q = DistanceQuantizer::new(&t, 44.0, 11);
-        assert_eq!(q.quantize_threshold(44.0), 11);
+        assert_eq!(q.quantize_threshold(44.0), 12);
+        let q = DistanceQuantizer::new(&t, 44.0, DEFAULT_BINS);
+        assert!(q.quantize_threshold(44.0) < NO_PRUNE, "qmax itself prunes");
         assert_eq!(q.quantize_threshold(f32::INFINITY), NO_PRUNE);
         assert_eq!(q.quantize_threshold(0.0), 0, "below-minimum clamps to 0");
     }
 
     #[test]
     fn degenerate_tables_disable_pruning() {
+        // Equal entries all quantize to 0, which no threshold is below.
         let flat = DistanceTables::from_raw(vec![5.0; 8], 2, 4);
         let q = DistanceQuantizer::new(&flat, 10.0, DEFAULT_BINS);
         assert_eq!(q.quantize_value(0, 5.0), 0);
-        assert_eq!(q.quantize_threshold(10.0), NO_PRUNE);
+        let zero = DistanceTables::from_raw(vec![0.0; 8], 2, 4);
+        let q = DistanceQuantizer::new(&zero, 0.0, DEFAULT_BINS);
+        assert_eq!(q.quantize_threshold(0.0), NO_PRUNE);
         let nan_qmax = DistanceQuantizer::new(&flat, f32::INFINITY, DEFAULT_BINS);
         assert_eq!(nan_qmax.quantize_threshold(7.0), NO_PRUNE);
     }
@@ -178,7 +203,32 @@ mod tests {
     fn bins_are_clamped() {
         let t = tables_2x4();
         assert_eq!(DistanceQuantizer::new(&t, 44.0, 0).bins(), 1);
-        assert_eq!(DistanceQuantizer::new(&t, 44.0, 1000).bins(), 254);
+        assert_eq!(DistanceQuantizer::new(&t, 44.0, 1000).bins(), DEFAULT_BINS);
+    }
+
+    #[test]
+    fn bins_are_never_finer_than_f32_sums() {
+        // Entries near 2^17 that differ by a few units: the distances are
+        // sums rounded to 2^-5, as wide as a 253rd of their range.
+        let t = DistanceTables::from_raw(
+            [0.0f32, 1.0, 2.0, 3.0, 0.5, 1.5, 2.5, 4.5]
+                .map(|x| x + 131_072.0)
+                .to_vec(),
+            2,
+            4,
+        );
+        let best = t.sum_of_mins();
+        // qmax on the best possible distance leaves no span at all.
+        for qmax in [t.max_sum(), best + 0.25, best] {
+            let q = DistanceQuantizer::new(&t, qmax, DEFAULT_BINS);
+            // One bin is Σ bias / 2^18 = 1.0 whatever qmax asks for: an
+            // entry 4.0 above its table's minimum is 4 bins up, less rounding.
+            assert!((3..=4).contains(&q.quantize_value(1, t.table(1)[3])));
+            assert_eq!(q.quantize_threshold(best), 1);
+            for thresh in [best, best + 0.25, best + 3.0, t.max_sum()] {
+                assert_safe(&t, &q, thresh);
+            }
+        }
     }
 
     /// Asserts the safety theorem for every code of the 2×4 tables `t`
@@ -206,7 +256,7 @@ mod tests {
     #[test]
     fn pruning_is_safe_for_exhaustive_small_case() {
         let t = tables_2x4();
-        for bins in [1u16, 5, 126, 254] {
+        for bins in [1u16, 5, 126, DEFAULT_BINS] {
             for qmax_i in 1..60 {
                 let q = DistanceQuantizer::new(&t, qmax_i as f32, bins);
                 for t10 in 0..50 {
@@ -222,28 +272,21 @@ mod tests {
     /// tie at the bound must survive), between two, below the sum of the
     /// minima — and the scan prunes with `min(heap threshold, bound)`.
     ///
-    /// The entries are not round numbers on purpose. With
-    /// `[1.3, 2.6, 3.9, 5.3]` and `[10.7, 21.1, 30.2, 41.9]`, `bins = 126`
-    /// and `qmax = 43.2`, code `(0, 1)` quantizes to exactly 42 while its own
-    /// distance as the threshold quantizes to 41: `21.1 − 10.7` and
-    /// `(1.3 + 21.1) − 12.0` round to different floats, and the real product
-    /// sits on a bin edge. The theorem is exact over the reals and one ulp
-    /// loose in `f32` for a tie that lands on an edge (ROADMAP item 5); with
-    /// eight tables every term would have to land on one.
+    /// These two tables are the ones that showed the threshold needs its
+    /// allowance: with `bins = 126` and `qmax = 43.2`, code `(0, 1)`
+    /// quantizes to exactly 42 while its own distance as the threshold
+    /// floors to 41, because `21.1 − 10.7` and `(1.3 + 21.1) − 12.0` round
+    /// to different floats and the real product sits on a bin edge.
     #[test]
     fn pruning_is_safe_when_qmax_is_an_entry_bound() {
-        let t = DistanceTables::from_raw(
-            vec![1.37, 2.61, 3.93, 5.29, 10.73, 21.19, 30.23, 41.87],
-            2,
-            4,
-        );
+        let t = DistanceTables::from_raw(vec![1.3, 2.6, 3.9, 5.3, 10.7, 21.1, 30.2, 41.9], 2, 4);
         let distances: Vec<f32> = (0..16u8).map(|c| t.distance(&[c / 4, c % 4])).collect();
         let bounds = distances
             .iter()
             .flat_map(|&d| [d, d - 0.05, d + 0.05])
-            .chain([0.0, t.sum_of_mins() - 1.0, t.max_sum() * 2.0]);
+            .chain([0.0, 43.2, t.sum_of_mins() - 1.0, t.max_sum() * 2.0]);
         for bound in bounds {
-            for bins in [1u16, 5, 126, 254] {
+            for bins in [1u16, 5, 126, DEFAULT_BINS] {
                 let q = DistanceQuantizer::new(&t, bound, bins);
                 for &heap_threshold in distances.iter().chain([&f32::INFINITY]) {
                     assert_safe(&t, &q, heap_threshold.min(bound));

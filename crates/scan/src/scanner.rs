@@ -53,8 +53,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct ScanOpts {
     /// Warm-up fraction for the pruning backends (paper §4.4 `keep`,
-    /// default 0.5 %). [`PreparedScanner::scan`] overrides this per query
-    /// through [`ScanParams::keep`].
+    /// default 0.5 %): quantize-only scans that prefix of the partition,
+    /// Fast Scan the whole groups nearest to the query that are expected to
+    /// hold as much (see [`ScanParams::keep`]). [`PreparedScanner::scan`]
+    /// overrides this per query through [`ScanParams::keep`].
     pub keep: f64,
     /// Distance-quantization bin count (pruning backends only).
     pub bins: u16,

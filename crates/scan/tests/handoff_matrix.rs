@@ -191,3 +191,77 @@ fn every_backend_honours_the_entry_bound() {
     assert!(scans >= 3 * 2 * 3 * 5 * (5 + 5));
     assert!(bounded_out >= 3 * 2 * 3 * 5);
 }
+
+/// The high nibbles of a code's first two components, and how many codes
+/// carry them.
+type KeyedGroup = ((u8, u8), usize);
+
+/// Codes with the given high nibbles on their first two components, `len`
+/// of each, everything else random.
+fn keyed_codes(groups: &[KeyedGroup]) -> Arc<RowMajorCodes> {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut bytes = Vec::new();
+    for &((k0, k1), len) in groups {
+        for _ in 0..len {
+            let mut code: [u8; M] = std::array::from_fn(|_| rng.gen_range(0..=0xFFu8));
+            code[0] = k0 << 4 | code[0] & 0x0F;
+            code[1] = k1 << 4 | code[1] & 0x0F;
+            bytes.extend(code);
+        }
+    }
+    Arc::new(RowMajorCodes::new(bytes, M))
+}
+
+/// The warm-up scans the whole groups under the smallest portion minima
+/// (docs/FASTSCAN.md §2): some of the keys it selects name no group, and the
+/// groups it finds may hold fewer than `topk` vectors.
+#[test]
+fn warm_up_groups_may_be_absent_or_small() {
+    // Portion minima ascend with the portion index in every table, so the
+    // nearest portions are 0, 1, 2, …
+    let mut rng = StdRng::seed_from_u64(99);
+    let data = (0..M * KSUB)
+        .map(|i| (i % KSUB / 16 * 1_000) as f32 + rng.gen_range(0.0f32..900.0))
+        .collect();
+    let tables = DistanceTables::from_raw(data, M, KSUB);
+    let naive = Backend::Naive.scanner(&ScanOpts::default());
+    // n = 5 000 grouped on 2 components, topk 100: t = 3 is the smallest
+    // with (t/16)² · n >= 100, nine keys.
+    let cases: [(&str, &[KeyedGroup], usize, u64); 3] = [
+        // (0,1), (0,2), (1,2), (2,*) are absent; the three present hold 150.
+        (
+            "absent",
+            &[((0, 0), 40), ((1, 0), 50), ((1, 1), 60), ((7, 7), 4_850)],
+            100,
+            150,
+        ),
+        // The nine keys hold 3 vectors: t widens to 6, which reaches (5,5).
+        (
+            "small",
+            &[((0, 0), 3), ((5, 5), 200), ((9, 9), 4_797)],
+            100,
+            203,
+        ),
+        // No choice of groups holds topk vectors: t = 16, all of them.
+        ("topk > n", &[((0, 0), 3), ((9, 9), 4_997)], 5_005, 5_000),
+    ];
+    for (name, groups, topk, warmup) in cases {
+        let codes = keyed_codes(groups);
+        let want = naive.scan(&tables, &codes, topk).unwrap();
+        for kernel in [Kernel::Portable, Kernel::Ssse3, Kernel::Avx2] {
+            let opts = ScanOpts::default()
+                .with_group_components(2)
+                .with_kernel(kernel);
+            let prepared = Backend::FastScan.scanner(&opts).prepare(Arc::clone(&codes));
+            let got = match prepared.unwrap().scan(&tables, &ScanParams::new(topk)) {
+                Ok(got) => got,
+                Err(ScanError::KernelUnavailable { .. }) => continue,
+                Err(e) => panic!("{name} {kernel:?}: {e}"),
+            };
+            assert_eq!(got.neighbors, want.neighbors, "{name} {kernel:?}");
+            let s = got.stats;
+            assert_eq!(s.warmup, warmup, "{name} {kernel:?}");
+            assert_eq!(s.warmup + s.pruned + s.verified, 5_000, "{name} {kernel:?}");
+        }
+    }
+}

@@ -182,3 +182,35 @@ fn optimized_assignment_tightens_minimum_tables() {
         "optimized assignment hurt pruning: {p_opt:.3} vs {p_plain:.3}"
     );
 }
+
+/// The warm-up's pruning floor: on a seeded partition grouped on two
+/// components, the groups nearest to the query give the kernel a first
+/// threshold under which few vectors survive to be verified.
+#[test]
+fn group_chosen_warm_up_keeps_verification_low() {
+    let mut gen = dataset(71);
+    let train = gen.sample(3_000);
+    let base = gen.sample(20_000);
+    let queries = gen.sample(20);
+
+    let mut pq = ProductQuantizer::train(&train, &PqConfig::pq8x8(DIM), 5).unwrap();
+    pq.optimize_assignment(16, 5).unwrap();
+    let codes = pq.encode_batch(&base).unwrap();
+    let index = FastScanIndex::build(&codes, &FastScanOptions::default()).unwrap();
+    assert_eq!(index.group_components(), 2);
+
+    let mut stats = ScanStats::default();
+    for q in queries.chunks_exact(DIM) {
+        let tables = DistanceTables::compute(&pq, q).unwrap();
+        stats.merge(&index.scan(&tables, &ScanParams::new(100)).unwrap().stats);
+    }
+    assert_eq!(stats.warmup + stats.pruned + stats.verified, stats.scanned);
+    // 24 927 of 400 000 here; a warm-up sample spread over all groups, or
+    // the groups of the *largest* portion minima, leave about 110 000.
+    assert!(
+        stats.verified <= 40_000,
+        "the warm-up's threshold let {} of {} vectors through",
+        stats.verified,
+        stats.scanned
+    );
+}
