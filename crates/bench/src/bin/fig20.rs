@@ -36,7 +36,14 @@ fn main() {
     let run = |backend: SearchBackend, keep: f64| -> Summary {
         let times: Vec<f64> = queries
             .chunks_exact(DIM)
-            .map(|q| time_ms(|| index.search(q, 100, backend, keep).expect("search")).1)
+            .map(|q| {
+                time_ms(|| {
+                    index
+                        .search_probes(q, 100, backend, keep, 1)
+                        .expect("search")
+                })
+                .1
+            })
             .collect();
         Summary::from_values(&times)
     };

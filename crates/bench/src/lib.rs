@@ -16,7 +16,6 @@
 
 use pqfs_core::{DistanceTables, PqConfig, ProductQuantizer, RowMajorCodes};
 use pqfs_data::{SyntheticConfig, SyntheticDataset};
-use pqfs_ivf::{IvfadcConfig, IvfadcIndex};
 
 /// SIFT dimensionality used throughout the evaluation.
 pub const DIM: usize = 128;
@@ -78,16 +77,6 @@ impl Fixture {
         Fixture { pq, dataset }
     }
 
-    /// Trains the fixture *without* the optimized assignment (ablations).
-    pub fn train_unoptimized(seed: u64) -> Self {
-        let config = SyntheticConfig::sift_like().with_seed(seed);
-        let mut dataset = SyntheticDataset::new(&config);
-        let train = dataset.sample(12_000);
-        let pq =
-            ProductQuantizer::train(&train, &PqConfig::pq8x8(DIM), seed ^ 0xABCD).expect("train");
-        Fixture { pq, dataset }
-    }
-
     /// Encodes a fresh partition of `n` vectors (parallel on the shared
     /// pool).
     pub fn partition(&mut self, n: usize) -> RowMajorCodes {
@@ -104,30 +93,6 @@ impl Fixture {
     pub fn tables(&self, query: &[f32]) -> DistanceTables {
         DistanceTables::compute(&self.pq, query).expect("tables")
     }
-}
-
-/// Builds a self-contained synthetic IVFADC index for the parallel-scaling
-/// harnesses (`scaling` bin, `batch_qps` bench): `n` SIFT-like 128-d base
-/// vectors over `partitions` cells, plus `queries` query vectors drawn from
-/// the same distribution.
-pub fn synthetic_index(
-    n: usize,
-    partitions: usize,
-    queries: usize,
-    seed: u64,
-) -> (IvfadcIndex, Vec<f32>) {
-    let config = SyntheticConfig::sift_like().with_seed(seed);
-    let mut dataset = SyntheticDataset::new(&config);
-    let train = dataset.sample(10_000.min(n.max(2_000)));
-    let base = dataset.sample(n);
-    let index = IvfadcIndex::build(
-        &train,
-        &base,
-        &IvfadcConfig::new(DIM, partitions).with_seed(seed),
-    )
-    .expect("synthetic index build");
-    let queries = dataset.sample(queries);
-    (index, queries)
 }
 
 /// Prints the standard experiment header.

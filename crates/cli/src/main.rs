@@ -32,7 +32,7 @@
 #![forbid(unsafe_code)]
 
 use pqfs_data::{read_fvecs, write_fvecs, SyntheticConfig, SyntheticDataset};
-use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend};
+use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend, SearchRequest};
 use pqfs_metrics::{fmt_count, time_ms, Summary};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -389,6 +389,14 @@ fn cmd_query(args: &Args) -> Result<Outcome, CliError> {
         .parse()
         .map_err(CliError::Other)?;
 
+    let request = SearchRequest {
+        topk,
+        backend,
+        keep,
+        nprobe,
+        deadline,
+    };
+
     let index = IvfadcIndex::load_file(&index_path)
         .map_err(|e| load_err(&format!("loading {index_path}"), e))?;
     let queries =
@@ -408,7 +416,7 @@ fn cmd_query(args: &Args) -> Result<Outcome, CliError> {
                 "--trace is per-query; it is not available with --batch true".into(),
             ));
         }
-        return query_batch(&index, &queries.data, topk, backend, keep, nprobe, deadline);
+        return query_batch(&index, &queries.data, &request);
     }
 
     let mut times = Vec::new();
@@ -417,22 +425,8 @@ fn cmd_query(args: &Args) -> Result<Outcome, CliError> {
     let mut trace = pqfs_obs::QueryTrace::new();
     for (qi, q) in queries.data.chunks_exact(queries.dim).enumerate() {
         let (outcome, ms) = time_ms(|| {
-            if tracing {
-                index.search_probes_traced(
-                    q,
-                    topk,
-                    backend,
-                    keep,
-                    nprobe,
-                    deadline,
-                    pqfs_pool::ThreadPool::global(),
-                    &mut trace,
-                )
-            } else if nprobe > 1 || deadline.is_some() {
-                index.search_probes_budgeted(q, topk, backend, keep, nprobe, deadline)
-            } else {
-                index.search(q, topk, backend, keep)
-            }
+            let trace = tracing.then_some(&mut trace);
+            index.search(q, &request, pqfs_pool::ThreadPool::global(), trace)
         });
         let outcome = outcome.map_err(|e| CliError::Other(e.to_string()))?;
         if tracing {
@@ -481,32 +475,19 @@ fn cmd_query(args: &Args) -> Result<Outcome, CliError> {
 }
 
 /// `pqfs query --batch true`: answer every query as one parallel batch on
-/// the shared pool and report aggregate throughput.
-#[allow(clippy::too_many_arguments)]
+/// the shared pool (paper §3.1: one query per core, each query's probes
+/// inline) and report aggregate throughput.
 fn query_batch(
     index: &IvfadcIndex,
     queries: &[f32],
-    topk: usize,
-    backend: SearchBackend,
-    keep: f64,
-    nprobe: usize,
-    deadline: Option<Duration>,
+    request: &SearchRequest,
 ) -> Result<Outcome, CliError> {
-    let dim = index.coarse().dim();
-    let n = queries.len() / dim;
+    let rows: Vec<&[f32]> = queries.chunks_exact(index.coarse().dim()).collect();
+    let n = rows.len();
     let pool = pqfs_pool::ThreadPool::global();
-    let (outcomes, ms) = time_ms(|| {
-        if nprobe > 1 || deadline.is_some() {
-            // Multi-probe has no batch entry point; each query fans its
-            // probes across the same pool instead.
-            queries
-                .chunks_exact(dim)
-                .map(|q| index.search_probes_budgeted(q, topk, backend, keep, nprobe, deadline))
-                .collect::<Result<Vec<_>, _>>()
-        } else {
-            index.search_batch(queries, topk, backend, keep)
-        }
-    });
+    let inline = pqfs_pool::ThreadPool::new(1);
+    let (outcomes, ms) =
+        time_ms(|| pool.try_parallel_map(&rows, |_, q| index.search(q, request, &inline, None)));
     let outcomes = outcomes.map_err(|e| CliError::Other(e.to_string()))?;
     let mut stats = pqfs_scan::ScanStats::default();
     let mut failed = 0usize;

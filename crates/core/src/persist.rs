@@ -17,8 +17,8 @@
 //! length is validated against the expected size **before** any allocation
 //! — a corrupt length prefix produces a typed error, never an OOM abort.
 //! The trailing footer covers the whole file, so any single-byte flip or
-//! truncation anywhere fails the load. Version 1 files (no checksums) are
-//! still read back losslessly.
+//! truncation anywhere fails the load: every byte a loader accepts is
+//! CRC-covered.
 //!
 //! [`save_pq_file`] writes **atomically**: the bytes go to a sibling
 //! temporary file which is fsynced and then renamed over the destination,
@@ -43,8 +43,8 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"PQFS";
-/// Current write version. Version 2 was never used by this format (the
-/// IVFADC container jumped to 2 first); readers accept 1 and 3.
+/// The one version written and read. Versions 1 and 2 (no checksums) are
+/// refused.
 const VERSION: u32 = 3;
 /// Oversized-header guard: dimensions above this are rejected before any
 /// codebook allocation is attempted.
@@ -118,20 +118,30 @@ impl From<io::Error> for PersistError {
     }
 }
 
-pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
+/// Reads a little-endian `u32`.
+///
+/// # Errors
+///
+/// The reader's error, `UnexpectedEof` on a short read.
+pub fn read_u32(r: &mut impl Read) -> io::Result<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
     Ok(u32::from_le_bytes(b))
 }
 
-pub(crate) fn read_u64(r: &mut impl Read) -> io::Result<u64> {
+/// Reads a little-endian `u64`.
+///
+/// # Errors
+///
+/// The reader's error, `UnexpectedEof` on a short read.
+pub fn read_u64(r: &mut impl Read) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
 }
 
 /// Maps an EOF during a structured read to a typed truncation error.
-fn truncated(what: &'static str, e: io::Error) -> PersistError {
+pub fn truncated(what: &'static str, e: io::Error) -> PersistError {
     if e.kind() == io::ErrorKind::UnexpectedEof {
         PersistError::Format(format!("truncated {what}"))
     } else {
@@ -182,6 +192,21 @@ pub fn read_section(
             "{what} section is {len} bytes, expected {expected_len}"
         )));
     }
+    read_section_body(r, what, len)
+}
+
+/// Reads the `len` bytes of a section whose length prefix the caller has
+/// read and checked, then the CRC-32 that follows them, and verifies it.
+///
+/// # Errors
+///
+/// [`PersistError::Format`] on truncation, [`PersistError::Checksum`] when
+/// the stored and computed checksums disagree.
+pub fn read_section_body(
+    r: &mut impl Read,
+    what: &'static str,
+    len: u64,
+) -> Result<Vec<u8>, PersistError> {
     let bytes = read_exact_vec(r, len, what)?;
     let stored = read_u32(r).map_err(|e| truncated(what, e))?;
     let computed = crc32(&bytes);
@@ -240,8 +265,7 @@ pub fn save_pq(pq: &ProductQuantizer, w: &mut impl Write) -> Result<(), PersistE
     Ok(())
 }
 
-/// Reads a quantizer previously written by [`save_pq`] (v3) or by the v1
-/// writer (no checksums).
+/// Reads a quantizer previously written by [`save_pq`].
 ///
 /// # Errors
 ///
@@ -258,17 +282,36 @@ pub fn load_pq(r: &mut impl Read) -> Result<ProductQuantizer, PersistError> {
         return Err(PersistError::Format(format!("bad magic {magic:?}")));
     }
     let version = read_u32(&mut cr).map_err(|e| truncated("version", e))?;
-    match version {
-        1 => load_pq_v1(&mut cr),
-        3 => load_pq_v3(cr),
-        v => Err(PersistError::Format(format!(
-            "unsupported version {v} (this build reads 1 and {VERSION})"
-        ))),
+    if version != VERSION {
+        return Err(PersistError::Format(format!(
+            "unsupported version {version} (this build reads {VERSION})"
+        )));
     }
+
+    let header = read_section(&mut cr, "quantizer header", 17)?;
+    let dim = le_u64(&header[0..8]);
+    let m = le_u64(&header[8..16]);
+    let config = parse_header(dim, m, header[16])?;
+
+    let expected = config.m() as u64 * config.ksub() as u64 * config.dsub() as u64 * 4;
+    let bytes = read_section(&mut cr, "codebooks", expected)?;
+    let floats = decode_f32s(&bytes, "codebooks")?;
+
+    let computed = cr.crc();
+    let inner = cr.into_inner();
+    let stored = read_u32(inner).map_err(|e| truncated("file footer", e))?;
+    if stored != computed {
+        return Err(PersistError::Checksum {
+            section: "file",
+            stored,
+            computed,
+        });
+    }
+    expect_eof(inner)?;
+    Ok(build_codebooks(config, floats))
 }
 
-/// Parses the 17-byte header payload (shared by v1 and v3 bodies) into a
-/// validated configuration.
+/// Parses the 17-byte header payload into a validated configuration.
 fn parse_header(dim: u64, m: u64, nbits: u8) -> Result<PqConfig, PersistError> {
     if dim > MAX_DIM {
         return Err(PersistError::Limit {
@@ -301,55 +344,13 @@ fn build_codebooks(config: PqConfig, floats: Vec<f32>) -> ProductQuantizer {
     ProductQuantizer::from_codebooks(config, codebooks)
 }
 
-/// Little-endian `u64` from an 8-byte slice (sliced from a checked-length
-/// section, so the conversion cannot fail).
-fn read_le_u64(bytes: &[u8]) -> u64 {
+/// Little-endian `u64` from an 8-byte slice (callers slice exact lengths
+/// out of already length-checked buffers, so the conversion cannot fail).
+pub fn le_u64(bytes: &[u8]) -> u64 {
     let arr: [u8; 8] = bytes
         .try_into()
         .unwrap_or_else(|_| unreachable!("caller slices exactly 8 bytes"));
     u64::from_le_bytes(arr)
-}
-
-/// The v3 body: checksummed header and codebook sections plus the
-/// whole-file footer.
-fn load_pq_v3(mut cr: CrcRead<&mut impl Read>) -> Result<ProductQuantizer, PersistError> {
-    let header = read_section(&mut cr, "quantizer header", 17)?;
-    let dim = read_le_u64(&header[0..8]);
-    let m = read_le_u64(&header[8..16]);
-    let config = parse_header(dim, m, header[16])?;
-
-    let expected = config.m() as u64 * config.ksub() as u64 * config.dsub() as u64 * 4;
-    let bytes = read_section(&mut cr, "codebooks", expected)?;
-    let floats = decode_f32s(&bytes, "codebooks")?;
-
-    let computed = cr.crc();
-    let inner = cr.into_inner();
-    let stored = read_u32(inner).map_err(|e| truncated("file footer", e))?;
-    if stored != computed {
-        return Err(PersistError::Checksum {
-            section: "file",
-            stored,
-            computed,
-        });
-    }
-    expect_eof(inner)?;
-    Ok(build_codebooks(config, floats))
-}
-
-/// The legacy v1 body: raw header fields and codebook floats, no checksums.
-fn load_pq_v1(r: &mut impl Read) -> Result<ProductQuantizer, PersistError> {
-    let dim = read_u64(r).map_err(|e| truncated("header", e))?;
-    let m = read_u64(r).map_err(|e| truncated("header", e))?;
-    let mut nbits = [0u8; 1];
-    r.read_exact(&mut nbits)
-        .map_err(|e| truncated("header", e))?;
-    let config = parse_header(dim, m, nbits[0])?;
-
-    let len = config.m() as u64 * config.ksub() as u64 * config.dsub() as u64 * 4;
-    let bytes = read_exact_vec(r, len, "codebook data")?;
-    let floats = decode_f32s(&bytes, "codebook data")?;
-    expect_eof(r)?;
-    Ok(build_codebooks(config, floats))
 }
 
 /// Rejects trailing garbage so corrupted files fail loudly.
@@ -500,31 +501,22 @@ mod tests {
         assert_eq!(loaded.config(), pq.config());
     }
 
-    /// Builds a v1 (checksum-free) image of `pq` with the legacy layout.
-    fn v1_bytes(pq: &ProductQuantizer) -> Vec<u8> {
-        let cfg = pq.config();
+    /// A current-format image whose header section stores `(dim, m, nbits)`
+    /// under valid section and file CRCs, so the check that rejects it is
+    /// the one on the stored values.
+    fn image_with_header(dim: u64, m: u64, nbits: u8) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&(cfg.dim() as u64).to_le_bytes());
-        buf.extend_from_slice(&(cfg.m() as u64).to_le_bytes());
-        buf.push(cfg.nbits());
-        for j in 0..cfg.m() {
-            for &v in pq.codebook(j).centroids() {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        let mut header = Vec::new();
+        header.extend_from_slice(&dim.to_le_bytes());
+        header.extend_from_slice(&m.to_le_bytes());
+        header.push(nbits);
+        write_section(&mut buf, &header).unwrap();
+        write_section(&mut buf, &[]).unwrap();
+        let footer = crc32(&buf);
+        buf.extend_from_slice(&footer.to_le_bytes());
         buf
-    }
-
-    #[test]
-    fn v1_files_still_load_losslessly() {
-        let pq = trained();
-        let loaded = load_pq(&mut v1_bytes(&pq).as_slice()).unwrap();
-        assert_eq!(loaded.config(), pq.config());
-        for j in 0..4 {
-            assert_eq!(loaded.codebook(j).centroids(), pq.codebook(j).centroids());
-        }
     }
 
     #[test]
@@ -549,6 +541,24 @@ mod tests {
     }
 
     #[test]
+    fn versions_without_checksums_are_refused() {
+        let mut buf = Vec::new();
+        save_pq(&trained(), &mut buf).unwrap();
+        for version in [1u32, 2] {
+            buf[4..8].copy_from_slice(&version.to_le_bytes());
+            match load_pq(&mut buf.as_slice()) {
+                Err(PersistError::Format(msg)) => {
+                    assert!(
+                        msg.contains(&format!("unsupported version {version}")),
+                        "{msg}"
+                    )
+                }
+                other => panic!("version {version}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn rejects_truncation_and_trailing_bytes() {
         let pq = trained();
         let mut buf = Vec::new();
@@ -567,31 +577,19 @@ mod tests {
 
     #[test]
     fn rejects_invalid_stored_config() {
-        // Handcraft a v1 header with dim not divisible by m.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"PQFS");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&17u64.to_le_bytes()); // dim 17
-        buf.extend_from_slice(&4u64.to_le_bytes()); // m 4
-        buf.push(4); // nbits
+        // dim 17 is not divisible by m 4.
         assert!(matches!(
-            load_pq(&mut buf.as_slice()),
+            load_pq(&mut image_with_header(17, 4, 4).as_slice()),
             Err(PersistError::Config(_))
         ));
     }
 
     #[test]
     fn rejects_absurd_dimension_before_allocating() {
-        // A v1 header claiming a 2^60 dimension must fail on the Limit
-        // check, not OOM trying to allocate codebooks.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"PQFS");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
-        buf.extend_from_slice(&8u64.to_le_bytes());
-        buf.push(8);
+        // A header claiming a 2^60 dimension must fail on the Limit check,
+        // not OOM trying to allocate codebooks.
         assert!(matches!(
-            load_pq(&mut buf.as_slice()),
+            load_pq(&mut image_with_header(1 << 60, 8, 8).as_slice()),
             Err(PersistError::Limit { .. })
         ));
     }

@@ -7,8 +7,7 @@ use pqfs_core::{DistanceTables, Neighbor, PqConfig, ProductQuantizer, RowMajorCo
 use pqfs_obs::{LazyCounter, LazyHistogram, ProbeOutcome, ProbeTrace, QueryTrace};
 use pqfs_pool::ThreadPool;
 use pqfs_scan::{
-    PerBackendStats, PreparedScanner, ScanError, ScanOpts, ScanParams, ScanResult, ScanScratch,
-    ScanStats,
+    PreparedScanner, ScanError, ScanOpts, ScanParams, ScanResult, ScanScratch, ScanStats,
 };
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
@@ -303,6 +302,34 @@ impl Partition {
     }
 }
 
+/// What one query asks of [`IvfadcIndex::search`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SearchRequest {
+    /// Number of neighbors to return (positive).
+    pub topk: usize,
+    /// The scan implementation; must be among the index's prepared backends.
+    pub backend: SearchBackend,
+    /// Warm-up fraction handed to the scan ([`ScanParams::with_keep`]).
+    pub keep: f64,
+    /// Number of nearest partitions to scan (positive).
+    pub nprobe: usize,
+    /// Budget after which probes beyond the nearest are skipped.
+    pub deadline: Option<Duration>,
+}
+
+impl SearchRequest {
+    /// A request with no deadline.
+    pub fn new(topk: usize, backend: SearchBackend, keep: f64, nprobe: usize) -> Self {
+        SearchRequest {
+            topk,
+            backend,
+            keep,
+            nprobe,
+            deadline: None,
+        }
+    }
+}
+
 /// Per-query health report: how many probed partitions contributed to the
 /// result set. Multi-probe search degrades gracefully — a failing partition
 /// scan (injected fault, caught panic, backend failure) or a probe skipped
@@ -319,7 +346,8 @@ pub struct SearchHealth {
 
 impl SearchHealth {
     /// A fully healthy report over `probes` partitions.
-    pub(crate) fn healthy(probes: usize) -> Self {
+    #[cfg(test)]
+    fn healthy(probes: usize) -> Self {
         SearchHealth {
             probes_ok: probes,
             probes_failed: 0,
@@ -347,9 +375,6 @@ pub struct SearchOutcome {
     /// Probe coverage (check [`SearchHealth::degraded`] before trusting
     /// the result set to be complete).
     pub health: SearchHealth,
-    /// `stats` broken down by scan backend (multi-probe queries may mix
-    /// backends; the flat sum alone loses that attribution).
-    pub by_backend: PerBackendStats,
 }
 
 /// One probe's completed scan, with per-stage timings when requested
@@ -487,56 +512,12 @@ impl IvfadcIndex {
         })
     }
 
-    /// Answers an ANN query: selects the most relevant partition (step 1),
-    /// computes the residual distance tables (step 2) and scans (step 3).
-    ///
-    /// # Errors
-    ///
-    /// [`IvfError::DimMismatch`] for bad queries, [`IvfError::Config`] when
-    /// the requested backend was not built, [`IvfError::Scan`] on kernel
-    /// errors.
-    pub fn search(
-        &self,
-        query: &[f32],
-        topk: usize,
-        backend: SearchBackend,
-        keep: f64,
-    ) -> Result<SearchOutcome, IvfError> {
-        if query.len() != self.dim {
-            return Err(IvfError::DimMismatch {
-                expected: self.dim,
-                actual: query.len(),
-            });
-        }
-        if topk == 0 {
-            return Err(IvfError::Config("topk must be positive".into()));
-        }
-        // Single-probe search is the batch-QPS hot path: one optional
-        // timestamp for the whole-query histogram, no per-stage timing.
-        let t0 = pqfs_obs::enabled().then(Instant::now);
-        let p = self.coarse.assign(query);
-        let (neighbors, stats) = self.scan_partition(query, p, topk, backend, keep)?;
-        QUERIES.inc();
-        PROBES_OK.inc();
-        record_scan_counters(backend, &stats);
-        if let Some(t0) = t0 {
-            TOTAL_NS.observe(t0.elapsed());
-        }
-        let mut by_backend = PerBackendStats::new();
-        by_backend.record(backend, &stats);
-        Ok(SearchOutcome {
-            neighbors,
-            stats,
-            partition: p,
-            health: SearchHealth::healthy(1),
-            by_backend,
-        })
-    }
-
-    /// Multi-probe search: scans the `nprobe` partitions nearest to the
-    /// query and merges their results — the `w`-cell visiting strategy of
-    /// the original IVFADC \[14\], which trades scan time for recall when a
-    /// neighbor falls just across a Voronoi boundary.
+    /// Answers an ANN query — the paper's Algorithm 1: pick the `nprobe`
+    /// cells nearest to the query (step 1), build the residual distance
+    /// tables of each (step 2), scan them (step 3) and merge. Probing more
+    /// than one cell is the `w`-cell visiting strategy of the original
+    /// IVFADC \[14\], which trades scan time for recall when a neighbor
+    /// falls just across a Voronoi boundary.
     ///
     /// The query runs in two steps. The nearest partition is scanned first,
     /// on the calling thread — for `nprobe = 1` that is the whole query. If
@@ -546,15 +527,23 @@ impl IvfadcIndex {
     /// start pruning at a threshold no warm-up sample of a small cell would
     /// find, and a probe whose tables cannot produce so small a distance
     /// answers without reading a code (docs/FASTSCAN.md §5). The further
-    /// probes fan out across the global [`pqfs_pool::ThreadPool`]
-    /// (intra-query parallelism), all under that same bound, and the
-    /// per-probe result lists are merged in probe order — so neighbors,
-    /// stats and health are bit-identical to a sequential probe loop for any
-    /// pool size, and the neighbors are exactly those of independent
-    /// unbounded scans.
+    /// probes fan out across `pool` (intra-query parallelism; a 1-thread
+    /// pool runs them inline), all under that same bound, and the per-probe
+    /// result lists are merged in probe order — so neighbors, stats and
+    /// health are bit-identical to a sequential probe loop for any pool
+    /// size, and the neighbors are exactly those of independent unbounded
+    /// scans.
     ///
     /// `SearchOutcome::partition` reports the nearest (first) probed cell;
     /// `stats` accumulates over all probed cells.
+    ///
+    /// **Deadline:** the nearest probe always runs, outside the budget — a
+    /// query never returns an empty best-so-far just because the budget was
+    /// tight. Each further probe checks the elapsed time before scanning
+    /// and is *skipped* (recorded in [`SearchOutcome::health`]) once
+    /// [`SearchRequest::deadline`] has passed. Without a deadline the
+    /// schedule is deterministic; with one, which probes get skipped
+    /// depends on measured time.
     ///
     /// **Graceful degradation:** a probe whose scan fails (injected fault,
     /// caught panic, backend failure) is recorded in
@@ -564,143 +553,32 @@ impl IvfadcIndex {
     /// errors when *every* probe failed (the first failure is returned) or
     /// on input validation.
     ///
-    /// # Errors
-    ///
-    /// As [`search`](Self::search), plus [`IvfError::Config`] for
-    /// `nprobe == 0`, and the first probe failure when no probe succeeded.
-    pub fn search_probes(
-        &self,
-        query: &[f32],
-        topk: usize,
-        backend: SearchBackend,
-        keep: f64,
-        nprobe: usize,
-    ) -> Result<SearchOutcome, IvfError> {
-        self.search_probes_on(query, topk, backend, keep, nprobe, ThreadPool::global())
-    }
-
-    /// [`search_probes`](Self::search_probes) on a specific pool (tests and
-    /// callers that manage their own pool sizing).
+    /// **Tracing:** a `trace` is [reset](QueryTrace::reset) (so one can be
+    /// reused across queries without reallocating) and filled with stage
+    /// timings (coarse quantization, per-probe table build and scan, merge)
+    /// and one [`ProbeTrace`] per probe with its backend, outcome, entry
+    /// bound and pruning counters. Tracing forces per-stage timestamps on,
+    /// so a traced query is slightly slower; results are unaffected.
     ///
     /// # Errors
     ///
-    /// As [`search_probes`](Self::search_probes).
-    pub fn search_probes_on(
+    /// [`IvfError::DimMismatch`] for bad queries, [`IvfError::Config`] for
+    /// a zero `topk` or `nprobe` or a backend that was not built, and the
+    /// first probe failure when no probe succeeded.
+    pub fn search(
         &self,
         query: &[f32],
-        topk: usize,
-        backend: SearchBackend,
-        keep: f64,
-        nprobe: usize,
-        pool: &ThreadPool,
-    ) -> Result<SearchOutcome, IvfError> {
-        self.search_probes_budgeted_on(query, topk, backend, keep, nprobe, None, pool)
-    }
-
-    /// [`search_probes`](Self::search_probes) with an optional per-query
-    /// deadline budget.
-    ///
-    /// # Errors
-    ///
-    /// As [`search_probes`](Self::search_probes).
-    pub fn search_probes_budgeted(
-        &self,
-        query: &[f32],
-        topk: usize,
-        backend: SearchBackend,
-        keep: f64,
-        nprobe: usize,
-        deadline: Option<Duration>,
-    ) -> Result<SearchOutcome, IvfError> {
-        self.search_probes_budgeted_on(
-            query,
-            topk,
-            backend,
-            keep,
-            nprobe,
-            deadline,
-            ThreadPool::global(),
-        )
-    }
-
-    /// The full multi-probe entry point: optional deadline budget, explicit
-    /// pool, graceful degradation.
-    ///
-    /// The nearest probe always runs, outside the budget — a query never
-    /// returns an empty best-so-far just because the budget was tight. Each
-    /// further probe checks the elapsed time before scanning and is
-    /// *skipped* (recorded in [`SearchOutcome::health`]) once `deadline`
-    /// has passed. With `deadline: None` the schedule is deterministic and
-    /// the merged result is bit-identical to a sequential probe loop for any
-    /// pool size; with a deadline, which probes get skipped depends on
-    /// measured time.
-    ///
-    /// # Errors
-    ///
-    /// As [`search_probes`](Self::search_probes).
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_probes_budgeted_on(
-        &self,
-        query: &[f32],
-        topk: usize,
-        backend: SearchBackend,
-        keep: f64,
-        nprobe: usize,
-        deadline: Option<Duration>,
-        pool: &ThreadPool,
-    ) -> Result<SearchOutcome, IvfError> {
-        self.search_probes_inner(query, topk, backend, keep, nprobe, deadline, pool, None)
-    }
-
-    /// [`search_probes_budgeted_on`](Self::search_probes_budgeted_on) that
-    /// additionally fills a per-query [`QueryTrace`]: stage timings
-    /// (coarse quantization, per-probe table build and scan, merge) and one
-    /// [`ProbeTrace`] per probe with its backend, outcome, entry bound and
-    /// pruning counters. The trace is [reset](QueryTrace::reset) first, so
-    /// one trace can be reused across queries without reallocating.
-    ///
-    /// Tracing forces per-stage timestamps on, so a traced query is
-    /// slightly slower than an untraced one; results are unaffected.
-    ///
-    /// # Errors
-    ///
-    /// As [`search_probes`](Self::search_probes).
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_probes_traced(
-        &self,
-        query: &[f32],
-        topk: usize,
-        backend: SearchBackend,
-        keep: f64,
-        nprobe: usize,
-        deadline: Option<Duration>,
-        pool: &ThreadPool,
-        trace: &mut QueryTrace,
-    ) -> Result<SearchOutcome, IvfError> {
-        self.search_probes_inner(
-            query,
-            topk,
-            backend,
-            keep,
-            nprobe,
-            deadline,
-            pool,
-            Some(trace),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn search_probes_inner(
-        &self,
-        query: &[f32],
-        topk: usize,
-        backend: SearchBackend,
-        keep: f64,
-        nprobe: usize,
-        deadline: Option<Duration>,
+        request: &SearchRequest,
         pool: &ThreadPool,
         mut trace: Option<&mut QueryTrace>,
     ) -> Result<SearchOutcome, IvfError> {
+        let &SearchRequest {
+            topk,
+            backend,
+            keep,
+            nprobe,
+            deadline,
+        } = request;
         if query.len() != self.dim {
             return Err(IvfError::DimMismatch {
                 expected: self.dim,
@@ -734,7 +612,7 @@ impl IvfadcIndex {
                 }
             }
             match panic::catch_unwind(AssertUnwindSafe(|| {
-                self.scan_partition_timed(
+                self.scan_probe(
                     query,
                     p,
                     &ScanParams::new(topk).with_keep(keep).with_bound(bound),
@@ -779,7 +657,6 @@ impl IvfadcIndex {
         let merge_t0 = want_timing.then(Instant::now);
         let mut merged = pqfs_core::TopK::new(topk);
         let mut stats = ScanStats::default();
-        let mut by_backend = PerBackendStats::new();
         let mut health = SearchHealth::default();
         let mut first_failure: Option<IvfError> = None;
         for (scan, &p) in scans.zip(&probes) {
@@ -799,7 +676,6 @@ impl IvfadcIndex {
                         merged.push(n.dist, n.id);
                     }
                     stats.merge(&s);
-                    by_backend.record(backend, &s);
                     record_scan_counters(backend, &s);
                     TABLES_NS.observe_ns(tables_ns);
                     SCAN_NS.observe_ns(scan_ns);
@@ -862,85 +738,40 @@ impl IvfadcIndex {
             stats,
             partition: probes[0],
             health,
-            by_backend,
         })
     }
 
-    /// Answers a batch of row-major queries in parallel on the global
-    /// [`pqfs_pool::ThreadPool`] (paper §3.1: "PQ Scan parallelizes
-    /// naturally over multiple queries by running each query on a different
-    /// core"). Queries are dealt out in small tasks so stragglers
-    /// load-balance across workers, and each worker reuses its thread-local
-    /// tables/buffers between queries. Results and their order are
-    /// identical to calling [`search`](Self::search) per query.
+    /// [`search`](Self::search) on the global [`pqfs_pool::ThreadPool`]
+    /// with no deadline and no trace.
     ///
     /// # Errors
     ///
-    /// The lowest-indexed error encountered by any query, or
-    /// [`IvfError::DimMismatch`] if the batch is not a multiple of `dim`.
-    pub fn search_batch(
+    /// As [`search`](Self::search).
+    pub fn search_probes(
         &self,
-        queries: &[f32],
+        query: &[f32],
         topk: usize,
         backend: SearchBackend,
         keep: f64,
-    ) -> Result<Vec<SearchOutcome>, IvfError> {
-        self.search_batch_on(queries, topk, backend, keep, ThreadPool::global())
+        nprobe: usize,
+    ) -> Result<SearchOutcome, IvfError> {
+        let request = SearchRequest::new(topk, backend, keep, nprobe);
+        self.search(query, &request, ThreadPool::global(), None)
     }
 
-    /// [`search_batch`](Self::search_batch) on a specific pool (tests and
-    /// callers that manage their own pool sizing).
-    ///
-    /// # Errors
-    ///
-    /// As [`search_batch`](Self::search_batch).
-    pub fn search_batch_on(
-        &self,
-        queries: &[f32],
-        topk: usize,
-        backend: SearchBackend,
-        keep: f64,
-        pool: &ThreadPool,
-    ) -> Result<Vec<SearchOutcome>, IvfError> {
-        if queries.len() % self.dim != 0 {
-            return Err(IvfError::DimMismatch {
-                expected: self.dim,
-                actual: queries.len(),
-            });
-        }
-        let rows: Vec<&[f32]> = queries.chunks_exact(self.dim).collect();
-        pool.try_parallel_map(&rows, |_, q| self.search(q, topk, backend, keep))
-    }
-
-    /// Scans one partition for `query` and returns global-id neighbors.
+    /// Scans partition `p` for `query` and returns global-id neighbors,
+    /// with optional stage timing and deadline short-circuiting.
     ///
     /// Runs on the calling thread using its [`QueryScratch`]: the residual
     /// buffer, distance tables and Fast Scan table buffers are reused
     /// across queries, so repeated scans allocate only the result vector.
-    fn scan_partition(
-        &self,
-        query: &[f32],
-        p: usize,
-        topk: usize,
-        backend: SearchBackend,
-        keep: f64,
-    ) -> Result<(Vec<Neighbor>, ScanStats), IvfError> {
-        let params = ScanParams::new(topk).with_keep(keep);
-        let success = self
-            .scan_partition_timed(query, p, &params, backend, false, None)?
-            .unwrap_or_else(|| unreachable!("a scan without a deadline never expires"));
-        Ok((success.neighbors, success.stats))
-    }
-
-    /// [`scan_partition`](Self::scan_partition) with optional stage timing
-    /// and deadline short-circuiting.
     ///
     /// Returns `Ok(None)` when `deadline` had already expired on entry: the
     /// probe gives up *before* computing distance tables (the most
     /// expensive per-probe fixed cost), so a blown budget does not waste
     /// table work whose scan would be skipped anyway. Wasted builds avoided
     /// this way are counted in `pqfs_ivf_tables_wasted_total`.
-    fn scan_partition_timed(
+    fn scan_probe(
         &self,
         query: &[f32],
         p: usize,
@@ -1183,9 +1014,19 @@ mod tests {
     }
 
     fn build_index(n: usize) -> (IvfadcIndex, Vec<f32>) {
+        build_with(n, IvfadcConfig::new(DIM, 4))
+    }
+
+    /// `n` base vectors over `partitions` cells, every backend prepared.
+    fn build_every_backend(n: usize, partitions: usize) -> (IvfadcIndex, Vec<f32>) {
+        let config = IvfadcConfig::new(DIM, partitions).with_backends(SearchBackend::ALL.to_vec());
+        build_with(n, config)
+    }
+
+    fn build_with(n: usize, config: IvfadcConfig) -> (IvfadcIndex, Vec<f32>) {
         let train = clustered(1200, 7);
         let base = clustered(n, 8);
-        let index = IvfadcIndex::build(&train, &base, &IvfadcConfig::new(DIM, 4)).unwrap();
+        let index = IvfadcIndex::build(&train, &base, &config).unwrap();
         (index, base)
     }
 
@@ -1202,15 +1043,20 @@ mod tests {
 
     #[test]
     fn backends_return_identical_results() {
+        let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(600);
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..10 {
             let qi = rng.gen_range(0..600);
             let query = &base[qi * DIM..(qi + 1) * DIM];
-            let a = index.search(query, 10, SearchBackend::Naive, 0.01).unwrap();
-            let b = index.search(query, 10, SearchBackend::Libpq, 0.01).unwrap();
+            let a = index
+                .search_probes(query, 10, SearchBackend::Naive, 0.01, 1)
+                .unwrap();
+            let b = index
+                .search_probes(query, 10, SearchBackend::Libpq, 0.01, 1)
+                .unwrap();
             let c = index
-                .search(query, 10, SearchBackend::FastScan, 0.01)
+                .search_probes(query, 10, SearchBackend::FastScan, 0.01, 1)
                 .unwrap();
             let ids = |o: &SearchOutcome| o.neighbors.iter().map(|n| n.id).collect::<Vec<_>>();
             assert_eq!(ids(&a), ids(&b));
@@ -1221,11 +1067,14 @@ mod tests {
 
     #[test]
     fn searching_a_base_vector_finds_itself() {
+        let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(500);
         let mut hits = 0;
         for qi in (0..500).step_by(25) {
             let query = &base[qi * DIM..(qi + 1) * DIM];
-            let outcome = index.search(query, 5, SearchBackend::Naive, 0.0).unwrap();
+            let outcome = index
+                .search_probes(query, 5, SearchBackend::Naive, 0.0, 1)
+                .unwrap();
             if outcome.neighbors.iter().any(|n| n.id == qi as u64) {
                 hits += 1;
             }
@@ -1236,9 +1085,12 @@ mod tests {
 
     #[test]
     fn global_ids_match_partition_membership() {
+        let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(300);
         let query = &base[..DIM];
-        let outcome = index.search(query, 20, SearchBackend::Naive, 0.0).unwrap();
+        let outcome = index
+            .search_probes(query, 20, SearchBackend::Naive, 0.0, 1)
+            .unwrap();
         for n in &outcome.neighbors {
             let v = &base[n.id as usize * DIM..(n.id as usize + 1) * DIM];
             assert_eq!(
@@ -1257,7 +1109,9 @@ mod tests {
         let mut improved_or_equal = true;
         for qi in (0..800).step_by(40) {
             let query = &base[qi * DIM..(qi + 1) * DIM];
-            let single = index.search(query, 10, SearchBackend::Naive, 0.0).unwrap();
+            let single = index
+                .search_probes(query, 10, SearchBackend::Naive, 0.0, 1)
+                .unwrap();
             let multi = index
                 .search_probes(query, 10, SearchBackend::Naive, 0.0, 3)
                 .unwrap();
@@ -1295,71 +1149,64 @@ mod tests {
         assert_eq!(all.stats.scanned, 400);
     }
 
+    /// Everything a query answers with, distances by bit pattern.
+    fn key(o: &SearchOutcome) -> (Vec<(u32, u64)>, ScanStats, usize, SearchHealth) {
+        (bits(&o.neighbors), o.stats, o.partition, o.health)
+    }
+
+    /// The two entry points are one path: `search_probes` is `search` on
+    /// the global pool, and a trace changes nothing but the trace.
     #[test]
-    fn search_batch_matches_sequential_search() {
-        let (index, base) = build_index(500);
-        let queries = &base[..DIM * 20];
-        let batch = index
-            .search_batch(queries, 8, SearchBackend::FastScan, 0.01)
-            .unwrap();
-        assert_eq!(batch.len(), 20);
-        for (i, q) in queries.chunks_exact(DIM).enumerate() {
-            let single = index.search(q, 8, SearchBackend::FastScan, 0.01).unwrap();
-            let ids = |o: &SearchOutcome| o.neighbors.iter().map(|n| n.id).collect::<Vec<_>>();
-            assert_eq!(ids(&batch[i]), ids(&single), "query {i}");
+    fn search_probes_and_search_are_bit_identical_with_or_without_a_trace() {
+        let _lock = pqfs_fault::exclusive();
+        let (index, base) = build_every_backend(600, 4);
+        let mut trace = QueryTrace::new();
+        for backend in index.prepared_backends() {
+            for nprobe in [1usize, 4] {
+                for q in base[..DIM * 10].chunks_exact(DIM) {
+                    let req = SearchRequest::new(8, backend, 0.01, nprobe);
+                    let short = index.search_probes(q, 8, backend, 0.01, nprobe).unwrap();
+                    let full = index.search(q, &req, ThreadPool::global(), None).unwrap();
+                    let traced = index
+                        .search(q, &req, ThreadPool::global(), Some(&mut trace))
+                        .unwrap();
+                    assert_eq!(key(&short), key(&full), "{backend} nprobe {nprobe}");
+                    assert_eq!(key(&traced), key(&full), "{backend} nprobe {nprobe} traced");
+                    assert_eq!(trace.probes.len(), nprobe);
+                }
+            }
         }
     }
 
-    /// The executor determinism guarantee, end to end: batch search and
-    /// parallel multi-probe search are bit-identical to serial execution
-    /// (a 1-thread pool runs everything inline on the caller) for every
-    /// backend and pool size.
+    /// The executor determinism guarantee, end to end: queries fanned out
+    /// over a pool with their probes inline (the serving wave's shape) and
+    /// one query fanning its probes out are both bit-identical to serial
+    /// execution (a 1-thread pool runs everything inline on the caller) for
+    /// every backend and pool size.
     #[test]
     fn parallel_search_is_bit_identical_to_serial_for_every_backend() {
         let _lock = pqfs_fault::exclusive();
-        let train = clustered(1200, 7);
-        let base = clustered(600, 8);
-        let config = IvfadcConfig::new(DIM, 4).with_backends(SearchBackend::ALL.to_vec());
-        let index = IvfadcIndex::build(&train, &base, &config).unwrap();
-        let queries = &base[..DIM * 10];
-        let key = |o: &SearchOutcome| {
-            (
-                o.neighbors
-                    .iter()
-                    .map(|n| (n.dist.to_bits(), n.id))
-                    .collect::<Vec<_>>(),
-                o.stats,
-                o.partition,
-                o.health,
-            )
-        };
+        let (index, base) = build_every_backend(600, 4);
+        let queries: Vec<&[f32]> = base[..DIM * 10].chunks_exact(DIM).collect();
         let serial = ThreadPool::new(1);
         for backend in SearchBackend::ALL {
-            let base_batch = index
-                .search_batch_on(queries, 8, backend, 0.01, &serial)
-                .unwrap();
-            let base_probes: Vec<SearchOutcome> = queries
-                .chunks_exact(DIM)
-                .map(|q| {
-                    index
-                        .search_probes_on(q, 8, backend, 0.01, 3, &serial)
-                        .unwrap()
-                })
-                .collect();
-            for threads in [2usize, 8] {
-                let pool = ThreadPool::new(threads);
-                let batch = index
-                    .search_batch_on(queries, 8, backend, 0.01, &pool)
-                    .unwrap();
-                assert_eq!(batch.len(), base_batch.len());
-                for (a, b) in batch.iter().zip(&base_batch) {
-                    assert_eq!(key(a), key(b), "{backend} batch @ {threads} threads");
-                }
-                for (q, b) in queries.chunks_exact(DIM).zip(&base_probes) {
-                    let a = index
-                        .search_probes_on(q, 8, backend, 0.01, 3, &pool)
-                        .unwrap();
-                    assert_eq!(key(&a), key(b), "{backend} probes @ {threads} threads");
+            for nprobe in [1usize, 3] {
+                let req = SearchRequest::new(8, backend, 0.01, nprobe);
+                let want: Vec<_> = queries
+                    .iter()
+                    .map(|q| key(&index.search(q, &req, &serial, None).unwrap()))
+                    .collect();
+                for threads in [2usize, 8] {
+                    let pool = ThreadPool::new(threads);
+                    let at = format!("{backend} nprobe {nprobe} @ {threads} threads");
+                    let wave = pool.parallel_map(&queries, |_, q| {
+                        key(&index.search(q, &req, &serial, None).unwrap())
+                    });
+                    assert_eq!(wave, want, "{at}, queries fanned out");
+                    for (q, w) in queries.iter().zip(&want) {
+                        let out = index.search(q, &req, &pool, None).unwrap();
+                        assert_eq!(&key(&out), w, "{at}, probes fanned out");
+                    }
                 }
             }
         }
@@ -1384,9 +1231,10 @@ mod tests {
         probes: &[usize],
     ) -> Vec<(u32, u64)> {
         let mut merged = pqfs_core::TopK::new(topk);
+        let params = ScanParams::new(topk).with_keep(keep);
         for &p in probes {
-            let (neighbors, _) = index.scan_partition(query, p, topk, backend, keep).unwrap();
-            for n in neighbors {
+            let scan = index.scan_probe(query, p, &params, backend, false, None);
+            for n in scan.unwrap().expect("no deadline to expire").neighbors {
                 merged.push(n.dist, n.id);
             }
         }
@@ -1403,10 +1251,7 @@ mod tests {
     #[test]
     fn bounded_probes_answer_exactly_like_independent_unbounded_scans() {
         let _lock = pqfs_fault::exclusive();
-        let train = clustered(1200, 7);
-        let base = clustered(900, 8);
-        let config = IvfadcConfig::new(DIM, 8).with_backends(SearchBackend::ALL.to_vec());
-        let index = IvfadcIndex::build(&train, &base, &config).unwrap();
+        let (index, base) = build_every_backend(900, 8);
         let pools = [1usize, 2, 8].map(ThreadPool::new);
         let mut rng = StdRng::seed_from_u64(15);
         let (mut bounded, mut unbounded) = (0, 0);
@@ -1432,9 +1277,8 @@ mod tests {
                 let outcomes: Vec<SearchOutcome> = pools
                     .iter()
                     .map(|pool| {
-                        index
-                            .search_probes_on(query, topk, backend, 0.01, nprobe, pool)
-                            .unwrap()
+                        let req = SearchRequest::new(topk, backend, 0.01, nprobe);
+                        index.search(query, &req, pool, None).unwrap()
                     })
                     .collect();
                 for out in &outcomes {
@@ -1464,9 +1308,8 @@ mod tests {
         for backend in [SearchBackend::Naive, SearchBackend::FastScan] {
             let mut trace = QueryTrace::new();
             let pool = ThreadPool::new(2);
-            let out = index
-                .search_probes_traced(q, 5, backend, 0.01, 4, None, &pool, &mut trace)
-                .unwrap();
+            let req = SearchRequest::new(5, backend, 0.01, 4);
+            let out = index.search(q, &req, &pool, Some(&mut trace)).unwrap();
             assert_eq!(out.health.probes_failed, 1);
             assert_eq!(out.health.probes_ok, 3);
             assert!(trace.probes.iter().all(|p| p.bound.is_none()));
@@ -1483,7 +1326,9 @@ mod tests {
         let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(400);
         let q = &base[..DIM];
-        let single = index.search(q, 5, SearchBackend::Naive, 0.0).unwrap();
+        let single = index
+            .search_probes(q, 5, SearchBackend::Naive, 0.0, 1)
+            .unwrap();
         assert_eq!(single.health, SearchHealth::healthy(1));
         assert!(!single.health.degraded());
         let multi = index
@@ -1502,6 +1347,13 @@ mod tests {
             .search_probes(q, 10, SearchBackend::Naive, 0.0, 4)
             .unwrap();
         assert_eq!(full.health, SearchHealth::healthy(4));
+        let victim_ids: std::collections::HashSet<u64> = index
+            .search_probes(q, 10, SearchBackend::Naive, 0.0, 1)
+            .unwrap()
+            .neighbors
+            .iter()
+            .map(|n| n.id)
+            .collect();
 
         // Fail exactly the nearest partition's scan: the query still
         // answers from the remaining probes and reports the gap.
@@ -1516,13 +1368,6 @@ mod tests {
         assert!(degraded.health.degraded());
         // The surviving candidates are exactly the full result minus the
         // victim partition's contribution.
-        let victim_ids: std::collections::HashSet<u64> = index
-            .search(q, 10, SearchBackend::Naive, 0.0)
-            .unwrap()
-            .neighbors
-            .iter()
-            .map(|n| n.id)
-            .collect();
         assert!(degraded
             .neighbors
             .iter()
@@ -1547,21 +1392,18 @@ mod tests {
         let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(500);
         let q = &base[..DIM];
-        let out = index
-            .search_probes_budgeted(
-                q,
-                8,
-                SearchBackend::Naive,
-                0.0,
-                4,
-                Some(std::time::Duration::ZERO),
-            )
-            .unwrap();
+        let req = SearchRequest {
+            deadline: Some(Duration::ZERO),
+            ..SearchRequest::new(8, SearchBackend::Naive, 0.0, 4)
+        };
+        let out = index.search(q, &req, ThreadPool::global(), None).unwrap();
         // Probe 0 always runs; an exhausted budget skips the rest.
         assert_eq!(out.health.probes_ok, 1);
         assert_eq!(out.health.probes_skipped, 3);
         assert!(out.health.degraded());
-        let single = index.search(q, 8, SearchBackend::Naive, 0.0).unwrap();
+        let single = index
+            .search_probes(q, 8, SearchBackend::Naive, 0.0, 1)
+            .unwrap();
         let ids = |o: &SearchOutcome| o.neighbors.iter().map(|n| n.id).collect::<Vec<_>>();
         assert_eq!(ids(&out), ids(&single));
         assert_eq!(out.partition, single.partition);
@@ -1592,18 +1434,11 @@ mod tests {
         #[cfg(feature = "telemetry")]
         let wasted_before = pqfs_obs::counter_value("pqfs_ivf_tables_wasted_total", None);
         let mut trace = QueryTrace::new();
-        let out = index
-            .search_probes_traced(
-                q,
-                8,
-                SearchBackend::Naive,
-                0.0,
-                4,
-                Some(std::time::Duration::from_millis(150)),
-                &pool,
-                &mut trace,
-            )
-            .unwrap();
+        let req = SearchRequest {
+            deadline: Some(Duration::from_millis(150)),
+            ..SearchRequest::new(8, SearchBackend::Naive, 0.0, 4)
+        };
+        let out = index.search(q, &req, &pool, Some(&mut trace)).unwrap();
         assert_eq!(out.health.probes_ok, victim);
         assert_eq!(out.health.probes_skipped, probes.len() - victim);
         let outcomes: Vec<ProbeOutcome> = trace.probes.iter().map(|p| p.outcome).collect();
@@ -1632,18 +1467,8 @@ mod tests {
         let mut trace = QueryTrace::new();
         #[cfg(feature = "telemetry")]
         let bounded_out_before = pqfs_obs::counter_value("pqfs_ivf_probes_bounded_out_total", None);
-        let out = index
-            .search_probes_traced(
-                q,
-                8,
-                SearchBackend::FastScan,
-                0.01,
-                4,
-                None,
-                &pool,
-                &mut trace,
-            )
-            .unwrap();
+        let req = SearchRequest::new(8, SearchBackend::FastScan, 0.01, 4);
+        let out = index.search(q, &req, &pool, Some(&mut trace)).unwrap();
         assert_eq!(trace.probes.len(), 4);
         assert!(trace.probes.iter().all(|p| p.outcome == ProbeOutcome::Ok));
         assert!(trace.probes.iter().all(|p| p.backend == "fastscan"));
@@ -1661,7 +1486,9 @@ mod tests {
         // The nearest probe scans under no bound; the others inherit its
         // k-th distance, and the ones it rules out from their tables alone
         // are counted.
-        let nearest = index.search(q, 8, SearchBackend::FastScan, 0.01).unwrap();
+        let nearest = index
+            .search_probes(q, 8, SearchBackend::FastScan, 0.01, 1)
+            .unwrap();
         let kth = nearest.neighbors[7].dist;
         assert_eq!(trace.probes[0].bound, None);
         assert!(trace.probes[1..].iter().all(|p| p.bound == Some(kth)));
@@ -1695,37 +1522,11 @@ mod tests {
 
         // The trace resets cleanly for reuse on a second query.
         let probes_cap = trace.probes.capacity();
-        index
-            .search_probes_traced(q, 8, SearchBackend::Naive, 0.0, 2, None, &pool, &mut trace)
-            .unwrap();
+        let req = SearchRequest::new(8, SearchBackend::Naive, 0.0, 2);
+        index.search(q, &req, &pool, Some(&mut trace)).unwrap();
         assert_eq!(trace.probes.len(), 2);
         assert!(trace.probes.capacity() >= probes_cap.min(2));
         assert!(trace.probes.iter().all(|p| p.backend == "naive"));
-    }
-
-    #[test]
-    fn by_backend_breakdown_matches_flat_stats() {
-        let _lock = pqfs_fault::exclusive();
-        let (index, base) = build_index(500);
-        let q = &base[..DIM];
-        let single = index.search(q, 8, SearchBackend::Naive, 0.0).unwrap();
-        assert_eq!(
-            single.by_backend.get(SearchBackend::Naive).scanned,
-            single.stats.scanned
-        );
-        assert_eq!(single.by_backend.total(), single.stats);
-
-        let multi = index
-            .search_probes(q, 8, SearchBackend::FastScan, 0.01, 4)
-            .unwrap();
-        assert_eq!(multi.by_backend.total(), multi.stats);
-        assert_eq!(
-            multi.by_backend.get(SearchBackend::FastScan).scanned,
-            multi.stats.scanned
-        );
-        assert_eq!(multi.by_backend.get(SearchBackend::Naive).scanned, 0);
-        let nonzero: Vec<_> = multi.by_backend.iter_nonzero().map(|(b, _)| b).collect();
-        assert_eq!(nonzero, vec![SearchBackend::FastScan]);
     }
 
     #[test]
@@ -1733,16 +1534,11 @@ mod tests {
         let _lock = pqfs_fault::exclusive();
         let (index, base) = build_index(500);
         let q = &base[..DIM];
-        let budgeted = index
-            .search_probes_budgeted(
-                q,
-                8,
-                SearchBackend::Naive,
-                0.0,
-                4,
-                Some(std::time::Duration::from_secs(3600)),
-            )
-            .unwrap();
+        let req = SearchRequest {
+            deadline: Some(Duration::from_secs(3600)),
+            ..SearchRequest::new(8, SearchBackend::Naive, 0.0, 4)
+        };
+        let budgeted = index.search(q, &req, ThreadPool::global(), None).unwrap();
         let unbudgeted = index
             .search_probes(q, 8, SearchBackend::Naive, 0.0, 4)
             .unwrap();
@@ -1753,13 +1549,14 @@ mod tests {
 
     #[test]
     fn bad_inputs_are_rejected() {
+        let _lock = pqfs_fault::exclusive();
         let (index, _) = build_index(100);
         assert!(matches!(
-            index.search(&[0.0; 3], 5, SearchBackend::Naive, 0.0),
+            index.search_probes(&[0.0; 3], 5, SearchBackend::Naive, 0.0, 1),
             Err(IvfError::DimMismatch { .. })
         ));
         assert!(matches!(
-            index.search(&[0.0; DIM], 0, SearchBackend::Naive, 0.0),
+            index.search_probes(&[0.0; DIM], 0, SearchBackend::Naive, 0.0, 1),
             Err(IvfError::Config(_))
         ));
         let train = clustered(100, 1);
@@ -1778,18 +1575,19 @@ mod tests {
 
     #[test]
     fn fastscan_backend_requires_build_support() {
+        let _lock = pqfs_fault::exclusive();
         let train = clustered(600, 2);
         let base = clustered(200, 3);
         let mut config = IvfadcConfig::new(DIM, 2);
         config.backends = vec![SearchBackend::Naive, SearchBackend::Libpq];
         let index = IvfadcIndex::build(&train, &base, &config).unwrap();
         assert!(matches!(
-            index.search(&base[..DIM], 5, SearchBackend::FastScan, 0.01),
+            index.search_probes(&base[..DIM], 5, SearchBackend::FastScan, 0.01, 1),
             Err(IvfError::Config(_))
         ));
         // The other backends still work.
         assert!(index
-            .search(&base[..DIM], 5, SearchBackend::Naive, 0.0)
+            .search_probes(&base[..DIM], 5, SearchBackend::Naive, 0.0, 1)
             .is_ok());
     }
 

@@ -11,6 +11,14 @@
 //!    partition's codes (>99 % of query CPU time for multi-million-vector
 //!    partitions, which is why the paper attacks this step).
 //!
+//! # Search
+//!
+//! One path answers every query: [`IvfadcIndex::search`] takes the query,
+//! a [`SearchRequest`] (`topk`, `backend`, `keep`, `nprobe`, `deadline`),
+//! the [`pqfs_pool::ThreadPool`] its probes fan out on and an optional
+//! per-query trace. [`IvfadcIndex::search_probes`] is the shorthand for the
+//! global pool with no deadline and no trace.
+//!
 //! # Backend dispatch
 //!
 //! [`SearchBackend`] is a re-export of the scan crate's `Backend` registry
@@ -40,9 +48,9 @@
 //! let index = IvfadcIndex::build(&train, &base, &config).unwrap();
 //!
 //! let query = &base[..dim];
-//! let reference = index.search(query, 5, SearchBackend::Naive, 0.0).unwrap();
+//! let reference = index.search_probes(query, 5, SearchBackend::Naive, 0.0, 1).unwrap();
 //! for backend in SearchBackend::ALL {
-//!     let found = index.search(query, 5, backend, 0.01).unwrap();
+//!     let found = index.search_probes(query, 5, backend, 0.01, 1).unwrap();
 //!     let ids = |o: &pqfs_ivf::SearchOutcome| {
 //!         o.neighbors.iter().map(|n| n.id).collect::<Vec<_>>()
 //!     };
@@ -59,4 +67,6 @@ pub mod persist;
 
 pub use coarse::CoarseQuantizer;
 pub use error::IvfError;
-pub use index::{IvfadcConfig, IvfadcIndex, SearchBackend, SearchHealth, SearchOutcome};
+pub use index::{
+    IvfadcConfig, IvfadcIndex, SearchBackend, SearchHealth, SearchOutcome, SearchRequest,
+};

@@ -20,8 +20,8 @@
 //! lengths and counts are validated against each other and against sanity
 //! limits **before** allocation, so a corrupt prefix yields a typed error
 //! instead of an OOM abort. The footer covers the whole file: any
-//! single-byte flip or truncation fails the load. Version 1 and 2 files
-//! (no checksums) are still read back losslessly.
+//! single-byte flip or truncation fails the load: every byte a loader
+//! accepts is CRC-covered.
 //!
 //! [`IvfadcIndex::save_file`] writes **atomically** (temp file + fsync +
 //! rename): a crash mid-save never corrupts the published artifact.
@@ -35,11 +35,11 @@
 //! `ivf.persist.rename`.
 
 use crate::coarse::CoarseQuantizer;
-use crate::index::{IvfadcConfig, IvfadcIndex, SearchBackend};
-use pqfs_core::checksum::{crc32, CrcRead, CrcWrite};
+use crate::index::{IvfadcIndex, SearchBackend};
+use pqfs_core::checksum::{CrcRead, CrcWrite};
 use pqfs_core::persist::{
-    atomic_write_file, decode_f32s, expect_eof, load_pq, read_exact_vec, read_section, save_pq,
-    write_section, AtomicWriteSites, PersistError,
+    atomic_write_file, decode_f32s, expect_eof, le_u64, load_pq, read_section, read_section_body,
+    read_u32, read_u64, save_pq, truncated, write_section, AtomicWriteSites, PersistError,
 };
 use pqfs_fault::FaultRead;
 use pqfs_scan::{Kernel, ScanOpts};
@@ -85,29 +85,12 @@ fn write_scan_opts(w: &mut impl Write, opts: &ScanOpts) -> io::Result<()> {
     Ok(())
 }
 
-/// Little-endian `u64` from an 8-byte slice (callers slice exact lengths
-/// out of already length-checked buffers, so the conversion cannot fail).
-fn le_u64(bytes: &[u8]) -> u64 {
-    let arr: [u8; 8] = bytes
-        .try_into()
-        .unwrap_or_else(|_| unreachable!("caller slices exactly 8 bytes"));
-    u64::from_le_bytes(arr)
-}
-
-/// Little-endian `f64`, same contract as [`le_u64`].
-fn le_f64(bytes: &[u8]) -> f64 {
-    let arr: [u8; 8] = bytes
-        .try_into()
-        .unwrap_or_else(|_| unreachable!("caller slices exactly 8 bytes"));
-    f64::from_le_bytes(arr)
-}
-
 /// Decodes the fixed 12-byte scan-options block.
 fn read_scan_opts(r: &mut impl Read) -> Result<ScanOpts, PersistError> {
     let mut buf = [0u8; 12];
     r.read_exact(&mut buf)
         .map_err(|_| PersistError::Format("truncated scan options".into()))?;
-    let keep = le_f64(&buf[0..8]);
+    let keep = f64::from_bits(le_u64(&buf[0..8]));
     if !(0.0..=1.0).contains(&keep) {
         return Err(PersistError::Format(format!("keep {keep} outside [0, 1]")));
     }
@@ -142,27 +125,6 @@ fn mask_to_backends(mask: u8) -> Vec<SearchBackend> {
         .collect()
 }
 
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Maps an EOF during a structured read to a typed truncation error.
-fn truncated(what: &'static str, e: io::Error) -> PersistError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        PersistError::Format(format!("truncated {what}"))
-    } else {
-        PersistError::Io(e)
-    }
-}
-
 /// Reads a checksummed section whose length is not known a priori, bounded
 /// by `max` (rejected before allocation when exceeded).
 fn read_section_bounded(
@@ -178,17 +140,7 @@ fn read_section_bounded(
             max,
         });
     }
-    let bytes = read_exact_vec(r, len, what)?;
-    let stored = read_u32(r).map_err(|e| truncated(what, e))?;
-    let computed = crc32(&bytes);
-    if stored != computed {
-        return Err(PersistError::Checksum {
-            section: what,
-            stored,
-            computed,
-        });
-    }
-    Ok(bytes)
+    read_section_body(r, what, len)
 }
 
 impl IvfadcIndex {
@@ -240,8 +192,7 @@ impl IvfadcIndex {
         Ok(())
     }
 
-    /// Reads an index previously written by [`save`](Self::save) (v3) or
-    /// by the v1/v2 writers (no checksums).
+    /// Reads an index previously written by [`save`](Self::save).
     ///
     /// # Errors
     ///
@@ -257,17 +208,12 @@ impl IvfadcIndex {
             return Err(PersistError::Format(format!("bad magic {magic:?}")));
         }
         let version = read_u32(&mut cr).map_err(|e| truncated("version", e))?;
-        match version {
-            1 | 2 => Self::load_legacy(&mut cr, version),
-            3 => Self::load_v3(cr),
-            v => Err(PersistError::Format(format!(
-                "unsupported version {v} (this build reads 1, 2 and {VERSION})"
-            ))),
+        if version != VERSION {
+            return Err(PersistError::Format(format!(
+                "unsupported version {version} (this build reads {VERSION})"
+            )));
         }
-    }
 
-    /// The v3 body: checksummed sections plus the whole-file footer.
-    fn load_v3(mut cr: CrcRead<&mut impl Read>) -> Result<Self, PersistError> {
         let header = read_section(&mut cr, "index header", 29)?;
         let dim = le_u64(&header[0..8]);
         let parts = le_u64(&header[8..16]);
@@ -352,88 +298,6 @@ impl IvfadcIndex {
         .map_err(|e| PersistError::Format(e.to_string()))
     }
 
-    /// The legacy v1/v2 body (raw fields, no checksums), kept for lossless
-    /// read-back of artifacts written before format v3.
-    fn load_legacy(r: &mut impl Read, version: u32) -> Result<Self, PersistError> {
-        let dim = read_u64(r).map_err(|e| truncated("header", e))? as usize;
-        let parts = read_u64(r).map_err(|e| truncated("header", e))? as usize;
-        if dim == 0 || parts == 0 {
-            return Err(PersistError::Format(
-                "empty dimension or partition count".into(),
-            ));
-        }
-        if dim as u64 > MAX_DIM {
-            return Err(PersistError::Limit {
-                what: "dimension",
-                value: dim as u64,
-                max: MAX_DIM,
-            });
-        }
-        if parts as u64 > MAX_PARTITIONS {
-            return Err(PersistError::Limit {
-                what: "partition count",
-                value: parts as u64,
-                max: MAX_PARTITIONS,
-            });
-        }
-        let bytes = read_exact_vec(r, (parts * dim * 4) as u64, "coarse centroids")?;
-        let centroids = decode_f32s(&bytes, "coarse centroids")?;
-
-        let pq_len = read_u64(r).map_err(|e| truncated("quantizer length", e))?;
-        if pq_len > MAX_QUANTIZER_SECTION {
-            return Err(PersistError::Limit {
-                what: "quantizer length",
-                value: pq_len,
-                max: MAX_QUANTIZER_SECTION,
-            });
-        }
-        let pq_bytes = read_exact_vec(r, pq_len, "quantizer")?;
-        let pq = load_pq(&mut pq_bytes.as_slice())?;
-        if pq.config().dim() != dim {
-            return Err(PersistError::Format(format!(
-                "quantizer dim {} != index dim {dim}",
-                pq.config().dim()
-            )));
-        }
-
-        let mut flag = [0u8; 1];
-        r.read_exact(&mut flag)
-            .map_err(|e| truncated("backend flag", e))?;
-        let (backends, opts) = if version == 1 {
-            // v1 stored a single fastscan-enabled flag and no options.
-            let backends = if flag[0] != 0 {
-                IvfadcConfig::default_backends()
-            } else {
-                vec![SearchBackend::Naive, SearchBackend::Libpq]
-            };
-            (backends, ScanOpts::default())
-        } else {
-            // An empty mask is legal: an index whose configured backends
-            // were all shape-skipped roundtrips to one that (faithfully)
-            // serves no backend.
-            (mask_to_backends(flag[0]), read_scan_opts(r)?)
-        };
-
-        let m = pq.config().m();
-        let mut partitions = Vec::with_capacity(parts);
-        for _ in 0..parts {
-            let len = read_u64(r).map_err(|e| truncated("partition length", e))? as usize;
-            let idbuf = read_exact_vec(r, (len * 8) as u64, "partition ids")?;
-            let ids: Vec<u64> = idbuf.chunks_exact(8).map(le_u64).collect();
-            let codes = read_exact_vec(r, (len * m) as u64, "partition codes")?;
-            partitions.push((ids, codes));
-        }
-
-        IvfadcIndex::from_parts(
-            CoarseQuantizer::from_centroids(centroids, dim),
-            pq,
-            partitions,
-            &backends,
-            opts,
-        )
-        .map_err(|e| PersistError::Format(e.to_string()))
-    }
-
     /// Saves to a file, atomically (temp file + fsync + rename): on any
     /// failure the previously published artifact is left untouched.
     ///
@@ -486,42 +350,9 @@ mod tests {
         (index, base)
     }
 
-    /// Writes `index` in the legacy v2 layout (raw fields, no checksums),
-    /// replicating the pre-v3 writer so legacy read-back stays covered.
-    fn v2_bytes(index: &IvfadcIndex) -> Vec<u8> {
-        let dim = index.coarse().dim();
-        let parts = index.num_partitions();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&2u32.to_le_bytes());
-        buf.extend_from_slice(&(dim as u64).to_le_bytes());
-        buf.extend_from_slice(&(parts as u64).to_le_bytes());
-        for p in 0..parts {
-            for &v in index.coarse().centroid(p) {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        // The embedded quantizer uses the *current* (v3) pqfs-core format;
-        // real v2 files embedded v1, which load_pq also still reads.
-        let mut pq_bytes = Vec::new();
-        save_pq(index.pq(), &mut pq_bytes).unwrap();
-        buf.extend_from_slice(&(pq_bytes.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&pq_bytes);
-        buf.push(super::backends_to_mask(&index.prepared_backends()));
-        write_scan_opts(&mut buf, index.scan_opts()).unwrap();
-        for p in 0..parts {
-            let (ids, codes) = index.partition_raw(p);
-            buf.extend_from_slice(&(ids.len() as u64).to_le_bytes());
-            for &id in ids {
-                buf.extend_from_slice(&id.to_le_bytes());
-            }
-            buf.extend_from_slice(codes.as_bytes());
-        }
-        buf
-    }
-
     #[test]
     fn roundtrip_preserves_search_results() {
+        let _lock = pqfs_fault::exclusive();
         let (index, base) = build();
         let mut buf = Vec::new();
         index.save(&mut buf).unwrap();
@@ -532,8 +363,8 @@ mod tests {
         for qi in (0..400).step_by(37) {
             let q = &base[qi * DIM..(qi + 1) * DIM];
             for backend in [SearchBackend::Naive, SearchBackend::FastScan] {
-                let a = index.search(q, 7, backend, 0.01).unwrap();
-                let b = loaded.search(q, 7, backend, 0.01).unwrap();
+                let a = index.search_probes(q, 7, backend, 0.01, 1).unwrap();
+                let b = loaded.search_probes(q, 7, backend, 0.01, 1).unwrap();
                 let ids = |o: &crate::index::SearchOutcome| {
                     o.neighbors.iter().map(|n| n.id).collect::<Vec<_>>()
                 };
@@ -544,6 +375,7 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_the_prepared_backend_set() {
+        let _lock = pqfs_fault::exclusive();
         let mut rng = StdRng::seed_from_u64(56);
         let gen = |rng: &mut StdRng, n: usize| -> Vec<f32> {
             (0..n * DIM).map(|_| rng.gen_range(0.0f32..255.0)).collect()
@@ -561,53 +393,31 @@ mod tests {
         // Every persisted backend still answers queries after the roundtrip.
         for backend in SearchBackend::ALL {
             assert!(
-                loaded.search(&base[..DIM], 3, backend, 0.01).is_ok(),
+                loaded
+                    .search_probes(&base[..DIM], 3, backend, 0.01, 1)
+                    .is_ok(),
                 "{backend}"
             );
         }
     }
 
     #[test]
-    fn v2_files_still_load_losslessly() {
-        let (index, base) = build();
-        let buf = v2_bytes(&index);
-        let loaded = IvfadcIndex::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.len(), index.len());
-        assert_eq!(loaded.partition_sizes(), index.partition_sizes());
-        assert_eq!(loaded.prepared_backends(), index.prepared_backends());
-        let q = &base[..DIM];
-        let ids =
-            |o: &crate::index::SearchOutcome| o.neighbors.iter().map(|n| n.id).collect::<Vec<_>>();
-        let a = index.search(q, 7, SearchBackend::FastScan, 0.01).unwrap();
-        let b = loaded.search(q, 7, SearchBackend::FastScan, 0.01).unwrap();
-        assert_eq!(ids(&a), ids(&b));
-    }
-
-    #[test]
-    fn v1_fastscan_flag_still_loads() {
-        // A v1 writer stored `1` for naive+libpq+fastscan; synthesize that
-        // file from a v2 buffer by patching version and mask bytes.
+    fn versions_without_checksums_are_refused() {
         let (index, _) = build();
-        let mut buf = v2_bytes(&index);
-        buf[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let mask_pos = backend_mask_position(&buf);
-        buf[mask_pos] = 1;
-        // v1 had no scan-options block: drop the 12 bytes after the flag.
-        buf.drain(mask_pos + 1..mask_pos + 13);
-        let loaded = IvfadcIndex::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.prepared_backends(), IvfadcConfig::default_backends());
-    }
-
-    /// Byte offset of the backend mask in a *legacy* buffer: after magic,
-    /// version, dim, partitions, centroids, and the length-prefixed
-    /// quantizer.
-    fn backend_mask_position(buf: &[u8]) -> usize {
-        let dim = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
-        let parts = u64::from_le_bytes(buf[16..24].try_into().unwrap()) as usize;
-        let pq_len_pos = 24 + parts * dim * 4;
-        let pq_len =
-            u64::from_le_bytes(buf[pq_len_pos..pq_len_pos + 8].try_into().unwrap()) as usize;
-        pq_len_pos + 8 + pq_len
+        let mut buf = Vec::new();
+        index.save(&mut buf).unwrap();
+        for version in [1u32, 2] {
+            buf[4..8].copy_from_slice(&version.to_le_bytes());
+            match IvfadcIndex::load(&mut buf.as_slice()) {
+                Err(PersistError::Format(msg)) => {
+                    assert!(
+                        msg.contains(&format!("unsupported version {version}")),
+                        "{msg}"
+                    )
+                }
+                other => panic!("version {version}: {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]
@@ -688,13 +498,18 @@ mod tests {
 
     #[test]
     fn rejects_absurd_counts_before_allocating() {
-        // A legacy header claiming 2^50 partitions must fail on the Limit
-        // check, not OOM allocating centroid or partition buffers.
+        // A header section (its CRC valid) claiming 2^50 partitions must
+        // fail on the Limit check, not OOM allocating centroid or partition
+        // buffers.
+        let mut header = Vec::new();
+        header.extend_from_slice(&16u64.to_le_bytes()); // dim
+        header.extend_from_slice(&(1u64 << 50).to_le_bytes()); // partitions
+        header.push(0); // backend mask
+        write_scan_opts(&mut header, &ScanOpts::default()).unwrap();
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&2u32.to_le_bytes());
-        buf.extend_from_slice(&16u64.to_le_bytes()); // dim
-        buf.extend_from_slice(&(1u64 << 50).to_le_bytes()); // partitions
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        write_section(&mut buf, &header).unwrap();
         assert!(matches!(
             IvfadcIndex::load(&mut buf.as_slice()),
             Err(PersistError::Limit { .. })

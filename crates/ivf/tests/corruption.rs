@@ -50,7 +50,7 @@ fn pristine_image_loads_and_serves_every_backend() {
     assert_eq!(index.prepared_backends(), SearchBackend::ALL.to_vec());
     let query = vec![128.0f32; DIM];
     for backend in SearchBackend::ALL {
-        let outcome = index.search(&query, 5, backend, 0.01).unwrap();
+        let outcome = index.search_probes(&query, 5, backend, 0.01, 1).unwrap();
         assert!(!outcome.neighbors.is_empty(), "{backend}");
     }
 }

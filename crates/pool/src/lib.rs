@@ -2,7 +2,7 @@
 //!
 //! The paper's §3.1 observes that PQ Scan "parallelizes naturally over
 //! multiple queries by running each query on a different core". Before this
-//! crate, every parallel site in the workspace (`search_batch`, batch
+//! crate, every parallel site in the workspace (query waves, batch
 //! encoding, k-means assignment) spawned fresh OS threads per call and
 //! carved the work into one static chunk per thread — so a single skewed
 //! partition or slow query stalled its whole chunk while sibling threads sat
@@ -35,6 +35,9 @@
 //! overridable with the `PQFS_THREADS` environment variable (read once, at
 //! first use). A pool of size 1 spawns no threads at all and runs every
 //! task inline on the caller — the deterministic serial baseline.
+//! `IvfadcIndex::search` takes the pool its probes fan out on as an
+//! argument (`search_probes` passes the global one); callers that already
+//! fan queries out, like the server's waves, hand it a 1-thread pool.
 //!
 //! Determinism: all combinators preserve input order in their outputs, and
 //! task *decomposition* never depends on which thread executes what — so a

@@ -697,7 +697,7 @@ mod tests {
     fn heavy_skew_load_balances() {
         // One item is 100× the work of the rest; with dynamic stealing the
         // other items still complete (this is a liveness/correctness test —
-        // timing is covered by the bench crate's scaling binary).
+        // timing is covered by the benchmark's `pool.*` layer metrics).
         let pool = ThreadPool::new(4);
         let items: Vec<u64> = (0..64).collect();
         let out = pool.parallel_map(&items, |_, &x| {

@@ -72,5 +72,5 @@ pub use libpq::scan_libpq;
 pub use naive::scan_naive;
 pub use quantize::{DistanceQuantizer, DEFAULT_BINS, NO_PRUNE, PAPER_BINS};
 pub use quantize_only::scan_quantize_only;
-pub use result::{PerBackendStats, ScanResult, ScanStats};
+pub use result::{ScanResult, ScanStats};
 pub use scanner::{Backend, PreparedScanner, ScanOpts, Scanner};

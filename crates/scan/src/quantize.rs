@@ -29,7 +29,7 @@
 //! `bins` defaults to [`DEFAULT_BINS`] = 253, the full unsigned byte range
 //! (the SSE2 `min_epu8`/`cmpeq` trick gives us unsigned comparisons) less
 //! the allowance and the [`NO_PRUNE`] sentinel; `bins = 126` reproduces the
-//! paper's signed-range variant and is exposed for the ablation study.
+//! paper's signed-range variant.
 
 use pqfs_core::DistanceTables;
 

@@ -1,6 +1,5 @@
 //! Result and statistics types shared by every scan implementation.
 
-use crate::scanner::Backend;
 use pqfs_core::Neighbor;
 
 /// Statistics of one scan execution.
@@ -44,68 +43,6 @@ impl ScanStats {
         } else {
             self.pruned as f64 / fast as f64
         }
-    }
-}
-
-/// Scan statistics broken down by backend.
-///
-/// [`ScanStats::merge`] alone loses attribution when a multi-probe search
-/// mixes backends (e.g. Fast Scan on large partitions, a scalar fallback on
-/// small ones): the summed counters can no longer say *which* backend
-/// scanned what. This keeps one [`ScanStats`] per [`Backend`] alongside the
-/// flat sum, so traces and metrics can attribute per-backend work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PerBackendStats {
-    stats: [ScanStats; Backend::ALL.len()],
-}
-
-impl PerBackendStats {
-    /// An empty breakdown.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn slot(backend: Backend) -> usize {
-        Backend::ALL
-            .iter()
-            .position(|&b| b == backend)
-            .unwrap_or_else(|| unreachable!("Backend::ALL covers every variant"))
-    }
-
-    /// Accumulates one scan's counters under its backend.
-    pub fn record(&mut self, backend: Backend, stats: &ScanStats) {
-        self.stats[Self::slot(backend)].merge(stats);
-    }
-
-    /// The accumulated counters for `backend`.
-    pub fn get(&self, backend: Backend) -> &ScanStats {
-        &self.stats[Self::slot(backend)]
-    }
-
-    /// Accumulates another breakdown into this one, backend by backend.
-    pub fn merge(&mut self, other: &PerBackendStats) {
-        for (mine, theirs) in self.stats.iter_mut().zip(&other.stats) {
-            mine.merge(theirs);
-        }
-    }
-
-    /// The backends that recorded any scanned vectors, with their counters.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (Backend, &ScanStats)> {
-        Backend::ALL
-            .iter()
-            .zip(&self.stats)
-            .filter(|(_, s)| s.scanned != 0)
-            .map(|(&b, s)| (b, s))
-    }
-
-    /// The flat sum over all backends (what `ScanStats::merge` would have
-    /// produced).
-    pub fn total(&self) -> ScanStats {
-        let mut total = ScanStats::default();
-        for s in &self.stats {
-            total.merge(s);
-        }
-        total
     }
 }
 
@@ -183,51 +120,6 @@ mod tests {
             warmup: 10,
         };
         assert_eq!(all_warm.pruned_fraction(), 0.0);
-    }
-
-    #[test]
-    fn per_backend_breakdown_keeps_attribution() {
-        let mut by_backend = PerBackendStats::new();
-        by_backend.record(
-            Backend::FastScan,
-            &ScanStats {
-                scanned: 1000,
-                pruned: 900,
-                verified: 100,
-                warmup: 10,
-            },
-        );
-        by_backend.record(
-            Backend::Naive,
-            &ScanStats {
-                scanned: 50,
-                pruned: 0,
-                verified: 0,
-                warmup: 0,
-            },
-        );
-        by_backend.record(
-            Backend::Naive,
-            &ScanStats {
-                scanned: 25,
-                pruned: 0,
-                verified: 0,
-                warmup: 0,
-            },
-        );
-        assert_eq!(by_backend.get(Backend::FastScan).scanned, 1000);
-        assert_eq!(by_backend.get(Backend::Naive).scanned, 75);
-        assert_eq!(by_backend.get(Backend::Avx).scanned, 0);
-        let nonzero: Vec<Backend> = by_backend.iter_nonzero().map(|(b, _)| b).collect();
-        assert_eq!(nonzero, vec![Backend::Naive, Backend::FastScan]);
-        // The flat sum still matches what ScanStats::merge would produce.
-        assert_eq!(by_backend.total().scanned, 1075);
-        assert_eq!(by_backend.total().pruned, 900);
-
-        let mut merged = PerBackendStats::new();
-        merged.merge(&by_backend);
-        merged.merge(&by_backend);
-        assert_eq!(merged.get(Backend::Naive).scanned, 150);
     }
 
     #[test]

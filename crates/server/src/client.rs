@@ -3,7 +3,7 @@
 //! One [`Client`] owns one connection and issues one request at a time
 //! (the protocol is strictly request/response per connection; open more
 //! clients for concurrency). Used by the CLI `bench-client` load
-//! generator, the loopback integration tests, and the `serve_qps` bench.
+//! generator, the loopback integration tests, and the benchmark.
 
 use crate::proto::{
     read_frame, write_frame, HealthInfo, ProtoError, QueryParams, QueryRequest, Request, Response,

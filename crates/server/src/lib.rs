@@ -2,7 +2,7 @@
 //!
 //! The ROADMAP north star is a production system serving heavy query
 //! traffic; after the kernels (`pqfs_scan`), the executor (`pqfs_pool`),
-//! deadlines (`search_probes_budgeted`) and telemetry (`pqfs_obs`), this
+//! deadlines (`SearchRequest::deadline`) and telemetry (`pqfs_obs`), this
 //! crate is the front door. André's thesis and the GPU ANN literature both
 //! make the same observation: once the scan kernels are fast, throughput
 //! is won by *batching at the server* so per-query fixed costs (ADC table
@@ -31,8 +31,8 @@
 //!    wave on the shared [`pqfs_pool::ThreadPool`]. Waves fill by
 //!    accumulation, run one at a time, in FIFO order, and the lead is
 //!    never held across a wait on a peer. Per-request deadlines (measured
-//!    from arrival, so queue wait counts) flow into the budgeted
-//!    multi-probe search.
+//!    from arrival, so queue wait counts) become the
+//!    `SearchRequest::deadline` of each query's `IvfadcIndex::search`.
 //! 4. **Shutdown** ([`signal`]): SIGTERM/SIGINT set a flag; the acceptor
 //!    stops admitting, the queue closes, queued and in-flight requests
 //!    are answered, then every thread is joined.

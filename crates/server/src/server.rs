@@ -23,7 +23,7 @@
 //! to `max_batch` queued queries as the next wave. Waves therefore fill by
 //! accumulation — the busier the pool, the fuller the wave — and run one
 //! at a time in FIFO order. Each wave fans its flattened queries out on
-//! the shared [`ThreadPool`], one `search_probes_budgeted` call per query
+//! the shared [`ThreadPool`], one [`IvfadcIndex::search`] call per query
 //! with the *remaining* deadline (arrival-to-now already spent in the
 //! queue counts against the budget): one wave of table computations per
 //! batch instead of one per round-trip.
@@ -46,7 +46,7 @@ use crate::proto::{
 };
 use crate::queue::{PushError, RequestQueue, Seat};
 use pqfs_fault::{FaultRead, FaultWrite};
-use pqfs_ivf::{IvfadcIndex, SearchBackend};
+use pqfs_ivf::{IvfadcIndex, SearchBackend, SearchRequest};
 use pqfs_obs::{LazyCounter, LazyGauge, LazyHistogram};
 use pqfs_pool::ThreadPool;
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
@@ -168,22 +168,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// Search parameters resolved and validated at admission time, so a
-/// wave never re-parses.
-struct Resolved {
-    topk: usize,
-    nprobe: usize,
-    keep: f64,
-    backend: SearchBackend,
-    deadline: Option<Duration>,
-}
-
-/// One admitted request: queries, resolved parameters, arrival time.
+/// One admitted request: queries, the search parameters resolved and
+/// validated at admission time (so a wave never re-parses), arrival time.
 struct Job {
     dim: usize,
     queries: Vec<f32>,
     batch: bool,
-    resolved: Resolved,
+    request: SearchRequest,
     arrival: Instant,
 }
 
@@ -534,7 +525,7 @@ fn handle_frame(
 fn resolve(
     req: &crate::proto::QueryRequest,
     shared: &Shared,
-) -> Result<Resolved, (ErrorCode, String)> {
+) -> Result<SearchRequest, (ErrorCode, String)> {
     let index = &shared.index;
     let dim = req.dim as usize;
     if dim != index.dim() {
@@ -561,7 +552,7 @@ fn resolve(
             format!("keep fraction {keep} outside (0, 1]"),
         ));
     }
-    Ok(Resolved {
+    Ok(SearchRequest {
         topk: req.params.topk as usize,
         nprobe: (req.params.nprobe as usize).min(index.num_partitions().max(1)),
         keep,
@@ -585,7 +576,7 @@ fn submit(
     seat: &Arc<Seat<Response>>,
     writer: &mut ReplyWriter,
 ) -> io::Result<()> {
-    let resolved = match resolve(&req, shared) {
+    let request = match resolve(&req, shared) {
         Ok(r) => r,
         Err((code, message)) => return writer.begin(&Response::Error { code, message }),
     };
@@ -593,7 +584,7 @@ fn submit(
         dim: req.dim as usize,
         queries: req.queries,
         batch,
-        resolved,
+        request,
         arrival: Instant::now(),
     };
     let weight = job.count();
@@ -670,13 +661,18 @@ fn run_wave(jobs: &[Job], total_queries: usize, shared: &Shared) -> Vec<Response
     let inline = &shared.inline;
     let answers = ThreadPool::global().parallel_map(&units, |_, &(j, q)| {
         let job = &jobs[j];
-        let r = &job.resolved;
         let query = &job.queries[q * job.dim..(q + 1) * job.dim];
         // Queue wait counts against the request deadline: what is left
         // of the budget is what the search may spend.
-        let budget = r.deadline.map(|d| d.saturating_sub(job.arrival.elapsed()));
+        let request = SearchRequest {
+            deadline: job
+                .request
+                .deadline
+                .map(|d| d.saturating_sub(job.arrival.elapsed())),
+            ..job.request
+        };
         index
-            .search_probes_budgeted_on(query, r.topk, r.backend, r.keep, r.nprobe, budget, inline)
+            .search(query, &request, inline, None)
             .map(|outcome| QueryAnswer {
                 probes_ok: outcome.health.probes_ok as u32,
                 probes_failed: outcome.health.probes_failed as u32,

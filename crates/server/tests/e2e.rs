@@ -8,7 +8,7 @@
 //! process-global, so fault-arming tests must not interleave.
 
 use pqfs_fault::{scoped, FaultAction};
-use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend};
+use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend, SearchRequest};
 use pqfs_server::proto::{ErrorCode, QueryParams, Response};
 use pqfs_server::server::{Server, ServerConfig, ServerHandle};
 use pqfs_server::Client;
@@ -66,7 +66,7 @@ fn single_query_matches_direct_search() {
             panic!("expected a query answer, got {response:?}");
         };
         let direct = index
-            .search(&q, 10, SearchBackend::FastScan, 0.05)
+            .search_probes(&q, 10, SearchBackend::FastScan, 0.05, 1)
             .expect("direct search");
         let got: Vec<u64> = answer.neighbors.iter().map(|n| n.id).collect();
         let want: Vec<u64> = direct.neighbors.iter().map(|n| n.id).collect();
@@ -77,7 +77,7 @@ fn single_query_matches_direct_search() {
 }
 
 #[test]
-fn batch_query_matches_search_batch() {
+fn batch_query_matches_per_query_search() {
     let _lock = pqfs_fault::exclusive();
     let (index, handle) = start(ServerConfig::default());
     let mut client = Client::connect(handle.local_addr()).expect("connect");
@@ -100,10 +100,10 @@ fn batch_query_matches_search_batch() {
         panic!("expected batch answers, got {response:?}");
     };
     assert_eq!(answers.len(), count);
-    let direct = index
-        .search_batch(&queries, 5, SearchBackend::FastScan, 0.05)
-        .expect("direct batch");
-    for (i, (answer, outcome)) in answers.iter().zip(&direct).enumerate() {
+    for (i, (answer, q)) in answers.iter().zip(queries.chunks_exact(DIM)).enumerate() {
+        let outcome = index
+            .search_probes(q, 5, SearchBackend::FastScan, 0.05, 1)
+            .expect("direct search");
         let got: Vec<u64> = answer.neighbors.iter().map(|n| n.id).collect();
         let want: Vec<u64> = outcome.neighbors.iter().map(|n| n.id).collect();
         assert_eq!(got, want, "batch member {i}");
@@ -234,16 +234,9 @@ fn concurrent_requests_coalesce_into_waves_by_accumulation() {
         let Response::Query(answer) = response else {
             panic!("expected a query answer, got {response:?}");
         };
+        let request = SearchRequest::new(5, SearchBackend::FastScan, 0.05, 2);
         let direct = index
-            .search_probes_budgeted_on(
-                &query_vec(seed),
-                5,
-                SearchBackend::FastScan,
-                0.05,
-                2,
-                None,
-                &inline,
-            )
+            .search(&query_vec(seed), &request, &inline, None)
             .expect("direct search");
         let bits = |ns: &[pqfs_core::Neighbor]| -> Vec<(u64, u32)> {
             ns.iter().map(|n| (n.id, n.dist.to_bits())).collect()

@@ -71,7 +71,11 @@ fn main() {
         let mut times = Vec::new();
         let mut scanned = 0u64;
         for q in queries.chunks_exact(dim) {
-            let (outcome, ms) = time_ms(|| index.search(q, 100, backend, keep).expect("search"));
+            let (outcome, ms) = time_ms(|| {
+                index
+                    .search_probes(q, 100, backend, keep, 1)
+                    .expect("search")
+            });
             scanned += outcome.stats.scanned;
             times.push(ms);
         }

@@ -57,12 +57,12 @@ fn main() {
     for (qi, q) in queries.chunks_exact(dim).enumerate() {
         let (fast, t_fast) = time_ms(|| {
             index
-                .search(q, topk, SearchBackend::FastScan, 0.005)
+                .search_probes(q, topk, SearchBackend::FastScan, 0.005, 1)
                 .expect("search")
         });
         let (slow, t_slow) = time_ms(|| {
             index
-                .search(q, topk, SearchBackend::Naive, 0.0)
+                .search_probes(q, topk, SearchBackend::Naive, 0.0, 1)
                 .expect("search")
         });
         let ids = |o: &pq_fast_scan::ivf::SearchOutcome| {

@@ -78,7 +78,7 @@ pub mod prelude {
         DistanceTables, Neighbor, PqConfig, ProductQuantizer, RowMajorCodes, TopK, TransposedCodes,
     };
     pub use pqfs_data::{exact_knn, SyntheticConfig, SyntheticDataset};
-    pub use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend, SearchHealth};
+    pub use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend, SearchHealth, SearchRequest};
     pub use pqfs_kmeans::{KMeans, KMeansConfig};
     pub use pqfs_metrics::{mvecs_per_sec, Summary};
     pub use pqfs_pool::ThreadPool;

@@ -109,9 +109,11 @@ fn ivfadc_backends_agree_and_route_queries() {
         let ids = |o: &pq_fast_scan::ivf::SearchOutcome| {
             o.neighbors.iter().map(|n| n.id).collect::<Vec<_>>()
         };
-        let naive = index.search(q, 50, SearchBackend::Naive, 0.0).unwrap();
+        let naive = index
+            .search_probes(q, 50, SearchBackend::Naive, 0.0, 1)
+            .unwrap();
         for backend in SearchBackend::ALL {
-            let other = index.search(q, 50, backend, 0.01).unwrap();
+            let other = index.search_probes(q, 50, backend, 0.01, 1).unwrap();
             assert_eq!(ids(&naive), ids(&other), "backend '{backend}'");
             assert_eq!(other.partition, index.select_partition(q));
         }
