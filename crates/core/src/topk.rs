@@ -7,8 +7,6 @@
 //! `(distance, id)` pairs in lexicographic order, which is unique even when
 //! distances tie.
 
-use std::collections::BinaryHeap;
-
 /// One scored candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
@@ -18,37 +16,33 @@ pub struct Neighbor {
     pub id: u64,
 }
 
+/// `(dist, id)` as one integer ordered like `(dist by total_cmp, id)`: the
+/// distance's bits, mapped so that unsigned comparison agrees with
+/// `f32::total_cmp` (negatives inverted, the rest lifted above them), over id.
 #[inline]
-fn cmp_neighbors(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
-    a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
+fn pack(dist: f32, id: u64) -> u128 {
+    let bits = dist.to_bits();
+    let ordered = bits ^ ((((bits as i32) >> 31) as u32) | 0x8000_0000);
+    (ordered as u128) << 64 | id as u128
 }
 
-/// Max-heap item ordered by `(dist, id)` so the heap root is the current
-/// *worst* retained neighbor.
-#[derive(Debug, Clone, Copy)]
-struct HeapItem(Neighbor);
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        cmp_neighbors(&self.0, &other.0) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        cmp_neighbors(&self.0, &other.0)
+/// The candidate a key was [`pack`]ed from, bit for bit.
+#[inline]
+fn unpack(key: u128) -> Neighbor {
+    let ordered = (key >> 64) as u32;
+    let bits = ordered ^ (((!(ordered as i32) >> 31) as u32) | 0x8000_0000);
+    Neighbor {
+        dist: f32::from_bits(bits),
+        id: key as u64,
     }
 }
 
-/// A bounded collector of the `k` smallest `(distance, id)` pairs.
+/// A bounded collector of the `k` smallest `(distance, id)` pairs: a binary
+/// max-heap of [`pack`]ed keys in a plain `Vec`, whose root is the current
+/// *worst* retained neighbor and is replaced in place by an accepted one.
 #[derive(Debug, Clone)]
 pub struct TopK {
-    heap: BinaryHeap<HeapItem>,
+    heap: Vec<u128>,
     k: usize,
 }
 
@@ -61,7 +55,7 @@ impl TopK {
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "topk must be positive");
         TopK {
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: Vec::with_capacity(k),
             k,
         }
     }
@@ -91,20 +85,14 @@ impl TopK {
     /// Fast Scan compares (quantized) lower bounds against this value.
     #[inline]
     pub fn threshold(&self) -> f32 {
-        if self.is_full() {
-            self.heap
-                .peek()
-                .map(|item| item.0.dist)
-                .unwrap_or(f32::INFINITY)
-        } else {
-            f32::INFINITY
-        }
+        self.worst().map_or(f32::INFINITY, |worst| worst.dist)
     }
 
     /// The current worst retained neighbor, if full.
+    #[inline]
     pub fn worst(&self) -> Option<Neighbor> {
         if self.is_full() {
-            self.heap.peek().map(|item| item.0)
+            self.heap.first().map(|&key| unpack(key))
         } else {
             None
         }
@@ -114,48 +102,69 @@ impl TopK {
     /// result set right now.
     #[inline]
     pub fn would_accept(&self, dist: f32, id: u64) -> bool {
-        if !self.is_full() {
-            return true;
-        }
-        let worst = self
-            .heap
-            .peek()
-            .unwrap_or_else(|| unreachable!("full heap has a root"))
-            .0;
-        cmp_neighbors(&Neighbor { dist, id }, &worst) == std::cmp::Ordering::Less
+        !self.is_full() || pack(dist, id) < self.heap[0]
     }
 
     /// Offers a candidate; returns `true` if it was retained.
     #[inline]
     pub fn push(&mut self, dist: f32, id: u64) -> bool {
-        let cand = Neighbor { dist, id };
+        let key = pack(dist, id);
         if self.heap.len() < self.k {
-            self.heap.push(HeapItem(cand));
+            self.heap.push(key);
+            self.sift_up(self.heap.len() - 1);
             return true;
         }
-        let worst = self
-            .heap
-            .peek()
-            .unwrap_or_else(|| unreachable!("full heap has a root"))
-            .0;
-        if cmp_neighbors(&cand, &worst) != std::cmp::Ordering::Less {
+        // The reject path is one comparison: scans call this per vector.
+        if key >= self.heap[0] {
             return false;
         }
-        // Replace the root in place: one sift-down when the guard drops,
-        // where `pop` + `push` would sift twice. (The reject path above
-        // stays a bare `peek`: scans call this once per vector.)
-        if let Some(mut root) = self.heap.peek_mut() {
-            *root = HeapItem(cand);
-        }
+        self.replace_root(key);
         true
+    }
+
+    /// Moves the key at `pos` up to where its parent is no smaller.
+    fn sift_up(&mut self, mut pos: usize) {
+        let key = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.heap[parent] >= key {
+                break;
+            }
+            self.heap[pos] = self.heap[parent];
+            pos = parent;
+        }
+        self.heap[pos] = key;
+    }
+
+    /// Overwrites the root with the smaller `key` and sinks it below every
+    /// larger child: one pass, where `pop` + `push` would make two.
+    fn replace_root(&mut self, key: u128) {
+        let heap = self.heap.as_mut_slice();
+        let len = heap.len();
+        let mut pos = 0;
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && heap[child + 1] > heap[child] {
+                child += 1;
+            }
+            if heap[child] <= key {
+                break;
+            }
+            heap[pos] = heap[child];
+            pos = child;
+        }
+        heap[pos] = key;
     }
 
     /// Consumes the collector and returns neighbors sorted ascending by
     /// `(distance, id)`.
-    pub fn into_sorted(self) -> Vec<Neighbor> {
-        let mut v: Vec<Neighbor> = self.heap.into_iter().map(|item| item.0).collect();
-        v.sort_by(cmp_neighbors);
-        v
+    pub fn into_sorted(mut self) -> Vec<Neighbor> {
+        // Equal keys are equal candidates: an unstable sort loses nothing.
+        self.heap.sort_unstable();
+        self.heap.into_iter().map(unpack).collect()
     }
 }
 
@@ -259,6 +268,56 @@ mod tests {
             }
             let got: Vec<(f32, u64)> = topk.into_sorted().iter().map(|n| (n.dist, n.id)).collect();
             assert_eq!(got, oracle[..k], "k={k}");
+        }
+    }
+
+    #[test]
+    fn extreme_distances_order_like_total_cmp() {
+        // Negative, signed-zero, subnormal and infinite distances: the
+        // packed key must order them as `total_cmp` does and give back the
+        // same bits.
+        let subnormal = f32::from_bits(1);
+        let dists = [
+            f32::NEG_INFINITY,
+            f32::MIN,
+            -1.5,
+            -f32::MIN_POSITIVE,
+            -subnormal,
+            -0.0,
+            0.0,
+            subnormal,
+            f32::MIN_POSITIVE,
+            1.5,
+            f32::MAX,
+            f32::INFINITY,
+        ];
+        for (i, &a) in dists.iter().enumerate() {
+            assert_eq!(unpack(pack(a, u64::MAX)).dist.to_bits(), a.to_bits());
+            assert_eq!(unpack(pack(a, u64::MAX)).id, u64::MAX);
+            for &b in &dists[i + 1..] {
+                assert!(pack(a, u64::MAX) < pack(b, 0), "{a} < {b}");
+            }
+        }
+        // Every distance twice, pushed far-to-near: each k keeps a prefix of
+        // the (dist, id) order, `-0.0` strictly before `0.0`.
+        let candidates: Vec<(f32, u64)> =
+            dists.iter().rev().flat_map(|&d| [(d, 9), (d, 2)]).collect();
+        let mut oracle = candidates.clone();
+        oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let bits = |v: &[(f32, u64)]| -> Vec<(u32, u64)> {
+            v.iter().map(|&(d, id)| (d.to_bits(), id)).collect()
+        };
+        for k in [1usize, 5, 11, 24, 30] {
+            let mut topk = TopK::new(k);
+            for &(d, id) in &candidates {
+                let accepts = topk.would_accept(d, id);
+                assert_eq!(topk.push(d, id), accepts, "k={k}");
+            }
+            if k <= candidates.len() {
+                assert_eq!(topk.threshold().to_bits(), oracle[k - 1].0.to_bits());
+            }
+            let got: Vec<(f32, u64)> = topk.into_sorted().iter().map(|n| (n.dist, n.id)).collect();
+            assert_eq!(bits(&got), bits(&oracle[..k.min(oracle.len())]), "k={k}");
         }
     }
 

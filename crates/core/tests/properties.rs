@@ -87,7 +87,7 @@ proptest! {
     /// pairs, matching a sort-based oracle.
     #[test]
     fn topk_matches_sort_oracle(
-        dists in prop::collection::vec(0.0f32..100.0, 1..200),
+        dists in prop::collection::vec(-100.0f32..100.0, 1..200),
         k in 1usize..50,
     ) {
         let mut topk = TopK::new(k);

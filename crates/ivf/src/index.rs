@@ -655,7 +655,7 @@ impl IvfadcIndex {
 
         // Merge in probe order (determinism), collecting health as we go.
         let merge_t0 = want_timing.then(Instant::now);
-        let mut merged = pqfs_core::TopK::new(topk);
+        let mut lists: Vec<Vec<Neighbor>> = Vec::with_capacity(probes.len());
         let mut stats = ScanStats::default();
         let mut health = SearchHealth::default();
         let mut first_failure: Option<IvfError> = None;
@@ -672,8 +672,8 @@ impl IvfadcIndex {
                     } = success;
                     health.probes_ok += 1;
                     PROBES_OK.inc();
-                    for n in neighbors {
-                        merged.push(n.dist, n.id);
+                    if !neighbors.is_empty() {
+                        lists.push(neighbors);
                     }
                     stats.merge(&s);
                     record_scan_counters(backend, &s);
@@ -687,6 +687,8 @@ impl IvfadcIndex {
                         pruned: s.pruned,
                         warmup: s.warmup,
                         verified: s.verified,
+                        accepted: s.accepted,
+                        skipped: s.skipped,
                         bound: bound.is_finite().then_some(bound),
                         tables_ns,
                         scan_ns,
@@ -722,6 +724,24 @@ impl IvfadcIndex {
                 return Err(e);
             }
         }
+        let neighbors = match lists.len() {
+            // One probe answered — every nprobe-1 query: its list is the
+            // answer, ascending by (distance, position in the cell), which is
+            // the merged order unless the cell stores its ids out of order
+            // (a loaded index might). Sorting a sorted list is one pass.
+            1 => {
+                let mut sole = lists.swap_remove(0);
+                sole.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+                sole
+            }
+            _ => {
+                let mut merged = pqfs_core::TopK::new(topk);
+                for n in lists.iter().flatten() {
+                    merged.push(n.dist, n.id);
+                }
+                merged.into_sorted()
+            }
+        };
         QUERIES.inc();
         COARSE_NS.observe_ns(coarse_ns);
         let merge_ns = merge_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
@@ -734,7 +754,7 @@ impl IvfadcIndex {
             t.total_ns = total_ns;
         }
         Ok(SearchOutcome {
-            neighbors: merged.into_sorted(),
+            neighbors,
             stats,
             partition: probes[0],
             health,
@@ -1292,6 +1312,117 @@ mod tests {
         assert!(bounded >= 6 && unbounded >= 6, "{bounded} / {unbounded}");
     }
 
+    /// A query one probe answered returns that probe's list without a
+    /// second heap — and it is, bit for bit, what merging would return: for
+    /// every backend, and for cells whose ids do not ascend with position,
+    /// where ties come back from the scan in another order than the merge
+    /// would put them in.
+    #[test]
+    fn a_sole_answering_probe_is_returned_as_the_merge_would_order_it() {
+        let _lock = pqfs_fault::exclusive();
+        let (index, base) = build_every_backend(600, 4);
+        // The same cells with every code equal to the cell's first — all
+        // distances tie — under ids that descend with position.
+        let all_ties = {
+            let m = index.pq().config().m();
+            let parts = (0..index.num_partitions())
+                .map(|p| {
+                    let (ids, codes) = index.partition_raw(p);
+                    let ids = ids.iter().map(|id| 10_000 - id).collect();
+                    let first = &codes.as_bytes()[..m.min(codes.as_bytes().len())];
+                    (ids, first.repeat(codes.len()))
+                })
+                .collect();
+            IvfadcIndex::from_parts(
+                index.coarse().clone(),
+                index.pq().clone(),
+                parts,
+                &SearchBackend::ALL,
+                index.scan_opts().clone(),
+            )
+            .unwrap()
+        };
+        for (name, index) in [("built", &index), ("all ties", &all_ties)] {
+            for backend in SearchBackend::ALL {
+                for topk in [1usize, 8, 1000] {
+                    for q in base[..DIM * 6].chunks_exact(DIM) {
+                        let probes = index.coarse().assign_multi(q, 1);
+                        let got = index.search_probes(q, topk, backend, 0.01, 1).unwrap();
+                        assert_eq!(
+                            bits(&got.neighbors),
+                            unbounded_merge(index, q, topk, backend, 0.01, &probes),
+                            "{name} {backend} topk {topk}"
+                        );
+                    }
+                }
+            }
+        }
+        let descending = all_ties
+            .search_probes(&base[..DIM], 8, SearchBackend::Naive, 0.01, 1)
+            .unwrap();
+        assert!(descending.neighbors.windows(2).all(|w| w[0].id < w[1].id));
+    }
+
+    /// The nearest-first traversal through the whole search path, on cells
+    /// regrouped on every component count: the answer is the exhaustive
+    /// scan's, and `stats` — what was passed over and what the heap took
+    /// included — are the same at every pool size and under the portable
+    /// and the SSSE3 kernel.
+    #[test]
+    fn traversal_stats_depend_on_neither_the_pool_nor_the_kernel() {
+        use pqfs_scan::Kernel;
+        let _lock = pqfs_fault::exclusive();
+        let (built, base) = build_index(3_000);
+        let regrouped = |c: usize, kernel: Kernel| {
+            let parts = (0..built.num_partitions())
+                .map(|p| {
+                    let (ids, codes) = built.partition_raw(p);
+                    (ids.to_vec(), codes.as_bytes().to_vec())
+                })
+                .collect();
+            let opts = built.scan_opts().clone();
+            let opts = opts.with_group_components(c).with_kernel(kernel);
+            let backends = [SearchBackend::Naive, SearchBackend::FastScan];
+            let (coarse, pq) = (built.coarse().clone(), built.pq().clone());
+            IvfadcIndex::from_parts(coarse, pq, parts, &backends, opts).unwrap()
+        };
+        let pools = [1usize, 2, 8].map(ThreadPool::new);
+        // Compiled out without the `avx2` feature (the portable-only CI step).
+        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        let has_ssse3 = std::arch::is_x86_feature_detected!("ssse3");
+        #[cfg(not(all(target_arch = "x86_64", feature = "avx2")))]
+        let has_ssse3 = false;
+        let mut passed_over = 0;
+        for c in 0..=4usize {
+            let portable = regrouped(c, Kernel::Portable);
+            let ssse3 = regrouped(c, Kernel::Ssse3);
+            for (nprobe, topk) in [(1usize, 1usize), (1, 100), (1, 1000), (4, 10), (4, 100)] {
+                for q in base[..DIM * 4].chunks_exact(DIM) {
+                    let at = format!("c={c} nprobe={nprobe} topk={topk}");
+                    let fast = SearchRequest::new(topk, SearchBackend::FastScan, 0.005, nprobe);
+                    let want = portable.search(q, &fast, &pools[0], None).unwrap();
+                    let naive = SearchRequest::new(topk, SearchBackend::Naive, 0.005, nprobe);
+                    let exhaustive = portable.search(q, &naive, &pools[0], None).unwrap();
+                    assert_eq!(bits(&want.neighbors), bits(&exhaustive.neighbors), "{at}");
+                    let s = want.stats;
+                    assert_eq!(s.warmup + s.pruned + s.verified, s.scanned, "{at}");
+                    assert!(s.skipped <= s.pruned, "{at}");
+                    assert!(s.accepted <= s.warmup + s.verified, "{at}");
+                    passed_over += s.skipped;
+                    for pool in &pools {
+                        let got = portable.search(q, &fast, pool, None).unwrap();
+                        assert_eq!(key(&got), key(&want), "{at} @ {}", pool.threads());
+                    }
+                    if has_ssse3 {
+                        let got = ssse3.search(q, &fast, &pools[1], None).unwrap();
+                        assert_eq!(key(&got), key(&want), "{at} SSSE3");
+                    }
+                }
+            }
+        }
+        assert!(passed_over > 0, "the fixture must exercise the pass-over");
+    }
+
     /// When the nearest probe fails there is nothing to inherit: the other
     /// probes scan unbounded and the degraded answer is their merge.
     #[cfg(feature = "failpoints")]
@@ -1499,14 +1630,21 @@ mod tests {
         assert!(trace.probes[1..].iter().all(|p| p.warmup == 0));
         for p in &trace.probes {
             assert_eq!(p.warmup + p.pruned + p.verified, p.scanned);
+            assert!(p.skipped <= p.pruned);
+            assert!(p.accepted <= p.warmup + p.verified);
         }
-        assert_eq!(
-            trace.probes.iter().map(|p| p.verified).sum::<u64>(),
-            out.stats.verified
-        );
+        let summed = |field: fn(&ProbeTrace) -> u64| trace.probes.iter().map(field).sum::<u64>();
+        assert_eq!(summed(|p| p.verified), out.stats.verified);
+        assert_eq!(summed(|p| p.accepted), out.stats.accepted);
+        assert_eq!(summed(|p| p.skipped), out.stats.skipped);
+        let nearest_probe = &trace.probes[0];
+        assert!(nearest_probe.accepted >= 8, "the warm-up fills the heap");
         assert!(waterfall.contains(&format!(
-            "warmup={} verified={} bound=-",
-            trace.probes[0].warmup, trace.probes[0].verified
+            "skipped={} warmup={} verified={} accepted={} bound=-",
+            nearest_probe.skipped,
+            nearest_probe.warmup,
+            nearest_probe.verified,
+            nearest_probe.accepted
         )));
         let ruled_out = trace.probes[1..]
             .iter()

@@ -52,6 +52,12 @@ pub struct ProbeTrace {
     /// exactly. For a pruning backend `warmup + pruned + verified ==
     /// scanned`; the exhaustive backends leave all three at 0.
     pub verified: u64,
+    /// Candidates the result heap took of the `warmup + verified` offered
+    /// (Fast Scan only).
+    pub accepted: u64,
+    /// Pruned vectors whose whole group the traversal passed over unread
+    /// (Fast Scan only; `skipped <= pruned`, docs/FASTSCAN.md §6).
+    pub skipped: u64,
     /// The entry bound the probe scanned under — the nearest probe's k-th
     /// distance — or `None` when it had none: the nearest probe itself,
     /// every probe when the nearest one returned fewer than `topk`
@@ -75,6 +81,8 @@ impl ProbeTrace {
             pruned: 0,
             warmup: 0,
             verified: 0,
+            accepted: 0,
+            skipped: 0,
             bound: None,
             tables_ns: 0,
             scan_ns: 0,
@@ -139,8 +147,8 @@ impl QueryTrace {
     /// ```text
     /// query trace: total 412.3µs, 4 probes
     ///   coarse_quantize      12.3µs   3.0% |##
-    ///   probe[0] p=17  fastscan    tables  40.1µs scan 210.0µs  scanned=1200 pruned=73.2% warmup=75 verified=247 bound=- ok
-    ///   probe[1] p=3   fastscan    tables  38.7µs scan 100.5µs  scanned=800 pruned=91.0% warmup=0 verified=72 bound=5120.5 ok
+    ///   probe[0] p=17  fastscan    tables  40.1µs scan 210.0µs  scanned=1200 pruned=73.2% skipped=512 warmup=75 verified=247 accepted=31 bound=- ok
+    ///   probe[1] p=3   fastscan    tables  38.7µs scan 100.5µs  scanned=800 pruned=91.0% skipped=640 warmup=0 verified=72 accepted=4 bound=5120.5 ok
     ///   merge                 2.1µs   0.5% |
     ///   stage sum 403.7µs (97.9% of wall)
     /// ```
@@ -162,15 +170,17 @@ impl QueryTrace {
         ));
         for (i, p) in self.probes.iter().enumerate() {
             out.push_str(&format!(
-                "  probe[{i}] p={:<4} {:<12} tables {:>9} scan {:>9}  scanned={} pruned={:.1}% warmup={} verified={} bound={} {}\n",
+                "  probe[{i}] p={:<4} {:<12} tables {:>9} scan {:>9}  scanned={} pruned={:.1}% skipped={} warmup={} verified={} accepted={} bound={} {}\n",
                 p.partition,
                 p.backend,
                 fmt_ns(p.tables_ns),
                 fmt_ns(p.scan_ns),
                 p.scanned,
                 p.pruned_fraction() * 100.0,
+                p.skipped,
                 p.warmup,
                 p.verified,
+                p.accepted,
                 p.bound.map_or_else(|| "-".to_string(), |b| format!("{b:.1}")),
                 p.outcome.name()
             ));
@@ -222,6 +232,8 @@ mod tests {
                     pruned: 900,
                     warmup: 40,
                     verified: 60,
+                    accepted: 7,
+                    skipped: 800,
                     bound: Some(1234.56),
                     tables_ns: 30_000,
                     scan_ns: 60_000,
@@ -234,6 +246,8 @@ mod tests {
                     pruned: 0,
                     warmup: 0,
                     verified: 0,
+                    accepted: 0,
+                    skipped: 0,
                     bound: None,
                     tables_ns: 0,
                     scan_ns: 0,
@@ -260,8 +274,9 @@ mod tests {
         assert!(text.contains("coarse_quantize"));
         assert!(text.contains("probe[0] p=17"));
         assert!(text.contains("avx2"));
-        assert!(text.contains("pruned=90.0% warmup=40 verified=60 bound=1234.6 ok"));
-        assert!(text.contains("warmup=0 verified=0 bound=- skipped"));
+        assert!(text
+            .contains("pruned=90.0% skipped=800 warmup=40 verified=60 accepted=7 bound=1234.6 ok"));
+        assert!(text.contains("skipped=0 warmup=0 verified=0 accepted=0 bound=- skipped"));
         assert!(text.contains("merge"));
         assert!(text.contains("stage sum"));
         assert!(text.contains("87.5% of wall"));

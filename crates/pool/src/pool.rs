@@ -59,7 +59,8 @@ struct Shared {
     /// cache-warm); thieves — siblings and submitting threads — steal from
     /// the front (oldest first, likely the largest remaining work).
     deques: Vec<Mutex<VecDeque<Job>>>,
-    /// Jobs currently sitting in some deque (not yet picked up).
+    /// Jobs currently sitting in some deque (not yet picked up), plus those
+    /// a `push` has counted and is about to enqueue.
     pending: AtomicUsize,
     /// Round-robin submission cursor.
     next: AtomicUsize,
@@ -73,12 +74,15 @@ impl Shared {
     /// sleeping worker.
     fn push(&self, job: Job) {
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.deques.len();
+        // Counted before it can be popped, so the `fetch_sub` of whoever pops
+        // it cannot come first and wrap `pending`. (A worker that sees the
+        // count before the job finds no job and looks again.)
+        let depth = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
+        QUEUE_HWM.record_max(depth as u64);
         self.deques[i]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push_back(job);
-        let depth = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
-        QUEUE_HWM.record_max(depth as u64);
         // Taking the lot lock orders this wake-up against a worker that just
         // observed `pending == 0` and is about to sleep.
         let _lot = self.lot.lock().unwrap_or_else(PoisonError::into_inner);
@@ -745,6 +749,32 @@ mod tests {
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("kaboom at 42"), "unexpected payload: {msg}");
         assert!(msg.contains(" [on "), "missing thread attribution: {msg}");
+    }
+
+    /// `Shared::push` counts a job before a worker can pop it: with the
+    /// order reversed, a second submitter's counted job let a worker pass
+    /// `grab`'s `pending != 0` check, pop the uncounted one and `fetch_sub`
+    /// first, so `pending` wrapped and the `+ 1` in `push` overflowed.
+    #[test]
+    fn pending_never_counts_a_pop_before_its_push() {
+        const MAPS: usize = 40_000;
+        let pool = ThreadPool::new(3);
+        std::thread::scope(|s| {
+            for submitter in 0..2usize {
+                let pool = &pool;
+                s.spawn(move || {
+                    for i in 0..MAPS {
+                        // Two items are two jobs; one would run inline.
+                        let out = pool.parallel_map(&[i, i + 1], |_, &x| x + submitter);
+                        assert_eq!(out, [i + submitter, i + 1 + submitter]);
+                    }
+                });
+            }
+        });
+        assert_eq!(pool.shared.pending.load(Ordering::SeqCst), 0);
+        // Far above any queue a test of this binary builds, far below a
+        // wrapped counter.
+        assert!(QUEUE_HWM.value() <= (2 * MAPS * 2) as u64);
     }
 
     #[cfg(feature = "telemetry")]

@@ -12,12 +12,15 @@
 //! of 3.2–25 M vectors group on `c = 4`.
 //!
 //! Storage is **one contiguous buffer** for the whole partition (groups
-//! back to back, each zero-padded to a whole block) — the scan walks memory
-//! linearly, exactly like the paper's grouped database layout.
+//! back to back in key order, each zero-padded to a whole block), like the
+//! paper's grouped database layout. A scan visits its
+//! [`runs`](GroupedCodes::runs) nearest-first (docs/FASTSCAN.md §6) and reads
+//! memory linearly within a run.
 
 use crate::fastscan::layout::{BlockLayout, FS_BLOCK, FS_M};
 use pqfs_core::RowMajorCodes;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// A group identifier: the high nibbles of the first `c` components
 /// (entries `c..4` are zero).
@@ -88,6 +91,8 @@ pub struct GroupedCodes {
     /// Original partition positions, in storage order.
     ids: Vec<u32>,
     groups: Vec<GroupMeta>,
+    /// See [`runs`](Self::runs). Derived from `groups`, never persisted.
+    runs: Vec<Range<u32>>,
     n: usize,
 }
 
@@ -143,11 +148,24 @@ impl GroupedCodes {
             block_offset += group_bytes;
         }
 
+        // Keys ascend, so the groups sharing a key prefix are adjacent.
+        let prefix = c.min(2);
+        let mut runs: Vec<Range<u32>> = Vec::new();
+        for (gi, g) in groups.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if groups[run.start as usize].key[..prefix] == g.key[..prefix] => {
+                    run.end = gi as u32 + 1;
+                }
+                _ => runs.push(gi as u32..gi as u32 + 1),
+            }
+        }
+
         GroupedCodes {
             layout,
             blocks,
             ids,
             groups,
+            runs,
             n,
         }
     }
@@ -167,9 +185,18 @@ impl GroupedCodes {
         self.n == 0
     }
 
-    /// Group metadata, in ascending key order.
+    /// Group metadata, in ascending key order: the order the groups are
+    /// stored in, not the one a scan visits them in ([`runs`](Self::runs)).
     pub fn groups(&self) -> &[GroupMeta] {
         &self.groups
+    }
+
+    /// The run directory: index ranges into [`groups`](Self::groups) of the
+    /// contiguous groups sharing their first `min(c, 2)` key nibbles,
+    /// ascending by prefix; at most 256 (16 for `c = 1`, one for `c = 0`), a
+    /// prefix no vector carries has none. A scan orders the runs per query.
+    pub fn runs(&self) -> &[Range<u32>] {
+        &self.runs
     }
 
     /// Original partition position of the vector at storage position `pos`.
@@ -265,6 +292,28 @@ mod tests {
     }
 
     #[test]
+    fn runs_tile_the_groups_by_key_prefix() {
+        for c in 0..=4usize {
+            let grouped = GroupedCodes::build(&sample_codes(3_000), c);
+            let (groups, runs) = (grouped.groups(), grouped.runs());
+            let prefix = c.min(2);
+            assert!(runs.len() <= 1 << (4 * prefix), "c={c}");
+            assert_eq!(runs.first().map(|r| r.start), Some(0), "c={c}");
+            assert_eq!(runs.last().map(|r| r.end), Some(groups.len() as u32));
+            for pair in runs.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start, "c={c}");
+                let key = |r: &Range<u32>| groups[r.start as usize].key;
+                assert!(key(&pair[0])[..prefix] < key(&pair[1])[..prefix], "c={c}");
+            }
+            for run in runs {
+                let run = &groups[run.start as usize..run.end as usize];
+                assert!(!run.is_empty(), "c={c}");
+                assert!(run.iter().all(|g| g.key[..prefix] == run[0].key[..prefix]));
+            }
+        }
+    }
+
+    #[test]
     fn group_members_share_their_key_nibbles() {
         let codes = sample_codes(300);
         let grouped = GroupedCodes::build(&codes, 4);
@@ -299,6 +348,8 @@ mod tests {
         let codes = sample_codes(64);
         let grouped = GroupedCodes::build(&codes, 0);
         assert_eq!(grouped.groups().len(), 1);
+        assert_eq!(grouped.runs().len(), 1);
+        assert_eq!(grouped.runs()[0], 0..1);
         assert_eq!(grouped.groups()[0].len, 64);
         assert_eq!(grouped.groups()[0].key, [0; 4]);
     }
@@ -309,6 +360,7 @@ mod tests {
         let grouped = GroupedCodes::build(&codes, 4);
         assert!(grouped.is_empty());
         assert!(grouped.groups().is_empty());
+        assert!(grouped.runs().is_empty());
         assert_eq!(grouped.code_memory_bytes(), 0);
     }
 

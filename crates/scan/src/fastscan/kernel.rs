@@ -21,6 +21,12 @@
 //! portable implementation is always available and doubles as the test
 //! oracle.
 //!
+//! **Traversal.** Every kernel visits the partition through [`traverse`]:
+//! the runs of the grouped layout in the caller's order, nearest to the query
+//! first, passing over each run and group whose quantized lower bound
+//! ([`GroupBounds`]) is above the threshold of the moment — its blocks would
+//! all mask to zero, and none of its code is read (docs/FASTSCAN.md §6).
+//!
 //! **Hand-off.** A kernel never looks at a survivor itself. Each block whose
 //! mask is non-zero goes to a [`BlockSink`] as `(group, block, lane mask)`,
 //! once, together with the kernel's own `C`; the sink verifies the masked
@@ -34,9 +40,10 @@
 // notation and keep the grouped/min-table split visible.
 #![allow(clippy::needless_range_loop)]
 
-use crate::fastscan::grouping::GroupedCodes;
+use crate::fastscan::grouping::{GroupKey, GroupMeta, GroupedCodes};
 use crate::fastscan::layout::{bytes_per_block, FS_BLOCK, FS_M, PORTION};
 use crate::ScanError;
+use std::ops::Range;
 
 /// Kernel back-end selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,8 +59,8 @@ pub enum Kernel {
     /// Extension: 256-bit kernel processing two blocks (32 codes) per
     /// iteration with the small tables broadcast to both 128-bit lanes —
     /// the step the paper's §6 anticipates for wider SIMD. Returns the
-    /// exact same neighbors; pruning *statistics* may differ marginally
-    /// because a block pair shares one threshold snapshot.
+    /// exact same neighbors and passes over the same groups; `verified` may
+    /// differ marginally because a block pair shares one threshold snapshot.
     Avx2,
 }
 
@@ -130,8 +137,13 @@ pub(crate) trait BlockSink {
     /// `mask` is never zero and never names a padding lane of a ragged tail.
     /// `C` is the grouping-component count the calling kernel is
     /// monomorphized on (`C == grouped.layout().c()`). Returns the quantized
-    /// threshold the kernel prunes with from the next block on.
+    /// threshold the kernel prunes with from the next block on. A group's
+    /// blocks arrive ascending and back to back, groups in traversal order.
     fn block<const C: usize>(&mut self, group: usize, block: usize, mask: u16) -> u8;
+
+    /// The traversal passed over `groups` (a run, or one group of a visited
+    /// run) under the threshold last returned: no block of theirs follows.
+    fn skip(&mut self, _groups: Range<usize>) {}
 }
 
 /// Closures are sinks that ignore `C` (recorders in tests and in the
@@ -143,33 +155,36 @@ impl<F: FnMut(usize, usize, u16) -> u8> BlockSink for F {
     }
 }
 
-/// Scans the whole grouped partition with `kernel`, handing every block
-/// with survivors to `sink` in storage order.
+/// Scans the grouped partition with `kernel`: the runs `order` lists (indices
+/// into `grouped.runs()`, each at most once) in that order, every block with
+/// survivors handed to `sink`, every run or group without one passed over.
 pub(crate) fn scan_all<S: BlockSink>(
     kernel: ResolvedKernel,
     grouped: &GroupedCodes,
     tables: &ScanTables,
+    order: &[u8],
     threshold: u8,
     sink: &mut S,
 ) {
-    dispatch(kernel, grouped, tables, threshold, sink);
+    dispatch(kernel, grouped, tables, order, threshold, sink);
 
     // Differential shadow execution (feature `checked-kernels`): on a
     // sampled subset of scans, re-run the partition with both the SIMD
-    // kernel and the portable oracle under a frozen threshold and assert
-    // the hand-off sequences are identical. The threshold is frozen because
-    // the AVX2 pair kernel masks a block pair against one threshold
-    // snapshot, so only static-threshold runs are defined to be
-    // bit-identical (see `kernels_agree_under_dynamic_thresholds` for the
-    // dynamic-threshold equivalence of the SSSE3 kernel).
+    // kernel and the portable oracle (same run order, same skip rule) under
+    // a frozen threshold and assert the hand-off sequences are identical.
+    // Frozen, because the AVX2 pair kernel masks a block pair against one
+    // threshold snapshot, so only static-threshold runs are defined to be
+    // bit-identical (the unit tests have the dynamic-threshold equivalence
+    // of the SSSE3 kernel).
     #[cfg(all(target_arch = "x86_64", feature = "avx2", feature = "checked-kernels"))]
     if kernel != ResolvedKernel::Portable && crate::checked::should_check() {
         let record = |kernel: ResolvedKernel| {
             let mut blocks = Vec::new();
-            dispatch(kernel, grouped, tables, threshold, &mut |g, b, mask| {
+            let mut push = |g, b, mask| {
                 blocks.push((g, b, mask));
                 threshold
-            });
+            };
+            dispatch(kernel, grouped, tables, order, threshold, &mut push);
             blocks
         };
         let name = match kernel {
@@ -189,15 +204,16 @@ fn dispatch<S: BlockSink>(
     kernel: ResolvedKernel,
     grouped: &GroupedCodes,
     tables: &ScanTables,
+    order: &[u8],
     threshold: u8,
     sink: &mut S,
 ) {
     match grouped.layout().c() {
-        0 => scan_all_c::<0, S>(kernel, grouped, tables, threshold, sink),
-        1 => scan_all_c::<1, S>(kernel, grouped, tables, threshold, sink),
-        2 => scan_all_c::<2, S>(kernel, grouped, tables, threshold, sink),
-        3 => scan_all_c::<3, S>(kernel, grouped, tables, threshold, sink),
-        4 => scan_all_c::<4, S>(kernel, grouped, tables, threshold, sink),
+        0 => scan_all_c::<0, S>(kernel, grouped, tables, order, threshold, sink),
+        1 => scan_all_c::<1, S>(kernel, grouped, tables, order, threshold, sink),
+        2 => scan_all_c::<2, S>(kernel, grouped, tables, order, threshold, sink),
+        3 => scan_all_c::<3, S>(kernel, grouped, tables, order, threshold, sink),
+        4 => scan_all_c::<4, S>(kernel, grouped, tables, order, threshold, sink),
         c => unreachable!("grouping is defined for c <= 4, got {c}"),
     }
 }
@@ -207,22 +223,106 @@ fn scan_all_c<const C: usize, S: BlockSink>(
     kernel: ResolvedKernel,
     grouped: &GroupedCodes,
     tables: &ScanTables,
+    order: &[u8],
     threshold: u8,
     sink: &mut S,
 ) {
     match kernel {
-        ResolvedKernel::Portable => scan_all_portable::<C, S>(grouped, tables, threshold, sink),
+        ResolvedKernel::Portable => {
+            scan_all_portable::<C, S>(grouped, tables, order, threshold, sink)
+        }
         #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
         // SAFETY: the SIMD variants of `ResolvedKernel` only come out of
         // `Kernel::resolve`, which detected SSSE3 on this CPU.
         ResolvedKernel::Ssse3 => unsafe {
-            x86::scan_all_ssse3::<C, S>(grouped, tables, threshold, sink)
+            x86::scan_all_ssse3::<C, S>(grouped, tables, order, threshold, sink)
         },
         #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
         // SAFETY: as above, with AVX2 detected.
         ResolvedKernel::Avx2 => unsafe {
-            x86::scan_all_avx2::<C, S>(grouped, tables, threshold, sink)
+            x86::scan_all_avx2::<C, S>(grouped, tables, order, threshold, sink)
         },
+    }
+}
+
+/// Quantized lower bounds of whole groups and runs, from the very tables the
+/// kernels look up: the saturating sum a lane accumulates, with each entry
+/// replaced by the smallest its portion (or small table) holds. A group whose
+/// bound is above the threshold has no lane at or below it — all its blocks
+/// would mask to zero (docs/FASTSCAN.md §6).
+struct GroupBounds<const C: usize> {
+    /// `portion[j][p]`: the smallest entry of portion `p` of the quantized
+    /// table of grouped component `j`.
+    portion: [[u8; PORTION]; 4],
+    /// Saturating sum of the smallest entries of `S_C … S_7`.
+    tail: u8,
+    /// `tail` plus the smallest entry of each grouped table beyond the run
+    /// prefix: the least the groups of any run add to their prefix.
+    beyond_prefix: u8,
+}
+
+impl<const C: usize> GroupBounds<C> {
+    fn new(tables: &ScanTables) -> Self {
+        let smallest = |entries: &[u8]| entries.iter().copied().fold(u8::MAX, u8::min);
+        let mut portion = [[0u8; PORTION]; 4];
+        for j in 0..C {
+            for (min, entries) in portion[j].iter_mut().zip(tables.grouped[j].chunks(PORTION)) {
+                *min = smallest(entries);
+            }
+        }
+        let add = |sum: u8, min: u8| sum.saturating_add(min);
+        let tail = (C..FS_M).fold(0, |sum, j| add(sum, smallest(&tables.small[j])));
+        let beyond_prefix = (C.min(2)..C).fold(tail, |sum, j| add(sum, smallest(&portion[j])));
+        GroupBounds {
+            portion,
+            tail,
+            beyond_prefix,
+        }
+    }
+
+    /// `from` plus what the first `components` nibbles of `key` add at least.
+    #[inline]
+    fn bound(&self, from: u8, key: &GroupKey, components: usize) -> u8 {
+        (0..components).fold(from, |sum, j| {
+            sum.saturating_add(self.portion[j][key[j] as usize])
+        })
+    }
+}
+
+/// The one walk over the partition, shared by the three kernels: runs in
+/// `order`, groups of a run in storage order, `scan_group(index, metadata,
+/// threshold, sink)` — the kernel's block loop, returning the threshold it
+/// ended with — for each group that may hold a survivor, [`BlockSink::skip`]
+/// for the others. `#[inline(always)]` makes the walk part of the calling
+/// kernel and of its `#[target_feature]` context.
+#[inline(always)]
+fn traverse<const C: usize, S: BlockSink>(
+    grouped: &GroupedCodes,
+    tables: &ScanTables,
+    order: &[u8],
+    mut threshold: u8,
+    sink: &mut S,
+    mut scan_group: impl FnMut(usize, &GroupMeta, u8, &mut S) -> u8,
+) {
+    let bounds = GroupBounds::<C>::new(tables);
+    let (groups, runs) = (grouped.groups(), grouped.runs());
+    for &run in order {
+        let run = runs[run as usize].start as usize..runs[run as usize].end as usize;
+        // The whole run first (for `C <= 2` a run is one group and the two
+        // bounds coincide), then group by group.
+        let key = &groups[run.start].key;
+        if C > 2 && bounds.bound(bounds.beyond_prefix, key, 2) > threshold {
+            sink.skip(run);
+            continue;
+        }
+        for gi in run {
+            let g = &groups[gi];
+            if bounds.bound(bounds.tail, &g.key, C) > threshold {
+                sink.skip(gi..gi + 1);
+            } else {
+                threshold = scan_group(gi, g, threshold, sink);
+            }
+        }
     }
 }
 
@@ -268,11 +368,12 @@ fn block_mask_portable(
 fn scan_all_portable<const C: usize, S: BlockSink>(
     grouped: &GroupedCodes,
     tables: &ScanTables,
-    mut threshold: u8,
+    order: &[u8],
+    threshold: u8,
     sink: &mut S,
 ) {
     let mut small = tables.small;
-    for (gi, g) in grouped.groups().iter().enumerate() {
+    let scan_group = |gi: usize, g: &GroupMeta, mut threshold: u8, sink: &mut S| {
         for j in 0..C {
             let portion = g.key[j] as usize * PORTION;
             small[j].copy_from_slice(&tables.grouped[j][portion..portion + PORTION]);
@@ -286,7 +387,9 @@ fn scan_all_portable<const C: usize, S: BlockSink>(
                 threshold = sink.block::<C>(gi, b, mask);
             }
         }
-    }
+        threshold
+    };
+    traverse::<C, S>(grouped, tables, order, threshold, sink, scan_group);
 }
 
 #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
@@ -375,6 +478,7 @@ mod x86 {
     pub(crate) unsafe fn scan_all_ssse3<const C: usize, S: BlockSink>(
         grouped: &GroupedCodes,
         tables: &ScanTables,
+        order: &[u8],
         threshold: u8,
         sink: &mut S,
     ) {
@@ -383,10 +487,10 @@ mod x86 {
         for j in C..FS_M {
             regs[j] = load_table(&tables.small[j]);
         }
-        let mut tvec = _mm_set1_epi8(threshold as i8);
         let bpb = bytes_per_block(C);
 
-        for (gi, g) in grouped.groups().iter().enumerate() {
+        let scan_group = |gi: usize, g: &GroupMeta, mut threshold: u8, sink: &mut S| {
+            let mut tvec = _mm_set1_epi8(threshold as i8);
             // Portion registers for this group (Figure 13, solid arrows).
             for j in 0..C {
                 regs[j] = load_table(&tables.grouped[j][g.key[j] as usize * PORTION..]);
@@ -407,7 +511,8 @@ mod x86 {
                 // covers `bytes_per_block(C)` readable bytes.
                 let mask = unsafe { block_mask_ssse3::<C>(base.add(b * bpb), &regs, tvec) };
                 if mask != 0 {
-                    tvec = _mm_set1_epi8(sink.block::<C>(gi, b, mask) as i8);
+                    threshold = sink.block::<C>(gi, b, mask);
+                    tvec = _mm_set1_epi8(threshold as i8);
                 }
             }
             // Ragged tail block: the padding lanes are masked out.
@@ -419,10 +524,12 @@ mod x86 {
                     unsafe { block_mask_ssse3::<C>(base.add(full_blocks * bpb), &regs, tvec) }
                         & ((1u16 << tail) - 1);
                 if mask != 0 {
-                    tvec = _mm_set1_epi8(sink.block::<C>(gi, full_blocks, mask) as i8);
+                    threshold = sink.block::<C>(gi, full_blocks, mask);
                 }
             }
-        }
+            threshold
+        };
+        traverse::<C, S>(grouped, tables, order, threshold, sink, scan_group);
     }
 
     /// Candidate bitmask of **two adjacent blocks** — AVX2: each small
@@ -486,8 +593,8 @@ mod x86 {
     }
 
     /// AVX2 whole-partition scan; returns exactly the same neighbors as the
-    /// other kernels (blocks are handed off in the same order; only the
-    /// pruning statistics may differ marginally, because a block pair is
+    /// other kernels (same groups visited, blocks handed off in the same
+    /// order; only `verified` may differ marginally, because a block pair is
     /// masked against a single threshold snapshot).
     ///
     /// # Safety
@@ -498,7 +605,8 @@ mod x86 {
     pub(crate) unsafe fn scan_all_avx2<const C: usize, S: BlockSink>(
         grouped: &GroupedCodes,
         tables: &ScanTables,
-        mut threshold: u8,
+        order: &[u8],
+        threshold: u8,
         sink: &mut S,
     ) {
         // 128-bit registers for the single-block path and their 256-bit
@@ -509,11 +617,11 @@ mod x86 {
             regs128[j] = load_table(&tables.small[j]);
             regs256[j] = _mm256_broadcastsi128_si256(regs128[j]);
         }
-        let mut tvec128 = _mm_set1_epi8(threshold as i8);
-        let mut tvec256 = _mm256_set1_epi8(threshold as i8);
         let bpb = bytes_per_block(C);
 
-        for (gi, g) in grouped.groups().iter().enumerate() {
+        let scan_group = |gi: usize, g: &GroupMeta, mut threshold: u8, sink: &mut S| {
+            let mut tvec128 = _mm_set1_epi8(threshold as i8);
+            let mut tvec256 = _mm256_set1_epi8(threshold as i8);
             for j in 0..C {
                 regs128[j] = load_table(&tables.grouped[j][g.key[j] as usize * PORTION..]);
                 regs256[j] = _mm256_broadcastsi128_si256(regs128[j]);
@@ -564,7 +672,9 @@ mod x86 {
                     tvec256 = _mm256_set1_epi8(threshold as i8);
                 }
             }
-        }
+            threshold
+        };
+        traverse::<C, S>(grouped, tables, order, threshold, sink, scan_group);
     }
 }
 
@@ -595,6 +705,24 @@ mod tests {
         GroupedCodes::build(&RowMajorCodes::new(bytes, FS_M), c)
     }
 
+    /// Scrambled codes whose first two components take four high nibbles
+    /// only: 16 key prefixes, so for `c > 2` a run holds several groups.
+    fn scrambled_grouped(n: usize, c: usize) -> GroupedCodes {
+        let mut state = 0x9E37_79B9u32;
+        let bytes: Vec<u8> = (0..n * FS_M)
+            .map(|i| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let byte = (state >> 24) as u8;
+                if i % FS_M < 2 {
+                    byte & 0x3F
+                } else {
+                    byte
+                }
+            })
+            .collect();
+        GroupedCodes::build(&RowMajorCodes::new(bytes, FS_M), c)
+    }
+
     /// Oracle: lower bound of one vector from its reconstructed code and
     /// the logical small tables (portions + minimum tables).
     fn oracle_bound(grouped: &GroupedCodes, tables: &ScanTables, g: usize, idx: usize) -> u8 {
@@ -615,19 +743,73 @@ mod tests {
 
     type Blocks = Vec<(usize, usize, u16)>;
 
-    /// The hand-off sequence of one scan under the frozen threshold `t`.
+    /// A sink that records what the traversal does and lowers the threshold
+    /// by `step` after every hand-off (`0` freezes it).
+    struct Recorder {
+        threshold: u8,
+        step: u8,
+        blocks: Blocks,
+        /// The ranges passed over, each with the threshold of that moment.
+        skipped: Vec<(Range<usize>, u8)>,
+    }
+
+    impl BlockSink for Recorder {
+        fn block<const C: usize>(&mut self, group: usize, block: usize, mask: u16) -> u8 {
+            self.blocks.push((group, block, mask));
+            self.threshold = self.threshold.saturating_sub(self.step);
+            self.threshold
+        }
+
+        fn skip(&mut self, groups: Range<usize>) {
+            self.skipped.push((groups, self.threshold));
+        }
+    }
+
+    fn record(
+        kernel: ResolvedKernel,
+        grouped: &GroupedCodes,
+        tables: &ScanTables,
+        order: &[u8],
+        (threshold, step): (u8, u8),
+    ) -> Recorder {
+        let mut recorder = Recorder {
+            threshold,
+            step,
+            blocks: Blocks::new(),
+            skipped: Vec::new(),
+        };
+        scan_all(kernel, grouped, tables, order, threshold, &mut recorder);
+        recorder
+    }
+
+    /// The runs of `grouped` front to back, back to front, and from the
+    /// middle around.
+    fn orders(grouped: &GroupedCodes) -> [Vec<u8>; 3] {
+        let runs = grouped.runs().len();
+        let storage: Vec<u8> = (0..runs).map(|r| r as u8).collect();
+        let reversed = storage.iter().rev().copied().collect();
+        let rotated = (0..runs).map(|i| ((i + runs / 2) % runs) as u8).collect();
+        [storage, reversed, rotated]
+    }
+
+    /// The hand-off sequence of one scan in storage order of the runs under
+    /// the frozen threshold `t`.
     fn collect_blocks(
         kernel: ResolvedKernel,
         grouped: &GroupedCodes,
         tables: &ScanTables,
         t: u8,
     ) -> Blocks {
-        let mut blocks = Blocks::new();
-        scan_all(kernel, grouped, tables, t, &mut |g, b, mask| {
-            blocks.push((g, b, mask));
-            t
-        });
-        blocks
+        let [storage, ..] = orders(grouped);
+        record(kernel, grouped, tables, &storage, (t, 0)).blocks
+    }
+
+    /// Every back-end this CPU has.
+    fn kernels() -> Vec<ResolvedKernel> {
+        let mut kernels = vec![ResolvedKernel::Portable];
+        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        kernels.extend([Kernel::Ssse3, Kernel::Avx2].into_iter().filter_map(simd));
+        kernels
     }
 
     /// The resolved SIMD back-end, or `None` (test skipped) without it.
@@ -645,34 +827,111 @@ mod tests {
         for c in [0usize, 1, 2, 3, 4] {
             let grouped = sample_grouped(600, c);
             let tables = sample_tables(c, c as u8);
-            for t in [0u8, 40, 90, 200, 255] {
-                let blocks = collect_blocks(ResolvedKernel::Portable, &grouped, &tables, t);
-                assert!(blocks.iter().all(|&(_, _, mask)| mask != 0));
-                let mut handed = blocks.iter().peekable();
-                for (gi, g) in grouped.groups().iter().enumerate() {
-                    for b in 0..g.num_blocks() {
-                        let mask = handed
-                            .next_if(|&&(hg, hb, _)| (hg, hb) == (gi, b))
-                            .map_or(0, |&(_, _, mask)| mask);
-                        for lane in 0..FS_BLOCK {
-                            let idx = b * FS_BLOCK + lane;
-                            // The oracle uses the *exact* quantized entry
-                            // for grouped components, which equals the
-                            // portion value the kernel looks up. Padding
-                            // lanes must never be handed off.
-                            let survives =
-                                idx < g.len && oracle_bound(&grouped, &tables, gi, idx) <= t;
-                            assert_eq!(
-                                mask >> lane & 1 == 1,
-                                survives,
-                                "c={c} t={t} g={gi} idx={idx}"
+            for order in orders(&grouped) {
+                for t in [0u8, 40, 90, 200, 255] {
+                    let got = record(ResolvedKernel::Portable, &grouped, &tables, &order, (t, 0));
+                    assert!(got.blocks.iter().all(|&(_, _, mask)| mask != 0));
+                    let passed_over = |gi: usize| {
+                        let ranges = got.skipped.iter().filter(|(r, _)| r.contains(&gi));
+                        ranges.count() == 1
+                    };
+                    // Runs in the order given, groups and blocks of a run in
+                    // storage order: the hand-off sequence, block for block.
+                    let mut handed = got.blocks.iter().peekable();
+                    for &run in &order {
+                        for gi in grouped.runs()[run as usize].clone() {
+                            let (gi, g) = (gi as usize, grouped.groups()[gi as usize]);
+                            for b in 0..g.num_blocks() {
+                                let mask = handed
+                                    .next_if(|&&(hg, hb, _)| (hg, hb) == (gi, b))
+                                    .map_or(0, |&(_, _, mask)| mask);
+                                for lane in 0..FS_BLOCK {
+                                    let idx = b * FS_BLOCK + lane;
+                                    // The oracle uses the *exact* quantized
+                                    // entry for grouped components, which
+                                    // equals the portion value the kernel
+                                    // looks up. Padding lanes must never be
+                                    // handed off, nor a lane of a group the
+                                    // traversal passed over.
+                                    let survives = idx < g.len
+                                        && oracle_bound(&grouped, &tables, gi, idx) <= t;
+                                    assert_eq!(
+                                        mask >> lane & 1 == 1,
+                                        survives,
+                                        "c={c} t={t} g={gi} idx={idx}"
+                                    );
+                                    assert!(!(survives && passed_over(gi)), "c={c} t={t} g={gi}");
+                                }
+                            }
+                        }
+                    }
+                    assert!(handed.next().is_none(), "hand-off out of run order");
+                }
+            }
+        }
+    }
+
+    /// Every group is either scanned or passed over, once; a group is passed
+    /// over only when none of its vectors has a lower bound at or below the
+    /// threshold of that moment; and all kernels pass over the same groups.
+    #[test]
+    fn every_kernel_passes_over_only_groups_without_survivors() {
+        let (mut passed_over, mut whole_runs) = (0usize, 0usize);
+        for c in [0usize, 1, 2, 3, 4] {
+            for n in [15usize, 40, 900, 6_000] {
+                let grouped = scrambled_grouped(n, c);
+                // Portions far apart, so that whole groups lie above a
+                // threshold others are below.
+                let mut tables = sample_tables(c, c as u8 + 3);
+                for table in &mut tables.grouped {
+                    for (i, v) in table.iter_mut().enumerate() {
+                        *v = (i / PORTION * 9 + i % 5) as u8;
+                    }
+                }
+                for order in orders(&grouped) {
+                    for start in [(255u8, 1u8), (200, 3), (120, 0), (60, 1)] {
+                        let case = format!("c={c} n={n} start={start:?}");
+                        let want =
+                            record(ResolvedKernel::Portable, &grouped, &tables, &order, start);
+                        for kernel in kernels() {
+                            let got = record(kernel, &grouped, &tables, &order, start);
+                            let mut seen = vec![0u8; grouped.groups().len()];
+                            for (groups, t) in &got.skipped {
+                                whole_runs += (groups.len() > 1) as usize;
+                                for gi in groups.clone() {
+                                    seen[gi] += 1;
+                                    let g = grouped.groups()[gi];
+                                    let least = (0..g.len)
+                                        .map(|idx| oracle_bound(&grouped, &tables, gi, idx))
+                                        .min();
+                                    assert!(least > Some(*t), "{case} {kernel:?} g={gi}");
+                                    passed_over += 1;
+                                }
+                            }
+                            assert!(seen.iter().all(|&times| times <= 1), "{case} {kernel:?}");
+                            assert!(
+                                got.blocks.iter().all(|&(gi, _, _)| seen[gi] == 0),
+                                "{case} {kernel:?}: a block of a group passed over"
                             );
+                            // The pair kernel masks two blocks against one
+                            // threshold snapshot, so its masks may carry
+                            // more lanes; the thresholds a recorder returns
+                            // depend on the count of hand-offs alone.
+                            #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+                            if kernel == ResolvedKernel::Avx2 && start.1 != 0 {
+                                continue;
+                            }
+                            assert_eq!(got.skipped, want.skipped, "{case} {kernel:?}");
+                            assert_eq!(got.blocks, want.blocks, "{case} {kernel:?}");
                         }
                     }
                 }
-                assert!(handed.next().is_none(), "hand-off out of storage order");
             }
         }
+        // The matrix must exercise both pass-overs, under every kernel.
+        let kernels = kernels().len();
+        assert!(passed_over > 2_000 * kernels, "{passed_over} groups");
+        assert!(whole_runs > 30 * kernels, "{whole_runs} whole runs");
     }
 
     #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
@@ -698,27 +957,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
-    #[test]
-    fn kernels_agree_under_dynamic_thresholds() {
-        let Some(ssse3) = simd(Kernel::Ssse3) else {
-            return;
-        };
-        let grouped = sample_grouped(900, 4);
-        let tables = sample_tables(4, 5);
-        let run = |kernel: ResolvedKernel| -> Blocks {
-            let mut t = 255u8;
-            let mut blocks = Blocks::new();
-            scan_all(kernel, &grouped, &tables, 255, &mut |g, b, mask| {
-                blocks.push((g, b, mask));
-                t = t.saturating_sub(16);
-                t
-            });
-            blocks
-        };
-        assert_eq!(run(ResolvedKernel::Portable), run(ssse3));
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! component, one of the table's smallest portions ([`choose_warm_groups`])
 //! — and pushes them into the result heap. **Quantization** derives `qmax`
 //! from that heap and fills the 8-bit tables. The **kernel**
-//! ([`kernel::scan_all`]) lower-bounds every vector and hands each block
-//! with survivors to the [`Verifier`], which drops the warm-up's groups,
-//! computes the exact distances of the masked lanes straight from the
-//! block's arrays, in a loop monomorphized on the kernel's `const C`, and
-//! feeds the tightened threshold back.
+//! ([`kernel::scan_all`]) visits the runs of groups nearest-first
+//! ([`run_order`], docs/FASTSCAN.md §6), passes over those the threshold
+//! already excludes, lower-bounds every vector of the others and hands each
+//! block with survivors to the [`Verifier`], which drops the warm-up's
+//! groups, computes the exact distances of the masked lanes straight from
+//! the block's arrays, in a loop monomorphized on the kernel's `const C`,
+//! and feeds the tightened threshold back.
 //!
 //! A caller that already knows a distance no answer can exceed passes it as
 //! [`ScanParams::bound`]: it replaces the warm-up as the source of `qmax`
@@ -26,6 +28,7 @@ use crate::quantize::DistanceQuantizer;
 use crate::result::{ScanResult, ScanStats};
 use crate::ScanError;
 use pqfs_core::{DistanceTables, TopK};
+use std::ops::Range;
 
 /// Per-query scan parameters, with one meaning for every
 /// [`Backend`](crate::Backend): the result is the `topk` smallest
@@ -100,7 +103,7 @@ impl ScanParams {
 pub struct ScanScratch {
     pub(crate) tables: ScanTables,
     /// Indices into `GroupedCodes::groups()` of the groups the warm-up
-    /// scanned exactly, ascending; the fast path leaves them out.
+    /// scanned exactly, ascending; the verifier leaves them out.
     pub(crate) warm_groups: Vec<u32>,
 }
 
@@ -152,18 +155,24 @@ pub(crate) fn scan_with(
     // already, from a better sample than this partition's own: the warm-up
     // is skipped.
     let entry = params.bound;
+    // What a key nibble adds at least, per grouped component: the warm-up
+    // picks its groups and the fast path orders its runs by these.
+    let mut minima = [[0f32; PORTION]; 4];
+    for (j, minima) in minima.iter_mut().enumerate().take(c) {
+        *minima = portion_minima(&float_tables[j * KSUB..][..KSUB]);
+    }
     let warm_groups = &mut scratch.warm_groups;
     warm_groups.clear();
     if entry == f32::INFINITY && params.keep > 0.0 {
         stats.warmup =
-            choose_warm_groups(grouped, float_tables, params.keep, params.topk, warm_groups) as u64;
-        match c {
+            choose_warm_groups(grouped, &minima, params.keep, params.topk, warm_groups) as u64;
+        stats.accepted = match c {
             0 => warm_up::<0>(grouped, float_tables, warm_groups, &mut heap),
             1 => warm_up::<1>(grouped, float_tables, warm_groups, &mut heap),
             2 => warm_up::<2>(grouped, float_tables, warm_groups, &mut heap),
             3 => warm_up::<3>(grouped, float_tables, warm_groups, &mut heap),
             _ => warm_up::<4>(grouped, float_tables, warm_groups, &mut heap),
-        }
+        };
     }
 
     // ---- Quantization setup (§4.4): qmax = the entry bound, else the
@@ -205,8 +214,10 @@ pub(crate) fn scan_with(
             portion_minima(tables.table(j)).map(|min| quantizer.quantize_value(j, min));
     }
 
-    // ---- Fast path: the kernel walks every group/block and hands the
-    // survivors to the verifier.
+    // ---- Fast path: the kernel walks the runs nearest-first, passes over
+    // what the threshold excludes and hands the rest's survivors over.
+    let mut order = [0u8; MAX_RUNS];
+    let runs = run_order(grouped, &minima, &mut order);
     let bound = heap.threshold().min(entry);
     let threshold = quantizer.quantize_threshold(bound);
     let mut verifier = Verifier {
@@ -218,6 +229,8 @@ pub(crate) fn scan_with(
         bound,
         threshold,
         verified: 0,
+        accepted: stats.accepted,
+        skipped: 0,
         warm_groups,
         group: usize::MAX,
         warm: false,
@@ -225,8 +238,10 @@ pub(crate) fn scan_with(
         high: [0; 4],
         blocks: &[],
     };
-    kernel::scan_all(kernel, grouped, scan_tables, threshold, &mut verifier);
+    kernel::scan_all(kernel, grouped, scan_tables, runs, threshold, &mut verifier);
     stats.verified = verifier.verified;
+    stats.accepted = verifier.accepted;
+    stats.skipped = verifier.skipped;
 
     // A vector is "pruned" when its exact pqdistance was never computed in
     // the fast path; warm-up members are accounted separately, so the
@@ -253,10 +268,10 @@ pub(crate) fn scan_with(
 /// the groups found hold fewer than `topk` vectors. The `t^c` keys are
 /// looked up in the key-sorted group list; absent groups hold nothing.
 /// `c = 0` has one group and `t = 16` selects every group: both scan the
-/// partition exactly.
+/// partition exactly. `minima[j]` are the portion minima of `D_j`, `j < c`.
 fn choose_warm_groups(
     grouped: &GroupedCodes,
-    float_tables: &[f32; FS_M * KSUB],
+    minima: &[[f32; PORTION]; 4],
     keep: f64,
     topk: usize,
     chosen: &mut Vec<u32>,
@@ -265,8 +280,7 @@ fn choose_warm_groups(
     let (n, groups) = (grouped.len(), grouped.groups());
     // The portions of each grouped table, smallest minimum first.
     let mut nearest = [[0u8; PORTION]; 4];
-    for (j, nearest) in nearest.iter_mut().enumerate().take(c) {
-        let minima = portion_minima(&float_tables[j * KSUB..][..KSUB]);
+    for (nearest, minima) in nearest.iter_mut().zip(minima).take(c) {
         *nearest = std::array::from_fn(|p| p as u8);
         nearest.sort_unstable_by(|&a, &b| {
             minima[a as usize]
@@ -313,16 +327,49 @@ fn choose_warm_groups(
     }
 }
 
+/// The most runs a grouped layout has: one per two-nibble key prefix.
+const MAX_RUNS: usize = PORTION * PORTION;
+
+/// The order the fast path visits `grouped.runs()` in, as indices at the front
+/// of `order`: ascending by the sum of the portion minima the run's key
+/// prefix selects (the least it adds to a distance), ties by prefix.
+fn run_order<'a>(
+    grouped: &GroupedCodes,
+    minima: &[[f32; PORTION]; 4],
+    order: &'a mut [u8; MAX_RUNS],
+) -> &'a [u8] {
+    let (groups, runs) = (grouped.groups(), grouped.runs());
+    let prefix = grouped.layout().c().min(2);
+    // Per run: the sum's bits — which order as the sums do, table entries
+    // being squared distances, never negative; any order scans correctly —
+    // over the run's index (runs ascend by prefix, so it settles ties).
+    let mut nearest = [0u64; MAX_RUNS];
+    let nearest = &mut nearest[..runs.len()];
+    for (i, (slot, run)) in nearest.iter_mut().zip(runs).enumerate() {
+        let key = &groups[run.start as usize].key;
+        let least: f32 = (0..prefix).map(|j| minima[j][key[j] as usize]).sum();
+        *slot = (least.to_bits() as u64) << 8 | i as u64;
+    }
+    nearest.sort_unstable();
+    let order = &mut order[..runs.len()];
+    for (slot, &key) in order.iter_mut().zip(nearest.iter()) {
+        *slot = key as u8;
+    }
+    order
+}
+
 /// Plain PQ Scan over whole groups: every vector of `groups` goes into
-/// `heap` with its exact distance. Monomorphized on the layout's grouping
-/// count like the verification loop, which is worth a quarter of the
-/// warm-up's time. `C` must equal `grouped.layout().c()`.
+/// `heap` with its exact distance; returns how many of them it accepted.
+/// Monomorphized on the layout's grouping count like the verification loop,
+/// which is worth a quarter of the warm-up's time. `C` must equal
+/// `grouped.layout().c()`.
 fn warm_up<const C: usize>(
     grouped: &GroupedCodes,
     float_tables: &[f32; FS_M * KSUB],
     groups: &[u32],
     heap: &mut TopK,
-) {
+) -> u64 {
+    let mut accepted = 0;
     for &gi in groups {
         let g = &grouped.groups()[gi as usize];
         let high = g.key.map(|k| k << 4);
@@ -331,10 +378,11 @@ fn warm_up<const C: usize>(
             let first = b * FS_BLOCK;
             for lane in 0..(g.len - first).min(FS_BLOCK) {
                 let d = lane_distance(C, float_tables, high, block, lane);
-                heap.push(d, grouped.id(g.start + first + lane) as u64);
+                accepted += heap.push(d, grouped.id(g.start + first + lane) as u64) as u64;
             }
         }
     }
+    accepted
 }
 
 /// The exact side of the fast path: receives each block's survivors from
@@ -353,9 +401,11 @@ struct Verifier<'a> {
     /// `bound`, quantized: what the kernel prunes with.
     threshold: u8,
     verified: u64,
-    /// The warm-up's groups not behind the last block seen: blocks arrive in
-    /// storage order and the list ascends, so its head is the only one the
-    /// current group can be.
+    /// Candidates the heap took, the warm-up's included.
+    accepted: u64,
+    /// Vectors of the groups passed over, the warm-up's (not pruned) excepted.
+    skipped: u64,
+    /// The warm-up's groups, ascending.
     warm_groups: &'a [u32],
     /// The group the fields below were hoisted for.
     group: usize,
@@ -379,14 +429,7 @@ impl BlockSink for Verifier<'_> {
             self.start = g.start;
             self.high = g.key.map(|k| k << 4);
             self.blocks = self.grouped.group_blocks(g);
-            while self
-                .warm_groups
-                .first()
-                .is_some_and(|&g| (g as usize) < group)
-            {
-                self.warm_groups = &self.warm_groups[1..];
-            }
-            self.warm = self.warm_groups.first() == Some(&(group as u32));
+            self.warm = self.warm_groups.binary_search(&(group as u32)).is_ok();
         }
         if self.warm {
             return self.threshold;
@@ -404,11 +447,25 @@ impl BlockSink for Verifier<'_> {
             let d = lane_distance(C, float_tables, high, bytes, lane);
             // Cheap reject first; `push` settles ties on the id.
             if d <= self.bound && self.heap.push(d, self.grouped.id(first + lane) as u64) {
+                self.accepted += 1;
                 self.bound = self.heap.threshold().min(self.entry);
                 self.threshold = self.quantizer.quantize_threshold(self.bound);
             }
         }
         self.threshold
+    }
+
+    fn skip(&mut self, groups: Range<usize>) {
+        let all = self.grouped.groups();
+        let (first, last) = (&all[groups.start], &all[groups.end - 1]);
+        let warm = self.warm_groups;
+        let warm = &warm[warm.partition_point(|&g| (g as usize) < groups.start)..];
+        let warm_vectors: usize = warm
+            .iter()
+            .take_while(|&&g| (g as usize) < groups.end)
+            .map(|&g| all[g as usize].len)
+            .sum();
+        self.skipped += (last.start + last.len - first.start - warm_vectors) as u64;
     }
 }
 

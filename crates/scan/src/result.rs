@@ -20,6 +20,14 @@ pub struct ScanStats {
     /// Vectors scanned by the scalar warm-up pass that seeds `qmax`
     /// (Fast Scan only; these are included in `scanned`).
     pub warmup: u64,
+    /// Candidates the result heap took, from the warm-up or verification:
+    /// each a heap update and a new threshold (Fast Scan only;
+    /// `accepted <= warmup + verified`).
+    pub accepted: u64,
+    /// Pruned vectors whose whole group the nearest-first traversal passed
+    /// over, its lower bound already above the threshold, without reading
+    /// a code byte (Fast Scan only; `skipped <= pruned`).
+    pub skipped: u64,
 }
 
 impl ScanStats {
@@ -30,6 +38,8 @@ impl ScanStats {
         self.pruned += other.pruned;
         self.verified += other.verified;
         self.warmup += other.warmup;
+        self.accepted += other.accepted;
+        self.skipped += other.skipped;
     }
 
     /// Fraction of candidate vectors whose exact distance computation was
@@ -79,12 +89,16 @@ mod tests {
             pruned: 4,
             verified: 5,
             warmup: 1,
+            accepted: 3,
+            skipped: 2,
         };
         a.merge(&ScanStats {
             scanned: 100,
             pruned: 40,
             verified: 50,
             warmup: 10,
+            accepted: 30,
+            skipped: 20,
         });
         assert_eq!(
             a,
@@ -93,6 +107,8 @@ mod tests {
                 pruned: 44,
                 verified: 55,
                 warmup: 11,
+                accepted: 33,
+                skipped: 22,
             }
         );
         a.merge(&ScanStats::default());
@@ -106,6 +122,7 @@ mod tests {
             pruned: 900,
             verified: 100,
             warmup: 100,
+            ..ScanStats::default()
         };
         assert!((stats.pruned_fraction() - 0.9).abs() < 1e-12);
     }
@@ -118,6 +135,7 @@ mod tests {
             pruned: 0,
             verified: 0,
             warmup: 10,
+            ..ScanStats::default()
         };
         assert_eq!(all_warm.pruned_fraction(), 0.0);
     }

@@ -1,12 +1,17 @@
-//! Exactness matrix for the per-block hand-off (docs/FASTSCAN.md): for
-//! every grouping count, kernel, partition shape, `topk` and `keep`, Fast
-//! Scan returns the ids **and** the `f32` distances of `Backend::Naive`, bit
-//! for bit, and its counters account for every vector. A second matrix does
-//! the same for the entry bound (`ScanParams::bound`, docs/FASTSCAN.md §5)
-//! over every backend.
+//! Exactness matrix for the per-block hand-off and the nearest-first
+//! traversal (docs/FASTSCAN.md §3, §6): for every grouping count, kernel,
+//! partition shape, `topk` and `keep`, Fast Scan returns the ids **and** the
+//! `f32` distances of `Backend::Naive`, bit for bit, its counters account
+//! for every vector, and they are the same whichever kernel ran. A second
+//! matrix does the same for the entry bound (`ScanParams::bound`,
+//! docs/FASTSCAN.md §5) over every backend. (That a group is passed over
+//! only when none of its vectors could survive is checked where the
+//! traversal can be watched: `fastscan::kernel`'s unit tests.)
 
 use pqfs_core::{DistanceTables, RowMajorCodes};
-use pqfs_scan::{Backend, Kernel, PreparedScanner, ScanError, ScanOpts, ScanParams};
+use pqfs_scan::{
+    Backend, Kernel, PreparedScanner, ScanError, ScanOpts, ScanParams, ScanResult, ScanStats,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -25,58 +30,120 @@ fn codes(n: usize) -> Arc<RowMajorCodes> {
     Arc::new(RowMajorCodes::new(bytes, M))
 }
 
+/// `tables(PORTIONED)`: each 16-entry portion a band of its own, as the
+/// optimized centroid assignment makes them, and the bands of the first four
+/// components far apart — whole groups lie beyond a threshold others are
+/// within, so the traversal has groups to pass over.
+const PORTIONED: u32 = u32::MAX;
+
 /// Distance tables: `levels == 0` draws floats whose sums round differently
-/// in a different addition order; otherwise entries are one of `levels`
-/// integers, so distances tie all the time and ids decide the result.
+/// in a different addition order; [`PORTIONED`] see there; otherwise entries
+/// are one of `levels` integers, so distances tie all the time and ids
+/// decide the result.
 fn tables(levels: u32) -> DistanceTables {
-    let mut rng = StdRng::seed_from_u64(7 + levels as u64);
+    let mut rng = StdRng::seed_from_u64(7u64.wrapping_add(levels as u64));
     let data = (0..M * KSUB)
-        .map(|_| match levels {
+        .map(|i| match levels {
             0 => rng.gen_range(0.1f32..16_000.0),
+            PORTIONED => {
+                let band = if i / KSUB < 4 { 20_000.0 } else { 100.0 };
+                (i % KSUB / 16) as f32 * band + rng.gen_range(0.0..0.9 * band)
+            }
             _ => rng.gen_range(0..levels) as f32,
         })
         .collect();
     DistanceTables::from_raw(data, M, KSUB)
 }
 
+const KERNELS: [Kernel; 3] = [Kernel::Portable, Kernel::Ssse3, Kernel::Avx2];
+
+/// The same Fast Scan partition once per kernel, grouped on `c` components.
+fn fastscan_per_kernel(
+    codes: &Arc<RowMajorCodes>,
+    c: usize,
+) -> Vec<(Kernel, Box<dyn PreparedScanner>)> {
+    KERNELS
+        .into_iter()
+        .map(|kernel| {
+            let opts = ScanOpts::default()
+                .with_group_components(c)
+                .with_kernel(kernel);
+            let scanner = Backend::FastScan.scanner(&opts);
+            (kernel, scanner.prepare(Arc::clone(codes)).unwrap())
+        })
+        .collect()
+}
+
+/// Scans with each kernel this CPU has and checks what must hold of every
+/// Fast Scan: the counters account for each vector once, and they are a
+/// function of (partition, tables, params) — the portable and the SSSE3
+/// kernel, which differ in nothing but instructions, report the same (the
+/// AVX2 pair kernel may verify a few lanes more, and nothing else).
+fn scan_with_each_kernel(
+    prepared: &[(Kernel, Box<dyn PreparedScanner>)],
+    tables: &DistanceTables,
+    params: &ScanParams,
+    case: &str,
+) -> Vec<ScanResult> {
+    let mut results = Vec::new();
+    let mut portable: Option<ScanStats> = None;
+    for (kernel, scanner) in prepared {
+        let got = match scanner.scan(tables, params) {
+            Ok(got) => got,
+            // The CPU lacks this kernel: nothing to check.
+            Err(ScanError::KernelUnavailable { .. }) => continue,
+            Err(e) => panic!("{case} {kernel:?}: {e}"),
+        };
+        let s = got.stats;
+        assert_eq!(
+            s.warmup + s.pruned + s.verified,
+            s.scanned,
+            "{case} {kernel:?}"
+        );
+        assert!(s.skipped <= s.pruned, "{case} {kernel:?}");
+        assert!(s.accepted <= s.warmup + s.verified, "{case} {kernel:?}");
+        match kernel {
+            Kernel::Portable => portable = Some(s),
+            Kernel::Ssse3 => assert_eq!(Some(s), portable, "{case}: SSSE3 vs portable"),
+            _ => {
+                let p = portable.expect("the portable kernel runs first");
+                let same = ScanStats {
+                    verified: p.verified,
+                    pruned: p.pruned,
+                    ..s
+                };
+                assert_eq!(same, p, "{case}: AVX2 vs portable");
+                assert!(s.verified >= p.verified, "{case}: AVX2 vs portable");
+            }
+        }
+        results.push(got);
+    }
+    results
+}
+
 #[test]
 fn every_handoff_path_equals_naive() {
     let naive = Backend::Naive.scanner(&ScanOpts::default());
-    let mut scans = 0usize;
+    let (mut scans, mut skipped) = (0usize, 0u64);
     for n in [1usize, 15, 16, 17, 31, 33, 5_000] {
         let codes = codes(n);
-        for levels in [0u32, 5] {
-            let tables = tables(levels);
-            for topk in [1, 100, 1000, n + 5] {
-                let want = naive.scan(&tables, &codes, topk).unwrap();
-                for c in 0..=4usize {
-                    for kernel in [Kernel::Portable, Kernel::Ssse3, Kernel::Avx2] {
-                        let opts = ScanOpts::default()
-                            .with_group_components(c)
-                            .with_kernel(kernel);
-                        let prepared = Backend::FastScan
-                            .scanner(&opts)
-                            .prepare(Arc::clone(&codes))
-                            .unwrap();
-                        for keep in [0.0, 0.005, 1.0] {
-                            let case = format!(
-                                "n={n} levels={levels} topk={topk} c={c} {kernel:?} keep={keep}"
-                            );
-                            let params = ScanParams::new(topk).with_keep(keep);
-                            let got = match prepared.scan(&tables, &params) {
-                                Ok(got) => got,
-                                // The CPU lacks this kernel: nothing to check.
-                                Err(ScanError::KernelUnavailable { .. }) => continue,
-                                Err(e) => panic!("{case}: {e}"),
-                            };
+        for c in 0..=4usize {
+            let prepared = fastscan_per_kernel(&codes, c);
+            for levels in [0u32, 5, PORTIONED] {
+                let tables = tables(levels);
+                for topk in [1, 10, 100, 1000, n + 5] {
+                    let want = naive.scan(&tables, &codes, topk).unwrap();
+                    for keep in [0.0, 0.005, 1.0] {
+                        let case = format!("n={n} levels={levels} topk={topk} c={c} keep={keep}");
+                        let params = ScanParams::new(topk).with_keep(keep);
+                        for got in scan_with_each_kernel(&prepared, &tables, &params, &case) {
                             assert_eq!(got.ids(), want.ids(), "{case}");
                             let bits = |d: Vec<f32>| -> Vec<u32> {
                                 d.into_iter().map(f32::to_bits).collect()
                             };
                             assert_eq!(bits(got.distances()), bits(want.distances()), "{case}");
-                            let s = got.stats;
-                            assert_eq!(s.scanned, n as u64, "{case}");
-                            assert_eq!(s.warmup + s.pruned + s.verified, s.scanned, "{case}");
+                            assert_eq!(got.stats.scanned, n as u64, "{case}");
+                            skipped += got.stats.skipped;
                             scans += 1;
                         }
                     }
@@ -85,7 +152,35 @@ fn every_handoff_path_equals_naive() {
         }
     }
     // The portable kernel alone is a third of the matrix.
-    assert!(scans >= 7 * 2 * 4 * 5 * 3);
+    assert!(scans >= 7 * 3 * 5 * 5 * 3);
+    assert!(skipped > 0, "the matrix must exercise the pass-over");
+}
+
+/// Partitions of a handful of vectors with unconstrained keys: nearly every
+/// key prefix has no run, and the few runs there are hold one ragged block.
+#[test]
+fn sparse_keys_leave_most_prefixes_without_a_run() {
+    let naive = Backend::Naive.scanner(&ScanOpts::default());
+    let tables = tables(0);
+    for n in 15usize..=40 {
+        let mut rng = StdRng::seed_from_u64(1_000 + n as u64);
+        let bytes = (0..n * M).map(|_| rng.gen_range(0..=0xFFu8)).collect();
+        let codes = Arc::new(RowMajorCodes::new(bytes, M));
+        for c in 0..=4usize {
+            let prepared = fastscan_per_kernel(&codes, c);
+            for topk in [1, 10, n + 5] {
+                let want = naive.scan(&tables, &codes, topk).unwrap();
+                let bounded =
+                    ScanParams::new(topk).with_bound(want.neighbors[topk.min(n) - 1].dist);
+                for params in [ScanParams::new(topk), bounded] {
+                    let case = format!("n={n} c={c} topk={topk} bound={}", params.bound);
+                    for got in scan_with_each_kernel(&prepared, &tables, &params, &case) {
+                        assert_eq!(got.neighbors, want.neighbors, "{case}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The largest float below a non-negative `x`.
@@ -127,7 +222,7 @@ fn every_backend_honours_the_entry_bound() {
                 ));
             }
         }
-        for levels in [0u32, 5] {
+        for levels in [0u32, 5, PORTIONED] {
             let tables = tables(levels);
             // Every vector, ascending by (distance, id): the oracle filters
             // and cuts this list itself.
@@ -136,9 +231,9 @@ fn every_backend_honours_the_entry_bound() {
                 .windows(2)
                 .find(|w| w[0].dist == w[1].dist)
                 .map(|w| w[0].dist);
-            assert!(tied.is_some() || levels == 0, "integer tables tie");
+            assert!(tied.is_some() || levels != 5, "integer tables tie");
             let below_every_distance = just_below(tables.sum_of_mins());
-            for topk in [1, 100, n + 5] {
+            for topk in [1, 10, 100, 1000, n + 5] {
                 let kth = all[topk.min(n) - 1].dist;
                 let bounds = [Some(f32::INFINITY), Some(kth), Some(all[n / 2].dist), tied]
                     .into_iter()
@@ -171,6 +266,8 @@ fn every_backend_honours_the_entry_bound() {
                         assert_eq!(s.scanned, n as u64, "{case}");
                         if matches!(scanner.backend(), Backend::FastScan | Backend::QuantizeOnly) {
                             assert_eq!(s.warmup + s.pruned + s.verified, s.scanned, "{case}");
+                            assert!(s.skipped <= s.pruned, "{case}");
+                            assert!(s.accepted <= s.warmup + s.verified, "{case}");
                         }
                         if scanner.backend() == Backend::FastScan && bound == below_every_distance {
                             // Answered from the bound alone.
@@ -188,8 +285,8 @@ fn every_backend_honours_the_entry_bound() {
         }
     }
     // Five other backends and the portable kernel at every grouping count.
-    assert!(scans >= 3 * 2 * 3 * 5 * (5 + 5));
-    assert!(bounded_out >= 3 * 2 * 3 * 5);
+    assert!(scans >= 3 * 3 * 5 * 5 * (5 + 5));
+    assert!(bounded_out >= 3 * 3 * 5 * 5);
 }
 
 /// The high nibbles of a code's first two components, and how many codes
