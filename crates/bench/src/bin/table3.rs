@@ -13,7 +13,7 @@
 
 use pqfs_bench::{env_usize, header, scale, DIM, TABLE3_QUERIES, TABLE3_SIZES_M};
 use pqfs_data::{SyntheticConfig, SyntheticDataset};
-use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend};
+use pqfs_ivf::{IvfadcConfig, IvfadcIndex};
 use pqfs_metrics::{fmt_count, TextTable};
 
 fn main() {
@@ -30,8 +30,7 @@ fn main() {
     let base = dataset.sample(n_base);
     let queries = dataset.sample(n_queries);
 
-    let mut config = IvfadcConfig::new(DIM, 8).with_seed(33);
-    config.backends = vec![SearchBackend::Naive]; // only the structure matters here
+    let config = IvfadcConfig::new(DIM, 8).with_seed(33);
     let index = IvfadcIndex::build(&train, &base, &config).expect("build");
 
     let mut routed = [0usize; 8];

@@ -3,8 +3,7 @@
 //! ```text
 //! pqfs gen     --out base.fvecs --n 100000 [--dim 128] [--seed 0]
 //! pqfs build   --base base.fvecs --out index.pqiv [--train train.fvecs]
-//!              [--partitions 8] [--seed 0] [--backends naive,libpq,fastscan]
-//!              [--threads N]
+//!              [--partitions 8] [--seed 0] [--threads N]
 //! pqfs info    --index index.pqiv
 //! pqfs query   --index index.pqiv --queries q.fvecs [--topk 100]
 //!              [--backend <name>] [--keep 0.005] [--nprobe 1]
@@ -16,7 +15,9 @@
 //! ```
 //!
 //! `--backend` accepts any name from the scan registry (`pqfs query` run
-//! with an unknown name lists them). `--threads` caps the shared worker
+//! with an unknown name lists them); every index answers every one of them,
+//! `fastscan` from its resident codes and the others through the slow oracle
+//! path (rows rebuilt per scan). `--threads` caps the shared worker
 //! pool that build encoding, multi-probe search, and `--batch true` query
 //! execution run on (default: all cores, or `PQFS_THREADS`).
 //!
@@ -155,7 +156,7 @@ USAGE:
   pqfs gen    --out <file.fvecs> --n <count> [--dim 128] [--seed 0]
   pqfs build  --base <file.fvecs> --out <index.pqiv>
               [--train <file.fvecs>] [--partitions 8] [--seed 0]
-              [--backends <name,name,...>] [--threads N]
+              [--threads N]
   pqfs info   --index <index.pqiv>
   pqfs query  --index <index.pqiv> --queries <file.fvecs> [--topk 100]
               [--backend <name>] [--keep 0.005] [--nprobe 1]
@@ -251,7 +252,7 @@ fn cmd_gen(args: &Args) -> Result<Outcome, CliError> {
 }
 
 fn cmd_build(args: &Args) -> Result<Outcome, CliError> {
-    args.allow_only(&["base", "out", "train", "partitions", "seed", "backends"])?;
+    args.allow_only(&["base", "out", "train", "partitions", "seed"])?;
     let base_path = args.require("base")?;
     let out = args.require("out")?;
     let partitions = args.usize("partitions", 8)?;
@@ -296,21 +297,7 @@ fn cmd_build(args: &Args) -> Result<Outcome, CliError> {
         fmt_count(base.len() as u64),
         pqfs_pool::ThreadPool::global().threads()
     );
-    let mut config = IvfadcConfig::new(dim, partitions).with_seed(seed);
-    if let Some(spec) = args.get("backends") {
-        let backends: Vec<SearchBackend> = spec
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| s.trim().parse())
-            .collect::<Result<_, _>>()
-            .map_err(CliError::Other)?;
-        if backends.is_empty() {
-            return Err(CliError::Other(
-                "--backends must name at least one backend".into(),
-            ));
-        }
-        config = config.with_backends(backends);
-    }
+    let config = IvfadcConfig::new(dim, partitions).with_seed(seed);
     let (index, ms) = time_ms(|| IvfadcIndex::build(&train, &base.data, &config));
     let index = index.map_err(|e| CliError::Other(e.to_string()))?;
     println!("built in {:.1} s", ms / 1e3);
@@ -343,12 +330,8 @@ fn cmd_info(args: &Args) -> Result<Outcome, CliError> {
         sizes.iter().max().unwrap_or(&0)
     );
     println!(
-        "  fast scan   : {}",
-        if index.has_fastscan() { "yes" } else { "no" }
-    );
-    println!(
         "  code memory : {} bytes (row-major) / {} bytes (grouped)",
-        fmt_count(index.code_memory_bytes(SearchBackend::Naive) as u64),
+        fmt_count(8 * index.len() as u64),
         fmt_count(index.code_memory_bytes(SearchBackend::FastScan) as u64)
     );
     Ok(Outcome::Clean)

@@ -210,9 +210,14 @@ fn serve_rejects_bad_flags_and_missing_index() {
         String::from_utf8_lossy(&out.stderr)
     );
     // A flag the command does not read is an error naming the flag, not
-    // a silent no-op: the removed linger knob, and a typo.
-    for (command, flag) in [("serve", "--linger-us"), ("bench-client", "--nprob")] {
-        let out = pqfs(&[command, "--addr", "127.0.0.1:1", flag, "8"]);
+    // a silent no-op: the removed linger knob, a typo, and the removed
+    // build-time backend list (every index answers every backend).
+    for (command, required, flag) in [
+        ("serve", "--addr", "--linger-us"),
+        ("bench-client", "--addr", "--nprob"),
+        ("build", "--base", "--backends"),
+    ] {
+        let out = pqfs(&[command, required, "127.0.0.1:1", flag, "8"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{command} {flag}: {stderr}");
         assert!(stderr.contains(flag), "{command} names {flag}: {stderr}");

@@ -7,7 +7,7 @@ use pqfs_core::{DistanceTables, Neighbor, PqConfig, ProductQuantizer, RowMajorCo
 use pqfs_obs::{LazyCounter, LazyHistogram, ProbeOutcome, ProbeTrace, QueryTrace};
 use pqfs_pool::ThreadPool;
 use pqfs_scan::{
-    PreparedScanner, ScanError, ScanOpts, ScanParams, ScanResult, ScanScratch, ScanStats,
+    FastScanIndex, ScanError, ScanOpts, ScanParams, ScanResult, ScanScratch, ScanStats,
 };
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
@@ -182,8 +182,9 @@ thread_local! {
 }
 
 /// Which scan implementation answers queries: the `pqfs-scan` backend
-/// registry, re-exported. Any [`SearchBackend::ALL`] member listed in
-/// [`IvfadcConfig::backends`] at build time can serve queries.
+/// registry, re-exported. Every index answers every [`SearchBackend::ALL`]
+/// member: [`SearchBackend::FastScan`] from the resident grouped codes, the
+/// others through the oracle path of [`IvfadcIndex::search`].
 pub use pqfs_scan::Backend as SearchBackend;
 
 /// Build configuration.
@@ -192,55 +193,35 @@ pub struct IvfadcConfig {
     /// Number of coarse partitions (the paper uses 8 for ANN_SIFT100M1 and
     /// 128 for ANN_SIFT1B).
     pub partitions: usize,
-    /// Product-quantizer shape (the scan kernels want [`PqConfig::pq8x8`]).
+    /// Product-quantizer shape; must be [`PqConfig::pq8x8`], the shape the
+    /// index's grouped code storage is defined for.
     pub pq: PqConfig,
     /// Seed for every training stage.
     pub seed: u64,
     /// Apply the §4.3 optimized centroid-index assignment after PQ
     /// training (required for tight Fast Scan minimum tables).
     pub optimize_assignment: bool,
-    /// Backends prepared per partition at build time (deduplicated;
-    /// backends whose `PQ 8×8` shape requirement the quantizer cannot meet
-    /// are skipped). Queries may use exactly these.
-    pub backends: Vec<SearchBackend>,
-    /// Options handed to [`SearchBackend::scanner`] when preparing
-    /// partitions (quantization bins, grouping, kernel choice).
+    /// Scanner options: the partitions are grouped under them, and the
+    /// oracle path hands them to [`SearchBackend::scanner`] (quantization
+    /// bins, grouping, kernel choice).
     pub scan: ScanOpts,
 }
 
 impl IvfadcConfig {
-    /// The paper's configuration: `PQ 8×8`, optimized assignment, and the
-    /// naive / libpq / Fast Scan backends prepared.
+    /// The paper's configuration: `PQ 8×8` and optimized assignment.
     pub fn new(dim: usize, partitions: usize) -> Self {
         IvfadcConfig {
             partitions,
             pq: PqConfig::pq8x8(dim),
             seed: 0,
             optimize_assignment: true,
-            backends: Self::default_backends(),
             scan: ScanOpts::default(),
         }
-    }
-
-    /// The default backend set: the row-major baselines (which share the
-    /// partition's code storage) plus Fast Scan.
-    pub fn default_backends() -> Vec<SearchBackend> {
-        vec![
-            SearchBackend::Naive,
-            SearchBackend::Libpq,
-            SearchBackend::FastScan,
-        ]
     }
 
     /// Replaces the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Replaces the prepared backend set.
-    pub fn with_backends(mut self, backends: Vec<SearchBackend>) -> Self {
-        self.backends = backends;
         self
     }
 
@@ -251,55 +232,31 @@ impl IvfadcConfig {
     }
 }
 
-/// One inverted list: the global ids, residual codes, and per-backend
-/// prepared scan state of a partition.
+/// One inverted list: the global ids and the residual codes in the grouped
+/// Fast Scan layout (paper §4.2) — the only copy of the codes the index holds.
 #[derive(Debug, Clone)]
 struct Partition {
     ids: Vec<u64>,
-    codes: Arc<RowMajorCodes>,
-    /// Prepared scan state; each entry self-identifies via
-    /// [`PreparedScanner::backend`], so no separate key is stored.
-    prepared: Vec<Box<dyn PreparedScanner>>,
+    index: FastScanIndex,
 }
 
 impl Partition {
-    /// Builds a partition, preparing every requested backend through the
-    /// scan registry. Backends the quantizer shape cannot support are
-    /// skipped; real configuration errors propagate.
-    fn build(
-        ids: Vec<u64>,
-        codes: RowMajorCodes,
-        backends: &[SearchBackend],
-        opts: &ScanOpts,
-    ) -> Result<Self, IvfError> {
-        let codes = Arc::new(codes);
-        let mut prepared: Vec<Box<dyn PreparedScanner>> = Vec::with_capacity(backends.len());
-        for &backend in backends {
-            if prepared.iter().any(|s| s.backend() == backend) {
-                continue;
-            }
-            match backend.scanner(opts).prepare(Arc::clone(&codes)) {
-                Ok(state) => prepared.push(state),
-                // The quantizer is not PQ 8x8: this backend simply stays
-                // unavailable (queries asking for it get a Config error).
-                Err(ScanError::NeedsPq8x8 { .. }) => {}
-                Err(e) => return Err(IvfError::Scan(e)),
-            }
-        }
-        Ok(Partition {
-            ids,
-            codes,
-            prepared,
-        })
+    fn build(ids: Vec<u64>, codes: &RowMajorCodes, opts: &ScanOpts) -> Result<Self, IvfError> {
+        let index = FastScanIndex::build(codes, &opts.fastscan_options())?;
+        Ok(Partition { ids, index })
     }
+}
 
-    /// The prepared state for `backend`, if it was built.
-    fn prepared_for(&self, backend: SearchBackend) -> Option<&dyn PreparedScanner> {
-        self.prepared
-            .iter()
-            .find(|s| s.backend() == backend)
-            .map(|s| s.as_ref())
+/// The grouped layout is defined for `PQ 8×8` only, so that is the one
+/// quantizer shape an index is built or loaded over.
+fn require_pq8x8(pq: &PqConfig) -> Result<(), IvfError> {
+    if pq.m() != 8 || pq.ksub() != 256 {
+        return Err(IvfError::Scan(ScanError::NeedsPq8x8 {
+            m: pq.m(),
+            ksub: pq.ksub(),
+        }));
     }
+    Ok(())
 }
 
 /// What one query asks of [`IvfadcIndex::search`].
@@ -307,7 +264,8 @@ impl Partition {
 pub struct SearchRequest {
     /// Number of neighbors to return (positive).
     pub topk: usize,
-    /// The scan implementation; must be among the index's prepared backends.
+    /// The scan implementation. Anything but [`SearchBackend::FastScan`]
+    /// rebuilds the probed partitions' rows first (the oracle path).
     pub backend: SearchBackend,
     /// Warm-up fraction handed to the scan ([`ScanParams::with_keep`]).
     pub keep: f64,
@@ -433,8 +391,10 @@ impl IvfadcIndex {
     /// # Errors
     ///
     /// Training/encoding failures ([`IvfError::Coarse`], [`IvfError::Pq`]),
-    /// or [`IvfError::Config`]/[`IvfError::DimMismatch`] for shape problems.
+    /// [`IvfError::Config`]/[`IvfError::DimMismatch`] for shape problems, or
+    /// [`IvfError::Scan`] for a quantizer shape other than `PQ 8×8`.
     pub fn build(train: &[f32], base: &[f32], config: &IvfadcConfig) -> Result<Self, IvfError> {
+        require_pq8x8(&config.pq)?;
         let dim = config.pq.dim();
         if config.partitions == 0 {
             return Err(IvfError::Config("partitions must be positive".into()));
@@ -478,8 +438,8 @@ impl IvfadcIndex {
             members[p].push(i as u64);
         }
         let m = config.pq.m();
-        // Each partition encodes its residuals and prepares its backends as
-        // one task; partitions are mutually independent.
+        // Each partition encodes its residuals and groups them as one task;
+        // partitions are mutually independent.
         let mut member_lists: Vec<(usize, Vec<u64>)> = members.into_iter().enumerate().collect();
         let built = pool.parallel_map_mut(&mut member_lists, |_, entry| {
             let (p, ids) = entry;
@@ -491,12 +451,7 @@ impl IvfadcIndex {
                 coarse.residual_into(v, *p, &mut residual);
                 pq.encode_into(&residual, &mut codes[slot * m..(slot + 1) * m]);
             }
-            Partition::build(
-                ids,
-                RowMajorCodes::new(codes, m),
-                &config.backends,
-                &config.scan,
-            )
+            Partition::build(ids, &RowMajorCodes::new(codes, m), &config.scan)
         });
         let mut partitions = Vec::with_capacity(config.partitions);
         for partition in built {
@@ -537,6 +492,13 @@ impl IvfadcIndex {
     /// `SearchOutcome::partition` reports the nearest (first) probed cell;
     /// `stats` accumulates over all probed cells.
     ///
+    /// **Backends:** [`SearchBackend::FastScan`] scans the resident grouped
+    /// codes. Every other backend is an *oracle path* for exactness checks
+    /// and baselines: each probe first rebuilds its partition's rows
+    /// ([`partition_rows`](Self::partition_rows), ~6 ms per 250 k vectors),
+    /// prepares the backend over them, scans under the same
+    /// [`ScanParams`], and drops them — exact, never fast.
+    ///
     /// **Deadline:** the nearest probe always runs, outside the budget — a
     /// query never returns an empty best-so-far just because the budget was
     /// tight. Each further probe checks the elapsed time before scanning
@@ -563,8 +525,8 @@ impl IvfadcIndex {
     /// # Errors
     ///
     /// [`IvfError::DimMismatch`] for bad queries, [`IvfError::Config`] for
-    /// a zero `topk` or `nprobe` or a backend that was not built, and the
-    /// first probe failure when no probe succeeded.
+    /// a zero `topk` or `nprobe`, and the first probe failure when no probe
+    /// succeeded.
     pub fn search(
         &self,
         query: &[f32],
@@ -829,21 +791,19 @@ impl IvfadcIndex {
             TABLES_BUILT.inc();
             let t1 = want_timing.then(Instant::now);
 
-            // Step 3: scan, through the backend registry — no per-backend
-            // dispatch here; whatever was prepared at build time can serve.
-            let scanner = partition.prepared_for(backend).ok_or_else(|| {
-                IvfError::Config(format!(
-                    "backend '{backend}' was not built into this index (available: {})",
-                    partition
-                        .prepared
-                        .iter()
-                        .map(|s| s.backend().name())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            })?;
-            let result: ScanResult =
-                scanner.scan_with(&scratch.tables, params, &mut scratch.scan)?;
+            // Step 3: scan. Fast Scan reads the resident grouped codes; any
+            // other backend is an oracle, answered exactly — and slowly, on
+            // purpose — over rows rebuilt for this one scan, so no second
+            // layout ever stays resident.
+            let result: ScanResult = if backend == SearchBackend::FastScan {
+                partition
+                    .index
+                    .scan_with(&scratch.tables, params, &mut scratch.scan)?
+            } else {
+                let rows = Arc::new(self.partition_rows(p).1);
+                let oracle = backend.scanner(&self.scan).prepare(rows)?;
+                oracle.scan(&scratch.tables, params)?
+            };
             let t2 = want_timing.then(Instant::now);
 
             // Translate partition positions to global ids.
@@ -873,21 +833,20 @@ impl IvfadcIndex {
 
     /// Rebuilds an index from stored parts (used by persistence).
     ///
-    /// `partitions` holds `(global ids, row-major code bytes)` per cell;
-    /// the listed `backends` are re-prepared through the scan registry
-    /// (preparation is deterministic and cheap next to decoding the codes).
+    /// `partitions` holds `(global ids, row-major code bytes)` per cell,
+    /// regrouped here under `opts` (grouping is deterministic).
     ///
     /// # Errors
     ///
-    /// [`IvfError::Config`] when shapes disagree, [`IvfError::Scan`] if a
-    /// backend rebuild fails.
+    /// [`IvfError::Config`] when shapes disagree, [`IvfError::Scan`] for a
+    /// quantizer that is not `PQ 8×8` or unusable `opts`.
     pub(crate) fn from_parts(
         coarse: CoarseQuantizer,
         pq: ProductQuantizer,
         partitions: Vec<(Vec<u64>, Vec<u8>)>,
-        backends: &[SearchBackend],
         opts: ScanOpts,
     ) -> Result<Self, IvfError> {
+        require_pq8x8(pq.config())?;
         if coarse.partitions() != partitions.len() {
             return Err(IvfError::Config(format!(
                 "coarse quantizer has {} cells but {} partitions were provided",
@@ -905,12 +864,7 @@ impl IvfadcIndex {
             if bytes.len() != ids.len() * m {
                 return Err(IvfError::Config("partition code length mismatch".into()));
             }
-            built.push(Partition::build(
-                ids,
-                RowMajorCodes::new(bytes, m),
-                backends,
-                &opts,
-            )?);
+            built.push(Partition::build(ids, &RowMajorCodes::new(bytes, m), &opts)?);
         }
         Ok(IvfadcIndex {
             coarse,
@@ -921,31 +875,17 @@ impl IvfadcIndex {
         })
     }
 
-    /// Whether per-partition Fast Scan state exists.
-    pub fn has_fastscan(&self) -> bool {
-        let with = |p: &Partition| p.prepared_for(SearchBackend::FastScan).is_some();
-        self.partitions.iter().all(|p| with(p) || p.ids.is_empty())
-            && self.partitions.iter().any(with)
-    }
-
-    /// The backends prepared in this index (what [`search`](Self::search)
-    /// accepts), in [`SearchBackend::ALL`] order. Empty partitions count:
-    /// an index over an empty base still reports its configured backends,
-    /// so a save/load roundtrip never produces an unloadable file.
-    pub fn prepared_backends(&self) -> Vec<SearchBackend> {
-        SearchBackend::ALL
-            .into_iter()
-            .filter(|&b| self.partitions.iter().any(|p| p.prepared_for(b).is_some()))
-            .collect()
-    }
-
-    /// Raw parts of partition `p` (used by persistence).
+    /// The global ids of partition `p` and its codes rebuilt row-major, in
+    /// partition-position order: what [`save`](Self::save) writes, what the
+    /// oracle path scans, and what a caller timing a row-major baseline
+    /// prepares its own scanner from.
     ///
     /// # Panics
     ///
     /// Panics if `p >= num_partitions()`.
-    pub(crate) fn partition_raw(&self, p: usize) -> (&[u64], &RowMajorCodes) {
-        (&self.partitions[p].ids, &self.partitions[p].codes)
+    pub fn partition_rows(&self, p: usize) -> (&[u64], RowMajorCodes) {
+        let partition = &self.partitions[p];
+        (&partition.ids, partition.index.grouped().to_row_major())
     }
 
     /// Number of partitions.
@@ -968,7 +908,7 @@ impl IvfadcIndex {
         self.len() == 0
     }
 
-    /// The scanner options the index's partitions were prepared with.
+    /// The scanner options the index's partitions were grouped under.
     pub fn scan_opts(&self) -> &ScanOpts {
         &self.scan
     }
@@ -993,19 +933,16 @@ impl IvfadcIndex {
         self.coarse.assign(query)
     }
 
-    /// Code storage bytes for the given backend (the paper's Figure 20
-    /// memory-use comparison: grouped Fast Scan storage is ~25 % smaller
-    /// than row-major codes). Falls back to the row-major footprint when
-    /// the backend was not prepared.
+    /// Code storage bytes resident for `backend`: the grouped layout for
+    /// [`SearchBackend::FastScan`] (the paper's Figure 20 compares it with
+    /// the `8 × len()` bytes of row-major codes, ~25 % more), and 0 for every
+    /// other backend — their rows exist only while an oracle scan runs.
     pub fn code_memory_bytes(&self, backend: SearchBackend) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| {
-                p.prepared_for(backend)
-                    .map(|s| s.code_memory_bytes())
-                    .unwrap_or_else(|| p.codes.memory_bytes())
-            })
-            .sum()
+        if backend != SearchBackend::FastScan {
+            return 0;
+        }
+        let grouped = self.partitions.iter().map(|p| p.index.code_memory_bytes());
+        grouped.sum()
     }
 }
 
@@ -1034,18 +971,14 @@ mod tests {
     }
 
     fn build_index(n: usize) -> (IvfadcIndex, Vec<f32>) {
-        build_with(n, IvfadcConfig::new(DIM, 4))
+        build_cells(n, 4)
     }
 
-    /// `n` base vectors over `partitions` cells, every backend prepared.
-    fn build_every_backend(n: usize, partitions: usize) -> (IvfadcIndex, Vec<f32>) {
-        let config = IvfadcConfig::new(DIM, partitions).with_backends(SearchBackend::ALL.to_vec());
-        build_with(n, config)
-    }
-
-    fn build_with(n: usize, config: IvfadcConfig) -> (IvfadcIndex, Vec<f32>) {
+    /// `n` base vectors over `partitions` cells, default configuration.
+    fn build_cells(n: usize, partitions: usize) -> (IvfadcIndex, Vec<f32>) {
         let train = clustered(1200, 7);
         let base = clustered(n, 8);
+        let config = IvfadcConfig::new(DIM, partitions);
         let index = IvfadcIndex::build(&train, &base, &config).unwrap();
         (index, base)
     }
@@ -1179,9 +1112,9 @@ mod tests {
     #[test]
     fn search_probes_and_search_are_bit_identical_with_or_without_a_trace() {
         let _lock = pqfs_fault::exclusive();
-        let (index, base) = build_every_backend(600, 4);
+        let (index, base) = build_cells(600, 4);
         let mut trace = QueryTrace::new();
-        for backend in index.prepared_backends() {
+        for backend in SearchBackend::ALL {
             for nprobe in [1usize, 4] {
                 for q in base[..DIM * 10].chunks_exact(DIM) {
                     let req = SearchRequest::new(8, backend, 0.01, nprobe);
@@ -1206,7 +1139,7 @@ mod tests {
     #[test]
     fn parallel_search_is_bit_identical_to_serial_for_every_backend() {
         let _lock = pqfs_fault::exclusive();
-        let (index, base) = build_every_backend(600, 4);
+        let (index, base) = build_cells(600, 4);
         let queries: Vec<&[f32]> = base[..DIM * 10].chunks_exact(DIM).collect();
         let serial = ThreadPool::new(1);
         for backend in SearchBackend::ALL {
@@ -1271,7 +1204,7 @@ mod tests {
     #[test]
     fn bounded_probes_answer_exactly_like_independent_unbounded_scans() {
         let _lock = pqfs_fault::exclusive();
-        let (index, base) = build_every_backend(900, 8);
+        let (index, base) = build_cells(900, 8);
         let pools = [1usize, 2, 8].map(ThreadPool::new);
         let mut rng = StdRng::seed_from_u64(15);
         let (mut bounded, mut unbounded) = (0, 0);
@@ -1320,14 +1253,14 @@ mod tests {
     #[test]
     fn a_sole_answering_probe_is_returned_as_the_merge_would_order_it() {
         let _lock = pqfs_fault::exclusive();
-        let (index, base) = build_every_backend(600, 4);
+        let (index, base) = build_cells(600, 4);
         // The same cells with every code equal to the cell's first — all
         // distances tie — under ids that descend with position.
         let all_ties = {
             let m = index.pq().config().m();
             let parts = (0..index.num_partitions())
                 .map(|p| {
-                    let (ids, codes) = index.partition_raw(p);
+                    let (ids, codes) = index.partition_rows(p);
                     let ids = ids.iter().map(|id| 10_000 - id).collect();
                     let first = &codes.as_bytes()[..m.min(codes.as_bytes().len())];
                     (ids, first.repeat(codes.len()))
@@ -1337,7 +1270,6 @@ mod tests {
                 index.coarse().clone(),
                 index.pq().clone(),
                 parts,
-                &SearchBackend::ALL,
                 index.scan_opts().clone(),
             )
             .unwrap()
@@ -1376,15 +1308,14 @@ mod tests {
         let regrouped = |c: usize, kernel: Kernel| {
             let parts = (0..built.num_partitions())
                 .map(|p| {
-                    let (ids, codes) = built.partition_raw(p);
+                    let (ids, codes) = built.partition_rows(p);
                     (ids.to_vec(), codes.as_bytes().to_vec())
                 })
                 .collect();
             let opts = built.scan_opts().clone();
             let opts = opts.with_group_components(c).with_kernel(kernel);
-            let backends = [SearchBackend::Naive, SearchBackend::FastScan];
             let (coarse, pq) = (built.coarse().clone(), built.pq().clone());
-            IvfadcIndex::from_parts(coarse, pq, parts, &backends, opts).unwrap()
+            IvfadcIndex::from_parts(coarse, pq, parts, opts).unwrap()
         };
         let pools = [1usize, 2, 8].map(ThreadPool::new);
         // Compiled out without the `avx2` feature (the portable-only CI step).
@@ -1709,24 +1640,18 @@ mod tests {
             ),
             Err(IvfError::Config(_))
         ));
-    }
-
-    #[test]
-    fn fastscan_backend_requires_build_support() {
-        let _lock = pqfs_fault::exclusive();
-        let train = clustered(600, 2);
-        let base = clustered(200, 3);
-        let mut config = IvfadcConfig::new(DIM, 2);
-        config.backends = vec![SearchBackend::Naive, SearchBackend::Libpq];
-        let index = IvfadcIndex::build(&train, &base, &config).unwrap();
+        // An index is PQ 8x8: another shape is refused before any training.
         assert!(matches!(
-            index.search_probes(&base[..DIM], 5, SearchBackend::FastScan, 0.01, 1),
-            Err(IvfError::Config(_))
+            IvfadcIndex::build(
+                &train,
+                &train,
+                &IvfadcConfig {
+                    pq: PqConfig::pq16x4(DIM),
+                    ..IvfadcConfig::new(DIM, 1)
+                }
+            ),
+            Err(IvfError::Scan(ScanError::NeedsPq8x8 { m: 16, ksub: 16 }))
         ));
-        // The other backends still work.
-        assert!(index
-            .search_probes(&base[..DIM], 5, SearchBackend::Naive, 0.0, 1)
-            .is_ok());
     }
 
     #[test]
@@ -1737,8 +1662,10 @@ mod tests {
         // picks c = 0, where packed storage equals row-major plus at most
         // one padded block per group.
         let (index, _) = build_index(2000);
-        let row = index.code_memory_bytes(SearchBackend::Naive);
+        let row = 8 * index.len();
         let packed = index.code_memory_bytes(SearchBackend::FastScan);
+        // The grouped layout is all that is resident.
+        assert_eq!(index.code_memory_bytes(SearchBackend::Naive), 0);
         // Loose bound: per group at most one padded 16-vector block of at
         // most 8 bytes/vector; uneven clustered partitions may reach c = 1
         // (16 groups each).

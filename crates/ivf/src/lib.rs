@@ -19,18 +19,19 @@
 //! per-query trace. [`IvfadcIndex::search_probes`] is the shorthand for the
 //! global pool with no deadline and no trace.
 //!
-//! # Backend dispatch
+//! # One resident layout
 //!
-//! [`SearchBackend`] is a re-export of the scan crate's `Backend` registry
-//! enum. At build time, [`IvfadcConfig::backends`] lists the backends each
-//! partition prepares (via `Scanner::prepare`: row-major baselines share
-//! the partition's code storage, the transposed baselines keep a transposed
-//! copy, Fast Scan keeps its grouped/packed index); at query time,
-//! [`IvfadcIndex::search`] routes to the prepared state for the requested
-//! backend. There is **no per-backend `match` in this crate** — adding a
-//! kernel to the scan registry makes it available here by listing it in
-//! `backends`. Every backend returns the exact same neighbors, which the
-//! test suites of both crates verify.
+//! A partition holds its global ids and one copy of its codes: the grouped,
+//! nibble-packed Fast Scan layout of the paper's §4.2 (`PQ 8×8` only; any
+//! other quantizer shape is a typed error at build and at load). That layout
+//! *is* the index — nothing selects or lists backends. [`SearchBackend`] is
+//! a re-export of the scan crate's `Backend` registry enum and every index
+//! answers every member of it with the exact same neighbors:
+//! `FastScan` scans the resident codes; any other backend is an **oracle
+//! path** for exactness checks and baselines, which rebuilds the probed
+//! partition's rows ([`IvfadcIndex::partition_rows`]), prepares the backend
+//! over them, scans, and drops them — slow on purpose, never a second
+//! resident copy.
 //!
 //! ```
 //! use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend};
@@ -43,9 +44,7 @@
 //! };
 //! let train = gen(1000);
 //! let base = gen(500);
-//! // Prepare every registered backend, not just the default three.
-//! let config = IvfadcConfig::new(dim, 4).with_backends(SearchBackend::ALL.to_vec());
-//! let index = IvfadcIndex::build(&train, &base, &config).unwrap();
+//! let index = IvfadcIndex::build(&train, &base, &IvfadcConfig::new(dim, 4)).unwrap();
 //!
 //! let query = &base[..dim];
 //! let reference = index.search_probes(query, 5, SearchBackend::Naive, 0.0, 1).unwrap();

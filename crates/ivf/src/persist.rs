@@ -8,8 +8,8 @@
 //! ```text
 //! magic   "PQIV"           4 bytes
 //! version u32              currently 3
-//! header  section          dim u64, partitions u64, backend mask u8,
-//!                          scan options (12 bytes)
+//! header  section          dim u64, partitions u64, one reserved byte
+//!                          (written 0), scan options (12 bytes)
 //! centroids section        partitions × dim × f32
 //! quantizer section        embedded pqfs-core persist format (v3)
 //! partition sections       one per partition: count u64, ids, codes
@@ -26,16 +26,18 @@
 //! [`IvfadcIndex::save_file`] writes **atomically** (temp file + fsync +
 //! rename): a crash mid-save never corrupts the published artifact.
 //!
-//! Backend scan state (transposed layouts, Fast Scan grouping) is *rebuilt*
-//! on load through the scan registry (preparation is deterministic and
-//! costs a small fraction of what decoding the codes from disk does).
+//! Partition sections hold row-major codes: [`IvfadcIndex::save`] rebuilds
+//! them from the resident grouped layout and [`IvfadcIndex::load`] regroups
+//! them under the stored scan options (grouping is deterministic, so save →
+//! load → save reproduces the file). The reserved header byte was the
+//! prepared-backend mask of earlier writers; it is not interpreted.
 //!
 //! Failpoint sites (see `pqfs_fault`): `ivf.persist.read`,
 //! `ivf.persist.write`, `ivf.persist.create`, `ivf.persist.fsync`,
 //! `ivf.persist.rename`.
 
 use crate::coarse::CoarseQuantizer;
-use crate::index::{IvfadcIndex, SearchBackend};
+use crate::index::IvfadcIndex;
 use pqfs_core::checksum::{CrcRead, CrcWrite};
 use pqfs_core::persist::{
     atomic_write_file, decode_f32s, expect_eof, le_u64, load_pq, read_section, read_section_body,
@@ -54,17 +56,6 @@ const MAX_DIM: u64 = 1 << 20;
 const MAX_PARTITIONS: u64 = 1 << 24;
 const MAX_QUANTIZER_SECTION: u64 = 1 << 32;
 const MAX_PARTITION_SECTION: u64 = 1 << 40;
-
-/// Encodes a backend set as a bitmask over [`SearchBackend::ALL`] order.
-fn backends_to_mask(backends: &[SearchBackend]) -> u8 {
-    let mut mask = 0u8;
-    for (bit, b) in SearchBackend::ALL.iter().enumerate() {
-        if backends.contains(b) {
-            mask |= 1 << bit;
-        }
-    }
-    mask
-}
 
 /// Encodes the scan options as the fixed 12-byte block.
 fn write_scan_opts(w: &mut impl Write, opts: &ScanOpts) -> io::Result<()> {
@@ -115,16 +106,6 @@ fn read_scan_opts(r: &mut impl Read) -> Result<ScanOpts, PersistError> {
     })
 }
 
-/// Decodes a backend bitmask (unknown future bits are ignored).
-fn mask_to_backends(mask: u8) -> Vec<SearchBackend> {
-    SearchBackend::ALL
-        .into_iter()
-        .enumerate()
-        .filter(|(bit, _)| mask & (1 << bit) != 0)
-        .map(|(_, b)| b)
-        .collect()
-}
-
 /// Reads a checksummed section whose length is not known a priori, bounded
 /// by `max` (rejected before allocation when exceeded).
 fn read_section_bounded(
@@ -160,7 +141,7 @@ impl IvfadcIndex {
         let mut header = Vec::with_capacity(29);
         header.extend_from_slice(&(dim as u64).to_le_bytes());
         header.extend_from_slice(&(parts as u64).to_le_bytes());
-        header.push(backends_to_mask(&self.prepared_backends()));
+        header.push(0); // reserved
         write_scan_opts(&mut header, self.scan_opts())?;
         write_section(&mut cw, &header)?;
 
@@ -177,7 +158,7 @@ impl IvfadcIndex {
         write_section(&mut cw, &pq_bytes)?;
 
         for p in 0..parts {
-            let (ids, codes) = self.partition_raw(p);
+            let (ids, codes) = self.partition_rows(p);
             let mut payload = Vec::with_capacity(8 + ids.len() * 8 + codes.as_bytes().len());
             payload.extend_from_slice(&(ids.len() as u64).to_le_bytes());
             for &id in ids {
@@ -197,8 +178,8 @@ impl IvfadcIndex {
     /// # Errors
     ///
     /// [`PersistError`] on IO failures, bad magic/version, truncation,
-    /// checksum mismatches, absurd stored sizes, or an invalid embedded
-    /// quantizer — never a panic.
+    /// checksum mismatches, absurd stored sizes, or an embedded quantizer
+    /// that is invalid or not `PQ 8×8` — never a panic.
     pub fn load(r: &mut impl Read) -> Result<Self, PersistError> {
         let mut cr = CrcRead::new(&mut *r);
         let mut magic = [0u8; 4];
@@ -217,7 +198,6 @@ impl IvfadcIndex {
         let header = read_section(&mut cr, "index header", 29)?;
         let dim = le_u64(&header[0..8]);
         let parts = le_u64(&header[8..16]);
-        let backends = mask_to_backends(header[16]);
         let opts = read_scan_opts(&mut &header[17..29])?;
         if dim == 0 || parts == 0 {
             return Err(PersistError::Format(
@@ -292,7 +272,6 @@ impl IvfadcIndex {
             CoarseQuantizer::from_centroids(centroids, dim as usize),
             pq,
             partitions,
-            &backends,
             opts,
         )
         .map_err(|e| PersistError::Format(e.to_string()))
@@ -334,6 +313,7 @@ impl IvfadcIndex {
 mod tests {
     use super::*;
     use crate::index::{IvfadcConfig, SearchBackend};
+    use pqfs_core::checksum::crc32;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -350,19 +330,33 @@ mod tests {
         (index, base)
     }
 
+    /// Byte offset of the header section's body: magic, version, length.
+    const HEADER_AT: usize = 16;
+
+    /// Recomputes the file footer after an edit that kept the sections'
+    /// own checksums valid.
+    fn reseal(buf: &mut [u8]) {
+        let end = buf.len() - 4;
+        let footer = crc32(&buf[..end]);
+        buf[end..].copy_from_slice(&footer.to_le_bytes());
+    }
+
     #[test]
-    fn roundtrip_preserves_search_results() {
+    fn roundtrip_preserves_search_results_and_the_file() {
         let _lock = pqfs_fault::exclusive();
         let (index, base) = build();
         let mut buf = Vec::new();
         index.save(&mut buf).unwrap();
         let loaded = IvfadcIndex::load(&mut buf.as_slice()).unwrap();
+        let mut again = Vec::new();
+        loaded.save(&mut again).unwrap();
+        assert_eq!(again, buf, "save -> load -> save must reproduce the file");
 
         assert_eq!(loaded.len(), index.len());
         assert_eq!(loaded.partition_sizes(), index.partition_sizes());
         for qi in (0..400).step_by(37) {
             let q = &base[qi * DIM..(qi + 1) * DIM];
-            for backend in [SearchBackend::Naive, SearchBackend::FastScan] {
+            for backend in SearchBackend::ALL {
                 let a = index.search_probes(q, 7, backend, 0.01, 1).unwrap();
                 let b = loaded.search_probes(q, 7, backend, 0.01, 1).unwrap();
                 let ids = |o: &crate::index::SearchOutcome| {
@@ -373,31 +367,64 @@ mod tests {
         }
     }
 
+    /// Earlier v3 writers stored the prepared-backend mask in header byte
+    /// 16. Whatever it holds, the image loads and serves.
     #[test]
-    fn roundtrip_preserves_the_prepared_backend_set() {
+    fn images_with_a_backend_mask_in_the_reserved_byte_load_and_serve() {
         let _lock = pqfs_fault::exclusive();
-        let mut rng = StdRng::seed_from_u64(56);
-        let gen = |rng: &mut StdRng, n: usize| -> Vec<f32> {
-            (0..n * DIM).map(|_| rng.gen_range(0.0f32..255.0)).collect()
-        };
-        let train = gen(&mut rng, 1000);
-        let base = gen(&mut rng, 300);
-        let config = IvfadcConfig::new(DIM, 2).with_backends(SearchBackend::ALL.to_vec());
-        let index = IvfadcIndex::build(&train, &base, &config).unwrap();
-        assert_eq!(index.prepared_backends(), SearchBackend::ALL.to_vec());
-
+        let (index, base) = build();
         let mut buf = Vec::new();
         index.save(&mut buf).unwrap();
-        let loaded = IvfadcIndex::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.prepared_backends(), SearchBackend::ALL.to_vec());
-        // Every persisted backend still answers queries after the roundtrip.
-        for backend in SearchBackend::ALL {
-            assert!(
-                loaded
-                    .search_probes(&base[..DIM], 3, backend, 0.01, 1)
-                    .is_ok(),
-                "{backend}"
-            );
+        assert_eq!(buf[HEADER_AT + 16], 0);
+        let want = index
+            .search_probes(&base[..DIM], 7, SearchBackend::FastScan, 0.01, 1)
+            .unwrap();
+        for mask in [0x01u8, 0x3F] {
+            buf[HEADER_AT + 16] = mask;
+            let crc = crc32(&buf[HEADER_AT..HEADER_AT + 29]);
+            buf[HEADER_AT + 29..HEADER_AT + 33].copy_from_slice(&crc.to_le_bytes());
+            reseal(&mut buf);
+            let loaded = IvfadcIndex::load(&mut buf.as_slice()).unwrap();
+            let got = loaded
+                .search_probes(&base[..DIM], 7, SearchBackend::FastScan, 0.01, 1)
+                .unwrap();
+            assert_eq!(got.neighbors, want.neighbors, "mask {mask:#04x}");
+            assert_eq!(got.stats, want.stats, "mask {mask:#04x}");
+        }
+    }
+
+    /// An index is PQ 8x8. An image whose sections are all intact but whose
+    /// quantizer has another shape is refused with a typed error.
+    #[test]
+    fn an_embedded_quantizer_that_is_not_pq8x8_is_a_format_error() {
+        use pqfs_core::{PqConfig, ProductQuantizer};
+        let mut rng = StdRng::seed_from_u64(59);
+        let train: Vec<f32> = (0..1000 * DIM)
+            .map(|_| rng.gen_range(0.0f32..255.0))
+            .collect();
+        // An empty base: the partition sections hold no codes, so they are
+        // well-formed under any `m`.
+        let index = IvfadcIndex::build(&train, &[], &IvfadcConfig::new(DIM, 2)).unwrap();
+        let mut buf = Vec::new();
+        index.save(&mut buf).unwrap();
+
+        let narrow = PqConfig::new(DIM, 4, 8).unwrap();
+        let mut pq_bytes = Vec::new();
+        save_pq(
+            &ProductQuantizer::train(&train, &narrow, 1).unwrap(),
+            &mut pq_bytes,
+        )
+        .unwrap();
+        let mut section = Vec::new();
+        write_section(&mut section, &pq_bytes).unwrap();
+        // Header section (8 + 29 + 4), then the centroids section.
+        let pq_at = HEADER_AT + 29 + 4 + 8 + 2 * DIM * 4 + 4;
+        let pq_len = le_u64(&buf[pq_at..pq_at + 8]) as usize;
+        buf.splice(pq_at..pq_at + 8 + pq_len + 4, section);
+        reseal(&mut buf);
+        match IvfadcIndex::load(&mut buf.as_slice()) {
+            Err(PersistError::Format(msg)) => assert!(msg.contains("PQ 8x8"), "{msg}"),
+            other => panic!("{:?}", other.map(|_| ())),
         }
     }
 
@@ -461,13 +488,11 @@ mod tests {
             .collect();
         let index = IvfadcIndex::build(&train, &[], &IvfadcConfig::new(DIM, 2)).unwrap();
         assert!(index.is_empty());
-        assert_eq!(index.prepared_backends(), IvfadcConfig::default_backends());
 
         let mut buf = Vec::new();
         index.save(&mut buf).unwrap();
         let loaded = IvfadcIndex::load(&mut buf.as_slice()).unwrap();
         assert!(loaded.is_empty());
-        assert_eq!(loaded.prepared_backends(), IvfadcConfig::default_backends());
     }
 
     #[test]
@@ -504,7 +529,7 @@ mod tests {
         let mut header = Vec::new();
         header.extend_from_slice(&16u64.to_le_bytes()); // dim
         header.extend_from_slice(&(1u64 << 50).to_le_bytes()); // partitions
-        header.push(0); // backend mask
+        header.push(0); // reserved
         write_scan_opts(&mut header, &ScanOpts::default()).unwrap();
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);

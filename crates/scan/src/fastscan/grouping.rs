@@ -19,7 +19,6 @@
 
 use crate::fastscan::layout::{BlockLayout, FS_BLOCK, FS_M};
 use pqfs_core::RowMajorCodes;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// A group identifier: the high nibbles of the first `c` components
@@ -39,6 +38,15 @@ pub fn group_key(code: &[u8], c: usize) -> GroupKey {
         *slot = code[j] >> 4;
     }
     key
+}
+
+/// [`group_key`] as one integer, the first component most significant, so
+/// ascending integers are ascending keys.
+#[inline]
+fn packed_key(code: &[u8], c: usize) -> usize {
+    code[..c]
+        .iter()
+        .fold(0, |packed, &byte| (packed << 4) | (byte >> 4) as usize)
 }
 
 /// The paper's minimum average group size for grouping to pay off.
@@ -110,42 +118,45 @@ impl GroupedCodes {
         let layout = BlockLayout::new(c);
         let bpb = layout.bytes_per_block();
 
-        // Stable bucket assignment: BTreeMap gives ascending key order.
-        let mut buckets: BTreeMap<GroupKey, Vec<u32>> = BTreeMap::new();
-        for (i, code) in codes.iter().enumerate() {
-            buckets
-                .entry(group_key(code, c))
-                .or_default()
-                .push(i as u32);
-        }
-
+        // Stable counting sort over the packed key: count, lay the non-empty
+        // keys out in ascending order (`slot_of` then maps a key to its
+        // group), and scatter each code to the next free lane of its group.
         let n = codes.len();
-        let total_blocks: usize = buckets
-            .values()
-            .map(|ids| ids.len().div_ceil(FS_BLOCK))
-            .sum();
-        let mut blocks = vec![0u8; total_blocks * bpb];
-        let mut ids = Vec::with_capacity(n);
-        let mut groups = Vec::with_capacity(buckets.len());
-
-        let mut block_offset = 0usize;
-        for (key, members) in buckets {
-            let start = ids.len();
-            let len = members.len();
-            let group_bytes = len.div_ceil(FS_BLOCK) * bpb;
-            let region = &mut blocks[block_offset..block_offset + group_bytes];
-            for (pos, &id) in members.iter().enumerate() {
-                let block = &mut region[(pos / FS_BLOCK) * bpb..(pos / FS_BLOCK + 1) * bpb];
-                layout.write_code(block, pos % FS_BLOCK, codes.code(id as usize));
+        let mut slot_of = vec![0u32; 1 << (4 * c)];
+        for code in codes.iter() {
+            slot_of[packed_key(code, c)] += 1;
+        }
+        let mut groups = Vec::new();
+        let (mut start, mut block_offset) = (0usize, 0usize);
+        for (packed, slot) in slot_of.iter_mut().enumerate() {
+            let len = *slot as usize;
+            if len == 0 {
+                continue;
             }
-            ids.extend_from_slice(&members);
+            *slot = groups.len() as u32;
+            let mut key = [0u8; 4];
+            for (j, nibble) in key.iter_mut().enumerate().take(c) {
+                *nibble = (packed >> (4 * (c - 1 - j))) as u8 & 0x0F;
+            }
             groups.push(GroupMeta {
                 key,
                 start,
                 len,
                 block_offset,
             });
-            block_offset += group_bytes;
+            start += len;
+            block_offset += len.div_ceil(FS_BLOCK) * bpb;
+        }
+        let mut blocks = vec![0u8; block_offset];
+        let mut ids = vec![0u32; n];
+        let mut filled = vec![0usize; groups.len()];
+        for (i, code) in codes.iter().enumerate() {
+            let gi = slot_of[packed_key(code, c)] as usize;
+            let (g, pos) = (&groups[gi], filled[gi]);
+            filled[gi] += 1;
+            ids[g.start + pos] = i as u32;
+            let block = g.block_offset + (pos / FS_BLOCK) * bpb;
+            layout.write_code(&mut blocks[block..block + bpb], pos % FS_BLOCK, code);
         }
 
         // Keys ascend, so the groups sharing a key prefix are adjacent.
@@ -228,6 +239,19 @@ impl GroupedCodes {
         debug_assert!(idx < g.len);
         self.layout
             .read_code(self.block(g, idx / FS_BLOCK), idx % FS_BLOCK, &g.key)
+    }
+
+    /// The codes back in partition-position order: the inverse of
+    /// [`build`](Self::build), so `build(&codes, c).to_row_major() == codes`.
+    pub fn to_row_major(&self) -> RowMajorCodes {
+        let mut rows = vec![0u8; self.n * FS_M];
+        for g in &self.groups {
+            for idx in 0..g.len {
+                let at = self.ids[g.start + idx] as usize * FS_M;
+                rows[at..at + FS_M].copy_from_slice(&self.read_code(g, idx));
+            }
+        }
+        RowMajorCodes::new(rows, FS_M)
     }
 
     /// Bytes of packed code storage (padding included) — the §4.2 memory
@@ -326,18 +350,15 @@ mod tests {
     }
 
     #[test]
-    fn packed_blocks_roundtrip_codes() {
-        for c in [0usize, 1, 2, 3, 4] {
-            let codes = sample_codes(123);
-            let grouped = GroupedCodes::build(&codes, c);
-            for g in grouped.groups() {
-                for idx in 0..g.len {
-                    let id = grouped.id(g.start + idx);
-                    assert_eq!(
-                        grouped.read_code(g, idx),
-                        *codes.code(id as usize).first_chunk::<FS_M>().unwrap(),
-                        "c={c} id={id}"
-                    );
+    fn to_row_major_inverts_build_and_members_keep_their_order() {
+        for c in 0..=4usize {
+            for n in [0usize, 1, 15, 16, 17, 5_000] {
+                let codes = sample_codes(n);
+                let grouped = GroupedCodes::build(&codes, c);
+                assert_eq!(grouped.to_row_major(), codes, "c={c} n={n}");
+                for g in grouped.groups() {
+                    let members: Vec<u32> = (0..g.len).map(|i| grouped.id(g.start + i)).collect();
+                    assert!(members.windows(2).all(|w| w[0] < w[1]), "c={c} n={n}");
                 }
             }
         }

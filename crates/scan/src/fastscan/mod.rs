@@ -196,7 +196,9 @@ impl FastScanIndex {
         self.grouped.ids_memory_bytes()
     }
 
-    pub(crate) fn grouped(&self) -> &GroupedCodes {
+    /// The grouped code storage (the only copy of the codes this index
+    /// holds; [`GroupedCodes::to_row_major`] rebuilds the rows it came from).
+    pub fn grouped(&self) -> &GroupedCodes {
         &self.grouped
     }
 

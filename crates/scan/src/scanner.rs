@@ -190,20 +190,6 @@ pub trait PreparedScanner: fmt::Debug + Send + Sync {
         let _ = scratch;
         self.scan(tables, params)
     }
-
-    /// Bytes of code storage held by this prepared layout (the paper's
-    /// Figure 20 memory comparison).
-    fn code_memory_bytes(&self) -> usize;
-
-    /// Clones into a new box (enables `Clone` for containers of prepared
-    /// partitions).
-    fn clone_box(&self) -> Box<dyn PreparedScanner>;
-}
-
-impl Clone for Box<dyn PreparedScanner> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// Every scan implementation in the workspace, as a value.
@@ -332,7 +318,7 @@ fn check_pq8(m: usize, ksub: usize) -> Result<(), ScanError> {
 #[derive(Debug, Clone, Copy)]
 struct NaiveScanner;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PreparedNaive {
     codes: Arc<RowMajorCodes>,
 }
@@ -370,14 +356,6 @@ impl PreparedScanner for PreparedNaive {
         check_m(tables, self.codes.m())?;
         Ok(scan_naive(tables, &self.codes, params))
     }
-
-    fn code_memory_bytes(&self) -> usize {
-        self.codes.memory_bytes()
-    }
-
-    fn clone_box(&self) -> Box<dyn PreparedScanner> {
-        Box::new(self.clone())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -387,7 +365,7 @@ impl PreparedScanner for PreparedNaive {
 #[derive(Debug, Clone, Copy)]
 struct LibpqScanner;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PreparedLibpq {
     codes: Arc<RowMajorCodes>,
 }
@@ -428,14 +406,6 @@ impl PreparedScanner for PreparedLibpq {
         check_m(tables, self.codes.m())?;
         Ok(scan_libpq(tables, &self.codes, params))
     }
-
-    fn code_memory_bytes(&self) -> usize {
-        self.codes.memory_bytes()
-    }
-
-    fn clone_box(&self) -> Box<dyn PreparedScanner> {
-        Box::new(self.clone())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -449,7 +419,7 @@ struct AvxScanner;
 struct GatherScanner;
 
 /// Shared prepared state for the two transposed-layout baselines.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PreparedTransposed {
     backend: Backend,
     transposed: TransposedCodes,
@@ -535,14 +505,6 @@ impl PreparedScanner for PreparedTransposed {
     fn scan(&self, tables: &DistanceTables, params: &ScanParams) -> Result<ScanResult, ScanError> {
         self.run(tables, params)
     }
-
-    fn code_memory_bytes(&self) -> usize {
-        self.transposed.memory_bytes()
-    }
-
-    fn clone_box(&self) -> Box<dyn PreparedScanner> {
-        Box::new(self.clone())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -555,7 +517,7 @@ struct QuantizeOnlyScanner {
     bins: u16,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PreparedQuantizeOnly {
     codes: Arc<RowMajorCodes>,
     bins: u16,
@@ -602,14 +564,6 @@ impl PreparedScanner for PreparedQuantizeOnly {
         check_m(tables, self.codes.m())?;
         Ok(scan_quantize_only(tables, &self.codes, params, self.bins))
     }
-
-    fn code_memory_bytes(&self) -> usize {
-        self.codes.memory_bytes()
-    }
-
-    fn clone_box(&self) -> Box<dyn PreparedScanner> {
-        Box::new(self.clone())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -622,7 +576,7 @@ struct FastScanScanner {
     keep: f64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PreparedFastScan {
     index: FastScanIndex,
 }
@@ -669,14 +623,6 @@ impl PreparedScanner for PreparedFastScan {
         scratch: &mut ScanScratch,
     ) -> Result<ScanResult, ScanError> {
         self.index.scan_with(tables, params, scratch)
-    }
-
-    fn code_memory_bytes(&self) -> usize {
-        self.index.code_memory_bytes()
-    }
-
-    fn clone_box(&self) -> Box<dyn PreparedScanner> {
-        Box::new(self.clone())
     }
 }
 
@@ -758,8 +704,6 @@ mod tests {
             assert_eq!(prepared.backend(), backend);
             let repeated = prepared.scan(&tables, &params).unwrap();
             assert_eq!(one_shot.ids(), repeated.ids(), "{backend}");
-            let cloned = prepared.clone_box().scan(&tables, &params).unwrap();
-            assert_eq!(one_shot.ids(), cloned.ids(), "{backend} (cloned)");
         }
     }
 
@@ -805,27 +749,5 @@ mod tests {
     #[test]
     fn default_backend_is_fastscan() {
         assert_eq!(Backend::default(), Backend::FastScan);
-    }
-
-    #[test]
-    fn memory_accounting_reflects_layout() {
-        let (_, codes) = fixture(50_000);
-        let opts = ScanOpts::default().with_group_components(2);
-        let shared = Arc::new(codes);
-        let row = Backend::Naive
-            .scanner(&opts)
-            .prepare(Arc::clone(&shared))
-            .unwrap()
-            .code_memory_bytes();
-        let grouped = Backend::FastScan
-            .scanner(&opts)
-            .prepare(Arc::clone(&shared))
-            .unwrap()
-            .code_memory_bytes();
-        assert_eq!(row, shared.memory_bytes());
-        assert!(
-            grouped < row,
-            "grouped {grouped} should undercut row-major {row} (§4.2)"
-        );
     }
 }

@@ -89,6 +89,9 @@ fn every_backend_returns_the_identical_topk_set() {
     }
 }
 
+/// A default-config index holds the grouped codes only and still answers
+/// every backend of the registry, bit for bit like `Naive`; what Fast Scan
+/// reports does not depend on the pool its probes fan out on.
 #[test]
 fn ivfadc_backends_agree_and_route_queries() {
     let mut gen = dataset(21);
@@ -96,26 +99,34 @@ fn ivfadc_backends_agree_and_route_queries() {
     let base = gen.sample(8_000);
     let queries = gen.sample(10);
 
-    // Prepare the full registry, so the agreement check covers all six
-    // backends through the IVFADC pipeline too.
-    let config = IvfadcConfig::new(DIM, 8)
-        .with_seed(17)
-        .with_backends(SearchBackend::ALL.to_vec());
+    let config = IvfadcConfig::new(DIM, 8).with_seed(17);
     let index = IvfadcIndex::build(&train, &base, &config).unwrap();
     assert_eq!(index.len(), 8_000);
     assert_eq!(index.partition_sizes().len(), 8);
 
+    let pools = [1usize, 2, 8].map(ThreadPool::new);
     for q in queries.chunks_exact(DIM) {
-        let ids = |o: &pq_fast_scan::ivf::SearchOutcome| {
-            o.neighbors.iter().map(|n| n.id).collect::<Vec<_>>()
-        };
-        let naive = index
-            .search_probes(q, 50, SearchBackend::Naive, 0.0, 1)
-            .unwrap();
-        for backend in SearchBackend::ALL {
-            let other = index.search_probes(q, 50, backend, 0.01, 1).unwrap();
-            assert_eq!(ids(&naive), ids(&other), "backend '{backend}'");
-            assert_eq!(other.partition, index.select_partition(q));
+        for nprobe in [1usize, 4] {
+            let answer = |backend, pool: &ThreadPool| {
+                let request = SearchRequest::new(50, backend, 0.01, nprobe);
+                index.search(q, &request, pool, None).unwrap()
+            };
+            let bits = |o: &pq_fast_scan::ivf::SearchOutcome| {
+                let pair = |n: &Neighbor| (n.dist.to_bits(), n.id);
+                o.neighbors.iter().map(pair).collect::<Vec<_>>()
+            };
+            let naive = answer(SearchBackend::Naive, &pools[0]);
+            for backend in SearchBackend::ALL {
+                let other = answer(backend, &pools[0]);
+                assert_eq!(bits(&naive), bits(&other), "'{backend}' nprobe {nprobe}");
+                assert_eq!(other.partition, index.select_partition(q));
+            }
+            let fast = answer(SearchBackend::FastScan, &pools[0]);
+            for pool in &pools[1..] {
+                let again = answer(SearchBackend::FastScan, pool);
+                assert_eq!(again.stats, fast.stats, "pool of {}", pool.threads());
+                assert_eq!(bits(&again), bits(&fast), "pool of {}", pool.threads());
+            }
         }
     }
 }
