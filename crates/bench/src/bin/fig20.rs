@@ -131,6 +131,7 @@ fn main() {
         ("fastpq portable", Kernel::Portable),
         ("fastpq ssse3", Kernel::Ssse3),
         ("fastpq avx2", Kernel::Avx2),
+        ("fastpq avx512vbmi", Kernel::Avx512Vbmi),
     ] {
         let opts = ScanOpts::default().with_kernel(kernel);
         let index = match Backend::FastScan.scanner(&opts).prepare(Arc::clone(&codes)) {

@@ -272,7 +272,21 @@ fn query_run_emits_parseable_prometheus_text() {
 
 #[test]
 fn traced_query_waterfall_accounts_for_the_wall_time() {
-    let (dir, index, queries) = build_fixture("trace");
+    let (dir, index, _) = build_fixture("trace");
+    // Enough queries for a median: one waterfall that a descheduled process
+    // leaves short of its wall time says nothing about the accounting.
+    const QUERIES: usize = 21;
+    let queries = dir.path("many.fvecs");
+    let n = QUERIES.to_string();
+    assert_success(
+        &pqfs(
+            &[
+                "gen", "--out", &queries, "--n", &n, "--dim", "16", "--seed", "3",
+            ],
+            &[],
+        ),
+        "gen queries",
+    );
     // Serial pool: every stage is a disjoint slice of the wall clock, so
     // the reported stage sum must account for (almost) all of it.
     let out = pqfs(
@@ -293,26 +307,30 @@ fn traced_query_waterfall_accounts_for_the_wall_time() {
     );
     assert_success(&out, "query --trace true");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    let mut checked = 0;
-    for line in stderr.lines() {
-        let Some(rest) = line.trim_start().strip_prefix("stage sum ") else {
-            continue;
-        };
-        let pct: f64 = rest
-            .split_once('(')
-            .and_then(|(_, tail)| tail.strip_suffix("% of wall)"))
-            .expect("stage-sum line has a percent-of-wall suffix")
-            .parse()
-            .expect("percent parses");
-        // Sequential stages can only lose time to inter-stage overhead
-        // (closure dispatch, trace bookkeeping); 15% slack absorbs CI
-        // scheduling noise without letting real gaps through.
-        assert!(
-            (85.0..=110.0).contains(&pct),
-            "stage sum covers {pct}% of wall, outside 85–110%:\n{stderr}"
-        );
-        checked += 1;
-    }
-    assert_eq!(checked, 3, "one waterfall per query:\n{stderr}");
+    let mut covered: Vec<f64> = stderr
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("stage sum "))
+        .map(|rest| {
+            rest.split_once('(')
+                .and_then(|(_, tail)| tail.strip_suffix("% of wall)"))
+                .expect("stage-sum line has a percent-of-wall suffix")
+                .parse()
+                .expect("percent parses")
+        })
+        .collect();
+    assert_eq!(covered.len(), QUERIES, "one waterfall per query:\n{stderr}");
+    // Stages are disjoint, so no waterfall can exceed its wall time by more
+    // than rounding. Below it, sequential stages lose time only to
+    // inter-stage overhead (closure dispatch, trace bookkeeping) — a fixed
+    // few microseconds, a larger share the faster the scans get — and to
+    // the scheduler taking the CPU between two stages, which hits single
+    // queries hard and the median not at all.
+    covered.sort_by(f64::total_cmp);
+    let (median, most) = (covered[QUERIES / 2], covered[QUERIES - 1]);
+    assert!(
+        median >= 85.0 && most <= 110.0,
+        "stage sums cover {median}% of wall in the median (floor 85%) and at most {most}% \
+         (ceiling 110%):\n{stderr}"
+    );
     drop(dir);
 }

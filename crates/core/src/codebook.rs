@@ -30,7 +30,7 @@ impl Codebook {
     /// `dsub`.
     pub fn new(centroids: Vec<f32>, dsub: usize) -> Self {
         assert!(
-            dsub > 0 && !centroids.is_empty() && centroids.len() % dsub == 0,
+            dsub > 0 && !centroids.is_empty() && centroids.len().is_multiple_of(dsub),
             "centroid matrix must be a non-empty ksub x dsub"
         );
         let blocks = CentroidBlocks::new(&centroids, dsub);

@@ -25,7 +25,7 @@ impl PqConfig {
     /// * [`PqError::BadConfig`] if `dim`, `m` or `nbits` is zero, `dim` is
     ///   not a multiple of `m`, or `nbits > 16`.
     pub fn new(dim: usize, m: usize, nbits: u8) -> Result<Self, PqError> {
-        if dim == 0 || m == 0 || nbits == 0 || nbits > 16 || dim % m != 0 {
+        if dim == 0 || m == 0 || nbits == 0 || nbits > 16 || !dim.is_multiple_of(m) {
             return Err(PqError::BadConfig { dim, m, nbits });
         }
         Ok(PqConfig { dim, m, nbits })

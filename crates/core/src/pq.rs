@@ -40,7 +40,7 @@ impl ProductQuantizer {
             });
         }
         let dim = config.dim();
-        if data.is_empty() || data.len() % dim != 0 {
+        if data.is_empty() || !data.len().is_multiple_of(dim) {
             return Err(PqError::DimMismatch {
                 expected: dim,
                 actual: data.len(),
@@ -134,7 +134,7 @@ impl ProductQuantizer {
     /// [`PqError::DimMismatch`] if `data` is not a multiple of `dim`.
     pub fn encode_batch(&self, data: &[f32]) -> Result<RowMajorCodes, PqError> {
         let dim = self.config.dim();
-        if data.len() % dim != 0 {
+        if !data.len().is_multiple_of(dim) {
             return Err(PqError::DimMismatch {
                 expected: dim,
                 actual: data.len(),
@@ -176,7 +176,7 @@ impl ProductQuantizer {
         pool: &pqfs_pool::ThreadPool,
     ) -> Result<RowMajorCodes, PqError> {
         let dim = self.config.dim();
-        if data.len() % dim != 0 {
+        if !data.len().is_multiple_of(dim) {
             return Err(PqError::DimMismatch {
                 expected: dim,
                 actual: data.len(),
@@ -265,7 +265,7 @@ impl ProductQuantizer {
         seed: u64,
     ) -> Result<Vec<Vec<usize>>, PqError> {
         let ksub = self.config.ksub();
-        if portions == 0 || ksub % portions != 0 {
+        if portions == 0 || !ksub.is_multiple_of(portions) {
             return Err(PqError::BadPortioning { ksub, portions });
         }
         let mut perms = Vec::with_capacity(self.codebooks.len());

@@ -24,7 +24,10 @@ fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
 /// Panics if `base` is not a multiple of `dim` or the query has the wrong
 /// dimensionality.
 pub fn exact_knn(base: &[f32], dim: usize, query: &[f32], k: usize) -> Vec<TrueNeighbor> {
-    assert!(dim > 0 && base.len() % dim == 0, "base must be n x dim");
+    assert!(
+        dim > 0 && base.len().is_multiple_of(dim),
+        "base must be n x dim"
+    );
     assert_eq!(query.len(), dim, "query dimensionality mismatch");
     let mut all: Vec<TrueNeighbor> = base
         .chunks_exact(dim)
@@ -47,7 +50,7 @@ pub fn exact_knn_batch(
     k: usize,
 ) -> Vec<Vec<TrueNeighbor>> {
     assert!(
-        dim > 0 && queries.len() % dim == 0,
+        dim > 0 && queries.len().is_multiple_of(dim),
         "queries must be n x dim"
     );
     queries

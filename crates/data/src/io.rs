@@ -133,7 +133,7 @@ fn write_records<T, F>(path: &Path, data: &[T], dim: usize, mut encode: F) -> Re
 where
     F: FnMut(&T, &mut Vec<u8>),
 {
-    if dim == 0 || data.len() % dim != 0 {
+    if dim == 0 || !data.len().is_multiple_of(dim) {
         return Err(DataError::Format(format!(
             "data length {} is not a positive multiple of dim {dim}",
             data.len()

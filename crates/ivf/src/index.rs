@@ -399,13 +399,13 @@ impl IvfadcIndex {
         if config.partitions == 0 {
             return Err(IvfError::Config("partitions must be positive".into()));
         }
-        if train.is_empty() || train.len() % dim != 0 {
+        if train.is_empty() || !train.len().is_multiple_of(dim) {
             return Err(IvfError::DimMismatch {
                 expected: dim,
                 actual: train.len(),
             });
         }
-        if base.len() % dim != 0 {
+        if !base.len().is_multiple_of(dim) {
             return Err(IvfError::DimMismatch {
                 expected: dim,
                 actual: base.len(),
@@ -1299,7 +1299,8 @@ mod tests {
     /// regrouped on every component count: the answer is the exhaustive
     /// scan's, and `stats` — what was passed over and what the heap took
     /// included — are the same at every pool size and under the portable
-    /// and the SSSE3 kernel.
+    /// and the SSSE3 kernel. Under the refining kernel, which verifies
+    /// fewer, they are the same at every pool size too.
     #[test]
     fn traversal_stats_depend_on_neither_the_pool_nor_the_kernel() {
         use pqfs_scan::Kernel;
@@ -1318,15 +1319,15 @@ mod tests {
             IvfadcIndex::from_parts(coarse, pq, parts, opts).unwrap()
         };
         let pools = [1usize, 2, 8].map(ThreadPool::new);
-        // Compiled out without the `avx2` feature (the portable-only CI step).
-        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
-        let has_ssse3 = std::arch::is_x86_feature_detected!("ssse3");
-        #[cfg(not(all(target_arch = "x86_64", feature = "avx2")))]
-        let has_ssse3 = false;
+        // Neither in a build without the `avx2` feature (the portable-only
+        // CI step).
+        let has_ssse3 = Kernel::Ssse3.resolved().is_ok();
+        let has_refining = Kernel::Avx512Vbmi.resolved().is_ok();
         let mut passed_over = 0;
         for c in 0..=4usize {
             let portable = regrouped(c, Kernel::Portable);
             let ssse3 = regrouped(c, Kernel::Ssse3);
+            let refining = regrouped(c, Kernel::Avx512Vbmi);
             for (nprobe, topk) in [(1usize, 1usize), (1, 100), (1, 1000), (4, 10), (4, 100)] {
                 for q in base[..DIM * 4].chunks_exact(DIM) {
                     let at = format!("c={c} nprobe={nprobe} topk={topk}");
@@ -1347,6 +1348,25 @@ mod tests {
                     if has_ssse3 {
                         let got = ssse3.search(q, &fast, &pools[1], None).unwrap();
                         assert_eq!(key(&got), key(&want), "{at} SSSE3");
+                    }
+                    if !has_refining {
+                        continue;
+                    }
+                    let refined = refining.search(q, &fast, &pools[0], None).unwrap();
+                    assert_eq!(bits(&refined.neighbors), bits(&want.neighbors), "{at}");
+                    assert_eq!(
+                        (refined.stats.skipped, refined.stats.accepted),
+                        (s.skipped, s.accepted),
+                        "{at}"
+                    );
+                    for pool in &pools[1..] {
+                        let got = refining.search(q, &fast, pool, None).unwrap();
+                        assert_eq!(
+                            key(&got),
+                            key(&refined),
+                            "{at} refined @ {}",
+                            pool.threads()
+                        );
                     }
                 }
             }

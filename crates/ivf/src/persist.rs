@@ -71,6 +71,7 @@ fn write_scan_opts(w: &mut impl Write, opts: &ScanOpts) -> io::Result<()> {
         Kernel::Portable => 1,
         Kernel::Ssse3 => 2,
         Kernel::Avx2 => 3,
+        Kernel::Avx512Vbmi => 4,
     };
     w.write_all(&[kernel])?;
     Ok(())
@@ -96,6 +97,7 @@ fn read_scan_opts(r: &mut impl Read) -> Result<ScanOpts, PersistError> {
         1 => Kernel::Portable,
         2 => Kernel::Ssse3,
         3 => Kernel::Avx2,
+        4 => Kernel::Avx512Vbmi,
         k => return Err(PersistError::Format(format!("bad kernel tag {k}"))),
     };
     Ok(ScanOpts {

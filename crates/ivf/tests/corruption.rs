@@ -107,3 +107,49 @@ fn corrupt_embedded_quantizer_bytes_are_rejected() {
     bad[mid..mid + 4].copy_from_slice(&f32::NAN.to_le_bytes());
     assert_rejected(&bad, "NaN spliced into the middle of the image");
 }
+
+/// Where the scan options keep the kernel tag: the last byte of the header
+/// section's 29-byte body, which magic, version and the section's length
+/// precede.
+const HEADER_AT: usize = 16;
+const KERNEL_TAG_AT: usize = HEADER_AT + 28;
+
+/// An image whose checksums are all valid and whose kernel tag is `tag`.
+fn with_kernel_tag(mut buf: Vec<u8>, tag: u8) -> Vec<u8> {
+    buf[KERNEL_TAG_AT] = tag;
+    let crc = pqfs_core::crc32(&buf[HEADER_AT..HEADER_AT + 29]);
+    buf[HEADER_AT + 29..HEADER_AT + 33].copy_from_slice(&crc.to_le_bytes());
+    let end = buf.len() - 4;
+    let footer = pqfs_core::crc32(&buf[..end]);
+    buf[end..].copy_from_slice(&footer.to_le_bytes());
+    buf
+}
+
+#[test]
+fn kernel_tags_0_to_4_load_and_tag_5_is_a_typed_format_error() {
+    use pqfs_scan::Kernel;
+    let buf = index_bytes();
+    assert_eq!(buf[KERNEL_TAG_AT], 0, "the default kernel is Auto, tag 0");
+    let kernels = [
+        Kernel::Auto,
+        Kernel::Portable,
+        Kernel::Ssse3,
+        Kernel::Avx2,
+        Kernel::Avx512Vbmi,
+    ];
+    for (tag, kernel) in kernels.into_iter().enumerate() {
+        let image = with_kernel_tag(buf.clone(), tag as u8);
+        let index = IvfadcIndex::load(&mut image.as_slice()).unwrap();
+        assert_eq!(index.scan_opts().kernel, kernel, "tag {tag}");
+        // What is written is the tag that was read.
+        let mut again = Vec::new();
+        index.save(&mut again).unwrap();
+        assert_eq!(again, image, "tag {tag}");
+    }
+    match IvfadcIndex::load(&mut with_kernel_tag(buf, 5).as_slice()) {
+        Err(pqfs_core::PersistError::Format(msg)) => {
+            assert!(msg.contains("bad kernel tag 5"), "{msg}")
+        }
+        other => panic!("tag 5: {:?}", other.map(|ix| ix.len())),
+    }
+}

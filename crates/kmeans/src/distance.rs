@@ -55,7 +55,7 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
 pub fn nearest_centroid(v: &[f32], centroids: &[f32], dim: usize) -> (usize, f32) {
     assert!(dim > 0, "dim must be positive");
     assert!(
-        !centroids.is_empty() && centroids.len() % dim == 0,
+        !centroids.is_empty() && centroids.len().is_multiple_of(dim),
         "centroid matrix must be a non-empty multiple of dim"
     );
     let mut best = 0usize;
@@ -100,7 +100,7 @@ impl CentroidBlocks {
     pub fn new(centroids: &[f32], dim: usize) -> Self {
         assert!(dim > 0, "dim must be positive");
         assert!(
-            !centroids.is_empty() && centroids.len() % dim == 0,
+            !centroids.is_empty() && centroids.len().is_multiple_of(dim),
             "centroid matrix must be a non-empty multiple of dim"
         );
         let k = centroids.len() / dim;

@@ -184,7 +184,7 @@ impl KMeans {
     ///
     /// Panics if the matrix is empty or not a multiple of `dim`.
     pub fn from_centroids(centroids: Vec<f32>, dim: usize) -> Self {
-        assert!(dim > 0 && !centroids.is_empty() && centroids.len() % dim == 0);
+        assert!(dim > 0 && !centroids.is_empty() && centroids.len().is_multiple_of(dim));
         KMeans {
             centroids,
             dim,
@@ -201,7 +201,7 @@ fn validate(data: &[f32], dim: usize, k: usize) -> Result<usize, KMeansError> {
     if data.is_empty() {
         return Err(KMeansError::EmptyInput);
     }
-    if dim == 0 || data.len() % dim != 0 {
+    if dim == 0 || !data.len().is_multiple_of(dim) {
         return Err(KMeansError::BadShape {
             len: data.len(),
             dim,

@@ -135,7 +135,7 @@ pub fn train_same_size(
     // Seed centroids with ordinary k-means (validates all shared inputs).
     let seeded = train(data, dim, &KMeansConfig::new(k).with_seed(cfg.seed))?;
     let n = data.len() / dim;
-    if n % k != 0 {
+    if !n.is_multiple_of(k) {
         return Err(KMeansError::NotDivisible { k, n });
     }
     let capacity = n / k;

@@ -177,10 +177,10 @@ fn has_fn_safety_doc(toks: &[Tok], unsafe_idx: usize) -> bool {
             TokKind::Ident => match t.text.as_str() {
                 // Modifiers and attribute contents that may sit between the
                 // docs and the `unsafe` keyword.
-                "pub" | "crate" | "in" | "const" | "async" | "extern" | "inline" | "cold"
-                | "target_feature" | "enable" | "must_use" | "doc" | "hidden" | "allow"
-                | "expect" | "cfg" | "all" | "any" | "not" | "feature" | "target_arch"
-                | "clippy" | "test" | "derive" | "repr" => {}
+                "pub" | "crate" | "in" | "const" | "async" | "extern" | "inline" | "always"
+                | "cold" | "target_feature" | "enable" | "must_use" | "doc" | "hidden"
+                | "allow" | "expect" | "cfg" | "all" | "any" | "not" | "feature"
+                | "target_arch" | "clippy" | "test" | "derive" | "repr" => {}
                 _ => return false,
             },
             TokKind::Str | TokKind::Lifetime | TokKind::Num => {}

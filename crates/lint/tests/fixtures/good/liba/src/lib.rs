@@ -9,6 +9,18 @@ pub unsafe fn read_raw(p: *const u8) -> u8 {
     unsafe { *p }
 }
 
+/// A body shared by `#[target_feature]` wrappers: the attribute between the
+/// contract and the header must not hide the contract.
+///
+/// # Safety
+///
+/// `p` must point to a readable byte.
+#[inline(always)]
+pub unsafe fn read_raw_inlined(p: *const u8) -> u8 {
+    // SAFETY: `p` is readable, by this function's own contract.
+    unsafe { read_raw(p) }
+}
+
 pub fn observe() {
     let _counter = LazyCounter::new("pqfs_good_total");
     let _static_site = check("good.site");

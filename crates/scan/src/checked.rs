@@ -6,7 +6,9 @@
 //! sampled subset of kernel invocations re-runs the portable fallback on the
 //! same inputs and asserts the outputs match bit for bit — a cheap, always-on
 //! guard against miscompiled intrinsics, broken runtime dispatch, or a kernel
-//! change that silently diverges from its oracle.
+//! change that silently diverges from its oracle. (The fast-scan kernel
+//! that bounds twice, `Kernel::Avx512Vbmi`, is checked against the portable
+//! kernel in its full-table mode: `fastscan::kernel::scan_all`.)
 //!
 //! Sampling is controlled by `PQFS_CHECK_RATE`: check every Nth invocation
 //! (default 64). `PQFS_CHECK_RATE=1` checks every call; `PQFS_CHECK_RATE=0`

@@ -91,8 +91,9 @@ impl ScanParams {
 }
 
 /// Reusable per-thread scan state: the quantized table buffers a Fast Scan
-/// query fills (one 256-entry byte table per grouped component plus the
-/// 16-entry small tables) and the list of groups its warm-up scanned.
+/// query fills (one 256-entry byte table per grouped component, or per
+/// component under a refining kernel, plus the 16-entry small tables) and
+/// the list of groups its warm-up scanned.
 ///
 /// These are the only per-query heap allocations of a prepared Fast Scan
 /// query besides the result; batch drivers keep one `ScanScratch` per
@@ -199,11 +200,13 @@ pub(crate) fn scan_with(
     }
 
     // Quantized full tables for the grouped components (their 16-entry
-    // portions become S_0..S_{c-1}, selected per group by the kernel),
+    // portions become S_0..S_{c-1}, selected per group by the kernel) — and
+    // for the others too when the kernel bounds a second time with them —
     // written into the reusable scratch buffers...
     let scan_tables = &mut scratch.tables;
-    scan_tables.grouped.resize_with(c, Vec::new);
-    for (j, buf) in scan_tables.grouped.iter_mut().enumerate() {
+    let full = if kernel.refines() { FS_M } else { c };
+    scan_tables.full.resize_with(full, Vec::new);
+    for (j, buf) in scan_tables.full.iter_mut().enumerate() {
         quantizer.quantize_table_into(j, tables.table(j), buf);
     }
     // ...and the minimum tables S_c..S_7, constant for the whole query

@@ -134,10 +134,19 @@ impl DistanceQuantizer {
     }
 
     /// [`quantize_table`](Self::quantize_table) into an existing buffer,
-    /// so per-query scratch can be reused without reallocating.
+    /// so per-query scratch can be reused without reallocating. With AVX2,
+    /// 32 entries at a time, bit-identical to
+    /// [`quantize_value`](Self::quantize_value).
     pub fn quantize_table_into(&self, j: usize, table: &[f32], out: &mut Vec<u8>) {
         out.clear();
-        out.extend(table.iter().map(|&v| self.quantize_value(j, v)));
+        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected on this CPU.
+            unsafe { quantize_chunks_avx2(table, self.biases[j], self.inv_delta, out) };
+        }
+        // What the vector loop left: everything, or fewer than 32 entries.
+        let rest = &table[out.len()..];
+        out.extend(rest.iter().map(|&v| self.quantize_value(j, v)));
     }
 
     /// Quantizes the pruning threshold `t` (the current top-k distance),
@@ -152,6 +161,42 @@ impl DistanceQuantizer {
         }
         let scaled = ((t - self.bias_sum) * self.inv_delta).floor() + 1.0;
         scaled.clamp(0.0, NO_PRUNE as f32) as u8
+    }
+}
+
+/// Appends the quantized entries of the whole 32-entry chunks of `table` to
+/// `out`: `(v − bias) · inv_delta` clamped into `[0, 255]` and truncated,
+/// which is [`DistanceQuantizer::quantize_value`]'s floor-then-clamp for
+/// every input — below zero both give 0, a NaN (`∞ − ∞`, `∞ · 0`) too:
+/// `max_ps` returns its second operand, the `0.0`, when the first is NaN.
+///
+/// # Safety
+///
+/// CPU must support AVX2.
+#[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_chunks_avx2(table: &[f32], bias: f32, inv_delta: f32, out: &mut Vec<u8>) {
+    use std::arch::x86_64::*;
+    let (bias, inv_delta) = (_mm256_set1_ps(bias), _mm256_set1_ps(inv_delta));
+    let (zero, top) = (_mm256_setzero_ps(), _mm256_set1_ps(255.0));
+    let quantize8 = |entries: &[f32]| {
+        let entries = &entries[..8];
+        // SAFETY: `entries` is eight readable floats.
+        let v = unsafe { _mm256_loadu_ps(entries.as_ptr()) };
+        let scaled = _mm256_mul_ps(_mm256_sub_ps(v, bias), inv_delta);
+        _mm256_cvttps_epi32(_mm256_min_ps(_mm256_max_ps(scaled, zero), top))
+    };
+    // The two packs interleave the 128-bit lanes: dwords 0, 4, 1, 5, … of
+    // the packed bytes are the entries in order.
+    let in_order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    for chunk in table.chunks_exact(32) {
+        let low = _mm256_packus_epi32(quantize8(chunk), quantize8(&chunk[8..]));
+        let high = _mm256_packus_epi32(quantize8(&chunk[16..]), quantize8(&chunk[24..]));
+        let bytes = _mm256_permutevar8x32_epi32(_mm256_packus_epi16(low, high), in_order);
+        let mut quantized = [0u8; 32];
+        // SAFETY: `quantized` is 32 writable bytes.
+        unsafe { _mm256_storeu_si256(quantized.as_mut_ptr().cast(), bytes) };
+        out.extend_from_slice(&quantized);
     }
 }
 
@@ -173,6 +218,47 @@ mod tests {
         assert_eq!(q.quantize_value(0, 4.0), 1);
         assert_eq!(q.quantize_value(1, 40.0), 10);
         assert_eq!(q.quantize_value(1, 10_000.0), 255, "saturates at byte max");
+    }
+
+    /// `quantize_table_into` — the AVX2 loop where the CPU has it, and its
+    /// scalar remainder — agrees with `quantize_value` entry for entry,
+    /// also where the scaled entry is far out of range, infinite or NaN.
+    #[test]
+    fn table_quantization_matches_the_scalar_entry_by_entry() {
+        let mut state = 0x1234_5678u32;
+        let mut next = move || {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) as f32 / 256.0
+        };
+        // 256 entries are whole chunks, 100 leave a remainder of 4.
+        for ksub in [256usize, 100] {
+            for round in 0..8 {
+                let mut data: Vec<f32> = (0..2 * ksub).map(|_| next()).collect();
+                if round % 2 == 1 {
+                    // An unreachable centroid: `∞ − bias`, and `∞ · 0` (NaN)
+                    // under the degenerate quantizers below.
+                    data[ksub + 5] = f32::INFINITY;
+                }
+                let t = DistanceTables::from_raw(data, 2, ksub);
+                let best = t.sum_of_mins();
+                let qmaxes = [
+                    t.distance(&[3, 7]),
+                    best,
+                    best * (1.0 + f32::EPSILON),
+                    1e9,
+                    f32::INFINITY,
+                ];
+                for qmax in qmaxes {
+                    let q = DistanceQuantizer::new(&t, qmax, DEFAULT_BINS);
+                    assert_eq!(q.inv_delta == 0.0, qmax.is_infinite());
+                    for j in 0..2 {
+                        let want: Vec<u8> =
+                            t.table(j).iter().map(|&v| q.quantize_value(j, v)).collect();
+                        assert_eq!(q.quantize_table(j, t.table(j)), want, "qmax={qmax} j={j}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 #![cfg(feature = "checked-kernels")]
 
 use pqfs_core::{DistanceTables, RowMajorCodes};
-use pqfs_scan::{Backend, ScanOpts};
+use pqfs_scan::{Backend, Kernel, ScanOpts};
 
 fn tables(m: usize, ksub: usize) -> DistanceTables {
     let raw: Vec<f32> = (0..m * ksub)
@@ -25,6 +25,11 @@ fn codes(n: usize, m: usize) -> RowMajorCodes {
 #[test]
 fn every_backend_survives_full_rate_shadow_checking() {
     pqfs_scan::checked::force_rate(1);
+    // Which Fast Scan kernel, and so which oracle, this run checks (CI shows
+    // it with `--nocapture`).
+    let kernel = Kernel::Auto.resolved().unwrap();
+    eprintln!("Kernel::Auto resolves to {kernel:?}");
+    assert_eq!(ScanOpts::default().kernel, Kernel::Auto);
     let tables = tables(8, 256);
     let codes = codes(4096, 8);
     let topk = 17;

@@ -90,7 +90,7 @@ fn two_distance_levels_with_ties_across_groups() {
     let mut bytes = Vec::with_capacity(128 * M);
     for i in 0..128 {
         let c = if i % 2 == 0 { 0x11u8 } else { 0xEE };
-        bytes.extend(std::iter::repeat(c).take(M));
+        bytes.extend(std::iter::repeat_n(c, M));
     }
     let c = RowMajorCodes::new(bytes, M);
     assert_exact(&c, 70, 0.01, 4, "two-level ties");

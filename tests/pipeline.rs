@@ -3,8 +3,16 @@
 //! `pqfs-scan` and `pqfs-ivf`.
 
 use pq_fast_scan::prelude::*;
+use pq_fast_scan::scan::ScanError;
 
 const DIM: usize = 32;
+
+const KERNELS: [Kernel; 4] = [
+    Kernel::Portable,
+    Kernel::Ssse3,
+    Kernel::Avx2,
+    Kernel::Avx512Vbmi,
+];
 
 fn dataset(seed: u64) -> SyntheticDataset {
     SyntheticDataset::new(
@@ -56,8 +64,8 @@ fn full_pipeline_fastscan_equals_pqscan_and_finds_true_neighbors() {
 }
 
 /// The paper's §5 exactness guarantee as one table-driven test: every
-/// backend in the registry returns the identical top-k set on a seeded
-/// synthetic dataset.
+/// backend in the registry, and Fast Scan under every kernel this CPU has,
+/// returns the identical top-k set on a seeded synthetic dataset.
 #[test]
 fn every_backend_returns_the_identical_topk_set() {
     let mut gen = dataset(61);
@@ -85,6 +93,23 @@ fn every_backend_returns_the_identical_topk_set() {
                 reference.ids(),
                 "backend '{backend}' diverged from naive on query {qi}"
             );
+        }
+        for kernel in KERNELS {
+            let scanner = Backend::FastScan.scanner(&opts.clone().with_kernel(kernel));
+            match scanner.scan(&tables, &codes, 100) {
+                Ok(result) => {
+                    let bits = |r: &ScanResult| -> Vec<(u32, u64)> {
+                        let pair = |n: &Neighbor| (n.dist.to_bits(), n.id);
+                        r.neighbors.iter().map(pair).collect()
+                    };
+                    assert_eq!(bits(&result), bits(&reference), "{kernel:?} query {qi}");
+                }
+                Err(ScanError::KernelUnavailable { kernel }) if qi == 0 => {
+                    eprintln!("skipping: this CPU has no {kernel} kernel")
+                }
+                Err(ScanError::KernelUnavailable { .. }) => {}
+                Err(e) => panic!("{kernel:?}: {e}"),
+            }
         }
     }
 }
