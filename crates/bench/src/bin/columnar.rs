@@ -5,7 +5,7 @@
 //! cargo run --release -p pqfs-bench --bin columnar
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use pqfs_bench::{env_usize, header, scale};
 use pqfs_columnar::{approximate_mean, topk_max_fast, CompressedColumn};

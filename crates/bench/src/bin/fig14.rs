@@ -9,7 +9,7 @@
 //! cargo run --release -p pqfs-bench --bin fig14
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use pqfs_bench::{env_usize, header, scale, Fixture, DIM};
 use pqfs_metrics::{fmt_f, time_ms, Summary, TextTable};

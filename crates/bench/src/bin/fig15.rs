@@ -6,7 +6,7 @@
 //! cargo run --release -p pqfs-bench --bin fig15
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use pqfs_bench::{env_usize, header, scale, Fixture, DIM};
 use pqfs_metrics::{

@@ -10,7 +10,7 @@
 //! cargo run --release -p pqfs-bench --bin fig16
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};
 use pqfs_metrics::{fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};

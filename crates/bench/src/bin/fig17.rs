@@ -9,13 +9,13 @@
 //! cargo run --release -p pqfs-bench --bin fig17
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
+use pqfs_bench::baselines::scan_quantize_only;
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};
 use pqfs_core::RowMajorCodes;
 use pqfs_metrics::{fmt_f, Summary, TextTable};
-use pqfs_scan::{Backend, PreparedScanner, ScanOpts, ScanParams};
-use std::sync::Arc;
+use pqfs_scan::{FastScanIndex, FastScanOptions, ScanParams};
 
 fn main() {
     let sizes = scaled_partition_sizes();
@@ -27,22 +27,11 @@ fn main() {
     );
 
     let mut fx = Fixture::train(17);
-    let opts = ScanOpts::default();
-    let partitions: Vec<Arc<RowMajorCodes>> =
-        sizes.iter().map(|&n| Arc::new(fx.partition(n))).collect();
-    let prepare = |backend: Backend| -> Vec<Box<dyn PreparedScanner>> {
-        partitions
-            .iter()
-            .map(|codes| {
-                backend
-                    .scanner(&opts)
-                    .prepare(Arc::clone(codes))
-                    .expect("prepare")
-            })
-            .collect()
-    };
-    let quant_only = prepare(Backend::QuantizeOnly);
-    let indexes = prepare(Backend::FastScan);
+    let partitions: Vec<RowMajorCodes> = sizes.iter().map(|&n| fx.partition(n)).collect();
+    let indexes: Vec<FastScanIndex> = partitions
+        .iter()
+        .map(|codes| FastScanIndex::build(codes, &FastScanOptions::default()).expect("build"))
+        .collect();
 
     let keeps = [0.0001, 0.001, 0.005, 0.01, 0.05, 0.1];
     let mut t = TextTable::new(vec![
@@ -57,11 +46,11 @@ fn main() {
             let params = ScanParams::new(topk).with_keep(keep);
             let mut qo = Vec::new();
             let mut full = Vec::new();
-            for (qonly, index) in quant_only.iter().zip(&indexes) {
+            for (codes, index) in partitions.iter().zip(&indexes) {
                 for _ in 0..queries_per_partition {
                     let q = fx.queries(1);
                     let tables = fx.tables(&q);
-                    let r = qonly.scan(&tables, &params).unwrap();
+                    let r = scan_quantize_only(&tables, codes, topk, keep);
                     qo.push(100.0 * r.stats.pruned_fraction());
                     let r = index.scan(&tables, &params).unwrap();
                     full.push(100.0 * r.stats.pruned_fraction());

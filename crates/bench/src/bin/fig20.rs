@@ -7,7 +7,7 @@
 //! SCALE: PQFS_SCALE=4 cargo run --release -p pqfs-bench --bin fig20
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use pqfs_bench::{env_usize, header, host_description, scale, Fixture, DIM};
 use pqfs_core::DistanceTables;

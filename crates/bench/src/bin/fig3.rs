@@ -9,12 +9,12 @@
 //! cargo run --release -p pqfs-bench --bin fig3
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
+use pqfs_bench::baselines::{scan_avx, scan_gather, TransposedCodes};
 use pqfs_bench::{env_usize, header, scale, Fixture, DIM};
 use pqfs_metrics::{fmt_f, measure_ms, mvecs_per_sec, pqscan_ops, PqScanImpl, Summary, TextTable};
-use pqfs_scan::{Backend, ScanOpts, ScanParams};
-use std::sync::Arc;
+use pqfs_scan::{scan_libpq, scan_naive, ScanParams};
 
 fn main() {
     let n = (1_000_000.0 * scale()) as usize;
@@ -27,20 +27,10 @@ fn main() {
     );
 
     let mut fx = Fixture::train(3);
-    let codes = Arc::new(fx.partition(n));
+    let codes = fx.partition(n);
+    let transposed = TransposedCodes::from_row_major(&codes);
     let queries = fx.queries(n_queries);
-    let opts = ScanOpts::default();
     let params = ScanParams::new(topk);
-
-    // The four PQ Scan baselines, resolved through the backend registry
-    // (each prepares its native layout once), paired with the
-    // operation-count model's view of the same implementation.
-    let impls: [(Backend, PqScanImpl); 4] = [
-        (Backend::Naive, PqScanImpl::Naive),
-        (Backend::Libpq, PqScanImpl::Libpq),
-        (Backend::Avx, PqScanImpl::Avx),
-        (Backend::Gather, PqScanImpl::Gather),
-    ];
 
     let mut t = TextTable::new(vec![
         "impl",
@@ -51,21 +41,30 @@ fn main() {
         "uops/vec",
     ]);
 
-    for (backend, imp) in impls {
-        let scanner = backend
-            .scanner(&opts)
-            .prepare(Arc::clone(&codes))
-            .expect("prepare");
+    // The four PQ Scan baselines over their native layouts (the transposed
+    // copy is built once), paired with the operation-count model's view of
+    // the same implementation.
+    for (name, imp) in [
+        ("naive", PqScanImpl::Naive),
+        ("libpq", PqScanImpl::Libpq),
+        ("avx", PqScanImpl::Avx),
+        ("gather", PqScanImpl::Gather),
+    ] {
         let mut times = Vec::new();
         for q in queries.chunks_exact(DIM) {
             let tables = fx.tables(q);
-            let reps = measure_ms(3, || scanner.scan(&tables, &params).expect("scan"));
+            let reps = measure_ms(3, || match imp {
+                PqScanImpl::Naive => scan_naive(&tables, &codes, &params),
+                PqScanImpl::Libpq => scan_libpq(&tables, &codes, &params),
+                PqScanImpl::Avx => scan_avx(&tables, &transposed, topk),
+                PqScanImpl::Gather => scan_gather(&tables, &transposed, topk),
+            });
             times.push(Summary::from_values(&reps).median());
         }
         let median = Summary::from_values(&times).median();
         let ops = pqscan_ops(imp, 8);
         t.row(vec![
-            backend.to_string(),
+            name.to_string(),
             fmt_f(median, 2),
             fmt_f(mvecs_per_sec(n, median), 0),
             fmt_f(ops.l1_loads, 1),

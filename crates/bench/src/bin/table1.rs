@@ -5,7 +5,7 @@
 //! cargo run --release -p pqfs-bench --bin table1
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use pqfs_bench::header;
 use pqfs_core::PqConfig;

@@ -5,12 +5,12 @@
 //! cargo run --release -p pqfs-bench --bin table2
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
+use pqfs_bench::baselines::{scan_gather, TransposedCodes};
 use pqfs_bench::{env_usize, header, Fixture};
 use pqfs_metrics::{measure_ms, Summary, TextTable, GATHER, PSHUFB};
-use pqfs_scan::{Backend, ScanOpts, ScanParams};
-use std::sync::Arc;
+use pqfs_scan::{FastScanIndex, FastScanOptions, ScanParams};
 
 fn main() {
     header(
@@ -49,16 +49,9 @@ fn main() {
     println!("microbenchmark: {n} vectors, {reps} queries\n");
 
     let mut fx = Fixture::train(2);
-    let codes = Arc::new(fx.partition(n));
-    let opts = ScanOpts::default();
-    let gather = Backend::Gather
-        .scanner(&opts)
-        .prepare(Arc::clone(&codes))
-        .expect("prepare");
-    let index = Backend::FastScan
-        .scanner(&opts)
-        .prepare(Arc::clone(&codes))
-        .expect("prepare");
+    let codes = fx.partition(n);
+    let transposed = TransposedCodes::from_row_major(&codes);
+    let index = FastScanIndex::build(&codes, &FastScanOptions::default()).expect("build");
     let queries = fx.queries(reps);
     let params = ScanParams::new(100);
 
@@ -66,7 +59,7 @@ fn main() {
     let mut pshufb_ns = Vec::new();
     for q in queries.chunks_exact(pqfs_bench::DIM) {
         let tables = fx.tables(q);
-        let g = measure_ms(3, || gather.scan(&tables, &params).unwrap());
+        let g = measure_ms(3, || scan_gather(&tables, &transposed, params.topk));
         // gather performs m=8 lookups per vector.
         gather_ns.push(Summary::from_values(&g).median() * 1e6 / (n as f64 * 8.0));
         let f = measure_ms(3, || index.scan(&tables, &params).unwrap());

@@ -11,8 +11,14 @@
 //!
 //! Workloads are synthetic SIFT-like mixtures (see `pqfs-data`); DESIGN.md
 //! documents why this substitution preserves the paper's effects.
+//!
+//! [`baselines`] holds the scans the paper measures but does not serve
+//! (§3.2's "avx" and "gather", §5.5's quantization-only); they are the
+//! crate's only unsafe code.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
+
+pub mod baselines;
 
 use pqfs_core::{DistanceTables, PqConfig, ProductQuantizer, RowMajorCodes};
 use pqfs_data::{SyntheticConfig, SyntheticDataset};

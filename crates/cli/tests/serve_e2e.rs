@@ -222,6 +222,20 @@ fn serve_rejects_bad_flags_and_missing_index() {
         assert_eq!(out.status.code(), Some(1), "{command} {flag}: {stderr}");
         assert!(stderr.contains(flag), "{command} names {flag}: {stderr}");
     }
+    // A scan the paper only measures is not a backend: exit 1, listing the
+    // three that are.
+    let out = pqfs(&[
+        "query",
+        "--index",
+        "ix.pqiv",
+        "--queries",
+        "q.fvecs",
+        "--backend",
+        "gather",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "--backend gather: {stderr}");
+    assert!(stderr.contains("naive|libpq|fastscan"), "{stderr}");
 }
 
 #[test]

@@ -1,15 +1,10 @@
-//! Memory layouts for stored PQ codes.
-//!
-//! * [`RowMajorCodes`] — the paper's Figure 1: vector after vector, each a
-//!   run of `m` component bytes. The layout the naive and libpq scans use.
-//! * [`TransposedCodes`] — the paper's Figure 5 transposition: codes are
-//!   stored in blocks of 8 vectors, holding the first components of the 8
-//!   vectors contiguously, then their second components, etc. This lets one
-//!   64-bit load fetch `a[j] … h[j]` (reducing `mem1` accesses from 8 to 1)
-//!   and is the layout the SIMD gather implementation needs.
-//!
-//! The Fast-Scan-specific grouped/nibble-packed layout builds on these and
-//! lives in `pqfs-scan::fastscan::layout`, next to its scan kernel.
+//! The universal layout for stored PQ codes: [`RowMajorCodes`], the paper's
+//! Figure 1 — vector after vector, each a run of `m` component bytes. The
+//! naive and libpq scans read it, encoding writes it, and every other
+//! layout is built from it: the grouped, nibble-packed Fast Scan layout in
+//! `pqfs_scan::fastscan::layout`, next to its scan kernel, and the
+//! Figure 5 transposition of the "gather" experiment in
+//! `pqfs_bench::baselines`.
 
 /// Codes stored row-major (Figure 1): vector `i` occupies bytes
 /// `[i*m, (i+1)*m)`.
@@ -72,97 +67,6 @@ impl RowMajorCodes {
     }
 }
 
-/// Number of vectors per transposed block (one 64-bit word per component).
-pub const TRANSPOSED_BLOCK: usize = 8;
-
-/// Codes stored transposed in blocks of [`TRANSPOSED_BLOCK`] vectors
-/// (Figure 5): within block `b`, the `j`-th component of its 8 vectors is
-/// one contiguous 8-byte word.
-///
-/// The final block is zero-padded; [`len`](Self::len) reports the true
-/// vector count so scans can ignore padding lanes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransposedCodes {
-    /// `num_blocks × m × 8` bytes: block-major, then component-major.
-    data: Vec<u8>,
-    m: usize,
-    n: usize,
-}
-
-impl TransposedCodes {
-    /// Transposes a row-major code set.
-    pub fn from_row_major(codes: &RowMajorCodes) -> Self {
-        let m = codes.m();
-        let n = codes.len();
-        let num_blocks = n.div_ceil(TRANSPOSED_BLOCK);
-        let mut data = vec![0u8; num_blocks * m * TRANSPOSED_BLOCK];
-        for i in 0..n {
-            let block = i / TRANSPOSED_BLOCK;
-            let lane = i % TRANSPOSED_BLOCK;
-            let code = codes.code(i);
-            for j in 0..m {
-                data[(block * m + j) * TRANSPOSED_BLOCK + lane] = code[j];
-            }
-        }
-        TransposedCodes { data, m, n }
-    }
-
-    /// Number of stored vectors (excluding padding).
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when no codes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Components per code (`m`).
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Number of 8-vector blocks (including a possibly padded tail block).
-    pub fn num_blocks(&self) -> usize {
-        if self.m == 0 {
-            0
-        } else {
-            self.data.len() / (self.m * TRANSPOSED_BLOCK)
-        }
-    }
-
-    /// The 8 `j`-th components of block `b` — the word one `mem1` load
-    /// fetches in the gather implementation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b >= num_blocks()` or `j >= m`.
-    #[inline]
-    pub fn component_word(&self, b: usize, j: usize) -> &[u8] {
-        let start = (b * self.m + j) * TRANSPOSED_BLOCK;
-        &self.data[start..start + TRANSPOSED_BLOCK]
-    }
-
-    /// Reconstructs the code of vector `i` (test/debug path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn code(&self, i: usize) -> Vec<u8> {
-        assert!(i < self.n);
-        let block = i / TRANSPOSED_BLOCK;
-        let lane = i % TRANSPOSED_BLOCK;
-        (0..self.m)
-            .map(|j| self.component_word(block, j)[lane])
-            .collect()
-    }
-
-    /// Bytes of memory used (padding included).
-    pub fn memory_bytes(&self) -> usize {
-        self.data.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,46 +85,6 @@ mod tests {
         assert_eq!(codes.iter().count(), 5);
         assert_eq!(codes.memory_bytes(), 40);
         assert!(!codes.is_empty());
-    }
-
-    #[test]
-    fn transpose_roundtrips_every_code() {
-        for n in [0usize, 1, 7, 8, 9, 16, 23] {
-            let row = sample_codes(n, 8);
-            let t = TransposedCodes::from_row_major(&row);
-            assert_eq!(t.len(), n, "n={n}");
-            for i in 0..n {
-                assert_eq!(t.code(i).as_slice(), row.code(i), "n={n}, i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn component_word_is_contiguous_per_component() {
-        let row = sample_codes(8, 4);
-        let t = TransposedCodes::from_row_major(&row);
-        // Word (0, j) must equal the j-th component of vectors 0..8.
-        for j in 0..4 {
-            let expect: Vec<u8> = (0..8).map(|i| row.code(i)[j]).collect();
-            assert_eq!(t.component_word(0, j), expect.as_slice());
-        }
-    }
-
-    #[test]
-    fn tail_block_is_padded_with_zeros() {
-        let row = sample_codes(9, 2);
-        let t = TransposedCodes::from_row_major(&row);
-        assert_eq!(t.num_blocks(), 2);
-        let word = t.component_word(1, 0);
-        // Lane 1..8 of the tail block are padding.
-        assert!(word[2..].iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn memory_overhead_is_only_padding() {
-        let row = sample_codes(16, 8);
-        let t = TransposedCodes::from_row_major(&row);
-        assert_eq!(t.memory_bytes(), row.memory_bytes());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   optimized centroid-index assignment;
 //! * [`tables`] — per-query [`DistanceTables`] (paper Eq. 2) and the
 //!   asymmetric distance computation (ADC, Eq. 1/3);
-//! * [`layout`] — memory layouts for code storage: row-major (Figure 1),
-//!   8-vector transposed (Figure 5, for gather-style access);
+//! * [`layout`] — the row-major code storage (Figure 1) every other layout
+//!   is built from;
 //! * [`topk`] — a bounded max-heap with deterministic tie-breaking, shared
 //!   by every scan implementation so result sets are bit-comparable.
 //!
@@ -51,7 +51,7 @@ pub use checksum::{crc32, Crc32};
 pub use codebook::Codebook;
 pub use config::PqConfig;
 pub use error::PqError;
-pub use layout::{RowMajorCodes, TransposedCodes};
+pub use layout::RowMajorCodes;
 pub use persist::{load_pq, load_pq_file, save_pq, save_pq_file, PersistError};
 pub use pq::ProductQuantizer;
 pub use tables::DistanceTables;

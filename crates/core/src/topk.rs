@@ -1,11 +1,11 @@
 //! Bounded top-k maintenance with deterministic tie-breaking.
 //!
-//! Every scan implementation in the workspace (naive, libpq, AVX, gather,
-//! Fast Scan) reports its `topk` nearest neighbors through this type, so
-//! "returns exactly the same results" (the paper's §4 guarantee) is a
-//! bit-comparable property: the result set is *defined* as the `k` smallest
-//! `(distance, id)` pairs in lexicographic order, which is unique even when
-//! distances tie.
+//! Every scan implementation in the workspace (naive, libpq, Fast Scan and
+//! the experiment-only scans of `pqfs_bench`) reports its `topk` nearest
+//! neighbors through this type, so "returns exactly the same results" (the
+//! paper's §4 guarantee) is a bit-comparable property: the result set is
+//! *defined* as the `k` smallest `(distance, id)` pairs in lexicographic
+//! order, which is unique even when distances tie.
 
 /// One scored candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]

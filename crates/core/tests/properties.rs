@@ -1,8 +1,6 @@
 //! Property-based tests of the product-quantization core invariants.
 
-use pqfs_core::{
-    Codebook, DistanceTables, PqConfig, ProductQuantizer, RowMajorCodes, TopK, TransposedCodes,
-};
+use pqfs_core::{Codebook, DistanceTables, PqConfig, ProductQuantizer, TopK};
 use proptest::prelude::*;
 
 /// A small trainable configuration plus matching training data.
@@ -101,25 +99,6 @@ proptest! {
         oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         oracle.truncate(k);
         prop_assert_eq!(got, oracle);
-    }
-
-    /// Transposed layout is a faithful permutation of the row-major layout.
-    #[test]
-    fn transposed_layout_roundtrips(
-        bytes in prop::collection::vec(any::<u8>(), 0..64 * 8),
-    ) {
-        let bytes = {
-            let mut b = bytes;
-            b.truncate(b.len() / 8 * 8);
-            b
-        };
-        let row = RowMajorCodes::new(bytes, 8);
-        let t = TransposedCodes::from_row_major(&row);
-        prop_assert_eq!(t.len(), row.len());
-        for i in 0..row.len() {
-            let code = t.code(i);
-            prop_assert_eq!(code.as_slice(), row.code(i));
-        }
     }
 
     /// Distance-table summaries bound every achievable distance.

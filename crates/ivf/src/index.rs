@@ -68,7 +68,7 @@ const SCANNED_HELP: &str = "Vectors scanned, by backend";
 const PRUNED_HELP: &str = "Vectors pruned by the lower-bound test, by backend";
 /// Per-backend scanned/pruned counters, indexed by the backend's position
 /// in [`SearchBackend::ALL`] (see [`backend_slot`]).
-static SCANNED_BY_BACKEND: [LazyCounter; 6] = [
+static SCANNED_BY_BACKEND: [LazyCounter; 3] = [
     LazyCounter::labeled(
         "pqfs_scan_vectors_scanned_total",
         SCANNED_HELP,
@@ -80,24 +80,6 @@ static SCANNED_BY_BACKEND: [LazyCounter; 6] = [
         SCANNED_HELP,
         "backend",
         "libpq",
-    ),
-    LazyCounter::labeled(
-        "pqfs_scan_vectors_scanned_total",
-        SCANNED_HELP,
-        "backend",
-        "avx",
-    ),
-    LazyCounter::labeled(
-        "pqfs_scan_vectors_scanned_total",
-        SCANNED_HELP,
-        "backend",
-        "gather",
-    ),
-    LazyCounter::labeled(
-        "pqfs_scan_vectors_scanned_total",
-        SCANNED_HELP,
-        "backend",
-        "quantize-only",
     ),
     LazyCounter::labeled(
         "pqfs_scan_vectors_scanned_total",
@@ -106,7 +88,7 @@ static SCANNED_BY_BACKEND: [LazyCounter; 6] = [
         "fastscan",
     ),
 ];
-static PRUNED_BY_BACKEND: [LazyCounter; 6] = [
+static PRUNED_BY_BACKEND: [LazyCounter; 3] = [
     LazyCounter::labeled(
         "pqfs_scan_vectors_pruned_total",
         PRUNED_HELP,
@@ -118,24 +100,6 @@ static PRUNED_BY_BACKEND: [LazyCounter; 6] = [
         PRUNED_HELP,
         "backend",
         "libpq",
-    ),
-    LazyCounter::labeled(
-        "pqfs_scan_vectors_pruned_total",
-        PRUNED_HELP,
-        "backend",
-        "avx",
-    ),
-    LazyCounter::labeled(
-        "pqfs_scan_vectors_pruned_total",
-        PRUNED_HELP,
-        "backend",
-        "gather",
-    ),
-    LazyCounter::labeled(
-        "pqfs_scan_vectors_pruned_total",
-        PRUNED_HELP,
-        "backend",
-        "quantize-only",
     ),
     LazyCounter::labeled(
         "pqfs_scan_vectors_pruned_total",
@@ -145,7 +109,7 @@ static PRUNED_BY_BACKEND: [LazyCounter; 6] = [
     ),
 ];
 // The counter arrays above are positional over SearchBackend::ALL.
-const _: () = assert!(pqfs_scan::Backend::ALL.len() == 6);
+const _: () = assert!(pqfs_scan::Backend::ALL.len() == 3);
 
 /// Index of `backend` in [`SearchBackend::ALL`] (the per-backend counter
 /// arrays are positional over it).

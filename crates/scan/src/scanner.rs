@@ -1,25 +1,19 @@
-//! The backend registry: every scan implementation behind one interface.
+//! The backend registry: the served scan implementations behind one
+//! interface.
 //!
 //! The paper's §5 exactness claim — PQ Fast Scan returns *exactly* the
-//! result set of the four PQ Scan baselines — is only demonstrable if the
-//! implementations are interchangeable. This module makes them so:
+//! result set of PQ Scan — is only demonstrable if the implementations are
+//! interchangeable. This module makes them so:
 //!
-//! * [`Scanner`] — the object-safe interface (`scan`, `name`,
-//!   `stats_supported`) plus [`Scanner::prepare`] for building
-//!   partition-resident state (transposed layouts, grouped Fast Scan
-//!   indexes) once and scanning many times;
+//! * [`Scanner`] — the object-safe interface: [`Scanner::scan`] for one
+//!   shot, [`Scanner::prepare`] for building partition-resident state (the
+//!   grouped Fast Scan index) once and scanning many times;
 //! * [`PreparedScanner`] — a partition bound to one backend, ready for
 //!   repeated queries;
-//! * [`Backend`] — the enumeration of all implementations.
-//!   [`Backend::ALL`] drives table-driven exactness tests, [`FromStr`] makes
-//!   every CLI/bench flag accept the same names, and
-//!   [`Backend::scanner`] is the single dispatch point in the workspace
-//!   (the `ivf`, `cli` and `bench` crates contain no per-backend match
-//!   arms).
-//!
-//! New kernels (4-bit Quick ADC, batched variants, …) plug in by adding a
-//! `Backend` variant and a `Scanner` impl here — every consumer picks them
-//! up without code changes.
+//! * [`Backend`] — Fast Scan and its two PQ Scan oracles. [`Backend::ALL`]
+//!   drives table-driven exactness tests, [`FromStr`] makes every CLI, wire
+//!   and bench name parse the same way, and [`Backend::scanner`] is the
+//!   single dispatch point in the workspace.
 //!
 //! ```
 //! use pqfs_core::{DistanceTables, RowMajorCodes};
@@ -39,26 +33,24 @@
 use crate::fastscan::{FastScanIndex, FastScanOptions, Kernel, ScanParams, ScanScratch};
 use crate::quantize::DEFAULT_BINS;
 use crate::result::ScanResult;
-use crate::{scan_avx, scan_gather, scan_libpq, scan_naive, scan_quantize_only, ScanError};
-use pqfs_core::{DistanceTables, RowMajorCodes, TransposedCodes};
+use crate::{scan_libpq, scan_naive, ScanError};
+use pqfs_core::{DistanceTables, RowMajorCodes};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
 /// Backend-construction options consumed by [`Backend::scanner`].
 ///
-/// One bag of options covers every backend; each implementation reads only
-/// the fields it understands (e.g. `bins` is ignored by the non-pruning
-/// baselines).
+/// One bag of options covers every backend; only Fast Scan reads them (the
+/// PQ Scan oracles have nothing to tune).
 #[derive(Debug, Clone)]
 pub struct ScanOpts {
-    /// Warm-up fraction for the pruning backends (paper §4.4 `keep`,
-    /// default 0.5 %): quantize-only scans that prefix of the partition,
-    /// Fast Scan the whole groups nearest to the query that are expected to
-    /// hold as much (see [`ScanParams::keep`]). [`PreparedScanner::scan`]
-    /// overrides this per query through [`ScanParams::keep`].
+    /// Fast Scan warm-up fraction (paper §4.4 `keep`, default 0.5 %): the
+    /// whole groups nearest to the query that are expected to hold as much
+    /// (see [`ScanParams::keep`]). [`PreparedScanner::scan`] overrides this
+    /// per query through [`ScanParams::keep`].
     pub keep: f64,
-    /// Distance-quantization bin count (pruning backends only).
+    /// Fast Scan distance-quantization bin count.
     pub bins: u16,
     /// Fast Scan grouping components; `None` selects automatically from the
     /// partition size (`n_min(c) = 50·16^c`).
@@ -116,21 +108,11 @@ impl ScanOpts {
 /// A scan implementation behind a uniform, object-safe interface.
 ///
 /// [`Scanner::scan`] is the one-shot entry point: it accepts the universal
-/// row-major layout and performs any conversion (transposition, grouping,
-/// quantization) internally. For repeated queries over the same partition,
+/// row-major layout and performs any conversion (grouping, quantization)
+/// internally. For repeated queries over the same partition,
 /// [`Scanner::prepare`] performs the conversion once; the returned
 /// [`PreparedScanner`] then serves queries at full speed.
 pub trait Scanner: Send + Sync {
-    /// Stable human-readable backend name (the same string
-    /// [`Backend::name`] returns and [`FromStr`] accepts).
-    fn name(&self) -> &'static str;
-
-    /// Whether this backend fills the pruning counters
-    /// (`pruned`/`verified`/`warmup`) of
-    /// [`ScanStats`](crate::ScanStats). The exhaustive baselines only count
-    /// `scanned`.
-    fn stats_supported(&self) -> bool;
-
     /// Scans `codes` and returns the `topk` nearest neighbors by ADC
     /// distance — the exact same `(distance, id)` set for every backend.
     ///
@@ -164,8 +146,8 @@ pub trait PreparedScanner: fmt::Debug + Send + Sync {
 
     /// Scans the prepared partition: the `params.topk` smallest
     /// `(distance, id)` pairs among the vectors within `params.bound`, for
-    /// every backend. `params.keep` applies to the pruning backends; the
-    /// exhaustive baselines ignore it.
+    /// every backend. `params.keep` applies to Fast Scan; the exhaustive
+    /// oracles ignore it.
     ///
     /// # Errors
     ///
@@ -192,22 +174,14 @@ pub trait PreparedScanner: fmt::Debug + Send + Sync {
     }
 }
 
-/// Every scan implementation in the workspace, as a value.
-///
-/// The variants follow the paper: four PQ Scan baselines (§3), the
-/// quantization-only pruning study (§5.5), and PQ Fast Scan itself (§4).
+/// Every served scan implementation, as a value: PQ Fast Scan itself (§4)
+/// and the two PQ Scan baselines (§3) that are its exactness oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// Algorithm 1: per-component table lookups, scalar adds.
     Naive,
     /// §3.1: one 64-bit code load + shifts (requires `PQ 8×8`).
     Libpq,
-    /// §3.2 Figure 4: scalar lookups, SIMD vertical adds (transposed).
-    Avx,
-    /// §3.2 Figure 5: AVX2 `vpgatherdps` lookups (transposed).
-    Gather,
-    /// §5.5: full 256-entry tables quantized to 8 bits (pruning study).
-    QuantizeOnly,
     /// §4: PQ Fast Scan — grouped codes, minimum tables, in-register
     /// `pshufb` lookups (requires `PQ 8×8`).
     #[default]
@@ -217,31 +191,15 @@ pub enum Backend {
 impl Backend {
     /// All backends, in paper order. Drives table-driven exactness tests
     /// and `--backend` flag listings.
-    pub const ALL: [Backend; 6] = [
-        Backend::Naive,
-        Backend::Libpq,
-        Backend::Avx,
-        Backend::Gather,
-        Backend::QuantizeOnly,
-        Backend::FastScan,
-    ];
+    pub const ALL: [Backend; 3] = [Backend::Naive, Backend::Libpq, Backend::FastScan];
 
     /// The stable name accepted by [`FromStr`] and printed by `Display`.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Naive => "naive",
             Backend::Libpq => "libpq",
-            Backend::Avx => "avx",
-            Backend::Gather => "gather",
-            Backend::QuantizeOnly => "quantize-only",
             Backend::FastScan => "fastscan",
         }
-    }
-
-    /// Whether this backend only supports the paper's `PQ 8×8` shape
-    /// (`m = 8`; Fast Scan additionally wants `ksub = 256` tables).
-    pub fn requires_pq8x8(self) -> bool {
-        matches!(self, Backend::Libpq | Backend::FastScan)
     }
 
     /// Builds the [`Scanner`] for this backend — the single dispatch point
@@ -250,12 +208,6 @@ impl Backend {
         match self {
             Backend::Naive => Box::new(NaiveScanner),
             Backend::Libpq => Box::new(LibpqScanner),
-            Backend::Avx => Box::new(AvxScanner),
-            Backend::Gather => Box::new(GatherScanner),
-            Backend::QuantizeOnly => Box::new(QuantizeOnlyScanner {
-                keep: opts.keep,
-                bins: opts.bins,
-            }),
             Backend::FastScan => Box::new(FastScanScanner {
                 opts: opts.fastscan_options(),
                 keep: opts.keep,
@@ -278,10 +230,9 @@ impl fmt::Display for Backend {
 impl FromStr for Backend {
     type Err = String;
 
-    /// Parses a backend name as printed by [`Backend::name`]; underscores
-    /// are accepted in place of dashes.
+    /// Parses a backend name as printed by [`Backend::name`], in any case.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let normalized = s.to_ascii_lowercase().replace('_', "-");
+        let normalized = s.to_ascii_lowercase();
         Backend::ALL
             .into_iter()
             .find(|b| b.name() == normalized)
@@ -324,14 +275,6 @@ struct PreparedNaive {
 }
 
 impl Scanner for NaiveScanner {
-    fn name(&self) -> &'static str {
-        Backend::Naive.name()
-    }
-
-    fn stats_supported(&self) -> bool {
-        false
-    }
-
     fn scan(
         &self,
         tables: &DistanceTables,
@@ -371,14 +314,6 @@ struct PreparedLibpq {
 }
 
 impl Scanner for LibpqScanner {
-    fn name(&self) -> &'static str {
-        Backend::Libpq.name()
-    }
-
-    fn stats_supported(&self) -> bool {
-        false
-    }
-
     fn scan(
         &self,
         tables: &DistanceTables,
@@ -409,164 +344,6 @@ impl PreparedScanner for PreparedLibpq {
 }
 
 // ---------------------------------------------------------------------------
-// Avx / Gather (transposed layout)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-struct AvxScanner;
-
-#[derive(Debug, Clone, Copy)]
-struct GatherScanner;
-
-/// Shared prepared state for the two transposed-layout baselines.
-#[derive(Debug)]
-struct PreparedTransposed {
-    backend: Backend,
-    transposed: TransposedCodes,
-}
-
-impl PreparedTransposed {
-    fn run(&self, tables: &DistanceTables, params: &ScanParams) -> Result<ScanResult, ScanError> {
-        check_m(tables, self.transposed.m())?;
-        Ok(match self.backend {
-            Backend::Avx => scan_avx(tables, &self.transposed, params),
-            _ => scan_gather(tables, &self.transposed, params),
-        })
-    }
-}
-
-impl Scanner for AvxScanner {
-    fn name(&self) -> &'static str {
-        Backend::Avx.name()
-    }
-
-    fn stats_supported(&self) -> bool {
-        false
-    }
-
-    fn scan(
-        &self,
-        tables: &DistanceTables,
-        codes: &RowMajorCodes,
-        topk: usize,
-    ) -> Result<ScanResult, ScanError> {
-        check_m(tables, codes.m())?;
-        Ok(scan_avx(
-            tables,
-            &TransposedCodes::from_row_major(codes),
-            &ScanParams::new(topk),
-        ))
-    }
-
-    fn prepare(&self, codes: Arc<RowMajorCodes>) -> Result<Box<dyn PreparedScanner>, ScanError> {
-        Ok(Box::new(PreparedTransposed {
-            backend: Backend::Avx,
-            transposed: TransposedCodes::from_row_major(&codes),
-        }))
-    }
-}
-
-impl Scanner for GatherScanner {
-    fn name(&self) -> &'static str {
-        Backend::Gather.name()
-    }
-
-    fn stats_supported(&self) -> bool {
-        false
-    }
-
-    fn scan(
-        &self,
-        tables: &DistanceTables,
-        codes: &RowMajorCodes,
-        topk: usize,
-    ) -> Result<ScanResult, ScanError> {
-        check_m(tables, codes.m())?;
-        Ok(scan_gather(
-            tables,
-            &TransposedCodes::from_row_major(codes),
-            &ScanParams::new(topk),
-        ))
-    }
-
-    fn prepare(&self, codes: Arc<RowMajorCodes>) -> Result<Box<dyn PreparedScanner>, ScanError> {
-        Ok(Box::new(PreparedTransposed {
-            backend: Backend::Gather,
-            transposed: TransposedCodes::from_row_major(&codes),
-        }))
-    }
-}
-
-impl PreparedScanner for PreparedTransposed {
-    fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    fn scan(&self, tables: &DistanceTables, params: &ScanParams) -> Result<ScanResult, ScanError> {
-        self.run(tables, params)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// QuantizeOnly
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-struct QuantizeOnlyScanner {
-    keep: f64,
-    bins: u16,
-}
-
-#[derive(Debug)]
-struct PreparedQuantizeOnly {
-    codes: Arc<RowMajorCodes>,
-    bins: u16,
-}
-
-impl Scanner for QuantizeOnlyScanner {
-    fn name(&self) -> &'static str {
-        Backend::QuantizeOnly.name()
-    }
-
-    fn stats_supported(&self) -> bool {
-        true
-    }
-
-    fn scan(
-        &self,
-        tables: &DistanceTables,
-        codes: &RowMajorCodes,
-        topk: usize,
-    ) -> Result<ScanResult, ScanError> {
-        check_m(tables, codes.m())?;
-        Ok(scan_quantize_only(
-            tables,
-            codes,
-            &ScanParams::new(topk).with_keep(self.keep),
-            self.bins,
-        ))
-    }
-
-    fn prepare(&self, codes: Arc<RowMajorCodes>) -> Result<Box<dyn PreparedScanner>, ScanError> {
-        Ok(Box::new(PreparedQuantizeOnly {
-            codes,
-            bins: self.bins,
-        }))
-    }
-}
-
-impl PreparedScanner for PreparedQuantizeOnly {
-    fn backend(&self) -> Backend {
-        Backend::QuantizeOnly
-    }
-
-    fn scan(&self, tables: &DistanceTables, params: &ScanParams) -> Result<ScanResult, ScanError> {
-        check_m(tables, self.codes.m())?;
-        Ok(scan_quantize_only(tables, &self.codes, params, self.bins))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // FastScan
 // ---------------------------------------------------------------------------
 
@@ -582,14 +359,6 @@ struct PreparedFastScan {
 }
 
 impl Scanner for FastScanScanner {
-    fn name(&self) -> &'static str {
-        Backend::FastScan.name()
-    }
-
-    fn stats_supported(&self) -> bool {
-        true
-    }
-
     fn scan(
         &self,
         tables: &DistanceTables,
@@ -644,9 +413,11 @@ mod tests {
 
     #[test]
     fn every_backend_is_registered_exactly_once() {
-        assert_eq!(Backend::ALL.len(), 6);
-        let names: std::collections::HashSet<_> = Backend::ALL.iter().map(|b| b.name()).collect();
-        assert_eq!(names.len(), 6, "backend names must be unique");
+        assert_eq!(
+            Backend::ALL,
+            [Backend::Naive, Backend::Libpq, Backend::FastScan]
+        );
+        assert_eq!(Backend::names(), "naive|libpq|fastscan");
     }
 
     #[test]
@@ -655,21 +426,14 @@ mod tests {
             assert_eq!(backend.name().parse::<Backend>().unwrap(), backend);
             assert_eq!(backend.to_string().parse::<Backend>().unwrap(), backend);
         }
-        assert_eq!(
-            "quantize_only".parse::<Backend>().unwrap(),
-            Backend::QuantizeOnly
-        );
         assert_eq!("FASTSCAN".parse::<Backend>().unwrap(), Backend::FastScan);
+        // The scans the paper only measures are not backends.
+        for gone in ["avx", "gather", "quantize-only", "quantize_only"] {
+            let err = gone.parse::<Backend>().unwrap_err();
+            assert!(err.contains("naive|libpq|fastscan"), "{gone}: {err}");
+        }
         let err = "warp-drive".parse::<Backend>().unwrap_err();
         assert!(err.contains("naive"), "error must list valid names: {err}");
-    }
-
-    #[test]
-    fn scanner_names_match_registry_names() {
-        let opts = ScanOpts::default();
-        for backend in Backend::ALL {
-            assert_eq!(backend.scanner(&opts).name(), backend.name());
-        }
     }
 
     #[test]
@@ -683,11 +447,7 @@ mod tests {
         for backend in Backend::ALL {
             let result = backend.scanner(&opts).scan(&tables, &codes, 25).unwrap();
             assert_eq!(result.ids(), reference.ids(), "{backend} ids differ");
-            if !matches!(backend, Backend::Avx | Backend::Gather) {
-                // Transposed baselines reassociate float adds; ids already
-                // prove exactness of the result set.
-                assert_eq!(result.distances(), reference.distances(), "{backend}");
-            }
+            assert_eq!(result.distances(), reference.distances(), "{backend}");
         }
     }
 
@@ -708,31 +468,18 @@ mod tests {
     }
 
     #[test]
-    fn stats_support_follows_pruning_capability() {
-        let opts = ScanOpts::default();
-        for backend in Backend::ALL {
-            let expected = matches!(backend, Backend::QuantizeOnly | Backend::FastScan);
-            assert_eq!(
-                backend.scanner(&opts).stats_supported(),
-                expected,
-                "{backend}"
-            );
-        }
-    }
-
-    #[test]
-    fn pruning_backends_actually_fill_stats() {
+    fn fastscan_fills_the_pruning_stats() {
         let (tables, codes) = fixture(4000);
         let opts = ScanOpts::default().with_keep(0.01);
-        for backend in [Backend::QuantizeOnly, Backend::FastScan] {
-            let r = backend.scanner(&opts).scan(&tables, &codes, 10).unwrap();
-            assert!(r.stats.pruned > 0, "{backend} pruned nothing");
-            assert_eq!(
-                r.stats.warmup + r.stats.pruned + r.stats.verified,
-                r.stats.scanned,
-                "{backend} accounting"
-            );
-        }
+        let r = Backend::FastScan
+            .scanner(&opts)
+            .scan(&tables, &codes, 10)
+            .unwrap();
+        assert!(r.stats.pruned > 0, "pruned nothing");
+        assert_eq!(
+            r.stats.warmup + r.stats.pruned + r.stats.verified,
+            r.stats.scanned
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Differential shadow-execution coverage: with `checked-kernels` enabled
-//! and the sampling rate forced to 1, every SIMD kernel invocation re-runs
-//! its portable oracle and asserts bit-identical results. Running every
-//! [`Backend`] through a scan therefore *is* the assertion — any divergence
-//! panics inside the kernel dispatcher.
+//! and the sampling rate forced to 1, every SIMD fast-scan kernel
+//! invocation re-runs its portable oracle and asserts identical hand-offs.
+//! Running every [`Backend`] through a scan therefore *is* the assertion —
+//! any divergence panics inside the kernel dispatcher — and the PQ Scan
+//! oracles must agree with Fast Scan on the result set.
 
 #![cfg(feature = "checked-kernels")]
 

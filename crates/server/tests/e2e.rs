@@ -379,26 +379,28 @@ fn bad_requests_get_typed_errors_and_connection_survives() {
     assert_eq!(code, ErrorCode::BadRequest);
     assert!(message.contains("dim"), "{message}");
 
-    // Unknown backend name.
-    let response = client
-        .query(
-            &query_vec(1),
-            QueryParams {
-                backend: "warp-drive".to_string(),
-                ..QueryParams::default()
-            },
-        )
-        .expect("transport ok");
-    assert!(
-        matches!(
-            response,
-            Response::Error {
-                code: ErrorCode::BadRequest,
-                ..
-            }
-        ),
-        "unknown backend rejected: {response:?}"
-    );
+    // Unknown backend names, including the scans the paper only measures.
+    for backend in ["warp-drive", "avx", "gather", "quantize-only"] {
+        let response = client
+            .query(
+                &query_vec(1),
+                QueryParams {
+                    backend: backend.to_string(),
+                    ..QueryParams::default()
+                },
+            )
+            .expect("transport ok");
+        assert!(
+            matches!(
+                response,
+                Response::Error {
+                    code: ErrorCode::BadRequest,
+                    ..
+                }
+            ),
+            "unknown backend {backend} rejected: {response:?}"
+        );
+    }
 
     // Bad keep fraction.
     let response = client

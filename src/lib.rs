@@ -15,8 +15,8 @@
 //!
 //! * [`kmeans`] — clustering substrate (Lloyd + same-size k-means);
 //! * [`core`] — product quantization, ADC distance tables, layouts, top-k;
-//! * [`scan`] — PQ Scan baselines, [`FastScanIndex`], and the
-//!   [`Backend`](scan::Backend) registry every implementation sits behind;
+//! * [`scan`] — [`FastScanIndex`], its PQ Scan oracles, and the
+//!   [`Backend`](scan::Backend) registry they sit behind;
 //! * [`ivf`] — the IVFADC indexed-search pipeline;
 //! * [`pool`] — the shared work-stealing thread pool every parallel path
 //!   (batch search, multi-probe fan-out, batch encoding, training) runs on;
@@ -75,7 +75,7 @@ pub use pqfs_server as server;
 pub mod prelude {
     pub use pqfs_columnar::{approximate_mean, topk_max_fast, CompressedColumn};
     pub use pqfs_core::{
-        DistanceTables, Neighbor, PqConfig, ProductQuantizer, RowMajorCodes, TopK, TransposedCodes,
+        DistanceTables, Neighbor, PqConfig, ProductQuantizer, RowMajorCodes, TopK,
     };
     pub use pqfs_data::{exact_knn, SyntheticConfig, SyntheticDataset};
     pub use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend, SearchHealth, SearchRequest};
@@ -83,8 +83,7 @@ pub mod prelude {
     pub use pqfs_metrics::{mvecs_per_sec, Summary};
     pub use pqfs_pool::ThreadPool;
     pub use pqfs_scan::{
-        scan_avx, scan_gather, scan_libpq, scan_naive, scan_quantize_only, Backend, FastScanIndex,
-        FastScanOptions, Kernel, PreparedScanner, ScanOpts, ScanParams, ScanResult, ScanStats,
-        Scanner,
+        scan_libpq, scan_naive, Backend, FastScanIndex, FastScanOptions, Kernel, PreparedScanner,
+        ScanOpts, ScanParams, ScanResult, ScanStats, Scanner,
     };
 }
