@@ -489,6 +489,25 @@ mod tests {
         assert_eq!(loaded.encode(&v), pq.encode(&v));
     }
 
+    /// The bytes of a hand-built image, pinned by length and CRC: a writer
+    /// change that moves one byte fails here, which no round trip shows.
+    #[test]
+    fn golden_pqfs_image() {
+        let config = PqConfig::new(4, 2, 2).unwrap();
+        let codebooks = (0..2)
+            .map(|j| Codebook::new((0..8).map(|i| (j * 8 + i) as f32 * 0.25 - 1.0).collect(), 2))
+            .collect();
+        let pq = ProductQuantizer::from_codebooks(config, codebooks);
+        let mut buf = Vec::new();
+        save_pq(&pq, &mut buf).unwrap();
+        // The CRC of a whole image is the CRC-32 residue for any valid footer,
+        // so the pin is the CRC of the bytes the footer covers.
+        let body = &buf[..buf.len() - 4];
+        assert_eq!((buf.len(), crc32(body)), (117, 0xB449_D617));
+        let loaded = load_pq(&mut buf.as_slice()).unwrap();
+        assert_eq!(loaded.codebook(1).centroids(), pq.codebook(1).centroids());
+    }
+
     #[test]
     fn file_roundtrip() {
         let _lock = pqfs_fault::exclusive();

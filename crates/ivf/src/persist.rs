@@ -343,6 +343,48 @@ mod tests {
         buf[end..].copy_from_slice(&footer.to_le_bytes());
     }
 
+    /// The bytes of a hand-built index (PQ 8×8, dim 16, fixed centroids,
+    /// ids and codes), pinned by length and CRC: a writer change that
+    /// moves one byte fails here, which no round trip shows.
+    #[test]
+    fn golden_pqiv_image() {
+        use pqfs_core::{Codebook, PqConfig, ProductQuantizer};
+        let config = PqConfig::new(DIM, 8, 8).unwrap();
+        let codebooks = (0..8)
+            .map(|j| {
+                let floats = (0..512).map(|i| ((j * 512 + i) % 97) as f32 * 0.5);
+                Codebook::new(floats.collect(), 2)
+            })
+            .collect();
+        let pq = ProductQuantizer::from_codebooks(config, codebooks);
+        let centroids = (0..2 * DIM).map(|i| i as f32 - 7.25).collect();
+        let rows = |ids: Vec<u64>, p: usize| {
+            let codes = (0..ids.len() * 8)
+                .map(|i| (p * 31 + i * 13) as u8)
+                .collect();
+            (ids, codes)
+        };
+        let index = IvfadcIndex::from_parts(
+            CoarseQuantizer::from_centroids(centroids, DIM),
+            pq,
+            vec![rows(vec![5, 2, 9], 0), rows(vec![1, 7], 1)],
+            ScanOpts::default(),
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        index.save(&mut buf).unwrap();
+        // The CRC of a whole image is the CRC-32 residue for any valid footer,
+        // so the pin is the CRC of the bytes the footer covers.
+        let body = &buf[..buf.len() - 4];
+        assert_eq!((buf.len(), crc32(body)), (16_762, 0x319A_FFD7));
+        let mut again = Vec::new();
+        IvfadcIndex::load(&mut buf.as_slice())
+            .unwrap()
+            .save(&mut again)
+            .unwrap();
+        assert_eq!(again, buf);
+    }
+
     #[test]
     fn roundtrip_preserves_search_results_and_the_file() {
         let _lock = pqfs_fault::exclusive();

@@ -157,6 +157,81 @@ proptest! {
     }
 }
 
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The exact wire bytes of one frame of every request and response kind.
+/// A round trip cannot show that an encoder change kept the bytes; these
+/// pins can.
+#[test]
+fn golden_frame_bytes() {
+    let params = QueryParams {
+        topk: 3,
+        nprobe: 2,
+        keep: 0.5,
+        deadline_us: 1000,
+        backend: "libpq".to_string(),
+    };
+    let answer = |id: u64| QueryAnswer {
+        probes_ok: 2,
+        probes_failed: 1,
+        probes_skipped: 0,
+        neighbors: vec![Neighbor { id, dist: 1.5 }],
+    };
+    let requests = [
+        Request::Query(QueryRequest {
+            params: params.clone(),
+            dim: 2,
+            queries: vec![1.0, -2.0],
+        }),
+        Request::Batch(QueryRequest {
+            params,
+            dim: 1,
+            queries: vec![0.25, 4.0],
+        }),
+        Request::Health,
+        Request::Stats,
+    ];
+    let responses = [
+        Response::Query(answer(7)),
+        Response::Batch(vec![answer(1), QueryAnswer::default()]),
+        Response::Health(HealthInfo {
+            vectors: 500_000,
+            partitions: 2,
+            dim: 128,
+        }),
+        Response::Stats("{}".to_string()),
+        Response::Error {
+            code: ErrorCode::BadRequest,
+            message: "no".to_string(),
+        },
+        Response::Overloaded {
+            capacity: 64,
+            depth: 65,
+        },
+    ];
+    let got: Vec<String> = requests
+        .iter()
+        .map(|r| hex(&frame_bytes(&r.to_frame())))
+        .chain(responses.iter().map(|r| hex(&frame_bytes(&r.to_frame()))))
+        .collect();
+    // One hex string per frame, in the order of the two arrays above.
+    let want = [
+        "50515356010100002a0000000300000002000000000000000000e03fe803000000000000056c69627071020000000000803f000000c09385d8dd",
+        "50515356010200002e0000000300000002000000000000000000e03fe803000000000000056c6962707101000000020000000000803e0000804013a659ae",
+        "50515356010300000000000000000000",
+        "50515356010400000000000000000000",
+        "50515356018100001c0000000200000001000000000000000100000007000000000000000000c03f996a52a5",
+        "505153560182000030000000020000000200000001000000000000000100000001000000000000000000c03f00000000000000000000000000000000aa7e0669",
+        "50515356018300001000000020a10700000000000200000080000000633e8c4e",
+        "5051535601840000020000007b7d43bfa6a3",
+        "5051535601e000000700000002020000006e6fbc554861",
+        "5051535601e10000080000004000000041000000dc22176f",
+    ];
+    assert_eq!(got, want);
+}
+
 #[test]
 fn health_stats_error_overloaded_roundtrip() {
     let cases = [
