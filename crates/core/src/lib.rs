@@ -37,8 +37,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checksum;
 pub mod codebook;
+pub mod codec;
 pub mod config;
 mod error;
 pub mod layout;
@@ -47,8 +47,8 @@ pub mod pq;
 pub mod tables;
 pub mod topk;
 
-pub use checksum::{crc32, Crc32};
 pub use codebook::Codebook;
+pub use codec::crc32;
 pub use config::PqConfig;
 pub use error::PqError;
 pub use layout::RowMajorCodes;

@@ -13,28 +13,18 @@
 //! footer  u32                         CRC-32 of every preceding byte
 //! ```
 //!
-//! Each *section* is length-prefixed (`u64`), CRC-32-checksummed, and its
-//! length is validated against the expected size **before** any allocation
-//! — a corrupt length prefix produces a typed error, never an OOM abort.
-//! The trailing footer covers the whole file, so any single-byte flip or
-//! truncation anywhere fails the load: every byte a loader accepts is
-//! CRC-covered.
-//!
-//! [`save_pq_file`] writes **atomically**: the bytes go to a sibling
-//! temporary file which is fsynced and then renamed over the destination,
-//! so a crash mid-save never leaves a half-written artifact under the
-//! published name.
-//!
-//! The format stores exactly the information [`ProductQuantizer`] holds; a
-//! loaded quantizer is bit-identical to the saved one (encode/decode/ADC
-//! all agree).
+//! The container, its CRC-32 sections and the footer are
+//! [`crate::codec`]'s, which checks every length **before** allocating.
+//! [`save_pq_file`] writes **atomically** (temp file, fsync, rename), so a
+//! crash mid-save never leaves a half-written artifact under the published
+//! name. A loaded quantizer is bit-identical to the saved one.
 //!
 //! Failpoint sites (see `pqfs_fault`): `core.persist.read`,
 //! `core.persist.write`, `core.persist.create`, `core.persist.fsync`,
 //! `core.persist.rename`.
 
-use crate::checksum::{crc32, CrcRead, CrcWrite};
 use crate::codebook::Codebook;
+use crate::codec::{write_file, CodecError, FileReader, Put, Reader};
 use crate::config::PqConfig;
 use crate::pq::ProductQuantizer;
 use crate::PqError;
@@ -48,7 +38,7 @@ const MAGIC: &[u8; 4] = b"PQFS";
 const VERSION: u32 = 3;
 /// Oversized-header guard: dimensions above this are rejected before any
 /// codebook allocation is attempted.
-pub(crate) const MAX_DIM: u64 = 1 << 20;
+const MAX_DIM: u64 = 1 << 20;
 
 /// Errors from quantizer persistence.
 #[derive(Debug)]
@@ -118,120 +108,27 @@ impl From<io::Error> for PersistError {
     }
 }
 
-/// Reads a little-endian `u32`.
-///
-/// # Errors
-///
-/// The reader's error, `UnexpectedEof` on a short read.
-pub fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-/// Reads a little-endian `u64`.
-///
-/// # Errors
-///
-/// The reader's error, `UnexpectedEof` on a short read.
-pub fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Maps an EOF during a structured read to a typed truncation error.
-pub fn truncated(what: &'static str, e: io::Error) -> PersistError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        PersistError::Format(format!("truncated {what}"))
-    } else {
-        PersistError::Io(e)
+impl From<CodecError> for PersistError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Io(e) => PersistError::Io(e),
+            CodecError::Truncated(what) => PersistError::Format(format!("truncated {what}")),
+            CodecError::TrailingBytes(n) => {
+                PersistError::Format(format!("{n} trailing bytes in a section"))
+            }
+            CodecError::Limit { what, value, max } => PersistError::Limit { what, value, max },
+            CodecError::Checksum {
+                section,
+                stored,
+                computed,
+            } => PersistError::Checksum {
+                section,
+                stored,
+                computed,
+            },
+            CodecError::Format(msg) => PersistError::Format(msg),
+        }
     }
-}
-
-/// Reads exactly `len` bytes, growing the buffer in bounded increments so
-/// a lying length prefix on a short file errors out after at most one
-/// chunk of over-allocation instead of OOM-aborting up front.
-pub fn read_exact_vec(
-    r: &mut impl Read,
-    len: u64,
-    what: &'static str,
-) -> Result<Vec<u8>, PersistError> {
-    const CHUNK: u64 = 1 << 22; // 4 MiB
-    let mut buf = Vec::new();
-    let mut left = len;
-    while left > 0 {
-        let take = left.min(CHUNK) as usize;
-        let old = buf.len();
-        buf.resize(old + take, 0);
-        r.read_exact(&mut buf[old..])
-            .map_err(|e| truncated(what, e))?;
-        left -= take as u64;
-    }
-    Ok(buf)
-}
-
-/// Writes one v3 section: `len u64 | bytes | crc32(bytes) u32`.
-pub fn write_section(w: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
-    w.write_all(&(bytes.len() as u64).to_le_bytes())?;
-    w.write_all(bytes)?;
-    w.write_all(&crc32(bytes).to_le_bytes())?;
-    Ok(())
-}
-
-/// Reads one v3 section whose byte length must equal `expected_len`
-/// exactly, verifying its checksum.
-pub fn read_section(
-    r: &mut impl Read,
-    what: &'static str,
-    expected_len: u64,
-) -> Result<Vec<u8>, PersistError> {
-    let len = read_u64(r).map_err(|e| truncated(what, e))?;
-    if len != expected_len {
-        return Err(PersistError::Format(format!(
-            "{what} section is {len} bytes, expected {expected_len}"
-        )));
-    }
-    read_section_body(r, what, len)
-}
-
-/// Reads the `len` bytes of a section whose length prefix the caller has
-/// read and checked, then the CRC-32 that follows them, and verifies it.
-///
-/// # Errors
-///
-/// [`PersistError::Format`] on truncation, [`PersistError::Checksum`] when
-/// the stored and computed checksums disagree.
-pub fn read_section_body(
-    r: &mut impl Read,
-    what: &'static str,
-    len: u64,
-) -> Result<Vec<u8>, PersistError> {
-    let bytes = read_exact_vec(r, len, what)?;
-    let stored = read_u32(r).map_err(|e| truncated(what, e))?;
-    let computed = crc32(&bytes);
-    if stored != computed {
-        return Err(PersistError::Checksum {
-            section: what,
-            stored,
-            computed,
-        });
-    }
-    Ok(bytes)
-}
-
-/// Decodes a packed little-endian `f32` buffer, rejecting non-finite
-/// values (corruption in a float section that a checksum bypass could
-/// otherwise smuggle into distance computations).
-pub fn decode_f32s(bytes: &[u8], what: &'static str) -> Result<Vec<f32>, PersistError> {
-    let floats: Vec<f32> = bytes
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect();
-    if floats.iter().any(|v| !v.is_finite()) {
-        return Err(PersistError::Format(format!("non-finite value in {what}")));
-    }
-    Ok(floats)
 }
 
 /// Writes a trained quantizer to `w` in format v3 (checksummed sections
@@ -241,28 +138,16 @@ pub fn decode_f32s(bytes: &[u8], what: &'static str) -> Result<Vec<f32>, Persist
 ///
 /// [`PersistError::Io`] on write failures.
 pub fn save_pq(pq: &ProductQuantizer, w: &mut impl Write) -> Result<(), PersistError> {
-    let mut cw = CrcWrite::new(&mut *w);
-    cw.write_all(MAGIC)?;
-    cw.write_all(&VERSION.to_le_bytes())?;
-
     let cfg = pq.config();
     let mut header = Vec::with_capacity(17);
-    header.extend_from_slice(&(cfg.dim() as u64).to_le_bytes());
-    header.extend_from_slice(&(cfg.m() as u64).to_le_bytes());
-    header.push(cfg.nbits());
-    write_section(&mut cw, &header)?;
-
+    header.put_u64(cfg.dim() as u64);
+    header.put_u64(cfg.m() as u64);
+    header.put_u8(cfg.nbits());
     let mut codebooks = Vec::with_capacity(cfg.ksub() * cfg.dim() * 4);
     for j in 0..cfg.m() {
-        for &v in pq.codebook(j).centroids() {
-            codebooks.extend_from_slice(&v.to_le_bytes());
-        }
+        codebooks.put_f32s(pq.codebook(j).centroids());
     }
-    write_section(&mut cw, &codebooks)?;
-
-    let footer = cw.crc();
-    w.write_all(&footer.to_le_bytes())?;
-    Ok(())
+    Ok(write_file(w, MAGIC, VERSION, [header, codebooks])?)
 }
 
 /// Reads a quantizer previously written by [`save_pq`].
@@ -274,52 +159,12 @@ pub fn save_pq(pq: &ProductQuantizer, w: &mut impl Write) -> Result<(), PersistE
 /// disagree, [`PersistError::Limit`] for absurd stored sizes, and
 /// [`PersistError::Config`] if the stored shape is invalid.
 pub fn load_pq(r: &mut impl Read) -> Result<ProductQuantizer, PersistError> {
-    let mut cr = CrcRead::new(&mut *r);
-    let mut magic = [0u8; 4];
-    cr.read_exact(&mut magic)
-        .map_err(|e| truncated("magic", e))?;
-    if &magic != MAGIC {
-        return Err(PersistError::Format(format!("bad magic {magic:?}")));
-    }
-    let version = read_u32(&mut cr).map_err(|e| truncated("version", e))?;
-    if version != VERSION {
-        return Err(PersistError::Format(format!(
-            "unsupported version {version} (this build reads {VERSION})"
-        )));
-    }
-
-    let header = read_section(&mut cr, "quantizer header", 17)?;
-    let dim = le_u64(&header[0..8]);
-    let m = le_u64(&header[8..16]);
-    let config = parse_header(dim, m, header[16])?;
-
-    let expected = config.m() as u64 * config.ksub() as u64 * config.dsub() as u64 * 4;
-    let bytes = read_section(&mut cr, "codebooks", expected)?;
-    let floats = decode_f32s(&bytes, "codebooks")?;
-
-    let computed = cr.crc();
-    let inner = cr.into_inner();
-    let stored = read_u32(inner).map_err(|e| truncated("file footer", e))?;
-    if stored != computed {
-        return Err(PersistError::Checksum {
-            section: "file",
-            stored,
-            computed,
-        });
-    }
-    expect_eof(inner)?;
-    Ok(build_codebooks(config, floats))
-}
-
-/// Parses the 17-byte header payload into a validated configuration.
-fn parse_header(dim: u64, m: u64, nbits: u8) -> Result<PqConfig, PersistError> {
-    if dim > MAX_DIM {
-        return Err(PersistError::Limit {
-            what: "dimension",
-            value: dim,
-            max: MAX_DIM,
-        });
-    }
+    // Exact-size caps: a read that succeeds consumes the whole section.
+    let mut file = FileReader::open(r, MAGIC, VERSION)?;
+    let header = file.section("quantizer header", 17)?;
+    let mut rd = Reader::new(&header, "quantizer header");
+    let (dim, m, nbits) = (rd.u64()?, rd.u64()?, rd.u8()?);
+    Reader::count(dim, MAX_DIM, "dimension")?;
     if m > dim {
         return Err(PersistError::Format(format!(
             "sub-quantizer count {m} exceeds dimension {dim}"
@@ -331,35 +176,20 @@ fn parse_header(dim: u64, m: u64, nbits: u8) -> Result<PqConfig, PersistError> {
             "stored nbits {nbits} exceeds the byte-code limit"
         )));
     }
-    Ok(config)
-}
 
-/// Splits a decoded codebook float buffer into per-sub-quantizer codebooks.
-fn build_codebooks(config: PqConfig, floats: Vec<f32>) -> ProductQuantizer {
     let per = config.ksub() * config.dsub();
+    let n = config.m() * per;
+    let bytes = file.section("codebooks", n as u64 * 4)?;
+    let floats = Reader::new(&bytes, "codebooks").f32s(n)?;
+    if floats.iter().any(|v| !v.is_finite()) {
+        return Err(PersistError::Format("non-finite value in codebooks".into()));
+    }
+    file.finish()?;
     let codebooks = floats
         .chunks_exact(per)
         .map(|c| Codebook::new(c.to_vec(), config.dsub()))
         .collect();
-    ProductQuantizer::from_codebooks(config, codebooks)
-}
-
-/// Little-endian `u64` from an 8-byte slice (callers slice exact lengths
-/// out of already length-checked buffers, so the conversion cannot fail).
-pub fn le_u64(bytes: &[u8]) -> u64 {
-    let arr: [u8; 8] = bytes
-        .try_into()
-        .unwrap_or_else(|_| unreachable!("caller slices exactly 8 bytes"));
-    u64::from_le_bytes(arr)
-}
-
-/// Rejects trailing garbage so corrupted files fail loudly.
-pub fn expect_eof(r: &mut impl Read) -> Result<(), PersistError> {
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe)? {
-        0 => Ok(()),
-        _ => Err(PersistError::Format("trailing bytes after footer".into())),
-    }
+    Ok(ProductQuantizer::from_codebooks(config, codebooks))
 }
 
 /// The failpoint site names an [`atomic_write_file`] call probes.
@@ -462,6 +292,7 @@ pub fn load_pq_file(path: impl AsRef<Path>) -> Result<ProductQuantizer, PersistE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::crc32;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -521,20 +352,16 @@ mod tests {
     }
 
     /// A current-format image whose header section stores `(dim, m, nbits)`
-    /// under valid section and file CRCs, so the check that rejects it is
-    /// the one on the stored values.
-    fn image_with_header(dim: u64, m: u64, nbits: u8) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
+    /// and whose codebooks section holds `codebooks`, under valid section
+    /// and file CRCs, so the check that rejects it is the one on the stored
+    /// values.
+    fn image(dim: u64, m: u64, nbits: u8, codebooks: Vec<u8>) -> Vec<u8> {
         let mut header = Vec::new();
-        header.extend_from_slice(&dim.to_le_bytes());
-        header.extend_from_slice(&m.to_le_bytes());
-        header.push(nbits);
-        write_section(&mut buf, &header).unwrap();
-        write_section(&mut buf, &[]).unwrap();
-        let footer = crc32(&buf);
-        buf.extend_from_slice(&footer.to_le_bytes());
+        header.put_u64(dim);
+        header.put_u64(m);
+        header.put_u8(nbits);
+        let mut buf = Vec::new();
+        write_file(&mut buf, MAGIC, VERSION, [header, codebooks]).unwrap();
         buf
     }
 
@@ -598,7 +425,7 @@ mod tests {
     fn rejects_invalid_stored_config() {
         // dim 17 is not divisible by m 4.
         assert!(matches!(
-            load_pq(&mut image_with_header(17, 4, 4).as_slice()),
+            load_pq(&mut image(17, 4, 4, Vec::new()).as_slice()),
             Err(PersistError::Config(_))
         ));
     }
@@ -608,31 +435,20 @@ mod tests {
         // A header claiming a 2^60 dimension must fail on the Limit check,
         // not OOM trying to allocate codebooks.
         assert!(matches!(
-            load_pq(&mut image_with_header(1 << 60, 8, 8).as_slice()),
+            load_pq(&mut image(1 << 60, 8, 8, Vec::new()).as_slice()),
             Err(PersistError::Limit { .. })
         ));
     }
 
     #[test]
     fn rejects_non_finite_centroids() {
-        let pq = trained();
-        let mut buf = Vec::new();
-        save_pq(&pq, &mut buf).unwrap();
-        // Overwrite the first centroid float with NaN and repair both the
-        // section and footer checksums, isolating the finiteness check.
-        let sec = 4 + 4 + 8 + 17 + 4 + 8; // magic+ver+hdr section+codebook len
-        buf[sec..sec + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-        let cb_len = buf.len() - sec - 4 - 4; // minus section crc and footer
-        let crc = crc32(&buf[sec..sec + cb_len]);
-        let crc_pos = sec + cb_len;
-        buf[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
-        let footer = crc32(&buf[..buf.len() - 4]);
-        let n = buf.len();
-        buf[n - 4..].copy_from_slice(&footer.to_le_bytes());
-        assert!(matches!(
-            load_pq(&mut buf.as_slice()),
-            Err(PersistError::Format(_))
-        ));
+        // PQ 4x4 over dim 16: 4 codebooks of 16 centroids of 4 floats.
+        let mut codebooks = vec![0u8; 4 * 16 * 4 * 4];
+        codebooks[..4].copy_from_slice(&f32::NAN.to_le_bytes());
+        match load_pq(&mut image(16, 4, 4, codebooks).as_slice()) {
+            Err(PersistError::Format(msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+            other => panic!("{:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

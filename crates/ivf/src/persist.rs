@@ -16,15 +16,10 @@
 //! footer  u32              CRC-32 of every preceding byte
 //! ```
 //!
-//! Every *section* is length-prefixed (`u64`) and CRC-32-checksummed;
-//! lengths and counts are validated against each other and against sanity
-//! limits **before** allocation, so a corrupt prefix yields a typed error
-//! instead of an OOM abort. The footer covers the whole file: any
-//! single-byte flip or truncation fails the load: every byte a loader
-//! accepts is CRC-covered.
-//!
-//! [`IvfadcIndex::save_file`] writes **atomically** (temp file + fsync +
-//! rename): a crash mid-save never corrupts the published artifact.
+//! The container, its CRC-32 sections and the footer are
+//! `pqfs_core::codec`'s; lengths and counts are checked against each other
+//! and against sanity limits **before** allocating. [`IvfadcIndex::save_file`]
+//! writes **atomically** (temp file, fsync, rename).
 //!
 //! Partition sections hold row-major codes: [`IvfadcIndex::save`] rebuilds
 //! them from the resident grouped layout and [`IvfadcIndex::load`] regroups
@@ -38,11 +33,8 @@
 
 use crate::coarse::CoarseQuantizer;
 use crate::index::IvfadcIndex;
-use pqfs_core::checksum::{CrcRead, CrcWrite};
-use pqfs_core::persist::{
-    atomic_write_file, decode_f32s, expect_eof, le_u64, load_pq, read_section, read_section_body,
-    read_u32, read_u64, save_pq, truncated, write_section, AtomicWriteSites, PersistError,
-};
+use pqfs_core::codec::{write_file, FileReader, Put, Reader};
+use pqfs_core::persist::{atomic_write_file, load_pq, save_pq, AtomicWriteSites, PersistError};
 use pqfs_fault::FaultRead;
 use pqfs_scan::{Kernel, ScanOpts};
 use std::io::{self, Read, Write};
@@ -58,41 +50,35 @@ const MAX_QUANTIZER_SECTION: u64 = 1 << 32;
 const MAX_PARTITION_SECTION: u64 = 1 << 40;
 
 /// Encodes the scan options as the fixed 12-byte block.
-fn write_scan_opts(w: &mut impl Write, opts: &ScanOpts) -> io::Result<()> {
-    w.write_all(&opts.keep.to_le_bytes())?;
-    w.write_all(&opts.bins.to_le_bytes())?;
-    let gc = match opts.group_components {
+fn put_scan_opts(out: &mut Vec<u8>, opts: &ScanOpts) {
+    out.put_f64(opts.keep);
+    out.put_u16(opts.bins);
+    out.put_u8(match opts.group_components {
         Some(c) if c <= 4 => c as u8,
         _ => u8::MAX,
-    };
-    w.write_all(&[gc])?;
-    let kernel = match opts.kernel {
-        Kernel::Auto => 0u8,
+    });
+    out.put_u8(match opts.kernel {
+        Kernel::Auto => 0,
         Kernel::Portable => 1,
         Kernel::Ssse3 => 2,
         Kernel::Avx2 => 3,
         Kernel::Avx512Vbmi => 4,
-    };
-    w.write_all(&[kernel])?;
-    Ok(())
+    });
 }
 
 /// Decodes the fixed 12-byte scan-options block.
-fn read_scan_opts(r: &mut impl Read) -> Result<ScanOpts, PersistError> {
-    let mut buf = [0u8; 12];
-    r.read_exact(&mut buf)
-        .map_err(|_| PersistError::Format("truncated scan options".into()))?;
-    let keep = f64::from_bits(le_u64(&buf[0..8]));
+fn read_scan_opts(rd: &mut Reader<'_>) -> Result<ScanOpts, PersistError> {
+    let keep = rd.f64()?;
     if !(0.0..=1.0).contains(&keep) {
         return Err(PersistError::Format(format!("keep {keep} outside [0, 1]")));
     }
-    let bins = u16::from_le_bytes([buf[8], buf[9]]);
-    let group_components = match buf[10] {
+    let bins = rd.u16()?;
+    let group_components = match rd.u8()? {
         u8::MAX => None,
         c if c <= 4 => Some(c as usize),
         c => return Err(PersistError::Format(format!("bad group_components {c}"))),
     };
-    let kernel = match buf[11] {
+    let kernel = match rd.u8()? {
         0 => Kernel::Auto,
         1 => Kernel::Portable,
         2 => Kernel::Ssse3,
@@ -108,24 +94,6 @@ fn read_scan_opts(r: &mut impl Read) -> Result<ScanOpts, PersistError> {
     })
 }
 
-/// Reads a checksummed section whose length is not known a priori, bounded
-/// by `max` (rejected before allocation when exceeded).
-fn read_section_bounded(
-    r: &mut impl Read,
-    what: &'static str,
-    max: u64,
-) -> Result<Vec<u8>, PersistError> {
-    let len = read_u64(r).map_err(|e| truncated(what, e))?;
-    if len > max {
-        return Err(PersistError::Limit {
-            what,
-            value: len,
-            max,
-        });
-    }
-    read_section_body(r, what, len)
-}
-
 impl IvfadcIndex {
     /// Writes the index to `w` in format v3 (checksummed sections plus a
     /// whole-file footer checksum).
@@ -136,43 +104,30 @@ impl IvfadcIndex {
     pub fn save(&self, w: &mut impl Write) -> Result<(), PersistError> {
         let dim = self.coarse().dim();
         let parts = self.num_partitions();
-        let mut cw = CrcWrite::new(&mut *w);
-        cw.write_all(MAGIC)?;
-        cw.write_all(&VERSION.to_le_bytes())?;
-
         let mut header = Vec::with_capacity(29);
-        header.extend_from_slice(&(dim as u64).to_le_bytes());
-        header.extend_from_slice(&(parts as u64).to_le_bytes());
-        header.push(0); // reserved
-        write_scan_opts(&mut header, self.scan_opts())?;
-        write_section(&mut cw, &header)?;
-
+        header.put_u64(dim as u64);
+        header.put_u64(parts as u64);
+        header.put_u8(0); // reserved
+        put_scan_opts(&mut header, self.scan_opts());
         let mut centroids = Vec::with_capacity(parts * dim * 4);
         for p in 0..parts {
-            for &v in self.coarse().centroid(p) {
-                centroids.extend_from_slice(&v.to_le_bytes());
-            }
+            centroids.put_f32s(self.coarse().centroid(p));
         }
-        write_section(&mut cw, &centroids)?;
-
-        let mut pq_bytes = Vec::new();
-        save_pq(self.pq(), &mut pq_bytes)?;
-        write_section(&mut cw, &pq_bytes)?;
-
-        for p in 0..parts {
+        let mut quantizer = Vec::new();
+        save_pq(self.pq(), &mut quantizer)?;
+        // Partition sections are built one at a time as they are written.
+        let partitions = (0..parts).map(|p| {
             let (ids, codes) = self.partition_rows(p);
             let mut payload = Vec::with_capacity(8 + ids.len() * 8 + codes.as_bytes().len());
-            payload.extend_from_slice(&(ids.len() as u64).to_le_bytes());
+            payload.put_u64(ids.len() as u64);
             for &id in ids {
-                payload.extend_from_slice(&id.to_le_bytes());
+                payload.put_u64(id);
             }
-            payload.extend_from_slice(codes.as_bytes());
-            write_section(&mut cw, &payload)?;
-        }
-
-        let footer = cw.crc();
-        w.write_all(&footer.to_le_bytes())?;
-        Ok(())
+            payload.put_bytes(codes.as_bytes());
+            payload
+        });
+        let sections = [header, centroids, quantizer].into_iter().chain(partitions);
+        Ok(write_file(w, MAGIC, VERSION, sections)?)
     }
 
     /// Reads an index previously written by [`save`](Self::save).
@@ -183,51 +138,31 @@ impl IvfadcIndex {
     /// checksum mismatches, absurd stored sizes, or an embedded quantizer
     /// that is invalid or not `PQ 8×8` — never a panic.
     pub fn load(r: &mut impl Read) -> Result<Self, PersistError> {
-        let mut cr = CrcRead::new(&mut *r);
-        let mut magic = [0u8; 4];
-        cr.read_exact(&mut magic)
-            .map_err(|e| truncated("magic", e))?;
-        if &magic != MAGIC {
-            return Err(PersistError::Format(format!("bad magic {magic:?}")));
-        }
-        let version = read_u32(&mut cr).map_err(|e| truncated("version", e))?;
-        if version != VERSION {
-            return Err(PersistError::Format(format!(
-                "unsupported version {version} (this build reads {VERSION})"
-            )));
-        }
-
-        let header = read_section(&mut cr, "index header", 29)?;
-        let dim = le_u64(&header[0..8]);
-        let parts = le_u64(&header[8..16]);
-        let opts = read_scan_opts(&mut &header[17..29])?;
+        // Exact-size caps: a read that succeeds consumes the whole section.
+        let mut file = FileReader::open(r, MAGIC, VERSION)?;
+        let header = file.section("index header", 29)?;
+        let mut rd = Reader::new(&header, "index header");
+        let (dim, parts, _reserved) = (rd.u64()?, rd.u64()?, rd.u8()?);
+        let opts = read_scan_opts(&mut rd)?;
         if dim == 0 || parts == 0 {
             return Err(PersistError::Format(
                 "empty dimension or partition count".into(),
             ));
         }
-        if dim > MAX_DIM {
-            return Err(PersistError::Limit {
-                what: "dimension",
-                value: dim,
-                max: MAX_DIM,
-            });
-        }
-        if parts > MAX_PARTITIONS {
-            return Err(PersistError::Limit {
-                what: "partition count",
-                value: parts,
-                max: MAX_PARTITIONS,
-            });
+        let dim = Reader::count(dim, MAX_DIM, "dimension")?;
+        let parts = Reader::count(parts, MAX_PARTITIONS, "partition count")?;
+
+        // ≤ 2^46 bytes by the limits above.
+        let bytes = file.section("coarse centroids", (parts * dim * 4) as u64)?;
+        let centroids = Reader::new(&bytes, "coarse centroids").f32s(parts * dim)?;
+        if centroids.iter().any(|v| !v.is_finite()) {
+            return Err(PersistError::Format(
+                "non-finite value in coarse centroids".into(),
+            ));
         }
 
-        let centroid_len = parts * dim * 4; // ≤ 2^46 by the limits above
-        let bytes = read_section(&mut cr, "coarse centroids", centroid_len)?;
-        let centroids = decode_f32s(&bytes, "coarse centroids")?;
-
-        let pq_bytes = read_section_bounded(&mut cr, "quantizer", MAX_QUANTIZER_SECTION)?;
-        let pq = load_pq(&mut pq_bytes.as_slice())?;
-        if pq.config().dim() as u64 != dim {
+        let pq = load_pq(&mut file.section("quantizer", MAX_QUANTIZER_SECTION)?.as_slice())?;
+        if pq.config().dim() != dim {
             return Err(PersistError::Format(format!(
                 "quantizer dim {} != index dim {dim}",
                 pq.config().dim()
@@ -235,43 +170,25 @@ impl IvfadcIndex {
         }
 
         let m = pq.config().m();
-        let mut partitions = Vec::with_capacity(parts as usize);
+        let mut partitions = Vec::with_capacity(parts);
         for _ in 0..parts {
-            let payload = read_section_bounded(&mut cr, "partition", MAX_PARTITION_SECTION)?;
-            if payload.len() < 8 {
-                return Err(PersistError::Format("partition section too short".into()));
-            }
-            let len = le_u64(&payload[0..8]);
-            let expected = len.checked_mul(8 + m as u64).and_then(|b| b.checked_add(8));
-            if expected != Some(payload.len() as u64) {
+            let payload = file.section("partition", MAX_PARTITION_SECTION)?;
+            let mut rd = Reader::new(&payload, "partition");
+            let len = rd.u64()?;
+            if len.checked_mul(8 + m as u64) != Some(rd.remaining() as u64) {
                 return Err(PersistError::Format(format!(
                     "partition claims {len} vectors but holds {} payload bytes",
                     payload.len()
                 )));
             }
-            let len = len as usize;
-            let ids: Vec<u64> = payload[8..8 + len * 8]
-                .chunks_exact(8)
-                .map(le_u64)
-                .collect();
-            let codes = payload[8 + len * 8..].to_vec();
-            partitions.push((ids, codes));
+            let ids = rd.bytes(len as usize * 8)?.chunks_exact(8);
+            let id = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap_or_default());
+            partitions.push((ids.map(id).collect(), rd.bytes(rd.remaining())?.to_vec()));
         }
-
-        let computed = cr.crc();
-        let inner = cr.into_inner();
-        let stored = read_u32(inner).map_err(|e| truncated("file footer", e))?;
-        if stored != computed {
-            return Err(PersistError::Checksum {
-                section: "file",
-                stored,
-                computed,
-            });
-        }
-        expect_eof(inner)?;
+        file.finish()?;
 
         IvfadcIndex::from_parts(
-            CoarseQuantizer::from_centroids(centroids, dim as usize),
+            CoarseQuantizer::from_centroids(centroids, dim),
             pq,
             partitions,
             opts,
@@ -315,7 +232,7 @@ impl IvfadcIndex {
 mod tests {
     use super::*;
     use crate::index::{IvfadcConfig, SearchBackend};
-    use pqfs_core::checksum::crc32;
+    use pqfs_core::codec::{crc32, write_block};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -460,10 +377,11 @@ mod tests {
         )
         .unwrap();
         let mut section = Vec::new();
-        write_section(&mut section, &pq_bytes).unwrap();
+        section.put_u64(pq_bytes.len() as u64);
+        write_block(&mut section, &pq_bytes).unwrap();
         // Header section (8 + 29 + 4), then the centroids section.
         let pq_at = HEADER_AT + 29 + 4 + 8 + 2 * DIM * 4 + 4;
-        let pq_len = le_u64(&buf[pq_at..pq_at + 8]) as usize;
+        let pq_len = Reader::new(&buf[pq_at..], "length").u64().unwrap() as usize;
         buf.splice(pq_at..pq_at + 8 + pq_len + 4, section);
         reseal(&mut buf);
         match IvfadcIndex::load(&mut buf.as_slice()) {
@@ -571,14 +489,12 @@ mod tests {
         // fail on the Limit check, not OOM allocating centroid or partition
         // buffers.
         let mut header = Vec::new();
-        header.extend_from_slice(&16u64.to_le_bytes()); // dim
-        header.extend_from_slice(&(1u64 << 50).to_le_bytes()); // partitions
-        header.push(0); // reserved
-        write_scan_opts(&mut header, &ScanOpts::default()).unwrap();
+        header.put_u64(16); // dim
+        header.put_u64(1 << 50); // partitions
+        header.put_u8(0); // reserved
+        put_scan_opts(&mut header, &ScanOpts::default());
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        write_section(&mut buf, &header).unwrap();
+        write_file(&mut buf, MAGIC, VERSION, [header]).unwrap();
         assert!(matches!(
             IvfadcIndex::load(&mut buf.as_slice()),
             Err(PersistError::Limit { .. })

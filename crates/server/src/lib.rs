@@ -11,11 +11,11 @@
 //! The design, in one pass through a request's life:
 //!
 //! 1. **Protocol** ([`proto`]): a small length-prefixed binary protocol —
-//!    versioned 12-byte header, CRC-32-checked payload (reusing the
-//!    persist checksum), typed request/response frames (query, batch,
-//!    health, stats, error, overloaded). Decoding is bounds-checked and
-//!    panic-free; a torn or corrupted frame is a typed error, never UB or
-//!    a hang.
+//!    versioned 12-byte header, then the payload as `pqfs_core::codec`'s
+//!    CRC-trailed block (the persist formats' section body), typed
+//!    request/response frames (query, batch, health, stats, error,
+//!    overloaded). Decoding is bounds-checked and panic-free; a torn or
+//!    corrupted frame is a typed error, never UB or a hang.
 //! 2. **Admission** ([`queue`]): a bounded request queue. When it is full
 //!    the request is *shed immediately* with a typed `Overloaded` response
 //!    carrying the capacity and observed depth — latency under overload

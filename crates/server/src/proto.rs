@@ -12,25 +12,16 @@
 //! crc         u32 LE    CRC-32 (IEEE) of the payload bytes
 //! ```
 //!
-//! The header is fixed at [`HEADER_LEN`] bytes; the CRC trails the payload
-//! so a writer can stream it. The CRC reuses the persist-format digest
-//! ([`pqfs_core::crc32`]), so a single flipped bit anywhere in the payload
-//! fails the frame with a typed [`ProtoError::Crc`] instead of silently
-//! corrupting a query. The `payload_len` cap is enforced *before* any
-//! allocation, and payload bytes are read through
-//! [`pqfs_core::persist::read_exact_vec`], so a lying length on a short
-//! stream errors out instead of OOM-aborting.
-//!
-//! All multi-byte integers are little-endian. Floats are IEEE-754 bit
-//! patterns (`f32::to_le_bytes` / `f64::to_le_bytes`), so NaN payloads
-//! round-trip bit-exactly.
-//!
-//! Decoding never panics: every length is validated against both the
-//! remaining payload and a hard cap before use, and a payload with
-//! trailing garbage is rejected ([`ProtoError::TrailingBytes`]).
+//! Payload plus CRC is [`pqfs_core::codec`]'s CRC-trailed block, the one
+//! the persist formats put after a `u64` length, and payloads decode
+//! through its [`Reader`]: a flipped payload bit is [`ProtoError::Crc`],
+//! EOF inside a frame [`ProtoError::Truncated`], every count is capped
+//! before anything is allocated, trailing garbage is
+//! [`ProtoError::TrailingBytes`], and no input panics. `docs/SERVING.md`
+//! has the payload layouts.
 
-use pqfs_core::persist::read_exact_vec;
-use pqfs_core::{crc32, Neighbor};
+use pqfs_core::codec::{read_array, read_block, write_block, CodecError, Put, Reader};
+use pqfs_core::Neighbor;
 use std::io::{self, Read, Write};
 
 /// Frame magic: the first four bytes of every frame.
@@ -47,92 +38,83 @@ pub const MAX_PAYLOAD: u32 = 64 << 20;
 const MAX_DIM: u32 = 1 << 16;
 const MAX_BATCH: u32 = 1 << 20;
 const MAX_TOPK: u32 = 1 << 20;
-const MAX_BACKEND_LEN: u8 = 64;
-const MAX_MESSAGE_LEN: u32 = 1 << 16;
+const MAX_BACKEND_LEN: u64 = 64;
+const MAX_MESSAGE_LEN: u64 = 1 << 16;
 
-/// Frame types. Requests have the high bit clear, responses set; error
-/// responses live at `0xE0..`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum FrameKind {
-    /// Request: one query vector.
-    Query = 0x01,
-    /// Request: a batch of query vectors sharing one parameter set.
-    BatchQuery = 0x02,
-    /// Request: liveness + index shape.
-    Health = 0x03,
-    /// Request: the server's telemetry snapshot.
-    Stats = 0x04,
-    /// Response to [`FrameKind::Query`].
-    QueryResult = 0x81,
-    /// Response to [`FrameKind::BatchQuery`].
-    BatchResult = 0x82,
-    /// Response to [`FrameKind::Health`].
-    HealthInfo = 0x83,
-    /// Response to [`FrameKind::Stats`] (JSON text payload).
-    StatsJson = 0x84,
-    /// Typed failure (bad frame, bad request, search failure, shutdown).
-    Error = 0xE0,
-    /// Admission control shed this request: the queue was full.
-    Overloaded = 0xE1,
+/// Declares a wire enum and its decoder from one list, so each variant's
+/// byte is written once.
+macro_rules! wire_enum {
+    ($(#[$doc:meta])* $name:ident { $($(#[$vdoc:meta])* $v:ident = $b:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum $name {
+            $($(#[$vdoc])* $v = $b,)*
+        }
+
+        impl $name {
+            fn from_u8(b: u8) -> Option<$name> {
+                match b {
+                    $($b => Some($name::$v),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-impl FrameKind {
-    fn from_u8(b: u8) -> Option<FrameKind> {
-        Some(match b {
-            0x01 => FrameKind::Query,
-            0x02 => FrameKind::BatchQuery,
-            0x03 => FrameKind::Health,
-            0x04 => FrameKind::Stats,
-            0x81 => FrameKind::QueryResult,
-            0x82 => FrameKind::BatchResult,
-            0x83 => FrameKind::HealthInfo,
-            0x84 => FrameKind::StatsJson,
-            0xE0 => FrameKind::Error,
-            0xE1 => FrameKind::Overloaded,
-            _ => return None,
-        })
+wire_enum! {
+    /// Frame types. Requests have the high bit clear, responses set; error
+    /// responses live at `0xE0..`.
+    FrameKind {
+        /// Request: one query vector.
+        Query = 0x01,
+        /// Request: a batch of query vectors sharing one parameter set.
+        BatchQuery = 0x02,
+        /// Request: liveness + index shape.
+        Health = 0x03,
+        /// Request: the server's telemetry snapshot.
+        Stats = 0x04,
+        /// Response to [`FrameKind::Query`].
+        QueryResult = 0x81,
+        /// Response to [`FrameKind::BatchQuery`].
+        BatchResult = 0x82,
+        /// Response to [`FrameKind::Health`].
+        HealthInfo = 0x83,
+        /// Response to [`FrameKind::Stats`] (JSON text payload).
+        StatsJson = 0x84,
+        /// Typed failure (bad frame, bad request, search failure, shutdown).
+        Error = 0xE0,
+        /// Admission control shed this request: the queue was full.
+        Overloaded = 0xE1,
     }
 }
 
-/// Why a request failed, carried in [`Response::Error`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ErrorCode {
-    /// The frame itself was malformed (bad magic/CRC/layout); the server
-    /// closes the connection after sending this, since the stream cannot
-    /// be resynchronized.
-    BadFrame = 1,
-    /// The frame decoded but its contents were invalid (wrong dimension,
-    /// unknown backend, zero topk, …). The connection stays usable.
-    BadRequest = 2,
-    /// The search itself failed (every probe failed, backend error).
-    SearchFailed = 3,
-    /// The server is draining for shutdown and admits no new work.
-    ShuttingDown = 4,
-}
-
-impl ErrorCode {
-    fn from_u8(b: u8) -> Option<ErrorCode> {
-        Some(match b {
-            1 => ErrorCode::BadFrame,
-            2 => ErrorCode::BadRequest,
-            3 => ErrorCode::SearchFailed,
-            4 => ErrorCode::ShuttingDown,
-            _ => return None,
-        })
+wire_enum! {
+    /// Why a request failed, carried in [`Response::Error`].
+    ErrorCode {
+        /// The frame itself was malformed (bad magic/CRC/layout); the server
+        /// closes the connection after sending this, since the stream cannot
+        /// be resynchronized.
+        BadFrame = 1,
+        /// The frame decoded but its contents were invalid (wrong dimension,
+        /// unknown backend, zero topk, …). The connection stays usable.
+        BadRequest = 2,
+        /// The search itself failed (every probe failed, backend error).
+        SearchFailed = 3,
+        /// The server is draining for shutdown and admits no new work.
+        ShuttingDown = 4,
     }
 }
 
 impl std::fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+        f.write_str(match self {
             ErrorCode::BadFrame => "bad-frame",
             ErrorCode::BadRequest => "bad-request",
             ErrorCode::SearchFailed => "search-failed",
             ErrorCode::ShuttingDown => "shutting-down",
-        };
-        f.write_str(s)
+        })
     }
 }
 
@@ -169,7 +151,7 @@ pub enum ProtoError {
     /// The payload layout is invalid (bad length, cap exceeded, trailing
     /// garbage, invalid enum value).
     Malformed(String),
-    /// The payload was shorter than its own declared contents.
+    /// The payload was longer than its own declared contents.
     TrailingBytes(usize),
 }
 
@@ -208,10 +190,23 @@ impl std::error::Error for ProtoError {
 
 impl From<io::Error> for ProtoError {
     fn from(e: io::Error) -> Self {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ProtoError::Truncated("frame")
-        } else {
-            ProtoError::Io(e)
+        ProtoError::Io(e)
+    }
+}
+
+impl From<CodecError> for ProtoError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Io(e) => ProtoError::Io(e),
+            CodecError::Truncated(what) => ProtoError::Truncated(what),
+            CodecError::TrailingBytes(n) => ProtoError::TrailingBytes(n),
+            CodecError::Limit { what, value, max } => {
+                ProtoError::Malformed(format!("{what} {value} exceeds the cap {max}"))
+            }
+            CodecError::Checksum {
+                stored, computed, ..
+            } => ProtoError::Crc { stored, computed },
+            CodecError::Format(msg) => ProtoError::Malformed(msg),
         }
     }
 }
@@ -233,23 +228,15 @@ pub struct Frame {
 /// [`ProtoError::Oversized`] when the payload exceeds [`MAX_PAYLOAD`], or
 /// the underlying IO error.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<(), ProtoError> {
-    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    if len > MAX_PAYLOAD || payload.len() > MAX_PAYLOAD as usize {
-        return Err(ProtoError::Oversized {
-            len,
-            max: MAX_PAYLOAD,
-        });
-    }
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4] = VERSION;
-    header[5] = kind as u8;
-    // header[6..8] reserved, already 0.
-    header[8..12].copy_from_slice(&len.to_le_bytes());
-    w.write_all(&header).map_err(ProtoError::Io)?;
-    w.write_all(payload).map_err(ProtoError::Io)?;
-    w.write_all(&crc32(payload).to_le_bytes())
-        .map_err(ProtoError::Io)?;
+    let len = capped(u32::try_from(payload.len()).unwrap_or(u32::MAX))?;
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.put_bytes(&MAGIC);
+    header.put_u8(VERSION);
+    header.put_u8(kind as u8);
+    header.put_u16(0); // reserved
+    header.put_u32(len);
+    w.write_all(&header)?;
+    write_block(w, payload)?;
     Ok(())
 }
 
@@ -257,71 +244,49 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Resul
 ///
 /// Returns `Ok(None)` on a clean EOF *at a frame boundary* (the peer hung
 /// up between requests); EOF anywhere inside a frame is
-/// [`ProtoError::Truncated`].
+/// [`ProtoError::Truncated`], and any other read failure is
+/// [`ProtoError::Io`].
 ///
 /// # Errors
 ///
 /// Any [`ProtoError`] variant; the stream position is unspecified after an
 /// error, so callers must close the connection.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ProtoError> {
-    let mut header = [0u8; HEADER_LEN];
-    // First byte by hand, to tell "no next frame" from "torn frame".
-    let mut first = [0u8; 1];
-    loop {
-        match r.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
+    // The first byte alone, to tell "no next frame" from "torn frame".
+    let first: [u8; 1] = match read_array(r, "frame header") {
+        Err(CodecError::Truncated(_)) => return Ok(None),
+        first => first?,
+    };
+    let header: [u8; HEADER_LEN] = read_array(&mut (&first[..]).chain(&mut *r), "frame header")?;
+    let mut rd = Reader::new(&header, "frame header");
+    let magic: [u8; 4] = rd.u32()?.to_le_bytes();
+    if magic != MAGIC {
+        return Err(ProtoError::Magic(magic));
     }
-    header[0] = first[0];
-    r.read_exact(&mut header[1..])
-        .map_err(|e| truncated(e, "frame header"))?;
-    if header[..4] != MAGIC {
-        let mut m = [0u8; 4];
-        m.copy_from_slice(&header[..4]);
-        return Err(ProtoError::Magic(m));
+    let (version, kind, reserved, len) = (rd.u8()?, rd.u8()?, rd.u16()?, rd.u32()?);
+    if version != VERSION {
+        return Err(ProtoError::Version(version));
     }
-    if header[4] != VERSION {
-        return Err(ProtoError::Version(header[4]));
-    }
-    let kind = FrameKind::from_u8(header[5]).ok_or(ProtoError::Kind(header[5]))?;
-    let reserved = u16::from_le_bytes([header[6], header[7]]);
+    let kind = FrameKind::from_u8(kind).ok_or(ProtoError::Kind(kind))?;
     if reserved != 0 {
         return Err(ProtoError::Reserved(reserved));
     }
-    let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-    if len > MAX_PAYLOAD {
-        return Err(ProtoError::Oversized {
-            len,
-            max: MAX_PAYLOAD,
-        });
-    }
-    let payload = read_exact_vec(r, u64::from(len), "frame payload")
-        .map_err(|e| ProtoError::Malformed(e.to_string()))?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)
-        .map_err(|e| truncated(e, "frame checksum"))?;
-    let stored = u32::from_le_bytes(crc_bytes);
-    let computed = crc32(&payload);
-    if stored != computed {
-        return Err(ProtoError::Crc { stored, computed });
-    }
+    let (payload, _crc) = read_block(r, capped(len)?.into(), "frame payload")?;
     Ok(Some(Frame { kind, payload }))
 }
 
-fn truncated(e: io::Error, what: &'static str) -> ProtoError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        ProtoError::Truncated(what)
-    } else {
-        ProtoError::Io(e)
+/// `len` if it is within [`MAX_PAYLOAD`].
+fn capped(len: u32) -> Result<u32, ProtoError> {
+    match len {
+        0..=MAX_PAYLOAD => Ok(len),
+        _ => Err(ProtoError::Oversized {
+            len,
+            max: MAX_PAYLOAD,
+        }),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Typed messages
-// ---------------------------------------------------------------------------
+// --- typed messages --------------------------------------------------------
 
 /// Search parameters shared by single and batch queries.
 #[derive(Debug, Clone, PartialEq)]
@@ -367,11 +332,10 @@ pub struct QueryRequest {
 impl QueryRequest {
     /// Number of query vectors carried.
     pub fn count(&self) -> usize {
-        if self.dim == 0 {
-            0
-        } else {
-            self.queries.len() / self.dim as usize
-        }
+        self.queries
+            .len()
+            .checked_div(self.dim as usize)
+            .unwrap_or(0)
     }
 }
 
@@ -447,59 +411,64 @@ pub enum Response {
     },
 }
 
-// --- encoding helpers ------------------------------------------------------
+// --- encoding --------------------------------------------------------------
+
+/// The longest prefix of `s` of at most `max` bytes that ends on a char
+/// boundary, so a capped string still decodes as UTF-8.
+fn clip(s: &str, max: usize) -> &[u8] {
+    let mut end = s.len().min(max);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s.as_bytes()[..end]
+}
 
 fn put_params(out: &mut Vec<u8>, p: &QueryParams) {
-    out.extend_from_slice(&p.topk.to_le_bytes());
-    out.extend_from_slice(&p.nprobe.to_le_bytes());
-    out.extend_from_slice(&p.keep.to_le_bytes());
-    out.extend_from_slice(&p.deadline_us.to_le_bytes());
-    let name = p.backend.as_bytes();
-    let len = name.len().min(MAX_BACKEND_LEN as usize);
-    out.push(len as u8);
-    out.extend_from_slice(&name[..len]);
+    out.put_u32(p.topk);
+    out.put_u32(p.nprobe);
+    out.put_f64(p.keep);
+    out.put_u64(p.deadline_us);
+    let name = clip(&p.backend, MAX_BACKEND_LEN as usize);
+    out.put_u8(name.len() as u8);
+    out.put_bytes(name);
 }
 
 fn put_answer(out: &mut Vec<u8>, a: &QueryAnswer) {
-    out.extend_from_slice(&a.probes_ok.to_le_bytes());
-    out.extend_from_slice(&a.probes_failed.to_le_bytes());
-    out.extend_from_slice(&a.probes_skipped.to_le_bytes());
-    let n = u32::try_from(a.neighbors.len()).unwrap_or(u32::MAX);
-    out.extend_from_slice(&n.to_le_bytes());
+    out.put_u32(a.probes_ok);
+    out.put_u32(a.probes_failed);
+    out.put_u32(a.probes_skipped);
+    out.put_u32(u32::try_from(a.neighbors.len()).unwrap_or(u32::MAX));
     for nb in &a.neighbors {
-        out.extend_from_slice(&nb.id.to_le_bytes());
-        out.extend_from_slice(&nb.dist.to_le_bytes());
+        out.put_u64(nb.id);
+        out.put_f32(nb.dist);
     }
 }
 
 fn put_queries(out: &mut Vec<u8>, req: &QueryRequest, with_count: bool) {
+    out.reserve(64 + req.queries.len() * 4);
     put_params(out, &req.params);
-    out.extend_from_slice(&req.dim.to_le_bytes());
+    out.put_u32(req.dim);
     if with_count {
-        let count = u32::try_from(req.count()).unwrap_or(u32::MAX);
-        out.extend_from_slice(&count.to_le_bytes());
+        out.put_u32(u32::try_from(req.count()).unwrap_or(u32::MAX));
     }
-    for x in &req.queries {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+    out.put_f32s(&req.queries);
 }
 
 impl Request {
     /// Serializes into a frame.
     pub fn to_frame(&self) -> Frame {
-        let (kind, payload) = match self {
+        let mut payload = Vec::new();
+        let kind = match self {
             Request::Query(req) => {
-                let mut out = Vec::with_capacity(64 + req.queries.len() * 4);
-                put_queries(&mut out, req, false);
-                (FrameKind::Query, out)
+                put_queries(&mut payload, req, false);
+                FrameKind::Query
             }
             Request::Batch(req) => {
-                let mut out = Vec::with_capacity(64 + req.queries.len() * 4);
-                put_queries(&mut out, req, true);
-                (FrameKind::BatchQuery, out)
+                put_queries(&mut payload, req, true);
+                FrameKind::BatchQuery
             }
-            Request::Health => (FrameKind::Health, Vec::new()),
-            Request::Stats => (FrameKind::Stats, Vec::new()),
+            Request::Health => FrameKind::Health,
+            Request::Stats => FrameKind::Stats,
         };
         Frame { kind, payload }
     }
@@ -512,16 +481,10 @@ impl Request {
     /// [`ProtoError::Malformed`]/[`ProtoError::TrailingBytes`] for invalid
     /// payload layouts.
     pub fn from_frame(frame: &Frame) -> Result<Request, ProtoError> {
-        let mut rd = Rd::new(&frame.payload);
+        let mut rd = Reader::new(&frame.payload, "payload field");
         let req = match frame.kind {
-            FrameKind::Query => {
-                let r = rd.queries(false)?;
-                Request::Query(r)
-            }
-            FrameKind::BatchQuery => {
-                let r = rd.queries(true)?;
-                Request::Batch(r)
-            }
+            FrameKind::Query => Request::Query(queries(&mut rd, false)?),
+            FrameKind::BatchQuery => Request::Batch(queries(&mut rd, true)?),
             FrameKind::Health => Request::Health,
             FrameKind::Stats => Request::Stats,
             other => return Err(ProtoError::Kind(other as u8)),
@@ -534,46 +497,44 @@ impl Request {
 impl Response {
     /// Serializes into a frame.
     pub fn to_frame(&self) -> Frame {
-        let (kind, payload) = match self {
+        let mut out = Vec::new();
+        let kind = match self {
             Response::Query(a) => {
-                let mut out = Vec::with_capacity(16 + a.neighbors.len() * 12);
+                out.reserve(16 + a.neighbors.len() * 12);
                 put_answer(&mut out, a);
-                (FrameKind::QueryResult, out)
+                FrameKind::QueryResult
             }
             Response::Batch(answers) => {
-                let mut out = Vec::new();
-                let n = u32::try_from(answers.len()).unwrap_or(u32::MAX);
-                out.extend_from_slice(&n.to_le_bytes());
+                out.put_u32(u32::try_from(answers.len()).unwrap_or(u32::MAX));
                 for a in answers {
                     put_answer(&mut out, a);
                 }
-                (FrameKind::BatchResult, out)
+                FrameKind::BatchResult
             }
             Response::Health(h) => {
-                let mut out = Vec::with_capacity(16);
-                out.extend_from_slice(&h.vectors.to_le_bytes());
-                out.extend_from_slice(&h.partitions.to_le_bytes());
-                out.extend_from_slice(&h.dim.to_le_bytes());
-                (FrameKind::HealthInfo, out)
+                out.put_u64(h.vectors);
+                out.put_u32(h.partitions);
+                out.put_u32(h.dim);
+                FrameKind::HealthInfo
             }
-            Response::Stats(json) => (FrameKind::StatsJson, json.as_bytes().to_vec()),
+            Response::Stats(json) => {
+                out.put_bytes(json.as_bytes());
+                FrameKind::StatsJson
+            }
             Response::Error { code, message } => {
-                let msg = message.as_bytes();
-                let len = msg.len().min(MAX_MESSAGE_LEN as usize);
-                let mut out = Vec::with_capacity(5 + len);
-                out.push(*code as u8);
-                out.extend_from_slice(&(len as u32).to_le_bytes());
-                out.extend_from_slice(&msg[..len]);
-                (FrameKind::Error, out)
+                let msg = clip(message, MAX_MESSAGE_LEN as usize);
+                out.put_u8(*code as u8);
+                out.put_u32(msg.len() as u32);
+                out.put_bytes(msg);
+                FrameKind::Error
             }
             Response::Overloaded { capacity, depth } => {
-                let mut out = Vec::with_capacity(8);
-                out.extend_from_slice(&capacity.to_le_bytes());
-                out.extend_from_slice(&depth.to_le_bytes());
-                (FrameKind::Overloaded, out)
+                out.put_u32(*capacity);
+                out.put_u32(*depth);
+                FrameKind::Overloaded
             }
         };
-        Frame { kind, payload }
+        Frame { kind, payload: out }
     }
 
     /// Decodes a response frame.
@@ -584,19 +545,14 @@ impl Response {
     /// [`ProtoError::Malformed`]/[`ProtoError::TrailingBytes`] for invalid
     /// payload layouts.
     pub fn from_frame(frame: &Frame) -> Result<Response, ProtoError> {
-        let mut rd = Rd::new(&frame.payload);
+        let mut rd = Reader::new(&frame.payload, "payload field");
         let resp = match frame.kind {
-            FrameKind::QueryResult => Response::Query(rd.answer()?),
+            FrameKind::QueryResult => Response::Query(answer(&mut rd)?),
             FrameKind::BatchResult => {
-                let n = rd.u32()?;
-                if n > MAX_BATCH {
-                    return Err(malformed(format!("batch result count {n} exceeds cap")));
-                }
-                let mut answers = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    answers.push(rd.answer()?);
-                }
-                Response::Batch(answers)
+                let n = Reader::count(rd.u32()?.into(), MAX_BATCH.into(), "batch result count")?;
+                // Grown as answers decode, not sized up front from `n`.
+                let answers = (0..n).map(|_| answer(&mut rd));
+                Response::Batch(answers.collect::<Result<_, _>>()?)
             }
             FrameKind::HealthInfo => Response::Health(HealthInfo {
                 vectors: rd.u64()?,
@@ -604,22 +560,14 @@ impl Response {
                 dim: rd.u32()?,
             }),
             FrameKind::StatsJson => {
-                let bytes = rd.rest();
-                let json = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| malformed("stats payload is not UTF-8".into()))?;
-                Response::Stats(json)
+                Response::Stats(utf8(rd.bytes(rd.remaining())?, "stats payload")?)
             }
             FrameKind::Error => {
                 let raw = rd.u8()?;
                 let code = ErrorCode::from_u8(raw)
-                    .ok_or_else(|| malformed(format!("error code {raw}")))?;
-                let len = rd.u32()?;
-                if len > MAX_MESSAGE_LEN {
-                    return Err(malformed(format!("error message length {len} exceeds cap")));
-                }
-                let bytes = rd.bytes(len as usize)?;
-                let message = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| malformed("error message is not UTF-8".into()))?;
+                    .ok_or_else(|| ProtoError::Malformed(format!("error code {raw}")))?;
+                let len = Reader::count(rd.u32()?.into(), MAX_MESSAGE_LEN, "error message length")?;
+                let message = utf8(rd.bytes(len)?, "error message")?;
                 Response::Error { code, message }
             }
             FrameKind::Overloaded => Response::Overloaded {
@@ -633,166 +581,83 @@ impl Response {
     }
 }
 
-fn malformed(msg: String) -> ProtoError {
-    ProtoError::Malformed(msg)
+// --- decoding --------------------------------------------------------------
+
+fn utf8(bytes: &[u8], what: &str) -> Result<String, ProtoError> {
+    String::from_utf8(bytes.to_vec())
+        .map_err(|_| ProtoError::Malformed(format!("{what} is not UTF-8")))
 }
 
-/// A bounds-checked payload cursor. Every read validates the remaining
-/// length first, so decoding cannot panic on any byte sequence.
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn params(rd: &mut Reader<'_>) -> Result<QueryParams, ProtoError> {
+    let (topk, nprobe, keep, deadline_us) = (rd.u32()?, rd.u32()?, rd.f64()?, rd.u64()?);
+    if topk == 0 || topk > MAX_TOPK {
+        return Err(ProtoError::Malformed(format!(
+            "topk {topk} out of range 1..={MAX_TOPK}"
+        )));
+    }
+    if nprobe == 0 {
+        return Err(ProtoError::Malformed("nprobe must be positive".into()));
+    }
+    let len = Reader::count(rd.u8()?.into(), MAX_BACKEND_LEN, "backend name length")?;
+    Ok(QueryParams {
+        topk,
+        nprobe,
+        keep,
+        deadline_us,
+        backend: utf8(rd.bytes(len)?, "backend name")?,
+    })
 }
 
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, pos: 0 }
+fn queries(rd: &mut Reader<'_>, with_count: bool) -> Result<QueryRequest, ProtoError> {
+    let params = params(rd)?;
+    let dim = rd.u32()?;
+    if dim == 0 || dim > MAX_DIM {
+        return Err(ProtoError::Malformed(format!(
+            "dim {dim} out of range 1..={MAX_DIM}"
+        )));
     }
+    let count = if with_count { rd.u32()? } else { 1 };
+    if count == 0 || count > MAX_BATCH {
+        return Err(ProtoError::Malformed(format!(
+            "batch count {count} out of range"
+        )));
+    }
+    // The component count must exactly match what the payload holds; both
+    // factors were just range-checked, so the product cannot wrap.
+    let floats = count as usize * dim as usize;
+    if rd.remaining() as u64 != floats as u64 * 4 {
+        return Err(ProtoError::Malformed(format!(
+            "query payload holds {} bytes but {count}x{dim} vectors need {}",
+            rd.remaining(),
+            floats as u64 * 4
+        )));
+    }
+    Ok(QueryRequest {
+        params,
+        dim,
+        queries: rd.f32s(floats)?,
+    })
+}
 
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(ProtoError::Truncated("payload field"))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+fn answer(rd: &mut Reader<'_>) -> Result<QueryAnswer, ProtoError> {
+    let (probes_ok, probes_failed, probes_skipped) = (rd.u32()?, rd.u32()?, rd.u32()?);
+    let n = Reader::count(rd.u32()?.into(), MAX_TOPK.into(), "neighbor count")?;
+    // 12 bytes per neighbor must be in the payload before the list is
+    // allocated.
+    let mut list = Reader::new(rd.bytes(n * 12)?, "neighbor list");
+    let mut neighbors = Vec::with_capacity(n);
+    for _ in 0..n {
+        neighbors.push(Neighbor {
+            id: list.u64()?,
+            dist: list.f32()?,
+        });
     }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f32(&mut self) -> Result<f32, ProtoError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtoError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let slice = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        slice
-    }
-
-    /// Rejects trailing bytes after the last decoded field.
-    fn finish(&self) -> Result<(), ProtoError> {
-        let left = self.buf.len() - self.pos;
-        if left != 0 {
-            return Err(ProtoError::TrailingBytes(left));
-        }
-        Ok(())
-    }
-
-    fn params(&mut self) -> Result<QueryParams, ProtoError> {
-        let topk = self.u32()?;
-        let nprobe = self.u32()?;
-        let keep = self.f64()?;
-        let deadline_us = self.u64()?;
-        if topk == 0 || topk > MAX_TOPK {
-            return Err(malformed(format!(
-                "topk {topk} out of range 1..={MAX_TOPK}"
-            )));
-        }
-        if nprobe == 0 {
-            return Err(malformed("nprobe must be positive".into()));
-        }
-        let name_len = self.u8()?;
-        if name_len > MAX_BACKEND_LEN {
-            return Err(malformed(format!("backend name length {name_len}")));
-        }
-        let backend = std::str::from_utf8(self.bytes(name_len as usize)?)
-            .map_err(|_| malformed("backend name is not UTF-8".into()))?
-            .to_string();
-        Ok(QueryParams {
-            topk,
-            nprobe,
-            keep,
-            deadline_us,
-            backend,
-        })
-    }
-
-    fn queries(&mut self, with_count: bool) -> Result<QueryRequest, ProtoError> {
-        let params = self.params()?;
-        let dim = self.u32()?;
-        if dim == 0 || dim > MAX_DIM {
-            return Err(malformed(format!("dim {dim} out of range 1..={MAX_DIM}")));
-        }
-        let count = if with_count {
-            let c = self.u32()?;
-            if c == 0 || c > MAX_BATCH {
-                return Err(malformed(format!("batch count {c} out of range")));
-            }
-            c
-        } else {
-            1
-        };
-        // The component count must exactly match what the payload holds;
-        // both factors were just range-checked so the product cannot wrap.
-        let floats = count as usize * dim as usize;
-        let want = floats
-            .checked_mul(4)
-            .ok_or(ProtoError::Truncated("query"))?;
-        let left = self.buf.len() - self.pos;
-        if left != want {
-            return Err(malformed(format!(
-                "query payload holds {left} bytes but {count}x{dim} vectors need {want}"
-            )));
-        }
-        let mut queries = Vec::with_capacity(floats);
-        for _ in 0..floats {
-            queries.push(self.f32()?);
-        }
-        Ok(QueryRequest {
-            params,
-            dim,
-            queries,
-        })
-    }
-
-    fn answer(&mut self) -> Result<QueryAnswer, ProtoError> {
-        let probes_ok = self.u32()?;
-        let probes_failed = self.u32()?;
-        let probes_skipped = self.u32()?;
-        let n = self.u32()?;
-        if n > MAX_TOPK {
-            return Err(malformed(format!("neighbor count {n} exceeds cap")));
-        }
-        // 12 bytes per neighbor must fit in the remaining payload before
-        // the vector is allocated.
-        let need = n as usize * 12;
-        if self.buf.len() - self.pos < need {
-            return Err(ProtoError::Truncated("neighbor list"));
-        }
-        let mut neighbors = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let id = self.u64()?;
-            let dist = self.f32()?;
-            neighbors.push(Neighbor { id, dist });
-        }
-        Ok(QueryAnswer {
-            probes_ok,
-            probes_failed,
-            probes_skipped,
-            neighbors,
-        })
-    }
+    Ok(QueryAnswer {
+        probes_ok,
+        probes_failed,
+        probes_skipped,
+        neighbors,
+    })
 }
 
 /// Serializes a frame into an owned byte buffer (tests and clients that
@@ -805,65 +670,4 @@ pub fn frame_bytes(frame: &Frame) -> Vec<u8> {
         out.clear();
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn frame_roundtrip() {
-        let frame = Frame {
-            kind: FrameKind::Query,
-            payload: vec![1, 2, 3, 4, 5],
-        };
-        let bytes = frame_bytes(&frame);
-        assert_eq!(bytes.len(), HEADER_LEN + 5 + 4);
-        let got = read_frame(&mut &bytes[..]).unwrap().unwrap();
-        assert_eq!(got, frame);
-    }
-
-    #[test]
-    fn clean_eof_is_none() {
-        assert!(read_frame(&mut &[][..]).unwrap().is_none());
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let mut bytes = frame_bytes(&Frame {
-            kind: FrameKind::Health,
-            payload: Vec::new(),
-        });
-        bytes[0] = b'X';
-        assert!(matches!(
-            read_frame(&mut &bytes[..]),
-            Err(ProtoError::Magic(_))
-        ));
-    }
-
-    #[test]
-    fn flipped_payload_bit_fails_crc() {
-        let mut bytes = frame_bytes(&Frame {
-            kind: FrameKind::StatsJson,
-            payload: b"{\"a\":1}".to_vec(),
-        });
-        bytes[HEADER_LEN + 2] ^= 1;
-        assert!(matches!(
-            read_frame(&mut &bytes[..]),
-            Err(ProtoError::Crc { .. })
-        ));
-    }
-
-    #[test]
-    fn oversized_length_is_rejected_before_allocation() {
-        let mut bytes = frame_bytes(&Frame {
-            kind: FrameKind::Health,
-            payload: Vec::new(),
-        });
-        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut &bytes[..]),
-            Err(ProtoError::Oversized { .. })
-        ));
-    }
 }

@@ -379,8 +379,12 @@ fn bad_requests_get_typed_errors_and_connection_survives() {
     assert_eq!(code, ErrorCode::BadRequest);
     assert!(message.contains("dim"), "{message}");
 
-    // Unknown backend names, including the scans the paper only measures.
-    for backend in ["warp-drive", "avx", "gather", "quantize-only"] {
+    // Unknown backend names, including the scans the paper only measures,
+    // and one the encoder cuts at its 64-byte cap inside a two-byte char:
+    // the cut lands on the char boundary, so it is still an unknown name
+    // and not a payload that fails to decode.
+    let long = format!("{}é", "a".repeat(63));
+    for backend in ["warp-drive", "avx", "gather", "quantize-only", &long] {
         let response = client
             .query(
                 &query_vec(1),

@@ -7,7 +7,7 @@
 
 use pqfs_core::Neighbor;
 use pqfs_server::proto::{
-    frame_bytes, read_frame, ErrorCode, FrameKind, HealthInfo, ProtoError, QueryAnswer,
+    frame_bytes, read_frame, ErrorCode, Frame, FrameKind, HealthInfo, ProtoError, QueryAnswer,
     QueryParams, QueryRequest, Request, Response, HEADER_LEN,
 };
 use proptest::prelude::*;
@@ -232,6 +232,56 @@ fn golden_frame_bytes() {
     assert_eq!(got, want);
 }
 
+/// EOF inside the payload is `Truncated("frame payload")`, and a failing
+/// read there stays `Io`: neither is a malformed payload.
+#[test]
+fn a_frame_cut_inside_its_payload_is_truncated_and_a_failed_read_is_io() {
+    let bytes = frame_bytes(&Response::Stats("{\"a\":1}".to_string()).to_frame());
+    let cut = &bytes[..HEADER_LEN + 3];
+    assert!(matches!(
+        read_frame(&mut &cut[..]),
+        Err(ProtoError::Truncated("frame payload"))
+    ));
+    struct Broken;
+    impl std::io::Read for Broken {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("link down"))
+        }
+    }
+    let mut stream = std::io::Read::chain(cut, Broken);
+    assert!(matches!(read_frame(&mut stream), Err(ProtoError::Io(_))));
+}
+
+/// Capped strings are cut on a char boundary, so the peer still decodes
+/// UTF-8: a 63-byte name plus a two-byte `é` comes back as the 63 bytes.
+#[test]
+fn capped_strings_are_cut_on_a_char_boundary() {
+    let name = "a".repeat(63);
+    let req = Request::Query(QueryRequest {
+        params: QueryParams {
+            backend: format!("{name}é"),
+            ..QueryParams::default()
+        },
+        dim: 1,
+        queries: vec![0.0],
+    });
+    let Request::Query(got) = roundtrip_request(&req) else {
+        panic!("wrong request variant");
+    };
+    assert_eq!(got.params.backend, name);
+
+    let message = "b".repeat((1 << 16) - 1);
+    let resp = Response::Error {
+        code: ErrorCode::SearchFailed,
+        message: format!("{message}é"),
+    };
+    let want = Response::Error {
+        code: ErrorCode::SearchFailed,
+        message,
+    };
+    assert_eq!(roundtrip_response(&resp), want);
+}
+
 #[test]
 fn health_stats_error_overloaded_roundtrip() {
     let cases = [
@@ -263,34 +313,28 @@ fn health_stats_error_overloaded_roundtrip() {
     }
 }
 
+/// A one-vector, 4-dim query frame; its payload is params (topk 4, nprobe
+/// 4, keep 8, deadline 8, backend length 1, an empty name), dim, floats.
+fn query_frame() -> Frame {
+    let req = QueryRequest {
+        params: QueryParams::default(),
+        dim: 4,
+        queries: vec![0.0; 4],
+    };
+    Request::Query(req).to_frame()
+}
+
 #[test]
 fn zero_topk_and_zero_dim_are_rejected() {
-    let mut frame = Request::Query(QueryRequest {
-        params: QueryParams::default(),
-        dim: 4,
-        queries: vec![0.0; 4],
-    })
-    .to_frame();
-    // topk is the first payload field.
-    frame.payload[0..4].copy_from_slice(&0u32.to_le_bytes());
-    assert!(matches!(
-        Request::from_frame(&frame),
-        Err(ProtoError::Malformed(_))
-    ));
-
-    let mut frame2 = Request::Query(QueryRequest {
-        params: QueryParams::default(),
-        dim: 4,
-        queries: vec![0.0; 4],
-    })
-    .to_frame();
-    // dim sits right after params: topk(4) + nprobe(4) + keep(8) +
-    // deadline(8) + backend len(1) + empty name.
-    frame2.payload[25..29].copy_from_slice(&0u32.to_le_bytes());
-    assert!(matches!(
-        Request::from_frame(&frame2),
-        Err(ProtoError::Malformed(_))
-    ));
+    // topk is the first payload field, dim the one after params.
+    for at in [0, 25] {
+        let mut frame = query_frame();
+        frame.payload[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            Request::from_frame(&frame),
+            Err(ProtoError::Malformed(_))
+        ));
+    }
 }
 
 #[test]
@@ -305,12 +349,7 @@ fn trailing_garbage_is_rejected() {
 
 #[test]
 fn mismatched_query_byte_count_is_rejected() {
-    let mut frame = Request::Query(QueryRequest {
-        params: QueryParams::default(),
-        dim: 4,
-        queries: vec![0.0; 4],
-    })
-    .to_frame();
+    let mut frame = query_frame();
     frame.payload.truncate(frame.payload.len() - 2);
     assert!(matches!(
         Request::from_frame(&frame),
@@ -336,25 +375,24 @@ fn request_decoder_rejects_response_kinds_and_vice_versa() {
     ));
 }
 
+/// Each header field and the payload CRC fail with their own typed error,
+/// and an empty stream is a clean EOF.
 #[test]
-fn unknown_kind_and_bad_version_are_rejected() {
-    let mut bytes = frame_bytes(&Request::Health.to_frame());
-    bytes[5] = 0x7F; // unknown kind
+fn bad_header_fields_and_a_bad_crc_are_typed() {
+    assert!(read_frame(&mut &[][..]).unwrap().is_none());
+    let read = |at: usize, value: u8| {
+        let mut bytes = frame_bytes(&Response::Stats("{}".to_string()).to_frame());
+        bytes[at] = value;
+        read_frame(&mut &bytes[..])
+    };
+    assert!(matches!(read(0, b'X'), Err(ProtoError::Magic(_))));
+    assert!(matches!(read(4, 9), Err(ProtoError::Version(9))));
+    assert!(matches!(read(5, 0x7F), Err(ProtoError::Kind(0x7F))));
+    assert!(matches!(read(6, 1), Err(ProtoError::Reserved(1))));
+    assert!(matches!(read(11, 0xFF), Err(ProtoError::Oversized { .. })));
     assert!(matches!(
-        read_frame(&mut &bytes[..]),
-        Err(ProtoError::Kind(0x7F))
-    ));
-    let mut bytes2 = frame_bytes(&Request::Health.to_frame());
-    bytes2[4] = 9; // future version
-    assert!(matches!(
-        read_frame(&mut &bytes2[..]),
-        Err(ProtoError::Version(9))
-    ));
-    let mut bytes3 = frame_bytes(&Request::Health.to_frame());
-    bytes3[6] = 1; // reserved must be zero
-    assert!(matches!(
-        read_frame(&mut &bytes3[..]),
-        Err(ProtoError::Reserved(1))
+        read(HEADER_LEN, b'['),
+        Err(ProtoError::Crc { .. })
     ));
 }
 
