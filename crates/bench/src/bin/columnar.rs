@@ -5,7 +5,7 @@
 //! cargo run --release -p pqfs-bench --bin columnar
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, scale};
 use pqfs_columnar::{approximate_mean, topk_max_fast, CompressedColumn};

@@ -9,7 +9,7 @@
 //! cargo run --release -p pqfs-bench --bin fig14
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, scale, Fixture, DIM};
 use pqfs_metrics::{fmt_f, time_ms, Summary, TextTable};

@@ -6,7 +6,7 @@
 //! cargo run --release -p pqfs-bench --bin fig15
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, scale, Fixture, DIM};
 use pqfs_metrics::{

@@ -9,7 +9,7 @@
 //! cargo run --release -p pqfs-bench --bin fig17
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use pqfs_bench::baselines::scan_quantize_only;
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};

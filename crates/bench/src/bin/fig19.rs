@@ -11,7 +11,7 @@
 //! cargo run --release -p pqfs-bench --bin fig19
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};
 use pqfs_core::RowMajorCodes;

@@ -7,7 +7,7 @@
 //! SCALE: PQFS_SCALE=4 cargo run --release -p pqfs-bench --bin fig20
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, host_description, scale, Fixture, DIM};
 use pqfs_core::DistanceTables;

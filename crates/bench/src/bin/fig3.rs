@@ -9,7 +9,7 @@
 //! cargo run --release -p pqfs-bench --bin fig3
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use pqfs_bench::baselines::{scan_avx, scan_gather, TransposedCodes};
 use pqfs_bench::{env_usize, header, scale, Fixture, DIM};

@@ -5,7 +5,7 @@
 //! cargo run --release -p pqfs-bench --bin table1
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use pqfs_bench::header;
 use pqfs_core::PqConfig;

@@ -5,7 +5,7 @@
 //! cargo run --release -p pqfs-bench --bin table2
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use pqfs_bench::baselines::{scan_gather, TransposedCodes};
 use pqfs_bench::{env_usize, header, Fixture};

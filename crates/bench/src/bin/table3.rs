@@ -9,7 +9,7 @@
 //! cargo run --release -p pqfs-bench --bin table3
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, scale, DIM, TABLE3_QUERIES, TABLE3_SIZES_M};
 use pqfs_data::{SyntheticConfig, SyntheticDataset};

@@ -2,7 +2,6 @@
 //! produce a JSON metrics snapshot matching `metrics.schema.json`, a
 //! Prometheus exposition that parses, and a `--trace` waterfall whose
 //! stage sum accounts for the query wall time.
-#![cfg(feature = "telemetry")]
 
 use pqfs_obs::jsonv::{self, Value};
 use std::path::PathBuf;

@@ -166,35 +166,30 @@ fn serve_answers_load_then_drains_on_sigterm() {
 
     // --metrics-out was honored on shutdown and carries server metrics.
     let text = std::fs::read_to_string(&metrics).expect("metrics written on shutdown");
-    #[cfg(feature = "telemetry")]
-    {
-        let snapshot = pqfs_obs::jsonv::parse(&text).expect("metrics parse as JSON");
-        let counters = snapshot
-            .get("counters")
-            .and_then(pqfs_obs::jsonv::Value::as_object)
-            .expect("counters object");
-        let sum_of = |name: &str| -> u64 {
-            counters
-                .iter()
-                .filter(|(k, _)| *k == name || k.starts_with(&format!("{name}{{")))
-                .filter_map(|(_, v)| v.as_u64())
-                .sum()
-        };
-        assert!(
-            sum_of("pqfs_server_connections_total") >= 3,
-            "every bench connection counted"
-        );
-        // 60 single + 2×(120/8 rounded up per worker) batch frames.
-        assert!(sum_of("pqfs_server_requests_total") >= 60);
-        assert!(sum_of("pqfs_server_batches_total") > 0);
-        assert_eq!(
-            sum_of("pqfs_server_shed_total"),
-            0,
-            "no shed under light load"
-        );
-    }
-    #[cfg(not(feature = "telemetry"))]
-    assert!(!text.is_empty());
+    let snapshot = pqfs_obs::jsonv::parse(&text).expect("metrics parse as JSON");
+    let counters = snapshot
+        .get("counters")
+        .and_then(pqfs_obs::jsonv::Value::as_object)
+        .expect("counters object");
+    let sum_of = |name: &str| -> u64 {
+        counters
+            .iter()
+            .filter(|(k, _)| *k == name || k.starts_with(&format!("{name}{{")))
+            .filter_map(|(_, v)| v.as_u64())
+            .sum()
+    };
+    assert!(
+        sum_of("pqfs_server_connections_total") >= 3,
+        "every bench connection counted"
+    );
+    // 60 single + 2×(120/8 rounded up per worker) batch frames.
+    assert!(sum_of("pqfs_server_requests_total") >= 60);
+    assert!(sum_of("pqfs_server_batches_total") > 0);
+    assert_eq!(
+        sum_of("pqfs_server_shed_total"),
+        0,
+        "no shed under light load"
+    );
     drop(dir);
 }
 

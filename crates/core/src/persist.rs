@@ -465,7 +465,6 @@ mod tests {
         ));
     }
 
-    #[cfg(feature = "failpoints")]
     #[test]
     fn failed_save_leaves_the_previous_artifact_intact() {
         let _lock = pqfs_fault::exclusive();

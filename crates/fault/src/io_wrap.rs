@@ -159,7 +159,7 @@ impl<W: Write> Write for FaultWrite<W> {
     }
 }
 
-#[cfg(all(test, feature = "failpoints"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{exclusive, scoped};

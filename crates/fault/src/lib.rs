@@ -16,12 +16,10 @@
 //!
 //! let _lock = fault::exclusive(); // serialize registry use across tests
 //! let _guard = fault::scoped("demo.site", FaultAction::Error);
-//! if fault::armed() {
-//!     // With the default `failpoints` feature the armed site fires ...
-//!     assert!(fault::check("demo.site").is_err());
-//! }
+//! // The armed site fires ...
+//! assert!(fault::check("demo.site").is_err());
 //! drop(_guard);
-//! // ... and a disarmed site (or a no-failpoints build) always passes.
+//! // ... and a disarmed site always passes.
 //! assert!(fault::check("demo.site").is_ok());
 //! ```
 //!
@@ -49,9 +47,7 @@
 //! # Cost when disarmed
 //!
 //! Probing a site when **nothing at all** is armed is a single relaxed
-//! atomic load ([`armed`] is checked first at every site). Compiling with
-//! `--no-default-features` removes even that: every probe becomes a const
-//! `false` and the [`FaultRead`]/[`FaultWrite`] wrappers are transparent.
+//! atomic load ([`armed`] is checked first at every site).
 //!
 //! # Determinism
 //!
@@ -106,7 +102,6 @@ pub fn injected_error(site: &str) -> std::io::Error {
     std::io::Error::other(InjectedFault { site: site.into() })
 }
 
-#[cfg(feature = "failpoints")]
 mod registry {
     use super::{injected_error, FaultAction, FaultSpecError};
     use std::collections::HashMap;
@@ -183,9 +178,14 @@ mod registry {
         arm_in(registry(), site.into(), action, None);
     }
 
-    /// Arms `site` with `action` for at most `count` triggers.
+    /// Arms `site` with `action` for at most `count` triggers. A `count` of
+    /// 0 arms nothing: like [`disarm`], it removes any earlier arming.
     pub fn arm_limited(site: impl Into<String>, action: FaultAction, count: u64) {
-        arm_in(registry(), site.into(), action, Some(count));
+        let site = site.into();
+        match count {
+            0 => disarm_in(registry(), &site),
+            n => arm_in(registry(), site, action, Some(n)),
+        }
     }
 
     /// Applies a `PQFS_FAILPOINTS`-syntax spec string.
@@ -276,63 +276,6 @@ mod registry {
     }
 }
 
-#[cfg(not(feature = "failpoints"))]
-mod registry {
-    //! Compiled-out stubs: every probe is a const `false`.
-    use super::{FaultAction, FaultSpecError};
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Always `false` without the `failpoints` feature.
-    pub fn armed() -> bool {
-        false
-    }
-
-    /// No-op without the `failpoints` feature.
-    pub fn arm(_site: impl Into<String>, _action: FaultAction) {}
-
-    /// No-op without the `failpoints` feature.
-    pub fn arm_limited(_site: impl Into<String>, _action: FaultAction, _count: u64) {}
-
-    /// Validates the spec but arms nothing without the `failpoints` feature.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultSpecError`] for the first malformed entry.
-    pub fn arm_spec(spec: &str) -> Result<(), FaultSpecError> {
-        for entry in spec.split(';').filter(|s| !s.trim().is_empty()) {
-            super::spec::parse_entry(entry)?;
-        }
-        Ok(())
-    }
-
-    /// No-op without the `failpoints` feature.
-    pub fn disarm(_site: &str) {}
-
-    /// No-op without the `failpoints` feature.
-    pub fn disarm_all() {}
-
-    /// Always `None` without the `failpoints` feature.
-    pub fn take(_site: &str) -> Option<FaultAction> {
-        None
-    }
-
-    /// Always `Ok` without the `failpoints` feature.
-    ///
-    /// # Errors
-    ///
-    /// Never fails.
-    pub fn check(_site: &str) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    /// Serializes tests that touch the registry (still real, so mixed
-    /// feature sets keep the same locking discipline).
-    pub fn exclusive() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poison| poison.into_inner())
-    }
-}
-
 pub use registry::{arm, arm_limited, arm_spec, armed, check, disarm, disarm_all, exclusive, take};
 
 /// Arms `site` for the guard's lifetime; dropping the guard disarms it.
@@ -354,7 +297,7 @@ impl Drop for FaultScope {
     }
 }
 
-#[cfg(all(test, feature = "failpoints"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -390,6 +333,15 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_limit_arms_nothing() {
+        let _lock = exclusive();
+        arm("t.zero", FaultAction::Error);
+        arm_limited("t.zero", FaultAction::Error, 0);
+        assert!(check("t.zero").is_ok(), "a zero budget never fires");
+        assert!(!armed());
+    }
+
+    #[test]
     fn scoped_guard_disarms_on_drop() {
         let _lock = exclusive();
         {
@@ -414,7 +366,6 @@ mod tests {
         assert!(!armed());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn injected_faults_are_counted_per_site() {
         let _lock = exclusive();

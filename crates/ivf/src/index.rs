@@ -299,8 +299,8 @@ pub struct SearchOutcome {
     pub health: SearchHealth,
 }
 
-/// One probe's completed scan, with per-stage timings when requested
-/// (`tables_ns`/`scan_ns` stay 0 when timing is off).
+/// One probe's completed scan and its per-stage timings (both 0 for an
+/// empty partition, which builds no tables).
 #[derive(Default)]
 struct ProbeSuccess {
     neighbors: Vec<Neighbor>,
@@ -517,10 +517,9 @@ impl IvfadcIndex {
         if let Some(t) = trace.as_deref_mut() {
             t.reset();
         }
-        let want_timing = trace.is_some() || pqfs_obs::enabled();
-        let t_begin = want_timing.then(Instant::now);
+        let t_begin = Instant::now();
         let probes = self.coarse.assign_multi(query, nprobe);
-        let coarse_ns = t_begin.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let coarse_ns = t_begin.elapsed().as_nanos() as u64;
         let start = Instant::now();
         // One relaxed load when no failpoint is armed anywhere; the
         // per-probe site string is only built under an armed registry.
@@ -543,7 +542,6 @@ impl IvfadcIndex {
                     p,
                     &ScanParams::new(topk).with_keep(keep).with_bound(bound),
                     backend,
-                    want_timing,
                     deadline,
                 )
             })) {
@@ -580,7 +578,7 @@ impl IvfadcIndex {
         let scans = std::iter::once(nearest).chain(later);
 
         // Merge in probe order (determinism), collecting health as we go.
-        let merge_t0 = want_timing.then(Instant::now);
+        let merge_t0 = Instant::now();
         let mut lists: Vec<Vec<Neighbor>> = Vec::with_capacity(probes.len());
         let mut stats = ScanStats::default();
         let mut health = SearchHealth::default();
@@ -670,8 +668,8 @@ impl IvfadcIndex {
         };
         QUERIES.inc();
         COARSE_NS.observe_ns(coarse_ns);
-        let merge_ns = merge_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let total_ns = t_begin.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let merge_ns = merge_t0.elapsed().as_nanos() as u64;
+        let total_ns = t_begin.elapsed().as_nanos() as u64;
         MERGE_NS.observe_ns(merge_ns);
         TOTAL_NS.observe_ns(total_ns);
         if let Some(t) = trace {
@@ -706,7 +704,7 @@ impl IvfadcIndex {
     }
 
     /// Scans partition `p` for `query` and returns global-id neighbors,
-    /// with optional stage timing and deadline short-circuiting.
+    /// with its stage timings and deadline short-circuiting.
     ///
     /// Runs on the calling thread using its [`QueryScratch`]: the residual
     /// buffer, distance tables and Fast Scan table buffers are reused
@@ -723,7 +721,6 @@ impl IvfadcIndex {
         p: usize,
         params: &ScanParams,
         backend: SearchBackend,
-        want_timing: bool,
         deadline: Option<(Instant, Duration)>,
     ) -> Result<Option<ProbeSuccess>, IvfError> {
         let partition = &self.partitions[p];
@@ -748,12 +745,12 @@ impl IvfadcIndex {
             }
 
             // Step 2: distance tables on the query residual.
-            let t0 = want_timing.then(Instant::now);
+            let t0 = Instant::now();
             scratch.residual.resize(self.dim, 0.0);
             self.coarse.residual_into(query, p, &mut scratch.residual);
             scratch.tables.recompute(&self.pq, &scratch.residual)?;
             TABLES_BUILT.inc();
-            let t1 = want_timing.then(Instant::now);
+            let t1 = Instant::now();
 
             // Step 3: scan. Fast Scan reads the resident grouped codes; any
             // other backend is an oracle, answered exactly — and slowly, on
@@ -768,7 +765,7 @@ impl IvfadcIndex {
                 let oracle = backend.scanner(&self.scan).prepare(rows)?;
                 oracle.scan(&scratch.tables, params)?
             };
-            let t2 = want_timing.then(Instant::now);
+            let t2 = Instant::now();
 
             // Translate partition positions to global ids.
             let neighbors = result
@@ -779,10 +776,7 @@ impl IvfadcIndex {
                     id: partition.ids[n.id as usize],
                 })
                 .collect();
-            let stage_ns = |a: Option<Instant>, b: Option<Instant>| match (a, b) {
-                (Some(a), Some(b)) => b.duration_since(a).as_nanos() as u64,
-                _ => 0,
-            };
+            let stage_ns = |a: Instant, b: Instant| b.duration_since(a).as_nanos() as u64;
             Ok(Some(ProbeSuccess {
                 neighbors,
                 stats: result.stats,
@@ -1150,7 +1144,7 @@ mod tests {
         let mut merged = pqfs_core::TopK::new(topk);
         let params = ScanParams::new(topk).with_keep(keep);
         for &p in probes {
-            let scan = index.scan_probe(query, p, &params, backend, false, None);
+            let scan = index.scan_probe(query, p, &params, backend, None);
             for n in scan.unwrap().expect("no deadline to expire").neighbors {
                 merged.push(n.dist, n.id);
             }
@@ -1340,7 +1334,6 @@ mod tests {
 
     /// When the nearest probe fails there is nothing to inherit: the other
     /// probes scan unbounded and the degraded answer is their merge.
-    #[cfg(feature = "failpoints")]
     #[test]
     fn a_failed_nearest_probe_leaves_the_others_unbounded() {
         let _lock = pqfs_fault::exclusive();
@@ -1383,7 +1376,6 @@ mod tests {
         assert_eq!(multi.health, SearchHealth::healthy(4));
     }
 
-    #[cfg(feature = "failpoints")]
     #[test]
     fn injected_probe_failure_degrades_instead_of_erroring() {
         let _lock = pqfs_fault::exclusive();
@@ -1420,7 +1412,6 @@ mod tests {
             .all(|n| !victim_ids.contains(&n.id)));
     }
 
-    #[cfg(feature = "failpoints")]
     #[test]
     fn all_probes_failing_returns_the_first_error() {
         let _lock = pqfs_fault::exclusive();
@@ -1455,7 +1446,6 @@ mod tests {
         assert_eq!(out.partition, single.partition);
     }
 
-    #[cfg(feature = "failpoints")]
     #[test]
     fn expired_probe_short_circuits_before_the_table_build() {
         let _lock = pqfs_fault::exclusive();
@@ -1477,7 +1467,6 @@ mod tests {
             format!("ivf.search.scan.{}", probes[victim]),
             pqfs_fault::FaultAction::Delay(300),
         );
-        #[cfg(feature = "telemetry")]
         let wasted_before = pqfs_obs::counter_value("pqfs_ivf_tables_wasted_total", None);
         let mut trace = QueryTrace::new();
         let req = SearchRequest {
@@ -1496,7 +1485,6 @@ mod tests {
             })
             .collect();
         assert_eq!(outcomes, expected);
-        #[cfg(feature = "telemetry")]
         assert_eq!(
             pqfs_obs::counter_value("pqfs_ivf_tables_wasted_total", None),
             wasted_before + 1,
@@ -1511,7 +1499,6 @@ mod tests {
         let q = &base[..DIM];
         let pool = ThreadPool::new(1);
         let mut trace = QueryTrace::new();
-        #[cfg(feature = "telemetry")]
         let bounded_out_before = pqfs_obs::counter_value("pqfs_ivf_probes_bounded_out_total", None);
         let req = SearchRequest::new(8, SearchBackend::FastScan, 0.01, 4);
         let out = index.search(q, &req, &pool, Some(&mut trace)).unwrap();
@@ -1567,7 +1554,6 @@ mod tests {
             .inspect(|p| assert_eq!(p.pruned, p.scanned))
             .count() as u64;
         assert!(ruled_out > 0, "the fixture must exercise the shortcut");
-        #[cfg(feature = "telemetry")]
         assert_eq!(
             pqfs_obs::counter_value("pqfs_ivf_probes_bounded_out_total", None),
             bounded_out_before + ruled_out

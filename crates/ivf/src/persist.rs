@@ -501,7 +501,6 @@ mod tests {
         ));
     }
 
-    #[cfg(feature = "failpoints")]
     #[test]
     fn failed_save_leaves_the_previous_artifact_intact() {
         let _lock = pqfs_fault::exclusive();
@@ -530,7 +529,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(feature = "failpoints")]
     #[test]
     fn injected_read_faults_surface_as_typed_errors() {
         let _lock = pqfs_fault::exclusive();

@@ -468,9 +468,10 @@ fn valid_prometheus_name(name: &str) -> bool {
 // policy-mismatch
 // ---------------------------------------------------------------------------
 
-/// Crate-root policy: crates on the unsafe allowlist must carry
-/// `#![deny(unsafe_op_in_unsafe_fn)]` (and must not forbid unsafe code);
-/// every other crate root must carry `#![forbid(unsafe_code)]`.
+/// Crate-root policy: an `unsafe_allowed` root (the `src/lib.rs` of a crate
+/// on the unsafe allowlist) must carry `#![deny(unsafe_op_in_unsafe_fn)]`
+/// (and must not forbid unsafe code); every other crate root must carry
+/// `#![forbid(unsafe_code)]`.
 pub fn check_policy(rel_path: &str, toks: &[Tok], unsafe_allowed: bool, out: &mut Vec<Diagnostic>) {
     let attrs = inner_attrs(toks);
     let has = |needle: &str| attrs.iter().any(|a| a == needle);
@@ -502,8 +503,8 @@ pub fn check_policy(rel_path: &str, toks: &[Tok], unsafe_allowed: bool, out: &mu
             file: rel_path.to_string(),
             line: 1,
             check: POLICY_MISMATCH,
-            msg: "crate root lacks `#![forbid(unsafe_code)]` (crate is not on the \
-                  unsafe allowlist in pqfs_lint.toml)"
+            msg: "crate root lacks `#![forbid(unsafe_code)]` (only the `src/lib.rs` of a \
+                  crate on the unsafe allowlist in pqfs_lint.toml may hold unsafe code)"
                 .to_string(),
         });
     }

@@ -7,16 +7,17 @@
 //!   contract (`// SAFETY:` comment or `# Safety` doc section).
 //! - **forbidden-panic** — no `unwrap`/`expect`/`panic!`/`todo!`/
 //!   `unimplemented!` in library crates outside test code.
-//! - **unforwarded-feature** — the tracked cargo features (`avx2`,
-//!   `telemetry`, `failpoints`) flow consistently through every manifest
-//!   that depends on a crate defining them.
+//! - **unforwarded-feature** — the tracked cargo features (`avx2`) flow
+//!   consistently through every manifest that depends on a crate defining
+//!   them.
 //! - **unregistered-failpoint** — every failpoint site name armed in code
 //!   appears in the checked-in registry `crates/fault/failpoints.sites`.
 //! - **undocumented-metric** — every metric name matches the Prometheus
 //!   grammar and is documented in `docs/OBSERVABILITY.md`.
 //! - **policy-mismatch** — crate roots carry the unsafe-policy header the
-//!   allowlist in `pqfs_lint.toml` prescribes (`#![forbid(unsafe_code)]`
-//!   or `#![deny(unsafe_op_in_unsafe_fn)]`).
+//!   allowlist in `pqfs_lint.toml` prescribes: `#![deny(unsafe_op_in_unsafe_fn)]`
+//!   on the `src/lib.rs` of an allowlisted crate, `#![forbid(unsafe_code)]`
+//!   on every other root, the binaries of allowlisted crates included.
 //!
 //! Run with `cargo run -p pqfs_lint` from anywhere in the workspace; the
 //! binary exits nonzero if any diagnostic fires. See
@@ -65,8 +66,9 @@ pub struct Config {
     pub exclude: Vec<String>,
     /// Cargo features whose forwarding is enforced.
     pub tracked_features: Vec<String>,
-    /// Crates allowed to contain `unsafe` (must deny
-    /// `unsafe_op_in_unsafe_fn`; all others must forbid unsafe code).
+    /// Crates whose library root may contain `unsafe` (it must deny
+    /// `unsafe_op_in_unsafe_fn`; every other crate root, their binaries
+    /// included, must forbid unsafe code).
     pub unsafe_crates: Vec<String>,
     /// Crates exempt from the panic ban (binaries, test harnesses).
     pub panic_crates: Vec<String>,
@@ -146,7 +148,10 @@ pub fn run_with(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
             checks::check_failpoints(&ctx, &registry, &mut out);
             checks::check_metrics(&ctx, &metrics_doc, &mut out);
             if is_root {
-                checks::check_policy(&rel, &toks, unsafe_allowed, &mut out);
+                // Only the library of an allowlisted crate may hold unsafe
+                // code; its binaries get the forbid rule.
+                let lib_root = file == crate_dir.join("src").join("lib.rs");
+                checks::check_policy(&rel, &toks, unsafe_allowed && lib_root, &mut out);
             }
         }
     }

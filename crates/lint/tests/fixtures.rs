@@ -105,8 +105,11 @@ fn policy_mismatch_fixture() {
         lint("policy_mismatch"),
         vec![
             "liba/src/lib.rs:1: error[policy-mismatch]: crate root lacks \
-             `#![forbid(unsafe_code)]` (crate is not on the unsafe allowlist in \
-             pqfs_lint.toml)",
+             `#![forbid(unsafe_code)]` (only the `src/lib.rs` of a crate on the unsafe \
+             allowlist in pqfs_lint.toml may hold unsafe code)",
+            "libb/src/bin/tool.rs:1: error[policy-mismatch]: crate root lacks \
+             `#![forbid(unsafe_code)]` (only the `src/lib.rs` of a crate on the unsafe \
+             allowlist in pqfs_lint.toml may hold unsafe code)",
             "libb/src/lib.rs:1: error[policy-mismatch]: crate is on the unsafe \
              allowlist but its root lacks `#![deny(unsafe_op_in_unsafe_fn)]`",
             "libc/src/lib.rs:1: error[policy-mismatch]: crate is on the unsafe \

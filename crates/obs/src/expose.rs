@@ -6,195 +6,173 @@
 //! registry's deterministic `(name, label)` sort, which makes the output
 //! suitable for golden tests.
 
-#[cfg(feature = "telemetry")]
-mod enabled_impl {
-    use crate::histogram::{bucket_le, BUCKET_COUNT};
-    use crate::registry::Registry;
+use crate::histogram::{bucket_le, BUCKET_COUNT};
+use crate::registry::Registry;
 
-    fn escape_label(v: &str) -> String {
-        let mut out = String::with_capacity(v.len());
-        for c in v.chars() {
-            match c {
-                '\\' => out.push_str("\\\\"),
-                '"' => out.push_str("\\\""),
-                '\n' => out.push_str("\\n"),
-                c => out.push(c),
-            }
+fn escape_label(v: &str) -> String {
+    let mut out = String::with_capacity(v.len());
+    for c in v.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
         }
-        out
     }
-
-    fn escape_json(v: &str) -> String {
-        let mut out = String::with_capacity(v.len());
-        for c in v.chars() {
-            match c {
-                '\\' => out.push_str("\\\\"),
-                '"' => out.push_str("\\\""),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// Renders `registry` in the Prometheus text exposition format
-    /// (`# HELP` / `# TYPE` comments, one sample per line, histograms as
-    /// cumulative `_bucket{le=...}` series plus `_sum` and `_count`).
-    pub fn prometheus_text(registry: &Registry) -> String {
-        fn header(
-            out: &mut String,
-            last_name: &mut Option<&'static str>,
-            name: &'static str,
-            help: &str,
-            kind: &str,
-        ) {
-            if *last_name != Some(name) {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-                *last_name = Some(name);
-            }
-        }
-        let collected = registry.collect();
-        let mut out = String::new();
-        let mut last_name: Option<&'static str> = None;
-        for (name, help, label, value) in &collected.counters {
-            header(&mut out, &mut last_name, name, help, "counter");
-            match label {
-                None => out.push_str(&format!("{name} {value}\n")),
-                Some((k, v)) => {
-                    out.push_str(&format!("{name}{{{k}=\"{}\"}} {value}\n", escape_label(v)))
-                }
-            }
-        }
-        last_name = None;
-        for (name, help, label, value) in &collected.gauges {
-            header(&mut out, &mut last_name, name, help, "gauge");
-            match label {
-                None => out.push_str(&format!("{name} {value}\n")),
-                Some((k, v)) => {
-                    out.push_str(&format!("{name}{{{k}=\"{}\"}} {value}\n", escape_label(v)))
-                }
-            }
-        }
-        for (name, help, buckets, snap) in &collected.histograms {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-            let mut cum = 0u64;
-            for (i, c) in buckets.iter().enumerate().take(BUCKET_COUNT) {
-                cum += c;
-                match bucket_le(i) {
-                    Some(le) => out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n")),
-                    None => out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cum}\n")),
-                }
-            }
-            out.push_str(&format!("{name}_sum {}\n", snap.sum));
-            out.push_str(&format!("{name}_count {}\n", snap.count));
-        }
-        out
-    }
-
-    /// Renders `registry` as a pretty-printed JSON object:
-    ///
-    /// ```json
-    /// {
-    ///   "counters": { "name{label=\"v\"}": 3, ... },
-    ///   "gauges": { "name": 7, ... },
-    ///   "histograms": {
-    ///     "name": { "count": 2, "sum_ns": 10, "max_ns": 8,
-    ///               "p50_ns": 8, "p90_ns": 8, "p99_ns": 8 }, ...
-    ///   }
-    /// }
-    /// ```
-    ///
-    /// Keys use the Prometheus series notation (`name{label="value"}`) so
-    /// the two expositions line up one-to-one.
-    pub fn json_snapshot(registry: &Registry) -> String {
-        let collected = registry.collect();
-        let series_key = |name: &str, label: &Option<(&'static str, String)>| match label {
-            None => name.to_string(),
-            Some((k, v)) => format!("{name}{{{k}=\"{}\"}}", escape_label(v)),
-        };
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (name, _, label, value) in &collected.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    \"{}\": {value}",
-                escape_json(&series_key(name, label))
-            ));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"gauges\": {");
-        first = true;
-        for (name, _, label, value) in &collected.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    \"{}\": {value}",
-                escape_json(&series_key(name, label))
-            ));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"histograms\": {");
-        first = true;
-        for (name, _, _, snap) in &collected.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    \"{}\": {{ \"count\": {}, \"sum_ns\": {}, \"max_ns\": {}, \
-                 \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {} }}",
-                escape_json(name),
-                snap.count,
-                snap.sum,
-                snap.max,
-                snap.p50,
-                snap.p90,
-                snap.p99,
-            ));
-        }
-        out.push_str(if first { "}\n" } else { "\n  }\n" });
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
-    /// Renders the global registry in the Prometheus text format.
-    pub fn global_prometheus_text() -> String {
-        prometheus_text(crate::registry::global())
-    }
-
-    /// Renders the global registry as a JSON snapshot.
-    pub fn global_json_snapshot() -> String {
-        json_snapshot(crate::registry::global())
-    }
+    out
 }
 
-#[cfg(feature = "telemetry")]
-pub use enabled_impl::*;
-
-#[cfg(not(feature = "telemetry"))]
-mod disabled_impl {
-    /// Empty but well-formed exposition without the `telemetry` feature.
-    pub fn global_prometheus_text() -> String {
-        String::new()
+fn escape_json(v: &str) -> String {
+    let mut out = String::with_capacity(v.len());
+    for c in v.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
     }
-
-    /// Empty but well-formed snapshot without the `telemetry` feature.
-    pub fn global_json_snapshot() -> String {
-        "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}\n".to_string()
-    }
+    out
 }
 
-#[cfg(not(feature = "telemetry"))]
-pub use disabled_impl::*;
+/// Renders `registry` in the Prometheus text exposition format
+/// (`# HELP` / `# TYPE` comments, one sample per line, histograms as
+/// cumulative `_bucket{le=...}` series plus `_sum` and `_count`).
+pub fn prometheus_text(registry: &Registry) -> String {
+    fn header(
+        out: &mut String,
+        last_name: &mut Option<&'static str>,
+        name: &'static str,
+        help: &str,
+        kind: &str,
+    ) {
+        if *last_name != Some(name) {
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+            *last_name = Some(name);
+        }
+    }
+    let collected = registry.collect();
+    let mut out = String::new();
+    let mut last_name: Option<&'static str> = None;
+    for (name, help, label, value) in &collected.counters {
+        header(&mut out, &mut last_name, name, help, "counter");
+        match label {
+            None => out.push_str(&format!("{name} {value}\n")),
+            Some((k, v)) => {
+                out.push_str(&format!("{name}{{{k}=\"{}\"}} {value}\n", escape_label(v)))
+            }
+        }
+    }
+    last_name = None;
+    for (name, help, label, value) in &collected.gauges {
+        header(&mut out, &mut last_name, name, help, "gauge");
+        match label {
+            None => out.push_str(&format!("{name} {value}\n")),
+            Some((k, v)) => {
+                out.push_str(&format!("{name}{{{k}=\"{}\"}} {value}\n", escape_label(v)))
+            }
+        }
+    }
+    for (name, help, buckets, snap) in &collected.histograms {
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
+        let mut cum = 0u64;
+        for (i, c) in buckets.iter().enumerate().take(BUCKET_COUNT) {
+            cum += c;
+            match bucket_le(i) {
+                Some(le) => out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n")),
+                None => out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cum}\n")),
+            }
+        }
+        out.push_str(&format!("{name}_sum {}\n", snap.sum));
+        out.push_str(&format!("{name}_count {}\n", snap.count));
+    }
+    out
+}
+
+/// Renders `registry` as a pretty-printed JSON object:
+///
+/// ```json
+/// {
+///   "counters": { "name{label=\"v\"}": 3, ... },
+///   "gauges": { "name": 7, ... },
+///   "histograms": {
+///     "name": { "count": 2, "sum_ns": 10, "max_ns": 8,
+///               "p50_ns": 8, "p90_ns": 8, "p99_ns": 8 }, ...
+///   }
+/// }
+/// ```
+///
+/// Keys use the Prometheus series notation (`name{label="value"}`) so
+/// the two expositions line up one-to-one.
+pub fn json_snapshot(registry: &Registry) -> String {
+    let collected = registry.collect();
+    let series_key = |name: &str, label: &Option<(&'static str, String)>| match label {
+        None => name.to_string(),
+        Some((k, v)) => format!("{name}{{{k}=\"{}\"}}", escape_label(v)),
+    };
+    let mut out = String::from("{\n  \"counters\": {");
+    let mut first = true;
+    for (name, _, label, value) in &collected.counters {
+        if !first {
+            out.push(',');
+        }
+        first = false;
+        out.push_str(&format!(
+            "\n    \"{}\": {value}",
+            escape_json(&series_key(name, label))
+        ));
+    }
+    out.push_str(if first { "},\n" } else { "\n  },\n" });
+    out.push_str("  \"gauges\": {");
+    first = true;
+    for (name, _, label, value) in &collected.gauges {
+        if !first {
+            out.push(',');
+        }
+        first = false;
+        out.push_str(&format!(
+            "\n    \"{}\": {value}",
+            escape_json(&series_key(name, label))
+        ));
+    }
+    out.push_str(if first { "},\n" } else { "\n  },\n" });
+    out.push_str("  \"histograms\": {");
+    first = true;
+    for (name, _, _, snap) in &collected.histograms {
+        if !first {
+            out.push(',');
+        }
+        first = false;
+        out.push_str(&format!(
+            "\n    \"{}\": {{ \"count\": {}, \"sum_ns\": {}, \"max_ns\": {}, \
+             \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {} }}",
+            escape_json(name),
+            snap.count,
+            snap.sum,
+            snap.max,
+            snap.p50,
+            snap.p90,
+            snap.p99,
+        ));
+    }
+    out.push_str(if first { "}\n" } else { "\n  }\n" });
+    out.push('}');
+    out.push('\n');
+    out
+}
+
+/// Renders the global registry in the Prometheus text format.
+pub fn global_prometheus_text() -> String {
+    prometheus_text(crate::registry::global())
+}
+
+/// Renders the global registry as a JSON snapshot.
+pub fn global_json_snapshot() -> String {
+    json_snapshot(crate::registry::global())
+}
 
 /// Checks a Prometheus text exposition against the line grammar: every
 /// line is either a `# HELP name text` / `# TYPE name counter|gauge|histogram`
@@ -305,82 +283,76 @@ mod tests {
         assert!(validate_prometheus("# TYPE m weird\n").is_err());
     }
 
-    #[cfg(feature = "telemetry")]
-    mod telemetry {
-        use super::super::*;
-        use crate::registry::Registry;
+    fn sample_registry() -> Registry {
+        let reg = Registry::new();
+        reg.counter("pqfs_a_total", "count of a").add(3);
+        reg.counter_labeled("pqfs_b_total", "count of b", "kind", "x")
+            .add(1);
+        reg.counter_labeled("pqfs_b_total", "count of b", "kind", "y")
+            .add(2);
+        reg.gauge("pqfs_depth", "depth gauge").set(7);
+        let h = reg.histogram("pqfs_lat_ns", "latency");
+        h.observe_ns(3);
+        h.observe_ns(1000);
+        reg
+    }
 
-        fn sample_registry() -> Registry {
-            let reg = Registry::new();
-            reg.counter("pqfs_a_total", "count of a").add(3);
-            reg.counter_labeled("pqfs_b_total", "count of b", "kind", "x")
-                .add(1);
-            reg.counter_labeled("pqfs_b_total", "count of b", "kind", "y")
-                .add(2);
-            reg.gauge("pqfs_depth", "depth gauge").set(7);
-            let h = reg.histogram("pqfs_lat_ns", "latency");
-            h.observe_ns(3);
-            h.observe_ns(1000);
-            reg
-        }
+    #[test]
+    fn prometheus_output_is_stable_and_valid() {
+        let text = prometheus_text(&sample_registry());
+        assert_eq!(validate_prometheus(&text), Ok(()));
+        // Deterministic shape (golden): headers once per metric, labeled
+        // series sorted by label value, histogram cumulative buckets.
+        assert!(text.starts_with(
+            "# HELP pqfs_a_total count of a\n# TYPE pqfs_a_total counter\npqfs_a_total 3\n\
+             # HELP pqfs_b_total count of b\n# TYPE pqfs_b_total counter\n\
+             pqfs_b_total{kind=\"x\"} 1\npqfs_b_total{kind=\"y\"} 2\n"
+        ));
+        assert!(text.contains("# TYPE pqfs_lat_ns histogram\n"));
+        assert!(text.contains("pqfs_lat_ns_bucket{le=\"4\"} 1\n"));
+        assert!(text.contains("pqfs_lat_ns_bucket{le=\"1024\"} 2\n"));
+        assert!(text.contains("pqfs_lat_ns_bucket{le=\"+Inf\"} 2\n"));
+        assert!(text.contains("pqfs_lat_ns_sum 1003\n"));
+        assert!(text.ends_with("pqfs_lat_ns_count 2\n"));
+    }
 
-        #[test]
-        fn prometheus_output_is_stable_and_valid() {
-            let text = prometheus_text(&sample_registry());
-            assert_eq!(validate_prometheus(&text), Ok(()));
-            // Deterministic shape (golden): headers once per metric, labeled
-            // series sorted by label value, histogram cumulative buckets.
-            assert!(text.starts_with(
-                "# HELP pqfs_a_total count of a\n# TYPE pqfs_a_total counter\npqfs_a_total 3\n\
-                 # HELP pqfs_b_total count of b\n# TYPE pqfs_b_total counter\n\
-                 pqfs_b_total{kind=\"x\"} 1\npqfs_b_total{kind=\"y\"} 2\n"
-            ));
-            assert!(text.contains("# TYPE pqfs_lat_ns histogram\n"));
-            assert!(text.contains("pqfs_lat_ns_bucket{le=\"4\"} 1\n"));
-            assert!(text.contains("pqfs_lat_ns_bucket{le=\"1024\"} 2\n"));
-            assert!(text.contains("pqfs_lat_ns_bucket{le=\"+Inf\"} 2\n"));
-            assert!(text.contains("pqfs_lat_ns_sum 1003\n"));
-            assert!(text.ends_with("pqfs_lat_ns_count 2\n"));
-        }
+    #[test]
+    fn json_snapshot_is_stable_and_parseable() {
+        let json = json_snapshot(&sample_registry());
+        let v = crate::jsonv::parse(&json).expect("snapshot must be valid JSON");
+        let counters = v.get("counters").expect("counters object");
+        assert_eq!(
+            counters.get("pqfs_a_total").and_then(|n| n.as_u64()),
+            Some(3)
+        );
+        assert_eq!(
+            counters
+                .get("pqfs_b_total{kind=\"y\"}")
+                .and_then(|n| n.as_u64()),
+            Some(2)
+        );
+        assert_eq!(
+            v.get("gauges")
+                .and_then(|g| g.get("pqfs_depth"))
+                .and_then(|n| n.as_u64()),
+            Some(7)
+        );
+        let hist = v
+            .get("histograms")
+            .and_then(|h| h.get("pqfs_lat_ns"))
+            .expect("histogram entry");
+        assert_eq!(hist.get("count").and_then(|n| n.as_u64()), Some(2));
+        assert_eq!(hist.get("sum_ns").and_then(|n| n.as_u64()), Some(1003));
+        assert_eq!(hist.get("max_ns").and_then(|n| n.as_u64()), Some(1000));
+    }
 
-        #[test]
-        fn json_snapshot_is_stable_and_parseable() {
-            let json = json_snapshot(&sample_registry());
-            let v = crate::jsonv::parse(&json).expect("snapshot must be valid JSON");
-            let counters = v.get("counters").expect("counters object");
-            assert_eq!(
-                counters.get("pqfs_a_total").and_then(|n| n.as_u64()),
-                Some(3)
-            );
-            assert_eq!(
-                counters
-                    .get("pqfs_b_total{kind=\"y\"}")
-                    .and_then(|n| n.as_u64()),
-                Some(2)
-            );
-            assert_eq!(
-                v.get("gauges")
-                    .and_then(|g| g.get("pqfs_depth"))
-                    .and_then(|n| n.as_u64()),
-                Some(7)
-            );
-            let hist = v
-                .get("histograms")
-                .and_then(|h| h.get("pqfs_lat_ns"))
-                .expect("histogram entry");
-            assert_eq!(hist.get("count").and_then(|n| n.as_u64()), Some(2));
-            assert_eq!(hist.get("sum_ns").and_then(|n| n.as_u64()), Some(1003));
-            assert_eq!(hist.get("max_ns").and_then(|n| n.as_u64()), Some(1000));
-        }
-
-        #[test]
-        fn empty_registry_renders_empty_but_valid_output() {
-            let reg = Registry::new();
-            assert_eq!(prometheus_text(&reg), "");
-            let json = json_snapshot(&reg);
-            let v = crate::jsonv::parse(&json).expect("valid JSON");
-            assert!(v.get("counters").is_some());
-            assert!(v.get("histograms").is_some());
-        }
+    #[test]
+    fn empty_registry_renders_empty_but_valid_output() {
+        let reg = Registry::new();
+        assert_eq!(prometheus_text(&reg), "");
+        let json = json_snapshot(&reg);
+        let v = crate::jsonv::parse(&json).expect("valid JSON");
+        assert!(v.get("counters").is_some());
+        assert!(v.get("histograms").is_some());
     }
 }

@@ -8,7 +8,6 @@
 //! relaxed atomic operations — no locks, no allocation, no resizing — and
 //! two snapshots can be subtracted bucket-wise.
 
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets, including the final `+Inf` overflow bucket.
@@ -55,7 +54,6 @@ pub struct HistogramSnapshot {
 }
 
 /// A lock-free histogram of nanosecond observations.
-#[cfg(feature = "telemetry")]
 #[derive(Debug)]
 pub struct Histogram {
     pub(crate) name: &'static str,
@@ -65,7 +63,6 @@ pub struct Histogram {
     max: AtomicU64,
 }
 
-#[cfg(feature = "telemetry")]
 impl Histogram {
     pub(crate) fn new(name: &'static str, help: &'static str) -> Self {
         Histogram {
@@ -78,7 +75,7 @@ impl Histogram {
     }
 
     /// Records one observation of `ns` nanoseconds (three relaxed atomic
-    /// RMW operations; callers check [`crate::enabled`] first).
+    /// RMW operations).
     #[inline]
     pub fn observe_ns(&self, ns: u64) {
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
@@ -146,7 +143,6 @@ mod tests {
         assert_eq!(bucket_le(BUCKET_COUNT - 1), None); // +Inf
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn snapshot_reports_count_sum_max_and_quantiles() {
         let h = Histogram::new("t", "");
@@ -164,14 +160,12 @@ mod tests {
         assert_eq!(s.p99, 131_072);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn empty_histogram_snapshots_to_zeros() {
         let h = Histogram::new("t", "");
         assert_eq!(h.snapshot(), HistogramSnapshot::default());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn overflow_bucket_quantile_falls_back_to_max() {
         let h = Histogram::new("t", "");

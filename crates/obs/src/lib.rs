@@ -8,10 +8,7 @@
 //!
 //! * **Metrics registry** ([`registry`]): lock-free sharded [`LazyCounter`]s,
 //!   [`LazyGauge`]s, and log-bucketed [`LazyHistogram`]s registered lazily
-//!   into a process-wide registry. Recording is a few relaxed atomics;
-//!   with telemetry disabled at runtime it is one atomic load, and with
-//!   `--no-default-features` it compiles to nothing (the same opt-out
-//!   discipline as `pqfs_fault`).
+//!   into a process-wide registry. Recording is a few relaxed atomics.
 //! * **Exposition** ([`expose`]): Prometheus text format and a JSON
 //!   snapshot rendered from one consistent walk of the registry, plus a
 //!   dependency-free line-grammar validator used in tests and CI.
@@ -30,7 +27,7 @@
 //!     LazyCounter::new("pqfs_ivf_queries_total", "IVF queries served");
 //!
 //! fn serve() {
-//!     QUERIES.inc(); // one relaxed atomic add (or a no-op when disabled)
+//!     QUERIES.inc(); // one relaxed atomic add
 //! }
 //! # serve();
 //! ```
@@ -44,14 +41,13 @@ pub mod jsonv;
 pub mod registry;
 pub mod trace;
 
-pub use expose::{global_json_snapshot, global_prometheus_text, validate_prometheus};
+pub use expose::{
+    global_json_snapshot, global_prometheus_text, json_snapshot, prometheus_text,
+    validate_prometheus,
+};
 pub use histogram::{bucket_index, bucket_le, HistogramSnapshot, BUCKET_COUNT};
 pub use registry::{
-    counter_value, enabled, set_enabled, CounterFamily, LazyCounter, LazyGauge, LazyHistogram,
+    counter_value, global, Counter, CounterFamily, Gauge, LazyCounter, LazyGauge, LazyHistogram,
+    Registry,
 };
 pub use trace::{fmt_ns, ProbeOutcome, ProbeTrace, QueryTrace};
-
-#[cfg(feature = "telemetry")]
-pub use expose::{json_snapshot, prometheus_text};
-#[cfg(feature = "telemetry")]
-pub use registry::{global, Counter, Gauge, Registry};

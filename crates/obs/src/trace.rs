@@ -3,9 +3,8 @@
 //! A [`QueryTrace`] records the stage breakdown of one search —
 //! `coarse_quantize → residual/tables → probe[i] scan → merge` — with one
 //! [`ProbeTrace`] per probed partition. Tracing is an explicit per-query
-//! opt-in (the caller passes a trace to the traced search entry point), so
-//! it is available even when the `telemetry` feature is off and costs
-//! nothing on untraced queries.
+//! opt-in: the caller passes a trace to the search entry point, and an
+//! untraced query fills none.
 
 /// How one probed partition ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

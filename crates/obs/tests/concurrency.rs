@@ -5,8 +5,6 @@
 //! how CI parameterizes the rest of the suite), with more threads than
 //! counter shards in the 24-thread case to force shard sharing.
 
-#![cfg(feature = "telemetry")]
-
 use pqfs_obs::registry::Registry;
 use std::thread;
 

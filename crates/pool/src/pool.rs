@@ -34,13 +34,9 @@ fn run_job(job: Job) {
 /// the task counters are pool-size-independent).
 fn run_inline(thunk: impl FnOnce()) {
     TASKS.inc();
-    if pqfs_obs::enabled() {
-        let start = std::time::Instant::now();
-        thunk();
-        BUSY_NS.add(start.elapsed().as_nanos() as u64);
-    } else {
-        thunk();
-    }
+    let start = std::time::Instant::now();
+    thunk();
+    BUSY_NS.add(start.elapsed().as_nanos() as u64);
 }
 
 /// A type-erased unit of work. Scoped borrows are transmuted to `'static`
@@ -777,7 +773,6 @@ mod tests {
         assert!(QUEUE_HWM.value() <= (2 * MAPS * 2) as u64);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn pool_work_moves_the_task_counters() {
         let before = pqfs_obs::counter_value("pqfs_pool_tasks_total", None);

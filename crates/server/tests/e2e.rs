@@ -187,7 +187,6 @@ fn overload_sheds_with_typed_response() {
     }
     assert!(answered >= 1, "some requests must still be served");
     assert!(shed >= 1, "a full queue must shed, not stack up");
-    #[cfg(feature = "telemetry")]
     assert!(
         pqfs_obs::counter_value("pqfs_server_shed_total", None) >= shed as u64,
         "shed counter records admission rejections"
@@ -202,7 +201,6 @@ fn concurrent_requests_coalesce_into_waves_by_accumulation() {
     // Every wave stalls 50 ms: whatever arrives meanwhile is queued when
     // it ends, and must leave as one wave — there is no timer to wait out.
     let _stall = scoped("server.batch.execute", FaultAction::Delay(50));
-    #[cfg(feature = "telemetry")]
     let waves_before = pqfs_obs::counter_value("pqfs_server_batches_total", None);
 
     const CLIENTS: u64 = 8;
@@ -247,19 +245,15 @@ fn concurrent_requests_coalesce_into_waves_by_accumulation() {
             "a coalesced answer is bit-identical to the direct one (seed {seed})"
         );
     }
-    #[cfg(feature = "telemetry")]
-    {
-        let waves = pqfs_obs::counter_value("pqfs_server_batches_total", None) - waves_before;
-        assert!(
-            (1..CLIENTS).contains(&waves),
-            "{CLIENTS} concurrent requests must share waves, ran {waves}"
-        );
-    }
+    let waves = pqfs_obs::counter_value("pqfs_server_batches_total", None) - waves_before;
+    assert!(
+        (1..CLIENTS).contains(&waves),
+        "{CLIENTS} concurrent requests must share waves, ran {waves}"
+    );
     handle.shutdown_and_join();
 }
 
 /// `(sum_ns, count)` of one histogram in a stats-frame snapshot.
-#[cfg(feature = "telemetry")]
 fn histogram_totals(snapshot: &pqfs_obs::jsonv::Value, name: &str) -> (f64, f64) {
     let field = |field: &str| {
         snapshot
@@ -272,7 +266,6 @@ fn histogram_totals(snapshot: &pqfs_obs::jsonv::Value, name: &str) -> (f64, f64)
     (field("sum_ns"), field("count"))
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn stage_histograms_reconcile_with_request_latency() {
     let _lock = pqfs_fault::exclusive();
@@ -350,16 +343,11 @@ fn stats_frame_returns_parseable_json() {
         )
         .expect("transport ok");
     let json = client.stats().expect("stats frame");
-    #[cfg(feature = "telemetry")]
-    {
-        let _value = pqfs_obs::jsonv::parse(&json).expect("stats snapshot parses as JSON");
-        assert!(
-            json.contains("pqfs_server_requests_total"),
-            "snapshot carries server metrics: {json}"
-        );
-    }
-    #[cfg(not(feature = "telemetry"))]
-    assert!(!json.is_empty());
+    let _value = pqfs_obs::jsonv::parse(&json).expect("stats snapshot parses as JSON");
+    assert!(
+        json.contains("pqfs_server_requests_total"),
+        "snapshot carries server metrics: {json}"
+    );
     handle.shutdown_and_join();
 }
 

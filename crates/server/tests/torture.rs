@@ -3,14 +3,14 @@
 //! protocol errors or closed connections — never a panic, never a hung
 //! connection, and never a wedged server.
 //!
-//! Gated on the `failpoints` feature (default-on); each test holds
+//! Each test holds
 //! [`pqfs_fault::exclusive`] because the registry is process-global, and
 //! arms with `arm_limited` so exactly one connection absorbs the fault
 //! and the follow-up liveness probe sees a healthy server.
-#![cfg(feature = "failpoints")]
 
 use pqfs_fault::{arm_limited, disarm_all, FaultAction};
 use pqfs_ivf::{IvfadcConfig, IvfadcIndex};
+use pqfs_obs::jsonv::{parse, Value};
 use pqfs_server::proto::{ErrorCode, QueryParams, Response};
 use pqfs_server::server::{Server, ServerConfig, ServerHandle};
 use pqfs_server::{Client, ClientError};
@@ -369,31 +369,25 @@ fn a_slow_reader_stalls_only_its_own_connection() {
     // the answer is out, the wait would hold the seconds of the write too.
     // The queue wait is the one stage the slow peer's own requests cannot
     // inflate: they are never queued behind anything but a probe.
-    #[cfg(feature = "telemetry")]
-    {
-        use pqfs_obs::jsonv::{parse, Value};
-        let before = parse(&before).expect("stats frames are JSON");
-        let after = parse(&after).expect("stats frames are JSON");
-        let field = |frame: &Value, histogram: &str, field: &str| {
-            let histograms = frame.get("histograms");
-            histograms
-                .and_then(|h| h.get(histogram)?.get(field)?.as_u64())
-                .unwrap_or(0)
-        };
-        let executed = |frame| field(frame, "pqfs_server_execute_ns", "count");
-        assert!(
-            executed(&after) - executed(&before) > asked,
-            "no wave of the slow peer ran beside the {asked} probes"
-        );
-        let waited = field(&after, "pqfs_server_queue_wait_ns", "max_ns");
-        let wave = field(&after, "pqfs_server_execute_ns", "max_ns");
-        assert!(
-            waited <= wave + wave / 2 + 100_000_000,
-            "a request beside the slow reader waited {waited} ns; the longest wave ran {wave} ns"
-        );
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (before, after, asked);
+    let before = parse(&before).expect("stats frames are JSON");
+    let after = parse(&after).expect("stats frames are JSON");
+    let field = |frame: &Value, histogram: &str, field: &str| {
+        let histograms = frame.get("histograms");
+        histograms
+            .and_then(|h| h.get(histogram)?.get(field)?.as_u64())
+            .unwrap_or(0)
+    };
+    let executed = |frame| field(frame, "pqfs_server_execute_ns", "count");
+    assert!(
+        executed(&after) - executed(&before) > asked,
+        "no wave of the slow peer ran beside the {asked} probes"
+    );
+    let waited = field(&after, "pqfs_server_queue_wait_ns", "max_ns");
+    let wave = field(&after, "pqfs_server_execute_ns", "max_ns");
+    assert!(
+        waited <= wave + wave / 2 + 100_000_000,
+        "a request beside the slow reader waited {waited} ns; the longest wave ran {wave} ns"
+    );
     // Its stream is closed now (dropped with the thread), which fails the
     // blocked write: shutdown must not wait on that peer either.
     assert_server_alive(&handle);
