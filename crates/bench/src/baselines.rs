@@ -5,9 +5,9 @@
 //! `table2` call them; every one returns exactly what
 //! [`pqfs_scan::scan_naive`] returns.
 //!
-//! On x86-64 with the `avx2` feature the two transposed scans use the real
-//! instructions when the CPU has them; a portable loop with the same
-//! per-lane accumulation order runs everywhere else.
+//! On x86-64 the two transposed scans use the real instructions when the
+//! CPU has them; a portable loop with the same per-lane accumulation order
+//! runs everywhere else.
 
 use pqfs_core::{DistanceTables, RowMajorCodes, TopK};
 use pqfs_scan::{DistanceQuantizer, ScanResult, ScanStats, DEFAULT_BINS};
@@ -68,7 +68,7 @@ impl TransposedCodes {
 ///
 /// Panics if `topk == 0` or the tables and codes differ in `m`.
 pub fn scan_avx(tables: &DistanceTables, codes: &TransposedCodes, topk: usize) -> ScanResult {
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
         return scan_blocks(tables, codes, topk, |b, dists| {
             // SAFETY: AVX support was just verified at runtime.
@@ -91,7 +91,7 @@ pub fn scan_avx(tables: &DistanceTables, codes: &TransposedCodes, topk: usize) -
 /// have 256 entries each (the gather indexes them with raw code bytes).
 pub fn scan_gather(tables: &DistanceTables, codes: &TransposedCodes, topk: usize) -> ScanResult {
     assert_eq!(tables.ksub(), 256, "the gather scan needs 256-entry tables");
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         return scan_blocks(tables, codes, topk, |b, dists| {
             // SAFETY: AVX2 support was just verified at runtime, and every
@@ -155,7 +155,7 @@ fn block_portable(
 ///
 /// The caller must verify AVX support at runtime
 /// (`is_x86_feature_detected!("avx")`) before calling.
-#[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn block_avx(
     tables: &DistanceTables,
@@ -193,7 +193,7 @@ unsafe fn block_avx(
 /// (`is_x86_feature_detected!("avx2")`) before calling, and every table
 /// must hold 256 entries (`tables.ksub() == 256`), so that any code byte is
 /// an in-bounds index.
-#[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn block_gather(
     tables: &DistanceTables,

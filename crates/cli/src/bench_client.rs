@@ -34,10 +34,7 @@ pub fn cmd_bench_client(args: &Args) -> Result<Outcome, CliError> {
     let n = args.usize("n", 1000)?;
     let batch = args.usize("batch", 1)?.max(1);
     let connections = args.usize("connections", 1)?.max(1);
-    let topk = args.usize("topk", 10)?;
-    let nprobe = args.usize("nprobe", 1)?;
-    let keep = args.f64("keep", 0.05)?;
-    let deadline_ms = args.u64("deadline-ms", 0)?;
+    let params = query_params(args)?;
     let seed = args.u64("seed", 0)?;
     if n == 0 {
         return Err(CliError::Other("--n must be positive".into()));
@@ -56,14 +53,6 @@ pub fn cmd_bench_client(args: &Args) -> Result<Outcome, CliError> {
     if dim == 0 {
         return Err(CliError::Other("server reports dim 0".into()));
     }
-
-    let params = QueryParams {
-        topk: u32::try_from(topk).unwrap_or(u32::MAX),
-        nprobe: u32::try_from(nprobe).unwrap_or(u32::MAX).max(1),
-        keep,
-        deadline_us: deadline_ms.saturating_mul(1000),
-        backend: String::new(), // server default
-    };
 
     // Frames per worker: n queries split across connections, then into
     // batch-sized frames (the tail frame may be smaller).
@@ -121,6 +110,22 @@ pub fn cmd_bench_client(args: &Args) -> Result<Outcome, CliError> {
     Ok(Outcome::Clean)
 }
 
+/// The parameters every request carries. A flag left out takes its value
+/// from [`QueryParams::default()`], so a run without flags measures what a
+/// client that sets nothing gets.
+fn query_params(args: &Args) -> Result<QueryParams, String> {
+    let default = QueryParams::default();
+    let topk = args.usize("topk", default.topk as usize)?;
+    let nprobe = args.usize("nprobe", default.nprobe as usize)?;
+    Ok(QueryParams {
+        topk: u32::try_from(topk).unwrap_or(u32::MAX),
+        nprobe: u32::try_from(nprobe).unwrap_or(u32::MAX).max(1),
+        keep: args.f64("keep", default.keep)?,
+        deadline_us: args.u64("deadline-ms", 0)?.saturating_mul(1000),
+        ..default // backend: the server's default
+    })
+}
+
 /// Sends `count` queries over one connection in `batch`-sized frames.
 fn run_worker(
     addr: &str,
@@ -159,4 +164,24 @@ fn run_worker(
         sent += take;
     }
     Ok(tally)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(str::to_string)).unwrap()
+    }
+
+    #[test]
+    fn unset_flags_take_the_protocol_defaults() {
+        assert_eq!(query_params(&args("")).unwrap(), QueryParams::default());
+        let flags = args("--topk 100 --nprobe 0 --keep 0.05 --deadline-ms 3");
+        let set = query_params(&flags).unwrap();
+        assert_eq!(
+            (set.topk, set.nprobe, set.keep, set.deadline_us),
+            (100, 1, 0.05, 3_000)
+        );
+    }
 }

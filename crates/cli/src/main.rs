@@ -11,7 +11,8 @@
 //! pqfs serve   --index index.pqiv [--addr 127.0.0.1:7071] [--backend <name>]
 //!              [--max-batch 32] [--queue 256] [--threads N]
 //! pqfs bench-client --addr 127.0.0.1:7071 [--n 1000] [--batch 1]
-//!              [--connections 1] [--topk 10] [--nprobe 1] [--deadline-ms N]
+//!              [--connections 1] [--topk 10] [--nprobe 1] [--keep 0.005]
+//!              [--deadline-ms N]
 //! ```
 //!
 //! `--backend` accepts any name from the scan registry (`pqfs query` run
@@ -167,7 +168,7 @@ USAGE:
               [--threads N]
   pqfs bench-client
               --addr <host:port> [--n 1000] [--batch 1] [--connections 1]
-              [--topk 10] [--nprobe 1] [--keep 0.05] [--deadline-ms N]
+              [--topk 10] [--nprobe 1] [--keep 0.005] [--deadline-ms N]
               [--seed 0]
 
   --threads N  size of the shared worker pool used by build encoding,

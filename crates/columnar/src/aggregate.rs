@@ -71,7 +71,7 @@ pub fn approximate_sum(column: &CompressedColumn) -> ApproxAggregate {
 
 /// Sums `qmeans[code >> 4]` over all codes (dispatches to SSSE3).
 fn sum_quantized(codes: &[u8], qmeans: &[u8; PORTION]) -> u64 {
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("sse4.1") {
             // SAFETY: SSE4.1 (which implies the SSSE3 shuffle) detected.
@@ -93,7 +93,7 @@ fn sum_quantized_portable(codes: &[u8], qmeans: &[u8; PORTION]) -> u64 {
 /// The caller must verify SSE4.1 support at runtime
 /// (`is_x86_feature_detected!("sse4.1")` — SSE4.1 implies SSSE3) before
 /// calling: the kernel uses `pshufb` (SSSE3) and `pextrq` (SSE4.1).
-#[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "ssse3,sse4.1")]
 unsafe fn sum_quantized_ssse3(codes: &[u8], qmeans: &[u8; PORTION]) -> u64 {
     use std::arch::x86_64::*;

@@ -214,7 +214,7 @@ pub fn topk_max_fast(column: &CompressedColumn, k: usize) -> TopKResult {
 /// `>= threshold` (dispatches to SSSE3 when available).
 #[inline]
 fn block_candidates(chunk: &[u8], qmax: &[u8; PORTION], threshold: u8) -> u16 {
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("ssse3") {
             // SAFETY: feature detected; chunk has 16 bytes by construction.
@@ -239,7 +239,7 @@ fn block_candidates_portable(chunk: &[u8], qmax: &[u8; PORTION], threshold: u8) 
 /// The caller must verify SSSE3 support at runtime
 /// (`is_x86_feature_detected!("ssse3")`) and pass a `chunk` of at least 16
 /// bytes.
-#[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "ssse3")]
 unsafe fn block_candidates_ssse3(chunk: &[u8], qmax: &[u8; PORTION], threshold: u8) -> u16 {
     use std::arch::x86_64::*;
@@ -322,7 +322,7 @@ mod tests {
         assert!(topk_max_fast(&empty, 3).items.is_empty());
     }
 
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn simd_and_portable_masks_agree() {
         if !std::arch::is_x86_feature_detected!("ssse3") {

@@ -1690,8 +1690,7 @@ mod tests {
             IvfadcIndex::from_parts(coarse, pq, parts, opts).unwrap()
         };
         let pools = [1usize, 2, 8].map(ThreadPool::new);
-        // Neither in a build without the `avx2` feature (the portable-only
-        // CI step).
+        // Each is false on a CPU without that kernel, both off x86-64.
         let has_ssse3 = Kernel::Ssse3.resolved().is_ok();
         let has_refining = Kernel::Avx512Vbmi.resolved().is_ok();
         let mut passed_over = 0;

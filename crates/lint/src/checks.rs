@@ -7,8 +7,7 @@
 //! reason — see `docs/STATIC_ANALYSIS.md`).
 
 use crate::lexer::{Tok, TokKind};
-use crate::workspace::Workspace;
-use crate::{Config, Diagnostic};
+use crate::Diagnostic;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -16,7 +15,6 @@ use std::path::Path;
 /// Check names (also the `error[…]` tags in diagnostics).
 pub const MISSING_SAFETY: &str = "missing-safety";
 pub const FORBIDDEN_PANIC: &str = "forbidden-panic";
-pub const UNFORWARDED_FEATURE: &str = "unforwarded-feature";
 pub const UNREGISTERED_FAILPOINT: &str = "unregistered-failpoint";
 pub const UNDOCUMENTED_METRIC: &str = "undocumented-metric";
 pub const POLICY_MISMATCH: &str = "policy-mismatch";
@@ -554,76 +552,6 @@ fn inner_attrs(toks: &[Tok]) -> Vec<String> {
         i = j + 1;
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// unforwarded-feature
-// ---------------------------------------------------------------------------
-
-/// Tracked cargo features must flow through the dependency graph: a crate
-/// depending on a crate that exposes a tracked feature must expose the same
-/// feature, forward it (`"dep/feature"`), and declare the dependency with
-/// `default-features = false` so the forwarding is actually in control.
-pub fn check_features(ws: &Workspace, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    for member in ws.members.values() {
-        let manifest = member.dir.join("Cargo.toml");
-        let manifest = if manifest.as_os_str().is_empty() {
-            "Cargo.toml".to_string()
-        } else {
-            manifest.to_string_lossy().replace('\\', "/")
-        };
-        for (dep_name, decl) in &member.deps {
-            if decl.dev {
-                continue;
-            }
-            let Some(dep) = ws.members.get(dep_name) else {
-                continue; // external (vendored) dependency
-            };
-            for feature in &cfg.tracked_features {
-                if !dep.exposes(feature) {
-                    continue;
-                }
-                let forward = format!("{dep_name}/{feature}");
-                let forward_opt = format!("{dep_name}?/{feature}");
-                match member.features.get(feature) {
-                    None => out.push(Diagnostic {
-                        file: manifest.clone(),
-                        line: 1,
-                        check: UNFORWARDED_FEATURE,
-                        msg: format!(
-                            "depends on `{dep_name}` which exposes tracked feature \
-                             `{feature}`, but does not expose `{feature}` itself"
-                        ),
-                    }),
-                    Some(list) if !list.iter().any(|f| f == &forward || f == &forward_opt) => {
-                        out.push(Diagnostic {
-                            file: manifest.clone(),
-                            line: 1,
-                            check: UNFORWARDED_FEATURE,
-                            msg: format!(
-                                "feature `{feature}` does not forward to \
-                                 `{dep_name}/{feature}`"
-                            ),
-                        });
-                    }
-                    Some(_) => {}
-                }
-                if !decl.no_default_features {
-                    out.push(Diagnostic {
-                        file: manifest.clone(),
-                        line: 1,
-                        check: UNFORWARDED_FEATURE,
-                        msg: format!(
-                            "dependency `{dep_name}` exposes tracked feature `{feature}` \
-                             but is not declared with `default-features = false`; \
-                             the forwarded feature is not caller-controlled"
-                        ),
-                    });
-                    break; // one default-features diagnostic per dependency
-                }
-            }
-        }
-    }
 }
 
 /// Loads the failpoint site registry: one site (or `prefix.*` wildcard)

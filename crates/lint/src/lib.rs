@@ -7,9 +7,6 @@
 //!   contract (`// SAFETY:` comment or `# Safety` doc section).
 //! - **forbidden-panic** — no `unwrap`/`expect`/`panic!`/`todo!`/
 //!   `unimplemented!` in library crates outside test code.
-//! - **unforwarded-feature** — the tracked cargo features (`avx2`) flow
-//!   consistently through every manifest that depends on a crate defining
-//!   them.
 //! - **unregistered-failpoint** — every failpoint site name armed in code
 //!   appears in the checked-in registry `crates/fault/failpoints.sites`.
 //! - **undocumented-metric** — every metric name matches the Prometheus
@@ -64,8 +61,6 @@ pub struct Config {
     /// Directory prefixes (relative to the root) whose manifests and
     /// sources are not linted.
     pub exclude: Vec<String>,
-    /// Cargo features whose forwarding is enforced.
-    pub tracked_features: Vec<String>,
     /// Crates whose library root may contain `unsafe` (it must deny
     /// `unsafe_op_in_unsafe_fn`; every other crate root, their binaries
     /// included, must forbid unsafe code).
@@ -99,7 +94,6 @@ impl Config {
         };
         Ok(Config {
             exclude: list("exclude"),
-            tracked_features: list("tracked_features"),
             unsafe_crates: list("unsafe_crates"),
             panic_crates: list("panic_crates"),
             failpoint_registry: string("failpoint_registry", "crates/fault/failpoints.sites"),
@@ -118,14 +112,12 @@ pub fn run(root: &Path) -> Result<Vec<Diagnostic>, String> {
 
 /// [`run`] with an explicit configuration (used by the fixture tests).
 pub fn run_with(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
-    let ws = workspace::discover(root, &cfg.exclude)?;
+    let members = workspace::discover(root, &cfg.exclude)?;
     let registry = checks::load_registry(&root.join(&cfg.failpoint_registry))?;
     let metrics_doc = std::fs::read_to_string(root.join(&cfg.metrics_doc)).unwrap_or_default();
 
     let mut out = Vec::new();
-    checks::check_features(&ws, cfg, &mut out);
-
-    for member in ws.members.values() {
+    for member in &members {
         let unsafe_allowed = cfg.unsafe_crates.contains(&member.name);
         let panics_allowed = cfg.panic_crates.contains(&member.name);
         let crate_dir = root.join(&member.dir);

@@ -1,12 +1,11 @@
 //! A tiny TOML-subset parser for `Cargo.toml` and `pqfs_lint.toml`.
 //!
-//! Supports exactly what the workspace manifests use: `[table.headers]`,
-//! `key = "string"`, `key = true/false`, `key = ["array", "of", "strings"]`,
-//! dotted keys (`version.workspace = true`), and inline tables
-//! (`{ path = "…", default-features = false, features = ["x"] }`). Values
-//! the lint does not need (numbers, dates, multi-line strings, arrays of
-//! tables) are stored as [`Value::Other`] so the parser never fails on
-//! them.
+//! Reads exactly what the lint needs: `[table.headers]` (and `[[arrays]]`,
+//! collapsed to their path), `key = "string"` and
+//! `key = ["array", "of", "strings"]`, the array possibly spanning lines.
+//! Every other value (booleans, numbers, inline tables, multi-line inline
+//! tables) is consumed whole and stored as [`Value::Other`], so the parser
+//! never fails on them.
 
 use std::collections::BTreeMap;
 
@@ -15,14 +14,10 @@ use std::collections::BTreeMap;
 pub enum Value {
     /// A quoted string.
     Str(String),
-    /// A boolean.
-    Bool(bool),
     /// An array of strings (non-string elements are dropped).
     Array(Vec<String>),
-    /// An inline table.
-    Table(BTreeMap<String, Value>),
-    /// Anything else, kept verbatim.
-    Other(String),
+    /// Anything else.
+    Other,
 }
 
 impl Value {
@@ -34,14 +29,6 @@ impl Value {
         }
     }
 
-    /// The boolean, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string elements, if this is an array.
     pub fn as_array(&self) -> Option<&[String]> {
         match self {
@@ -49,44 +36,20 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The inline table, if this is one.
-    pub fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Table(t) => Some(t),
-            _ => None,
-        }
-    }
 }
 
 /// A parsed document: `table path → key → value`. The root table has the
-/// empty path `""`; nested headers join with `.` (`"workspace.dependencies"`).
+/// empty path `""`; nested headers keep their dots (`"workspace.dependencies"`).
+/// A dotted key stays one key (`version.workspace`).
 #[derive(Debug, Default, Clone)]
 pub struct Doc {
     tables: BTreeMap<String, BTreeMap<String, Value>>,
 }
 
 impl Doc {
-    /// The keys of table `path`, if present.
-    pub fn table(&self, path: &str) -> Option<&BTreeMap<String, Value>> {
-        self.tables.get(path)
-    }
-
     /// One value: `doc.get("package", "name")`.
     pub fn get(&self, path: &str, key: &str) -> Option<&Value> {
         self.tables.get(path).and_then(|t| t.get(key))
-    }
-
-    /// All table paths with the given prefix segment (e.g. every
-    /// `features` subtable).
-    pub fn tables_under<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, &'a BTreeMap<String, Value>)> {
-        let with_dot = format!("{prefix}.");
-        self.tables
-            .iter()
-            .filter_map(move |(k, v)| k.strip_prefix(&with_dot).map(|rest| (rest, v)))
     }
 }
 
@@ -95,57 +58,33 @@ impl Doc {
 pub fn parse(src: &str) -> Doc {
     let mut doc = Doc::default();
     let mut current = String::new();
-    doc.tables.entry(current.clone()).or_default();
-
-    let mut lines = src.lines().peekable();
+    let mut lines = src.lines();
     while let Some(raw) = lines.next() {
-        let line = strip_comment(raw).trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with("[[") {
-            // Array-of-tables ([[bin]], [[bench]]): collapse to the path.
-            let path = line.trim_matches(['[', ']']).trim().to_string();
-            current = path;
-            doc.tables.entry(current.clone()).or_default();
-            continue;
-        }
+        let line = strip_comment(raw).trim();
         if line.starts_with('[') {
-            let path = line.trim_matches(['[', ']']).trim().to_string();
-            current = path;
-            doc.tables.entry(current.clone()).or_default();
+            current = line.trim_matches(['[', ']']).trim().to_string();
             continue;
         }
-        let Some(eq) = find_top_level_eq(&line) else {
+        let Some((key, value)) = line.split_once('=') else {
             continue;
         };
-        let key_part = line[..eq].trim().to_string();
-        let mut value_part = line[eq + 1..].trim().to_string();
-        // Multi-line arrays: keep consuming lines until brackets balance.
-        while unbalanced(&value_part) {
+        let mut value = value.trim().to_string();
+        // Multi-line arrays and inline tables: consume lines until the
+        // brackets balance.
+        while unbalanced(&value) {
             match lines.next() {
                 Some(next) => {
-                    value_part.push(' ');
-                    value_part.push_str(strip_comment(next).trim());
+                    value.push(' ');
+                    value.push_str(strip_comment(next).trim());
                 }
                 None => break,
             }
         }
-        let value = parse_value(&value_part);
-        // Dotted key: `a.b = v` inside `[t]` lands at table `t.a`, key `b`.
-        let (table_path, key) = match key_part.rsplit_once('.') {
-            Some((head, tail)) => {
-                let head = head.trim_matches('"').to_string();
-                let path = if current.is_empty() {
-                    head
-                } else {
-                    format!("{current}.{head}")
-                };
-                (path, tail.trim_matches('"').to_string())
-            }
-            None => (current.clone(), key_part.trim_matches('"').to_string()),
-        };
-        doc.tables.entry(table_path).or_default().insert(key, value);
+        let key = key.trim().trim_matches('"').to_string();
+        doc.tables
+            .entry(current.clone())
+            .or_default()
+            .insert(key, parse_value(&value));
     }
     doc
 }
@@ -161,20 +100,6 @@ fn strip_comment(line: &str) -> &str {
         }
     }
     line
-}
-
-/// Position of the key/value `=` (outside quotes and brackets).
-fn find_top_level_eq(line: &str) -> Option<usize> {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '=' if !in_str => return Some(i),
-            '[' | '{' if !in_str => return None,
-            _ => {}
-        }
-    }
-    None
 }
 
 /// True while an array/inline-table value still has unclosed brackets.
@@ -193,88 +118,17 @@ fn unbalanced(s: &str) -> bool {
 }
 
 fn parse_value(s: &str) -> Value {
-    let s = s.trim();
     if let Some(inner) = s.strip_prefix('"') {
         if let Some(end) = inner.find('"') {
             return Value::Str(inner[..end].to_string());
         }
     }
-    if s == "true" {
-        return Value::Bool(true);
-    }
-    if s == "false" {
-        return Value::Bool(false);
-    }
     if s.starts_with('[') {
-        let inner = s.trim_start_matches('[').trim_end_matches(']');
-        let items = split_top_level(inner)
-            .into_iter()
-            .filter_map(|item| {
-                let item = item.trim();
-                item.strip_prefix('"')
-                    .and_then(|r| r.rfind('"').map(|e| r[..e].to_string()))
-            })
-            .collect();
-        return Value::Array(items);
+        // Every second piece between quotes is a string element.
+        let items = s.split('"').skip(1).step_by(2).map(str::to_string);
+        return Value::Array(items.collect());
     }
-    if s.starts_with('{') {
-        let inner = s.trim_start_matches('{').trim_end_matches('}');
-        let mut table = BTreeMap::new();
-        for part in split_top_level(inner) {
-            if let Some(eq) = find_eq_anywhere(&part) {
-                let key = part[..eq].trim().trim_matches('"').to_string();
-                let val = parse_value(part[eq + 1..].trim());
-                table.insert(key, val);
-            }
-        }
-        return Value::Table(table);
-    }
-    Value::Other(s.to_string())
-}
-
-/// `=` position allowing array/table values after it.
-fn find_eq_anywhere(s: &str) -> Option<usize> {
-    let mut in_str = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '=' if !in_str => return Some(i),
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splits on commas outside quotes and brackets.
-fn split_top_level(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '"' => {
-                in_str = !in_str;
-                cur.push(c);
-            }
-            '[' | '{' if !in_str => {
-                depth += 1;
-                cur.push(c);
-            }
-            ']' | '}' if !in_str => {
-                depth -= 1;
-                cur.push(c);
-            }
-            ',' if !in_str && depth == 0 => {
-                out.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur);
-    }
-    out
+    Value::Other
 }
 
 #[cfg(test)]
@@ -282,62 +136,78 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_cargo_manifest_shapes() {
+    fn reads_names_members_and_config_lists() {
         let doc = parse(
             r#"
+[workspace]
+members = ["crates/*", "vendor/*"]
+
 [package]
 name = "pqfs_demo" # trailing comment
-version.workspace = true
 
-[dependencies]
-pqfs_core.workspace = true
-pqfs_obs = { path = "../obs", default-features = false, features = ["telemetry"] }
-
-[features]
-default = ["avx2", "telemetry"]
-avx2 = [
-    "pqfs_scan/avx2",
-    "pqfs_columnar/avx2",
+[lint]
+exclude = [
+    "vendor",   # a comment inside the array
+    "target",
 ]
+metrics_doc = "docs/OBSERVABILITY.md"
 "#,
         );
         assert_eq!(
             doc.get("package", "name").unwrap().as_str(),
             Some("pqfs_demo")
         );
+        let members = doc.get("workspace", "members").unwrap().as_array();
+        assert_eq!(members.unwrap(), ["crates/*", "vendor/*"]);
+        let exclude = doc.get("lint", "exclude").unwrap().as_array();
+        assert_eq!(exclude.unwrap(), ["vendor", "target"]);
         assert_eq!(
-            doc.get("package.version", "workspace").unwrap().as_bool(),
-            Some(true)
+            doc.get("lint", "metrics_doc").unwrap().as_str(),
+            Some("docs/OBSERVABILITY.md")
+        );
+    }
+
+    /// Inline tables, on one line or several, and multi-line arrays are
+    /// consumed whole: the keys after them still land where they belong.
+    #[test]
+    fn skips_inline_tables_and_multi_line_arrays() {
+        let doc = parse(
+            r#"
+[dependencies]
+pqfs_core = { path = "../core", version = "0.1.0" }
+pqfs_obs = {
+    path = "../obs", features = ["a", "b"] }
+version.workspace = true
+
+[features]
+avx = [
+    "dep/avx",
+    "[not a header]",
+]
+name = "still the features table"
+
+[package]
+name = "after"
+"#,
+        );
+        assert_eq!(doc.get("dependencies", "pqfs_core"), Some(&Value::Other));
+        assert_eq!(doc.get("dependencies", "pqfs_obs"), Some(&Value::Other));
+        assert_eq!(
+            doc.get("dependencies", "version.workspace"),
+            Some(&Value::Other)
         );
         assert_eq!(
-            doc.get("dependencies.pqfs_core", "workspace")
-                .unwrap()
-                .as_bool(),
-            Some(true)
+            doc.get("features", "name").unwrap().as_str(),
+            Some("still the features table")
         );
-        let obs = doc
-            .get("dependencies", "pqfs_obs")
-            .unwrap()
-            .as_table()
-            .unwrap();
-        assert_eq!(obs.get("default-features").unwrap().as_bool(), Some(false));
-        assert_eq!(
-            obs.get("features").unwrap().as_array(),
-            Some(&["telemetry".to_string()][..])
-        );
-        assert_eq!(
-            doc.get("features", "avx2").unwrap().as_array().unwrap(),
-            &[
-                "pqfs_scan/avx2".to_string(),
-                "pqfs_columnar/avx2".to_string()
-            ]
-        );
+        assert_eq!(doc.get("package", "name").unwrap().as_str(), Some("after"));
+        assert_eq!(doc.get("dependencies", "path"), None);
     }
 
     #[test]
     fn ignores_unknown_values() {
         let doc = parse("[a]\nx = 3\ny = \"keep\"");
-        assert!(matches!(doc.get("a", "x"), Some(Value::Other(_))));
+        assert_eq!(doc.get("a", "x"), Some(&Value::Other));
         assert_eq!(doc.get("a", "y").unwrap().as_str(), Some("keep"));
     }
 }

@@ -1,19 +1,7 @@
-//! Workspace discovery: members, manifests, dependency graph.
+//! Workspace discovery: the member crates and their directories.
 
 use crate::toml_lite::{self, Doc, Value};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-/// One dependency declaration after workspace-inheritance resolution.
-#[derive(Debug, Clone, Default)]
-pub struct DepDecl {
-    /// `default-features = false` was in effect (directly or inherited).
-    pub no_default_features: bool,
-    /// Features explicitly enabled on the dependency.
-    pub features: Vec<String>,
-    /// Declared under `[dev-dependencies]`.
-    pub dev: bool,
-}
 
 /// A parsed workspace member.
 #[derive(Debug, Clone)]
@@ -22,29 +10,12 @@ pub struct Member {
     pub name: String,
     /// Directory containing the manifest, relative to the workspace root.
     pub dir: PathBuf,
-    /// `dep name → declaration` (dev-deps included, flagged).
-    pub deps: BTreeMap<String, DepDecl>,
-    /// `[features]` table: `feature → enabled list`.
-    pub features: BTreeMap<String, Vec<String>>,
 }
 
-impl Member {
-    /// True when the crate exposes `feature` in its `[features]` table.
-    pub fn exposes(&self, feature: &str) -> bool {
-        self.features.contains_key(feature)
-    }
-}
-
-/// The workspace: every member, with the root package (if any) included.
-#[derive(Debug)]
-pub struct Workspace {
-    /// Members keyed by package name.
-    pub members: BTreeMap<String, Member>,
-}
-
-/// Reads the workspace rooted at `root`. `exclude` filters member
-/// directories by path prefix (e.g. `vendor`).
-pub fn discover(root: &Path, exclude: &[String]) -> Result<Workspace, String> {
+/// Reads the members of the workspace rooted at `root`, the root package
+/// (if any) included. `exclude` filters member directories by path prefix
+/// (e.g. `vendor`).
+pub fn discover(root: &Path, exclude: &[String]) -> Result<Vec<Member>, String> {
     let root_manifest_path = root.join("Cargo.toml");
     let src = std::fs::read_to_string(&root_manifest_path)
         .map_err(|e| format!("cannot read {}: {e}", root_manifest_path.display()))?;
@@ -68,7 +39,7 @@ pub fn discover(root: &Path, exclude: &[String]) -> Result<Workspace, String> {
         exclude.iter().any(|p| rel_str.starts_with(p.as_str()))
     };
 
-    let mut members = BTreeMap::new();
+    let mut members = Vec::new();
     for dir in member_dirs {
         if excluded(&dir) {
             continue;
@@ -79,14 +50,12 @@ pub fn discover(root: &Path, exclude: &[String]) -> Result<Workspace, String> {
         }
         let text = std::fs::read_to_string(&manifest)
             .map_err(|e| format!("cannot read {}: {e}", manifest.display()))?;
-        let member = parse_member(root, &dir, &toml_lite::parse(&text), &root_doc)?;
-        members.insert(member.name.clone(), member);
+        members.push(parse_member(root, &dir, &toml_lite::parse(&text))?);
     }
     if has_root_package {
-        let member = parse_member(root, root, &root_doc, &root_doc)?;
-        members.insert(member.name.clone(), member);
+        members.push(parse_member(root, root, &root_doc)?);
     }
-    Ok(Workspace { members })
+    Ok(members)
 }
 
 fn expand_glob(root: &Path, glob: &str) -> Vec<PathBuf> {
@@ -108,106 +77,14 @@ fn expand_glob(root: &Path, glob: &str) -> Vec<PathBuf> {
     }
 }
 
-fn parse_member(root: &Path, dir: &Path, doc: &Doc, root_doc: &Doc) -> Result<Member, String> {
+fn parse_member(root: &Path, dir: &Path, doc: &Doc) -> Result<Member, String> {
     let name = doc
         .get("package", "name")
         .and_then(Value::as_str)
         .ok_or_else(|| format!("{}: missing [package] name", dir.display()))?
         .to_string();
-
-    let mut deps = BTreeMap::new();
-    for (section, dev) in [("dependencies", false), ("dev-dependencies", true)] {
-        // Inline declarations: `name = { … }` / `name = "1.0"`.
-        if let Some(table) = doc.table(section) {
-            for (dep_name, value) in table {
-                deps.insert(
-                    dep_name.clone(),
-                    resolve_dep(dep_name, value, root_doc, dev),
-                );
-            }
-        }
-        // Dotted / full-section declarations: `name.workspace = true` or
-        // `[dependencies.name]`.
-        for (dep_name, keys) in doc.tables_under(section) {
-            let value = Value::Table(keys.clone());
-            deps.insert(
-                dep_name.to_string(),
-                resolve_dep(dep_name, &value, root_doc, dev),
-            );
-        }
-    }
-
-    let mut features = BTreeMap::new();
-    if let Some(table) = doc.table("features") {
-        for (feat, value) in table {
-            let list = value.as_array().map(<[String]>::to_vec).unwrap_or_default();
-            features.insert(feat.clone(), list);
-        }
-    }
-
     Ok(Member {
         name,
         dir: dir.strip_prefix(root).unwrap_or(dir).to_path_buf(),
-        deps,
-        features,
     })
-}
-
-/// Resolves one dependency value, merging `workspace = true` inheritance
-/// from `[workspace.dependencies]` in the root manifest.
-fn resolve_dep(dep_name: &str, value: &Value, root_doc: &Doc, dev: bool) -> DepDecl {
-    let mut decl = DepDecl {
-        dev,
-        ..DepDecl::default()
-    };
-    let mut apply = |table: &BTreeMap<String, Value>| {
-        if table.get("default-features").and_then(Value::as_bool) == Some(false) {
-            decl.no_default_features = true;
-        }
-        if let Some(feats) = table.get("features").and_then(Value::as_array) {
-            decl.features.extend(feats.iter().cloned());
-        }
-    };
-    let inherits_workspace = match value {
-        Value::Table(t) => {
-            apply(t);
-            t.get("workspace").and_then(Value::as_bool) == Some(true)
-        }
-        _ => false,
-    };
-    if inherits_workspace {
-        // `[workspace.dependencies] name = { … }` (inline) or
-        // `[workspace.dependencies.name]` (dotted keys land in a subtable).
-        if let Some(Value::Table(t)) = root_doc.get("workspace.dependencies", dep_name) {
-            apply(t);
-        }
-        if let Some(t) = root_doc.table(&format!("workspace.dependencies.{dep_name}")) {
-            apply(t);
-        }
-    }
-    decl
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn workspace_inheritance_merges_default_features() {
-        let root_doc = toml_lite::parse(
-            "[workspace.dependencies]\npqfs_obs = { path = \"crates/obs\", default-features = false }\n",
-        );
-        let decl = resolve_dep(
-            "pqfs_obs",
-            &Value::Table(
-                [("workspace".to_string(), Value::Bool(true))]
-                    .into_iter()
-                    .collect(),
-            ),
-            &root_doc,
-            false,
-        );
-        assert!(decl.no_default_features);
-        assert!(!decl.dev);
-    }
 }

@@ -1,7 +1,7 @@
 //! Fixture-tree tests: each fixture under `tests/fixtures/` is a miniature
 //! workspace exercising exactly one violation class (plus `good`, which
 //! exercises every check's happy path — SAFETY contracts, waiver comments,
-//! registered failpoints, documented metrics, forwarded features). The
+//! registered failpoints, documented metrics). The
 //! expected diagnostics are asserted *exactly*, rendered form included, so
 //! message or line drift fails loudly. A final self-check runs the lint on
 //! the real workspace and requires it to be clean.
@@ -55,22 +55,6 @@ fn forbidden_panic_fixture() {
             "liba/src/lib.rs:9: error[forbidden-panic]: `.unwrap()` in library code; \
              propagate the error or prove the invariant with `unreachable!`/poison \
              recovery",
-        ]
-    );
-}
-
-#[test]
-fn unforwarded_feature_fixture() {
-    assert_eq!(
-        lint("unforwarded_feature"),
-        vec![
-            "libb/Cargo.toml:1: error[unforwarded-feature]: dependency `liba` exposes \
-             tracked feature `telemetry` but is not declared with \
-             `default-features = false`; the forwarded feature is not \
-             caller-controlled",
-            "libb/Cargo.toml:1: error[unforwarded-feature]: depends on `liba` which \
-             exposes tracked feature `telemetry`, but does not expose `telemetry` \
-             itself",
         ]
     );
 }

@@ -2,8 +2,7 @@
 //!
 //! * [`stats`] — summary statistics, quartiles and CDFs (Table 4,
 //!   Figure 14);
-//! * [`recall`] — Recall@R and set-intersection recall for the IVFADC
-//!   pipeline;
+//! * [`recall`] — Recall@R for the IVFADC pipeline;
 //! * [`counters`] — exact per-vector operation counts that substitute for
 //!   the paper's hardware performance counters (Figures 3, 15; DESIGN §2);
 //! * [`cost_model`] — the paper's cache and instruction constants
@@ -22,7 +21,7 @@ pub mod timer;
 
 pub use cost_model::{table_cache_level, CacheLevel, InstrProps, GATHER, PSHUFB};
 pub use counters::{fastscan_ops, pqscan_ops, FastScanProfile, PerVectorOps, PqScanImpl};
-pub use recall::{intersection_recall, mean_recall_at_r, recall_at_r};
+pub use recall::{mean_recall_at_r, recall_at_r};
 pub use stats::Summary;
 pub use table::{fmt_count, fmt_f, TextTable};
 pub use timer::{measure_ms, mvecs_per_sec, time_ms};

@@ -31,19 +31,6 @@ pub fn mean_recall_at_r(true_nns: &[u64], returned: &[Vec<u64>], r: usize) -> f6
     hits / true_nns.len() as f64
 }
 
-/// Set-intersection recall: fraction of the exact top-k present in the
-/// approximate top-k (order-insensitive).
-///
-/// # Panics
-///
-/// Panics if `exact` is empty.
-pub fn intersection_recall(exact: &[u64], approx: &[u64]) -> f64 {
-    assert!(!exact.is_empty(), "empty ground truth");
-    let set: std::collections::HashSet<u64> = approx.iter().copied().collect();
-    let hits = exact.iter().filter(|id| set.contains(id)).count();
-    hits as f64 / exact.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,12 +49,5 @@ mod tests {
         let results = vec![vec![1, 9], vec![9, 2], vec![9, 9], vec![4, 9]];
         assert_eq!(mean_recall_at_r(&truth, &results, 1), 0.5);
         assert_eq!(mean_recall_at_r(&truth, &results, 2), 0.75);
-    }
-
-    #[test]
-    fn intersection_recall_is_order_insensitive() {
-        assert_eq!(intersection_recall(&[1, 2, 3], &[3, 2, 1]), 1.0);
-        assert_eq!(intersection_recall(&[1, 2, 3, 4], &[1, 9, 3, 8]), 0.5);
-        assert_eq!(intersection_recall(&[1], &[]), 0.0);
     }
 }

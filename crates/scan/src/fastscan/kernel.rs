@@ -19,7 +19,9 @@
 //! for the entire partition, and only the `C` portion registers reload at
 //! group boundaries (solid arrows of the paper's Figure 13). A bit-exact
 //! portable implementation is always available and doubles as the test
-//! oracle.
+//! oracle. An x86-64 build always contains the SIMD kernels, and
+//! [`Kernel::Auto`] picks one from the running CPU; every other target has
+//! the portable kernel only.
 //!
 //! **Traversal.** Every kernel visits the partition through [`traverse`]:
 //! the runs of the grouped layout in the caller's order, nearest to the query
@@ -87,11 +89,11 @@ pub(crate) enum ResolvedKernel {
     /// tables: the oracle of `Avx512Vbmi`, which no [`Kernel`] resolves to.
     #[cfg_attr(not(any(test, feature = "checked-kernels")), allow(dead_code))]
     PortableFull,
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[cfg(target_arch = "x86_64")]
     Ssse3,
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[cfg(target_arch = "x86_64")]
     Avx2,
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[cfg(target_arch = "x86_64")]
     Avx512Vbmi,
 }
 
@@ -102,7 +104,7 @@ impl ResolvedKernel {
     pub(crate) fn refines(self) -> bool {
         match self {
             ResolvedKernel::PortableFull => true,
-            #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+            #[cfg(target_arch = "x86_64")]
             ResolvedKernel::Avx512Vbmi => true,
             _ => false,
         }
@@ -121,7 +123,7 @@ impl ResolvedKernel {
 }
 
 /// AVX2 plus the AVX-512 subsets the refining kernel uses.
-#[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+#[cfg(target_arch = "x86_64")]
 fn has_avx512vbmi() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
         && std::arch::is_x86_feature_detected!("avx512f")
@@ -141,11 +143,11 @@ impl Kernel {
     pub fn resolved(self) -> Result<Kernel, ScanError> {
         Ok(match self.resolve()? {
             ResolvedKernel::Portable | ResolvedKernel::PortableFull => Kernel::Portable,
-            #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+            #[cfg(target_arch = "x86_64")]
             ResolvedKernel::Ssse3 => Kernel::Ssse3,
-            #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+            #[cfg(target_arch = "x86_64")]
             ResolvedKernel::Avx2 => Kernel::Avx2,
-            #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+            #[cfg(target_arch = "x86_64")]
             ResolvedKernel::Avx512Vbmi => Kernel::Avx512Vbmi,
         })
     }
@@ -159,7 +161,7 @@ impl Kernel {
     pub(crate) fn resolve(self) -> Result<ResolvedKernel, ScanError> {
         match self {
             Kernel::Auto => {
-                #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+                #[cfg(target_arch = "x86_64")]
                 {
                     if has_avx512vbmi() {
                         return Ok(ResolvedKernel::Avx512Vbmi);
@@ -175,7 +177,7 @@ impl Kernel {
             }
             Kernel::Portable => Ok(ResolvedKernel::Portable),
             Kernel::Ssse3 => {
-                #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+                #[cfg(target_arch = "x86_64")]
                 {
                     if std::arch::is_x86_feature_detected!("ssse3") {
                         return Ok(ResolvedKernel::Ssse3);
@@ -184,7 +186,7 @@ impl Kernel {
                 Err(ScanError::KernelUnavailable { kernel: "ssse3" })
             }
             Kernel::Avx2 => {
-                #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+                #[cfg(target_arch = "x86_64")]
                 {
                     if std::arch::is_x86_feature_detected!("avx2") {
                         return Ok(ResolvedKernel::Avx2);
@@ -193,7 +195,7 @@ impl Kernel {
                 Err(ScanError::KernelUnavailable { kernel: "avx2" })
             }
             Kernel::Avx512Vbmi => {
-                #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+                #[cfg(target_arch = "x86_64")]
                 {
                     if has_avx512vbmi() {
                         return Ok(ResolvedKernel::Avx512Vbmi);
@@ -267,7 +269,7 @@ pub(crate) fn scan_all<S: BlockSink>(
     // pair kernels mask a block pair against one threshold snapshot, so
     // only static-threshold runs are defined to be bit-identical (the unit
     // tests have the dynamic-threshold equivalence of the SSSE3 kernel).
-    #[cfg(all(target_arch = "x86_64", feature = "avx2", feature = "checked-kernels"))]
+    #[cfg(all(target_arch = "x86_64", feature = "checked-kernels"))]
     if kernel != kernel.oracle() && crate::checked::should_check() {
         let record = |kernel: ResolvedKernel| {
             let mut blocks = Vec::new();
@@ -320,18 +322,18 @@ fn scan_all_c<const C: usize, S: BlockSink>(
             let full = kernel.refines();
             scan_all_portable::<C, S>(grouped, tables, order, threshold, sink, full)
         }
-        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: the SIMD variants of `ResolvedKernel` only come out of
         // `Kernel::resolve`, which detected SSSE3 on this CPU.
         ResolvedKernel::Ssse3 => unsafe {
             x86::scan_all_ssse3::<C, S>(grouped, tables, order, threshold, sink)
         },
-        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, with AVX2 detected.
         ResolvedKernel::Avx2 => unsafe {
             x86::scan_all_avx2::<C, S>(grouped, tables, order, threshold, sink)
         },
-        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, with AVX2 and AVX-512 F, BW, VL and VBMI detected.
         ResolvedKernel::Avx512Vbmi => unsafe {
             x86::scan_all_avx512vbmi::<C, S>(grouped, tables, order, threshold, sink)
@@ -495,7 +497,7 @@ fn scan_all_portable<const C: usize, S: BlockSink>(
     traverse::<C, S>(grouped, tables, order, threshold, sink, scan_group);
 }
 
-#[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The SSSE3 implementation (the paper's actual kernel) and its AVX2
     //! widening, monomorphized on the grouping-component count `C`.
@@ -1098,14 +1100,14 @@ mod tests {
         record(kernel, grouped, tables, &storage, (t, 0)).blocks
     }
 
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[cfg(target_arch = "x86_64")]
     const SIMD: [Kernel; 3] = [Kernel::Ssse3, Kernel::Avx2, Kernel::Avx512Vbmi];
 
     /// Every back-end this CPU has.
     fn kernels() -> Vec<ResolvedKernel> {
         #[allow(unused_mut)]
         let mut kernels = vec![ResolvedKernel::Portable, ResolvedKernel::PortableFull];
-        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        #[cfg(target_arch = "x86_64")]
         kernels.extend(SIMD.into_iter().filter_map(simd));
         kernels
     }
@@ -1114,7 +1116,7 @@ mod tests {
     /// that under a moving threshold its masks may carry more lanes than its
     /// oracle's.
     fn pairs_blocks(kernel: ResolvedKernel) -> bool {
-        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        #[cfg(target_arch = "x86_64")]
         if matches!(kernel, ResolvedKernel::Avx2 | ResolvedKernel::Avx512Vbmi) {
             return true;
         }
@@ -1123,7 +1125,7 @@ mod tests {
     }
 
     /// The resolved SIMD back-end, or `None` (test skipped) without it.
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[cfg(target_arch = "x86_64")]
     fn simd(kernel: Kernel) -> Option<ResolvedKernel> {
         let resolved = kernel.resolve().ok();
         if resolved.is_none() {
@@ -1257,7 +1259,7 @@ mod tests {
         assert!(whole_runs > 30 * kernels, "{whole_runs} whole runs");
     }
 
-    #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn simd_scans_match_portable_under_static_threshold() {
         // With a static threshold a pair kernel's masks decompose into
@@ -1353,7 +1355,7 @@ mod tests {
         };
         #[allow(unused_mut)]
         let mut pairs = vec![(ResolvedKernel::Portable, ResolvedKernel::PortableFull)];
-        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        #[cfg(target_arch = "x86_64")]
         if let (Some(avx2), Some(vbmi)) = (simd(Kernel::Avx2), simd(Kernel::Avx512Vbmi)) {
             pairs.push((avx2, vbmi));
         }
@@ -1430,7 +1432,7 @@ mod tests {
             Kernel::Portable.resolve().unwrap(),
             ResolvedKernel::Portable
         );
-        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("ssse3") {
                 assert_eq!(Kernel::Ssse3.resolve().unwrap(), ResolvedKernel::Ssse3);
@@ -1443,7 +1445,7 @@ mod tests {
                 return;
             }
         }
-        // Asked for by name on a CPU (or in a build) without it: a typed
+        // Asked for by name on a CPU (or a target) without it: a typed
         // error, as for the other SIMD kernels; `Auto` settles for less.
         assert!(!Kernel::Auto.resolve().unwrap().refines());
         assert_eq!(
@@ -1452,5 +1454,33 @@ mod tests {
                 kernel: "avx512vbmi"
             })
         );
+    }
+
+    /// The SIMD kernels are compiled into every x86-64 build: `Auto` is the
+    /// widest one the CPU reports, detected here independently of
+    /// [`Kernel::resolve`].
+    #[test]
+    fn auto_resolves_to_the_widest_kernel_the_cpu_has() {
+        #[cfg(target_arch = "x86_64")]
+        let widest = {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2")
+                && has!("avx512f")
+                && has!("avx512bw")
+                && has!("avx512vl")
+                && has!("avx512vbmi")
+            {
+                Kernel::Avx512Vbmi
+            } else if has!("avx2") {
+                Kernel::Avx2
+            } else if has!("ssse3") {
+                Kernel::Ssse3
+            } else {
+                Kernel::Portable
+            }
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let widest = Kernel::Portable;
+        assert_eq!(Kernel::Auto.resolved(), Ok(widest));
     }
 }

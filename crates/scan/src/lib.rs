@@ -42,9 +42,9 @@
 //! assert_eq!(result.neighbors.len(), 10);
 //! ```
 //!
-//! The x86-64 SIMD paths are compiled under the `avx2` cargo feature
-//! (enabled by default) and selected by runtime CPU detection; disabling
-//! the feature forces the portable scalar kernel.
+//! On x86-64 the SIMD paths are always compiled and selected by runtime CPU
+//! detection; `ScanOpts::with_kernel(Kernel::Portable)` forces the portable
+//! scalar kernel, which is the only one on every other target.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

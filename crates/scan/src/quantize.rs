@@ -139,7 +139,7 @@ impl DistanceQuantizer {
     /// [`quantize_value`](Self::quantize_value).
     pub fn quantize_table_into(&self, j: usize, table: &[f32], out: &mut Vec<u8>) {
         out.clear();
-        #[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+        #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 was detected on this CPU.
             unsafe { quantize_chunks_avx2(table, self.biases[j], self.inv_delta, out) };
@@ -173,7 +173,7 @@ impl DistanceQuantizer {
 /// # Safety
 ///
 /// CPU must support AVX2.
-#[cfg(all(target_arch = "x86_64", feature = "avx2"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn quantize_chunks_avx2(table: &[f32], bias: f32, inv_delta: f32, out: &mut Vec<u8>) {
     use std::arch::x86_64::*;
