@@ -12,7 +12,7 @@ use pqfs_bench::{env_usize, header, scale, Fixture, DIM};
 use pqfs_metrics::{
     fastscan_ops, fmt_f, measure_ms, pqscan_ops, FastScanProfile, PqScanImpl, Summary, TextTable,
 };
-use pqfs_scan::{Backend, FastScanIndex, FastScanOptions, ScanOpts, ScanParams};
+use pqfs_scan::{Backend, FastScanIndex, ScanOpts, ScanParams};
 use std::sync::Arc;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     let codes = Arc::new(fx.partition(n));
     // The raw FastScanIndex (not just the registry handle) is kept for the
     // operation-count model, which needs grouping internals.
-    let index = FastScanIndex::build(&codes, &FastScanOptions::default()).expect("index");
+    let index = FastScanIndex::build(&codes, &ScanOpts::default()).expect("index");
     let libpq = Backend::Libpq
         .scanner(&ScanOpts::default())
         .prepare(Arc::clone(&codes))

@@ -15,7 +15,7 @@ use pqfs_bench::baselines::scan_quantize_only;
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};
 use pqfs_core::RowMajorCodes;
 use pqfs_metrics::{fmt_f, Summary, TextTable};
-use pqfs_scan::{FastScanIndex, FastScanOptions, ScanParams};
+use pqfs_scan::{FastScanIndex, ScanOpts, ScanParams};
 
 fn main() {
     let sizes = scaled_partition_sizes();
@@ -30,7 +30,7 @@ fn main() {
     let partitions: Vec<RowMajorCodes> = sizes.iter().map(|&n| fx.partition(n)).collect();
     let indexes: Vec<FastScanIndex> = partitions
         .iter()
-        .map(|codes| FastScanIndex::build(codes, &FastScanOptions::default()).expect("build"))
+        .map(|codes| FastScanIndex::build(codes, &ScanOpts::default()).expect("build"))
         .collect();
 
     let keeps = [0.0001, 0.001, 0.005, 0.01, 0.05, 0.1];

@@ -16,7 +16,7 @@
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};
 use pqfs_core::RowMajorCodes;
 use pqfs_metrics::{fmt_count, fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
-use pqfs_scan::{Backend, FastScanIndex, FastScanOptions, PreparedScanner, ScanOpts, ScanParams};
+use pqfs_scan::{Backend, FastScanIndex, PreparedScanner, ScanOpts, ScanParams};
 use std::sync::Arc;
 
 fn libpq_scanner(codes: &Arc<RowMajorCodes>) -> Box<dyn PreparedScanner> {
@@ -77,7 +77,7 @@ fn main() {
     let mut stored: Vec<(usize, Arc<RowMajorCodes>)> = Vec::new();
     for &n in &sizes {
         let codes = Arc::new(fx.partition(n));
-        let index = FastScanIndex::build(&codes, &FastScanOptions::default()).expect("index");
+        let index = FastScanIndex::build(&codes, &ScanOpts::default()).expect("index");
         let (pruned, fast, slow) = measure(
             &mut fx,
             &codes,
@@ -100,7 +100,7 @@ fn main() {
     // The §5.6 point: for the smallest partitions, forcing the at-scale
     // grouping (c = 4 in the paper; the auto choice of our largest
     // partition here) hurts, while one fewer component recovers speed.
-    let c_large = FastScanIndex::build(&stored[0].1, &FastScanOptions::default())
+    let c_large = FastScanIndex::build(&stored[0].1, &ScanOpts::default())
         .expect("index")
         .group_components();
     let c_small = c_large.saturating_sub(1);
@@ -112,16 +112,11 @@ fn main() {
         &format!("avg group at c={c_large}"),
     ]);
     for (n, codes) in stored.iter().rev().take(3) {
-        let big = FastScanIndex::build(
-            codes,
-            &FastScanOptions::default().with_group_components(c_large),
-        )
-        .expect("index");
-        let small = FastScanIndex::build(
-            codes,
-            &FastScanOptions::default().with_group_components(c_small),
-        )
-        .expect("index");
+        let big = FastScanIndex::build(codes, &ScanOpts::default().with_group_components(c_large))
+            .expect("index");
+        let small =
+            FastScanIndex::build(codes, &ScanOpts::default().with_group_components(c_small))
+                .expect("index");
         let libpq = libpq_scanner(codes);
         let (_, fast_big, _) = measure(&mut fx, codes, &big, libpq.as_ref(), queries);
         let (_, fast_small, _) = measure(&mut fx, codes, &small, libpq.as_ref(), queries);

@@ -10,7 +10,7 @@
 use pqfs_bench::baselines::{scan_gather, TransposedCodes};
 use pqfs_bench::{env_usize, header, Fixture};
 use pqfs_metrics::{measure_ms, Summary, TextTable, GATHER, PSHUFB};
-use pqfs_scan::{FastScanIndex, FastScanOptions, ScanParams};
+use pqfs_scan::{FastScanIndex, ScanOpts, ScanParams};
 
 fn main() {
     header(
@@ -51,7 +51,7 @@ fn main() {
     let mut fx = Fixture::train(2);
     let codes = fx.partition(n);
     let transposed = TransposedCodes::from_row_major(&codes);
-    let index = FastScanIndex::build(&codes, &FastScanOptions::default()).expect("build");
+    let index = FastScanIndex::build(&codes, &ScanOpts::default()).expect("build");
     let queries = fx.queries(reps);
     let params = ScanParams::new(100);
 

@@ -353,7 +353,7 @@ fn cmd_query(args: &Args) -> Result<Outcome, CliError> {
     let index_path = args.require("index")?;
     let query_path = args.require("queries")?;
     let topk = args.usize("topk", 100)?;
-    let keep = args.f64("keep", 0.005)?;
+    let keep = SearchRequest::valid_keep(args.f64("keep", 0.005)?).map_err(CliError::Other)?;
     let nprobe = args.usize("nprobe", 1)?;
     let deadline = match args.get("deadline-ms") {
         Some(v) => {

@@ -231,6 +231,22 @@ fn serve_rejects_bad_flags_and_missing_index() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "--backend gather: {stderr}");
     assert!(stderr.contains("naive|libpq|fastscan"), "{stderr}");
+    // `query --keep` follows the server's rule: a fraction in (0, 1], or
+    // exit 1 with the server's message, before any file is read.
+    for keep in ["nan", "-1", "0", "7"] {
+        let out = pqfs(&[
+            "query",
+            "--index",
+            "ix.pqiv",
+            "--queries",
+            "q.fvecs",
+            "--keep",
+            keep,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--keep {keep}: {stderr}");
+        assert!(stderr.contains("outside (0, 1]"), "--keep {keep}: {stderr}");
+    }
 }
 
 #[test]

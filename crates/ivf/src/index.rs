@@ -166,9 +166,10 @@ pub struct IvfadcConfig {
     /// Apply the §4.3 optimized centroid-index assignment after PQ
     /// training (required for tight Fast Scan minimum tables).
     pub optimize_assignment: bool,
-    /// Scanner options: the partitions are grouped under them, and the
-    /// oracle path hands them to [`SearchBackend::scanner`] (quantization
-    /// bins, grouping, kernel choice).
+    /// Fast Scan build options (grouping components, kernel choice): the
+    /// partitions are grouped under them, a saved index keeps them, and the
+    /// oracle path hands them to [`SearchBackend::scanner`]. The warm-up
+    /// fraction is per query ([`SearchRequest::keep`]).
     pub scan: ScanOpts,
 }
 
@@ -207,7 +208,7 @@ struct Partition {
 
 impl Partition {
     fn build(ids: Vec<u64>, codes: &RowMajorCodes, opts: &ScanOpts) -> Result<Self, IvfError> {
-        let index = FastScanIndex::build(codes, &opts.fastscan_options())?;
+        let index = FastScanIndex::build(codes, opts)?;
         Ok(Partition { ids, index })
     }
 }
@@ -254,6 +255,17 @@ impl SearchRequest {
             keep,
             nprobe,
             deadline: None,
+        }
+    }
+
+    /// `keep` when it is a warm-up fraction a caller outside the library may
+    /// ask for: finite and in `(0, 1]`. The scan clamps any value; the CLI
+    /// and the server reject the others with this message.
+    pub fn valid_keep(keep: f64) -> Result<f64, String> {
+        if keep.is_finite() && keep > 0.0 && keep <= 1.0 {
+            Ok(keep)
+        } else {
+            Err(format!("keep fraction {keep} outside (0, 1]"))
         }
     }
 }

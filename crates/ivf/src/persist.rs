@@ -25,7 +25,9 @@
 //! them from the resident grouped layout and [`IvfadcIndex::load`] regroups
 //! them under the stored scan options (grouping is deterministic, so save →
 //! load → save reproduces the file). The reserved header byte was the
-//! prepared-backend mask of earlier writers; it is not interpreted.
+//! prepared-backend mask of earlier writers, and the scan options' `keep`
+//! and `bins` slots held settings the index no longer has; none of them is
+//! interpreted, and the slots are written as every default build wrote them.
 //!
 //! Failpoint sites (see `pqfs_fault`): `ivf.persist.read`,
 //! `ivf.persist.write`, `ivf.persist.create`, `ivf.persist.fsync`,
@@ -49,10 +51,18 @@ const MAX_DIM: u64 = 1 << 20;
 const MAX_QUANTIZER_SECTION: u64 = 1 << 32;
 const MAX_PARTITION_SECTION: u64 = 1 << 40;
 
+/// What the scan-options block's two reserved slots hold: the warm-up
+/// fraction and quantization bin count earlier writers stored, at the values
+/// every default build wrote. They are written as these and not interpreted
+/// on load (the fraction is per query, and Fast Scan is exact at any bin
+/// count).
+const RESERVED_KEEP: f64 = 0.005;
+const RESERVED_BINS: u16 = pqfs_scan::DEFAULT_BINS;
+
 /// Encodes the scan options as the fixed 12-byte block.
 fn put_scan_opts(out: &mut Vec<u8>, opts: &ScanOpts) {
-    out.put_f64(opts.keep);
-    out.put_u16(opts.bins);
+    out.put_f64(RESERVED_KEEP);
+    out.put_u16(RESERVED_BINS);
     out.put_u8(match opts.group_components {
         Some(c) if c <= 4 => c as u8,
         _ => u8::MAX,
@@ -68,11 +78,7 @@ fn put_scan_opts(out: &mut Vec<u8>, opts: &ScanOpts) {
 
 /// Decodes the fixed 12-byte scan-options block.
 fn read_scan_opts(rd: &mut Reader<'_>) -> Result<ScanOpts, PersistError> {
-    let keep = rd.f64()?;
-    if !(0.0..=1.0).contains(&keep) {
-        return Err(PersistError::Format(format!("keep {keep} outside [0, 1]")));
-    }
-    let bins = rd.u16()?;
+    let (_keep, _bins) = (rd.f64()?, rd.u16()?); // reserved
     let group_components = match rd.u8()? {
         u8::MAX => None,
         c if c <= 4 => Some(c as usize),
@@ -87,8 +93,6 @@ fn read_scan_opts(rd: &mut Reader<'_>) -> Result<ScanOpts, PersistError> {
         k => return Err(PersistError::Format(format!("bad kernel tag {k}"))),
     };
     Ok(ScanOpts {
-        keep,
-        bins,
         group_components,
         kernel,
     })
@@ -419,8 +423,6 @@ mod tests {
         let train = gen(&mut rng, 800);
         let base = gen(&mut rng, 200);
         let opts = ScanOpts::default()
-            .with_keep(0.02)
-            .with_bins(126)
             .with_group_components(1)
             .with_kernel(Kernel::Portable);
         let config = IvfadcConfig::new(DIM, 2).with_scan_opts(opts);
@@ -430,8 +432,6 @@ mod tests {
         index.save(&mut buf).unwrap();
         let loaded = IvfadcIndex::load(&mut buf.as_slice()).unwrap();
         let roundtripped = loaded.scan_opts();
-        assert_eq!(roundtripped.keep, 0.02);
-        assert_eq!(roundtripped.bins, 126);
         assert_eq!(roundtripped.group_components, Some(1));
         assert_eq!(roundtripped.kernel, Kernel::Portable);
         // Identical options => identical prepared state => identical memory

@@ -108,21 +108,28 @@ fn corrupt_embedded_quantizer_bytes_are_rejected() {
     assert_rejected(&bad, "NaN spliced into the middle of the image");
 }
 
-/// Where the scan options keep the kernel tag: the last byte of the header
-/// section's 29-byte body, which magic, version and the section's length
-/// precede.
+/// Where the scan options keep their slots, in the header section's 29-byte
+/// body, which magic, version and the section's length precede: the
+/// reserved `keep` f64 and `bins` u16, and the kernel tag, its last byte.
 const HEADER_AT: usize = 16;
+const KEEP_AT: usize = HEADER_AT + 17;
+const BINS_AT: usize = HEADER_AT + 25;
 const KERNEL_TAG_AT: usize = HEADER_AT + 28;
 
-/// An image whose checksums are all valid and whose kernel tag is `tag`.
-fn with_kernel_tag(mut buf: Vec<u8>, tag: u8) -> Vec<u8> {
-    buf[KERNEL_TAG_AT] = tag;
+/// `buf` with `bytes` written at `at`, in the header section, and every
+/// checksum valid again.
+fn resealed(mut buf: Vec<u8>, at: usize, bytes: &[u8]) -> Vec<u8> {
+    buf[at..at + bytes.len()].copy_from_slice(bytes);
     let crc = pqfs_core::crc32(&buf[HEADER_AT..HEADER_AT + 29]);
     buf[HEADER_AT + 29..HEADER_AT + 33].copy_from_slice(&crc.to_le_bytes());
     let end = buf.len() - 4;
     let footer = pqfs_core::crc32(&buf[..end]);
     buf[end..].copy_from_slice(&footer.to_le_bytes());
     buf
+}
+
+fn with_kernel_tag(buf: Vec<u8>, tag: u8) -> Vec<u8> {
+    resealed(buf, KERNEL_TAG_AT, &[tag])
 }
 
 #[test]
@@ -152,4 +159,41 @@ fn kernel_tags_0_to_4_load_and_tag_5_is_a_typed_format_error() {
         }
         other => panic!("tag 5: {:?}", other.map(|ix| ix.len())),
     }
+}
+
+#[test]
+fn reserved_keep_and_bins_slots_are_not_interpreted() {
+    let default = index_bytes();
+    assert_eq!(default[KEEP_AT..KEEP_AT + 8], 0.005f64.to_le_bytes());
+    assert_eq!(default[BINS_AT..BINS_AT + 2], 253u16.to_le_bytes());
+    // What an older writer stored for a 0.02 warm-up and 126 bins.
+    let older = resealed(default.clone(), KEEP_AT, &0.02f64.to_le_bytes());
+    let older = resealed(older, BINS_AT, &126u16.to_le_bytes());
+    let index = IvfadcIndex::load(&mut default.as_slice()).unwrap();
+    let loaded = IvfadcIndex::load(&mut older.as_slice()).unwrap();
+
+    let mut rng = StdRng::seed_from_u64(7);
+    for _ in 0..8 {
+        let query: Vec<f32> = (0..DIM).map(|_| rng.gen_range(0.0f32..255.0)).collect();
+        for backend in SearchBackend::ALL {
+            for nprobe in [1, 4] {
+                let case = format!("{backend} nprobe {nprobe}");
+                let want = index.search_probes(&query, 10, backend, 0.005, nprobe);
+                let got = loaded.search_probes(&query, 10, backend, 0.005, nprobe);
+                let (want, got) = (want.unwrap(), got.unwrap());
+                let bits = |o: &pqfs_ivf::SearchOutcome| -> Vec<(u32, u64)> {
+                    o.neighbors
+                        .iter()
+                        .map(|n| (n.dist.to_bits(), n.id))
+                        .collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{case}");
+                assert_eq!(got.stats, want.stats, "{case}");
+            }
+        }
+    }
+    // The slots are re-written as every default build writes them.
+    let mut again = Vec::new();
+    loaded.save(&mut again).unwrap();
+    assert_eq!(again, default);
 }

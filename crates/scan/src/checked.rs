@@ -1,34 +1,35 @@
-//! Differential shadow-execution of SIMD kernels (feature `checked-kernels`).
+//! Differential shadow-execution of SIMD kernels, off unless
+//! `PQFS_CHECK_RATE` asks for it.
 //!
 //! Every SIMD fast-scan kernel in this crate has a portable scalar kernel
 //! that is **identical by construction** (same saturating arithmetic, same
-//! hand-off order). With `checked-kernels` enabled, a sampled subset of
-//! kernel invocations re-runs the portable kernel on the same inputs and
-//! asserts the hand-offs match — a cheap, always-on guard against
-//! miscompiled intrinsics, broken runtime dispatch, or a kernel change that
-//! silently diverges from its oracle. (The fast-scan kernel
-//! that bounds twice, `Kernel::Avx512Vbmi`, is checked against the portable
-//! kernel in its full-table mode: `fastscan::kernel::scan_all`.)
+//! hand-off order). When sampling is on, a sampled subset of kernel passes
+//! re-runs the portable kernel on the same inputs and asserts the hand-offs
+//! match — a guard against miscompiled intrinsics, broken runtime dispatch,
+//! or a kernel change that silently diverges from its oracle. (The
+//! fast-scan kernel that bounds twice, `Kernel::Avx512Vbmi`, is checked
+//! against the portable kernel in its full-table mode:
+//! `fastscan::kernel::scan_all`.)
 //!
-//! Sampling is controlled by `PQFS_CHECK_RATE`: check every Nth invocation
-//! (default 64). `PQFS_CHECK_RATE=1` checks every call; `PQFS_CHECK_RATE=0`
-//! disables checking without recompiling. The counter is a single relaxed
-//! atomic, so the cost of an unsampled call is one fetch-add.
+//! `PQFS_CHECK_RATE=N` checks every Nth kernel pass; unset, `0` or not a
+//! number, no pass is checked. The rate is read once per process. With
+//! sampling off a kernel pass pays one load and a branch; the shared call
+//! counter is only touched when sampling is on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Default sampling period: one shadow execution per 64 kernel invocations.
-pub const DEFAULT_CHECK_RATE: u64 = 64;
-
 static CALLS: AtomicU64 = AtomicU64::new(0);
 static RATE: OnceLock<u64> = OnceLock::new();
 
+/// The sampling period a `PQFS_CHECK_RATE` value asks for: `None` (unset),
+/// `0` and anything that is not a number mean off (0).
+pub fn parse_rate(value: Option<&str>) -> u64 {
+    value.and_then(|v| v.trim().parse().ok()).unwrap_or(0)
+}
+
 fn rate() -> u64 {
-    *RATE.get_or_init(|| match std::env::var("PQFS_CHECK_RATE") {
-        Ok(v) => v.trim().parse().unwrap_or(DEFAULT_CHECK_RATE),
-        Err(_) => DEFAULT_CHECK_RATE,
-    })
+    *RATE.get_or_init(|| parse_rate(std::env::var("PQFS_CHECK_RATE").ok().as_deref()))
 }
 
 /// Forces the sampling rate, overriding `PQFS_CHECK_RATE` if neither has
@@ -42,10 +43,7 @@ pub fn force_rate(r: u64) {
 #[inline]
 pub fn should_check() -> bool {
     let r = rate();
-    if r == 0 {
-        return false;
-    }
-    CALLS.fetch_add(1, Ordering::Relaxed) % r == 0
+    r != 0 && CALLS.fetch_add(1, Ordering::Relaxed).is_multiple_of(r)
 }
 
 /// Asserts two fast-scan hand-off sequences (`(group, block, lane mask)`
@@ -60,7 +58,7 @@ pub fn assert_blocks_match(
     for (i, (s, p)) in simd.iter().zip(portable).enumerate() {
         assert!(
             s == p,
-            "checked-kernels[{kernel}]: hand-off {i} diverged: simd=(g{}, b{}, {:#06x}) \
+            "checked[{kernel}]: hand-off {i} diverged: simd=(g{}, b{}, {:#06x}) \
              portable=(g{}, b{}, {:#06x})",
             s.0,
             s.1,
@@ -73,7 +71,7 @@ pub fn assert_blocks_match(
     assert_eq!(
         simd.len(),
         portable.len(),
-        "checked-kernels[{kernel}]: hand-off count diverged (simd={}, portable={})",
+        "checked[{kernel}]: hand-off count diverged (simd={}, portable={})",
         simd.len(),
         portable.len()
     );
@@ -82,6 +80,14 @@ pub fn assert_blocks_match(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_check_is_off_unless_a_rate_is_set() {
+        assert_eq!(parse_rate(None), 0);
+        assert_eq!(parse_rate(Some("0")), 0);
+        assert_eq!(parse_rate(Some("1")), 1);
+        assert_eq!(parse_rate(Some("64")), 64);
+    }
 
     #[test]
     #[should_panic(expected = "hand-off count diverged")]

@@ -41,8 +41,9 @@
 //! once, together with the kernel's own `C`; the sink verifies the masked
 //! lanes and returns the quantized threshold to prune the following blocks
 //! with (docs/FASTSCAN.md §3). [`scan_all`] is the one
-//! entry point: it picks the `C` instantiation and the back-end, and under
-//! the `checked-kernels` feature shadow-runs the portable oracle.
+//! entry point: it picks the `C` instantiation and the back-end, and when
+//! `PQFS_CHECK_RATE` is set shadow-runs the portable oracle
+//! ([`crate::checked`]).
 
 // The kernels index fixed-size register arrays with the component number
 // `j`; explicit `j in c..FS_M` loops mirror the paper's per-component
@@ -87,7 +88,7 @@ pub(crate) enum ResolvedKernel {
     Portable,
     /// The portable kernel bounding the ungrouped components by their full
     /// tables: the oracle of `Avx512Vbmi`, which no [`Kernel`] resolves to.
-    #[cfg_attr(not(any(test, feature = "checked-kernels")), allow(dead_code))]
+    #[cfg_attr(not(any(test, target_arch = "x86_64")), allow(dead_code))]
     PortableFull,
     #[cfg(target_arch = "x86_64")]
     Ssse3,
@@ -112,7 +113,7 @@ impl ResolvedKernel {
 
     /// The portable kernel that hands over the same blocks and masks under a
     /// frozen threshold.
-    #[cfg(any(test, feature = "checked-kernels"))]
+    #[cfg(any(test, target_arch = "x86_64"))]
     fn oracle(self) -> ResolvedKernel {
         if self.refines() {
             ResolvedKernel::PortableFull
@@ -261,32 +262,45 @@ pub(crate) fn scan_all<S: BlockSink>(
 ) {
     dispatch(kernel, grouped, tables, order, threshold, sink);
 
-    // Differential shadow execution (feature `checked-kernels`): on a
-    // sampled subset of scans, re-run the partition with both the SIMD
-    // kernel and its portable oracle (same run order, same skip rule, the
-    // full-table bound for a kernel that refines) under a frozen threshold
-    // and assert the hand-off sequences are identical. Frozen, because the
-    // pair kernels mask a block pair against one threshold snapshot, so
-    // only static-threshold runs are defined to be bit-identical (the unit
-    // tests have the dynamic-threshold equivalence of the SSSE3 kernel).
-    #[cfg(all(target_arch = "x86_64", feature = "checked-kernels"))]
+    #[cfg(target_arch = "x86_64")]
     if kernel != kernel.oracle() && crate::checked::should_check() {
-        let record = |kernel: ResolvedKernel| {
-            let mut blocks = Vec::new();
-            let mut push = |g, b, mask| {
-                blocks.push((g, b, mask));
-                threshold
-            };
-            dispatch(kernel, grouped, tables, order, threshold, &mut push);
-            blocks
-        };
-        let name = match kernel {
-            ResolvedKernel::Avx512Vbmi => "fastscan.avx512vbmi",
-            ResolvedKernel::Avx2 => "fastscan.avx2",
-            _ => "fastscan.ssse3",
-        };
-        crate::checked::assert_blocks_match(name, &record(kernel), &record(kernel.oracle()));
+        shadow_check(kernel, grouped, tables, order, threshold);
     }
+}
+
+/// Differential shadow execution ([`crate::checked`], off unless
+/// `PQFS_CHECK_RATE` is set): re-runs the partition with both the SIMD
+/// kernel and its portable oracle (same run order, same skip rule, the
+/// full-table bound for a kernel that refines) under a frozen threshold and
+/// asserts the hand-off sequences are identical. Frozen, because the pair
+/// kernels mask a block pair against one threshold snapshot, so only
+/// static-threshold runs are defined to be bit-identical (the unit tests
+/// have the dynamic-threshold equivalence of the SSSE3 kernel).
+#[cfg(target_arch = "x86_64")]
+#[cold]
+#[inline(never)]
+fn shadow_check(
+    kernel: ResolvedKernel,
+    grouped: &GroupedCodes,
+    tables: &ScanTables,
+    order: &[u8],
+    threshold: u8,
+) {
+    let record = |kernel: ResolvedKernel| {
+        let mut blocks = Vec::new();
+        let mut push = |g, b, mask| {
+            blocks.push((g, b, mask));
+            threshold
+        };
+        dispatch(kernel, grouped, tables, order, threshold, &mut push);
+        blocks
+    };
+    let name = match kernel {
+        ResolvedKernel::Avx512Vbmi => "fastscan.avx512vbmi",
+        ResolvedKernel::Avx2 => "fastscan.avx2",
+        _ => "fastscan.ssse3",
+    };
+    crate::checked::assert_blocks_match(name, &record(kernel), &record(kernel.oracle()));
 }
 
 /// Instantiates the kernels for the layout's grouping count.

@@ -8,7 +8,8 @@
 //! 2. **minimum tables** ([`mintables`]) — the last 4 components use the
 //!    minimum of each portion, tightened by the optimized centroid-index
 //!    assignment (`ProductQuantizer::optimize_assignment`);
-//! 3. **8-bit distance quantization** ([`crate::quantize`]).
+//! 3. **8-bit distance quantization** ([`crate::quantize`], always with
+//!    [`DEFAULT_BINS`](crate::DEFAULT_BINS) bins).
 //!
 //! The small tables yield a *lower bound* per vector; only vectors whose
 //! bound beats the current top-k threshold get an exact ADC computation
@@ -16,7 +17,7 @@
 //!
 //! ```
 //! use pqfs_core::{DistanceTables, PqConfig, ProductQuantizer};
-//! use pqfs_scan::{FastScanIndex, FastScanOptions, ScanParams, scan_naive};
+//! use pqfs_scan::{FastScanIndex, ScanOpts, ScanParams, scan_naive};
 //! use rand::{Rng, SeedableRng, rngs::StdRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
@@ -26,7 +27,7 @@
 //! let base: Vec<f32> = (0..2000 * 32).map(|_| rng.gen_range(0.0f32..100.0)).collect();
 //! let codes = pq.encode_batch(&base).unwrap();
 //!
-//! let index = FastScanIndex::build(&codes, &FastScanOptions::default()).unwrap();
+//! let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
 //! let query: Vec<f32> = (0..32).map(|_| rng.gen_range(0.0f32..100.0)).collect();
 //! let tables = DistanceTables::compute(&pq, &query).unwrap();
 //!
@@ -44,51 +45,33 @@ mod scan;
 pub use kernel::Kernel;
 pub use scan::{ScanParams, ScanScratch};
 
-use crate::quantize::DEFAULT_BINS;
 use crate::result::ScanResult;
 use crate::ScanError;
 use grouping::{auto_components, GroupedCodes};
 use layout::FS_M;
 use pqfs_core::{DistanceTables, RowMajorCodes};
 
-/// Index-build options.
-#[derive(Debug, Clone)]
-pub struct FastScanOptions {
+/// Fast Scan build options, read by [`FastScanIndex::build`] and
+/// [`Backend::scanner`](crate::Backend::scanner) (the PQ Scan oracles have
+/// nothing to tune). The per-query settings are [`ScanParams`].
+#[derive(Debug, Clone, Default)]
+pub struct ScanOpts {
     /// Number of components to group on (`0..=4`); `None` selects
     /// automatically from the partition size using the paper's
     /// `n_min(c) = 50·16^c` rule.
     pub group_components: Option<usize>,
-    /// Distance-quantization bins (see [`crate::quantize`]); defaults to
-    /// [`DEFAULT_BINS`], `126` reproduces the paper's signed-range scheme.
-    pub bins: u16,
     /// Kernel back-end.
     pub kernel: Kernel,
 }
 
-impl Default for FastScanOptions {
-    fn default() -> Self {
-        FastScanOptions {
-            group_components: None,
-            bins: DEFAULT_BINS,
-            kernel: Kernel::Auto,
-        }
-    }
-}
-
-impl FastScanOptions {
+impl ScanOpts {
     /// Fixes the number of grouping components.
     pub fn with_group_components(mut self, c: usize) -> Self {
         self.group_components = Some(c);
         self
     }
 
-    /// Overrides the quantization bin count.
-    pub fn with_bins(mut self, bins: u16) -> Self {
-        self.bins = bins;
-        self
-    }
-
-    /// Overrides the kernel back-end.
+    /// Replaces the kernel back-end.
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self
@@ -99,7 +82,6 @@ impl FastScanOptions {
 #[derive(Debug, Clone)]
 pub struct FastScanIndex {
     grouped: GroupedCodes,
-    bins: u16,
     kernel: Kernel,
 }
 
@@ -111,7 +93,7 @@ impl FastScanIndex {
     /// * [`ScanError::NeedsPq8x8`] if `codes.m() != 8`;
     /// * [`ScanError::BadGroupComponents`] if an explicit
     ///   `group_components > 4` was requested.
-    pub fn build(codes: &RowMajorCodes, opts: &FastScanOptions) -> Result<Self, ScanError> {
+    pub fn build(codes: &RowMajorCodes, opts: &ScanOpts) -> Result<Self, ScanError> {
         if codes.m() != FS_M {
             return Err(ScanError::NeedsPq8x8 {
                 m: codes.m(),
@@ -125,7 +107,6 @@ impl FastScanIndex {
         };
         Ok(FastScanIndex {
             grouped: GroupedCodes::build(codes, c),
-            bins: opts.bins,
             kernel: opts.kernel,
         })
     }
@@ -200,10 +181,6 @@ impl FastScanIndex {
     /// holds; [`GroupedCodes::to_row_major`] rebuilds the rows it came from).
     pub fn grouped(&self) -> &GroupedCodes {
         &self.grouped
-    }
-
-    pub(crate) fn bins(&self) -> u16 {
-        self.bins
     }
 
     pub(crate) fn kernel(&self) -> Kernel {

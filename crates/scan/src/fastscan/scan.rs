@@ -24,7 +24,7 @@ use crate::fastscan::kernel::{self, BlockSink, ScanTables};
 use crate::fastscan::layout::{bytes_per_block, lane_distance, FS_BLOCK, FS_M, KSUB, PORTION};
 use crate::fastscan::mintables::portion_minima;
 use crate::fastscan::FastScanIndex;
-use crate::quantize::DistanceQuantizer;
+use crate::quantize::{DistanceQuantizer, DEFAULT_BINS};
 use crate::result::{ScanResult, ScanStats};
 use crate::ScanError;
 use pqfs_core::{DistanceTables, TopK};
@@ -186,7 +186,7 @@ pub(crate) fn scan_with(
     } else {
         tables.max_sum()
     };
-    let quantizer = DistanceQuantizer::new(tables, qmax, index.bins());
+    let quantizer = DistanceQuantizer::new(tables, qmax, DEFAULT_BINS);
     if entry < quantizer.bias_sum() {
         // No distance from these tables is below the sum of their minima:
         // the bound excludes the whole partition before a code byte is
@@ -475,7 +475,7 @@ impl BlockSink for Verifier<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fastscan::{FastScanOptions, Kernel};
+    use crate::fastscan::{Kernel, ScanOpts};
     use pqfs_core::RowMajorCodes;
     use std::collections::HashSet;
 
@@ -498,7 +498,7 @@ mod tests {
         let n = 3_000;
         for c in 0..=4usize {
             for kernel in [Kernel::Portable, Kernel::Auto] {
-                let opts = FastScanOptions::default()
+                let opts = ScanOpts::default()
                     .with_group_components(c)
                     .with_kernel(kernel);
                 for flat in [false, true] {

@@ -44,11 +44,12 @@
 //!
 //! On x86-64 the SIMD paths are always compiled and selected by runtime CPU
 //! detection; `ScanOpts::with_kernel(Kernel::Portable)` forces the portable
-//! scalar kernel, which is the only one on every other target.
+//! scalar kernel, which is the only one on every other target. [`checked`]
+//! shadow-runs each SIMD kernel against its portable oracle when
+//! `PQFS_CHECK_RATE` asks for it; unset, it is off.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-#[cfg(feature = "checked-kernels")]
 pub mod checked;
 mod error;
 pub mod fastscan;
@@ -59,9 +60,9 @@ mod result;
 mod scanner;
 
 pub use error::ScanError;
-pub use fastscan::{FastScanIndex, FastScanOptions, Kernel, ScanParams, ScanScratch};
+pub use fastscan::{FastScanIndex, Kernel, ScanOpts, ScanParams, ScanScratch};
 pub use libpq::scan_libpq;
 pub use naive::scan_naive;
-pub use quantize::{DistanceQuantizer, DEFAULT_BINS, NO_PRUNE, PAPER_BINS};
+pub use quantize::{DistanceQuantizer, DEFAULT_BINS, NO_PRUNE};
 pub use result::{ScanResult, ScanStats};
-pub use scanner::{Backend, PreparedScanner, ScanOpts, Scanner};
+pub use scanner::{Backend, PreparedScanner, Scanner};

@@ -26,10 +26,12 @@
 //! the rounding of the distances themselves, so `Δ` is never taken below
 //! `Σ_j bias_j / 2¹⁸` ([`MAX_SCALED_BIAS`]).
 //!
-//! `bins` defaults to [`DEFAULT_BINS`] = 253, the full unsigned byte range
-//! (the SSE2 `min_epu8`/`cmpeq` trick gives us unsigned comparisons) less
-//! the allowance and the [`NO_PRUNE`] sentinel; `bins = 126` reproduces the
-//! paper's signed-range variant.
+//! Fast Scan always quantizes with [`DEFAULT_BINS`] = 253 bins, the full
+//! unsigned byte range (the SSE2 `min_epu8`/`cmpeq` trick gives us unsigned
+//! comparisons) less the allowance and the [`NO_PRUNE`] sentinel; the
+//! paper's signed-range variant would be `bins = 126`. The `bins` argument
+//! of [`DistanceQuantizer::new`] stays so the safety tests below can sweep
+//! it: the result is exact at any bin count, only pruning changes.
 
 use pqfs_core::DistanceTables;
 
@@ -37,9 +39,6 @@ use pqfs_core::DistanceTables;
 /// must stay below [`NO_PRUNE`], or nothing would be pruned until the
 /// threshold has dropped a bin below `qmax`.
 pub const DEFAULT_BINS: u16 = 253;
-
-/// The paper's bin count (positive range of a signed byte, §4.4).
-pub const PAPER_BINS: u16 = 126;
 
 /// Sentinel threshold meaning "prune nothing": no saturated 8-bit sum can
 /// exceed it.

@@ -30,80 +30,13 @@
 //! }
 //! ```
 
-use crate::fastscan::{FastScanIndex, FastScanOptions, Kernel, ScanParams, ScanScratch};
-use crate::quantize::DEFAULT_BINS;
+use crate::fastscan::{FastScanIndex, ScanOpts, ScanParams, ScanScratch};
 use crate::result::ScanResult;
 use crate::{scan_libpq, scan_naive, ScanError};
 use pqfs_core::{DistanceTables, RowMajorCodes};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
-
-/// Backend-construction options consumed by [`Backend::scanner`].
-///
-/// One bag of options covers every backend; only Fast Scan reads them (the
-/// PQ Scan oracles have nothing to tune).
-#[derive(Debug, Clone)]
-pub struct ScanOpts {
-    /// Fast Scan warm-up fraction (paper §4.4 `keep`, default 0.5 %): the
-    /// whole groups nearest to the query that are expected to hold as much
-    /// (see [`ScanParams::keep`]). [`PreparedScanner::scan`] overrides this
-    /// per query through [`ScanParams::keep`].
-    pub keep: f64,
-    /// Fast Scan distance-quantization bin count.
-    pub bins: u16,
-    /// Fast Scan grouping components; `None` selects automatically from the
-    /// partition size (`n_min(c) = 50·16^c`).
-    pub group_components: Option<usize>,
-    /// Fast Scan SIMD kernel back-end.
-    pub kernel: Kernel,
-}
-
-impl Default for ScanOpts {
-    fn default() -> Self {
-        ScanOpts {
-            keep: 0.005,
-            bins: DEFAULT_BINS,
-            group_components: None,
-            kernel: Kernel::Auto,
-        }
-    }
-}
-
-impl ScanOpts {
-    /// Replaces the warm-up fraction.
-    pub fn with_keep(mut self, keep: f64) -> Self {
-        self.keep = keep;
-        self
-    }
-
-    /// Replaces the quantization bin count.
-    pub fn with_bins(mut self, bins: u16) -> Self {
-        self.bins = bins;
-        self
-    }
-
-    /// Fixes the number of Fast Scan grouping components.
-    pub fn with_group_components(mut self, c: usize) -> Self {
-        self.group_components = Some(c);
-        self
-    }
-
-    /// Replaces the Fast Scan kernel back-end.
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The Fast Scan subset of these options.
-    pub fn fastscan_options(&self) -> FastScanOptions {
-        FastScanOptions {
-            group_components: self.group_components,
-            bins: self.bins,
-            kernel: self.kernel,
-        }
-    }
-}
 
 /// A scan implementation behind a uniform, object-safe interface.
 ///
@@ -114,7 +47,8 @@ impl ScanOpts {
 /// [`PreparedScanner`] then serves queries at full speed.
 pub trait Scanner: Send + Sync {
     /// Scans `codes` and returns the `topk` nearest neighbors by ADC
-    /// distance — the exact same `(distance, id)` set for every backend.
+    /// distance — the exact same `(distance, id)` set for every backend —
+    /// under [`ScanParams::new`]`(topk)`.
     ///
     /// # Errors
     ///
@@ -208,10 +142,7 @@ impl Backend {
         match self {
             Backend::Naive => Box::new(NaiveScanner),
             Backend::Libpq => Box::new(LibpqScanner),
-            Backend::FastScan => Box::new(FastScanScanner {
-                opts: opts.fastscan_options(),
-                keep: opts.keep,
-            }),
+            Backend::FastScan => Box::new(FastScanScanner { opts: opts.clone() }),
         }
     }
 
@@ -349,8 +280,7 @@ impl PreparedScanner for PreparedLibpq {
 
 #[derive(Debug, Clone)]
 struct FastScanScanner {
-    opts: FastScanOptions,
-    keep: f64,
+    opts: ScanOpts,
 }
 
 #[derive(Debug)]
@@ -366,7 +296,7 @@ impl Scanner for FastScanScanner {
         topk: usize,
     ) -> Result<ScanResult, ScanError> {
         let index = FastScanIndex::build(codes, &self.opts)?;
-        index.scan(tables, &ScanParams::new(topk).with_keep(self.keep))
+        index.scan(tables, &ScanParams::new(topk))
     }
 
     fn prepare(&self, codes: Arc<RowMajorCodes>) -> Result<Box<dyn PreparedScanner>, ScanError> {
@@ -439,7 +369,7 @@ mod tests {
     #[test]
     fn all_backends_return_identical_results() {
         let (tables, codes) = fixture(3000);
-        let opts = ScanOpts::default().with_keep(0.01);
+        let opts = ScanOpts::default();
         let reference = Backend::Naive
             .scanner(&opts)
             .scan(&tables, &codes, 25)
@@ -454,9 +384,9 @@ mod tests {
     #[test]
     fn prepared_scanners_match_one_shot_scans() {
         let (tables, codes) = fixture(2500);
-        let opts = ScanOpts::default().with_keep(0.01);
+        let opts = ScanOpts::default();
         let shared = Arc::new(codes.clone());
-        let params = ScanParams::new(25).with_keep(0.01);
+        let params = ScanParams::new(25);
         for backend in Backend::ALL {
             let scanner = backend.scanner(&opts);
             let one_shot = scanner.scan(&tables, &codes, 25).unwrap();
@@ -470,7 +400,7 @@ mod tests {
     #[test]
     fn fastscan_fills_the_pruning_stats() {
         let (tables, codes) = fixture(4000);
-        let opts = ScanOpts::default().with_keep(0.01);
+        let opts = ScanOpts::default();
         let r = Backend::FastScan
             .scanner(&opts)
             .scan(&tables, &codes, 10)

@@ -3,7 +3,7 @@
 //! should pin down permanently.
 
 use pqfs_core::{DistanceTables, RowMajorCodes};
-use pqfs_scan::{scan_naive, FastScanIndex, FastScanOptions, Kernel, ScanParams};
+use pqfs_scan::{scan_naive, FastScanIndex, Kernel, ScanOpts, ScanParams};
 
 const M: usize = 8;
 const KSUB: usize = 256;
@@ -24,7 +24,7 @@ fn codes(n: usize, seed: u32) -> RowMajorCodes {
 
 fn assert_exact(codes: &RowMajorCodes, topk: usize, keep: f64, c: usize, tag: &str) {
     let tables = tables(7);
-    let opts = FastScanOptions::default().with_group_components(c);
+    let opts = ScanOpts::default().with_group_components(c);
     let index = FastScanIndex::build(codes, &opts).unwrap();
     let fast = index
         .scan(&tables, &ScanParams::new(topk).with_keep(keep))
@@ -100,8 +100,7 @@ fn two_distance_levels_with_ties_across_groups() {
 fn every_kernel_handles_the_empty_partition() {
     let empty = RowMajorCodes::new(vec![], M);
     for kernel in [Kernel::Auto, Kernel::Portable] {
-        let index =
-            FastScanIndex::build(&empty, &FastScanOptions::default().with_kernel(kernel)).unwrap();
+        let index = FastScanIndex::build(&empty, &ScanOpts::default().with_kernel(kernel)).unwrap();
         let r = index.scan(&tables(1), &ScanParams::new(5)).unwrap();
         assert!(r.neighbors.is_empty());
         assert_eq!(r.stats.scanned, 0);
@@ -114,7 +113,7 @@ fn zero_distance_tables() {
     // nothing may be pruned incorrectly.
     let tables = DistanceTables::from_raw(vec![0.0; M * KSUB], M, KSUB);
     let c = codes(100, 17);
-    let index = FastScanIndex::build(&c, &FastScanOptions::default()).unwrap();
+    let index = FastScanIndex::build(&c, &ScanOpts::default()).unwrap();
     let fast = index.scan(&tables, &ScanParams::new(10)).unwrap();
     let slow = scan_naive(&tables, &c, &ScanParams::new(10));
     assert_eq!(fast.ids(), slow.ids());
@@ -134,7 +133,7 @@ fn huge_distance_range_saturates_safely() {
     data[KSUB + 5] = 1e-30;
     let tables = DistanceTables::from_raw(data, M, KSUB);
     let c = codes(500, 19);
-    let index = FastScanIndex::build(&c, &FastScanOptions::default()).unwrap();
+    let index = FastScanIndex::build(&c, &ScanOpts::default()).unwrap();
     let fast = index
         .scan(&tables, &ScanParams::new(5).with_keep(0.01))
         .unwrap();
@@ -143,29 +142,13 @@ fn huge_distance_range_saturates_safely() {
 }
 
 #[test]
-fn explicit_bins_one_still_exact() {
-    let c = codes(400, 23);
-    let tables = tables(3);
-    let index = FastScanIndex::build(&c, &FastScanOptions::default().with_bins(1)).unwrap();
-    let fast = index
-        .scan(&tables, &ScanParams::new(10).with_keep(0.01))
-        .unwrap();
-    assert_eq!(
-        fast.ids(),
-        scan_naive(&tables, &c, &ScanParams::new(10)).ids()
-    );
-}
-
-#[test]
 fn rejects_wrong_shapes() {
     let bad_codes = RowMajorCodes::new(vec![0u8; 12], 4);
-    assert!(FastScanIndex::build(&bad_codes, &FastScanOptions::default()).is_err());
-    let index = FastScanIndex::build(&codes(10, 1), &FastScanOptions::default()).unwrap();
+    assert!(FastScanIndex::build(&bad_codes, &ScanOpts::default()).is_err());
+    let index = FastScanIndex::build(&codes(10, 1), &ScanOpts::default()).unwrap();
     let small_tables = DistanceTables::from_raw(vec![0.0; 8 * 16], 8, 16);
     assert!(index.scan(&small_tables, &ScanParams::new(1)).is_err());
-    assert!(FastScanIndex::build(
-        &codes(10, 1),
-        &FastScanOptions::default().with_group_components(5)
-    )
-    .is_err());
+    assert!(
+        FastScanIndex::build(&codes(10, 1), &ScanOpts::default().with_group_components(5)).is_err()
+    );
 }

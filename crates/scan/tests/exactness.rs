@@ -1,10 +1,10 @@
 //! Property-based verification of the paper's §4 guarantee: **PQ Fast Scan
 //! returns exactly the same results as PQ Scan**, for arbitrary distance
-//! tables, code sets, `topk`, `keep`, grouping components, quantization bin
-//! counts and kernel back-ends.
+//! tables, code sets, `topk`, `keep`, grouping components and kernel
+//! back-ends.
 
 use pqfs_core::{DistanceTables, RowMajorCodes};
-use pqfs_scan::{scan_libpq, scan_naive, FastScanIndex, FastScanOptions, Kernel, ScanParams};
+use pqfs_scan::{scan_libpq, scan_naive, FastScanIndex, Kernel, ScanOpts, ScanParams};
 use proptest::prelude::*;
 
 const M: usize = 8;
@@ -33,13 +33,11 @@ proptest! {
         topk in 1usize..32,
         keep in 0.0f64..0.2,
         c in 0usize..=4,
-        bins in prop::sample::select(vec![126u16, 200, 254]),
         use_portable in any::<bool>(),
     ) {
         let kernel = if use_portable { Kernel::Portable } else { Kernel::Auto };
-        let opts = FastScanOptions::default()
+        let opts = ScanOpts::default()
             .with_group_components(c)
-            .with_bins(bins)
             .with_kernel(kernel);
         let index = FastScanIndex::build(&codes, &opts).unwrap();
         let fast = index.scan(&tables, &ScanParams::new(topk).with_keep(keep)).unwrap();
@@ -67,7 +65,7 @@ proptest! {
         topk in 1usize..16,
         c in 0usize..=4,
     ) {
-        let base = FastScanOptions::default().with_group_components(c);
+        let base = ScanOpts::default().with_group_components(c);
         let portable = FastScanIndex::build(&codes, &base.clone().with_kernel(Kernel::Portable))
             .unwrap()
             .scan(&tables, &ScanParams::new(topk))
@@ -115,7 +113,7 @@ proptest! {
         topk in 1usize..8,
     ) {
         let tables = DistanceTables::from_raw(vec![value; M * KSUB], M, KSUB);
-        let index = FastScanIndex::build(&codes, &FastScanOptions::default()).unwrap();
+        let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
         let fast = index.scan(&tables, &ScanParams::new(topk)).unwrap();
         let slow = scan_naive(&tables, &codes, &ScanParams::new(topk));
         prop_assert_eq!(fast.ids(), slow.ids());
@@ -151,7 +149,7 @@ fn end_to_end_with_trained_pq() {
 
     let base: Vec<f32> = (0..4000).flat_map(|_| sample(&mut rng)).collect();
     let codes = pq.encode_batch(&base).unwrap();
-    let index = FastScanIndex::build(&codes, &FastScanOptions::default()).unwrap();
+    let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
 
     let mut total_pruned = 0.0;
     for q in 0..20 {

@@ -551,13 +551,8 @@ fn resolve(
             .parse::<SearchBackend>()
             .map_err(|e| (ErrorCode::BadRequest, e.to_string()))?
     };
-    let keep = req.params.keep;
-    if !keep.is_finite() || keep <= 0.0 || keep > 1.0 {
-        return Err((
-            ErrorCode::BadRequest,
-            format!("keep fraction {keep} outside (0, 1]"),
-        ));
-    }
+    let keep =
+        SearchRequest::valid_keep(req.params.keep).map_err(|e| (ErrorCode::BadRequest, e))?;
     Ok(SearchRequest {
         topk: req.params.topk as usize,
         nprobe: (req.params.nprobe as usize).min(index.num_partitions().max(1)),

@@ -32,7 +32,7 @@ fn main() {
 
     // 3. Build the Fast Scan index: vectors grouped on 4 components,
     //    nibble-packed blocks.
-    let index = FastScanIndex::build(&codes, &FastScanOptions::default()).expect("index build");
+    let index = FastScanIndex::build(&codes, &ScanOpts::default()).expect("index build");
     println!(
         "fast-scan index: {} groups on {} components, {:.2} bytes/vector stored",
         index.num_groups(),

@@ -83,7 +83,7 @@ pub mod prelude {
     pub use pqfs_metrics::{mvecs_per_sec, Summary};
     pub use pqfs_pool::ThreadPool;
     pub use pqfs_scan::{
-        scan_libpq, scan_naive, Backend, FastScanIndex, FastScanOptions, Kernel, PreparedScanner,
-        ScanOpts, ScanParams, ScanResult, ScanStats, Scanner,
+        scan_libpq, scan_naive, Backend, FastScanIndex, Kernel, PreparedScanner, ScanOpts,
+        ScanParams, ScanResult, ScanStats, Scanner,
     };
 }

@@ -33,7 +33,7 @@ fn full_pipeline_fastscan_equals_pqscan_and_finds_true_neighbors() {
     let mut pq = ProductQuantizer::train(&train, &PqConfig::pq8x8(DIM), 3).unwrap();
     pq.optimize_assignment(16, 3).unwrap();
     let codes = pq.encode_batch(&base).unwrap();
-    let index = FastScanIndex::build(&codes, &FastScanOptions::default()).unwrap();
+    let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
 
     let naive = Backend::Naive.scanner(&ScanOpts::default());
     let mut recall_hits = 0usize;
@@ -77,7 +77,7 @@ fn every_backend_returns_the_identical_topk_set() {
     pq.optimize_assignment(16, 9).unwrap();
     let codes = pq.encode_batch(&base).unwrap();
 
-    let opts = ScanOpts::default().with_keep(0.01);
+    let opts = ScanOpts::default();
     for (qi, q) in queries.chunks_exact(DIM).enumerate() {
         let tables = DistanceTables::compute(&pq, q).unwrap();
         let reference = Backend::Naive
@@ -162,7 +162,7 @@ fn grouped_storage_saves_memory_at_scale() {
     let base = gen.sample(40_000); // auto c = 2 (>= 12_800)
     let pq = ProductQuantizer::train(&train, &PqConfig::pq8x8(DIM), 4).unwrap();
     let codes = pq.encode_batch(&base).unwrap();
-    let index = FastScanIndex::build(&codes, &FastScanOptions::default()).unwrap();
+    let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
     assert!(index.group_components() >= 2);
     let saving = 1.0 - index.code_memory_bytes() as f64 / codes.memory_bytes() as f64;
     // c = 2 stores 7 bytes/vector (12.5 % saving) minus block padding.
@@ -198,7 +198,7 @@ fn optimized_assignment_tightens_minimum_tables() {
 
     let pruning = |pq: &ProductQuantizer| -> f64 {
         let codes = pq.encode_batch(&base).unwrap();
-        let index = FastScanIndex::build(&codes, &FastScanOptions::default()).unwrap();
+        let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
         let mut total = 0.0;
         for q in queries.chunks_exact(DIM) {
             let tables = DistanceTables::compute(pq, q).unwrap();
@@ -232,7 +232,7 @@ fn group_chosen_warm_up_keeps_verification_low() {
     let mut pq = ProductQuantizer::train(&train, &PqConfig::pq8x8(DIM), 5).unwrap();
     pq.optimize_assignment(16, 5).unwrap();
     let codes = pq.encode_batch(&base).unwrap();
-    let index = FastScanIndex::build(&codes, &FastScanOptions::default()).unwrap();
+    let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
     assert_eq!(index.group_components(), 2);
 
     let mut stats = ScanStats::default();
