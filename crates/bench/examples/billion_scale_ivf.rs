@@ -7,20 +7,17 @@
 //! with `SCALE`:
 //!
 //! ```sh
-//! cargo run --release --example billion_scale_ivf          # 400k vectors
-//! SCALE=4000000 cargo run --release --example billion_scale_ivf
+//! cargo run --release -p pqfs_bench --example billion_scale_ivf  # 400k vectors
+//! SCALE=4000000 cargo run --release -p pqfs_bench --example billion_scale_ivf
 //! ```
 
-use pq_fast_scan::metrics::{fmt_count, time_ms, Summary};
 use pq_fast_scan::prelude::*;
+use pqfs_bench::{env_usize, fmt_count, time_ms, Summary};
 use std::sync::Arc;
 
 fn main() {
     let dim = 128;
-    let n_base: usize = std::env::var("SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(400_000);
+    let n_base = env_usize("SCALE", 400_000);
     let n_queries = 40;
     let partitions = 128; // the paper's SIFT1B index shape
 

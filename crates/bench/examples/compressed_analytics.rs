@@ -10,11 +10,11 @@
 //!   *table of means* (`pshufb` + `psadbw`), with a guaranteed error bound.
 //!
 //! ```sh
-//! cargo run --release --example compressed_analytics
+//! cargo run --release -p pqfs_bench --example compressed_analytics
 //! ```
 
-use pq_fast_scan::columnar::{approximate_mean, topk_max_fast, CompressedColumn};
-use pq_fast_scan::metrics::{fmt_count, time_ms};
+use pqfs_bench::columnar::{approximate_mean, topk_max_fast, CompressedColumn};
+use pqfs_bench::{fmt_count, time_ms};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

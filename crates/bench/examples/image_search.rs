@@ -9,11 +9,11 @@
 //! response time but not a single result.
 //!
 //! ```sh
-//! cargo run --release --example image_search
+//! cargo run --release -p pqfs_bench --example image_search
 //! ```
 
-use pq_fast_scan::metrics::{mean_recall_at_r, time_ms, Summary};
 use pq_fast_scan::prelude::*;
+use pqfs_bench::{mean_recall_at_r, time_ms, Summary};
 
 fn main() {
     let dim = 128;

@@ -7,9 +7,9 @@
 
 #![forbid(unsafe_code)]
 
+use pqfs_bench::columnar::{approximate_mean, topk_max_fast, CompressedColumn};
 use pqfs_bench::{env_usize, header, scale};
-use pqfs_columnar::{approximate_mean, topk_max_fast, CompressedColumn};
-use pqfs_metrics::{fmt_count, fmt_f, measure_ms, Summary, TextTable};
+use pqfs_bench::{fmt_count, fmt_f, measure_ms, Summary, TextTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

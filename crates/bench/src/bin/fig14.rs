@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, scale, Fixture, DIM};
-use pqfs_metrics::{fmt_f, time_ms, Summary, TextTable};
+use pqfs_bench::{fmt_f, time_ms, Summary, TextTable};
 use pqfs_scan::{Backend, ScanOpts, ScanParams};
 use std::sync::Arc;
 

@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, scale, Fixture, DIM};
-use pqfs_metrics::{
+use pqfs_bench::{
     fastscan_ops, fmt_f, measure_ms, pqscan_ops, FastScanProfile, PqScanImpl, Summary, TextTable,
 };
 use pqfs_scan::{Backend, FastScanIndex, ScanOpts, ScanParams};

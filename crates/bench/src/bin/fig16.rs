@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};
-use pqfs_metrics::{fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
+use pqfs_bench::{fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
 use pqfs_scan::{Backend, PreparedScanner, ScanOpts, ScanParams};
 use std::sync::Arc;
 

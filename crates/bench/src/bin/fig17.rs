@@ -13,8 +13,8 @@
 
 use pqfs_bench::baselines::scan_quantize_only;
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};
+use pqfs_bench::{fmt_f, Summary, TextTable};
 use pqfs_core::RowMajorCodes;
-use pqfs_metrics::{fmt_f, Summary, TextTable};
 use pqfs_scan::{FastScanIndex, ScanOpts, ScanParams};
 
 fn main() {

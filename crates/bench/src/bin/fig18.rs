@@ -12,8 +12,8 @@
 #![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};
+use pqfs_bench::{fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
 use pqfs_core::RowMajorCodes;
-use pqfs_metrics::{fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
 use pqfs_scan::{Backend, PreparedScanner, ScanOpts, ScanParams};
 use std::sync::Arc;
 

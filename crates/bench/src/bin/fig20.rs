@@ -10,9 +10,9 @@
 #![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, host_description, scale, Fixture, DIM};
+use pqfs_bench::{fmt_count, fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
 use pqfs_data::{SyntheticConfig, SyntheticDataset};
 use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend};
-use pqfs_metrics::{fmt_count, fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
 use pqfs_scan::{Backend, Kernel, ScanOpts, ScanParams};
 use std::sync::Arc;
 

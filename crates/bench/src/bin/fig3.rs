@@ -13,7 +13,7 @@
 
 use pqfs_bench::baselines::{scan_avx, scan_gather, TransposedCodes};
 use pqfs_bench::{env_usize, header, scale, Fixture, DIM};
-use pqfs_metrics::{fmt_f, measure_ms, mvecs_per_sec, pqscan_ops, PqScanImpl, Summary, TextTable};
+use pqfs_bench::{fmt_f, measure_ms, mvecs_per_sec, pqscan_ops, PqScanImpl, Summary, TextTable};
 use pqfs_scan::{scan_libpq, scan_naive, ScanParams};
 
 fn main() {

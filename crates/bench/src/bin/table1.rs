@@ -8,8 +8,8 @@
 #![forbid(unsafe_code)]
 
 use pqfs_bench::header;
+use pqfs_bench::{table_cache_level, CacheLevel, TextTable};
 use pqfs_core::PqConfig;
-use pqfs_metrics::{table_cache_level, CacheLevel, TextTable};
 
 fn main() {
     header(

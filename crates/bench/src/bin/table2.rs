@@ -9,7 +9,7 @@
 
 use pqfs_bench::baselines::{scan_gather, TransposedCodes};
 use pqfs_bench::{env_usize, header, Fixture};
-use pqfs_metrics::{measure_ms, Summary, TextTable, GATHER, PSHUFB};
+use pqfs_bench::{measure_ms, Summary, TextTable, GATHER, PSHUFB};
 use pqfs_scan::{FastScanIndex, ScanOpts, ScanParams};
 
 fn main() {

@@ -12,9 +12,9 @@
 #![forbid(unsafe_code)]
 
 use pqfs_bench::{env_usize, header, scale, DIM, TABLE3_QUERIES, TABLE3_SIZES_M};
+use pqfs_bench::{fmt_count, TextTable};
 use pqfs_data::{SyntheticConfig, SyntheticDataset};
 use pqfs_ivf::{IvfadcConfig, IvfadcIndex};
-use pqfs_metrics::{fmt_count, TextTable};
 
 fn main() {
     let n_base = (2_000_000.0 * scale()) as usize;

@@ -10,8 +10,8 @@
 //! against zero — the classic horizontal-add-of-bytes idiom), i.e. the
 //! whole aggregation runs on 8-bit integers as §6 suggests.
 
-use crate::column::CompressedColumn;
-use crate::dict::PORTION;
+use super::column::CompressedColumn;
+use super::dict::PORTION;
 
 /// An approximate aggregate with an a-priori error bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,7 +25,7 @@ pub struct ApproxAggregate {
 /// Approximate mean via the 16-entry portion-mean table.
 ///
 /// Error bound: every row's value differs from its portion mean by at most
-/// [`crate::dict::Dictionary::max_portion_spread`]; 8-bit quantization of
+/// [`super::dict::Dictionary::max_portion_spread`]; 8-bit quantization of
 /// the mean table adds at most half a quantization step.
 pub fn approximate_mean(column: &CompressedColumn) -> ApproxAggregate {
     if column.is_empty() {
@@ -57,16 +57,6 @@ pub fn approximate_mean(column: &CompressedColumn) -> ApproxAggregate {
     let value = (lo as f64 + delta as f64 * (sum_q as f64 / n)) as f32;
     let error_bound = dict.max_portion_spread() + delta / 2.0 + 1e-4 * value.abs();
     ApproxAggregate { value, error_bound }
-}
-
-/// Approximate sum (same machinery, scaled by the row count).
-pub fn approximate_sum(column: &CompressedColumn) -> ApproxAggregate {
-    let mean = approximate_mean(column);
-    let n = column.len() as f32;
-    ApproxAggregate {
-        value: mean.value * n,
-        error_bound: mean.error_bound * n,
-    }
 }
 
 /// Sums `qmeans[code >> 4]` over all codes (dispatches to SSSE3).
@@ -122,7 +112,7 @@ unsafe fn sum_quantized_ssse3(codes: &[u8], qmeans: &[u8; PORTION]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dict::Dictionary;
+    use crate::columnar::dict::Dictionary;
 
     fn ramp_column(n: usize) -> CompressedColumn {
         let data: Vec<f32> = (0..n).map(|i| ((i * 97 + 5) % 1009) as f32).collect();
@@ -151,14 +141,6 @@ mod tests {
         // Sorted (quantile) dictionary keeps portions tight, so the bound
         // stays well below the data range.
         assert!(approx.error_bound < 150.0, "bound {}", approx.error_bound);
-    }
-
-    #[test]
-    fn approximate_sum_scales_the_mean() {
-        let col = ramp_column(500);
-        let mean = approximate_mean(&col);
-        let sum = approximate_sum(&col);
-        assert!((sum.value - mean.value * 500.0).abs() < 1.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Dictionary-compressed columns and their exact scans.
 
-use crate::dict::Dictionary;
+use super::dict::Dictionary;
 
 /// A column stored as one byte per row plus a shared dictionary.
 #[derive(Debug, Clone)]

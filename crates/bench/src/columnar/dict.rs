@@ -68,8 +68,8 @@ impl Dictionary {
         self.values.len()
     }
 
-    /// True when the dictionary holds a single value. (A dictionary is
-    /// never empty.)
+    /// Always false: a dictionary is never empty (kept beside
+    /// [`Dictionary::len`]).
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -103,11 +103,6 @@ impl Dictionary {
         best as u8
     }
 
-    /// Number of 16-entry portions (the last may be partial).
-    pub fn num_portions(&self) -> usize {
-        self.values.len().div_ceil(PORTION)
-    }
-
     /// Maximum of each portion — the §6 *maximum tables* for top-k upper
     /// bounds. Always 16 entries; portions beyond the dictionary replicate
     /// the global minimum so they can never win a max comparison.
@@ -122,10 +117,7 @@ impl Dictionary {
 
     /// Minimum of each portion (for top-k-smallest queries / lower bounds).
     pub fn portion_minima(&self) -> [f32; PORTION] {
-        let fill = *self
-            .values
-            .last()
-            .unwrap_or_else(|| unreachable!("dictionary is never empty"));
+        let fill = self.values[self.values.len() - 1]; // never empty
         let mut out = [fill; PORTION];
         for (p, chunk) in self.values.chunks(PORTION).enumerate() {
             out[p] = chunk.iter().copied().fold(f32::INFINITY, f32::min);

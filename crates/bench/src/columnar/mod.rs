@@ -14,7 +14,7 @@
 //!   ([`approximate_mean`]).
 //!
 //! ```
-//! use pqfs_columnar::{CompressedColumn, topk_max_fast, approximate_mean};
+//! use pqfs_bench::columnar::{CompressedColumn, topk_max_fast, approximate_mean};
 //!
 //! let data: Vec<f32> = (0..10_000).map(|i| ((i * 37) % 1001) as f32).collect();
 //! let column = CompressedColumn::compress(&data, 256);
@@ -27,14 +27,12 @@
 //! assert!((mean.value - column.exact_mean()).abs() <= mean.error_bound);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod aggregate;
 pub mod column;
 pub mod dict;
 pub mod topk;
 
-pub use aggregate::{approximate_mean, approximate_sum, ApproxAggregate};
+pub use aggregate::{approximate_mean, ApproxAggregate};
 pub use column::CompressedColumn;
 pub use dict::Dictionary;
 pub use topk::{topk_max_fast, TopKResult};

@@ -8,8 +8,8 @@
 //! rows whose bound cannot reach the current k-th best are pruned without
 //! touching the 256-entry dictionary.
 
-use crate::column::CompressedColumn;
-use crate::dict::PORTION;
+use super::column::CompressedColumn;
+use super::dict::PORTION;
 
 /// Result of a fast top-k scan.
 #[derive(Debug, Clone)]
@@ -262,7 +262,7 @@ unsafe fn block_candidates_ssse3(chunk: &[u8], qmax: &[u8; PORTION], threshold: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dict::Dictionary;
+    use crate::columnar::dict::Dictionary;
 
     fn ramp_column(n: usize) -> CompressedColumn {
         let data: Vec<f32> = (0..n).map(|i| ((i * 131 + 17) % 10_007) as f32).collect();

@@ -12,13 +12,28 @@
 //! Workloads are synthetic SIFT-like mixtures (see `pqfs-data`); DESIGN.md
 //! documents why this substitution preserves the paper's effects.
 //!
-//! [`baselines`] holds the scans the paper measures but does not serve
-//! (§3.2's "avx" and "gather", §5.5's quantization-only); they are the
-//! crate's only unsafe code.
+//! Beside it: the unsafe SIMD scans, [`baselines`] (what the paper measures
+//! but does not serve: §3.2's "avx" and "gather", §5.5's quantization-only)
+//! and [`columnar`] (§6); and the measurement helpers [`stats`], [`table`],
+//! [`timer`], [`recall`], [`counters`] and [`cost_model`].
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod baselines;
+pub mod columnar;
+pub mod cost_model;
+pub mod counters;
+pub mod recall;
+pub mod stats;
+pub mod table;
+pub mod timer;
+
+pub use cost_model::{table_cache_level, CacheLevel, InstrProps, GATHER, PSHUFB};
+pub use counters::{fastscan_ops, pqscan_ops, FastScanProfile, PerVectorOps, PqScanImpl};
+pub use recall::{mean_recall_at_r, recall_at_r};
+pub use stats::Summary;
+pub use table::{fmt_count, fmt_f, TextTable};
+pub use timer::{measure_ms, mvecs_per_sec, time_ms};
 
 use pqfs_core::{DistanceTables, PqConfig, ProductQuantizer, RowMajorCodes};
 use pqfs_data::{SyntheticConfig, SyntheticDataset};

@@ -25,17 +25,6 @@ impl Summary {
         Summary { sorted, mean }
     }
 
-    /// Sample size.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when the sample has one element (kept for API completeness;
-    /// empty samples are rejected at construction).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Arithmetic mean.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -48,10 +37,7 @@ impl Summary {
 
     /// Largest value.
     pub fn max(&self) -> f64 {
-        *self
-            .sorted
-            .last()
-            .unwrap_or_else(|| unreachable!("empty samples are rejected at construction"))
+        self.sorted[self.sorted.len() - 1] // never empty: checked at construction
     }
 
     /// Linear-interpolation percentile, `p ∈ [0, 100]`.
@@ -74,20 +60,6 @@ impl Summary {
     /// Median (50th percentile).
     pub fn median(&self) -> f64 {
         self.percentile(50.0)
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        if self.sorted.len() < 2 {
-            return 0.0;
-        }
-        let var = self
-            .sorted
-            .iter()
-            .map(|v| (v - self.mean) * (v - self.mean))
-            .sum::<f64>()
-            / (self.sorted.len() - 1) as f64;
-        var.sqrt()
     }
 
     /// The paper's Table 4 row: `(mean, p25, median, p75, p95)`.
@@ -128,7 +100,6 @@ mod tests {
         assert_eq!(s.median(), 3.0);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 5.0);
-        assert!((s.std_dev() - (2.5f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -145,7 +116,6 @@ mod tests {
         let s = Summary::from_values(&[7.0]);
         assert_eq!(s.median(), 7.0);
         assert_eq!(s.percentile(95.0), 7.0);
-        assert_eq!(s.std_dev(), 0.0);
     }
 
     #[test]

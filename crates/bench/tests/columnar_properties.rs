@@ -1,6 +1,6 @@
 //! Property-based tests of the §6 compressed-column machinery.
 
-use pqfs_columnar::{approximate_mean, topk_max_fast, CompressedColumn, Dictionary};
+use pqfs_bench::columnar::{approximate_mean, topk_max_fast, CompressedColumn, Dictionary};
 use proptest::prelude::*;
 
 proptest! {

@@ -2,9 +2,9 @@
 //! emitting JSON QPS and latency percentiles on stdout.
 
 use crate::args::Args;
-use crate::{CliError, Outcome};
+use crate::{percentile, CliError, Outcome};
 use pqfs_data::{SyntheticConfig, SyntheticDataset};
-use pqfs_metrics::Summary;
+use pqfs_ivf::SearchRequest;
 use pqfs_server::proto::{QueryParams, Response};
 use pqfs_server::Client;
 use std::time::{Duration, Instant};
@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 #[derive(Default)]
 struct Tally {
     latencies_ms: Vec<f64>,
-    queries: usize,
+    answered: usize,
     errors: usize,
     shed: usize,
 }
@@ -74,37 +74,43 @@ pub fn cmd_bench_client(args: &Args) -> Result<Outcome, CliError> {
             .join()
             .map_err(|_| CliError::Other("bench worker panicked".into()))??;
         all.latencies_ms.extend(tally.latencies_ms);
-        all.queries += tally.queries;
+        all.answered += tally.answered;
         all.errors += tally.errors;
         all.shed += tally.shed;
     }
     let seconds = started.elapsed().as_secs_f64();
+    let queries = all.answered + all.errors + all.shed;
 
-    let s = Summary::from_values(&all.latencies_ms);
+    // Throughput counts answered queries only: a shed or failed frame took
+    // no search. Latencies are per answered frame; none answered is `null`.
     let qps = if seconds > 0.0 {
-        all.queries as f64 / seconds
+        all.answered as f64 / seconds
     } else {
         0.0
     };
+    let mut latencies = all.latencies_ms;
+    let mut ms_at =
+        |p| percentile(&mut latencies, p).map_or("null".into(), |ms| format!("{ms:.3}"));
     println!(
-        "{{\"queries\": {}, \"batch\": {}, \"connections\": {}, \"seconds\": {:.3}, \
-         \"qps\": {:.1}, \"p50_ms\": {:.3}, \"p90_ms\": {:.3}, \"p99_ms\": {:.3}, \
-         \"errors\": {}, \"shed\": {}}}",
-        all.queries,
+        "{{\"queries\": {}, \"answered\": {}, \"batch\": {}, \"connections\": {}, \
+         \"seconds\": {:.3}, \"qps\": {:.1}, \"p50_ms\": {}, \"p90_ms\": {}, \
+         \"p99_ms\": {}, \"errors\": {}, \"shed\": {}}}",
+        queries,
+        all.answered,
         batch,
         connections,
         seconds,
         qps,
-        s.percentile(50.0),
-        s.percentile(90.0),
-        s.percentile(99.0),
+        ms_at(50.0),
+        ms_at(90.0),
+        ms_at(99.0),
         all.errors,
         all.shed
     );
-    if all.errors > 0 {
+    if all.errors > 0 || all.answered == 0 {
         return Err(CliError::Other(format!(
-            "{} of {} requests failed",
-            all.errors, all.queries
+            "{} of {} requests failed, {} shed",
+            all.errors, queries, all.shed
         )));
     }
     Ok(Outcome::Clean)
@@ -120,7 +126,7 @@ fn query_params(args: &Args) -> Result<QueryParams, String> {
     Ok(QueryParams {
         topk: u32::try_from(topk).unwrap_or(u32::MAX),
         nprobe: u32::try_from(nprobe).unwrap_or(u32::MAX).max(1),
-        keep: args.f64("keep", default.keep)?,
+        keep: SearchRequest::valid_keep(args.f64("keep", default.keep)?)?,
         deadline_us: args.u64("deadline-ms", 0)?.saturating_mul(1000),
         ..default // backend: the server's default
     })
@@ -155,9 +161,11 @@ fn run_worker(
             client.batch(slice, dim as u32, params.clone())
         };
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        tally.queries += take;
         match outcome {
-            Ok(Response::Query(_)) | Ok(Response::Batch(_)) => tally.latencies_ms.push(ms),
+            Ok(Response::Query(_)) | Ok(Response::Batch(_)) => {
+                tally.answered += take;
+                tally.latencies_ms.push(ms);
+            }
             Ok(Response::Overloaded { .. }) => tally.shed += take,
             Ok(_) | Err(_) => tally.errors += take,
         }

@@ -35,9 +35,8 @@
 
 use pqfs_data::{read_fvecs, write_fvecs, SyntheticConfig, SyntheticDataset};
 use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend, SearchRequest};
-use pqfs_metrics::{fmt_count, time_ms, Summary};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 mod args;
 mod bench_client;
@@ -78,6 +77,31 @@ impl From<String> for CliError {
 /// Shorthand for mapping artifact-load failures onto [`CliError::Load`].
 fn load_err(context: &str, e: impl std::fmt::Display) -> CliError {
     CliError::Load(format!("{context}: {e}"))
+}
+
+/// Formats a count with thousands separators (e.g. `25_000_000`).
+fn fmt_count(n: u64) -> String {
+    let s = n.to_string();
+    let mut out = String::with_capacity(s.len() + s.len() / 3);
+    for (i, ch) in s.chars().enumerate() {
+        if i > 0 && (s.len() - i).is_multiple_of(3) {
+            out.push('_');
+        }
+        out.push(ch);
+    }
+    out
+}
+
+/// Linear-interpolation percentile, `p ∈ [0, 100]`: the rule of the figure
+/// harness's `Summary`, so the latencies printed here read as they do
+/// there. Sorts `sample` first; `None` when it is empty.
+fn percentile(sample: &mut [f64], p: f64) -> Option<f64> {
+    sample.sort_by(f64::total_cmp);
+    let last = sample.len().checked_sub(1)?;
+    let rank = p / 100.0 * last as f64;
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    let frac = rank - lo as f64;
+    Some(sample[lo] * (1.0 - frac) + sample[hi] * frac)
 }
 
 fn main() -> ExitCode {
@@ -200,8 +224,10 @@ USAGE:
   response, never queued unboundedly).
 
   bench-client sends synthetic load at a running serve and prints one
-  JSON line: queries, qps, p50/p90/p99 latency (ms), errors, shed. It
-  exits 1 if any request failed (shed responses are counted separately).
+  JSON line: queries, answered, qps (answered queries per second),
+  p50/p90/p99 latency (ms; null when none was answered), errors, shed.
+  It exits 1 if any request failed or none was answered (shed responses
+  are counted separately).
 
 EXIT CODES: 0 success | 1 error (including a flag the command does not
             read, and any bench-client request failure) |
@@ -299,9 +325,10 @@ fn cmd_build(args: &Args) -> Result<Outcome, CliError> {
         pqfs_pool::ThreadPool::global().threads()
     );
     let config = IvfadcConfig::new(dim, partitions).with_seed(seed);
-    let (index, ms) = time_ms(|| IvfadcIndex::build(&train, &base.data, &config));
-    let index = index.map_err(|e| CliError::Other(e.to_string()))?;
-    println!("built in {:.1} s", ms / 1e3);
+    let start = Instant::now();
+    let index = IvfadcIndex::build(&train, &base.data, &config)
+        .map_err(|e| CliError::Other(e.to_string()))?;
+    println!("built in {:.1} s", start.elapsed().as_secs_f64());
     index
         .save_file(&out)
         .map_err(|e| CliError::Other(e.to_string()))?;
@@ -408,10 +435,10 @@ fn cmd_query(args: &Args) -> Result<Outcome, CliError> {
     // One trace reused across queries (reset keeps its allocation).
     let mut trace = pqfs_obs::QueryTrace::new();
     for (qi, q) in queries.data.chunks_exact(queries.dim).enumerate() {
-        let (outcome, ms) = time_ms(|| {
-            let trace = tracing.then_some(&mut trace);
-            index.search(q, &request, pqfs_pool::ThreadPool::global(), trace)
-        });
+        let start = Instant::now();
+        let trace_out = tracing.then_some(&mut trace);
+        let outcome = index.search(q, &request, pqfs_pool::ThreadPool::global(), trace_out);
+        let ms = start.elapsed().as_secs_f64() * 1e3;
         let outcome = outcome.map_err(|e| CliError::Other(e.to_string()))?;
         if tracing {
             eprint!("query {qi} {}", trace.render_waterfall());
@@ -441,15 +468,12 @@ fn cmd_query(args: &Args) -> Result<Outcome, CliError> {
             preview.join(" ")
         );
     }
-    if times.len() > 1 {
-        let s = Summary::from_values(&times);
-        println!(
-            "\n{} queries: mean {:.2} ms | median {:.2} ms | p95 {:.2} ms",
-            times.len(),
-            s.mean(),
-            s.median(),
-            s.percentile(95.0)
-        );
+    let n = times.len();
+    let (median, p95) = (percentile(&mut times, 50.0), percentile(&mut times, 95.0));
+    if let (true, Some(median), Some(p95)) = (n > 1, median, p95) {
+        // `times` is sorted now: summed in that order, as `Summary::mean` sums.
+        let mean = times.iter().sum::<f64>() / n as f64;
+        println!("\n{n} queries: mean {mean:.2} ms | median {median:.2} ms | p95 {p95:.2} ms");
     }
     Ok(if degraded {
         Outcome::Degraded
@@ -470,8 +494,9 @@ fn query_batch(
     let n = rows.len();
     let pool = pqfs_pool::ThreadPool::global();
     let inline = pqfs_pool::ThreadPool::new(1);
-    let (outcomes, ms) =
-        time_ms(|| pool.try_parallel_map(&rows, |_, q| index.search(q, request, &inline, None)));
+    let start = Instant::now();
+    let outcomes = pool.try_parallel_map(&rows, |_, q| index.search(q, request, &inline, None));
+    let ms = start.elapsed().as_secs_f64() * 1e3;
     let outcomes = outcomes.map_err(|e| CliError::Other(e.to_string()))?;
     let mut stats = pqfs_scan::ScanStats::default();
     let mut failed = 0usize;
@@ -494,4 +519,28 @@ fn query_batch(
         return Ok(Outcome::Degraded);
     }
     Ok(Outcome::Clean)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `Summary`'s own percentile cases, so `query`'s summary line prints
+    /// what `Summary` would.
+    #[test]
+    fn percentile_interpolates_like_summary() {
+        let at = |mut sample: Vec<f64>, p| percentile(&mut sample, p);
+        for (p, want) in [(0.0, 0.0), (25.0, 2.5), (50.0, 5.0), (100.0, 10.0)] {
+            assert_eq!(at(vec![0.0, 10.0], p), Some(want));
+        }
+        assert_eq!(at(vec![7.0], 95.0), Some(7.0));
+        assert_eq!(at(vec![5.0, 1.0, 3.0, 2.0, 4.0], 50.0), Some(3.0));
+        assert_eq!(at(vec![], 50.0), None);
+    }
+
+    #[test]
+    fn fmt_count_groups_thousands() {
+        let counts = [0, 999, 1_234, 25_000_000].map(fmt_count);
+        assert_eq!(counts, ["0", "999", "1_234", "25_000_000"]);
+    }
 }

@@ -1,9 +1,8 @@
 //! `pqfs serve`: load an index once, serve it over TCP until SIGTERM.
 
 use crate::args::Args;
-use crate::{load_err, CliError, Outcome};
+use crate::{fmt_count, load_err, CliError, Outcome};
 use pqfs_ivf::{IvfadcIndex, SearchBackend};
-use pqfs_metrics::fmt_count;
 use pqfs_server::server::{Server, ServerConfig};
 use pqfs_server::signal;
 use std::sync::Arc;

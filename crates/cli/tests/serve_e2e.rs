@@ -113,6 +113,16 @@ fn sigterm(child: &Child) {
     assert!(status.success(), "SIGTERM delivered");
 }
 
+/// The one JSON line `bench-client` prints.
+fn json_line(out: &Output, what: &str) -> String {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .map(str::to_string);
+    line.unwrap_or_else(|| panic!("{what}: no JSON line in: {stdout}"))
+}
+
 #[test]
 fn serve_answers_load_then_drains_on_sigterm() {
     let (dir, index) = build_fixture("load");
@@ -147,17 +157,23 @@ fn serve_answers_load_then_drains_on_sigterm() {
     ]);
     assert_success(&batched, "bench-client batch=8");
     for (out, what) in [(&single, "single"), (&batched, "batched")] {
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let line = stdout
-            .lines()
-            .find(|l| l.starts_with('{'))
-            .unwrap_or_else(|| panic!("{what}: no JSON line in: {stdout}"));
+        let line = json_line(out, what);
         assert!(
             line.contains("\"errors\": 0"),
             "{what} reports zero errors: {line}"
         );
         assert!(line.contains("\"qps\":"), "{what} reports qps: {line}");
     }
+
+    // Nothing answered: the JSON line still prints, then exit 1.
+    let refused = pqfs(&["bench-client", "--addr", &addr, "--n", "4", "--topk", "0"]);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(refused.status.code(), Some(1), "--topk 0: {stderr}");
+    assert!(stderr.contains("requests failed"), "--topk 0: {stderr}");
+    let line = json_line(&refused, "--topk 0");
+    assert!(line.contains("\"answered\": 0"), "--topk 0: {line}");
+    assert!(line.contains("\"qps\": 0.0"), "qps counts answers: {line}");
+    assert!(line.contains("\"p50_ms\": null"), "--topk 0: {line}");
 
     // SIGTERM must drain and exit 0.
     sigterm(&child);
@@ -231,21 +247,20 @@ fn serve_rejects_bad_flags_and_missing_index() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "--backend gather: {stderr}");
     assert!(stderr.contains("naive|libpq|fastscan"), "{stderr}");
-    // `query --keep` follows the server's rule: a fraction in (0, 1], or
-    // exit 1 with the server's message, before any file is read.
+    // `query --keep` and `bench-client --keep` follow the server's rule: a
+    // fraction in (0, 1], or exit 1 with the server's message, before any
+    // file is read or any connection is made.
     for keep in ["nan", "-1", "0", "7"] {
-        let out = pqfs(&[
-            "query",
-            "--index",
-            "ix.pqiv",
-            "--queries",
-            "q.fvecs",
-            "--keep",
-            keep,
-        ]);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "--keep {keep}: {stderr}");
-        assert!(stderr.contains("outside (0, 1]"), "--keep {keep}: {stderr}");
+        for command in [
+            &["query", "--index", "ix.pqiv", "--queries", "q.fvecs"][..],
+            &["bench-client", "--addr", "127.0.0.1:1"][..],
+        ] {
+            let out = pqfs(&[command, &["--keep", keep]].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let what = format!("{} --keep {keep}: {stderr}", command[0]);
+            assert_eq!(out.status.code(), Some(1), "{what}");
+            assert!(stderr.contains("outside (0, 1]"), "{what}");
+        }
     }
 }
 

@@ -3,8 +3,8 @@
 //! The paper's argument is built on measuring where query time goes
 //! (PAPER.md; André et al., PVLDB 2015, Figs. 3/15): per-stage timings,
 //! cache-level effects, pruning power. This crate is the *online*
-//! counterpart to the offline `pqfs_metrics` analysis — the substrate every
-//! runtime component reports through:
+//! counterpart to the figure harness's offline analysis (`pqfs_bench`) —
+//! the substrate every runtime component reports through:
 //!
 //! * **Metrics registry** ([`registry`]): lock-free sharded [`LazyCounter`]s,
 //!   [`LazyGauge`]s, and log-bucketed [`LazyHistogram`]s registered lazily

@@ -11,7 +11,9 @@
 //! scan 4–6× faster than PQ Scan *while returning exactly the same
 //! results*.
 //!
-//! This facade crate re-exports the workspace's public API:
+//! This facade crate re-exports the search library's public API (the
+//! figure harness, its measurement helpers and the §6 compressed-column
+//! scans live in `pqfs_bench`, which only the experiments use):
 //!
 //! * [`kmeans`] — clustering substrate (Lloyd + same-size k-means);
 //! * [`core`] — product quantization, ADC distance tables, layouts, top-k;
@@ -21,8 +23,6 @@
 //! * [`pool`] — the shared work-stealing thread pool every parallel path
 //!   (batch search, multi-probe fan-out, batch encoding, training) runs on;
 //! * [`data`] — synthetic SIFT-like datasets, TEXMEX file IO, ground truth;
-//! * [`metrics`] — statistics, recall, counter and cost models;
-//! * [`columnar`] — the §6 generalization to compressed column scans;
 //! * [`fault`] — deterministic fault injection (failpoints) used to test
 //!   the persistence and degraded-search paths; armed via the
 //!   `PQFS_FAILPOINTS` environment variable, a no-op when disarmed;
@@ -60,27 +60,23 @@
 
 #![forbid(unsafe_code)]
 
-pub use pqfs_columnar as columnar;
 pub use pqfs_core as core;
 pub use pqfs_data as data;
 pub use pqfs_fault as fault;
 pub use pqfs_ivf as ivf;
 pub use pqfs_kmeans as kmeans;
-pub use pqfs_metrics as metrics;
 pub use pqfs_pool as pool;
 pub use pqfs_scan as scan;
 pub use pqfs_server as server;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use pqfs_columnar::{approximate_mean, topk_max_fast, CompressedColumn};
     pub use pqfs_core::{
         DistanceTables, Neighbor, PqConfig, ProductQuantizer, RowMajorCodes, TopK,
     };
     pub use pqfs_data::{exact_knn, SyntheticConfig, SyntheticDataset};
     pub use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend, SearchHealth, SearchRequest};
     pub use pqfs_kmeans::{KMeans, KMeansConfig};
-    pub use pqfs_metrics::{mvecs_per_sec, Summary};
     pub use pqfs_pool::ThreadPool;
     pub use pqfs_scan::{
         scan_libpq, scan_naive, Backend, FastScanIndex, Kernel, PreparedScanner, ScanOpts,
