@@ -8,11 +8,21 @@
 use crate::pq::ProductQuantizer;
 use crate::PqError;
 
-/// The `m × k*` distance tables of one query.
+/// Entries per portion: the 16 consecutive entries of a table that share a
+/// high nibble of the centroid index (paper §4.3, Figure 10).
+pub const PORTION: usize = 16;
+
+/// The `m × k*` distance tables of one query, with the minimum of every
+/// portion and of every table, computed in one pass whenever the tables are
+/// written.
 #[derive(Debug, Clone)]
 pub struct DistanceTables {
     /// Row-major `m × ksub` distances.
     data: Vec<f32>,
+    /// Row-major `m × ksub.div_ceil(PORTION)` portion minima.
+    portion_minima: Vec<f32>,
+    /// `min_i D_j[i]` per table.
+    table_minima: Vec<f32>,
     m: usize,
     ksub: usize,
 }
@@ -25,11 +35,7 @@ impl DistanceTables {
     ///
     /// [`PqError::DimMismatch`] if the query dimensionality is wrong.
     pub fn compute(pq: &ProductQuantizer, query: &[f32]) -> Result<Self, PqError> {
-        let mut tables = DistanceTables {
-            data: Vec::new(),
-            m: 0,
-            ksub: 0,
-        };
+        let mut tables = DistanceTables::placeholder();
         tables.recompute(pq, query)?;
         Ok(tables)
     }
@@ -72,6 +78,31 @@ impl DistanceTables {
         for (j, row) in self.data.chunks_exact_mut(ksub).enumerate() {
             fill(j, row);
         }
+        self.fill_minima();
+    }
+
+    /// Recomputes the portion and table minima from `data` in one pass:
+    /// four portions at a time by [`quad_minima`], what is left one by one,
+    /// and each table's minimum the least of its portions'.
+    /// `min` is exact, so on tables without NaN entries every value equals
+    /// the scalar `fold(f32::INFINITY, f32::min)` over the same entries.
+    fn fill_minima(&mut self) {
+        let portions = self.ksub.div_ceil(PORTION);
+        self.portion_minima.resize(self.m * portions, 0.0);
+        self.table_minima.clear();
+        let least = |entries: &[f32]| entries.iter().fold(f32::INFINITY, |min, &x| lesser(x, min));
+        let rows = self.data.chunks_exact(self.ksub);
+        for (row, minima) in rows.zip(self.portion_minima.chunks_exact_mut(portions)) {
+            let (quads, rest) = row.as_chunks::<{ 4 * PORTION }>();
+            let (quad_out, rest_out) = minima.split_at_mut(quads.len() * 4);
+            for (quad, out) in quads.iter().zip(quad_out.chunks_exact_mut(4)) {
+                out.copy_from_slice(&quad_minima(quad));
+            }
+            for (portion, out) in rest.chunks(PORTION).zip(rest_out) {
+                *out = least(portion);
+            }
+            self.table_minima.push(least(minima));
+        }
     }
 
     /// An empty placeholder (`m = 0`) for scratch that is filled by
@@ -79,6 +110,8 @@ impl DistanceTables {
     pub fn placeholder() -> Self {
         DistanceTables {
             data: Vec::new(),
+            portion_minima: Vec::new(),
+            table_minima: Vec::new(),
             m: 0,
             ksub: 0,
         }
@@ -88,10 +121,17 @@ impl DistanceTables {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != m * ksub`.
+    /// Panics if `data.len() != m * ksub` or `ksub` is 0.
     pub fn from_raw(data: Vec<f32>, m: usize, ksub: usize) -> Self {
         assert_eq!(data.len(), m * ksub);
-        DistanceTables { data, m, ksub }
+        let mut tables = DistanceTables {
+            data,
+            m,
+            ksub,
+            ..DistanceTables::placeholder()
+        };
+        tables.fill_minima();
+        tables
     }
 
     /// Number of tables (`m`).
@@ -138,41 +178,29 @@ impl DistanceTables {
         d
     }
 
-    /// Per-table minima, `min_i D_j[i]` — the per-table biases of the Fast
-    /// Scan distance quantization (docs/FASTSCAN.md §1).
-    pub fn per_table_min(&self) -> Vec<f32> {
-        // Eight running minima per table, so the loop compiles to vector
-        // `min`s instead of one dependent chain of 256 (every bounded probe
-        // of a multi-probe query asks for these).
-        (0..self.m)
-            .map(|j| {
-                let mut lanes = [f32::INFINITY; 8];
-                let chunks = self.table(j).chunks_exact(8);
-                let rest = chunks.remainder();
-                for chunk in chunks {
-                    for (min, &x) in lanes.iter_mut().zip(chunk) {
-                        if x < *min {
-                            *min = x;
-                        }
-                    }
-                }
-                rest.iter()
-                    .chain(&lanes)
-                    .copied()
-                    .fold(f32::INFINITY, f32::min)
-            })
-            .collect()
+    /// The minimum of each 16-entry portion of `D_j`, `ksub.div_ceil(16)`
+    /// of them (the last over what is left of the table): a lower bound for
+    /// any entry a code nibble selects (paper §4.3, Figure 10).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= m`.
+    #[inline]
+    pub fn portion_minima(&self, j: usize) -> &[f32] {
+        let portions = self.ksub.div_ceil(PORTION);
+        &self.portion_minima[j * portions..(j + 1) * portions]
     }
 
-    /// Smallest entry across all tables — the paper's `qmin` (§4.4).
-    pub fn global_min(&self) -> f32 {
-        self.data.iter().copied().fold(f32::INFINITY, f32::min)
+    /// Per-table minima, `min_i D_j[i]` — the per-table biases of the Fast
+    /// Scan distance quantization (docs/FASTSCAN.md §1).
+    pub fn per_table_min(&self) -> &[f32] {
+        &self.table_minima
     }
 
     /// Sum of per-table minima: the tightest possible lower bound on any ADC
     /// distance from these tables.
     pub fn sum_of_mins(&self) -> f32 {
-        self.per_table_min().iter().sum()
+        self.table_minima.iter().sum()
     }
 
     /// Sum of per-table maxima: the paper's note that setting `qmax` to "the
@@ -188,6 +216,37 @@ impl DistanceTables {
             })
             .sum()
     }
+}
+
+/// `a` if it is below `b`, else `b`: one lane of a vector `min`. A NaN `a`
+/// never replaces `b`.
+#[inline(always)]
+fn lesser(a: f32, b: f32) -> f32 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The minima of four consecutive portions: each portion folded into four
+/// lanes by vector `min`s, then the four portions' lanes folded across
+/// behind a 4 × 4 transpose. Out of line on purpose: inlined into the loop
+/// over a table, it is vectorized across the calls instead, one gathered
+/// entry at a time, at nearly twice the cost.
+#[inline(never)]
+fn quad_minima(entries: &[f32; 4 * PORTION]) -> [f32; 4] {
+    let min4 = |[a, b, c, d]: [f32; 4], [e, f, g, h]: [f32; 4]| {
+        [lesser(a, e), lesser(b, f), lesser(c, g), lesser(d, h)]
+    };
+    let (vectors, _) = entries.as_chunks::<4>();
+    let portion = |p: usize| {
+        let v = &vectors[4 * p..][..4];
+        min4(v[3], min4(v[2], min4(v[1], v[0])))
+    };
+    let lanes = [portion(0), portion(1), portion(2), portion(3)];
+    let across: [[f32; 4]; 4] = std::array::from_fn(|l| lanes.map(|portion| portion[l]));
+    min4(min4(across[0], across[1]), min4(across[2], across[3]))
 }
 
 #[cfg(test)]
@@ -248,9 +307,10 @@ mod tests {
         let tables = DistanceTables::compute(&pq, &query).unwrap();
         let mins = tables.per_table_min();
         assert_eq!(mins.len(), 4);
-        let global = tables.global_min();
-        assert!(mins.iter().all(|&m| m >= global));
-        assert!(mins.contains(&global));
+        for (j, &min) in mins.iter().enumerate() {
+            assert!(tables.table(j).contains(&min));
+            assert!(tables.portion_minima(j).contains(&min));
+        }
         assert!(tables.sum_of_mins() <= tables.max_sum());
         // Any actual distance is between sum_of_mins and max_sum.
         let code = vec![3u8, 7, 11, 15];
@@ -297,13 +357,14 @@ mod tests {
         let t = DistanceTables::from_raw(vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0], 2, 4);
         assert_eq!(t.distance(&[0, 0]), 11.0);
         assert_eq!(t.distance(&[3, 2]), 34.0);
-        assert_eq!(t.per_table_min(), vec![1.0, 10.0]);
-        assert_eq!(t.global_min(), 1.0);
+        assert_eq!(t.per_table_min(), &[1.0, 10.0]);
+        assert_eq!(t.portion_minima(1), &[10.0]);
         assert_eq!(t.max_sum(), 44.0);
-        // The in-place writer takes the shape it is given.
+        // The in-place writer takes the shape it is given, minima included.
         let mut t = t;
         t.fill_with(3, 2, |j, row| row.fill(j as f32));
         assert_eq!((t.m(), t.ksub()), (3, 2));
         assert_eq!(t.raw(), &[0.0, 0.0, 1.0, 1.0, 2.0, 2.0]);
+        assert_eq!(t.per_table_min(), &[0.0, 1.0, 2.0]);
     }
 }

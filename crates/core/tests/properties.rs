@@ -112,7 +112,7 @@ proptest! {
         let d = tables.distance(&[c0, c1]);
         prop_assert!(d >= tables.sum_of_mins() - 1e-3);
         prop_assert!(d <= tables.max_sum() + 1e-3);
-        prop_assert!(tables.global_min() <= tables.per_table_min()[0] + 1e-6);
+        prop_assert!(tables.per_table_min()[0] <= tables.table(0)[c0 as usize]);
     }
 
     /// Codebook permutation composes correctly: permuting by `perm` moves

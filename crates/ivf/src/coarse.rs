@@ -6,12 +6,17 @@
 //! *residual* `x − c(x)` rather than `x` itself, following \[14\].
 
 use crate::IvfError;
+use pqfs_kmeans::distance::CentroidBlocks;
 use pqfs_kmeans::{train, KMeans, KMeansConfig};
 
 /// A trained coarse quantizer.
 #[derive(Debug, Clone)]
 pub struct CoarseQuantizer {
     model: KMeans,
+    /// The centroids in the blocked layout every cell is scored from: each
+    /// distance bit-identical to `l2_sq`, so [`assign`](Self::assign) and
+    /// [`assign_multi`](Self::assign_multi) agree on the nearest cell.
+    blocks: CentroidBlocks,
 }
 
 impl CoarseQuantizer {
@@ -25,9 +30,12 @@ impl CoarseQuantizer {
         let cfg = KMeansConfig::new(partitions)
             .with_seed(seed)
             .with_max_iters(30);
-        Ok(CoarseQuantizer {
-            model: train(data, dim, &cfg)?,
-        })
+        Ok(Self::from_model(train(data, dim, &cfg)?))
+    }
+
+    fn from_model(model: KMeans) -> Self {
+        let blocks = CentroidBlocks::new(model.centroids(), model.dim());
+        CoarseQuantizer { model, blocks }
     }
 
     /// Rebuilds a coarse quantizer from a stored centroid matrix
@@ -37,9 +45,7 @@ impl CoarseQuantizer {
     ///
     /// Panics if the matrix is empty or not a multiple of `dim`.
     pub fn from_centroids(centroids: Vec<f32>, dim: usize) -> Self {
-        CoarseQuantizer {
-            model: KMeans::from_centroids(centroids, dim),
-        }
+        Self::from_model(KMeans::from_centroids(centroids, dim))
     }
 
     /// Number of partitions (Voronoi cells).
@@ -61,26 +67,23 @@ impl CoarseQuantizer {
         self.model.centroid(p)
     }
 
-    /// Index of the partition whose centroid is nearest to `v` (Algorithm 1
-    /// step 1: `index_get_partition`).
+    /// Index of the partition whose centroid is nearest to `v`, ties to the
+    /// lower index (Algorithm 1 step 1: `index_get_partition`).
     pub fn assign(&self, v: &[f32]) -> usize {
-        self.model.assign(v).0
+        self.blocks.nearest(v).0
     }
 
-    /// The `w` partitions nearest to `v`, ascending by centroid distance
-    /// (multi-probe selection, as in the original IVFADC \[14\]).
+    /// The `w` partitions nearest to `v`, ascending by centroid distance,
+    /// ties by index (multi-probe selection, as in the original IVFADC
+    /// \[14\]); the first is [`assign`](Self::assign)'s.
     pub fn assign_multi(&self, v: &[f32], w: usize) -> Vec<usize> {
         let k = self.partitions();
-        let mut scored: Vec<(f32, usize)> = (0..k)
-            .map(|p| {
-                let c = self.centroid(p);
-                let d: f32 = v.iter().zip(c).map(|(a, b)| (a - b) * (a - b)).sum();
-                (d, p)
-            })
-            .collect();
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        scored.truncate(w.max(1).min(k));
-        scored.into_iter().map(|(_, p)| p).collect()
+        let mut distances = vec![0f32; k];
+        self.blocks.distances(v, &mut distances);
+        let mut cells: Vec<usize> = (0..k).collect();
+        cells.sort_unstable_by(|&a, &b| distances[a].total_cmp(&distances[b]).then(a.cmp(&b)));
+        cells.truncate(w.max(1).min(k));
+        cells
     }
 
     /// Writes the residual `v − centroid(p)` into `out`.
@@ -128,6 +131,40 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
+    }
+
+    /// `assign_multi` ranks the cells by `l2_sq` with ties to the lower
+    /// index, and its first cell is `assign`'s. The first query is crafted
+    /// so that summing its squared differences left to right ties cells 0
+    /// and 1 at 2²⁴, while `l2_sq`'s four accumulators put cell 1 (2²⁴)
+    /// before cell 0 (2²⁴ + 2); cells 2 and 3 tie exactly.
+    #[test]
+    fn assign_multi_ranks_cells_in_l2_sq_order() {
+        use pqfs_kmeans::distance::l2_sq;
+        let centroids = [
+            [4096.0f32, 1.0, 1.0, 1.0, 0.0],
+            [4096.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 5000.0],
+            [0.0, 0.0, 0.0, 0.0, -5000.0],
+            [-5000.0, 2.0, 3.0, 4.0, 5.0],
+        ];
+        let cq = CoarseQuantizer::from_centroids(centroids.concat(), 5);
+        let queries = [
+            [0.0f32; 5],
+            [2048.0, 0.5, 0.5, 0.5, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 2500.0],
+            [-5000.0, 2.0, 3.0, 4.0, 5.0],
+        ];
+        for v in &queries {
+            let mut want: Vec<usize> = (0..centroids.len()).collect();
+            want.sort_by(|&a, &b| {
+                let (da, db) = (l2_sq(v, &centroids[a]), l2_sq(v, &centroids[b]));
+                da.total_cmp(&db).then(a.cmp(&b))
+            });
+            assert_eq!(cq.assign_multi(v, centroids.len()), want, "{v:?}");
+            assert_eq!(cq.assign_multi(v, 1), [cq.assign(v)], "{v:?}");
+        }
+        assert_eq!(cq.assign_multi(&queries[0], 2), [1, 0]);
     }
 
     #[test]

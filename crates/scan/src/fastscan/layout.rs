@@ -30,7 +30,7 @@ pub const FS_M: usize = 8;
 pub const FS_BLOCK: usize = 16;
 
 /// Entries per small table / distance-table portion.
-pub const PORTION: usize = 16;
+pub use pqfs_core::tables::PORTION;
 
 /// Entries per distance table (`PQ 8×8`: one per value of a code byte).
 pub const KSUB: usize = 256;

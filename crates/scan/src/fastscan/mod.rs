@@ -5,9 +5,10 @@
 //!
 //! 1. **vector grouping** ([`grouping`]) — the first 4 components only need
 //!    the 16-entry table portion shared by the whole group;
-//! 2. **minimum tables** ([`mintables`]) — the last 4 components use the
-//!    minimum of each portion, tightened by the optimized centroid-index
-//!    assignment (`ProductQuantizer::optimize_assignment`);
+//! 2. **minimum tables** — the last 4 components use the minimum of each
+//!    portion ([`DistanceTables::portion_minima`]), tightened by the
+//!    optimized centroid-index assignment
+//!    (`ProductQuantizer::optimize_assignment`);
 //! 3. **8-bit distance quantization** ([`crate::quantize`], always with
 //!    [`DEFAULT_BINS`](crate::DEFAULT_BINS) bins).
 //!
@@ -39,7 +40,6 @@
 pub mod grouping;
 pub mod kernel;
 pub mod layout;
-pub mod mintables;
 mod scan;
 
 pub use kernel::Kernel;

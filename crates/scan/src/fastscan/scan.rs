@@ -22,7 +22,6 @@
 use crate::fastscan::grouping::GroupedCodes;
 use crate::fastscan::kernel::{self, BlockSink, ScanTables};
 use crate::fastscan::layout::{bytes_per_block, lane_distance, FS_BLOCK, FS_M, KSUB, PORTION};
-use crate::fastscan::mintables::portion_minima;
 use crate::fastscan::FastScanIndex;
 use crate::quantize::{DistanceQuantizer, DEFAULT_BINS};
 use crate::result::{ScanResult, ScanStats};
@@ -156,12 +155,22 @@ pub(crate) fn scan_with(
     // already, from a better sample than this partition's own: the warm-up
     // is skipped.
     let entry = params.bound;
-    // What a key nibble adds at least, per grouped component: the warm-up
-    // picks its groups and the fast path orders its runs by these.
-    let mut minima = [[0f32; PORTION]; 4];
-    for (j, minima) in minima.iter_mut().enumerate().take(c) {
-        *minima = portion_minima(&float_tables[j * KSUB..][..KSUB]);
+    if entry < tables.sum_of_mins() {
+        // No distance from these tables is below the sum of their minima:
+        // the bound excludes the whole partition before a code byte is
+        // read. (Left to the kernel, the vectors within a bin of the minima
+        // would be verified first.)
+        stats.pruned = n as u64;
+        return Ok(ScanResult {
+            neighbors: Vec::new(),
+            stats,
+        });
     }
+    // What a key nibble adds at least, per component: the portion minima
+    // the tables hold. The warm-up picks its groups and the fast path
+    // orders its runs by those of the grouped components; those of the
+    // others, quantized, are the minimum tables (§4.3).
+    let minima: [&[f32]; FS_M] = std::array::from_fn(|j| tables.portion_minima(j));
     let warm_groups = &mut scratch.warm_groups;
     warm_groups.clear();
     if entry == f32::INFINITY && params.keep > 0.0 {
@@ -187,17 +196,6 @@ pub(crate) fn scan_with(
         tables.max_sum()
     };
     let quantizer = DistanceQuantizer::new(tables, qmax, DEFAULT_BINS);
-    if entry < quantizer.bias_sum() {
-        // No distance from these tables is below the sum of their minima:
-        // the bound excludes the whole partition before a code byte is
-        // read. (Left to the kernel, the vectors within a bin of the minima
-        // would be verified first.)
-        stats.pruned = n as u64;
-        return Ok(ScanResult {
-            neighbors: Vec::new(),
-            stats,
-        });
-    }
 
     // Quantized full tables for the grouped components (their 16-entry
     // portions become S_0..S_{c-1}, selected per group by the kernel) — and
@@ -210,11 +208,11 @@ pub(crate) fn scan_with(
         quantizer.quantize_table_into(j, tables.table(j), buf);
     }
     // ...and the minimum tables S_c..S_7, constant for the whole query
-    // (portion minima computed in float domain, then quantized — monotone,
-    // so this equals the minimum of quantized entries).
-    for j in c..FS_M {
-        scan_tables.small[j] =
-            portion_minima(tables.table(j)).map(|min| quantizer.quantize_value(j, min));
+    // (portion minima quantized — monotone, so this equals the minimum of
+    // the quantized entries).
+    let small = scan_tables.small.iter_mut().zip(minima).enumerate();
+    for (j, (small, minima)) in small.skip(c) {
+        *small = std::array::from_fn(|p| quantizer.quantize_value(j, minima[p]));
     }
 
     // ---- Fast path: the kernel walks the runs nearest-first, passes over
@@ -271,10 +269,10 @@ pub(crate) fn scan_with(
 /// the groups found hold fewer than `topk` vectors. The `t^c` keys are
 /// looked up in the key-sorted group list; absent groups hold nothing.
 /// `c = 0` has one group and `t = 16` selects every group: both scan the
-/// partition exactly. `minima[j]` are the portion minima of `D_j`, `j < c`.
+/// partition exactly. `minima[j]` are the portion minima of `D_j`.
 fn choose_warm_groups(
     grouped: &GroupedCodes,
-    minima: &[[f32; PORTION]; 4],
+    minima: &[&[f32]; FS_M],
     keep: f64,
     topk: usize,
     chosen: &mut Vec<u32>,
@@ -338,7 +336,7 @@ const MAX_RUNS: usize = PORTION * PORTION;
 /// prefix selects (the least it adds to a distance), ties by prefix.
 fn run_order<'a>(
     grouped: &GroupedCodes,
-    minima: &[[f32; PORTION]; 4],
+    minima: &[&[f32]; FS_M],
     order: &'a mut [u8; MAX_RUNS],
 ) -> &'a [u8] {
     let (groups, runs) = (grouped.groups(), grouped.runs());
@@ -394,7 +392,7 @@ struct Verifier<'a> {
     grouped: &'a GroupedCodes,
     /// The float distance tables `D_0 … D_7`, back to back.
     float_tables: &'a [f32; FS_M * KSUB],
-    quantizer: &'a DistanceQuantizer,
+    quantizer: &'a DistanceQuantizer<'a>,
     heap: TopK,
     /// The caller's entry bound ([`ScanParams::bound`]).
     entry: f32,

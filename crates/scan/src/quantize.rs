@@ -54,27 +54,28 @@ pub const NO_PRUNE: u8 = u8::MAX;
 /// ones.
 pub const MAX_SCALED_BIAS: f32 = (1u32 << 18) as f32;
 
-/// Per-query quantizer mapping float distances to bytes.
+/// Per-query quantizer mapping float distances to bytes; its biases are the
+/// tables' own [`per_table_min`](DistanceTables::per_table_min).
 #[derive(Debug, Clone)]
-pub struct DistanceQuantizer {
-    biases: Vec<f32>,
+pub struct DistanceQuantizer<'t> {
+    biases: &'t [f32],
     bias_sum: f32,
     inv_delta: f32,
     qmax: f32,
     bins: u16,
 }
 
-impl DistanceQuantizer {
+impl<'t> DistanceQuantizer<'t> {
     /// Builds a quantizer for one query's distance tables.
     ///
     /// `qmax` is the distance of the temporary nearest neighbor (or
     /// [`DistanceTables::max_sum`] when no warm-up ran). `bins` is clamped
     /// into `1..=`[`DEFAULT_BINS`] so an exact-`qmax` threshold is still
     /// representable below the [`NO_PRUNE`] sentinel.
-    pub fn new(tables: &DistanceTables, qmax: f32, bins: u16) -> Self {
+    pub fn new(tables: &'t DistanceTables, qmax: f32, bins: u16) -> Self {
         let bins = bins.clamp(1, DEFAULT_BINS);
         let biases = tables.per_table_min();
-        let bias_sum: f32 = biases.iter().sum();
+        let bias_sum = tables.sum_of_mins();
         // The narrowest span whose bins `f32` sums still resolve.
         let span = (qmax - bias_sum).max(bias_sum * (bins as f32 / MAX_SCALED_BIAS));
         let inv_delta = if qmax.is_finite() && span > 0.0 {
@@ -119,9 +120,9 @@ impl DistanceQuantizer {
     #[inline]
     pub fn quantize_value(&self, j: usize, v: f32) -> u8 {
         let scaled = (v - self.biases[j]) * self.inv_delta;
-        // NaN-free by construction (tables are finite); clamp handles the
-        // negative case defensively.
-        scaled.floor().clamp(0.0, 255.0) as u8
+        // Clamped into [0, 255], the cast's truncation is the floor; a
+        // below-zero or NaN product gives 0, as the floor would.
+        scaled.clamp(0.0, 255.0) as u8
     }
 
     /// Quantizes a full 256-entry table row (used by the grouped small
@@ -165,9 +166,9 @@ impl DistanceQuantizer {
 
 /// Appends the quantized entries of the whole 32-entry chunks of `table` to
 /// `out`: `(v − bias) · inv_delta` clamped into `[0, 255]` and truncated,
-/// which is [`DistanceQuantizer::quantize_value`]'s floor-then-clamp for
-/// every input — below zero both give 0, a NaN (`∞ − ∞`, `∞ · 0`) too:
-/// `max_ps` returns its second operand, the `0.0`, when the first is NaN.
+/// as [`DistanceQuantizer::quantize_value`] does for every input — a NaN
+/// (`∞ − ∞`, `∞ · 0`) gives 0 too: `max_ps` returns its second operand, the
+/// `0.0`, when the first is NaN.
 ///
 /// # Safety
 ///
@@ -257,6 +258,115 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The minima a `DistanceTables` stores — per 16-entry portion and per
+    /// table — are the scalar fold bit for bit, after every way of writing
+    /// the tables, and the quantizer built on them matches a scalar
+    /// reference: biases, their sum, every quantized entry and threshold.
+    /// A quantized portion minimum is also a lower bound for the quantized
+    /// entries of its portion, which is what makes it a minimum table.
+    #[test]
+    fn stored_minima_and_the_quantizer_match_a_scalar_reference() {
+        use pqfs_core::tables::PORTION;
+        use pqfs_core::{PqConfig, ProductQuantizer};
+        let fold = |x: &[f32]| x.iter().copied().fold(f32::INFINITY, f32::min);
+        let check = |t: &DistanceTables, case: &str| {
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let biases: Vec<f32> = (0..t.m()).map(|j| fold(t.table(j))).collect();
+            for j in 0..t.m() {
+                let want: Vec<f32> = t.table(j).chunks(PORTION).map(fold).collect();
+                assert_eq!(bits(t.portion_minima(j)), bits(&want), "{case} j={j}");
+            }
+            assert_eq!(bits(t.per_table_min()), bits(&biases), "{case}");
+            let bias_sum: f32 = biases.iter().sum();
+            assert_eq!(t.sum_of_mins().to_bits(), bias_sum.to_bits(), "{case}");
+            let best = t.sum_of_mins();
+            for qmax in [
+                best,
+                best + 1.5,
+                t.distance(&vec![1; t.m()]),
+                1e9,
+                f32::INFINITY,
+            ] {
+                let q = DistanceQuantizer::new(t, qmax, DEFAULT_BINS);
+                let bins = DEFAULT_BINS as f32;
+                let span = (qmax - bias_sum).max(bias_sum * (bins / MAX_SCALED_BIAS));
+                let usable = qmax.is_finite() && span > 0.0;
+                let inv_delta = if usable { bins / span } else { 0.0 };
+                assert_eq!(bits(q.biases), bits(&biases), "{case} qmax={qmax}");
+                assert_eq!(q.bias_sum().to_bits(), bias_sum.to_bits(), "{case}");
+                let quantize = |j: usize, v: f32| {
+                    ((v - biases[j]) * inv_delta).floor().clamp(0.0, 255.0) as u8
+                };
+                for j in 0..t.m() {
+                    let want: Vec<u8> = t.table(j).iter().map(|&v| quantize(j, v)).collect();
+                    let mut got = vec![7; 3];
+                    q.quantize_table_into(j, t.table(j), &mut got);
+                    assert_eq!(got, want, "{case} qmax={qmax} j={j}");
+                    for (p, &min) in t.portion_minima(j).iter().enumerate() {
+                        let portion = &want[p * PORTION..want.len().min((p + 1) * PORTION)];
+                        assert!(portion.iter().all(|&e| quantize(j, min) <= e), "{case}");
+                    }
+                }
+                for thresh in [best, best + 0.75, qmax, 2e9, f32::INFINITY] {
+                    let want = if !thresh.is_finite() || inv_delta == 0.0 {
+                        NO_PRUNE
+                    } else {
+                        (((thresh - bias_sum) * inv_delta).floor() + 1.0).clamp(0.0, 255.0) as u8
+                    };
+                    assert_eq!(q.quantize_threshold(thresh), want, "{case} t={thresh}");
+                }
+            }
+        };
+
+        // Ties within and across portions, zeros, an all-∞ portion, and a
+        // `ksub` that leaves a short last portion (100 = 6 · 16 + 4).
+        for ksub in [256usize, 100, 16, 5] {
+            let data: Vec<f32> = (0..3 * ksub)
+                .map(|i| match (i / ksub, i % ksub) {
+                    (0, e) => (e % 7) as f32,
+                    (1, e) if e < PORTION => f32::INFINITY,
+                    (1, e) => ((e * 37) % 11) as f32 * 0.5 + 3.0,
+                    (_, e) => 1.0 + (e % 3 == 0) as u8 as f32,
+                })
+                .collect();
+            let mut t = DistanceTables::from_raw(data.clone(), 3, ksub);
+            check(&t, &format!("from_raw ksub={ksub}"));
+            // Reused for other tables, of another shape too: the minima follow.
+            t.fill_with(3, ksub, |j, row| {
+                for (e, v) in row.iter_mut().enumerate() {
+                    *v = data[j * ksub + (e + 5) % ksub] + j as f32;
+                }
+            });
+            check(&t, &format!("fill_with ksub={ksub}"));
+            t.fill_with(2, 32, |j, row| row.fill(j as f32 * 4.0));
+            check(&t, &format!("fill_with reshaped from ksub={ksub}"));
+        }
+
+        // Tables of a trained quantizer, recomputed in place for a second
+        // query, and for a third whose huge first coordinate overflows its
+        // subspace's entries to +∞.
+        let config = PqConfig::pq8x8(16);
+        let train: Vec<f32> = (0..600 * 16)
+            .map(|i| ((i * 7919) % 1000) as f32 * 0.1)
+            .collect();
+        let pq = ProductQuantizer::train(&train, &config, 3).unwrap();
+        let mut t = DistanceTables::placeholder();
+        let queries = [
+            vec![20.0f32; 16],
+            (0..16).map(|d| d as f32 * 6.0).collect(),
+            {
+                let mut q = vec![50.0f32; 16];
+                q[0] = 1e30;
+                q
+            },
+        ];
+        for (i, query) in queries.iter().enumerate() {
+            t.recompute(&pq, query).unwrap();
+            assert_eq!(t.per_table_min()[0] == f32::INFINITY, i == 2);
+            check(&t, &format!("recompute query {i}"));
         }
     }
 
