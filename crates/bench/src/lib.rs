@@ -17,8 +17,6 @@
 //! and [`columnar`] (§6); and the measurement helpers [`stats`], [`table`],
 //! [`timer`], [`recall`], [`counters`] and [`cost_model`].
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod baselines;
 pub mod columnar;
 pub mod cost_model;

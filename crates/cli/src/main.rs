@@ -31,8 +31,6 @@
 //! Vector files use the TEXMEX `.fvecs` format (ANN_SIFT1B's float format),
 //! so the real corpus drops in directly.
 
-#![forbid(unsafe_code)]
-
 use pqfs_data::{read_fvecs, write_fvecs, SyntheticConfig, SyntheticDataset};
 use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend, SearchRequest};
 use std::process::ExitCode;
@@ -197,8 +195,8 @@ USAGE:
 
   --threads N  size of the shared worker pool used by build encoding,
                multi-probe (--nprobe > 1) and batch (--batch true) queries.
-               Defaults to all cores; the PQFS_THREADS environment variable
-               sets the same limit.
+               1 to {}; defaults to all cores. The PQFS_THREADS
+               environment variable sets the same limit.
   --batch true answer all queries as one parallel batch and report
                aggregate throughput instead of per-query latency.
   --deadline-ms N
@@ -240,6 +238,7 @@ The PQFS_FAILPOINTS environment variable arms deterministic fault
 injection at named IO/search sites (testing; see the pqfs_fault crate).
 
 BACKENDS: {}",
+        pqfs_pool::MAX_THREADS,
         SearchBackend::names()
     )
 }
@@ -249,11 +248,10 @@ BACKENDS: {}",
 /// command dispatch).
 fn apply_threads(args: &Args) -> Result<(), String> {
     if let Some(v) = args.get("threads") {
-        let n: usize = v
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("--threads expects a positive integer, got '{v}'"))?;
+        let n = pqfs_pool::parse_threads(v).ok_or_else(|| {
+            let max = pqfs_pool::MAX_THREADS;
+            format!("--threads expects an integer in 1..={max}, got '{v}'")
+        })?;
         std::env::set_var("PQFS_THREADS", n.to_string());
     }
     Ok(())

@@ -233,6 +233,13 @@ fn serve_rejects_bad_flags_and_missing_index() {
         assert_eq!(out.status.code(), Some(1), "{command} {flag}: {stderr}");
         assert!(stderr.contains(flag), "{command} names {flag}: {stderr}");
     }
+    // A pool size above pqfs_pool::MAX_THREADS is refused before any
+    // thread starts: exit 1, naming the accepted range.
+    let out = pqfs(&["serve", "--index", "ix.pqiv", "--threads", "100000"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "--threads 100000: {stderr}");
+    let range = format!("1..={}", pqfs_pool::MAX_THREADS);
+    assert!(stderr.contains(&range), "{stderr}");
     // A scan the paper only measures is not a backend: exit 1, listing the
     // three that are.
     let out = pqfs(&[

@@ -36,11 +36,12 @@ impl PqConfig {
     /// # Panics
     ///
     /// Panics if `dim` is not a positive multiple of 8.
+    #[allow(
+        clippy::expect_used,
+        reason = "documented panic: the `# Panics` section is this constructor's contract"
+    )]
     pub fn pq8x8(dim: usize) -> Self {
-        PqConfig::new(dim, 8, 8)
-            // Documented panic: the `# Panics` section is this constructor's
-            // contract. pqfs-lint: allow(forbidden-panic)
-            .expect("dim must be a positive multiple of 8")
+        PqConfig::new(dim, 8, 8).expect("dim must be a positive multiple of 8")
     }
 
     /// `PQ 16×4` (16 sub-quantizers × 16 centroids), Table 1's first row.
@@ -48,11 +49,12 @@ impl PqConfig {
     /// # Panics
     ///
     /// Panics if `dim` is not a positive multiple of 16.
+    #[allow(
+        clippy::expect_used,
+        reason = "documented panic: the `# Panics` section is this constructor's contract"
+    )]
     pub fn pq16x4(dim: usize) -> Self {
-        PqConfig::new(dim, 16, 4)
-            // Documented panic: the `# Panics` section is this constructor's
-            // contract. pqfs-lint: allow(forbidden-panic)
-            .expect("dim must be a positive multiple of 16")
+        PqConfig::new(dim, 16, 4).expect("dim must be a positive multiple of 16")
     }
 
     /// `PQ 4×16` (4 sub-quantizers × 65536 centroids), Table 1's third row.
@@ -62,11 +64,12 @@ impl PqConfig {
     /// # Panics
     ///
     /// Panics if `dim` is not a positive multiple of 4.
+    #[allow(
+        clippy::expect_used,
+        reason = "documented panic: the `# Panics` section is this constructor's contract"
+    )]
     pub fn pq4x16(dim: usize) -> Self {
-        PqConfig::new(dim, 4, 16)
-            // Documented panic: the `# Panics` section is this constructor's
-            // contract. pqfs-lint: allow(forbidden-panic)
-            .expect("dim must be a positive multiple of 4")
+        PqConfig::new(dim, 4, 16).expect("dim must be a positive multiple of 4")
     }
 
     /// Vector dimensionality `d`.

@@ -35,8 +35,6 @@
 //! assert!(approx.is_finite());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod codebook;
 pub mod codec;
 pub mod config;

@@ -10,8 +10,6 @@
 //!   formats, so the real corpus can be dropped in when available;
 //! * [`groundtruth`] — exact brute-force k-NN for recall measurements.
 
-#![forbid(unsafe_code)]
-
 pub mod groundtruth;
 pub mod io;
 pub mod synthetic;

@@ -55,8 +55,6 @@
 //! wall-clock time or thread scheduling — so an armed test fails the same
 //! way on every run and pool size.
 
-#![forbid(unsafe_code)]
-
 mod io_wrap;
 mod spec;
 

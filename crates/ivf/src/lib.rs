@@ -57,8 +57,6 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod coarse;
 mod error;
 pub mod index;

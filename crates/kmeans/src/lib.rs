@@ -31,8 +31,6 @@
 //! assert_eq!(c0, c1);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod distance;
 mod error;
 pub mod lloyd;

@@ -32,7 +32,6 @@
 //! # serve();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod expose;

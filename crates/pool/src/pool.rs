@@ -203,6 +203,10 @@ impl ThreadPool {
     /// Creates a pool with `threads` total participants: `threads - 1`
     /// background workers plus the submitting thread, which always helps
     /// execute. `threads <= 1` spawns nothing and runs every task inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operating system refuses to spawn a worker thread.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let worker_count = threads - 1;
@@ -215,15 +219,17 @@ impl ThreadPool {
             lot: Mutex::new(false),
             wake: Condvar::new(),
         });
+        #[allow(
+            clippy::expect_used,
+            reason = "a pool that cannot spawn its workers cannot uphold its \
+                      parallelism contract; the `# Panics` section documents it"
+        )]
         let workers = (0..worker_count)
             .map(|me| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pqfs-worker-{me}"))
                     .spawn(move || worker_loop(shared, me))
-                    // Failing to spawn a worker leaves the pool unable to
-                    // uphold its parallelism contract; documented panic.
-                    // pqfs-lint: allow(forbidden-panic)
                     .expect("spawn pool worker")
             })
             .collect();

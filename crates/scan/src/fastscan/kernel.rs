@@ -706,6 +706,10 @@ mod x86 {
 
     /// Lanes of `acc` at or below the threshold, as a bitmask: unsigned
     /// `acc <= threshold` as `min(acc, t) == acc`.
+    ///
+    /// # Safety
+    ///
+    /// CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
     fn pair_mask(acc: __m256i, threshold_vec: __m256i) -> u32 {
@@ -795,6 +799,10 @@ mod x86 {
 
     impl PerPath {
         /// `threshold` in every lane.
+        ///
+        /// # Safety
+        ///
+        /// CPU must support AVX2.
         #[target_feature(enable = "avx2")]
         #[inline]
         fn splat(threshold: u8) -> Self {
@@ -805,6 +813,10 @@ mod x86 {
         }
 
         /// A 16-entry table, broadcast to both lanes for the pair path.
+        ///
+        /// # Safety
+        ///
+        /// CPU must support AVX2.
         #[target_feature(enable = "avx2")]
         #[inline]
         fn table(table: &[u8]) -> Self {

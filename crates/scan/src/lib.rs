@@ -48,8 +48,6 @@
 //! shadow-runs each SIMD kernel against its portable oracle when
 //! `PQFS_CHECK_RATE` asks for it; unset, it is off.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod checked;
 mod error;
 pub mod fastscan;

@@ -45,7 +45,6 @@
 //! The only `unsafe` in the crate is the two-line SIGTERM handler
 //! registration in [`signal`]; everything else is safe std.
 
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 pub mod client;

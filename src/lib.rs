@@ -58,8 +58,6 @@
 //! assert_eq!(result.ids(), reference.ids());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use pqfs_core as core;
 pub use pqfs_data as data;
 pub use pqfs_fault as fault;

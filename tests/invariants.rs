@@ -1,0 +1,145 @@
+//! Invariants no rustc or clippy lint sees (docs/STATIC_ANALYSIS.md): failpoint
+//! sites and metric names against their registries, both ways, and each
+//! manifest's unsafe-code lints. Library code is each `crates/*/src/**/*.rs`
+//! and `src/**/*.rs` file cut at its first column-0 `#[cfg(test)]`, comment
+//! lines dropped. Cargo runs tests in the repository root: paths are relative.
+
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+
+/// The crates under `crates/` that may hold unsafe code; the rest forbid it.
+const UNSAFE_CRATES: [&str; 4] = ["scan", "pool", "server", "bench"];
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Every file under `dir`.
+fn walk(dir: &Path) -> Vec<PathBuf> {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{dir:?}: {e}"));
+    let paths = entries.map(|entry| entry.expect("a directory entry").path());
+    paths
+        .flat_map(|p| if p.is_dir() { walk(&p) } else { vec![p] })
+        .collect()
+}
+
+fn library_code() -> String {
+    let mut files = walk(Path::new("crates"));
+    files.retain(|p| p.iter().nth(2).is_some_and(|c| c == "src"));
+    files.extend(walk(Path::new("src")));
+    files.retain(|p| p.extension().is_some_and(|e| e == "rs"));
+    let mut code = String::new();
+    for file in files {
+        let text = read(&file);
+        let lines = text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+        for line in lines.filter(|l| !l.trim_start().starts_with("//")) {
+            code += line;
+            code += "\n";
+        }
+    }
+    code
+}
+
+/// The text of each group (call or struct literal) `needle` opens, up to its
+/// closing bracket; a needle after an identifier character is another name.
+fn groups<'a>(code: &'a str, needle: &str) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    for (at, _) in code.match_indices(needle) {
+        if code[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_') {
+            continue;
+        }
+        let rest = &code[at + needle.len()..];
+        let mut depth = 1;
+        let end = rest.find(|c| {
+            depth += i32::from("([{".contains(c)) - i32::from(")]}".contains(c));
+            depth == 0
+        });
+        out.push(&rest[..end.unwrap_or(rest.len())]);
+    }
+    out
+}
+
+/// The string literal that opens each group of each of `needles`.
+fn first_literals<'a>(code: &'a str, needles: &[impl AsRef<str>]) -> BTreeSet<&'a str> {
+    let groups = needles.iter().flat_map(|n| groups(code, n.as_ref()));
+    let opening = |g: &'a str| g.trim_start().strip_prefix('"')?.split('"').next();
+    groups.filter_map(opening).collect()
+}
+
+#[test]
+fn failpoint_sites_and_the_registry_match_both_ways() {
+    let code = library_code();
+    let mut sites = first_literals(&code, &["check(", "arm(", "arm_limited(", "scoped("]);
+    for needle in ["FaultRead::new(", "FaultWrite::new(", "AtomicWriteSites {"] {
+        for group in groups(&code, needle) {
+            sites.extend(group.split('"').skip(1).step_by(2));
+        }
+    }
+    let registry = read(Path::new("crates/fault/failpoints.sites"));
+    let lines = registry.lines().filter_map(|l| l.split('#').next());
+    let entries: Vec<&str> = lines.map(str::trim).filter(|l| !l.is_empty()).collect();
+    for site in &sites {
+        let family = |e: &&str| e.strip_suffix('*').is_some_and(|p| site.starts_with(p));
+        let registered = entries.contains(site) || entries.iter().any(family);
+        assert!(registered, "failpoint site {site:?} is not registered");
+    }
+    for entry in entries {
+        let armed = match entry.strip_suffix('*') {
+            Some(prefix) => code.contains(&format!("format!(\"{prefix}{{")),
+            None => sites.contains(entry),
+        };
+        assert!(armed, "registered site {entry:?} is armed nowhere");
+    }
+}
+
+#[test]
+fn metric_names_and_the_observability_doc_match_both_ways() {
+    let code = library_code();
+    let kinds = ["LazyCounter", "LazyGauge", "LazyHistogram", "CounterFamily"];
+    let ctors = kinds.map(|k| [format!("{k}::new("), format!("{k}::labeled(")]);
+    let names = first_literals(&code, ctors.as_flattened());
+    let doc = read(Path::new("docs/OBSERVABILITY.md"));
+    for name in &names {
+        let legal = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+        let grammar = name.chars().all(legal) && name.starts_with(|c: char| !c.is_ascii_digit());
+        assert!(grammar, "metric {name:?} is not `[a-zA-Z_:][a-zA-Z0-9_:]*`");
+        assert!(doc.contains(name), "metric {name:?} is undocumented");
+    }
+    // The first cell of a metric table row names one or more metrics.
+    let rows: Vec<&str> = doc.lines().filter(|l| l.starts_with("| `pqfs_")).collect();
+    assert!(!rows.is_empty(), "no metric table in docs/OBSERVABILITY.md");
+    for cell in rows.iter().filter_map(|row| row.split(" | ").next()) {
+        for name in cell.split('`').skip(1).step_by(2) {
+            let name = name.split('{').next().unwrap_or_default();
+            assert!(names.contains(name), "metric {name:?} is never made");
+        }
+    }
+}
+
+#[test]
+fn manifests_and_binaries_carry_their_unsafe_code_policy() {
+    // Cargo rejects `[lints] workspace = true` beside a crate's own table.
+    let inherit = "\n[lints]\nworkspace = true\n";
+    let deny_ops = "\n[lints.rust]\nunsafe_op_in_unsafe_fn = \"deny\"\n";
+    let workspace = read(Path::new("Cargo.toml"));
+    assert!(workspace.contains("\n[workspace.lints.rust]\nunsafe_code = \"forbid\"\n"));
+    assert!(workspace.contains(inherit), "the facade inherits the lints");
+    let files = walk(Path::new("crates"));
+    let mut unsafe_crates = 0;
+    for path in files.iter().filter(|p| p.ends_with("Cargo.toml")) {
+        let (manifest, dir) = (read(path), path.parent().expect("a crate directory"));
+        if !UNSAFE_CRATES.iter().any(|c| dir.ends_with(c)) {
+            assert!(manifest.contains(inherit), "{path:?} inherits the forbid");
+            continue;
+        }
+        let own_table = manifest.contains(deny_ops) && !manifest.contains(inherit);
+        assert!(own_table, "{path:?} denies unsafe_op_in_unsafe_fn alone");
+        let (bin, main) = (dir.join("src/bin"), dir.join("src/main.rs"));
+        for root in files.iter().filter(|p| p.starts_with(&bin) || **p == main) {
+            let header = read(root).lines().any(|l| l == "#![forbid(unsafe_code)]");
+            assert!(header, "{root:?} lacks #![forbid(unsafe_code)]");
+        }
+        unsafe_crates += 1;
+    }
+    assert_eq!(unsafe_crates, UNSAFE_CRATES.len());
+}
