@@ -100,7 +100,9 @@ impl Fixture {
     /// pool).
     pub fn partition(&mut self, n: usize) -> RowMajorCodes {
         let base = self.dataset.sample(n);
-        self.pq.encode_batch_parallel(&base).expect("encode")
+        self.pq
+            .encode_batch_parallel(&base, pqfs_pool::ThreadPool::global())
+            .expect("encode")
     }
 
     /// Draws `count` fresh queries (row-major).

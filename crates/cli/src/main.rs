@@ -493,9 +493,13 @@ fn query_batch(
     let pool = pqfs_pool::ThreadPool::global();
     let inline = pqfs_pool::ThreadPool::new(1);
     let start = Instant::now();
-    let outcomes = pool.try_parallel_map(&rows, |_, q| index.search(q, request, &inline, None));
+    let outcomes = pool.parallel_map(&rows, |_, q| index.search(q, request, &inline, None));
     let ms = start.elapsed().as_secs_f64() * 1e3;
-    let outcomes = outcomes.map_err(|e| CliError::Other(e.to_string()))?;
+    // The first error in query order, whatever the pool size.
+    let outcomes: Vec<_> = outcomes
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|e| CliError::Other(e.to_string()))?;
     let mut stats = pqfs_scan::ScanStats::default();
     let mut failed = 0usize;
     let mut skipped = 0usize;

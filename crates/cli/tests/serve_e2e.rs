@@ -304,3 +304,42 @@ fn bench_client_fails_fast_when_nothing_listens() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn batch_query_reports_the_lowest_index_error_when_every_probe_fails() {
+    // Every probe scan fails, so every query of the batch errs: the run
+    // exits 1 with nothing on stdout and names the first query's failure,
+    // whatever the pool size. With the first query dropped, the second
+    // one's nearest cell (another partition) is named instead.
+    let (dir, index) = build_fixture("batch-err");
+    let queries = dir.path("q.fvecs");
+    let rest = dir.path("rest.fvecs");
+    assert_success(
+        &pqfs(&[
+            "gen", "--out", &queries, "--n", "8", "--dim", "16", "--seed", "7",
+        ]),
+        "gen queries",
+    );
+    // An fvecs row is a 4-byte dimension and 16 floats.
+    let bytes = std::fs::read(&queries).unwrap();
+    std::fs::write(&rest, &bytes[4 + 16 * 4..]).unwrap();
+    for (file, partition) in [(&queries, 1), (&rest, 0)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pqfs"))
+            .args(["query", "--index", &index, "--queries", file])
+            .args(["--batch", "true", "--topk", "5"])
+            .env("PQFS_FAILPOINTS", "ivf.search.scan=err")
+            .output()
+            .expect("pqfs binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{file}: {stderr}");
+        assert!(out.stdout.is_empty(), "{file}: nothing on stdout");
+        assert_eq!(
+            stderr,
+            format!(
+                "error: scan of partition {partition} failed: \
+                 injected fault at failpoint 'ivf.search.scan'\n"
+            ),
+            "{file}"
+        );
+    }
+}

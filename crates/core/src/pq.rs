@@ -149,9 +149,8 @@ impl ProductQuantizer {
         Ok(RowMajorCodes::new(codes, m))
     }
 
-    /// Encodes a row-major batch on the global [`pqfs_pool::ThreadPool`]
-    /// (encoding is embarrassingly parallel and dominates index-build
-    /// time).
+    /// Encodes a row-major batch on `pool` (encoding is embarrassingly
+    /// parallel and dominates index-build time).
     ///
     /// Results are identical to [`encode_batch`](Self::encode_batch): every
     /// row is encoded independently and written to its own output slot, so
@@ -160,17 +159,7 @@ impl ProductQuantizer {
     /// # Errors
     ///
     /// [`PqError::DimMismatch`] if `data` is not a multiple of `dim`.
-    pub fn encode_batch_parallel(&self, data: &[f32]) -> Result<RowMajorCodes, PqError> {
-        self.encode_batch_parallel_on(data, pqfs_pool::ThreadPool::global())
-    }
-
-    /// [`encode_batch_parallel`](Self::encode_batch_parallel) on a specific
-    /// pool (tests and callers that manage their own pool sizing).
-    ///
-    /// # Errors
-    ///
-    /// [`PqError::DimMismatch`] if `data` is not a multiple of `dim`.
-    pub fn encode_batch_parallel_on(
+    pub fn encode_batch_parallel(
         &self,
         data: &[f32],
         pool: &pqfs_pool::ThreadPool,
@@ -182,21 +171,16 @@ impl ProductQuantizer {
                 actual: data.len(),
             });
         }
-        let n = data.len() / dim;
         let m = self.config.m();
-        if pool.threads() <= 1 || n < 1024 {
-            return self.encode_batch(data);
-        }
-        // Small fixed chunks let the pool's work-stealing balance the load;
-        // the chunk size is a multiple of `m`, so every chunk covers whole
-        // rows.
+        // Chunks of whole rows, many more than threads, so the pool's queue
+        // balances the load.
         const CHUNK_ROWS: usize = 256;
-        let mut codes = vec![0u8; n * m];
-        pool.for_each_chunk(&mut codes, CHUNK_ROWS * m, |offset, out| {
-            let first_row = offset / m;
-            for (k, code) in out.chunks_exact_mut(m).enumerate() {
-                let i = first_row + k;
-                self.encode_into(&data[i * dim..(i + 1) * dim], code);
+        let mut codes = vec![0u8; data.len() / dim * m];
+        let mut chunks: Vec<&mut [u8]> = codes.chunks_mut(CHUNK_ROWS * m).collect();
+        pool.parallel_map_mut(&mut chunks, |c, out| {
+            let rows = data[c * CHUNK_ROWS * dim..].chunks_exact(dim);
+            for (code, row) in out.chunks_exact_mut(m).zip(rows) {
+                self.encode_into(row, code);
             }
         });
         Ok(RowMajorCodes::new(codes, m))
@@ -343,10 +327,12 @@ mod tests {
         let serial = pq.encode_batch(&data).unwrap();
         for threads in [1usize, 2, 8] {
             let pool = pqfs_pool::ThreadPool::new(threads);
-            let parallel = pq.encode_batch_parallel_on(&data, &pool).unwrap();
+            let parallel = pq.encode_batch_parallel(&data, &pool).unwrap();
             assert_eq!(parallel.as_bytes(), serial.as_bytes(), "{threads} threads");
         }
-        let global = pq.encode_batch_parallel(&data).unwrap();
+        let global = pq
+            .encode_batch_parallel(&data, pqfs_pool::ThreadPool::global())
+            .unwrap();
         assert_eq!(global.as_bytes(), serial.as_bytes());
     }
 

@@ -37,5 +37,5 @@ pub mod lloyd;
 pub mod samesize;
 
 pub use error::KMeansError;
-pub use lloyd::{train, InitMethod, KMeans, KMeansConfig};
+pub use lloyd::{train, KMeans, KMeansConfig};
 pub use samesize::{train_same_size, SameSizeConfig, SameSizeKMeans};

@@ -58,18 +58,6 @@ fn assign_step(
     partials.iter().sum()
 }
 
-/// Centroid initialization strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InitMethod {
-    /// k-means++ seeding (D² weighted sampling). Slower to initialize but
-    /// converges in fewer Lloyd iterations and to better codebooks; the
-    /// default everywhere in the reproduction.
-    #[default]
-    KMeansPlusPlus,
-    /// Uniform sampling of `k` distinct input points.
-    Random,
-}
-
 /// Training configuration for [`train`].
 #[derive(Debug, Clone)]
 pub struct KMeansConfig {
@@ -82,8 +70,6 @@ pub struct KMeansConfig {
     pub tol: f64,
     /// RNG seed; identical seeds give identical codebooks.
     pub seed: u64,
-    /// Centroid initialization strategy.
-    pub init: InitMethod,
 }
 
 impl KMeansConfig {
@@ -95,7 +81,6 @@ impl KMeansConfig {
             max_iters: 25,
             tol: 1e-4,
             seed: 0,
-            init: InitMethod::default(),
         }
     }
 
@@ -108,12 +93,6 @@ impl KMeansConfig {
     /// Replaces the iteration bound.
     pub fn with_max_iters(mut self, max_iters: usize) -> Self {
         self.max_iters = max_iters;
-        self
-    }
-
-    /// Replaces the initialization strategy.
-    pub fn with_init(mut self, init: InitMethod) -> Self {
-        self.init = init;
         self
     }
 }
@@ -262,21 +241,6 @@ fn init_plus_plus(data: &[f32], dim: usize, k: usize, rng: &mut StdRng) -> Vec<f
     centroids
 }
 
-/// Uniform sampling of `k` distinct rows (partial Fisher–Yates).
-fn init_random(data: &[f32], dim: usize, k: usize, rng: &mut StdRng) -> Vec<f32> {
-    let n = data.len() / dim;
-    let mut order: Vec<usize> = (0..n).collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..n);
-        order.swap(i, j);
-    }
-    let mut centroids = Vec::with_capacity(k * dim);
-    for &i in &order[..k] {
-        centroids.extend_from_slice(&data[i * dim..(i + 1) * dim]);
-    }
-    centroids
-}
-
 /// Trains a k-means codebook on row-major `data` (`n × dim`, flattened).
 ///
 /// Empty clusters are repaired each iteration by re-seeding them with the
@@ -292,10 +256,7 @@ pub fn train(data: &[f32], dim: usize, cfg: &KMeansConfig) -> Result<KMeans, KMe
     let k = cfg.k;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    let mut centroids = match cfg.init {
-        InitMethod::KMeansPlusPlus => init_plus_plus(data, dim, k, &mut rng),
-        InitMethod::Random => init_random(data, dim, k, &mut rng),
-    };
+    let mut centroids = init_plus_plus(data, dim, k, &mut rng);
 
     let mut assignment = vec![0u32; n];
     let mut dists = vec![0f32; n];
@@ -435,18 +396,6 @@ mod tests {
         assert_eq!(model.k(), 4);
         let (_, d) = model.assign(&[1.0, 1.0]);
         assert_eq!(d, 0.0);
-    }
-
-    #[test]
-    fn random_init_also_works() {
-        let data = blob_data(&[[0.0, 0.0], [50.0, 50.0]], 40, 1.0, 11);
-        let cfg = KMeansConfig::new(2)
-            .with_seed(5)
-            .with_init(InitMethod::Random);
-        let model = train(&data, 2, &cfg).unwrap();
-        let (c0, _) = model.assign(&[0.0, 0.0]);
-        let (c1, _) = model.assign(&[50.0, 50.0]);
-        assert_ne!(c0, c1);
     }
 
     #[test]

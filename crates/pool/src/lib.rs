@@ -1,4 +1,4 @@
-//! Work-stealing thread pool: the shared parallel executor of the workspace.
+//! Thread pool: the shared parallel executor of the workspace.
 //!
 //! The paper's §3.1 observes that PQ Scan "parallelizes naturally over
 //! multiple queries by running each query on a different core". Before this
@@ -10,24 +10,22 @@
 //!
 //! [`ThreadPool`] replaces all of that with one **persistent** pool:
 //!
-//! * **Per-worker deques with stealing** — submitted tasks are distributed
-//!   round-robin over per-worker deques; a worker pops its own deque from
-//!   the back (LIFO, cache-warm) and, when empty, steals from the front of
-//!   a sibling's deque (FIFO, oldest first). Work is split into many more
-//!   tasks than workers, so skew load-balances dynamically instead of
-//!   stalling a static chunk.
-//! * **Scoped borrowing** — [`ThreadPool::parallel_map`] and friends accept
-//!   closures borrowing the caller's stack (no `'static` bound, no `Arc`
-//!   plumbing); the call does not return until every task has finished.
+//! * **One shared FIFO queue** — a call splits its items into
+//!   `8 × threads` tasks and queues them all at once; workers and the
+//!   submitting thread take tasks from the front, so whichever thread is
+//!   free takes the next one and a skewed task does not hold up the rest
+//!   (OpenMP's `schedule(dynamic)`). The work has that shape: a few
+//!   independent tasks of similar size per call.
+//! * **Scoped borrowing** — [`ThreadPool::parallel_map`] and
+//!   [`ThreadPool::parallel_map_mut`] accept closures borrowing the
+//!   caller's stack (no `'static` bound, no `Arc` plumbing); the call does
+//!   not return until every task has finished.
 //! * **Panic propagation** — a panicking task poisons the scope; the first
 //!   panic payload is re-raised on the submitting thread after all tasks
 //!   settle, never on a worker.
-//! * **First-error short-circuiting** — [`ThreadPool::try_parallel_map`]
-//!   aborts remaining work as soon as any task fails and returns the error
-//!   with the lowest input index among those observed.
 //! * **Nested submission** — a task may itself call `parallel_map` on the
 //!   same pool. The submitting thread always participates in execution
-//!   (it drains queued tasks while waiting), so nesting cannot deadlock
+//!   (it runs queued tasks while waiting), so nesting cannot deadlock
 //!   even when every worker is busy.
 //!
 //! The process-wide pool is reached through [`ThreadPool::global`]; it is
@@ -39,7 +37,7 @@
 //! argument (`search_probes` passes the global one); callers that already
 //! fan queries out, like the server's waves, hand it a 1-thread pool.
 //!
-//! Determinism: all combinators preserve input order in their outputs, and
+//! Determinism: both maps preserve input order in their outputs, and
 //! task *decomposition* never depends on which thread executes what — so a
 //! deterministic `f` yields bit-identical results for any pool size.
 //!

@@ -20,7 +20,7 @@
 //! * [`scan`] — [`FastScanIndex`], its PQ Scan oracles, and the
 //!   [`Backend`](scan::Backend) registry they sit behind;
 //! * [`ivf`] — the IVFADC indexed-search pipeline;
-//! * [`pool`] — the shared work-stealing thread pool every parallel path
+//! * [`pool`] — the shared thread pool every parallel path
 //!   (batch search, multi-probe fan-out, batch encoding, training) runs on;
 //! * [`data`] — synthetic SIFT-like datasets, TEXMEX file IO, ground truth;
 //! * [`fault`] — deterministic fault injection (failpoints) used to test
