@@ -44,7 +44,6 @@ pub fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
         default_backend: backend,
         max_batch,
         queue_capacity,
-        ..ServerConfig::default()
     };
     let handle =
         Server::start(Arc::new(index), config).map_err(|e| CliError::Other(e.to_string()))?;

@@ -50,7 +50,7 @@ pub use codec::crc32;
 pub use config::PqConfig;
 pub use error::PqError;
 pub use layout::RowMajorCodes;
-pub use persist::{load_pq, load_pq_file, save_pq, save_pq_file, PersistError};
+pub use persist::{load_pq, save_pq, PersistError};
 pub use pq::ProductQuantizer;
 pub use tables::DistanceTables;
 pub use topk::{Neighbor, TopK};

@@ -15,20 +15,17 @@
 //!
 //! The container, its CRC-32 sections and the footer are
 //! [`crate::codec`]'s, which checks every length **before** allocating.
-//! [`save_pq_file`] writes **atomically** (temp file, fsync, rename), so a
-//! crash mid-save never leaves a half-written artifact under the published
-//! name. A loaded quantizer is bit-identical to the saved one.
-//!
-//! Failpoint sites (see `pqfs_fault`): `core.persist.read`,
-//! `core.persist.write`, `core.persist.create`, `core.persist.fsync`,
-//! `core.persist.rename`.
+//! A loaded quantizer is bit-identical to the saved one. The index file
+//! (`pqfs_ivf`) embeds this image and is written through
+//! [`atomic_write_file`] (temp file, fsync, rename), so a crash mid-save
+//! never leaves a half-written artifact under the published name.
 
 use crate::codebook::Codebook;
 use crate::codec::{write_file, CodecError, FileReader, Put, Reader};
 use crate::config::PqConfig;
 use crate::pq::ProductQuantizer;
 use crate::PqError;
-use pqfs_fault::{FaultRead, FaultWrite};
+use pqfs_fault::FaultWrite;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -259,36 +256,6 @@ where
     result
 }
 
-/// Saves a quantizer to a file, atomically (temp file + fsync + rename).
-///
-/// # Errors
-///
-/// [`PersistError::Io`] on any IO failure; the destination is left
-/// untouched in that case.
-pub fn save_pq_file(pq: &ProductQuantizer, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    atomic_write_file(
-        path,
-        AtomicWriteSites {
-            create: "core.persist.create",
-            write: "core.persist.write",
-            fsync: "core.persist.fsync",
-            rename: "core.persist.rename",
-        },
-        |w| save_pq(pq, w),
-    )
-}
-
-/// Loads a quantizer from a file.
-///
-/// # Errors
-///
-/// As [`load_pq`], plus [`PersistError::Io`] for open/read failures.
-pub fn load_pq_file(path: impl AsRef<Path>) -> Result<ProductQuantizer, PersistError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = io::BufReader::new(FaultRead::new(file, "core.persist.read"));
-    load_pq(&mut r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,18 +304,6 @@ mod tests {
         assert_eq!((buf.len(), crc32(body)), (117, 0xB449_D617));
         let loaded = load_pq(&mut buf.as_slice()).unwrap();
         assert_eq!(loaded.codebook(1).centroids(), pq.codebook(1).centroids());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let _lock = pqfs_fault::exclusive();
-        let pq = trained();
-        let mut path = std::env::temp_dir();
-        path.push(format!("pqfs-persist-{}.pqfs", std::process::id()));
-        save_pq_file(&pq, &path).unwrap();
-        let loaded = load_pq_file(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.config(), pq.config());
     }
 
     /// A current-format image whose header section stores `(dim, m, nbits)`
@@ -463,53 +418,5 @@ mod tests {
             load_pq(&mut buf.as_slice()),
             Err(PersistError::Checksum { .. })
         ));
-    }
-
-    #[test]
-    fn failed_save_leaves_the_previous_artifact_intact() {
-        let _lock = pqfs_fault::exclusive();
-        let pq = trained();
-        let mut path = std::env::temp_dir();
-        path.push(format!("pqfs-atomic-{}.pqfs", std::process::id()));
-        save_pq_file(&pq, &path).unwrap();
-
-        for site in [
-            "core.persist.create",
-            "core.persist.write",
-            "core.persist.fsync",
-            "core.persist.rename",
-        ] {
-            let _g = pqfs_fault::scoped(site, pqfs_fault::FaultAction::Error);
-            let err = save_pq_file(&pq, &path).unwrap_err();
-            assert!(matches!(err, PersistError::Io(_)), "{site}: {err}");
-            // The previously published artifact still loads.
-            let loaded = load_pq_file(&path).unwrap();
-            assert_eq!(loaded.config(), pq.config(), "{site}");
-        }
-        // A torn write (short_write) must also leave the artifact intact
-        // and clean up its temp file.
-        {
-            let _g = pqfs_fault::scoped(
-                "core.persist.write",
-                pqfs_fault::FaultAction::ShortWrite(100),
-            );
-            assert!(save_pq_file(&pq, &path).is_err());
-            assert!(load_pq_file(&path).is_ok());
-        }
-        let dir = path.parent().unwrap();
-        let leftovers: Vec<_> = std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                e.file_name()
-                    .to_string_lossy()
-                    .starts_with(&format!("pqfs-atomic-{}.pqfs.tmp", std::process::id()))
-            })
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -4,7 +4,7 @@
 //! bit flips and slow disks without crashing or silently serving wrong
 //! neighbors. Proving that requires *injecting* those faults on demand.
 //! This crate provides **named failpoints**: sites in the IO and query
-//! paths (`core.persist.read`, `ivf.persist.fsync`, `ivf.search.scan`, …)
+//! paths (`ivf.persist.read`, `ivf.persist.fsync`, `ivf.search.scan`, …)
 //! where a configured fault fires deterministically.
 //!
 //! # Arming failpoints
@@ -26,7 +26,7 @@
 //! Or from the environment, read once at first use:
 //!
 //! ```text
-//! PQFS_FAILPOINTS="core.persist.read=bitflip(100);ivf.persist.fsync=err"
+//! PQFS_FAILPOINTS="ivf.persist.read=bitflip(100);ivf.persist.fsync=err"
 //! ```
 //!
 //! Spec grammar: `site=action` entries separated by `;`. Actions:

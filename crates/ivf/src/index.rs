@@ -5,7 +5,7 @@ use crate::coarse::CoarseQuantizer;
 use crate::IvfError;
 use pqfs_core::{DistanceTables, Neighbor, PqConfig, ProductQuantizer, RowMajorCodes};
 use pqfs_kmeans::distance::l2_sq;
-use pqfs_obs::{LazyCounter, LazyHistogram, ProbeOutcome, ProbeTrace, QueryTrace};
+use pqfs_obs::{Counter, Histogram, ProbeOutcome, ProbeTrace, QueryTrace};
 use pqfs_pool::ThreadPool;
 use pqfs_scan::{
     FastScanIndex, ScanError, ScanOpts, ScanParams, ScanResult, ScanScratch, ScanStats,
@@ -15,94 +15,83 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-static QUERIES: LazyCounter = LazyCounter::new("pqfs_ivf_queries_total", "IVF queries served");
-static PROBES_OK: LazyCounter = LazyCounter::labeled(
+static QUERIES: Counter = Counter::new("pqfs_ivf_queries_total", "IVF queries served");
+static PROBES_OK: Counter = Counter::labeled(
     "pqfs_ivf_probes_total",
     "Probed partitions by outcome",
     "outcome",
     "ok",
 );
-static PROBES_FAILED: LazyCounter = LazyCounter::labeled(
+static PROBES_FAILED: Counter = Counter::labeled(
     "pqfs_ivf_probes_total",
     "Probed partitions by outcome",
     "outcome",
     "failed",
 );
-static PROBES_SKIPPED: LazyCounter = LazyCounter::labeled(
+static PROBES_SKIPPED: Counter = Counter::labeled(
     "pqfs_ivf_probes_total",
     "Probed partitions by outcome",
     "outcome",
     "skipped",
 );
-static PROBES_DEADLINE: LazyCounter = LazyCounter::labeled(
-    "pqfs_ivf_probes_total",
-    "Probed partitions by outcome",
-    "outcome",
-    "deadline",
-);
-static PROBES_BOUNDED_OUT: LazyCounter = LazyCounter::new(
+static PROBES_BOUNDED_OUT: Counter = Counter::new(
     "pqfs_ivf_probes_bounded_out_total",
     "Probes answered from the entry bound alone: it was below the sum of the table minima",
 );
-static TABLES_BUILT: LazyCounter = LazyCounter::new(
+static TABLES_BUILT: Counter = Counter::new(
     "pqfs_ivf_tables_built_total",
     "Distance-table computations (Algorithm 1 step 2)",
 );
-static TABLES_WASTED: LazyCounter = LazyCounter::new(
-    "pqfs_ivf_tables_wasted_total",
-    "Table computations short-circuited because the query deadline had already expired",
-);
-static COARSE_NS: LazyHistogram = LazyHistogram::new(
+static COARSE_NS: Histogram = Histogram::new(
     "pqfs_ivf_coarse_ns",
     "Coarse quantization (partition selection) latency",
 );
-static TABLES_NS: LazyHistogram = LazyHistogram::new(
+static TABLES_NS: Histogram = Histogram::new(
     "pqfs_ivf_tables_ns",
     "Per-probe distance-table build latency",
 );
-static SCAN_NS: LazyHistogram =
-    LazyHistogram::new("pqfs_ivf_scan_ns", "Per-probe partition scan latency");
-static MERGE_NS: LazyHistogram = LazyHistogram::new("pqfs_ivf_merge_ns", "Result merge latency");
-static TOTAL_NS: LazyHistogram = LazyHistogram::new("pqfs_ivf_query_ns", "Whole-query latency");
+static SCAN_NS: Histogram = Histogram::new("pqfs_ivf_scan_ns", "Per-probe partition scan latency");
+static MERGE_NS: Histogram = Histogram::new("pqfs_ivf_merge_ns", "Result merge latency");
+static TOTAL_NS: Histogram = Histogram::new("pqfs_ivf_query_ns", "Whole-query latency");
 
 const SCANNED_HELP: &str = "Vectors scanned, by backend";
 const PRUNED_HELP: &str = "Vectors pruned by the lower-bound test, by backend";
 /// Per-backend scanned/pruned counters, indexed by the backend's position
 /// in [`SearchBackend::ALL`] (see [`backend_slot`]).
-static SCANNED_BY_BACKEND: [LazyCounter; 3] = [
-    LazyCounter::labeled(
+static SCANNED_BY_BACKEND: [Counter; 3] = [
+    Counter::labeled(
         "pqfs_scan_vectors_scanned_total",
         SCANNED_HELP,
         "backend",
         "naive",
     ),
-    LazyCounter::labeled(
+    Counter::labeled(
         "pqfs_scan_vectors_scanned_total",
         SCANNED_HELP,
         "backend",
         "libpq",
     ),
-    LazyCounter::labeled(
+    Counter::labeled(
         "pqfs_scan_vectors_scanned_total",
         SCANNED_HELP,
         "backend",
         "fastscan",
     ),
 ];
-static PRUNED_BY_BACKEND: [LazyCounter; 3] = [
-    LazyCounter::labeled(
+static PRUNED_BY_BACKEND: [Counter; 3] = [
+    Counter::labeled(
         "pqfs_scan_vectors_pruned_total",
         PRUNED_HELP,
         "backend",
         "naive",
     ),
-    LazyCounter::labeled(
+    Counter::labeled(
         "pqfs_scan_vectors_pruned_total",
         PRUNED_HELP,
         "backend",
         "libpq",
     ),
-    LazyCounter::labeled(
+    Counter::labeled(
         "pqfs_scan_vectors_pruned_total",
         PRUNED_HELP,
         "backend",
@@ -159,13 +148,12 @@ pub struct IvfadcConfig {
     /// 128 for ANN_SIFT1B).
     pub partitions: usize,
     /// Product-quantizer shape; must be [`PqConfig::pq8x8`], the shape the
-    /// index's grouped code storage is defined for.
+    /// index's grouped code storage is defined for. `build` always applies
+    /// the §4.3 optimized centroid-index assignment after PQ training (it
+    /// keeps Fast Scan's minimum tables tight).
     pub pq: PqConfig,
     /// Seed for every training stage.
     pub seed: u64,
-    /// Apply the §4.3 optimized centroid-index assignment after PQ
-    /// training (required for tight Fast Scan minimum tables).
-    pub optimize_assignment: bool,
     /// Fast Scan build options (grouping components, kernel choice): the
     /// partitions are grouped under them, a saved index keeps them, and the
     /// oracle path hands them to [`SearchBackend::scanner`]. The warm-up
@@ -180,7 +168,6 @@ impl IvfadcConfig {
             partitions,
             pq: PqConfig::pq8x8(dim),
             seed: 0,
-            optimize_assignment: true,
             scan: ScanOpts::default(),
         }
     }
@@ -336,11 +323,8 @@ struct ProbeSuccess {
 enum ProbeScan {
     Ok(ProbeSuccess),
     Failed(IvfError),
-    /// Skipped before starting: the deadline budget was already exhausted.
+    /// Skipped before its table build: the deadline budget was exhausted.
     Skipped,
-    /// Started, but the deadline expired before the table build — the
-    /// probe short-circuited instead of computing tables it cannot use.
-    Expired,
 }
 
 /// Best-effort description of a caught scan panic.
@@ -434,9 +418,7 @@ impl IvfadcIndex {
             coarse.residual_into(v, p, r);
         }
         let mut pq = ProductQuantizer::train(&residuals, &config.pq, config.seed ^ 0x9E37)?;
-        if config.optimize_assignment {
-            pq.optimize_assignment(16, config.seed ^ 0x79B9)?;
-        }
+        pq.optimize_assignment(16, config.seed ^ 0x79B9)?;
 
         // Stage 3: encode the base set into inverted lists, on the shared
         // pool. Coarse assignment is row-independent; list membership is
@@ -514,8 +496,8 @@ impl IvfadcIndex {
     ///
     /// **Deadline:** the nearest probe always runs, outside the budget — a
     /// query never returns an empty best-so-far just because the budget was
-    /// tight. Each further probe checks the elapsed time before scanning
-    /// and is *skipped* (recorded in [`SearchOutcome::health`]) once
+    /// tight. Each further probe checks the elapsed time once, just before
+    /// its table build, and is *skipped* (recorded in [`SearchOutcome::health`]) once
     /// [`SearchRequest::deadline`] has passed. Without a deadline the
     /// schedule is deterministic; with one, which probes get skipped
     /// depends on measured time.
@@ -612,7 +594,7 @@ impl IvfadcIndex {
                 )
             })) {
                 Ok(Ok(Some(success))) => ProbeScan::Ok(success),
-                Ok(Ok(None)) => ProbeScan::Expired,
+                Ok(Ok(None)) => ProbeScan::Skipped,
                 Ok(Err(e)) => ProbeScan::Failed(e),
                 Err(payload) => ProbeScan::Failed(IvfError::Probe {
                     partition: p,
@@ -640,14 +622,9 @@ impl IvfadcIndex {
             }
             _ => f32::INFINITY,
         };
-        let later = pool.parallel_map(&probes[1..], |_, &p| match deadline {
-            Some(budget) if start.elapsed() >= budget => ProbeScan::Skipped,
-            _ => run_probe(
-                p,
-                Some(&term),
-                bound,
-                deadline.map(|budget| (start, budget)),
-            ),
+        let deadline = deadline.map(|budget| (start, budget));
+        let later = pool.parallel_map(&probes[1..], |_, &p| {
+            run_probe(p, Some(&term), bound, deadline)
         });
         let scans = std::iter::once(nearest).chain(later);
 
@@ -703,14 +680,6 @@ impl IvfadcIndex {
                     health.probes_skipped += 1;
                     PROBES_SKIPPED.inc();
                     ProbeTrace::outcome_only(p, backend.name(), ProbeOutcome::Skipped)
-                }
-                // An expired probe contributed nothing, like a skip; the
-                // distinct trace outcome records that it *started* and was
-                // cut off at the table-build short-circuit.
-                ProbeScan::Expired => {
-                    health.probes_skipped += 1;
-                    PROBES_DEADLINE.inc();
-                    ProbeTrace::outcome_only(p, backend.name(), ProbeOutcome::Deadline)
                 }
             };
             if let Some(t) = trace.as_deref_mut() {
@@ -882,16 +851,15 @@ impl IvfadcIndex {
     }
 
     /// Scans partition `p` for `query` and returns global-id neighbors,
-    /// with its stage timings and deadline short-circuiting.
+    /// with its stage timings.
     ///
     /// Runs on the calling thread using its [`QueryScratch`]: the residual
     /// buffer, distance tables and Fast Scan table buffers are reused
     /// across queries, so repeated scans allocate only the result vector.
     ///
-    /// Returns `Ok(None)` when `deadline` had already expired on entry: the
-    /// probe gives up *before* computing distance tables, so a blown budget
-    /// does not waste table work whose scan would be skipped anyway. Wasted
-    /// builds avoided this way are counted in `pqfs_ivf_tables_wasted_total`.
+    /// Returns `Ok(None)` — the probe is skipped — when `deadline` had
+    /// expired on entry: this is the deadline's one check, just before the
+    /// table build, so a blown budget costs no table work.
     fn scan_probe(
         &self,
         query: &[f32],
@@ -901,6 +869,9 @@ impl IvfadcIndex {
         backend: SearchBackend,
         deadline: Option<(Instant, Duration)>,
     ) -> Result<Option<ProbeSuccess>, IvfError> {
+        if deadline.is_some_and(|(start, budget)| start.elapsed() >= budget) {
+            return Ok(None);
+        }
         let partition = &self.partitions[p];
         if partition.ids.is_empty() {
             return Ok(Some(ProbeSuccess {
@@ -911,16 +882,6 @@ impl IvfadcIndex {
 
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-
-            // Re-check the budget at the last moment before the table
-            // build: the probe may have queued behind slower siblings since
-            // the pre-dispatch check.
-            if let Some((start, budget)) = deadline {
-                if start.elapsed() >= budget {
-                    TABLES_WASTED.inc();
-                    return Ok(None);
-                }
-            }
 
             // Step 2: distance tables, expanded from the query's term (the
             // nearest probe's were built directly before it started).
@@ -1877,11 +1838,10 @@ mod tests {
         let q = &base[..DIM];
         let probes = index.coarse().assign_multi(q, 4);
         // Serial pool, delay injected on the fault site of the first
-        // later probe with a non-empty partition (empty partitions have no
-        // table build to short-circuit): the earlier probes complete, the
-        // victim stalls past the deadline inside its fault check and must
-        // short-circuit at the table-build re-check, and every probe after
-        // it is skipped by the pre-dispatch check.
+        // later probe with a non-empty partition (empty partitions build no
+        // tables): the earlier probes complete, the victim stalls past the
+        // deadline inside its fault check and is skipped at the check
+        // before its table build, and so is every probe after it.
         let sizes = index.partition_sizes();
         let victim = (1..probes.len())
             .find(|&i| sizes[probes[i]] > 0)
@@ -1891,7 +1851,8 @@ mod tests {
             format!("ivf.search.scan.{}", probes[victim]),
             pqfs_fault::FaultAction::Delay(300),
         );
-        let wasted_before = pqfs_obs::counter_value("pqfs_ivf_tables_wasted_total", None);
+        let built = || pqfs_obs::counter_value("pqfs_ivf_tables_built_total", None);
+        let built_before = built();
         let mut trace = QueryTrace::new();
         let req = SearchRequest {
             deadline: Some(Duration::from_millis(150)),
@@ -1902,17 +1863,21 @@ mod tests {
         assert_eq!(out.health.probes_skipped, probes.len() - victim);
         let outcomes: Vec<ProbeOutcome> = trace.probes.iter().map(|p| p.outcome).collect();
         let expected: Vec<ProbeOutcome> = (0..probes.len())
-            .map(|i| match i.cmp(&victim) {
-                std::cmp::Ordering::Less => ProbeOutcome::Ok,
-                std::cmp::Ordering::Equal => ProbeOutcome::Deadline,
-                std::cmp::Ordering::Greater => ProbeOutcome::Skipped,
+            .map(|i| {
+                if i < victim {
+                    ProbeOutcome::Ok
+                } else {
+                    ProbeOutcome::Skipped
+                }
             })
             .collect();
         assert_eq!(outcomes, expected);
+        // Probes 1..victim hold empty partitions: only the nearest probe
+        // built tables.
         assert_eq!(
-            pqfs_obs::counter_value("pqfs_ivf_tables_wasted_total", None),
-            wasted_before + 1,
-            "the expired probe must count exactly one avoided table build"
+            built(),
+            built_before + 1,
+            "a skipped probe must build no tables"
         );
     }
 

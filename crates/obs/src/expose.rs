@@ -42,23 +42,14 @@ fn escape_json(v: &str) -> String {
 /// (`# HELP` / `# TYPE` comments, one sample per line, histograms as
 /// cumulative `_bucket{le=...}` series plus `_sum` and `_count`).
 pub fn prometheus_text(registry: &Registry) -> String {
-    fn header(
-        out: &mut String,
-        last_name: &mut Option<&'static str>,
-        name: &'static str,
-        help: &str,
-        kind: &str,
-    ) {
-        if *last_name != Some(name) {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-            *last_name = Some(name);
-        }
-    }
     let collected = registry.collect();
     let mut out = String::new();
-    let mut last_name: Option<&'static str> = None;
-    for (name, help, label, value) in &collected.counters {
-        header(&mut out, &mut last_name, name, help, "counter");
+    let mut last_name = None;
+    for &(name, help, label, value) in &collected.counters {
+        // One header per metric, above its first series.
+        if last_name.replace(name) != Some(name) {
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
+        }
         match label {
             None => out.push_str(&format!("{name} {value}\n")),
             Some((k, v)) => {
@@ -66,15 +57,10 @@ pub fn prometheus_text(registry: &Registry) -> String {
             }
         }
     }
-    last_name = None;
-    for (name, help, label, value) in &collected.gauges {
-        header(&mut out, &mut last_name, name, help, "gauge");
-        match label {
-            None => out.push_str(&format!("{name} {value}\n")),
-            Some((k, v)) => {
-                out.push_str(&format!("{name}{{{k}=\"{}\"}} {value}\n", escape_label(v)))
-            }
-        }
+    for (name, help, value) in &collected.gauges {
+        out.push_str(&format!(
+            "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
+        ));
     }
     for (name, help, buckets, snap) in &collected.histograms {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
@@ -109,7 +95,7 @@ pub fn prometheus_text(registry: &Registry) -> String {
 /// the two expositions line up one-to-one.
 pub fn json_snapshot(registry: &Registry) -> String {
     let collected = registry.collect();
-    let series_key = |name: &str, label: &Option<(&'static str, String)>| match label {
+    let series_key = |name: &str, label: Option<(&str, &str)>| match label {
         None => name.to_string(),
         Some((k, v)) => format!("{name}{{{k}=\"{}\"}}", escape_label(v)),
     };
@@ -122,21 +108,18 @@ pub fn json_snapshot(registry: &Registry) -> String {
         first = false;
         out.push_str(&format!(
             "\n    \"{}\": {value}",
-            escape_json(&series_key(name, label))
+            escape_json(&series_key(name, *label))
         ));
     }
     out.push_str(if first { "},\n" } else { "\n  },\n" });
     out.push_str("  \"gauges\": {");
     first = true;
-    for (name, _, label, value) in &collected.gauges {
+    for (name, _, value) in &collected.gauges {
         if !first {
             out.push(',');
         }
         first = false;
-        out.push_str(&format!(
-            "\n    \"{}\": {value}",
-            escape_json(&series_key(name, label))
-        ));
+        out.push_str(&format!("\n    \"{}\": {value}", escape_json(name)));
     }
     out.push_str(if first { "},\n" } else { "\n  },\n" });
     out.push_str("  \"histograms\": {");
@@ -265,6 +248,7 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Counter, Gauge, Histogram};
 
     #[test]
     fn validator_accepts_well_formed_lines() {
@@ -283,15 +267,27 @@ mod tests {
         assert!(validate_prometheus("# TYPE m weird\n").is_err());
     }
 
+    /// Fresh metrics per call: the two tests below run concurrently.
     fn sample_registry() -> Registry {
+        fn leak<T>(metric: T) -> &'static T {
+            Box::leak(Box::new(metric))
+        }
         let reg = Registry::new();
-        reg.counter("pqfs_a_total", "count of a").add(3);
-        reg.counter_labeled("pqfs_b_total", "count of b", "kind", "x")
-            .add(1);
-        reg.counter_labeled("pqfs_b_total", "count of b", "kind", "y")
-            .add(2);
-        reg.gauge("pqfs_depth", "depth gauge").set(7);
-        let h = reg.histogram("pqfs_lat_ns", "latency");
+        let a = leak(Counter::new("pqfs_a_total", "count of a"));
+        let bx = leak(Counter::labeled("pqfs_b_total", "count of b", "kind", "x"));
+        let by = leak(Counter::labeled("pqfs_b_total", "count of b", "kind", "y"));
+        let depth = leak(Gauge::new("pqfs_depth", "depth gauge"));
+        let h = leak(Histogram::new("pqfs_lat_ns", "latency"));
+        // Registered in reverse order: the exposition sorts by series.
+        h.register(&reg);
+        depth.register(&reg);
+        by.register(&reg);
+        bx.register(&reg);
+        a.register(&reg);
+        a.add(3);
+        bx.add(1);
+        by.add(2);
+        depth.set(7);
         h.observe_ns(3);
         h.observe_ns(1000);
         reg

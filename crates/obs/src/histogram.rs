@@ -8,6 +8,7 @@
 //! relaxed atomic operations — no locks, no allocation, no resizing — and
 //! two snapshots can be subtracted bucket-wise.
 
+use crate::registry::{global, Meta, Metric, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets, including the final `+Inf` overflow bucket.
@@ -56,31 +57,46 @@ pub struct HistogramSnapshot {
 /// A lock-free histogram of nanosecond observations.
 #[derive(Debug)]
 pub struct Histogram {
-    pub(crate) name: &'static str,
-    pub(crate) help: &'static str,
+    pub(crate) meta: Meta,
     buckets: [AtomicU64; BUCKET_COUNT],
     sum: AtomicU64,
     max: AtomicU64,
 }
 
 impl Histogram {
-    pub(crate) fn new(name: &'static str, help: &'static str) -> Self {
+    /// A histogram.
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
         Histogram {
-            name,
-            help,
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            meta: Meta::new(name, help),
+            buckets: [const { AtomicU64::new(0) }; BUCKET_COUNT],
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
 
+    /// Puts this histogram in `registry` (as
+    /// [`Counter::register`](crate::Counter::register)).
+    #[cold]
+    pub fn register(&'static self, registry: &Registry) {
+        registry.insert(&self.meta, None, Metric::Histogram(self));
+    }
+
     /// Records one observation of `ns` nanoseconds (three relaxed atomic
     /// RMW operations).
     #[inline]
-    pub fn observe_ns(&self, ns: u64) {
+    pub fn observe_ns(&'static self, ns: u64) {
+        if !self.meta.registered() {
+            self.register(global());
+        }
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(ns, Ordering::Relaxed);
         self.max.fetch_max(ns, Ordering::Relaxed);
+    }
+
+    /// Records a [`std::time::Duration`].
+    #[inline]
+    pub fn observe(&'static self, d: std::time::Duration) {
+        self.observe_ns(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Per-bucket (non-cumulative) counts, in bucket order.
@@ -143,9 +159,13 @@ mod tests {
         assert_eq!(bucket_le(BUCKET_COUNT - 1), None); // +Inf
     }
 
+    fn leaked() -> &'static Histogram {
+        Box::leak(Box::new(Histogram::new("t", "")))
+    }
+
     #[test]
     fn snapshot_reports_count_sum_max_and_quantiles() {
-        let h = Histogram::new("t", "");
+        let h = leaked();
         for ns in [10u64, 20, 30, 1000, 100_000] {
             h.observe_ns(ns);
         }
@@ -162,13 +182,12 @@ mod tests {
 
     #[test]
     fn empty_histogram_snapshots_to_zeros() {
-        let h = Histogram::new("t", "");
-        assert_eq!(h.snapshot(), HistogramSnapshot::default());
+        assert_eq!(leaked().snapshot(), HistogramSnapshot::default());
     }
 
     #[test]
     fn overflow_bucket_quantile_falls_back_to_max() {
-        let h = Histogram::new("t", "");
+        let h = leaked();
         h.observe_ns(u64::MAX / 2);
         let s = h.snapshot();
         assert_eq!(s.count, 1);

@@ -6,9 +6,10 @@
 //! counterpart to the figure harness's offline analysis (`pqfs_bench`) —
 //! the substrate every runtime component reports through:
 //!
-//! * **Metrics registry** ([`registry`]): lock-free sharded [`LazyCounter`]s,
-//!   [`LazyGauge`]s, and log-bucketed [`LazyHistogram`]s registered lazily
-//!   into a process-wide registry. Recording is a few relaxed atomics.
+//! * **Metrics registry** ([`registry`]): lock-free sharded [`Counter`]s,
+//!   [`Gauge`]s, and log-bucketed [`Histogram`]s, each a `const` `static`
+//!   that registers itself in a process-wide registry on its first
+//!   record. Recording is a few relaxed atomics.
 //! * **Exposition** ([`expose`]): Prometheus text format and a JSON
 //!   snapshot rendered from one consistent walk of the registry, plus a
 //!   dependency-free line-grammar validator used in tests and CI.
@@ -21,13 +22,12 @@
 //! # Instrumentation-site idiom
 //!
 //! ```
-//! use pqfs_obs::LazyCounter;
+//! use pqfs_obs::Counter;
 //!
-//! static QUERIES: LazyCounter =
-//!     LazyCounter::new("pqfs_ivf_queries_total", "IVF queries served");
+//! static QUERIES: Counter = Counter::new("myapp_queries_total", "Queries served");
 //!
 //! fn serve() {
-//!     QUERIES.inc(); // one relaxed atomic add
+//!     QUERIES.inc(); // one relaxed flag load and one relaxed atomic add
 //! }
 //! # serve();
 //! ```
@@ -44,9 +44,6 @@ pub use expose::{
     global_json_snapshot, global_prometheus_text, json_snapshot, prometheus_text,
     validate_prometheus,
 };
-pub use histogram::{bucket_index, bucket_le, HistogramSnapshot, BUCKET_COUNT};
-pub use registry::{
-    counter_value, global, Counter, CounterFamily, Gauge, LazyCounter, LazyGauge, LazyHistogram,
-    Registry,
-};
+pub use histogram::{bucket_index, bucket_le, Histogram, HistogramSnapshot, BUCKET_COUNT};
+pub use registry::{counter_value, global, Counter, CounterFamily, Gauge, Registry};
 pub use trace::{fmt_ns, ProbeOutcome, ProbeTrace, QueryTrace};

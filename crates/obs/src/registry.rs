@@ -1,21 +1,23 @@
-//! The global metrics registry: lock-free sharded counters, gauges, and
-//! histogram registration.
+//! The metrics registry and the metrics that register themselves in it.
 //!
 //! # Recording cost
 //!
+//! * Every metric is a `const`-constructible `static` at its
+//!   instrumentation site. Its first record registers a `&'static`
+//!   reference to it in [`global`]; every record checks that with one
+//!   relaxed flag load.
 //! * **Counters** are sharded: each counter holds [`SHARDS`] cache-line-
 //!   padded relaxed atomics and every thread is assigned one shard at first
 //!   use, so concurrent increments from pool workers never contend on one
 //!   cache line. Reading a counter sums the shards.
 //! * **Gauges** are single relaxed atomics (`set` / `record_max`).
-//! * The registry mutex is touched only at metric *registration* (first use
-//!   of a [`LazyCounter`]/[`LazyGauge`]/[`LazyHistogram`] site) and at
-//!   exposition time — never on the recording hot path.
+//! * The registry mutex is touched only at registration and at exposition
+//!   time — never on the recording hot path.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counter shard count. Threads are assigned shards round-robin, so up
 /// to this many threads increment without sharing a cache line.
@@ -27,6 +29,37 @@ thread_local! {
     static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
 }
 
+/// What every metric carries besides its data: its name, its help text,
+/// and whether a registry holds it yet.
+#[derive(Debug)]
+pub(crate) struct Meta {
+    pub(crate) name: &'static str,
+    pub(crate) help: &'static str,
+    registered: AtomicBool,
+}
+
+impl Meta {
+    pub(crate) const fn new(name: &'static str, help: &'static str) -> Self {
+        Meta {
+            name,
+            help,
+            registered: AtomicBool::new(false),
+        }
+    }
+
+    /// True once the metric is in a registry: the one load every record
+    /// pays for its registration. `Relaxed` suffices: the flag publishes
+    /// nothing (the map is read under its mutex), and a thread that reads
+    /// a stale `false` only registers again, which changes nothing.
+    #[inline]
+    pub(crate) fn registered(&self) -> bool {
+        self.registered.load(Ordering::Relaxed)
+    }
+}
+
+/// A counter's optional `key="value"` label pair.
+pub(crate) type Label = Option<(&'static str, &'static str)>;
+
 /// One cache line holding one shard's count.
 #[repr(align(64))]
 #[derive(Debug)]
@@ -35,33 +68,55 @@ struct Shard(AtomicU64);
 /// A monotonically increasing sharded counter.
 #[derive(Debug)]
 pub struct Counter {
-    pub(crate) name: &'static str,
-    pub(crate) help: &'static str,
-    /// Optional `key="value"` label pair.
-    pub(crate) label: Option<(&'static str, String)>,
+    meta: Meta,
+    label: Label,
     shards: [Shard; SHARDS],
 }
 
 impl Counter {
-    fn new(name: &'static str, help: &'static str, label: Option<(&'static str, String)>) -> Self {
+    /// A counter with no labels.
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
         Counter {
-            name,
-            help,
-            label,
-            shards: std::array::from_fn(|_| Shard(AtomicU64::new(0))),
+            meta: Meta::new(name, help),
+            label: None,
+            shards: [const { Shard(AtomicU64::new(0)) }; SHARDS],
         }
+    }
+
+    /// A counter carrying one `key="value"` label: one series of the
+    /// metric `name`.
+    pub const fn labeled(
+        name: &'static str,
+        help: &'static str,
+        label_key: &'static str,
+        label_value: &'static str,
+    ) -> Self {
+        Counter {
+            label: Some((label_key, label_value)),
+            ..Counter::new(name, help)
+        }
+    }
+
+    /// Puts this counter in `registry`. Its first record does this for
+    /// [`global`]; a test calls it first to render a private registry.
+    #[cold]
+    pub fn register(&'static self, registry: &Registry) {
+        registry.insert(&self.meta, self.label, Metric::Counter(self));
     }
 
     /// Adds `n` to this thread's shard (one relaxed `fetch_add`).
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub fn add(&'static self, n: u64) {
+        if !self.meta.registered() {
+            self.register(global());
+        }
         let i = MY_SHARD.with(|s| *s);
         self.shards[i].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1.
     #[inline]
-    pub fn inc(&self) {
+    pub fn inc(&'static self) {
         self.add(1);
     }
 
@@ -77,22 +132,40 @@ impl Counter {
 /// A last-value / high-water-mark gauge.
 #[derive(Debug)]
 pub struct Gauge {
-    pub(crate) name: &'static str,
-    pub(crate) help: &'static str,
-    pub(crate) label: Option<(&'static str, String)>,
+    meta: Meta,
     value: AtomicU64,
 }
 
 impl Gauge {
+    /// A gauge.
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
+        Gauge {
+            meta: Meta::new(name, help),
+            value: AtomicU64::new(0),
+        }
+    }
+
+    /// Puts this gauge in `registry` (as [`Counter::register`]).
+    #[cold]
+    pub fn register(&'static self, registry: &Registry) {
+        registry.insert(&self.meta, None, Metric::Gauge(self));
+    }
+
     /// Stores `v`.
     #[inline]
-    pub fn set(&self, v: u64) {
+    pub fn set(&'static self, v: u64) {
+        if !self.meta.registered() {
+            self.register(global());
+        }
         self.value.store(v, Ordering::Relaxed);
     }
 
     /// Raises the gauge to `v` if it is below it (high-water mark).
     #[inline]
-    pub fn record_max(&self, v: u64) {
+    pub fn record_max(&'static self, v: u64) {
+        if !self.meta.registered() {
+            self.register(global());
+        }
         self.value.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -100,6 +173,14 @@ impl Gauge {
     pub fn value(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
+}
+
+/// A registered metric.
+#[derive(Clone, Copy)]
+pub(crate) enum Metric {
+    Counter(&'static Counter),
+    Gauge(&'static Gauge),
+    Histogram(&'static Histogram),
 }
 
 /// Sort key inside the registry: `(metric name, rendered label)`. The
@@ -115,17 +196,11 @@ fn key_of(name: &str, label: Option<(&str, &str)>) -> Key {
     )
 }
 
-#[derive(Default)]
-struct Inner {
-    counters: BTreeMap<Key, &'static Counter>,
-    gauges: BTreeMap<Key, &'static Gauge>,
-    histograms: BTreeMap<Key, &'static Histogram>,
-}
-
-/// A metrics registry. Almost every caller wants [`global`]; tests build
-/// private instances so exposition output can be compared exactly.
+/// A metrics registry: the metrics it holds, by `(name, label)`. Almost
+/// every caller wants [`global`]; tests build private instances so
+/// exposition output can be compared exactly.
 pub struct Registry {
-    inner: Mutex<Inner>,
+    metrics: Mutex<BTreeMap<Key, Metric>>,
 }
 
 impl Default for Registry {
@@ -138,131 +213,81 @@ impl Registry {
     /// An empty registry.
     pub const fn new() -> Self {
         Registry {
-            inner: Mutex::new(Inner {
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-            }),
+            metrics: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// The counter named `name` (registered on first use). Repeated
-    /// calls with the same name return the same counter; `help` is
-    /// taken from the first registration.
-    pub fn counter(&self, name: &'static str, help: &'static str) -> &'static Counter {
-        self.counter_labeled_opt(name, help, None)
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<Key, Metric>> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A labeled counter: one time series per `(name, value)` pair.
-    pub fn counter_labeled(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        label_key: &'static str,
-        label_value: &str,
-    ) -> &'static Counter {
-        self.counter_labeled_opt(name, help, Some((label_key, label_value)))
+    /// Adds `metric` under its `(name, label)` unless a metric holds that
+    /// series already (library code makes each series once, which
+    /// `tests/invariants.rs` checks), and marks it registered.
+    pub(crate) fn insert(&self, meta: &Meta, label: Option<(&str, &str)>, metric: Metric) {
+        let mut metrics = self.lock();
+        metrics.entry(key_of(meta.name, label)).or_insert(metric);
+        meta.registered.store(true, Ordering::Relaxed);
     }
 
-    fn counter_labeled_opt(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        label: Option<(&'static str, &str)>,
-    ) -> &'static Counter {
-        let key = key_of(name, label);
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(c) = inner.counters.get(&key) {
+    /// The series of `family` labeled `value`, made and registered on its
+    /// first use.
+    fn family_counter(&self, family: &CounterFamily, value: &str) -> &'static Counter {
+        let key = key_of(family.name, Some((family.label_key, value)));
+        let mut metrics = self.lock();
+        if let Some(&Metric::Counter(c)) = metrics.get(&key) {
             return c;
         }
-        let leaked: &'static Counter = Box::leak(Box::new(Counter::new(
-            name,
-            help,
-            label.map(|(k, v)| (k, v.to_string())),
+        let value: &'static str = Box::leak(value.into());
+        let c: &'static Counter = Box::leak(Box::new(Counter::labeled(
+            family.name,
+            family.help,
+            family.label_key,
+            value,
         )));
-        inner.counters.insert(key, leaked);
-        leaked
-    }
-
-    /// The gauge named `name` (registered on first use).
-    pub fn gauge(&self, name: &'static str, help: &'static str) -> &'static Gauge {
-        let key = key_of(name, None);
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(g) = inner.gauges.get(&key) {
-            return g;
-        }
-        let leaked: &'static Gauge = Box::leak(Box::new(Gauge {
-            name,
-            help,
-            label: None,
-            value: AtomicU64::new(0),
-        }));
-        inner.gauges.insert(key, leaked);
-        leaked
-    }
-
-    /// The histogram named `name` (registered on first use).
-    pub fn histogram(&self, name: &'static str, help: &'static str) -> &'static Histogram {
-        let key = key_of(name, None);
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(h) = inner.histograms.get(&key) {
-            return h;
-        }
-        let leaked: &'static Histogram = Box::leak(Box::new(Histogram::new(name, help)));
-        inner.histograms.insert(key, leaked);
-        leaked
+        c.meta.registered.store(true, Ordering::Relaxed);
+        metrics.insert(key, Metric::Counter(c));
+        c
     }
 
     /// The value of a counter if it has been registered (exact key
     /// match on name and optional label), else 0. For tests and
     /// assertions — never registers.
     pub fn counter_value(&self, name: &str, label: Option<(&str, &str)>) -> u64 {
-        let key = key_of(name, label);
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .counters
-            .get(&key)
-            .map(|c| c.value())
-            .unwrap_or(0)
+        match self.lock().get(&key_of(name, label)) {
+            Some(Metric::Counter(c)) => c.value(),
+            _ => 0,
+        }
     }
 
     /// Snapshot of every registered metric, in deterministic
     /// `(name, label)` order.
     pub(crate) fn collect(&self) -> Collected {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        Collected {
-            counters: inner
-                .counters
-                .values()
-                .map(|c| (c.name, c.help, c.label.clone(), c.value()))
-                .collect(),
-            gauges: inner
-                .gauges
-                .values()
-                .map(|g| (g.name, g.help, g.label.clone(), g.value()))
-                .collect(),
-            histograms: inner
-                .histograms
-                .values()
-                .map(|h| (h.name, h.help, h.bucket_counts(), h.snapshot()))
-                .collect(),
+        let mut out = Collected::default();
+        for metric in self.lock().values() {
+            match *metric {
+                Metric::Counter(c) => {
+                    let Meta { name, help, .. } = c.meta;
+                    out.counters.push((name, help, c.label, c.value()));
+                }
+                Metric::Gauge(g) => out.gauges.push((g.meta.name, g.meta.help, g.value())),
+                Metric::Histogram(h) => {
+                    out.histograms
+                        .push((h.meta.name, h.meta.help, h.bucket_counts(), h.snapshot()))
+                }
+            }
         }
+        out
     }
 }
 
-/// One scalar metric in a snapshot: `(name, help, label, value)`.
-pub(crate) type CollectedScalar = (
-    &'static str,
-    &'static str,
-    Option<(&'static str, String)>,
-    u64,
-);
-
 /// Materialized metric values handed to the exposition formats.
+#[derive(Default)]
 pub(crate) struct Collected {
-    pub counters: Vec<CollectedScalar>,
-    pub gauges: Vec<CollectedScalar>,
+    /// `(name, help, label, value)`.
+    pub counters: Vec<(&'static str, &'static str, Label, u64)>,
+    /// `(name, help, value)`.
+    pub gauges: Vec<(&'static str, &'static str, u64)>,
     pub histograms: Vec<(
         &'static str,
         &'static str,
@@ -273,159 +298,16 @@ pub(crate) struct Collected {
 
 static GLOBAL: Registry = Registry::new();
 
-/// The process-wide registry every [`LazyCounter`]/[`LazyGauge`]/
-/// [`LazyHistogram`] site registers into.
+/// The process-wide registry every metric registers into on its first
+/// record.
 pub fn global() -> &'static Registry {
     &GLOBAL
-}
-
-/// A `const`-constructible counter handle for `static` declarations at
-/// instrumentation sites; registers into [`global`] on first record.
-#[derive(Debug)]
-pub struct LazyCounter {
-    name: &'static str,
-    help: &'static str,
-    label: Option<(&'static str, &'static str)>,
-    cell: OnceLock<&'static Counter>,
-}
-
-impl LazyCounter {
-    /// A counter site with no labels.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        LazyCounter {
-            name,
-            help,
-            label: None,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// A counter site carrying one static `key="value"` label.
-    pub const fn labeled(
-        name: &'static str,
-        help: &'static str,
-        label_key: &'static str,
-        label_value: &'static str,
-    ) -> Self {
-        LazyCounter {
-            name,
-            help,
-            label: Some((label_key, label_value)),
-            cell: OnceLock::new(),
-        }
-    }
-
-    fn counter(&self) -> &'static Counter {
-        self.cell.get_or_init(|| match self.label {
-            None => global().counter(self.name, self.help),
-            Some((k, v)) => global().counter_labeled(self.name, self.help, k, v),
-        })
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.counter().add(n);
-    }
-
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// The current total.
-    pub fn value(&self) -> u64 {
-        self.counter().value()
-    }
-}
-
-/// A `const`-constructible gauge handle for `static` declarations.
-#[derive(Debug)]
-pub struct LazyGauge {
-    name: &'static str,
-    help: &'static str,
-    cell: OnceLock<&'static Gauge>,
-}
-
-impl LazyGauge {
-    /// A gauge site.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        LazyGauge {
-            name,
-            help,
-            cell: OnceLock::new(),
-        }
-    }
-
-    fn gauge(&self) -> &'static Gauge {
-        self.cell
-            .get_or_init(|| global().gauge(self.name, self.help))
-    }
-
-    /// Stores `v`.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.gauge().set(v);
-    }
-
-    /// Raises the gauge to `v` if it is below it.
-    #[inline]
-    pub fn record_max(&self, v: u64) {
-        self.gauge().record_max(v);
-    }
-
-    /// The current value.
-    pub fn value(&self) -> u64 {
-        self.gauge().value()
-    }
-}
-
-/// A `const`-constructible histogram handle for `static` declarations.
-#[derive(Debug)]
-pub struct LazyHistogram {
-    name: &'static str,
-    help: &'static str,
-    cell: OnceLock<&'static Histogram>,
-}
-
-impl LazyHistogram {
-    /// A histogram site.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        LazyHistogram {
-            name,
-            help,
-            cell: OnceLock::new(),
-        }
-    }
-
-    fn histogram(&self) -> &'static Histogram {
-        self.cell
-            .get_or_init(|| global().histogram(self.name, self.help))
-    }
-
-    /// Records `ns` nanoseconds.
-    #[inline]
-    pub fn observe_ns(&self, ns: u64) {
-        self.histogram().observe_ns(ns);
-    }
-
-    /// Records a [`std::time::Duration`].
-    #[inline]
-    pub fn observe(&self, d: std::time::Duration) {
-        self.observe_ns(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Summarizes the current contents.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.histogram().snapshot()
-    }
 }
 
 /// A counter family with a *dynamic* label value (e.g. a failpoint
 /// site name). Each distinct value is interned as its own time series;
 /// recording takes the registry lock, so families suit rare events —
-/// hot paths should use static [`LazyCounter::labeled`] handles.
+/// hot paths should use [`Counter::labeled`] statics.
 #[derive(Debug)]
 pub struct CounterFamily {
     name: &'static str,
@@ -445,9 +327,7 @@ impl CounterFamily {
 
     /// Adds `n` to the series labeled `label_value`.
     pub fn add(&self, label_value: &str, n: u64) {
-        global()
-            .counter_labeled(self.name, self.help, self.label_key, label_value)
-            .add(n);
+        global().family_counter(self, label_value).add(n);
     }
 
     /// Adds 1 to the series labeled `label_value`.
@@ -466,22 +346,30 @@ pub fn counter_value(name: &str, label: Option<(&str, &str)>) -> u64 {
 mod tests {
     use super::*;
 
+    fn leak<T>(metric: T) -> &'static T {
+        Box::leak(Box::new(metric))
+    }
+
     #[test]
     fn counters_sum_over_shards() {
         let reg = Registry::new();
-        let c = reg.counter("t_total", "help");
+        let c = leak(Counter::new("t_total", "help"));
+        c.register(&reg);
         c.add(3);
         c.inc();
         assert_eq!(c.value(), 4);
-        // Same name → same counter.
-        assert_eq!(reg.counter("t_total", "ignored").value(), 4);
+        assert_eq!(reg.counter_value("t_total", None), 4);
     }
 
     #[test]
     fn labeled_counters_are_distinct_series() {
         let reg = Registry::new();
-        reg.counter_labeled("t_by_kind", "h", "kind", "a").add(1);
-        reg.counter_labeled("t_by_kind", "h", "kind", "b").add(2);
+        let a = leak(Counter::labeled("t_by_kind", "h", "kind", "a"));
+        let b = leak(Counter::labeled("t_by_kind", "h", "kind", "b"));
+        a.register(&reg);
+        b.register(&reg);
+        a.add(1);
+        b.add(2);
         assert_eq!(reg.counter_value("t_by_kind", Some(("kind", "a"))), 1);
         assert_eq!(reg.counter_value("t_by_kind", Some(("kind", "b"))), 2);
         assert_eq!(reg.counter_value("t_by_kind", None), 0);
@@ -489,9 +377,19 @@ mod tests {
     }
 
     #[test]
+    fn first_record_registers_in_the_global_registry() {
+        static C: Counter = Counter::labeled("t_global_total", "h", "kind", "first");
+        let series = Some(("kind", "first"));
+        assert_eq!(counter_value("t_global_total", series), 0);
+        C.add(2);
+        C.inc();
+        assert_eq!(counter_value("t_global_total", series), 3);
+    }
+
+    #[test]
     fn gauges_set_and_record_max() {
-        let reg = Registry::new();
-        let g = reg.gauge("t_gauge", "h");
+        let g = leak(Gauge::new("t_gauge", "h"));
+        g.register(&Registry::new());
         g.set(5);
         g.record_max(3);
         assert_eq!(g.value(), 5);

@@ -13,10 +13,8 @@ pub enum ProbeOutcome {
     Ok,
     /// The scan failed (e.g. an injected fault) and was dropped.
     Failed,
-    /// Skipped before starting (deadline already expired).
+    /// Skipped before its table build: the deadline had expired.
     Skipped,
-    /// Started but short-circuited by an in-flight deadline expiry.
-    Deadline,
 }
 
 impl ProbeOutcome {
@@ -26,7 +24,6 @@ impl ProbeOutcome {
             ProbeOutcome::Ok => "ok",
             ProbeOutcome::Failed => "failed",
             ProbeOutcome::Skipped => "skipped",
-            ProbeOutcome::Deadline => "deadline",
         }
     }
 }
@@ -69,7 +66,7 @@ pub struct ProbeTrace {
 }
 
 impl ProbeTrace {
-    /// A probe that did no scan work (failed, skipped, or expired): the
+    /// A probe that did no scan work (failed or skipped): the
     /// outcome carries all the information, every counter is zero.
     pub fn outcome_only(partition: usize, backend: &'static str, outcome: ProbeOutcome) -> Self {
         ProbeTrace {

@@ -6,7 +6,13 @@
 //! counter shards in the 24-thread case to force shard sharing.
 
 use pqfs_obs::registry::Registry;
+use pqfs_obs::{Counter, Gauge, Histogram};
 use std::thread;
+
+/// A fresh metric for each thread count, registered in its own registry.
+fn leak<T>(metric: T) -> &'static T {
+    Box::leak(Box::new(metric))
+}
 
 fn thread_counts() -> Vec<usize> {
     let mut counts = vec![1, 2, 8, 24];
@@ -25,8 +31,10 @@ fn counter_sums_are_exact_under_contention() {
     const INCS_PER_THREAD: u64 = 50_000;
     for threads in thread_counts() {
         let reg = Registry::new();
-        let c = reg.counter("hammer_total", "hammered counter");
-        let labeled = reg.counter_labeled("hammer_by_kind", "labeled", "kind", "x");
+        let c = leak(Counter::new("hammer_total", "hammered counter"));
+        let labeled = leak(Counter::labeled("hammer_by_kind", "labeled", "kind", "x"));
+        c.register(&reg);
+        labeled.register(&reg);
         thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(move || {
@@ -57,7 +65,8 @@ fn histogram_totals_match_observations() {
     const OBS_PER_THREAD: u64 = 20_000;
     for threads in thread_counts() {
         let reg = Registry::new();
-        let h = reg.histogram("hammer_lat_ns", "hammered histogram");
+        let h = leak(Histogram::new("hammer_lat_ns", "hammered histogram"));
+        h.register(&reg);
         thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(move || {
@@ -92,7 +101,8 @@ fn histogram_totals_match_observations() {
 fn gauges_record_max_monotonically_under_contention() {
     for threads in thread_counts() {
         let reg = Registry::new();
-        let g = reg.gauge("hammer_hwm", "high-water mark");
+        let g = leak(Gauge::new("hammer_hwm", "high-water mark"));
+        g.register(&reg);
         thread::scope(|s| {
             for t in 0..threads {
                 s.spawn(move || {

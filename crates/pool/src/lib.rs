@@ -84,7 +84,7 @@ pub fn default_threads() -> usize {
 
 static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 
-static POOL_THREADS: pqfs_obs::LazyGauge = pqfs_obs::LazyGauge::new(
+static POOL_THREADS: pqfs_obs::Gauge = pqfs_obs::Gauge::new(
     "pqfs_pool_threads",
     "Participating threads of the global pool (workers plus submitter)",
 );

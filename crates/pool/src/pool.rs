@@ -1,21 +1,21 @@
 //! The executor: worker threads, one shared FIFO queue, scoped task groups.
 
-use pqfs_obs::{LazyCounter, LazyGauge};
+use pqfs_obs::{Counter, Gauge};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-static TASKS: LazyCounter = LazyCounter::new(
+static TASKS: Counter = Counter::new(
     "pqfs_pool_tasks_total",
     "Pool tasks executed (by workers and by helping submitter threads)",
 );
-static BUSY_NS: LazyCounter = LazyCounter::new(
+static BUSY_NS: Counter = Counter::new(
     "pqfs_pool_busy_ns_total",
     "Nanoseconds spent executing pool tasks",
 );
-static QUEUE_HWM: LazyGauge = LazyGauge::new(
+static QUEUE_HWM: Gauge = Gauge::new(
     "pqfs_pool_queue_depth_hwm",
     "High-water mark of tasks queued",
 );

@@ -47,7 +47,7 @@ use crate::proto::{
 use crate::queue::{PushError, RequestQueue, Seat};
 use pqfs_fault::{FaultRead, FaultWrite};
 use pqfs_ivf::{IvfadcIndex, SearchBackend, SearchRequest};
-use pqfs_obs::{LazyCounter, LazyGauge, LazyHistogram};
+use pqfs_obs::{Counter, Gauge, Histogram};
 use pqfs_pool::ThreadPool;
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
@@ -56,75 +56,75 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-static CONNECTIONS_TOTAL: LazyCounter = LazyCounter::new(
+static CONNECTIONS_TOTAL: Counter = Counter::new(
     "pqfs_server_connections_total",
     "Client connections accepted",
 );
-static CONNECTIONS_ACTIVE: LazyGauge = LazyGauge::new(
+static CONNECTIONS_ACTIVE: Gauge = Gauge::new(
     "pqfs_server_connections_active",
     "Client connections currently open",
 );
-static REQ_QUERY: LazyCounter = LazyCounter::labeled(
+static REQ_QUERY: Counter = Counter::labeled(
     "pqfs_server_requests_total",
     "Requests received, by frame type",
     "type",
     "query",
 );
-static REQ_BATCH: LazyCounter = LazyCounter::labeled(
+static REQ_BATCH: Counter = Counter::labeled(
     "pqfs_server_requests_total",
     "Requests received, by frame type",
     "type",
     "batch",
 );
-static REQ_HEALTH: LazyCounter = LazyCounter::labeled(
+static REQ_HEALTH: Counter = Counter::labeled(
     "pqfs_server_requests_total",
     "Requests received, by frame type",
     "type",
     "health",
 );
-static REQ_STATS: LazyCounter = LazyCounter::labeled(
+static REQ_STATS: Counter = Counter::labeled(
     "pqfs_server_requests_total",
     "Requests received, by frame type",
     "type",
     "stats",
 );
-static SHED_TOTAL: LazyCounter = LazyCounter::new(
+static SHED_TOTAL: Counter = Counter::new(
     "pqfs_server_shed_total",
     "Requests shed by admission control (queue full)",
 );
-static PROTO_ERRORS: LazyCounter = LazyCounter::new(
+static PROTO_ERRORS: Counter = Counter::new(
     "pqfs_server_protocol_errors_total",
     "Connections dropped on malformed or corrupted frames",
 );
-static ACCEPT_ERRORS: LazyCounter = LazyCounter::new(
+static ACCEPT_ERRORS: Counter = Counter::new(
     "pqfs_server_accept_errors_total",
     "Connections dropped at accept time",
 );
-static BATCHES_TOTAL: LazyCounter = LazyCounter::new(
+static BATCHES_TOTAL: Counter = Counter::new(
     "pqfs_server_batches_total",
     "Waves (coalesced batches) executed",
 );
-static BATCH_QUERIES: LazyHistogram = LazyHistogram::new(
+static BATCH_QUERIES: Histogram = Histogram::new(
     "pqfs_server_batch_queries",
     "Queries per wave (count, not ns)",
 );
-static QUEUE_DEPTH_HWM: LazyGauge = LazyGauge::new(
+static QUEUE_DEPTH_HWM: Gauge = Gauge::new(
     "pqfs_server_queue_depth_hwm",
     "High-water mark of the admission queue depth",
 );
-static QUEUE_WAIT_NS: LazyHistogram = LazyHistogram::new(
+static QUEUE_WAIT_NS: Histogram = Histogram::new(
     "pqfs_server_queue_wait_ns",
     "Time requests spent queued before their wave started",
 );
-static EXECUTE_NS: LazyHistogram = LazyHistogram::new(
+static EXECUTE_NS: Histogram = Histogram::new(
     "pqfs_server_execute_ns",
     "Per request: its wave's start to answers ready",
 );
-static WRITE_NS: LazyHistogram = LazyHistogram::new(
+static WRITE_NS: Histogram = Histogram::new(
     "pqfs_server_write_ns",
     "Per request: response encode and socket flush",
 );
-static REQUEST_NS: LazyHistogram = LazyHistogram::new(
+static REQUEST_NS: Histogram = Histogram::new(
     "pqfs_server_request_ns",
     "Request latency, frame decoded to response flushed",
 );
@@ -146,14 +146,16 @@ pub struct ServerConfig {
     pub max_batch: usize,
     /// Admission queue capacity, in *requests* (frames, not queries).
     pub queue_capacity: usize,
-    /// Acceptor idle-poll interval (also the shutdown-latency bound for
-    /// an idle acceptor).
-    pub poll_interval: Duration,
-    /// Per-read socket timeout; idle connections poll the shutdown flag
-    /// at this cadence, and a peer that stalls mid-frame is dropped
-    /// after this long.
-    pub read_timeout: Duration,
 }
+
+/// Acceptor idle-poll interval (also the shutdown-latency bound for an
+/// idle acceptor).
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
+
+/// Per-read socket timeout: idle connections poll the shutdown flag at
+/// this cadence, and a peer that stalls mid-frame is dropped after this
+/// long.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -162,8 +164,6 @@ impl Default for ServerConfig {
             default_backend: SearchBackend::FastScan,
             max_batch: 32,
             queue_capacity: 256,
-            poll_interval: Duration::from_millis(5),
-            read_timeout: Duration::from_millis(50),
         }
     }
 }
@@ -312,8 +312,7 @@ fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
                     Err(_spawn) => ACCEPT_ERRORS.inc(),
                 }
             }
-            Err(e) if is_wait(e.kind()) => thread::sleep(shared.config.poll_interval),
-            Err(_) => thread::sleep(shared.config.poll_interval),
+            Err(_) => thread::sleep(POLL_INTERVAL),
         }
     }
     for h in conns {
@@ -399,7 +398,7 @@ impl ReplyWriter {
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _active = ActiveGuard::enter();
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -411,7 +410,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         // Between frames the buffer is empty unless the client pipelined,
         // so this is the one socket read that brings the next frame in,
         // and its timeout is where an *idle* connection notices shutdown.
-        // Once a frame has started, reads time out per `read_timeout` and
+        // Once a frame has started, reads time out per `READ_TIMEOUT` and
         // a stalled peer becomes a protocol error.
         match reader.fill_buf() {
             Ok([]) => return, // peer closed cleanly

@@ -1,13 +1,14 @@
 //! Minimal std-only SIGTERM/SIGINT latch for graceful shutdown.
 //!
-//! The server never *reacts* inside a signal handler — the handler only
-//! stores a flag into a static [`AtomicBool`] (one of the few operations
-//! that is async-signal-safe), and every server loop polls
-//! [`triggered`] at its natural boundary (accept poll, read timeout,
-//! batch pop). This crate binds `signal(2)` directly through the libc
-//! that std already links, keeping the workspace dependency-free; on
-//! glibc `signal` installs BSD semantics (`SA_RESTART`), which is exactly
-//! why the loops poll with timeouts instead of relying on `EINTR`.
+//! Nothing *reacts* inside a signal handler — the handler only stores a
+//! flag into a static [`AtomicBool`] (one of the few operations that is
+//! async-signal-safe). No server loop reads it: `pqfs serve`'s main loop
+//! polls [`triggered`] and then calls
+//! [`crate::ServerHandle::shutdown_and_join`], which stops the server's
+//! own loops. This crate binds `signal(2)` directly through the libc that
+//! std already links, keeping the workspace dependency-free; on glibc
+//! `signal` installs BSD semantics (`SA_RESTART`), which is why the main
+//! loop polls with a sleep instead of relying on `EINTR`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -54,35 +55,14 @@ pub fn install() {
     unix::install();
 }
 
-/// True once SIGTERM/SIGINT arrived (or [`trigger`] ran).
+/// True once SIGTERM/SIGINT arrived.
 pub fn triggered() -> bool {
     TRIGGERED.load(Ordering::SeqCst)
-}
-
-/// Sets the flag programmatically — what the signal handler would do.
-/// Used by tests and by embedders that manage their own signals.
-pub fn trigger() {
-    TRIGGERED.store(true, Ordering::SeqCst);
-}
-
-/// Clears the flag (tests that exercise the shutdown path repeatedly).
-pub fn reset() {
-    TRIGGERED.store(false, Ordering::SeqCst);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trigger_sets_and_reset_clears() {
-        reset();
-        assert!(!triggered());
-        trigger();
-        assert!(triggered());
-        reset();
-        assert!(!triggered());
-    }
 
     #[test]
     fn install_is_idempotent() {

@@ -92,12 +92,18 @@ fn failpoint_sites_and_the_registry_match_both_ways() {
     }
 }
 
+/// The metric types; each `::new(` or `::labeled(` call makes a metric.
+const METRIC_KINDS: [&str; 4] = ["Counter", "Gauge", "Histogram", "CounterFamily"];
+
+fn metric_ctors() -> Vec<String> {
+    let ctors = METRIC_KINDS.map(|k| [format!("{k}::new("), format!("{k}::labeled(")]);
+    ctors.concat()
+}
+
 #[test]
 fn metric_names_and_the_observability_doc_match_both_ways() {
     let code = library_code();
-    let kinds = ["LazyCounter", "LazyGauge", "LazyHistogram", "CounterFamily"];
-    let ctors = kinds.map(|k| [format!("{k}::new("), format!("{k}::labeled(")]);
-    let names = first_literals(&code, ctors.as_flattened());
+    let names = first_literals(&code, &metric_ctors());
     let doc = read(Path::new("docs/OBSERVABILITY.md"));
     for name in &names {
         let legal = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
@@ -114,6 +120,32 @@ fn metric_names_and_the_observability_doc_match_both_ways() {
             assert!(names.contains(name), "metric {name:?} is never made");
         }
     }
+}
+
+/// A metric registers under its `(name, label)` and the registry keeps
+/// the first metric of a series, so a second one would record unseen.
+#[test]
+fn every_metric_series_is_made_once() {
+    let code = library_code();
+    let mut series = BTreeSet::new();
+    for ctor in metric_ctors() {
+        for group in groups(&code, &ctor) {
+            if !group.trim_start().starts_with('"') {
+                continue; // no literal name: the registry's own code
+            }
+            let literals: Vec<&str> = group.split('"').skip(1).step_by(2).collect();
+            // A labeled counter's label is its last two arguments; a
+            // family's series share its last one, the label key.
+            let label = match literals.as_slice() {
+                [.., key, value] if ctor.ends_with("labeled(") => format!("{key}=\"{value}\""),
+                [.., key] if ctor.starts_with("CounterFamily") => format!("{key}=*"),
+                _ => String::new(),
+            };
+            let made = format!("{}{{{label}}}", literals[0]);
+            assert!(series.insert(made.clone()), "series {made} is made twice");
+        }
+    }
+    assert!(series.len() > 30, "the scan found only {series:?}");
 }
 
 #[test]
