@@ -272,8 +272,7 @@ fn query_run_emits_parseable_prometheus_text() {
 #[test]
 fn traced_query_waterfall_accounts_for_the_wall_time() {
     let (dir, index, _) = build_fixture("trace");
-    // Enough queries for a median: one waterfall that a descheduled process
-    // leaves short of its wall time says nothing about the accounting.
+    // Cold and warm queries alike: the first one pays first allocations.
     const QUERIES: usize = 21;
     let queries = dir.path("many.fvecs");
     let n = QUERIES.to_string();
@@ -286,8 +285,7 @@ fn traced_query_waterfall_accounts_for_the_wall_time() {
         ),
         "gen queries",
     );
-    // Serial pool: every stage is a disjoint slice of the wall clock, so
-    // the reported stage sum must account for (almost) all of it.
+    // Serial pool, so no two stages overlap.
     let out = pqfs(
         &[
             "query",
@@ -318,18 +316,16 @@ fn traced_query_waterfall_accounts_for_the_wall_time() {
         })
         .collect();
     assert_eq!(covered.len(), QUERIES, "one waterfall per query:\n{stderr}");
-    // Stages are disjoint, so no waterfall can exceed its wall time by more
-    // than rounding. Below it, sequential stages lose time only to
-    // inter-stage overhead (closure dispatch, trace bookkeeping) — a fixed
-    // few microseconds, a larger share the faster the scans get — and to
-    // the scheduler taking the CPU between two stages, which hits single
-    // queries hard and the median not at all.
+    // The stages tile the wall clock: each starts at the instant the one
+    // before it ended, and `dispatch` is the probe phase's time outside every
+    // probe's own stages. So every waterfall sums to its wall time, whatever
+    // the scheduler does between two stages; an untimed gap of a few
+    // microseconds in a query of about a hundred fails the floor.
     covered.sort_by(f64::total_cmp);
-    let (median, most) = (covered[QUERIES / 2], covered[QUERIES - 1]);
+    let (least, most) = (covered[0], covered[QUERIES - 1]);
     assert!(
-        median >= 85.0 && most <= 110.0,
-        "stage sums cover {median}% of wall in the median (floor 85%) and at most {most}% \
-         (ceiling 110%):\n{stderr}"
+        least >= 97.0 && most <= 100.0,
+        "stage sums cover {least}% to {most}% of wall (floor 97%, ceiling 100%):\n{stderr}"
     );
     drop(dir);
 }

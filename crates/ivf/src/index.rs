@@ -304,8 +304,13 @@ pub struct SearchOutcome {
     pub health: SearchHealth,
 }
 
-/// One probe's completed scan and its per-stage timings (both 0 for an
-/// empty partition, which builds no tables).
+/// Nanoseconds from `a` to `b`.
+fn stage_ns(a: Instant, b: Instant) -> u64 {
+    b.duration_since(a).as_nanos() as u64
+}
+
+/// One probe's completed scan and its per-stage timings (an empty
+/// partition scans nothing: its scan time is 0).
 #[derive(Default)]
 struct ProbeSuccess {
     neighbors: Vec<Neighbor>,
@@ -548,13 +553,15 @@ impl IvfadcIndex {
         if let Some(t) = trace.as_deref_mut() {
             t.reset();
         }
+        // Each stage starts at the instant the one before it ended, so on a
+        // serial pool `coarse | probes and dispatch | merge` tile the wall.
         let t_begin = Instant::now();
         let probes = self.coarse.assign_multi(query, nprobe);
-        let coarse_ns = t_begin.elapsed().as_nanos() as u64;
         let start = Instant::now();
+        let coarse_ns = stage_ns(t_begin, start);
         // Step 2 of the nearest probe, here on this thread's scratch: its
         // direct tables, and off them the query's term that every further
-        // probe expands its tables from.
+        // probe expands its tables from. They count in its tables stage.
         let mut term = Vec::new();
         SCRATCH.with(|cell| {
             let QueryScratch {
@@ -567,11 +574,16 @@ impl IvfadcIndex {
             }
             Ok::<_, IvfError>(())
         })?;
-        let nearest_tables_ns = start.elapsed().as_nanos() as u64;
         // One relaxed load when no failpoint is armed anywhere; the
         // per-probe site string is only built under an armed registry.
         let faults_armed = pqfs_fault::armed();
-        let run_probe = |p: usize, term: Option<&[f32]>, bound: f32, deadline: Option<_>| {
+        // A probe's tables stage starts at `entry`, so its fault check counts
+        // in it.
+        let run_probe = |p: usize,
+                         term: Option<&[f32]>,
+                         bound: f32,
+                         deadline: Option<(Instant, Duration)>,
+                         entry: Instant| {
             if faults_armed {
                 let site = format!("ivf.search.scan.{p}");
                 if let Err(e) =
@@ -583,6 +595,11 @@ impl IvfadcIndex {
                     });
                 }
             }
+            // The deadline's one check, just before the table build, so a
+            // blown budget costs no table work.
+            if deadline.is_some_and(|(start, budget)| start.elapsed() >= budget) {
+                return ProbeScan::Skipped;
+            }
             match panic::catch_unwind(AssertUnwindSafe(|| {
                 self.scan_probe(
                     query,
@@ -590,11 +607,10 @@ impl IvfadcIndex {
                     term,
                     &ScanParams::new(topk).with_keep(keep).with_bound(bound),
                     backend,
-                    deadline,
+                    entry,
                 )
             })) {
-                Ok(Ok(Some(success))) => ProbeScan::Ok(success),
-                Ok(Ok(None)) => ProbeScan::Skipped,
+                Ok(Ok(success)) => ProbeScan::Ok(success),
                 Ok(Err(e)) => ProbeScan::Failed(e),
                 Err(payload) => ProbeScan::Failed(IvfError::Probe {
                     partition: p,
@@ -606,10 +622,7 @@ impl IvfadcIndex {
         // Step one — all of an nprobe-1 query: the nearest probe, on this
         // thread, with no bound and no deadline, so a query always returns a
         // best-so-far answer even under a zero budget.
-        let mut nearest = run_probe(probes[0], None, f32::INFINITY, None);
-        if let ProbeScan::Ok(success) = &mut nearest {
-            success.tables_ns += nearest_tables_ns;
-        }
+        let nearest = run_probe(probes[0], None, f32::INFINITY, None, start);
         // Step two: every further probe inherits the nearest probe's k-th
         // distance as its entry bound. A vector it drops is farther than
         // the bound, which is already no less than the final k-th distance;
@@ -624,12 +637,13 @@ impl IvfadcIndex {
         };
         let deadline = deadline.map(|budget| (start, budget));
         let later = pool.parallel_map(&probes[1..], |_, &p| {
-            run_probe(p, Some(&term), bound, deadline)
+            run_probe(p, Some(&term), bound, deadline, Instant::now())
         });
         let scans = std::iter::once(nearest).chain(later);
 
         // Merge in probe order (determinism), collecting health as we go.
         let merge_t0 = Instant::now();
+        let mut probe_stages_ns = 0;
         let mut lists: Vec<Vec<Neighbor>> = Vec::with_capacity(probes.len());
         let mut stats = ScanStats::default();
         let mut health = SearchHealth::default();
@@ -652,6 +666,7 @@ impl IvfadcIndex {
                     }
                     stats.merge(&s);
                     record_scan_counters(backend, &s);
+                    probe_stages_ns += tables_ns + scan_ns;
                     TABLES_NS.observe_ns(tables_ns);
                     SCAN_NS.observe_ns(scan_ns);
                     if bounded_out {
@@ -709,14 +724,18 @@ impl IvfadcIndex {
                 merged.into_sorted()
             }
         };
+        let end = Instant::now();
+        let merge_ns = stage_ns(merge_t0, end);
+        let total_ns = stage_ns(t_begin, end);
         QUERIES.inc();
         COARSE_NS.observe_ns(coarse_ns);
-        let merge_ns = merge_t0.elapsed().as_nanos() as u64;
-        let total_ns = t_begin.elapsed().as_nanos() as u64;
         MERGE_NS.observe_ns(merge_ns);
         TOTAL_NS.observe_ns(total_ns);
         if let Some(t) = trace {
             t.coarse_ns = coarse_ns;
+            // The probe phase outside every probe's own stages: handing the
+            // later probes to the pool and waiting for them.
+            t.dispatch_ns = stage_ns(start, merge_t0).saturating_sub(probe_stages_ns);
             t.merge_ns = merge_ns;
             t.total_ns = total_ns;
         }
@@ -857,9 +876,8 @@ impl IvfadcIndex {
     /// buffer, distance tables and Fast Scan table buffers are reused
     /// across queries, so repeated scans allocate only the result vector.
     ///
-    /// Returns `Ok(None)` — the probe is skipped — when `deadline` had
-    /// expired on entry: this is the deadline's one check, just before the
-    /// table build, so a blown budget costs no table work.
+    /// The tables stage runs from `entry` to the scan; the scan stage ends
+    /// once the neighbors carry global ids.
     fn scan_probe(
         &self,
         query: &[f32],
@@ -867,17 +885,15 @@ impl IvfadcIndex {
         term: Option<&[f32]>,
         params: &ScanParams,
         backend: SearchBackend,
-        deadline: Option<(Instant, Duration)>,
-    ) -> Result<Option<ProbeSuccess>, IvfError> {
-        if deadline.is_some_and(|(start, budget)| start.elapsed() >= budget) {
-            return Ok(None);
-        }
+        entry: Instant,
+    ) -> Result<ProbeSuccess, IvfError> {
         let partition = &self.partitions[p];
         if partition.ids.is_empty() {
-            return Ok(Some(ProbeSuccess {
+            return Ok(ProbeSuccess {
                 bound: params.bound,
+                tables_ns: stage_ns(entry, Instant::now()),
                 ..ProbeSuccess::default()
-            }));
+            });
         }
 
         SCRATCH.with(|cell| {
@@ -885,7 +901,6 @@ impl IvfadcIndex {
 
             // Step 2: distance tables, expanded from the query's term (the
             // nearest probe's were built directly before it started).
-            let t0 = Instant::now();
             if let Some(term) = term {
                 self.expand_into(query, p, term, &mut scratch.tables);
                 TABLES_BUILT.inc();
@@ -905,7 +920,6 @@ impl IvfadcIndex {
                 let oracle = backend.scanner(&self.scan).prepare(rows)?;
                 oracle.scan(&scratch.tables, params)?
             };
-            let t2 = Instant::now();
 
             // Translate partition positions to global ids.
             let neighbors = result
@@ -916,16 +930,17 @@ impl IvfadcIndex {
                     id: partition.ids[n.id as usize],
                 })
                 .collect();
-            let stage_ns = |a: Instant, b: Instant| b.duration_since(a).as_nanos() as u64;
-            Ok(Some(ProbeSuccess {
+            let mut success = ProbeSuccess {
                 neighbors,
                 stats: result.stats,
                 bound: params.bound,
                 bounded_out: params.bound.is_finite()
                     && params.bound < scratch.tables.sum_of_mins(),
-                tables_ns: stage_ns(t0, t1),
-                scan_ns: stage_ns(t1, t2),
-            }))
+                tables_ns: stage_ns(entry, t1),
+                scan_ns: 0,
+            };
+            success.scan_ns = stage_ns(t1, Instant::now());
+            Ok(success)
         })
     }
 
@@ -1899,8 +1914,8 @@ mod tests {
             out.stats.scanned
         );
         assert!(trace.total_ns > 0);
-        // On a serial pool every stage is a disjoint slice of the wall time.
-        assert!(trace.stage_sum_ns() <= trace.total_ns);
+        // On a serial pool the stages tile the wall time, to the nanosecond.
+        assert_eq!(trace.stage_sum_ns(), trace.total_ns);
         let waterfall = trace.render_waterfall();
         assert!(waterfall.contains("coarse_quantize"));
         assert!(waterfall.contains("fastscan"));

@@ -1,10 +1,10 @@
 //! Per-query span tracing.
 //!
 //! A [`QueryTrace`] records the stage breakdown of one search —
-//! `coarse_quantize → residual/tables → probe[i] scan → merge` — with one
-//! [`ProbeTrace`] per probed partition. Tracing is an explicit per-query
-//! opt-in: the caller passes a trace to the search entry point, and an
-//! untraced query fills none.
+//! `coarse_quantize → residual/tables → probe[i] scan → dispatch → merge` —
+//! with one [`ProbeTrace`] per probed partition. Tracing is an explicit
+//! per-query opt-in: the caller passes a trace to the search entry point,
+//! and an untraced query fills none.
 
 /// How one probed partition ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,6 +102,11 @@ impl ProbeTrace {
 pub struct QueryTrace {
     /// Coarse quantization (partition selection) time (ns).
     pub coarse_ns: u64,
+    /// The probe phase's wall time outside every probe's tables and scan
+    /// stages (ns): handing the later probes to the pool and waiting for
+    /// them. Floored at 0, which it is whenever parallel probes' stages sum
+    /// past the fan-out's wall time.
+    pub dispatch_ns: u64,
     /// Result-merge time (ns).
     pub merge_ns: u64,
     /// Whole-query wall time (ns).
@@ -119,16 +124,19 @@ impl QueryTrace {
     /// Clears the trace for reuse, keeping the probe allocation.
     pub fn reset(&mut self) {
         self.coarse_ns = 0;
+        self.dispatch_ns = 0;
         self.merge_ns = 0;
         self.total_ns = 0;
         self.probes.clear();
     }
 
-    /// Sum of all recorded stage durations (ns). For a sequentially
-    /// executed query this is ≤ [`QueryTrace::total_ns`] and the acceptance
-    /// check compares the two.
+    /// Sum of all recorded stage durations (ns). The stages of a
+    /// sequentially executed query tile its wall time, so this is
+    /// [`QueryTrace::total_ns`] for it; parallel probes overlap and sum past
+    /// it.
     pub fn stage_sum_ns(&self) -> u64 {
         self.coarse_ns
+            + self.dispatch_ns
             + self.merge_ns
             + self
                 .probes
@@ -142,28 +150,26 @@ impl QueryTrace {
     ///
     /// ```text
     /// query trace: total 412.3µs, 4 probes
-    ///   coarse_quantize      12.3µs   3.0% |##
+    ///   coarse_quantize      12.3µs   3.0% |#
     ///   probe[0] p=17  fastscan    tables  40.1µs scan 210.0µs  scanned=1200 pruned=73.2% skipped=512 warmup=75 verified=247 accepted=31 bound=- ok
     ///   probe[1] p=3   fastscan    tables  38.7µs scan 100.5µs  scanned=800 pruned=91.0% skipped=640 warmup=0 verified=72 accepted=4 bound=5120.5 ok
+    ///   dispatch              8.6µs   2.1% |#
     ///   merge                 2.1µs   0.5% |
-    ///   stage sum 403.7µs (97.9% of wall)
+    ///   stage sum 412.3µs (100.0% of wall)
     /// ```
     pub fn render_waterfall(&self) -> String {
         let total = self.total_ns.max(1);
         let pct = |ns: u64| ns as f64 * 100.0 / total as f64;
-        let bar = |ns: u64| "#".repeat(((pct(ns) / 2.5).round() as usize).min(40));
+        let stage = |name: &str, ns: u64| {
+            let bar = "#".repeat(((pct(ns) / 2.5).round() as usize).min(40));
+            format!("  {name:<18} {:>9} {:>5.1}% |{bar}\n", fmt_ns(ns), pct(ns))
+        };
         let mut out = format!(
             "query trace: total {}, {} probes\n",
             fmt_ns(self.total_ns),
             self.probes.len()
         );
-        out.push_str(&format!(
-            "  {:<18} {:>9} {:>5.1}% |{}\n",
-            "coarse_quantize",
-            fmt_ns(self.coarse_ns),
-            pct(self.coarse_ns),
-            bar(self.coarse_ns)
-        ));
+        out.push_str(&stage("coarse_quantize", self.coarse_ns));
         for (i, p) in self.probes.iter().enumerate() {
             out.push_str(&format!(
                 "  probe[{i}] p={:<4} {:<12} tables {:>9} scan {:>9}  scanned={} pruned={:.1}% skipped={} warmup={} verified={} accepted={} bound={} {}\n",
@@ -181,13 +187,8 @@ impl QueryTrace {
                 p.outcome.name()
             ));
         }
-        out.push_str(&format!(
-            "  {:<18} {:>9} {:>5.1}% |{}\n",
-            "merge",
-            fmt_ns(self.merge_ns),
-            pct(self.merge_ns),
-            bar(self.merge_ns)
-        ));
+        out.push_str(&stage("dispatch", self.dispatch_ns));
+        out.push_str(&stage("merge", self.merge_ns));
         out.push_str(&format!(
             "  stage sum {} ({:.1}% of wall)\n",
             fmt_ns(self.stage_sum_ns()),
@@ -217,6 +218,7 @@ mod tests {
     fn sample() -> QueryTrace {
         QueryTrace {
             coarse_ns: 10_000,
+            dispatch_ns: 3_000,
             merge_ns: 5_000,
             total_ns: 120_000,
             probes: vec![
@@ -254,7 +256,10 @@ mod tests {
 
     #[test]
     fn stage_sum_adds_all_stages() {
-        assert_eq!(sample().stage_sum_ns(), 10_000 + 5_000 + 30_000 + 60_000);
+        assert_eq!(
+            sample().stage_sum_ns(),
+            10_000 + 3_000 + 5_000 + 30_000 + 60_000
+        );
     }
 
     #[test]
@@ -273,9 +278,10 @@ mod tests {
         assert!(text
             .contains("pruned=90.0% skipped=800 warmup=40 verified=60 accepted=7 bound=1234.6 ok"));
         assert!(text.contains("skipped=0 warmup=0 verified=0 accepted=0 bound=- skipped"));
+        assert!(text.contains("dispatch               3.0µs   2.5% |#"));
         assert!(text.contains("merge"));
         assert!(text.contains("stage sum"));
-        assert!(text.contains("87.5% of wall"));
+        assert!(text.contains("90.0% of wall"));
     }
 
     #[test]

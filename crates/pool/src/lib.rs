@@ -27,6 +27,14 @@
 //!   same pool. The submitting thread always participates in execution
 //!   (it runs queued tasks while waiting), so nesting cannot deadlock
 //!   even when every worker is busy.
+//! * **Poll, then sleep** — a thread that has just run a task and finds
+//!   nothing to do (a worker with an empty queue, a submitter whose tasks
+//!   are all taken but not finished) polls the queue for about 50 µs,
+//!   yielding between looks, before it blocks on the condition variable:
+//!   the OpenMP runtime's "blocktime". Work queued within that window
+//!   starts at once instead of after a wake-up. The poll only decides when
+//!   to look again; every decision is taken under the queue's lock, so it
+//!   cannot lose a wake-up.
 //!
 //! The process-wide pool is reached through [`ThreadPool::global`]; it is
 //! created lazily, sized from [`std::thread::available_parallelism`], and
@@ -38,8 +46,9 @@
 //! fan queries out, like the server's waves, hand it a 1-thread pool.
 //!
 //! Determinism: both maps preserve input order in their outputs, and
-//! task *decomposition* never depends on which thread executes what — so a
-//! deterministic `f` yields bit-identical results for any pool size.
+//! task *decomposition* (⌈n / (8 × threads)⌉ items a task) depends on the
+//! pool size but never on which thread executes what — so a deterministic
+//! `f` yields bit-identical results for any pool size.
 //!
 //! ```
 //! use pqfs_pool::ThreadPool;

@@ -4,8 +4,9 @@ use pqfs_obs::{Counter, Gauge};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 static TASKS: Counter = Counter::new(
     "pqfs_pool_tasks_total",
@@ -24,7 +25,7 @@ static QUEUE_HWM: Gauge = Gauge::new(
 /// counts too, so the task counters are pool-size-independent).
 fn run_counted(thunk: impl FnOnce()) {
     TASKS.inc();
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     thunk();
     BUSY_NS.add(start.elapsed().as_nanos() as u64);
 }
@@ -38,6 +39,13 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// of a skewed workload; 8 keeps per-task overhead negligible while
 /// bounding the skew any single task can contribute to the critical path.
 const TASKS_PER_THREAD: usize = 8;
+
+/// How long a participant that has just run a job polls for more work
+/// before it blocks on `wake` (the OpenMP runtime's "blocktime"). A
+/// multi-probe query queues its fan-out about one nearest-probe scan after
+/// its previous one finished; a worker still polling takes it at once,
+/// where one asleep on the condvar starts 10–25 µs late.
+const POLL: Duration = Duration::from_micros(50);
 
 /// The one queue every participant pops from the front, and the shutdown
 /// signal for the workers.
@@ -64,6 +72,27 @@ impl Shared {
             .wait(queue)
             .unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Polls for up to [`POLL`] until the queue holds a job, the pool shuts
+    /// down or `done` holds, yielding the core between rounds so that
+    /// runnable threads of a pool larger than the host go first. Only a
+    /// hint: the caller decides again under the lock, so a wake-up the poll
+    /// misses is one its `wait` still gets.
+    fn poll(&self, done: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !done() {
+            let ready = match self.queue.try_lock() {
+                Ok(queue) => !queue.jobs.is_empty() || queue.shutdown,
+                Err(TryLockError::WouldBlock) => false,
+                // Poisoned: let the caller's `lock` deal with it.
+                Err(TryLockError::Poisoned(_)) => true,
+            };
+            if ready || start.elapsed() >= POLL {
+                return;
+            }
+            std::thread::yield_now();
+        }
+    }
 }
 
 fn worker_loop(shared: Arc<Shared>) {
@@ -72,6 +101,7 @@ fn worker_loop(shared: Arc<Shared>) {
         if let Some(job) = queue.jobs.pop_front() {
             drop(queue);
             run_counted(job);
+            shared.poll(|| false);
             queue = shared.lock();
         } else if queue.shutdown {
             return;
@@ -210,11 +240,14 @@ impl ThreadPool {
         // someone else's task still makes global progress and is what makes
         // nested scopes deadlock-free) until this scope completes. The
         // `Acquire` pairs with each job's `AcqRel` decrement, so a zero read
-        // here sees every job's writes (its output, the panic slot).
+        // here sees every job's writes (its output, the panic slot). After
+        // each job it polls for the scope's end or more work before it
+        // decides again, here under the lock.
         while state.remaining.load(Ordering::Acquire) != 0 {
             if let Some(job) = queue.jobs.pop_front() {
                 drop(queue);
                 run_counted(job);
+                shared.poll(|| state.remaining.load(Ordering::Acquire) == 0);
                 queue = shared.lock();
             } else {
                 queue = shared.wait(queue);
@@ -482,24 +515,31 @@ mod tests {
         assert!(msg.contains(" [on "), "missing thread attribution: {msg}");
     }
 
-    /// Two submitters race two-job scopes against each other and the
-    /// workers: each scope's last job must wake its submitter, and each push
-    /// a sleeping worker. A lost wake-up hangs a map, so the maps run under
-    /// a watchdog that fails with a message instead of hanging the suite.
-    #[test]
-    fn concurrent_submitters_never_lose_a_wake_up() {
-        const MAPS: usize = 40_000;
+    /// Two submitters race two-job scopes (`maps[s]` of them for submitter
+    /// `s`) against each other and the workers, at 2, 3 and 8 threads: each
+    /// scope's last job must wake its submitter, and each push a sleeping
+    /// worker. A lost wake-up hangs a map, so the maps run under a watchdog
+    /// that fails with a message instead of hanging the suite. `spin(i, j)`
+    /// is how long job `j` (0 or 1) of map `i` runs; the submitter takes
+    /// job 0 itself.
+    fn race_two_submitters(maps: [usize; 2], spin: fn(usize, usize) -> Duration) {
         for threads in [2, 3, 8] {
             let (done, finished) = mpsc::channel();
             let stress = std::thread::spawn(move || {
                 let pool = ThreadPool::new(threads);
                 std::thread::scope(|s| {
-                    for submitter in 0..2usize {
+                    for (submitter, &count) in maps.iter().enumerate() {
                         let pool = &pool;
                         s.spawn(move || {
-                            for i in 0..MAPS {
+                            for i in 0..count {
                                 // Two items are two jobs; one would run inline.
-                                let out = pool.parallel_map(&[i, i + 1], |_, &x| x + submitter);
+                                let out = pool.parallel_map(&[i, i + 1], |j, &x| {
+                                    let start = Instant::now();
+                                    while start.elapsed() < spin(i, j) {
+                                        std::hint::spin_loop();
+                                    }
+                                    x + submitter
+                                });
                                 assert_eq!(out, [i + submitter, i + 1 + submitter]);
                             }
                         });
@@ -510,13 +550,34 @@ mod tests {
             let outcome = finished.recv_timeout(Duration::from_secs(120));
             assert!(
                 !matches!(outcome, Err(mpsc::RecvTimeoutError::Timeout)),
-                "{threads}-thread pool: 2 x {MAPS} maps still running after 120 s (lost wake-up)"
+                "{threads}-thread pool: {maps:?} maps still running after 120 s (lost wake-up)"
             );
             stress.join().expect("every map returns its own results");
         }
+    }
+
+    #[test]
+    fn concurrent_submitters_never_lose_a_wake_up() {
+        const MAPS: usize = 40_000;
+        race_two_submitters([MAPS; 2], |_, _| Duration::ZERO);
         // Far above any queue a test of this binary builds, far below the
         // 3 x 160 000 jobs these maps queue in all.
         assert!(QUEUE_HWM.value() <= (2 * MAPS * 2) as u64);
+    }
+
+    /// Trivial jobs finish inside the idle poll, so their submitters seldom
+    /// reach `wait`. Here the submitter's own job runs 5 µs, long enough for
+    /// a polling worker to take the other one, which outlasts the
+    /// submitter's poll by -5 to 10 µs: it ends on both sides of the
+    /// submitter's last look before it sleeps. The second submitter stops
+    /// a quarter of the way: after that no other push can wake the first one
+    /// by chance, so each wake-up it loses hangs it.
+    #[test]
+    fn submitters_waiting_out_a_long_job_never_lose_a_wake_up() {
+        race_two_submitters([8_000, 2_000], |i, j| match j {
+            0 => Duration::from_micros(5),
+            _ => POLL + Duration::from_micros((i % 16) as u64),
+        });
     }
 
     #[test]
