@@ -127,12 +127,18 @@ struct QueryScratch {
     scan: ScanScratch,
 }
 
+impl Default for QueryScratch {
+    fn default() -> Self {
+        QueryScratch {
+            residual: Vec::new(),
+            tables: DistanceTables::placeholder(),
+            scan: ScanScratch::default(),
+        }
+    }
+}
+
 thread_local! {
-    static SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch {
-        residual: Vec::new(),
-        tables: DistanceTables::placeholder(),
-        scan: ScanScratch::default(),
-    });
+    static SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::default());
 }
 
 /// Which scan implementation answers queries: the `pqfs-scan` backend
@@ -322,6 +328,18 @@ struct ProbeSuccess {
     bounded_out: bool,
     tables_ns: u64,
     scan_ns: u64,
+    /// The shards its Fast Scan ran in (0: it did not scan).
+    shards: usize,
+}
+
+/// Which probe a scan is, in the query's two steps.
+#[derive(Clone, Copy)]
+enum Step<'a> {
+    /// The nearest probe: its tables are built before it starts, and its
+    /// Fast Scan may split on the pool, idle until the later probes.
+    Nearest(&'a ThreadPool),
+    /// A later probe: its tables expand from the query's term.
+    Later(&'a [f32]),
 }
 
 /// One probe's contribution to a multi-probe query.
@@ -580,7 +598,7 @@ impl IvfadcIndex {
         // A probe's tables stage starts at `entry`, so its fault check counts
         // in it.
         let run_probe = |p: usize,
-                         term: Option<&[f32]>,
+                         step: Step<'_>,
                          bound: f32,
                          deadline: Option<(Instant, Duration)>,
                          entry: Instant| {
@@ -604,7 +622,7 @@ impl IvfadcIndex {
                 self.scan_probe(
                     query,
                     p,
-                    term,
+                    step,
                     &ScanParams::new(topk).with_keep(keep).with_bound(bound),
                     backend,
                     entry,
@@ -621,8 +639,9 @@ impl IvfadcIndex {
 
         // Step one — all of an nprobe-1 query: the nearest probe, on this
         // thread, with no bound and no deadline, so a query always returns a
-        // best-so-far answer even under a zero budget.
-        let nearest = run_probe(probes[0], None, f32::INFINITY, None, start);
+        // best-so-far answer even under a zero budget. Only it may split its
+        // scan on the pool, which is otherwise idle now.
+        let nearest = run_probe(probes[0], Step::Nearest(pool), f32::INFINITY, None, start);
         // Step two: every further probe inherits the nearest probe's k-th
         // distance as its entry bound. A vector it drops is farther than
         // the bound, which is already no less than the final k-th distance;
@@ -637,7 +656,7 @@ impl IvfadcIndex {
         };
         let deadline = deadline.map(|budget| (start, budget));
         let later = pool.parallel_map(&probes[1..], |_, &p| {
-            run_probe(p, Some(&term), bound, deadline, Instant::now())
+            run_probe(p, Step::Later(&term), bound, deadline, Instant::now())
         });
         let scans = std::iter::once(nearest).chain(later);
 
@@ -658,6 +677,7 @@ impl IvfadcIndex {
                         bounded_out,
                         tables_ns,
                         scan_ns,
+                        shards,
                     } = success;
                     health.probes_ok += 1;
                     PROBES_OK.inc();
@@ -682,6 +702,7 @@ impl IvfadcIndex {
                         bound: bound.is_finite().then_some(bound),
                         tables_ns,
                         scan_ns,
+                        shards,
                         ..ProbeTrace::outcome_only(p, backend.name(), ProbeOutcome::Ok)
                     }
                 }
@@ -875,6 +896,9 @@ impl IvfadcIndex {
     /// Runs on the calling thread using its [`QueryScratch`]: the residual
     /// buffer, distance tables and Fast Scan table buffers are reused
     /// across queries, so repeated scans allocate only the result vector.
+    /// The scratch leaves the thread-local for the scan: a split scan waits
+    /// for its shards, and a waiting thread runs queued jobs, another
+    /// query's probe among them, which takes the thread's scratch in turn.
     ///
     /// The tables stage runs from `entry` to the scan; the scan stage ends
     /// once the neighbors carry global ids.
@@ -882,7 +906,7 @@ impl IvfadcIndex {
         &self,
         query: &[f32],
         p: usize,
-        term: Option<&[f32]>,
+        step: Step<'_>,
         params: &ScanParams,
         backend: SearchBackend,
         entry: Instant,
@@ -895,52 +919,63 @@ impl IvfadcIndex {
                 ..ProbeSuccess::default()
             });
         }
+        let QueryScratch {
+            residual,
+            mut tables,
+            mut scan,
+        } = SCRATCH.take();
 
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
+        // Step 2: distance tables, expanded from the query's term (the
+        // nearest probe's were built directly before it started).
+        if let Step::Later(term) = step {
+            self.expand_into(query, p, term, &mut tables);
+            TABLES_BUILT.inc();
+        }
+        let t1 = Instant::now();
 
-            // Step 2: distance tables, expanded from the query's term (the
-            // nearest probe's were built directly before it started).
-            if let Some(term) = term {
-                self.expand_into(query, p, term, &mut scratch.tables);
-                TABLES_BUILT.inc();
+        // Step 3: scan. Fast Scan reads the resident grouped codes; any
+        // other backend is an oracle, answered exactly — and slowly, on
+        // purpose — over rows rebuilt for this one scan, so no second
+        // layout ever stays resident.
+        let (result, shards) = if backend == SearchBackend::FastScan {
+            let index = &partition.index;
+            match step {
+                Step::Nearest(pool) => (
+                    index.scan_on(&tables, params, &mut scan, pool),
+                    index.shards(pool),
+                ),
+                Step::Later(_) => (index.scan_with(&tables, params, &mut scan), 1),
             }
-            let t1 = Instant::now();
+        } else {
+            let rows = Arc::new(self.partition_rows(p).1);
+            let oracle = backend.scanner(&self.scan).prepare(rows);
+            (oracle.and_then(|oracle| oracle.scan(&tables, params)), 1)
+        };
+        let bounded_out = params.bound.is_finite() && params.bound < tables.sum_of_mins();
+        SCRATCH.set(QueryScratch {
+            residual,
+            tables,
+            scan,
+        });
+        let result: ScanResult = result?;
 
-            // Step 3: scan. Fast Scan reads the resident grouped codes; any
-            // other backend is an oracle, answered exactly — and slowly, on
-            // purpose — over rows rebuilt for this one scan, so no second
-            // layout ever stays resident.
-            let result: ScanResult = if backend == SearchBackend::FastScan {
-                partition
-                    .index
-                    .scan_with(&scratch.tables, params, &mut scratch.scan)?
-            } else {
-                let rows = Arc::new(self.partition_rows(p).1);
-                let oracle = backend.scanner(&self.scan).prepare(rows)?;
-                oracle.scan(&scratch.tables, params)?
-            };
-
-            // Translate partition positions to global ids.
-            let neighbors = result
-                .neighbors
-                .into_iter()
-                .map(|n| Neighbor {
-                    dist: n.dist,
-                    id: partition.ids[n.id as usize],
-                })
-                .collect();
-            let mut success = ProbeSuccess {
-                neighbors,
-                stats: result.stats,
-                bound: params.bound,
-                bounded_out: params.bound.is_finite()
-                    && params.bound < scratch.tables.sum_of_mins(),
-                tables_ns: stage_ns(entry, t1),
-                scan_ns: 0,
-            };
-            success.scan_ns = stage_ns(t1, Instant::now());
-            Ok(success)
+        // Translate partition positions to global ids.
+        let neighbors = result
+            .neighbors
+            .into_iter()
+            .map(|n| Neighbor {
+                dist: n.dist,
+                id: partition.ids[n.id as usize],
+            })
+            .collect();
+        Ok(ProbeSuccess {
+            neighbors,
+            stats: result.stats,
+            bound: params.bound,
+            bounded_out,
+            tables_ns: stage_ns(entry, t1),
+            scan_ns: stage_ns(t1, Instant::now()),
+            shards,
         })
     }
 
@@ -1065,6 +1100,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::OnceLock;
 
     const DIM: usize = 16;
 
@@ -1281,6 +1317,93 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Three cells, the largest with at least `SPLIT_MIN` vectors, and
+    /// base vectors as queries: `split` of them whose nearest cell is the
+    /// largest, then two whose nearest is another.
+    fn split_fixture(split: usize) -> (&'static IvfadcIndex, Vec<Vec<f32>>) {
+        static CELLS: OnceLock<(IvfadcIndex, Vec<f32>)> = OnceLock::new();
+        let (index, base) = CELLS.get_or_init(|| build_cells(3 * pqfs_scan::SPLIT_MIN, 3));
+        let sizes = index.partition_sizes();
+        let large = (0..3).max_by_key(|&p| sizes[p]).unwrap();
+        assert!(sizes[large] >= pqfs_scan::SPLIT_MIN, "{sizes:?}");
+        let nearest = |q: &[f32]| index.coarse.assign_multi(q, 1)[0];
+        let rows = base.chunks_exact(DIM).step_by(997);
+        let (mut queries, mut others): (Vec<_>, Vec<_>) = rows.partition(|q| nearest(q) == large);
+        queries.truncate(split);
+        others.truncate(2);
+        assert_eq!((queries.len(), others.len()), (split, 2));
+        let queries = queries.into_iter().chain(others).map(<[f32]>::to_vec);
+        (index, queries.collect())
+    }
+
+    /// A nearest probe of at least `SPLIT_MIN` vectors splits its scan on a
+    /// pool of 2 or 8 threads: the answer is the 1-thread pool's, bit for
+    /// bit, the stats are equal at 2 and 8 threads, and on one thread the
+    /// probe scans unsplit. Later probes never split.
+    #[test]
+    fn split_nearest_probe_answers_as_the_unsplit_search() {
+        let _lock = pqfs_fault::exclusive();
+        let (index, queries) = split_fixture(4);
+        let pools = [1, 2, 8].map(ThreadPool::new);
+        let mut trace = QueryTrace::new();
+        for (qi, q) in queries.iter().enumerate() {
+            let large = qi < 4;
+            for (topk, nprobe) in [(10, 1), (100, 1), (1_000, 1), (100, 3)] {
+                let req = SearchRequest::new(topk, SearchBackend::FastScan, 0.005, nprobe);
+                let mut split_stats = None;
+                let mut want = None;
+                for pool in &pools {
+                    let case = format!(
+                        "query {qi} topk {topk} nprobe {nprobe} @ {}",
+                        pool.threads()
+                    );
+                    let out = index.search(q, &req, pool, Some(&mut trace)).unwrap();
+                    assert_eq!(out.health, SearchHealth::healthy(nprobe), "{case}");
+                    let shards = if large && pool.threads() > 1 { 2 } else { 1 };
+                    assert_eq!(trace.probes[0].shards, shards, "{case}");
+                    assert!(trace.probes[1..].iter().all(|p| p.shards <= 1), "{case}");
+                    for p in &trace.probes {
+                        assert_eq!(p.warmup + p.pruned + p.verified, p.scanned, "{case}");
+                        assert!(p.accepted <= p.warmup + p.verified, "{case}");
+                        assert!(p.skipped <= p.pruned, "{case}");
+                    }
+                    if nprobe == 1 {
+                        // One probe: the stages tile the wall, split or not.
+                        assert_eq!(trace.stage_sum_ns(), trace.total_ns, "{case}");
+                    }
+                    let want = want.get_or_insert_with(|| bits(&out.neighbors));
+                    assert_eq!(&bits(&out.neighbors), want, "{case}");
+                    if pool.threads() > 1 {
+                        assert_eq!(*split_stats.get_or_insert(out.stats), out.stats, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A search that splits inside a job of its own pool, with other
+    /// queries' jobs queued behind it: while the thread waits for its
+    /// shards it runs those jobs, and their probes take the thread's scratch
+    /// too. No probe may fail and every answer is the unsplit one.
+    #[test]
+    fn split_search_inside_a_job_of_its_pool_fails_no_probe() {
+        let _lock = pqfs_fault::exclusive();
+        let (index, queries) = split_fixture(10);
+        let req = SearchRequest::new(100, SearchBackend::FastScan, 0.005, 1);
+        let serial = ThreadPool::new(1);
+        let want: Vec<_> = queries
+            .iter()
+            .map(|q| bits(&index.search(q, &req, &serial, None).unwrap().neighbors))
+            .collect();
+        let pool = ThreadPool::new(2);
+        let got = pool.parallel_map(&queries, |_, q| index.search(q, &req, &pool, None));
+        for (qi, (got, want)) in got.into_iter().zip(&want).enumerate() {
+            let got = got.unwrap_or_else(|e| panic!("query {qi}: {e}"));
+            assert_eq!(got.health.probes_failed, 0, "query {qi}");
+            assert_eq!(&bits(&got.neighbors), want, "query {qi}");
         }
     }
 

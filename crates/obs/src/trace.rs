@@ -63,6 +63,10 @@ pub struct ProbeTrace {
     pub tables_ns: u64,
     /// Time spent scanning (ns).
     pub scan_ns: u64,
+    /// Shards the scan ran in: 2 for a nearest probe whose Fast Scan split
+    /// on the pool (docs/FASTSCAN.md §9), 1 for any other scan, 0 when the
+    /// probe scanned nothing.
+    pub shards: usize,
 }
 
 impl ProbeTrace {
@@ -82,6 +86,7 @@ impl ProbeTrace {
             bound: None,
             tables_ns: 0,
             scan_ns: 0,
+            shards: 0,
         }
     }
 
@@ -151,7 +156,7 @@ impl QueryTrace {
     /// ```text
     /// query trace: total 412.3µs, 4 probes
     ///   coarse_quantize      12.3µs   3.0% |#
-    ///   probe[0] p=17  fastscan    tables  40.1µs scan 210.0µs  scanned=1200 pruned=73.2% skipped=512 warmup=75 verified=247 accepted=31 bound=- ok
+    ///   probe[0] p=17  fastscan    tables  40.1µs scan 210.0µs  scanned=1200 pruned=73.2% skipped=512 warmup=75 verified=247 accepted=31 shards=2 bound=- ok
     ///   probe[1] p=3   fastscan    tables  38.7µs scan 100.5µs  scanned=800 pruned=91.0% skipped=640 warmup=0 verified=72 accepted=4 bound=5120.5 ok
     ///   dispatch              8.6µs   2.1% |#
     ///   merge                 2.1µs   0.5% |
@@ -172,7 +177,7 @@ impl QueryTrace {
         out.push_str(&stage("coarse_quantize", self.coarse_ns));
         for (i, p) in self.probes.iter().enumerate() {
             out.push_str(&format!(
-                "  probe[{i}] p={:<4} {:<12} tables {:>9} scan {:>9}  scanned={} pruned={:.1}% skipped={} warmup={} verified={} accepted={} bound={} {}\n",
+                "  probe[{i}] p={:<4} {:<12} tables {:>9} scan {:>9}  scanned={} pruned={:.1}% skipped={} warmup={} verified={} accepted={}{} bound={} {}\n",
                 p.partition,
                 p.backend,
                 fmt_ns(p.tables_ns),
@@ -183,6 +188,12 @@ impl QueryTrace {
                 p.warmup,
                 p.verified,
                 p.accepted,
+                // Only a split shows: every other scan ran in one piece.
+                if p.shards > 1 {
+                    format!(" shards={}", p.shards)
+                } else {
+                    String::new()
+                },
                 p.bound.map_or_else(|| "-".to_string(), |b| format!("{b:.1}")),
                 p.outcome.name()
             ));
@@ -235,6 +246,7 @@ mod tests {
                     bound: Some(1234.56),
                     tables_ns: 30_000,
                     scan_ns: 60_000,
+                    shards: 2,
                 },
                 ProbeTrace {
                     partition: 3,
@@ -249,6 +261,7 @@ mod tests {
                     bound: None,
                     tables_ns: 0,
                     scan_ns: 0,
+                    shards: 0,
                 },
             ],
         }
@@ -275,8 +288,9 @@ mod tests {
         assert!(text.contains("coarse_quantize"));
         assert!(text.contains("probe[0] p=17"));
         assert!(text.contains("avx2"));
-        assert!(text
-            .contains("pruned=90.0% skipped=800 warmup=40 verified=60 accepted=7 bound=1234.6 ok"));
+        assert!(text.contains(
+            "pruned=90.0% skipped=800 warmup=40 verified=60 accepted=7 shards=2 bound=1234.6 ok"
+        ));
         assert!(text.contains("skipped=0 warmup=0 verified=0 accepted=0 bound=- skipped"));
         assert!(text.contains("dispatch               3.0µs   2.5% |#"));
         assert!(text.contains("merge"));

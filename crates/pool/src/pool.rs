@@ -1,6 +1,7 @@
 //! The executor: worker threads, one shared FIFO queue, scoped task groups.
 
 use pqfs_obs::{Counter, Gauge};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -21,13 +22,35 @@ static QUEUE_HWM: Gauge = Gauge::new(
     "High-water mark of tasks queued",
 );
 
+thread_local! {
+    /// How many counted tasks this thread is inside: a task that runs a
+    /// scope runs the scope's tasks (inline, or any queued one while it
+    /// waits) inside its own.
+    static DEPTH: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Leaves one level of [`DEPTH`], also when the task unwinds.
+struct Nested;
+
+impl Drop for Nested {
+    fn drop(&mut self) {
+        DEPTH.with(|depth| depth.set(depth.get() - 1));
+    }
+}
+
 /// Runs one task, counting it and its busy time (the serial inline path
-/// counts too, so the task counters are pool-size-independent).
+/// counts too, so the task counters are pool-size-independent). Only the
+/// outermost task on a thread adds busy time: a nested task's time is
+/// already inside it, so busy time never exceeds wall time × threads.
 fn run_counted(thunk: impl FnOnce()) {
     TASKS.inc();
+    let outermost = DEPTH.with(|depth| depth.replace(depth.get() + 1)) == 0;
+    let _nested = Nested;
     let start = Instant::now();
     thunk();
-    BUSY_NS.add(start.elapsed().as_nanos() as u64);
+    if outermost {
+        BUSY_NS.add(start.elapsed().as_nanos() as u64);
+    }
 }
 
 /// A type-erased unit of work. Scoped borrows are transmuted to `'static`

@@ -43,13 +43,14 @@ pub mod layout;
 mod scan;
 
 pub use kernel::Kernel;
-pub use scan::{ScanParams, ScanScratch};
+pub use scan::{ScanParams, ScanScratch, SPLIT_MIN};
 
 use crate::result::ScanResult;
 use crate::ScanError;
 use grouping::{auto_components, GroupedCodes};
 use layout::FS_M;
 use pqfs_core::{DistanceTables, RowMajorCodes};
+use pqfs_pool::ThreadPool;
 
 /// Fast Scan build options, read by [`FastScanIndex::build`] and
 /// [`Backend::scanner`](crate::Backend::scanner) (the PQ Scan oracles have
@@ -141,7 +142,57 @@ impl FastScanIndex {
         params: &ScanParams,
         scratch: &mut ScanScratch,
     ) -> Result<ScanResult, ScanError> {
-        scan::scan_with(self, tables, params, scratch)
+        scan::scan_with(self, tables, params, scratch, None)
+    }
+
+    /// [`scan_with`](Self::scan_with) with `pool` at hand: a partition of
+    /// at least [`SPLIT_MIN`] vectors runs its fast path as two shards on a
+    /// pool of two or more threads ([`shards`](Self::shards)). The neighbors
+    /// are bit-identical to [`scan_with`](Self::scan_with)'s; the stats of a
+    /// split scan count both shards' work (docs/FASTSCAN.md §9). A split
+    /// also allocates its shards' run lists and their merged list.
+    ///
+    /// # Errors
+    ///
+    /// As [`scan`](Self::scan).
+    pub fn scan_on(
+        &self,
+        tables: &DistanceTables,
+        params: &ScanParams,
+        scratch: &mut ScanScratch,
+        pool: &ThreadPool,
+    ) -> Result<ScanResult, ScanError> {
+        let split = (self.shards(pool) > 1).then_some(pool);
+        scan::scan_with(self, tables, params, scratch, split)
+    }
+
+    /// The shards [`scan_on`](Self::scan_on) scans this partition in on
+    /// `pool`: two when the pool has two or more threads and the partition
+    /// at least [`SPLIT_MIN`] vectors, else one.
+    pub fn shards(&self, pool: &ThreadPool) -> usize {
+        if pool.threads() >= 2 && self.len() >= SPLIT_MIN {
+            scan::SHARDS
+        } else {
+            1
+        }
+    }
+
+    /// [`scan_on`](Self::scan_on)'s split at any partition size: what the
+    /// timing harness that picks [`SPLIT_MIN`] compares with the unsplit
+    /// scan.
+    ///
+    /// # Errors
+    ///
+    /// As [`scan`](Self::scan).
+    #[doc(hidden)]
+    pub fn scan_split(
+        &self,
+        tables: &DistanceTables,
+        params: &ScanParams,
+        scratch: &mut ScanScratch,
+        pool: &ThreadPool,
+    ) -> Result<ScanResult, ScanError> {
+        scan::scan_with(self, tables, params, scratch, Some(pool))
     }
 
     /// Number of indexed vectors.

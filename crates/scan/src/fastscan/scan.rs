@@ -18,6 +18,10 @@
 //! [`ScanParams::bound`]: it replaces the warm-up as the source of `qmax`
 //! and caps the pruning threshold from the first block on (docs/FASTSCAN.md
 //! §5).
+//!
+//! A split scan runs the fast path as [`SHARDS`] shards on a pool, shard `s`
+//! over the runs `s, s + SHARDS, …` of the run order, each with its own copy
+//! of the warm-up's heap, and merges their lists (docs/FASTSCAN.md §9).
 
 use crate::fastscan::grouping::GroupedCodes;
 use crate::fastscan::kernel::{self, BlockSink, ScanTables};
@@ -27,7 +31,16 @@ use crate::quantize::{DistanceQuantizer, DEFAULT_BINS};
 use crate::result::{ScanResult, ScanStats};
 use crate::ScanError;
 use pqfs_core::{DistanceTables, TopK};
+use pqfs_pool::ThreadPool;
 use std::ops::Range;
+
+/// The fewest vectors a partition holds for [`FastScanIndex::scan_on`] to
+/// split its fast path: below it the second shard's extra verification and
+/// the hand-off cost more than the second core saves (docs/FASTSCAN.md §9).
+pub const SPLIT_MIN: usize = 65_536;
+
+/// The shards of a split scan.
+pub(crate) const SHARDS: usize = 2;
 
 /// Per-query scan parameters, with one meaning for every
 /// [`Backend`](crate::Backend): the result is the `topk` smallest
@@ -112,14 +125,18 @@ pub(crate) fn scan(
     tables: &DistanceTables,
     params: &ScanParams,
 ) -> Result<ScanResult, ScanError> {
-    scan_with(index, tables, params, &mut ScanScratch::default())
+    scan_with(index, tables, params, &mut ScanScratch::default(), None)
 }
 
+/// Scans the partition; with a `split` pool, as [`SHARDS`] shards on it.
+/// The neighbors are the same either way; the stats are each shard's summed,
+/// the warm-up's counted once.
 pub(crate) fn scan_with(
     index: &FastScanIndex,
     tables: &DistanceTables,
     params: &ScanParams,
     scratch: &mut ScanScratch,
+    split: Option<&ThreadPool>,
 ) -> Result<ScanResult, ScanError> {
     // The eight float tables as one fixed-size array: `PQ 8×8` is checked
     // here once, and no lookup below needs a bounds check.
@@ -221,38 +238,68 @@ pub(crate) fn scan_with(
     let runs = run_order(grouped, &minima, &mut order);
     let bound = heap.threshold().min(entry);
     let threshold = quantizer.quantize_threshold(bound);
-    let mut verifier = Verifier {
-        grouped,
-        float_tables,
-        quantizer: &quantizer,
-        heap,
-        entry,
-        bound,
-        threshold,
-        verified: 0,
-        accepted: stats.accepted,
-        skipped: 0,
-        warm_groups,
-        group: usize::MAX,
-        warm: false,
-        start: 0,
-        high: [0; 4],
-        blocks: &[],
+    let (scan_tables, warm_groups) = (&scratch.tables, &scratch.warm_groups[..]);
+    // The fast path over `runs` from `heap`: its list and its counts.
+    let fast_path = |heap: TopK, runs: &[u8]| {
+        let mut verifier = Verifier {
+            grouped,
+            float_tables,
+            quantizer: &quantizer,
+            heap,
+            entry,
+            bound,
+            threshold,
+            verified: 0,
+            accepted: 0,
+            skipped: 0,
+            warm_groups,
+            group: usize::MAX,
+            warm: false,
+            start: 0,
+            high: [0; 4],
+            blocks: &[],
+        };
+        kernel::scan_all(kernel, grouped, scan_tables, runs, threshold, &mut verifier);
+        let counts = ScanStats {
+            verified: verifier.verified,
+            accepted: verifier.accepted,
+            skipped: verifier.skipped,
+            ..ScanStats::default()
+        };
+        (verifier.heap.into_sorted(), counts)
     };
-    kernel::scan_all(kernel, grouped, scan_tables, runs, threshold, &mut verifier);
-    stats.verified = verifier.verified;
-    stats.accepted = verifier.accepted;
-    stats.skipped = verifier.skipped;
+    let (neighbors, counts) = match split {
+        None => fast_path(heap, runs),
+        Some(pool) => {
+            // Shard `s` takes every `SHARDS`-th run from the `s`-th, so it
+            // meets near runs as early as the whole scan does. Each holds
+            // the `topk` smallest of the warm-up and its runs, so together
+            // they hold the answer; the warm-up's vectors are in every list.
+            let shards: [Vec<u8>; SHARDS] =
+                std::array::from_fn(|s| runs.iter().skip(s).step_by(SHARDS).copied().collect());
+            let lists = pool.parallel_map(&shards, |_, runs| fast_path(heap.clone(), runs));
+            let (mut merged, mut counts) = (Vec::new(), ScanStats::default());
+            for (list, shard) in lists {
+                merged.extend(list);
+                counts.merge(&shard);
+            }
+            // Two ascending runs: the sort merges them.
+            merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            merged.dedup_by_key(|n| n.id);
+            merged.truncate(heap.k());
+            (merged, counts)
+        }
+    };
+    stats.verified = counts.verified;
+    stats.accepted += counts.accepted;
+    stats.skipped = counts.skipped;
 
     // A vector is "pruned" when its exact pqdistance was never computed in
     // the fast path; warm-up members are accounted separately, so the
     // invariant `warmup + pruned + verified == scanned` always holds.
     stats.pruned = n as u64 - stats.warmup - stats.verified;
 
-    Ok(ScanResult {
-        neighbors: verifier.heap.into_sorted(),
-        stats,
-    })
+    Ok(ScanResult { neighbors, stats })
 }
 
 /// Picks the groups the warm-up scans and returns how many vectors they
@@ -402,7 +449,7 @@ struct Verifier<'a> {
     /// `bound`, quantized: what the kernel prunes with.
     threshold: u8,
     verified: u64,
-    /// Candidates the heap took, the warm-up's included.
+    /// Candidates the heap took.
     accepted: u64,
     /// Vectors of the groups passed over, the warm-up's (not pruned) excepted.
     skipped: u64,
@@ -506,8 +553,8 @@ mod tests {
                     let mut scratch = ScanScratch::default();
                     for topk in [10, 100, n + 5] {
                         let case = format!("c={c} {kernel:?} flat={flat} topk={topk}");
-                        let got = scan_with(&index, &tables, &ScanParams::new(topk), &mut scratch)
-                            .unwrap();
+                        let params = ScanParams::new(topk);
+                        let got = scan_with(&index, &tables, &params, &mut scratch, None).unwrap();
                         let warm = &scratch.warm_groups;
                         assert!(warm.windows(2).all(|w| w[0] < w[1]), "{case}");
                         let held: usize = warm.iter().map(|&g| groups[g as usize].len).sum();

@@ -58,7 +58,7 @@ mod result;
 mod scanner;
 
 pub use error::ScanError;
-pub use fastscan::{FastScanIndex, Kernel, ScanOpts, ScanParams, ScanScratch};
+pub use fastscan::{FastScanIndex, Kernel, ScanOpts, ScanParams, ScanScratch, SPLIT_MIN};
 pub use libpq::scan_libpq;
 pub use naive::scan_naive;
 pub use quantize::{DistanceQuantizer, DEFAULT_BINS, NO_PRUNE};
