@@ -3,21 +3,26 @@
 //!
 //! Pruning power is size-independent, but small partitions spend a growing
 //! share of time loading small tables at group boundaries: speed collapses
-//! once groups shrink below ~50 vectors (§4.2's `n_min(c) = 50·16^c` rule).
-//! Below ~3 M vectors (scaled here) the right fix is grouping on 3
-//! components instead of 4 — shown in the second table.
+//! once groups shrink too far. The paper put that point at ~50 vectors a
+//! group (§4.2's `n_min(c) = 50·16^c`); the kernels here cross over at ~128
+//! (docs/FASTSCAN.md §10). The second table scans every size on the auto
+//! grouping and on one component fewer and one more, and marks the fastest.
 //!
 //! ```sh
-//! cargo run --release -p pqfs-bench --bin fig19
+//! cargo run --release -p pqfs_bench --bin fig19
 //! ```
 
 #![forbid(unsafe_code)]
 
-use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};
+use pqfs_bench::components::{crossover, COLUMNS};
+use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture, DIM};
 use pqfs_bench::{fmt_count, fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
 use pqfs_core::RowMajorCodes;
-use pqfs_scan::{Backend, FastScanIndex, PreparedScanner, ScanOpts, ScanParams};
+use pqfs_scan::{Backend, FastScanIndex, Kernel, PreparedScanner, ScanOpts, ScanParams};
 use std::sync::Arc;
+
+/// Rounds of the second table (docs/FASTSCAN.md §10's method).
+const ROUNDS: usize = 3;
 
 fn libpq_scanner(codes: &Arc<RowMajorCodes>) -> Box<dyn PreparedScanner> {
     Backend::Libpq
@@ -56,7 +61,7 @@ fn measure(
 fn main() {
     let mut sizes = scaled_partition_sizes();
     sizes.sort_by_key(|&n| std::cmp::Reverse(n));
-    let queries = env_usize("PQFS_QUERIES", 3);
+    let queries = env_usize("PQFS_QUERIES", 25);
     header(
         "fig19",
         "Figure 19, §5.6",
@@ -65,7 +70,7 @@ fn main() {
 
     let mut fx = Fixture::train(19);
 
-    println!("partition scan (auto grouping, paper setting c = 4 at scale):");
+    println!("partition scan (auto grouping):");
     let mut t = TextTable::new(vec![
         "# vectors",
         "c",
@@ -97,40 +102,30 @@ fn main() {
     }
     println!("{t}");
 
-    // The §5.6 point: for the smallest partitions, forcing the at-scale
-    // grouping (c = 4 in the paper; the auto choice of our largest
-    // partition here) hurts, while one fewer component recovers speed.
-    let c_large = FastScanIndex::build(&stored[0].1, &ScanOpts::default())
-        .expect("index")
-        .group_components();
-    let c_small = c_large.saturating_sub(1);
-    println!("small partitions: grouping on c={c_large} (at-scale) vs c={c_small}:");
-    let mut t2 = TextTable::new(vec![
-        "# vectors",
-        &format!("c={c_large} [Mv/s]"),
-        &format!("c={c_small} [Mv/s]"),
-        &format!("avg group at c={c_large}"),
-    ]);
-    for (n, codes) in stored.iter().rev().take(3) {
-        let big = FastScanIndex::build(codes, &ScanOpts::default().with_group_components(c_large))
-            .expect("index");
-        let small =
-            FastScanIndex::build(codes, &ScanOpts::default().with_group_components(c_small))
-                .expect("index");
-        let libpq = libpq_scanner(codes);
-        let (_, fast_big, _) = measure(&mut fx, codes, &big, libpq.as_ref(), queries);
-        let (_, fast_small, _) = measure(&mut fx, codes, &small, libpq.as_ref(), queries);
-        t2.row(vec![
-            fmt_count(*n as u64),
-            fmt_f(fast_big, 0),
-            fmt_f(fast_small, 0),
-            fmt_f(*n as f64 / big.num_groups() as f64, 1),
-        ]);
+    // The §5.6 point, re-measured: the auto grouping against c ± 1.
+    println!("every size on auto c and c ± 1 (Kernel::Auto, topk 100, {ROUNDS} rounds):");
+    let mut t2 = TextTable::new([&["# vectors"][..], &COLUMNS].concat());
+    let rows = fx.queries(queries);
+    let tables: Vec<_> = rows.chunks_exact(DIM).map(|q| fx.tables(q)).collect();
+    let params = ScanParams::new(100).with_keep(0.005);
+    stored.dedup_by_key(|(n, _)| *n);
+    for (n, codes) in stored.iter().rev() {
+        let prefix = [fmt_count(*n as u64)];
+        crossover(
+            &mut t2,
+            &prefix,
+            codes,
+            Kernel::Auto,
+            &tables,
+            &params,
+            ROUNDS,
+        );
     }
     println!("{t2}");
     println!(
         "paper shape: speed is flat for the large partitions and drops for the \
-         smallest ones as groups approach the ~50-vector threshold; grouping \
-         on one fewer component restores it."
+         smallest ones as groups shrink; the paper's threshold was ~50 vectors a \
+         group. Measured here: the fastest layout keeps groups of at least ~128 \
+         vectors, the rule auto c follows (docs/FASTSCAN.md §10)."
     );
 }

@@ -19,6 +19,7 @@
 
 pub mod baselines;
 pub mod columnar;
+pub mod components;
 pub mod cost_model;
 pub mod counters;
 pub mod recall;
@@ -125,18 +126,23 @@ pub fn header(id: &str, paper_ref: &str, params: &str) {
     println!("==================================================================");
 }
 
-/// Short description of the running host (the Table 5 substitute).
+/// Short description of the running host (the Table 5 substitute): the
+/// SIMD extensions the kernels use and the kernel `Kernel::Auto` runs.
 pub fn host_description() -> String {
     let arch = std::env::consts::ARCH;
+    let kernel = pqfs_scan::Kernel::Auto
+        .resolved()
+        .map_or_else(|e| e.to_string(), |k| format!("{k:?}"));
     #[cfg(target_arch = "x86_64")]
     {
         let ssse3 = std::arch::is_x86_feature_detected!("ssse3");
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
-        format!("{arch} (ssse3={ssse3}, avx2={avx2})")
+        let vbmi = std::arch::is_x86_feature_detected!("avx512vbmi");
+        format!("{arch} (ssse3={ssse3}, avx2={avx2}, avx512vbmi={vbmi}), kernel {kernel}")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        arch.to_string()
+        format!("{arch}, kernel {kernel}")
     }
 }
 

@@ -1320,6 +1320,50 @@ mod tests {
         }
     }
 
+    /// Two cells either side of the auto grouping rule's boundary at 32 768
+    /// vectors (docs/FASTSCAN.md §10), one on one component and one on two,
+    /// both probed: the Fast Scan answer is the naive scan's, bit for bit,
+    /// on a 1- and a 2-thread pool. Synthetic codes on a trained quantizer.
+    #[test]
+    fn cells_either_side_of_the_grouping_boundary_answer_exactly() {
+        let _lock = pqfs_fault::exclusive();
+        let (built, base) = build_cells(600, 2);
+        let sizes = [32_767usize, 32_768];
+        let mut next_id = 0u64;
+        let parts = sizes
+            .iter()
+            .map(|&n| {
+                let ids: Vec<u64> = (next_id..next_id + n as u64).collect();
+                next_id += n as u64;
+                let bytes = (0..n * 8)
+                    .map(|i| ((i as u32 ^ n as u32).wrapping_mul(40_503) >> 8) as u8)
+                    .collect();
+                (ids, bytes)
+            })
+            .collect();
+        let (coarse, pq) = (built.coarse().clone(), built.pq().clone());
+        let index = IvfadcIndex::from_parts(coarse, pq, parts, ScanOpts::default()).unwrap();
+        let c: Vec<usize> = index
+            .partitions
+            .iter()
+            .map(|p| p.index.group_components())
+            .collect();
+        assert_eq!(c, [1, 2]);
+        for pool in [1, 2].map(ThreadPool::new) {
+            for q in base[..DIM * 4].chunks_exact(DIM) {
+                for topk in [10, 1_000] {
+                    let at = format!("topk {topk} @ {} threads", pool.threads());
+                    let fast = SearchRequest::new(topk, SearchBackend::FastScan, 0.005, 2);
+                    let naive = SearchRequest::new(topk, SearchBackend::Naive, 0.005, 2);
+                    let got = index.search(q, &fast, &pool, None).unwrap();
+                    let want = index.search(q, &naive, &pool, None).unwrap();
+                    assert_eq!(got.health, SearchHealth::healthy(2), "{at}");
+                    assert_eq!(bits(&got.neighbors), bits(&want.neighbors), "{at}");
+                }
+            }
+        }
+    }
+
     /// Three cells, the largest with at least `SPLIT_MIN` vectors, and
     /// base vectors as queries: `split` of them whose nearest cell is the
     /// largest, then two whose nearest is another.

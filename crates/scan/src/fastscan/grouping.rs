@@ -6,10 +6,12 @@
 //! portions can be loaded into SIMD registers once per group and reused for
 //! every vector in it.
 //!
-//! The paper's sizing rule: a group should average at least ~50 vectors or
-//! table reloads dominate, giving the minimum partition size
-//! `n_min(c) = 50 · 16^c` for grouping on `c` components (§4.2); partitions
-//! of 3.2–25 M vectors group on `c = 4`.
+//! Sizing ([`auto_components`]): a partition of at least 800 vectors groups
+//! on the largest `c ≥ 1` whose groups average at least 128 vectors,
+//! `n ≥ 128 · 16^c`, and a smaller one does not group. The paper's §4.2
+//! rule, `n_min(c) = 50 · 16^c`, was fitted to its 128-bit kernel with
+//! minimum tables only; on these kernels a group below ~128 vectors costs
+//! more in per-group work than it prunes (docs/FASTSCAN.md §10).
 //!
 //! Storage is **one contiguous buffer** for the whole partition (groups
 //! back to back in key order, each zero-padded to a whole block), like the
@@ -49,18 +51,29 @@ fn packed_key(code: &[u8], c: usize) -> usize {
         .fold(0, |packed, &byte| (packed << 4) | (byte >> 4) as usize)
 }
 
-/// The paper's minimum average group size for grouping to pay off.
-pub const MIN_GROUP_SIZE: usize = 50;
+/// The smallest partition that groups at all: the paper's `n_min(1)`, kept.
+/// At `c = 0` the one group is the whole partition, so the warm-up is an
+/// exact scan of it; `c = 1` measured faster at topk 10 and 100 from 1 024
+/// vectors up (docs/FASTSCAN.md §10).
+pub const MIN_GROUPED_PARTITION: usize = 800;
+
+/// The smallest average group size worth grouping on one more component
+/// for (the paper's §4.2 used 50; docs/FASTSCAN.md §10 measures 128).
+pub const MIN_GROUP_SIZE: usize = 128;
 
 /// Minimum partition size for grouping on `c` components:
-/// `n_min(c) = 50 · 16^c`.
+/// [`MIN_GROUPED_PARTITION`] for `c = 1`, `128 · 16^c` from `c = 2` up.
 pub fn min_partition_size(c: usize) -> usize {
-    MIN_GROUP_SIZE * (1usize << (4 * c))
+    match c {
+        0 => 0,
+        1 => MIN_GROUPED_PARTITION,
+        c => MIN_GROUP_SIZE << (4 * c),
+    }
 }
 
-/// Picks the largest `c ∈ 0..=4` whose minimum partition size `n` satisfies
-/// (the paper's auto-sizing rule; §5.6 notes partitions under 3 M vectors
-/// should drop to `c = 3`).
+/// Picks the largest `c ∈ 0..=4` whose minimum partition size `n` reaches:
+/// `c = 1` from 800 vectors, 2 from 32 768, 3 from 524 288 and 4 from
+/// 8 388 608.
 pub fn auto_components(n: usize) -> usize {
     let mut c = 0;
     while c < 4 && n >= min_partition_size(c + 1) {
@@ -277,23 +290,31 @@ mod tests {
     }
 
     #[test]
-    fn min_partition_sizes_match_the_paper() {
-        assert_eq!(min_partition_size(0), 50);
+    fn min_partition_sizes_keep_groups_of_128() {
+        assert_eq!(min_partition_size(0), 0);
         assert_eq!(min_partition_size(1), 800);
-        assert_eq!(min_partition_size(2), 12_800);
-        assert_eq!(min_partition_size(3), 204_800);
-        assert_eq!(min_partition_size(4), 3_276_800); // the paper's ~3.2 M
+        assert_eq!(min_partition_size(2), 32_768);
+        assert_eq!(min_partition_size(3), 524_288);
+        assert_eq!(min_partition_size(4), 8_388_608);
     }
 
     #[test]
-    fn auto_components_uses_paper_thresholds() {
-        assert_eq!(auto_components(0), 0);
-        assert_eq!(auto_components(799), 0);
-        assert_eq!(auto_components(800), 1);
-        assert_eq!(auto_components(204_800), 3);
-        assert_eq!(auto_components(3_276_799), 3);
-        assert_eq!(auto_components(3_276_800), 4);
-        assert_eq!(auto_components(25_000_000), 4);
+    fn auto_components_switches_at_each_boundary() {
+        let boundaries = [
+            (0, 0),
+            (799, 0),
+            (800, 1),
+            (32_767, 1),
+            (32_768, 2),
+            (524_287, 2),
+            (524_288, 3),
+            (8_388_607, 3),
+            (8_388_608, 4),
+            (25_000_000, 4),
+        ];
+        for (n, c) in boundaries {
+            assert_eq!(auto_components(n), c, "n = {n}");
+        }
     }
 
     #[test]

@@ -58,8 +58,9 @@ use pqfs_pool::ThreadPool;
 #[derive(Debug, Clone, Default)]
 pub struct ScanOpts {
     /// Number of components to group on (`0..=4`); `None` selects
-    /// automatically from the partition size using the paper's
-    /// `n_min(c) = 50·16^c` rule.
+    /// automatically from the partition size: no grouping below 800
+    /// vectors, else the largest `c ≥ 1` whose groups average at least 128
+    /// vectors ([`grouping::auto_components`]; the paper's §4.2 used 50).
     pub group_components: Option<usize>,
     /// Kernel back-end.
     pub kernel: Kernel,

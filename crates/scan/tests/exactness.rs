@@ -168,3 +168,43 @@ fn end_to_end_with_trained_pq() {
     let avg = total_pruned / 20.0;
     assert!(avg > 0.5, "average pruning power {avg:.3} unexpectedly low");
 }
+
+/// Either side of the first boundary of the auto grouping rule, 32 768
+/// vectors (docs/FASTSCAN.md §10): an auto-built index of one vector fewer
+/// groups on one component and one of 32 768 on two, and both return PQ
+/// Scan's answer bit for bit. Synthetic codes and tables, so nothing is
+/// trained.
+#[test]
+fn auto_grouping_is_exact_either_side_of_32_768() {
+    let tables = DistanceTables::from_raw(
+        (0..M * KSUB)
+            .map(|i| ((i as u32).wrapping_mul(2_654_435_761) % 100_000) as f32 / 10.0)
+            .collect(),
+        M,
+        KSUB,
+    );
+    let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (n, c) in [(32_767, 1), (32_768, 2)] {
+        let bytes = (0..n * M)
+            .map(|i| ((i as u32).wrapping_mul(40_503).wrapping_add(11) >> 8) as u8)
+            .collect();
+        let codes = RowMajorCodes::new(bytes, M);
+        for kernel in [Kernel::Auto, Kernel::Avx2] {
+            if kernel.resolved().is_err() {
+                eprintln!("skipping: this CPU has no {kernel:?} kernel");
+                continue;
+            }
+            let opts = ScanOpts::default().with_kernel(kernel);
+            let index = FastScanIndex::build(&codes, &opts).unwrap();
+            assert_eq!(index.group_components(), c, "n = {n}");
+            for topk in [10, 1_000] {
+                let params = ScanParams::new(topk);
+                let fast = index.scan(&tables, &params).unwrap();
+                let naive = scan_naive(&tables, &codes, &params);
+                let case = format!("n = {n} {kernel:?} topk {topk}");
+                assert_eq!(fast.ids(), naive.ids(), "{case}");
+                assert_eq!(bits(&fast.distances()), bits(&naive.distances()), "{case}");
+            }
+        }
+    }
+}

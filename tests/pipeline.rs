@@ -159,7 +159,7 @@ fn grouped_storage_saves_memory_at_scale() {
     // Large enough for c >= 2 grouping: the §4.2 saving materializes.
     let mut gen = dataset(31);
     let train = gen.sample(2_000);
-    let base = gen.sample(40_000); // auto c = 2 (>= 12_800)
+    let base = gen.sample(40_000); // auto c = 2 (>= 32_768)
     let pq = ProductQuantizer::train(&train, &PqConfig::pq8x8(DIM), 4).unwrap();
     let codes = pq.encode_batch(&base).unwrap();
     let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
@@ -232,7 +232,10 @@ fn group_chosen_warm_up_keeps_verification_low() {
     let mut pq = ProductQuantizer::train(&train, &PqConfig::pq8x8(DIM), 5).unwrap();
     pq.optimize_assignment(16, 5).unwrap();
     let codes = pq.encode_batch(&base).unwrap();
-    let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
+    // 20 000 vectors auto-group on one component; this test is about the
+    // warm-up on two.
+    let opts = ScanOpts::default().with_group_components(2);
+    let index = FastScanIndex::build(&codes, &opts).unwrap();
     assert_eq!(index.group_components(), 2);
 
     let mut stats = ScanStats::default();
