@@ -9,7 +9,7 @@
 //!              [--backend <name>] [--keep 0.005] [--nprobe 1]
 //!              [--batch true] [--threads N] [--trace true]
 //! pqfs serve   --index index.pqiv [--addr 127.0.0.1:7071] [--backend <name>]
-//!              [--max-batch 32] [--queue 256] [--threads N]
+//!              [--queue 256] [--threads N]
 //! pqfs bench-client --addr 127.0.0.1:7071 [--n 1000] [--batch 1]
 //!              [--connections 1] [--topk 10] [--nprobe 1] [--keep 0.005]
 //!              [--deadline-ms N]
@@ -186,8 +186,7 @@ USAGE:
               [--deadline-ms N] [--batch true] [--threads N]
               [--trace true]
   pqfs serve  --index <index.pqiv> [--addr 127.0.0.1:7071]
-              [--backend <name>] [--max-batch 32] [--queue 256]
-              [--threads N]
+              [--backend <name>] [--queue 256] [--threads N]
   pqfs bench-client
               --addr <host:port> [--n 1000] [--batch 1] [--connections 1]
               [--topk 10] [--nprobe 1] [--keep 0.005] [--deadline-ms N]
@@ -215,11 +214,11 @@ USAGE:
   serve keeps the index hot in memory and answers the binary protocol
   (see docs/SERVING.md) until SIGTERM/ctrl-c, then drains in-flight
   requests and exits 0. It prints 'listening on <addr>' once ready.
-  A request reaching an idle server runs at once; requests that arrive
-  while a search wave runs leave together as the next wave, at most
-  --max-batch queries of them (there is no timer to tune). --queue caps
-  the admission queue (overflow is shed with a typed Overloaded
-  response, never queued unboundedly).
+  Each connection's thread runs its own request to completion (a batch
+  frame fans out over the --threads pool); there is no queue and no
+  timer to tune. --queue caps the requests admitted and not yet
+  answered (overflow is shed with a typed Overloaded response, never
+  queued unboundedly).
 
   bench-client sends synthetic load at a running serve and prints one
   JSON line: queries, answered, qps (answered queries per second),

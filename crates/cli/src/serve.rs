@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
-    args.allow_only(&["index", "addr", "backend", "max-batch", "queue"])?;
+    args.allow_only(&["index", "addr", "backend", "queue"])?;
     let index_path = args.require("index")?;
     let addr = args
         .get("addr")
@@ -21,12 +21,9 @@ pub fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
         .unwrap_or("fastscan")
         .parse()
         .map_err(CliError::Other)?;
-    let max_batch = args.usize("max-batch", 32)?;
     let queue_capacity = args.usize("queue", 256)?;
-    if max_batch == 0 || queue_capacity == 0 {
-        return Err(CliError::Other(
-            "--max-batch and --queue must be positive".into(),
-        ));
+    if queue_capacity == 0 {
+        return Err(CliError::Other("--queue must be positive".into()));
     }
 
     let index = IvfadcIndex::load_file(&index_path)
@@ -42,7 +39,6 @@ pub fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
     let config = ServerConfig {
         addr,
         default_backend: backend,
-        max_batch,
         queue_capacity,
     };
     let handle =

@@ -221,14 +221,15 @@ fn serve_rejects_bad_flags_and_missing_index() {
         String::from_utf8_lossy(&out.stderr)
     );
     // A flag the command does not read is an error naming the flag, not
-    // a silent no-op: the removed linger knob, a typo, and the removed
-    // build-time backend list (every index answers every backend).
-    for (command, required, flag) in [
-        ("serve", "--addr", "--linger-us"),
-        ("bench-client", "--addr", "--nprob"),
-        ("build", "--base", "--backends"),
+    // a silent no-op: the removed linger knob and wave cap, a typo, and the
+    // removed build-time backend list (every index answers every backend).
+    for (command, required, flag, value) in [
+        ("serve", "--addr", "--linger-us", "8"),
+        ("serve", "--addr", "--max-batch", "32"),
+        ("bench-client", "--addr", "--nprob", "8"),
+        ("build", "--base", "--backends", "8"),
     ] {
-        let out = pqfs(&[command, required, "127.0.0.1:1", flag, "8"]);
+        let out = pqfs(&[command, required, "127.0.0.1:1", flag, value]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{command} {flag}: {stderr}");
         assert!(stderr.contains(flag), "{command} names {flag}: {stderr}");
@@ -279,7 +280,6 @@ fn help_documents_the_serving_commands_and_exit_codes() {
     for needle in [
         "pqfs serve",
         "pqfs bench-client",
-        "--max-batch",
         "--queue",
         "Overloaded",
         "EXIT CODES",

@@ -1287,7 +1287,7 @@ mod tests {
     }
 
     /// The executor determinism guarantee, end to end: queries fanned out
-    /// over a pool with their probes inline (the serving wave's shape) and
+    /// over a pool with their probes inline (a served batch frame's shape) and
     /// one query fanning its probes out are both bit-identical to serial
     /// execution (a 1-thread pool runs everything inline on the caller) for
     /// every backend and pool size.

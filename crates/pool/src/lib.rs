@@ -2,7 +2,7 @@
 //!
 //! The paper's §3.1 observes that PQ Scan "parallelizes naturally over
 //! multiple queries by running each query on a different core". Before this
-//! crate, every parallel site in the workspace (query waves, batch
+//! crate, every parallel site in the workspace (query batches, batch
 //! encoding, k-means assignment) spawned fresh OS threads per call and
 //! carved the work into one static chunk per thread — so a single skewed
 //! partition or slow query stalled its whole chunk while sibling threads sat
@@ -43,7 +43,7 @@
 //! task inline on the caller — the deterministic serial baseline.
 //! `IvfadcIndex::search` takes the pool its probes fan out on as an
 //! argument (`search_probes` passes the global one); callers that already
-//! fan queries out, like the server's waves, hand it a 1-thread pool.
+//! fan queries out, like the server's batch frames, hand it a 1-thread pool.
 //!
 //! Determinism: both maps preserve input order in their outputs, and
 //! task *decomposition* (⌈n / (8 × threads)⌉ items a task) depends on the

@@ -3,10 +3,9 @@
 //! The ROADMAP north star is a production system serving heavy query
 //! traffic; after the kernels (`pqfs_scan`), the executor (`pqfs_pool`),
 //! deadlines (`SearchRequest::deadline`) and telemetry (`pqfs_obs`), this
-//! crate is the front door. André's thesis and the GPU ANN literature both
-//! make the same observation: once the scan kernels are fast, throughput
-//! is won by *batching at the server* so per-query fixed costs (ADC table
-//! computation, dispatch) are amortized across concurrent clients.
+//! crate is the front door. Like the paper, it answers each query on one
+//! core: the server adds no work sharing between requests, only a bound on
+//! how many it runs at once.
 //!
 //! The design, in one pass through a request's life:
 //!
@@ -16,26 +15,22 @@
 //!    request/response frames (query, batch, health, stats, error,
 //!    overloaded). Decoding is bounds-checked and panic-free; a torn or
 //!    corrupted frame is a typed error, never UB or a hang.
-//! 2. **Admission** ([`queue`]): a bounded request queue. When it is full
-//!    the request is *shed immediately* with a typed `Overloaded` response
-//!    carrying the capacity and observed depth — latency under overload
-//!    stays bounded because work never stacks up invisibly.
-//! 3. **Work-conserving batching** ([`queue`], [`server`]): there is no
-//!    batcher thread and no timer. A connection thread that finds no wave
-//!    in flight leads one itself — a lone request runs decode → search →
-//!    encode → write on its own thread — and requests that arrive while a
-//!    wave runs queue up behind it. The retiring leader offers its own
-//!    reply to the socket without blocking, promotes the owner of the
-//!    front request, and hands its followers their answers; the promoted
-//!    thread takes up to `max_batch` queued queries as the next parallel
-//!    wave on the shared [`pqfs_pool::ThreadPool`]. Waves fill by
-//!    accumulation, run one at a time, in FIFO order, and the lead is
-//!    never held across a wait on a peer. Per-request deadlines (measured
-//!    from arrival, so queue wait counts) become the
+//! 2. **Admission** ([`server`]): one atomic count of the requests
+//!    admitted and not yet answered. Above the configured bound a request
+//!    is *shed immediately* with a typed `Overloaded` response carrying
+//!    the capacity and observed depth — latency under overload stays
+//!    bounded because work never stacks up invisibly.
+//! 3. **Run to completion** ([`server`]): there is no batcher thread, no
+//!    timer and no queue. Each connection thread runs its own request
+//!    decode → search → encode → write; a single query searches inline, a
+//!    batch frame fans its queries out on the shared
+//!    [`pqfs_pool::ThreadPool`]. Requests of different connections run
+//!    side by side, so none waits behind another's search. Per-request
+//!    deadlines (measured from arrival) become the
 //!    `SearchRequest::deadline` of each query's `IvfadcIndex::search`.
 //! 4. **Shutdown** ([`signal`]): SIGTERM/SIGINT set a flag; the acceptor
-//!    stops admitting, the queue closes, queued and in-flight requests
-//!    are answered, then every thread is joined.
+//!    stops admitting, new requests are refused, admitted requests are
+//!    answered, then every thread is joined.
 //!
 //! Failure injection covers the accept/read/write/decode paths via
 //! `pqfs_fault` sites (`server.*` in `failpoints.sites`), and every stage
@@ -49,7 +44,6 @@
 
 pub mod client;
 pub mod proto;
-pub mod queue;
 pub mod server;
 pub mod signal;
 
@@ -58,5 +52,4 @@ pub use proto::{
     read_frame, write_frame, ErrorCode, Frame, FrameKind, HealthInfo, ProtoError, QueryAnswer,
     QueryParams, QueryRequest, Request, Response,
 };
-pub use queue::{Admitted, PushError, RequestQueue, Seat};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -85,7 +85,7 @@ wire_enum! {
         StatsJson = 0x84,
         /// Typed failure (bad frame, bad request, search failure, shutdown).
         Error = 0xE0,
-        /// Admission control shed this request: the queue was full.
+        /// Admission control shed this request: the server was full.
         Overloaded = 0xE1,
     }
 }
@@ -402,11 +402,11 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
     },
-    /// Shed by admission control: the bounded queue was full.
+    /// Shed by admission control: `capacity` requests were in flight.
     Overloaded {
-        /// Configured queue capacity.
+        /// Configured bound on requests in flight (`--queue`).
         capacity: u32,
-        /// Queue depth observed at rejection.
+        /// Requests in flight observed at rejection.
         depth: u32,
     },
 }

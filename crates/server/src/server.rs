@@ -1,50 +1,44 @@
 //! The serving core: acceptor, per-connection protocol loops, and
-//! work-conserving wave execution.
+//! run-to-completion request execution.
 //!
 //! Thread structure (all plain std threads, all joined on shutdown):
 //!
 //! ```text
 //! acceptor ──spawns──▶ conn threads (one per client, protocol loop)
-//!                         │  submit Job (bounded queue, shed on full)
+//!                         │  admit: in-flight count ≤ --queue, else shed
 //!                         ▼
-//!               no wave in flight?  ── yes ──▶ lead: run one wave on the pool,
-//!                         │                    offer own reply to the socket,
-//!                         no                   promote the owner of the next
-//!                         ▼                    queued job, answer its followers
-//!               follow: block until answered or promoted
+//!                      execute on this thread: a single query searches
+//!                      inline, a batch frame fans out on the global pool
+//!                         │
+//!                         ▼
+//!                      uncount, encode and write the reply
 //! ```
 //!
-//! There is no batcher thread and no linger timer. A connection thread
-//! decodes a frame, validates it, and submits a `Job` to the
-//! [`RequestQueue`]. On an idle server it becomes the leader at once, so
-//! the request goes decode → search → encode → write on that one thread
-//! with no wake-up in between. While a wave runs, arriving jobs queue up;
-//! the retiring leader promotes the owner of the front job, which takes up
-//! to `max_batch` queued queries as the next wave. Waves therefore fill by
-//! accumulation — the busier the pool, the fuller the wave — and run one
-//! at a time in FIFO order. Each wave fans its flattened queries out on
-//! the shared [`ThreadPool`], one [`IvfadcIndex::search`] call per query
-//! with the *remaining* deadline (arrival-to-now already spent in the
-//! queue counts against the budget): one wave of table computations per
-//! batch instead of one per round-trip.
+//! There is no batcher thread, no linger timer and no queue. A connection
+//! thread decodes a frame, validates it, counts it as in flight and runs
+//! it to completion itself: decode → search
+//! → encode → write with no hand-off and no wake-up in between. Requests
+//! of different connections run side by side on their own threads, and
+//! the scheduler shares the cores among them; one request never waits for
+//! another connection's search to end. Each query runs one
+//! [`IvfadcIndex::search`] with the *remaining* deadline (arrival-to-now
+//! counts against the budget).
 //!
-//! Before a leader passes the lead on, it encodes its own reply and offers
-//! it to the socket once, *without blocking* ([`RequestQueue::submit`]
-//! says why that comes first). A reply the socket does not take whole is
-//! finished after the lead has passed on, so a slow reader stalls its own
-//! connection thread and nobody else.
+//! Admission is one atomic count of the requests admitted and not yet
+//! answered: above `queue_capacity` a request is shed at once with a
+//! typed `Overloaded` response, so latency under overload stays bounded.
+//! The count drops before the reply is written, so a slow reader stalls
+//! its own connection thread and holds no admission slot while it does.
 //!
 //! Shutdown (SIGTERM, ctrl-c, or [`ServerHandle::trigger_shutdown`]):
-//! the acceptor stops admitting connections, the queue closes (new
-//! submissions get a typed shutting-down error), the leader chain runs
-//! until everything queued is answered, connection threads finish their
-//! in-flight round trip and exit at the next frame boundary, and every
-//! thread is joined.
+//! the acceptor stops admitting connections, new requests get a typed
+//! shutting-down error, requests already admitted run to completion on
+//! their own threads, connection threads exit at the next frame boundary,
+//! and every thread is joined.
 
 use crate::proto::{
     read_frame, write_frame, ErrorCode, Frame, HealthInfo, QueryAnswer, Request, Response,
 };
-use crate::queue::{PushError, RequestQueue, Seat};
 use pqfs_fault::{FaultRead, FaultWrite};
 use pqfs_ivf::{IvfadcIndex, SearchBackend, SearchRequest};
 use pqfs_obs::{Counter, Gauge, Histogram};
@@ -90,7 +84,7 @@ static REQ_STATS: Counter = Counter::labeled(
 );
 static SHED_TOTAL: Counter = Counter::new(
     "pqfs_server_shed_total",
-    "Requests shed by admission control (queue full)",
+    "Requests shed by admission control (in-flight count at --queue)",
 );
 static PROTO_ERRORS: Counter = Counter::new(
     "pqfs_server_protocol_errors_total",
@@ -102,23 +96,23 @@ static ACCEPT_ERRORS: Counter = Counter::new(
 );
 static BATCHES_TOTAL: Counter = Counter::new(
     "pqfs_server_batches_total",
-    "Waves (coalesced batches) executed",
+    "Query and batch requests executed (admitted, not shed)",
 );
 static BATCH_QUERIES: Histogram = Histogram::new(
     "pqfs_server_batch_queries",
-    "Queries per wave (count, not ns)",
+    "Queries per executed request (count, not ns)",
 );
 static QUEUE_DEPTH_HWM: Gauge = Gauge::new(
     "pqfs_server_queue_depth_hwm",
-    "High-water mark of the admission queue depth",
+    "High-water mark of the requests in flight (admitted, not yet answered)",
 );
 static QUEUE_WAIT_NS: Histogram = Histogram::new(
     "pqfs_server_queue_wait_ns",
-    "Time requests spent queued before their wave started",
+    "Per request: admission to execution start",
 );
 static EXECUTE_NS: Histogram = Histogram::new(
     "pqfs_server_execute_ns",
-    "Per request: its wave's start to answers ready",
+    "Per request: execution start to answers ready",
 );
 static WRITE_NS: Histogram = Histogram::new(
     "pqfs_server_write_ns",
@@ -140,11 +134,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Backend used when a request leaves the backend name empty.
     pub default_backend: SearchBackend,
-    /// Wave weight cap: a new leader takes queued requests up to this
-    /// many queries (a batch-query frame weighs its query count, and one
-    /// heavier than the cap ships alone).
-    pub max_batch: usize,
-    /// Admission queue capacity, in *requests* (frames, not queries).
+    /// Admission bound: the most query/batch requests (frames, not
+    /// queries) admitted and not yet answered; more are shed.
     pub queue_capacity: usize,
 }
 
@@ -162,14 +153,13 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             default_backend: SearchBackend::FastScan,
-            max_batch: 32,
             queue_capacity: 256,
         }
     }
 }
 
 /// One admitted request: queries, the search parameters resolved and
-/// validated at admission time (so a wave never re-parses), arrival time.
+/// validated at admission time, arrival time.
 struct Job {
     dim: usize,
     queries: Vec<f32>,
@@ -188,10 +178,11 @@ impl Job {
 struct Shared {
     index: Arc<IvfadcIndex>,
     config: ServerConfig,
-    queue: RequestQueue<Job, Response>,
+    /// Query/batch requests admitted and not yet answered.
+    in_flight: AtomicUsize,
     shutdown: AtomicBool,
-    /// Each query unit of a wave runs its probes inline; parallelism
-    /// comes from the wave fan-out, not from nesting pools.
+    /// Each query runs its probes inline; parallelism comes from the
+    /// connections and a batch frame's fan-out, not from nesting pools.
     inline: ThreadPool,
 }
 
@@ -211,7 +202,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             index,
-            queue: RequestQueue::new(config.queue_capacity, config.max_batch),
+            in_flight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             inline: ThreadPool::new(1),
             config,
@@ -245,16 +236,16 @@ impl ServerHandle {
         self.local_addr
     }
 
-    /// Current admission-queue depth (for stats and tests).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.depth()
+    /// Query/batch requests admitted and not yet answered (for stats and
+    /// tests).
+    pub fn in_flight(&self) -> usize {
+        self.shared.in_flight.load(Ordering::SeqCst)
     }
 
-    /// Begins graceful shutdown without blocking: stop admitting, close
-    /// the queue. Idempotent.
+    /// Begins graceful shutdown without blocking: stop admitting.
+    /// Idempotent.
     pub fn trigger_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
     }
 
     /// True once shutdown has been triggered.
@@ -262,10 +253,9 @@ impl ServerHandle {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Triggers shutdown and joins every server thread: in-flight
-    /// requests are answered, queued work drains (on the connection
-    /// threads that own it), connections close at their next frame
-    /// boundary.
+    /// Triggers shutdown and joins every server thread: admitted requests
+    /// are answered on the connection threads that own them, connections
+    /// close at their next frame boundary.
     pub fn shutdown_and_join(&self) {
         self.trigger_shutdown();
         let acceptor = self
@@ -339,59 +329,23 @@ impl Drop for ActiveGuard {
     }
 }
 
-/// A connection's outgoing side: the socket and the response frame on its
-/// way out, sent in two steps so the first can run while the thread still
-/// leads the queue.
+/// A connection's outgoing side: the socket and the frame buffer, reused
+/// across responses.
 struct ReplyWriter {
     socket: FaultWrite<TcpStream>,
-    /// The encoded frame (reused across responses) and how much of it the
-    /// socket has taken.
     frame: Vec<u8>,
-    sent: usize,
-    /// When the current response was handed over for writing.
-    began: Instant,
 }
 
 impl ReplyWriter {
-    fn new(stream: TcpStream) -> Self {
-        ReplyWriter {
-            socket: FaultWrite::new(stream, "server.conn.write"),
-            frame: Vec::new(),
-            sent: 0,
-            began: Instant::now(),
-        }
-    }
-
-    /// Encodes `response` and offers the frame to the socket once without
-    /// blocking: the kernel takes what its send buffer has room for —
-    /// every ordinary response whole — and [`ReplyWriter::finish`] writes
-    /// the rest. Never waits on the peer, so a leader may call it.
-    fn begin(&mut self, response: &Response) -> io::Result<()> {
-        self.began = Instant::now();
+    /// Encodes `response` and blocks until the peer has taken it. The
+    /// request was uncounted before this, so a slow reader holds nothing
+    /// another connection needs.
+    fn send(&mut self, response: &Response) -> io::Result<()> {
         let frame = response.to_frame();
         self.frame.clear();
-        self.sent = 0;
         write_frame(&mut self.frame, frame.kind, &frame.payload)
             .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-        // `O_NONBLOCK` is shared with the read half (one socket, two
-        // descriptors); this thread owns both and reads only between
-        // responses.
-        self.socket.get_ref().set_nonblocking(true)?;
-        let offered = self.socket.write(&self.frame);
-        self.socket.get_ref().set_nonblocking(false)?;
-        match offered {
-            Ok(n) => self.sent = n,
-            Err(e) if is_wait(e.kind()) || e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        Ok(())
-    }
-
-    /// Blocks until the peer has taken the rest of the frame.
-    fn finish(&mut self) -> io::Result<()> {
-        self.socket.write_all(&self.frame[self.sent..])?;
-        self.sent = self.frame.len();
-        Ok(())
+        self.socket.write_all(&self.frame)
     }
 }
 
@@ -403,8 +357,10 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         return;
     };
     let mut reader = BufReader::new(FaultRead::new(read_half, "server.conn.read"));
-    let mut writer = ReplyWriter::new(stream);
-    let seat = Seat::new();
+    let mut writer = ReplyWriter {
+        socket: FaultWrite::new(stream, "server.conn.write"),
+        frame: Vec::new(),
+    };
 
     loop {
         // Between frames the buffer is empty unless the client pipelined,
@@ -426,11 +382,10 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
 
         if pqfs_fault::check("server.proto.decode").is_err() {
             PROTO_ERRORS.inc();
-            send_error(
-                &mut writer,
-                ErrorCode::BadFrame,
-                "injected decode fault".to_string(),
-            );
+            let _ = writer.send(&Response::Error {
+                code: ErrorCode::BadFrame,
+                message: "injected decode fault".to_string(),
+            });
             return;
         }
 
@@ -441,19 +396,21 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 PROTO_ERRORS.inc();
                 // Best effort: the stream cannot be resynchronized after
                 // a framing error, so describe it and hang up.
-                send_error(&mut writer, ErrorCode::BadFrame, e.to_string());
+                let _ = writer.send(&Response::Error {
+                    code: ErrorCode::BadFrame,
+                    message: e.to_string(),
+                });
                 return;
             }
         };
         let started = Instant::now();
-        let Ok(close) = handle_frame(&frame, shared, &seat, &mut writer) else {
-            return;
-        };
-        if writer.finish().is_err() {
+        let (response, close) = handle_frame(&frame, shared);
+        let answered = Instant::now();
+        if writer.send(&response).is_err() {
             return;
         }
         let flushed = Instant::now();
-        WRITE_NS.observe(flushed - writer.began);
+        WRITE_NS.observe(flushed - answered);
         REQUEST_NS.observe(flushed - started);
         if close {
             return;
@@ -461,62 +418,47 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Writes a typed error frame, ignoring failures (the connection is being
-/// dropped anyway).
-fn send_error(writer: &mut ReplyWriter, code: ErrorCode, message: String) {
-    if writer.begin(&Response::Error { code, message }).is_ok() {
-        let _ = writer.finish();
-    }
-}
-
-/// Decodes, validates, and executes one request frame, and begins writing
-/// its response (the caller finishes it). Returns whether the connection
-/// must close afterwards.
-///
-/// # Errors
-///
-/// The socket's error, when it refused the response.
-fn handle_frame(
-    frame: &Frame,
-    shared: &Arc<Shared>,
-    seat: &Arc<Seat<Response>>,
-    writer: &mut ReplyWriter,
-) -> io::Result<bool> {
+/// Decodes, validates, and executes one request frame. Returns its
+/// response and whether the connection must close afterwards.
+fn handle_frame(frame: &Frame, shared: &Shared) -> (Response, bool) {
     let request = match Request::from_frame(frame) {
         Ok(req) => req,
         Err(e) => {
             PROTO_ERRORS.inc();
-            writer.begin(&Response::Error {
-                code: ErrorCode::BadFrame,
-                message: e.to_string(),
-            })?;
-            return Ok(true);
+            let code = ErrorCode::BadFrame;
+            return (
+                Response::Error {
+                    code,
+                    message: e.to_string(),
+                },
+                true,
+            );
         }
     };
-    match request {
+    let response = match request {
         Request::Health => {
             REQ_HEALTH.inc();
             let index = &shared.index;
-            writer.begin(&Response::Health(HealthInfo {
+            Response::Health(HealthInfo {
                 vectors: index.len() as u64,
                 partitions: index.num_partitions() as u32,
                 dim: index.dim() as u32,
-            }))?;
+            })
         }
         Request::Stats => {
             REQ_STATS.inc();
-            writer.begin(&Response::Stats(pqfs_obs::global_json_snapshot()))?;
+            Response::Stats(pqfs_obs::global_json_snapshot())
         }
         Request::Query(req) => {
             REQ_QUERY.inc();
-            submit(req, false, shared, seat, writer)?;
+            submit(req, false, shared)
         }
         Request::Batch(req) => {
             REQ_BATCH.inc();
-            submit(req, true, shared, seat, writer)?;
+            submit(req, true, shared)
         }
-    }
-    Ok(false)
+    };
+    (response, false)
 }
 
 /// Validates a query request against the loaded index and the server
@@ -536,7 +478,7 @@ fn resolve(
     if req.count() == 0 {
         return Err((ErrorCode::BadRequest, "empty query".to_string()));
     }
-    // Refused here, not in the wave: one bad query fails only its request.
+    // Refused here, not in the search: the message names the coordinate.
     if let Some(at) = req.queries.iter().position(|v| !v.is_finite()) {
         let (q, c, v) = (at / dim, at % dim, req.queries[at]);
         let message = format!("query {q} coordinate {c} is {v}, not a finite number");
@@ -565,20 +507,13 @@ fn resolve(
     })
 }
 
-/// Admits one query/batch request into the bounded queue and begins
-/// writing its answer — computed on this thread if it leads the wave,
-/// handed over by the leading thread otherwise. This is where overload
-/// turns into a typed shed response instead of unbounded queueing.
-fn submit(
-    req: crate::proto::QueryRequest,
-    batch: bool,
-    shared: &Arc<Shared>,
-    seat: &Arc<Seat<Response>>,
-    writer: &mut ReplyWriter,
-) -> io::Result<()> {
+/// Admits one query/batch request and runs it to completion on this
+/// thread. This is where overload turns into a typed shed response
+/// instead of unbounded queueing.
+fn submit(req: crate::proto::QueryRequest, batch: bool, shared: &Shared) -> Response {
     let request = match resolve(&req, shared) {
         Ok(r) => r,
-        Err((code, message)) => return writer.begin(&Response::Error { code, message }),
+        Err((code, message)) => return Response::Error { code, message },
     };
     let job = Job {
         dim: req.dim as usize,
@@ -587,83 +522,61 @@ fn submit(
         request,
         arrival: Instant::now(),
     };
-    let weight = job.count();
-    let admitted = shared.queue.submit(
-        seat,
-        job,
-        weight,
-        |jobs| execute_batch(jobs, shared),
-        |answer| {
-            writer.begin(&answer.unwrap_or_else(|| Response::Error {
-                code: ErrorCode::SearchFailed,
-                message: "the wave carrying this request was abandoned".to_string(),
-            }))
-        },
-    );
-    match admitted {
-        Ok(admitted) => {
-            QUEUE_DEPTH_HWM.record_max(admitted.depth as u64);
-            admitted.reply
+    match InFlight::admit(shared) {
+        Ok(_in_flight) => execute(&job, shared),
+        Err(refusal) => refusal,
+    }
+}
+
+/// One request counted in [`Shared::in_flight`]; dropping it (also on
+/// unwind) uncounts the request.
+struct InFlight<'s>(&'s AtomicUsize);
+
+impl<'s> InFlight<'s> {
+    /// Counts a request in, or refuses it: `ShuttingDown` once shutdown
+    /// has begun, `Overloaded` when `queue_capacity` requests are already
+    /// in flight.
+    fn admit(shared: &'s Shared) -> Result<Self, Response> {
+        let depth = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        let guard = InFlight(&shared.in_flight);
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return Err(Response::Error {
+                code: ErrorCode::ShuttingDown,
+                message: "server is draining for shutdown".to_string(),
+            });
         }
-        Err(PushError::Full { capacity, depth }) => {
+        let capacity = shared.config.queue_capacity.max(1);
+        if depth > capacity {
             SHED_TOTAL.inc();
-            writer.begin(&Response::Overloaded {
+            return Err(Response::Overloaded {
                 capacity: capacity as u32,
-                depth: depth as u32,
-            })
+                depth: (depth - 1) as u32,
+            });
         }
-        Err(PushError::Closed) => writer.begin(&Response::Error {
-            code: ErrorCode::ShuttingDown,
-            message: "server is draining for shutdown".to_string(),
-        }),
+        QUEUE_DEPTH_HWM.record_max(depth as u64);
+        Ok(guard)
     }
 }
 
-/// Executes every query of every job as one parallel wave on the shared
-/// pool and returns one response per job, in order.
-fn execute_batch(jobs: &[Job], shared: &Shared) -> Vec<Response> {
-    let wave_start = Instant::now();
-    let total_queries: usize = jobs.iter().map(Job::count).sum();
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Executes every query of one request on the calling thread: a single
+/// query searches inline, a batch frame fans its queries out on the global
+/// pool. Any failed query fails the whole request — partial batch answers
+/// would be ambiguous on the wire.
+fn execute(job: &Job, shared: &Shared) -> Response {
+    let started = Instant::now();
     BATCHES_TOTAL.inc();
-    BATCH_QUERIES.observe_ns(total_queries as u64);
-    for job in jobs {
-        QUEUE_WAIT_NS.observe(wave_start.saturating_duration_since(job.arrival));
-    }
-    let responses = run_wave(jobs, total_queries, shared);
-    let executed = wave_start.elapsed();
-    for _ in jobs {
-        EXECUTE_NS.observe(executed);
-    }
-    responses
-}
+    BATCH_QUERIES.observe_ns(job.count() as u64);
+    QUEUE_WAIT_NS.observe(started.saturating_duration_since(job.arrival));
 
-fn run_wave(jobs: &[Job], total_queries: usize, shared: &Shared) -> Vec<Response> {
-    if let Err(e) = pqfs_fault::check("server.batch.execute") {
-        return jobs
-            .iter()
-            .map(|_| Response::Error {
-                code: ErrorCode::SearchFailed,
-                message: e.to_string(),
-            })
-            .collect();
-    }
-
-    // Flatten to (job, query-within-job) units so one slow batch frame
-    // does not serialize the wave.
-    let mut units: Vec<(usize, usize)> = Vec::with_capacity(total_queries);
-    for (j, job) in jobs.iter().enumerate() {
-        for q in 0..job.count() {
-            units.push((j, q));
-        }
-    }
-
-    let index = &shared.index;
-    let inline = &shared.inline;
-    let answers = ThreadPool::global().parallel_map(&units, |_, &(j, q)| {
-        let job = &jobs[j];
-        let query = &job.queries[q * job.dim..(q + 1) * job.dim];
-        // Queue wait counts against the request deadline: what is left
-        // of the budget is what the search may spend.
+    let search = |query: &[f32]| {
+        // Time since arrival counts against the request deadline: what is
+        // left of the budget is what the search may spend.
         let request = SearchRequest {
             deadline: job
                 .request
@@ -671,8 +584,9 @@ fn run_wave(jobs: &[Job], total_queries: usize, shared: &Shared) -> Vec<Response
                 .map(|d| d.saturating_sub(job.arrival.elapsed())),
             ..job.request
         };
-        index
-            .search(query, &request, inline, None)
+        shared
+            .index
+            .search(query, &request, &shared.inline, None)
             .map(|outcome| QueryAnswer {
                 probes_ok: outcome.health.probes_ok as u32,
                 probes_failed: outcome.health.probes_failed as u32,
@@ -680,38 +594,22 @@ fn run_wave(jobs: &[Job], total_queries: usize, shared: &Shared) -> Vec<Response
                 neighbors: outcome.neighbors,
             })
             .map_err(|e| e.to_string())
-    });
-
-    // Regroup per job, moving each answer into its response. Any failed
-    // query fails its whole request — partial batch answers would be
-    // ambiguous on the wire.
-    let mut answers = answers.into_iter();
-    jobs.iter()
-        .map(|job| {
-            let mut oks = Vec::with_capacity(job.count());
-            let mut failed = None;
-            // Drain the job's whole share even after a failure, so the
-            // next job starts at its own answers.
-            for answer in answers.by_ref().take(job.count()) {
-                match answer {
-                    Ok(answer) => oks.push(answer),
-                    Err(message) => failed = failed.or(Some(message)),
-                }
-            }
-            match failed {
-                Some(message) => Response::Error {
-                    code: ErrorCode::SearchFailed,
-                    message,
-                },
-                None if job.batch => Response::Batch(oks),
-                None => match oks.into_iter().next() {
-                    Some(answer) => Response::Query(answer),
-                    None => Response::Error {
-                        code: ErrorCode::SearchFailed,
-                        message: "query produced no answer".to_string(),
-                    },
-                },
-            }
-        })
-        .collect()
+    };
+    let response = match pqfs_fault::check("server.batch.execute") {
+        Err(e) => Err(e.to_string()),
+        Ok(()) if job.batch => {
+            let queries: Vec<&[f32]> = job.queries.chunks_exact(job.dim).collect();
+            let answers = ThreadPool::global().parallel_map(&queries, |_, q| search(q));
+            answers
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .map(Response::Batch)
+        }
+        Ok(()) => search(&job.queries).map(Response::Query),
+    };
+    EXECUTE_NS.observe(started.elapsed());
+    response.unwrap_or_else(|message| Response::Error {
+        code: ErrorCode::SearchFailed,
+        message,
+    })
 }

@@ -278,9 +278,9 @@ fn a_slow_reader_stalls_only_its_own_connection() {
     use std::time::Instant;
     // Batch requests whose answers (~1.8 MB each) overflow every socket
     // buffer on the way back, pipelined by a peer that drains them at
-    // 8 KB per 25 ms: one answer takes seconds to leave. The connection
-    // thread leads each of those waves, and a leader that kept the lead
-    // until its answer was out would stall every other client that long.
+    // 8 KB per 25 ms: one answer takes seconds to leave. A server that
+    // held anything shared until the answer was out would stall every
+    // other client that long.
     let count = 512usize;
     let mut rng = StdRng::seed_from_u64(9);
     let queries: Vec<f32> = (0..count * DIM)
@@ -362,13 +362,13 @@ fn a_slow_reader_stalls_only_its_own_connection() {
         "the slow reader drained {drained} bytes"
     );
     // What the other client waited for, from the server's own histograms so
-    // that the bound scales with the host: a request that arrives while a
-    // wave runs waits in the queue for that wave's execution (hundreds of
-    // milliseconds for the slow peer's 512 queries in a debug build, over a
-    // second on a slow host) and a thread wake-up. Were the lead held until
+    // that the bound scales with the host: a request may wait from
+    // admission to execution at most as long as one execution of the slow
+    // peer's 512 queries (hundreds of milliseconds in a debug build, over a
+    // second on a slow host) and a thread wake-up. Were anything held until
     // the answer is out, the wait would hold the seconds of the write too.
-    // The queue wait is the one stage the slow peer's own requests cannot
-    // inflate: they are never queued behind anything but a probe.
+    // The wait is the one stage the slow peer's own requests cannot
+    // inflate.
     let before = parse(&before).expect("stats frames are JSON");
     let after = parse(&after).expect("stats frames are JSON");
     let field = |frame: &Value, histogram: &str, field: &str| {
@@ -380,13 +380,13 @@ fn a_slow_reader_stalls_only_its_own_connection() {
     let executed = |frame| field(frame, "pqfs_server_execute_ns", "count");
     assert!(
         executed(&after) - executed(&before) > asked,
-        "no wave of the slow peer ran beside the {asked} probes"
+        "no request of the slow peer ran beside the {asked} probes"
     );
     let waited = field(&after, "pqfs_server_queue_wait_ns", "max_ns");
-    let wave = field(&after, "pqfs_server_execute_ns", "max_ns");
+    let ran = field(&after, "pqfs_server_execute_ns", "max_ns");
     assert!(
-        waited <= wave + wave / 2 + 100_000_000,
-        "a request beside the slow reader waited {waited} ns; the longest wave ran {wave} ns"
+        waited <= ran + ran / 2 + 100_000_000,
+        "a request beside the slow reader waited {waited} ns; the longest execution ran {ran} ns"
     );
     // Its stream is closed now (dropped with the thread), which fails the
     // blocked write: shutdown must not wait on that peer either.
