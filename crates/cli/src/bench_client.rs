@@ -128,7 +128,7 @@ fn query_params(args: &Args) -> Result<QueryParams, String> {
         nprobe: u32::try_from(nprobe).unwrap_or(u32::MAX).max(1),
         keep: SearchRequest::valid_keep(args.f64("keep", default.keep)?)?,
         deadline_us: args.u64("deadline-ms", 0)?.saturating_mul(1000),
-        ..default // backend: the server's default
+        ..default // backend: empty, which the server reads as fastscan
     })
 }
 

@@ -8,8 +8,8 @@
 //! pqfs query   --index index.pqiv --queries q.fvecs [--topk 100]
 //!              [--backend <name>] [--keep 0.005] [--nprobe 1]
 //!              [--batch true] [--threads N] [--trace true]
-//! pqfs serve   --index index.pqiv [--addr 127.0.0.1:7071] [--backend <name>]
-//!              [--queue 256] [--threads N]
+//! pqfs serve   --index index.pqiv [--addr 127.0.0.1:7071] [--queue 256]
+//!              [--threads N]
 //! pqfs bench-client --addr 127.0.0.1:7071 [--n 1000] [--batch 1]
 //!              [--connections 1] [--topk 10] [--nprobe 1] [--keep 0.005]
 //!              [--deadline-ms N]
@@ -186,7 +186,7 @@ USAGE:
               [--deadline-ms N] [--batch true] [--threads N]
               [--trace true]
   pqfs serve  --index <index.pqiv> [--addr 127.0.0.1:7071]
-              [--backend <name>] [--queue 256] [--threads N]
+              [--queue 256] [--threads N]
   pqfs bench-client
               --addr <host:port> [--n 1000] [--batch 1] [--connections 1]
               [--topk 10] [--nprobe 1] [--keep 0.005] [--deadline-ms N]

@@ -2,25 +2,19 @@
 
 use crate::args::Args;
 use crate::{fmt_count, load_err, CliError, Outcome};
-use pqfs_ivf::{IvfadcIndex, SearchBackend};
+use pqfs_ivf::IvfadcIndex;
 use pqfs_server::server::{Server, ServerConfig};
 use pqfs_server::signal;
 use std::sync::Arc;
 use std::time::Duration;
 
 pub fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
-    args.allow_only(&["index", "addr", "backend", "queue"])?;
+    args.allow_only(&["index", "addr", "queue"])?;
     let index_path = args.require("index")?;
     let addr = args
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7071".to_string());
-    let backend: SearchBackend = args
-        .get("backend")
-        .map(String::as_str)
-        .unwrap_or("fastscan")
-        .parse()
-        .map_err(CliError::Other)?;
     let queue_capacity = args.usize("queue", 256)?;
     if queue_capacity == 0 {
         return Err(CliError::Other("--queue must be positive".into()));
@@ -29,7 +23,7 @@ pub fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
     let index = IvfadcIndex::load_file(&index_path)
         .map_err(|e| load_err(&format!("loading {index_path}"), e))?;
     println!(
-        "serving {} vectors, dim {}, {} partitions ({} threads, backend {backend})",
+        "serving {} vectors, dim {}, {} partitions ({} threads)",
         fmt_count(index.len() as u64),
         index.dim(),
         index.num_partitions(),
@@ -38,7 +32,6 @@ pub fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
 
     let config = ServerConfig {
         addr,
-        default_backend: backend,
         queue_capacity,
     };
     let handle =

@@ -221,11 +221,13 @@ fn serve_rejects_bad_flags_and_missing_index() {
         String::from_utf8_lossy(&out.stderr)
     );
     // A flag the command does not read is an error naming the flag, not
-    // a silent no-op: the removed linger knob and wave cap, a typo, and the
+    // a silent no-op: the removed linger knob, wave cap and default
+    // backend (an empty name on the wire is Fast Scan), a typo, and the
     // removed build-time backend list (every index answers every backend).
     for (command, required, flag, value) in [
         ("serve", "--addr", "--linger-us", "8"),
         ("serve", "--addr", "--max-batch", "32"),
+        ("serve", "--addr", "--backend", "naive"),
         ("bench-client", "--addr", "--nprob", "8"),
         ("build", "--base", "--backends", "8"),
     ] {

@@ -8,11 +8,11 @@ use pqfs_kmeans::distance::l2_sq;
 use pqfs_obs::{Counter, Histogram, ProbeOutcome, ProbeTrace, QueryTrace};
 use pqfs_pool::ThreadPool;
 use pqfs_scan::{
-    FastScanIndex, ScanError, ScanOpts, ScanParams, ScanResult, ScanScratch, ScanStats,
+    scan_libpq, scan_naive, FastScanIndex, Kernel, ScanError, ScanOpts, ScanParams, ScanResult,
+    ScanScratch, ScanStats,
 };
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 static QUERIES: Counter = Counter::new("pqfs_ivf_queries_total", "IVF queries served");
@@ -160,11 +160,6 @@ pub struct IvfadcConfig {
     pub pq: PqConfig,
     /// Seed for every training stage.
     pub seed: u64,
-    /// Fast Scan build options (grouping components, kernel choice): the
-    /// partitions are grouped under them, a saved index keeps them, and the
-    /// oracle path hands them to [`SearchBackend::scanner`]. The warm-up
-    /// fraction is per query ([`SearchRequest::keep`]).
-    pub scan: ScanOpts,
 }
 
 impl IvfadcConfig {
@@ -174,7 +169,6 @@ impl IvfadcConfig {
             partitions,
             pq: PqConfig::pq8x8(dim),
             seed: 0,
-            scan: ScanOpts::default(),
         }
     }
 
@@ -183,13 +177,15 @@ impl IvfadcConfig {
         self.seed = seed;
         self
     }
-
-    /// Replaces the scanner options.
-    pub fn with_scan_opts(mut self, scan: ScanOpts) -> Self {
-        self.scan = scan;
-        self
-    }
 }
+
+/// The options every partition is grouped under: components chosen from
+/// the partition's size, the kernel from the running CPU (docs/FASTSCAN.md
+/// §10).
+static SCAN_OPTS: ScanOpts = ScanOpts {
+    group_components: None,
+    kernel: Kernel::Auto,
+};
 
 /// One inverted list: the global ids and the residual codes in the grouped
 /// Fast Scan layout (paper §4.2) — the only copy of the codes the index holds.
@@ -200,8 +196,8 @@ struct Partition {
 }
 
 impl Partition {
-    fn build(ids: Vec<u64>, codes: &RowMajorCodes, opts: &ScanOpts) -> Result<Self, IvfError> {
-        let index = FastScanIndex::build(codes, opts)?;
+    fn build(ids: Vec<u64>, codes: &RowMajorCodes) -> Result<Self, IvfError> {
+        let index = FastScanIndex::build(codes, &SCAN_OPTS)?;
         Ok(Partition { ids, index })
     }
 }
@@ -368,9 +364,6 @@ pub struct IvfadcIndex {
     pq: ProductQuantizer,
     partitions: Vec<Partition>,
     dim: usize,
-    /// The scanner options the partitions were prepared with (persisted so
-    /// a save/load roundtrip rebuilds identical scan state).
-    scan: ScanOpts,
     /// The per-cell terms of the IVFADC table expansion ([`cell_terms`]),
     /// derived at build and load, never persisted.
     cell_terms: Vec<f32>,
@@ -468,7 +461,7 @@ impl IvfadcIndex {
                 coarse.residual_into(v, *p, &mut residual);
                 pq.encode_into(&residual, &mut codes[slot * m..(slot + 1) * m]);
             }
-            Partition::build(ids, &RowMajorCodes::new(codes, m), &config.scan)
+            Partition::build(ids, &RowMajorCodes::new(codes, m))
         });
         let mut partitions = Vec::with_capacity(config.partitions);
         for partition in built {
@@ -481,7 +474,6 @@ impl IvfadcIndex {
             pq,
             partitions,
             dim,
-            scan: config.scan.clone(),
         })
     }
 
@@ -936,20 +928,20 @@ impl IvfadcIndex {
         // Step 3: scan. Fast Scan reads the resident grouped codes; any
         // other backend is an oracle, answered exactly — and slowly, on
         // purpose — over rows rebuilt for this one scan, so no second
-        // layout ever stays resident.
-        let (result, shards) = if backend == SearchBackend::FastScan {
-            let index = &partition.index;
-            match step {
-                Step::Nearest(pool) => (
-                    index.scan_on(&tables, params, &mut scan, pool),
-                    index.shards(pool),
-                ),
-                Step::Later(_) => (index.scan_with(&tables, params, &mut scan), 1),
+        // layout ever stays resident. The oracles cannot fail: an index is
+        // `PQ 8×8` ([`require_pq8x8`]).
+        let index = &partition.index;
+        let rows = || self.partition_rows(p).1;
+        let (result, shards) = match (backend, step) {
+            (SearchBackend::FastScan, Step::Nearest(pool)) => (
+                index.scan_on(&tables, params, &mut scan, pool),
+                index.shards(pool),
+            ),
+            (SearchBackend::FastScan, Step::Later(_)) => {
+                (index.scan_with(&tables, params, &mut scan), 1)
             }
-        } else {
-            let rows = Arc::new(self.partition_rows(p).1);
-            let oracle = backend.scanner(&self.scan).prepare(rows);
-            (oracle.and_then(|oracle| oracle.scan(&tables, params)), 1)
+            (SearchBackend::Naive, _) => (Ok(scan_naive(&tables, &rows(), params)), 1),
+            (SearchBackend::Libpq, _) => (Ok(scan_libpq(&tables, &rows(), params)), 1),
         };
         let bounded_out = params.bound.is_finite() && params.bound < tables.sum_of_mins();
         SCRATCH.set(QueryScratch {
@@ -982,17 +974,17 @@ impl IvfadcIndex {
     /// Rebuilds an index from stored parts (used by persistence).
     ///
     /// `partitions` holds `(global ids, row-major code bytes)` per cell,
-    /// regrouped here under `opts` (grouping is deterministic).
+    /// regrouped here as [`build`](Self::build) groups them (grouping is
+    /// deterministic).
     ///
     /// # Errors
     ///
     /// [`IvfError::Config`] when shapes disagree, [`IvfError::Scan`] for a
-    /// quantizer that is not `PQ 8×8` or unusable `opts`.
+    /// quantizer that is not `PQ 8×8`.
     pub(crate) fn from_parts(
         coarse: CoarseQuantizer,
         pq: ProductQuantizer,
         partitions: Vec<(Vec<u64>, Vec<u8>)>,
-        opts: ScanOpts,
     ) -> Result<Self, IvfError> {
         require_pq8x8(pq.config())?;
         if coarse.partitions() != partitions.len() {
@@ -1012,7 +1004,7 @@ impl IvfadcIndex {
             if bytes.len() != ids.len() * m {
                 return Err(IvfError::Config("partition code length mismatch".into()));
             }
-            built.push(Partition::build(ids, &RowMajorCodes::new(bytes, m), &opts)?);
+            built.push(Partition::build(ids, &RowMajorCodes::new(bytes, m))?);
         }
         Ok(IvfadcIndex {
             cell_terms: cell_terms(&coarse, &pq),
@@ -1020,7 +1012,6 @@ impl IvfadcIndex {
             pq,
             partitions: built,
             dim,
-            scan: opts,
         })
     }
 
@@ -1057,9 +1048,12 @@ impl IvfadcIndex {
         self.len() == 0
     }
 
-    /// The scanner options the index's partitions were grouped under.
-    pub fn scan_opts(&self) -> &ScanOpts {
-        &self.scan
+    /// The scanner options every index's partitions are grouped under:
+    /// always [`ScanOpts::default`] (automatic components, `Kernel::Auto`),
+    /// for a caller that prepares its own scanner over
+    /// [`partition_rows`](Self::partition_rows).
+    pub fn scan_opts(&self) -> &'static ScanOpts {
+        &SCAN_OPTS
     }
 
     /// Dimensionality of the vectors this index serves.
@@ -1342,7 +1336,7 @@ mod tests {
             })
             .collect();
         let (coarse, pq) = (built.coarse().clone(), built.pq().clone());
-        let index = IvfadcIndex::from_parts(coarse, pq, parts, ScanOpts::default()).unwrap();
+        let index = IvfadcIndex::from_parts(coarse, pq, parts).unwrap();
         let c: Vec<usize> = index
             .partitions
             .iter()
@@ -1466,8 +1460,15 @@ mod tests {
         let params = ScanParams::new(topk).with_keep(keep);
         for (p, tables) in probes {
             let (ids, rows) = index.partition_rows(*p);
-            let scanner = backend.scanner(index.scan_opts()).prepare(Arc::new(rows));
-            for n in scanner.unwrap().scan(tables, &params).unwrap().neighbors {
+            let result = match backend {
+                SearchBackend::Naive => scan_naive(tables, &rows, &params),
+                SearchBackend::Libpq => scan_libpq(tables, &rows, &params),
+                SearchBackend::FastScan => {
+                    let fast = FastScanIndex::build(&rows, index.scan_opts());
+                    fast.unwrap().scan(tables, &params).unwrap()
+                }
+            };
+            for n in result.neighbors {
                 merged.push(n.dist, ids[n.id as usize]);
             }
         }
@@ -1659,7 +1660,7 @@ mod tests {
                 (ids.to_vec(), codes.as_bytes().to_vec())
             })
             .collect();
-        let index = IvfadcIndex::from_parts(coarse, pq, parts, ScanOpts::default()).unwrap();
+        let index = IvfadcIndex::from_parts(coarse, pq, parts).unwrap();
         let k = rounding_factor(dsub);
         let mut residual = vec![0f32; WIDE];
         let (mut term, mut tables) = (Vec::new(), DistanceTables::placeholder());
@@ -1792,13 +1793,7 @@ mod tests {
                     (ids, first.repeat(codes.len()))
                 })
                 .collect();
-            IvfadcIndex::from_parts(
-                index.coarse().clone(),
-                index.pq().clone(),
-                parts,
-                index.scan_opts().clone(),
-            )
-            .unwrap()
+            IvfadcIndex::from_parts(index.coarse().clone(), index.pq().clone(), parts).unwrap()
         };
         for (name, index) in [("built", &index), ("all ties", &all_ties)] {
             for backend in SearchBackend::ALL {
@@ -1829,20 +1824,18 @@ mod tests {
     /// fewer, they are the same at every pool size too.
     #[test]
     fn traversal_stats_depend_on_neither_the_pool_nor_the_kernel() {
-        use pqfs_scan::Kernel;
         let _lock = pqfs_fault::exclusive();
         let (built, base) = build_index(3_000);
         let regrouped = |c: usize, kernel: Kernel| {
-            let parts = (0..built.num_partitions())
-                .map(|p| {
-                    let (ids, codes) = built.partition_rows(p);
-                    (ids.to_vec(), codes.as_bytes().to_vec())
-                })
-                .collect();
-            let opts = built.scan_opts().clone();
-            let opts = opts.with_group_components(c).with_kernel(kernel);
-            let (coarse, pq) = (built.coarse().clone(), built.pq().clone());
-            IvfadcIndex::from_parts(coarse, pq, parts, opts).unwrap()
+            let opts = ScanOpts::default()
+                .with_group_components(c)
+                .with_kernel(kernel);
+            let mut index = built.clone();
+            for partition in &mut index.partitions {
+                let rows = partition.index.grouped().to_row_major();
+                partition.index = FastScanIndex::build(&rows, &opts).unwrap();
+            }
+            index
         };
         let pools = [1usize, 2, 8].map(ThreadPool::new);
         // Each is false on a CPU without that kernel, both off x86-64.

@@ -9,7 +9,8 @@
 //! magic   "PQIV"           4 bytes
 //! version u32              currently 3
 //! header  section          dim u64, partitions u64, one reserved byte
-//!                          (written 0), scan options (12 bytes)
+//!                          (written 0), scan-options block (12 reserved
+//!                          bytes)
 //! centroids section        partitions × dim × f32
 //! quantizer section        embedded pqfs-core persist format (v3)
 //! partition sections       one per partition: count u64, ids, codes
@@ -23,11 +24,12 @@
 //!
 //! Partition sections hold row-major codes: [`IvfadcIndex::save`] rebuilds
 //! them from the resident grouped layout and [`IvfadcIndex::load`] regroups
-//! them under the stored scan options (grouping is deterministic, so save →
-//! load → save reproduces the file). The reserved header byte was the
-//! prepared-backend mask of earlier writers, and the scan options' `keep`
-//! and `bins` slots held settings the index no longer has; none of them is
-//! interpreted, and the slots are written as every default build wrote them.
+//! them as a build does (grouping is deterministic, so save → load → save
+//! reproduces the file). The reserved header byte was the prepared-backend
+//! mask of earlier writers, and the scan-options block's four slots (`keep`,
+//! `bins`, grouping components, kernel) held settings the index no longer
+//! has; none of them is interpreted, and the slots are written as every
+//! default build wrote them.
 //!
 //! Failpoint sites (see `pqfs_fault`): `ivf.persist.read`,
 //! `ivf.persist.write`, `ivf.persist.create`, `ivf.persist.fsync`,
@@ -38,7 +40,6 @@ use crate::index::{IvfadcIndex, MAX_PARTITIONS};
 use pqfs_core::codec::{write_file, FileReader, Put, Reader};
 use pqfs_core::persist::{atomic_write_file, load_pq, save_pq, AtomicWriteSites, PersistError};
 use pqfs_fault::FaultRead;
-use pqfs_scan::{Kernel, ScanOpts};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -51,51 +52,30 @@ const MAX_DIM: u64 = 1 << 20;
 const MAX_QUANTIZER_SECTION: u64 = 1 << 32;
 const MAX_PARTITION_SECTION: u64 = 1 << 40;
 
-/// What the scan-options block's two reserved slots hold: the warm-up
-/// fraction and quantization bin count earlier writers stored, at the values
-/// every default build wrote. They are written as these and not interpreted
-/// on load (the fraction is per query, and Fast Scan is exact at any bin
-/// count).
+/// What the scan-options block's reserved slots hold: the warm-up fraction,
+/// quantization bin count, grouping components and kernel tag earlier
+/// writers stored, at the values every default build wrote (`0xFF` is
+/// "automatic", `0` is `Kernel::Auto`). They are written as these and not
+/// interpreted on load: the fraction is per query, Fast Scan is exact at any
+/// bin count, and every index groups on automatic components under
+/// `Kernel::Auto`.
 const RESERVED_KEEP: f64 = 0.005;
 const RESERVED_BINS: u16 = pqfs_scan::DEFAULT_BINS;
+const RESERVED_COMPONENTS: u8 = u8::MAX;
+const RESERVED_KERNEL: u8 = 0;
 
-/// Encodes the scan options as the fixed 12-byte block.
-fn put_scan_opts(out: &mut Vec<u8>, opts: &ScanOpts) {
+/// Writes the fixed 12-byte scan-options block.
+fn put_scan_opts(out: &mut Vec<u8>) {
     out.put_f64(RESERVED_KEEP);
     out.put_u16(RESERVED_BINS);
-    out.put_u8(match opts.group_components {
-        Some(c) if c <= 4 => c as u8,
-        _ => u8::MAX,
-    });
-    out.put_u8(match opts.kernel {
-        Kernel::Auto => 0,
-        Kernel::Portable => 1,
-        Kernel::Ssse3 => 2,
-        Kernel::Avx2 => 3,
-        Kernel::Avx512Vbmi => 4,
-    });
+    out.put_u8(RESERVED_COMPONENTS);
+    out.put_u8(RESERVED_KERNEL);
 }
 
-/// Decodes the fixed 12-byte scan-options block.
-fn read_scan_opts(rd: &mut Reader<'_>) -> Result<ScanOpts, PersistError> {
-    let (_keep, _bins) = (rd.f64()?, rd.u16()?); // reserved
-    let group_components = match rd.u8()? {
-        u8::MAX => None,
-        c if c <= 4 => Some(c as usize),
-        c => return Err(PersistError::Format(format!("bad group_components {c}"))),
-    };
-    let kernel = match rd.u8()? {
-        0 => Kernel::Auto,
-        1 => Kernel::Portable,
-        2 => Kernel::Ssse3,
-        3 => Kernel::Avx2,
-        4 => Kernel::Avx512Vbmi,
-        k => return Err(PersistError::Format(format!("bad kernel tag {k}"))),
-    };
-    Ok(ScanOpts {
-        group_components,
-        kernel,
-    })
+/// Reads past the fixed 12-byte scan-options block.
+fn skip_scan_opts(rd: &mut Reader<'_>) -> Result<(), PersistError> {
+    let (_keep, _bins, _components, _kernel) = (rd.f64()?, rd.u16()?, rd.u8()?, rd.u8()?);
+    Ok(())
 }
 
 impl IvfadcIndex {
@@ -112,7 +92,7 @@ impl IvfadcIndex {
         header.put_u64(dim as u64);
         header.put_u64(parts as u64);
         header.put_u8(0); // reserved
-        put_scan_opts(&mut header, self.scan_opts());
+        put_scan_opts(&mut header);
         let mut centroids = Vec::with_capacity(parts * dim * 4);
         for p in 0..parts {
             centroids.put_f32s(self.coarse().centroid(p));
@@ -147,7 +127,7 @@ impl IvfadcIndex {
         let header = file.section("index header", 29)?;
         let mut rd = Reader::new(&header, "index header");
         let (dim, parts, _reserved) = (rd.u64()?, rd.u64()?, rd.u8()?);
-        let opts = read_scan_opts(&mut rd)?;
+        skip_scan_opts(&mut rd)?;
         if dim == 0 || parts == 0 {
             return Err(PersistError::Format(
                 "empty dimension or partition count".into(),
@@ -195,7 +175,6 @@ impl IvfadcIndex {
             CoarseQuantizer::from_centroids(centroids, dim),
             pq,
             partitions,
-            opts,
         )
         .map_err(|e| PersistError::Format(e.to_string()))
     }
@@ -289,7 +268,6 @@ mod tests {
             CoarseQuantizer::from_centroids(centroids, DIM),
             pq,
             vec![rows(vec![5, 2, 9], 0), rows(vec![1, 7], 1)],
-            ScanOpts::default(),
         )
         .unwrap();
         let mut buf = Vec::new();
@@ -414,35 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_scan_options() {
-        use pqfs_scan::{Kernel, ScanOpts};
-        let mut rng = StdRng::seed_from_u64(57);
-        let gen = |rng: &mut StdRng, n: usize| -> Vec<f32> {
-            (0..n * DIM).map(|_| rng.gen_range(0.0f32..255.0)).collect()
-        };
-        let train = gen(&mut rng, 800);
-        let base = gen(&mut rng, 200);
-        let opts = ScanOpts::default()
-            .with_group_components(1)
-            .with_kernel(Kernel::Portable);
-        let config = IvfadcConfig::new(DIM, 2).with_scan_opts(opts);
-        let index = IvfadcIndex::build(&train, &base, &config).unwrap();
-
-        let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
-        let loaded = IvfadcIndex::load(&mut buf.as_slice()).unwrap();
-        let roundtripped = loaded.scan_opts();
-        assert_eq!(roundtripped.group_components, Some(1));
-        assert_eq!(roundtripped.kernel, Kernel::Portable);
-        // Identical options => identical prepared state => identical memory
-        // accounting (the Figure 20 number survives persistence).
-        assert_eq!(
-            loaded.code_memory_bytes(SearchBackend::FastScan),
-            index.code_memory_bytes(SearchBackend::FastScan)
-        );
-    }
-
-    #[test]
     fn empty_base_index_roundtrips() {
         let mut rng = StdRng::seed_from_u64(58);
         let train: Vec<f32> = (0..1000 * DIM)
@@ -494,7 +443,7 @@ mod tests {
             header.put_u64(16); // dim
             header.put_u64(parts);
             header.put_u8(0); // reserved
-            put_scan_opts(&mut header, &ScanOpts::default());
+            put_scan_opts(&mut header);
             let mut buf = Vec::new();
             write_file(&mut buf, MAGIC, VERSION, [header]).unwrap();
             assert!(

@@ -108,12 +108,13 @@ fn corrupt_embedded_quantizer_bytes_are_rejected() {
     assert_rejected(&bad, "NaN spliced into the middle of the image");
 }
 
-/// Where the scan options keep their slots, in the header section's 29-byte
-/// body, which magic, version and the section's length precede: the
-/// reserved `keep` f64 and `bins` u16, and the kernel tag, its last byte.
+/// Where the scan-options block keeps its reserved slots, in the header
+/// section's 29-byte body, which magic, version and the section's length
+/// precede: `keep` f64, `bins` u16, grouping components u8 and kernel tag u8.
 const HEADER_AT: usize = 16;
 const KEEP_AT: usize = HEADER_AT + 17;
 const BINS_AT: usize = HEADER_AT + 25;
+const COMPONENTS_AT: usize = HEADER_AT + 27;
 const KERNEL_TAG_AT: usize = HEADER_AT + 28;
 
 /// `buf` with `bytes` written at `at`, in the header section, and every
@@ -128,72 +129,49 @@ fn resealed(mut buf: Vec<u8>, at: usize, bytes: &[u8]) -> Vec<u8> {
     buf
 }
 
-fn with_kernel_tag(buf: Vec<u8>, tag: u8) -> Vec<u8> {
-    resealed(buf, KERNEL_TAG_AT, &[tag])
-}
-
+/// Whatever older writers stored in the reserved slots — a warm-up
+/// fraction, a bin count, a fixed component count, a kernel tag, valid or
+/// not — the image loads with automatic grouping under `Kernel::Auto` and
+/// answers exactly as the default image does.
 #[test]
-fn kernel_tags_0_to_4_load_and_tag_5_is_a_typed_format_error() {
-    use pqfs_scan::Kernel;
-    let buf = index_bytes();
-    assert_eq!(buf[KERNEL_TAG_AT], 0, "the default kernel is Auto, tag 0");
-    let kernels = [
-        Kernel::Auto,
-        Kernel::Portable,
-        Kernel::Ssse3,
-        Kernel::Avx2,
-        Kernel::Avx512Vbmi,
-    ];
-    for (tag, kernel) in kernels.into_iter().enumerate() {
-        let image = with_kernel_tag(buf.clone(), tag as u8);
-        let index = IvfadcIndex::load(&mut image.as_slice()).unwrap();
-        assert_eq!(index.scan_opts().kernel, kernel, "tag {tag}");
-        // What is written is the tag that was read.
-        let mut again = Vec::new();
-        index.save(&mut again).unwrap();
-        assert_eq!(again, image, "tag {tag}");
-    }
-    match IvfadcIndex::load(&mut with_kernel_tag(buf, 5).as_slice()) {
-        Err(pqfs_core::PersistError::Format(msg)) => {
-            assert!(msg.contains("bad kernel tag 5"), "{msg}")
-        }
-        other => panic!("tag 5: {:?}", other.map(|ix| ix.len())),
-    }
-}
-
-#[test]
-fn reserved_keep_and_bins_slots_are_not_interpreted() {
+fn reserved_header_slots_are_not_interpreted() {
     let default = index_bytes();
     assert_eq!(default[KEEP_AT..KEEP_AT + 8], 0.005f64.to_le_bytes());
     assert_eq!(default[BINS_AT..BINS_AT + 2], 253u16.to_le_bytes());
-    // What an older writer stored for a 0.02 warm-up and 126 bins.
+    assert_eq!(default[COMPONENTS_AT], 0xFF, "automatic components");
+    assert_eq!(default[KERNEL_TAG_AT], 0, "Kernel::Auto");
+    let index = IvfadcIndex::load(&mut default.as_slice()).unwrap();
+    // What older writers stored for a 0.02 warm-up and 126 bins, then each
+    // (components, kernel tag) pair: 1 and 7 components, the portable and
+    // the VBMI kernel, and a tag no writer used.
     let older = resealed(default.clone(), KEEP_AT, &0.02f64.to_le_bytes());
     let older = resealed(older, BINS_AT, &126u16.to_le_bytes());
-    let index = IvfadcIndex::load(&mut default.as_slice()).unwrap();
-    let loaded = IvfadcIndex::load(&mut older.as_slice()).unwrap();
-
-    let mut rng = StdRng::seed_from_u64(7);
-    for _ in 0..8 {
-        let query: Vec<f32> = (0..DIM).map(|_| rng.gen_range(0.0f32..255.0)).collect();
-        for backend in SearchBackend::ALL {
-            for nprobe in [1, 4] {
-                let case = format!("{backend} nprobe {nprobe}");
-                let want = index.search_probes(&query, 10, backend, 0.005, nprobe);
-                let got = loaded.search_probes(&query, 10, backend, 0.005, nprobe);
-                let (want, got) = (want.unwrap(), got.unwrap());
-                let bits = |o: &pqfs_ivf::SearchOutcome| -> Vec<(u32, u64)> {
-                    o.neighbors
-                        .iter()
-                        .map(|n| (n.dist.to_bits(), n.id))
-                        .collect()
-                };
-                assert_eq!(bits(&got), bits(&want), "{case}");
-                assert_eq!(got.stats, want.stats, "{case}");
+    for (components, tag) in [(1u8, 1u8), (7, 4), (1, 5), (7, 5)] {
+        let image = resealed(older.clone(), COMPONENTS_AT, &[components, tag]);
+        let loaded = IvfadcIndex::load(&mut image.as_slice()).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..8 {
+            let query: Vec<f32> = (0..DIM).map(|_| rng.gen_range(0.0f32..255.0)).collect();
+            for backend in SearchBackend::ALL {
+                for nprobe in [1, 4] {
+                    let case = format!("c {components} tag {tag} {backend} nprobe {nprobe}");
+                    let want = index.search_probes(&query, 10, backend, 0.005, nprobe);
+                    let got = loaded.search_probes(&query, 10, backend, 0.005, nprobe);
+                    let (want, got) = (want.unwrap(), got.unwrap());
+                    let bits = |o: &pqfs_ivf::SearchOutcome| -> Vec<(u32, u64)> {
+                        o.neighbors
+                            .iter()
+                            .map(|n| (n.dist.to_bits(), n.id))
+                            .collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "{case}");
+                    assert_eq!(got.stats, want.stats, "{case}");
+                }
             }
         }
+        // The slots are re-written as every default build writes them.
+        let mut again = Vec::new();
+        loaded.save(&mut again).unwrap();
+        assert_eq!(again, default, "c {components} tag {tag}");
     }
-    // The slots are re-written as every default build writes them.
-    let mut again = Vec::new();
-    loaded.save(&mut again).unwrap();
-    assert_eq!(again, default);
 }

@@ -302,7 +302,7 @@ pub struct QueryParams {
     /// the remainder flows into the budgeted multi-probe search (the
     /// nearest probe always runs).
     pub deadline_us: u64,
-    /// Scan backend name (empty = the server's default backend).
+    /// Scan backend name (empty = Fast Scan).
     pub backend: String,
 }
 

@@ -132,8 +132,6 @@ static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Backend used when a request leaves the backend name empty.
-    pub default_backend: SearchBackend,
     /// Admission bound: the most query/batch requests (frames, not
     /// queries) admitted and not yet answered; more are shed.
     pub queue_capacity: usize,
@@ -152,7 +150,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            default_backend: SearchBackend::FastScan,
             queue_capacity: 256,
         }
     }
@@ -484,8 +481,9 @@ fn resolve(
         let message = format!("query {q} coordinate {c} is {v}, not a finite number");
         return Err((ErrorCode::BadRequest, message));
     }
+    // An empty name is Fast Scan, the shipped default.
     let backend = if req.params.backend.is_empty() {
-        shared.config.default_backend
+        SearchBackend::FastScan
     } else {
         req.params
             .backend
