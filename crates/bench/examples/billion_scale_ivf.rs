@@ -86,7 +86,7 @@ fn main() {
     let pq_scan: Vec<_> = (0..index.num_partitions())
         .map(|p| {
             Backend::Naive
-                .scanner(index.scan_opts())
+                .scanner(&ScanOpts::default())
                 .prepare(Arc::new(index.partition_rows(p).1))
                 .expect("prepare")
         })

@@ -47,7 +47,7 @@ fn main() {
     let libpq: Vec<_> = (0..index.num_partitions())
         .map(|p| {
             Backend::Libpq
-                .scanner(index.scan_opts())
+                .scanner(&ScanOpts::default())
                 .prepare(Arc::new(index.partition_rows(p).1))
                 .expect("prepare")
         })
