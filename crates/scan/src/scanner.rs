@@ -424,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_fastscan() {
+    fn backend_default_is_fastscan() {
         assert_eq!(Backend::default(), Backend::FastScan);
     }
 }
