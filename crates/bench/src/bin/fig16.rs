@@ -4,10 +4,13 @@
 //! `keep` controls how much of the database is scanned with plain PQ Scan
 //! to find the temporary nearest neighbor that sets the `qmax` quantization
 //! bound (§4.4): more warm-up ⇒ tighter bound ⇒ more pruning, until the
-//! warm-up itself dominates and speed collapses.
+//! warm-up itself dominates and speed collapses. Fast Scan's warm-up is the
+//! nearest runs of groups until they hold `max(⌈keep · n⌉, topk)` vectors
+//! (docs/FASTSCAN.md §2), so the curve is flat where `keep · n` is below
+//! `topk` and moves in steps of a run (`n/256` vectors from `c = 2` on).
 //!
 //! ```sh
-//! cargo run --release -p pqfs-bench --bin fig16
+//! PQFS_SCALE=0.5 PQFS_QUERIES=5 cargo run --release -p pqfs_bench --bin fig16
 //! ```
 
 #![forbid(unsafe_code)]

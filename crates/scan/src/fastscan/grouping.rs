@@ -119,7 +119,7 @@ pub struct GroupedCodes {
 
 impl GroupedCodes {
     /// Groups a partition's codes on `c` components. Groups are ordered by
-    /// ascending key (the warm-up looks groups up by key) and vectors keep
+    /// ascending key (so a key prefix's groups form one run) and vectors keep
     /// their relative order within a group.
     ///
     /// # Panics

@@ -1,18 +1,17 @@
 //! The Fast Scan driver: warm-up, quantization, kernel invocation and
 //! survivor verification (paper Figure 6; docs/FASTSCAN.md).
 //!
-//! A scan is four steps. **Warm-up** computes exact distances for the whole
-//! groups nearest to the query — those whose key selects, in every grouped
-//! component, one of the table's smallest portions ([`choose_warm_groups`])
-//! — and pushes them into the result heap. **Quantization** derives `qmax`
-//! from that heap and fills the 8-bit tables. The **kernel**
-//! ([`kernel::scan_all`]) visits the runs of groups nearest-first
-//! ([`run_order`], docs/FASTSCAN.md §6), passes over those the threshold
-//! already excludes, lower-bounds every vector of the others and hands each
-//! block with survivors to the [`Verifier`], which drops the warm-up's
-//! groups, computes the exact distances of the masked lanes straight from
-//! the block's arrays, in a loop monomorphized on the kernel's `const C`,
-//! and feeds the tightened threshold back.
+//! A scan orders the runs of groups nearest-first ([`run_order`],
+//! docs/FASTSCAN.md §6) and is then four steps. **Warm-up** computes exact
+//! distances for the shortest head of that order whose runs hold
+//! `max(keep · n, topk)` vectors and pushes them into the result heap.
+//! **Quantization** derives `qmax` from that heap and fills the 8-bit
+//! tables. The **kernel** ([`kernel::scan_all`]) visits the rest of the
+//! order, passes over the runs and groups the threshold already excludes,
+//! lower-bounds every vector of the others and hands each block with
+//! survivors to the [`Verifier`], which computes the exact distances of the
+//! masked lanes straight from the block's arrays, in a loop monomorphized
+//! on the kernel's `const C`, and feeds the tightened threshold back.
 //!
 //! A caller that already knows a distance no answer can exceed passes it as
 //! [`ScanParams::bound`]: it replaces the warm-up as the source of `qmax`
@@ -20,8 +19,9 @@
 //! §5).
 //!
 //! A split scan runs the fast path as [`SHARDS`] shards on a pool, shard `s`
-//! over the runs `s, s + SHARDS, …` of the run order, each with its own copy
-//! of the warm-up's heap, and merges their lists (docs/FASTSCAN.md §9).
+//! over the runs `s, s + SHARDS, …` of what the warm-up left of the run
+//! order, each with its own copy of the warm-up's heap, and merges their
+//! lists (docs/FASTSCAN.md §9).
 
 use crate::fastscan::grouping::GroupedCodes;
 use crate::fastscan::kernel::{self, BlockSink, ScanTables};
@@ -56,12 +56,11 @@ pub struct ScanParams {
     /// The paper takes the *first* `keep%` of its (arbitrarily ordered)
     /// database. Our storage is grouped, and the grouping says where the
     /// query's near vectors are, so Fast Scan spends the fraction there: it
-    /// scans the whole groups whose key names one of the `t` smallest
-    /// portions of each grouped table, `t` the smallest count for which
-    /// such groups are expected to hold `max(keep · n, topk)` vectors
-    /// (docs/FASTSCAN.md §2). `keep` is therefore a floor on the expected
-    /// warm-up size, not its size: `0` means no warm-up, `1` (or a partition
-    /// of one group) an exact scan of everything.
+    /// scans the nearest runs of groups, in the fast path's order, until
+    /// they hold `max(⌈keep · n⌉, topk)` vectors (docs/FASTSCAN.md §2).
+    /// `keep` is therefore a floor on the vectors the warm-up holds, not
+    /// their number: `0` means no warm-up, `1` (or a partition of one
+    /// group) an exact scan of everything.
     pub keep: f64,
     /// Entry bound: vectors farther than this are not part of the answer
     /// (ties at the bound are). `+∞`, the default, admits every vector.
@@ -104,8 +103,7 @@ impl ScanParams {
 
 /// Reusable per-thread scan state: the quantized table buffers a Fast Scan
 /// query fills (one 256-entry byte table per grouped component, or per
-/// component under a refining kernel, plus the 16-entry small tables) and
-/// the list of groups its warm-up scanned.
+/// component under a refining kernel, plus the 16-entry small tables).
 ///
 /// These are the only per-query heap allocations of a prepared Fast Scan
 /// query besides the result; batch drivers keep one `ScanScratch` per
@@ -115,9 +113,6 @@ impl ScanParams {
 #[derive(Debug, Clone, Default)]
 pub struct ScanScratch {
     pub(crate) tables: ScanTables,
-    /// Indices into `GroupedCodes::groups()` of the groups the warm-up
-    /// scanned exactly, ascending; the verifier leaves them out.
-    pub(crate) warm_groups: Vec<u32>,
 }
 
 pub(crate) fn scan(
@@ -165,12 +160,8 @@ pub(crate) fn scan_with(
         });
     }
 
-    // ---- Warm-up: plain PQ Scan over the groups nearest to the query
-    // (§4.4; docs/FASTSCAN.md §2). Their vectors are pushed into the real
-    // heap and their groups left out of the fast path, so the overall
-    // result is exactly PQ Scan's. A finite entry bound is a threshold
-    // already, from a better sample than this partition's own: the warm-up
-    // is skipped.
+    // A finite entry bound is a threshold already, from a better sample
+    // than this partition's own: the warm-up is skipped.
     let entry = params.bound;
     if entry < tables.sum_of_mins() {
         // No distance from these tables is below the sum of their minima:
@@ -184,21 +175,37 @@ pub(crate) fn scan_with(
         });
     }
     // What a key nibble adds at least, per component: the portion minima
-    // the tables hold. The warm-up picks its groups and the fast path
-    // orders its runs by those of the grouped components; those of the
-    // others, quantized, are the minimum tables (§4.3).
+    // the tables hold. The runs are ordered by those of the grouped
+    // components; those of the others, quantized, are the minimum tables
+    // (§4.3).
     let minima: [&[f32]; FS_M] = std::array::from_fn(|j| tables.portion_minima(j));
-    let warm_groups = &mut scratch.warm_groups;
-    warm_groups.clear();
+    let mut order = [0u8; MAX_RUNS];
+    let order = run_order(grouped, &minima, &mut order);
+
+    // ---- Warm-up: plain PQ Scan over the head of the run order (§4.4;
+    // docs/FASTSCAN.md §2). Its vectors are pushed into the real heap and
+    // its runs left out of the fast path, so the overall result is exactly
+    // PQ Scan's.
+    let mut head = 0;
     if entry == f32::INFINITY && params.keep > 0.0 {
-        stats.warmup =
-            choose_warm_groups(grouped, &minima, params.keep, params.topk, warm_groups) as u64;
+        let goal = ((params.keep.min(1.0) * n as f64).ceil() as usize).max(params.topk);
+        let mut held = 0;
+        head = order
+            .iter()
+            .position(|&r| {
+                let run = &grouped.runs()[r as usize];
+                held += vectors(grouped, run.start as usize..run.end as usize);
+                held >= goal
+            })
+            .map_or(order.len(), |last| last + 1);
+        stats.warmup = held as u64;
+        let warm = &order[..head];
         stats.accepted = match c {
-            0 => warm_up::<0>(grouped, float_tables, warm_groups, &mut heap),
-            1 => warm_up::<1>(grouped, float_tables, warm_groups, &mut heap),
-            2 => warm_up::<2>(grouped, float_tables, warm_groups, &mut heap),
-            3 => warm_up::<3>(grouped, float_tables, warm_groups, &mut heap),
-            _ => warm_up::<4>(grouped, float_tables, warm_groups, &mut heap),
+            0 => warm_up::<0>(grouped, float_tables, warm, &mut heap),
+            1 => warm_up::<1>(grouped, float_tables, warm, &mut heap),
+            2 => warm_up::<2>(grouped, float_tables, warm, &mut heap),
+            3 => warm_up::<3>(grouped, float_tables, warm, &mut heap),
+            _ => warm_up::<4>(grouped, float_tables, warm, &mut heap),
         };
     }
 
@@ -232,13 +239,13 @@ pub(crate) fn scan_with(
         *small = std::array::from_fn(|p| quantizer.quantize_value(j, minima[p]));
     }
 
-    // ---- Fast path: the kernel walks the runs nearest-first, passes over
-    // what the threshold excludes and hands the rest's survivors over.
-    let mut order = [0u8; MAX_RUNS];
-    let runs = run_order(grouped, &minima, &mut order);
+    // ---- Fast path: the kernel walks the rest of the runs nearest-first,
+    // passes over what the threshold excludes and hands the rest's
+    // survivors over.
+    let runs = &order[head..];
     let bound = heap.threshold().min(entry);
     let threshold = quantizer.quantize_threshold(bound);
-    let (scan_tables, warm_groups) = (&scratch.tables, &scratch.warm_groups[..]);
+    let scan_tables = &scratch.tables;
     // The fast path over `runs` from `heap`: its list and its counts.
     let fast_path = |heap: TopK, runs: &[u8]| {
         let mut verifier = Verifier {
@@ -252,9 +259,7 @@ pub(crate) fn scan_with(
             verified: 0,
             accepted: 0,
             skipped: 0,
-            warm_groups,
             group: usize::MAX,
-            warm: false,
             start: 0,
             high: [0; 4],
             blocks: &[],
@@ -302,79 +307,6 @@ pub(crate) fn scan_with(
     Ok(ScanResult { neighbors, stats })
 }
 
-/// Picks the groups the warm-up scans and returns how many vectors they
-/// hold; their indices go to `chosen`, ascending.
-///
-/// A group's key selects one 16-entry portion of each grouped table
-/// `D_0 … D_{c−1}`, and a portion's minimum bounds what its group's vectors
-/// add for that component — the lower bound the kernel uses for the other
-/// components. The groups whose key names, in every grouped component, one
-/// of the table's `t` smallest portion minima are where the query's near
-/// vectors are. `t` is the smallest count with `(t/16)^c · n >=
-/// max(keep · n, topk)` — as many vectors as the paper's warm-up scans, and
-/// enough to fill the heap, if groups were equally large — widened while
-/// the groups found hold fewer than `topk` vectors. The `t^c` keys are
-/// looked up in the key-sorted group list; absent groups hold nothing.
-/// `c = 0` has one group and `t = 16` selects every group: both scan the
-/// partition exactly. `minima[j]` are the portion minima of `D_j`.
-fn choose_warm_groups(
-    grouped: &GroupedCodes,
-    minima: &[&[f32]; FS_M],
-    keep: f64,
-    topk: usize,
-    chosen: &mut Vec<u32>,
-) -> usize {
-    let c = grouped.layout().c();
-    let (n, groups) = (grouped.len(), grouped.groups());
-    // The portions of each grouped table, smallest minimum first.
-    let mut nearest = [[0u8; PORTION]; 4];
-    for (nearest, minima) in nearest.iter_mut().zip(minima).take(c) {
-        *nearest = std::array::from_fn(|p| p as u8);
-        nearest.sort_unstable_by(|&a, &b| {
-            minima[a as usize]
-                .total_cmp(&minima[b as usize])
-                .then(a.cmp(&b))
-        });
-    }
-    let target = ((keep.min(1.0) * n as f64).ceil() as u128).max(topk as u128);
-    // `t` portions per component select `t^c` of the `16^c` keys.
-    let keys = |t: usize| (t as u128).pow(c as u32);
-    let mut t = (1..PORTION)
-        .find(|&t| keys(t) * n as u128 >= target * keys(PORTION))
-        .unwrap_or(PORTION);
-    loop {
-        // The selected high nibbles of each key entry, as bit sets; the
-        // entries of ungrouped components are always 0.
-        let mut sets = [1u16; 4];
-        for (set, nearest) in sets.iter_mut().zip(&nearest).take(c) {
-            *set = nearest[..t].iter().fold(0, |set, &p| set | 1 << p);
-        }
-        let nibbles = |set: u16| (0..PORTION as u8).filter(move |p| set >> p & 1 == 1);
-        chosen.clear();
-        let (mut held, mut from) = (0, 0);
-        // Keys in ascending order, as the groups are: the search resumes
-        // where the previous key was found.
-        for k0 in nibbles(sets[0]) {
-            for k1 in nibbles(sets[1]) {
-                for k2 in nibbles(sets[2]) {
-                    for k3 in nibbles(sets[3]) {
-                        let key = [k0, k1, k2, k3];
-                        from += groups[from..].partition_point(|g| g.key < key);
-                        if let Some(g) = groups.get(from).filter(|g| g.key == key) {
-                            chosen.push(from as u32);
-                            held += g.len;
-                        }
-                    }
-                }
-            }
-        }
-        if held >= topk || t == PORTION {
-            return held;
-        }
-        t += 1;
-    }
-}
-
 /// The most runs a grouped layout has: one per two-nibble key prefix.
 const MAX_RUNS: usize = PORTION * PORTION;
 
@@ -406,27 +338,37 @@ fn run_order<'a>(
     order
 }
 
-/// Plain PQ Scan over whole groups: every vector of `groups` goes into
-/// `heap` with its exact distance; returns how many of them it accepted.
-/// Monomorphized on the layout's grouping count like the verification loop,
-/// which is worth a quarter of the warm-up's time. `C` must equal
-/// `grouped.layout().c()`.
+/// The vectors the contiguous `groups` hold: storage positions are
+/// contiguous across them.
+fn vectors(grouped: &GroupedCodes, groups: Range<usize>) -> usize {
+    let all = grouped.groups();
+    let (first, last) = (&all[groups.start], &all[groups.end - 1]);
+    last.start + last.len - first.start
+}
+
+/// Plain PQ Scan over whole runs: every vector of the runs `runs` lists
+/// goes into `heap` with its exact distance; returns how many of them it
+/// accepted. Monomorphized on the layout's grouping count like the
+/// verification loop, which is worth a quarter of the warm-up's time. `C`
+/// must equal `grouped.layout().c()`.
 fn warm_up<const C: usize>(
     grouped: &GroupedCodes,
     float_tables: &[f32; FS_M * KSUB],
-    groups: &[u32],
+    runs: &[u8],
     heap: &mut TopK,
 ) -> u64 {
     let mut accepted = 0;
-    for &gi in groups {
-        let g = &grouped.groups()[gi as usize];
-        let high = g.key.map(|k| k << 4);
-        let blocks = grouped.group_blocks(g).chunks_exact(bytes_per_block(C));
-        for (b, block) in blocks.enumerate() {
-            let first = b * FS_BLOCK;
-            for lane in 0..(g.len - first).min(FS_BLOCK) {
-                let d = lane_distance(C, float_tables, high, block, lane);
-                accepted += heap.push(d, grouped.id(g.start + first + lane) as u64) as u64;
+    let all_runs = grouped.runs();
+    for run in runs.iter().map(|&r| &all_runs[r as usize]) {
+        for g in &grouped.groups()[run.start as usize..run.end as usize] {
+            let high = g.key.map(|k| k << 4);
+            let blocks = grouped.group_blocks(g).chunks_exact(bytes_per_block(C));
+            for (b, block) in blocks.enumerate() {
+                let first = b * FS_BLOCK;
+                for lane in 0..(g.len - first).min(FS_BLOCK) {
+                    let d = lane_distance(C, float_tables, high, block, lane);
+                    accepted += heap.push(d, grouped.id(g.start + first + lane) as u64) as u64;
+                }
             }
         }
     }
@@ -451,15 +393,10 @@ struct Verifier<'a> {
     verified: u64,
     /// Candidates the heap took.
     accepted: u64,
-    /// Vectors of the groups passed over, the warm-up's (not pruned) excepted.
+    /// Vectors of the groups passed over.
     skipped: u64,
-    /// The warm-up's groups, ascending.
-    warm_groups: &'a [u32],
     /// The group the fields below were hoisted for.
     group: usize,
-    /// Whether the warm-up already scanned the group: its vectors are in
-    /// the heap, so its blocks are dropped.
-    warm: bool,
     /// Storage position of the group's first vector.
     start: usize,
     /// The group key's nibbles, shifted into the high half of a code byte.
@@ -477,10 +414,6 @@ impl BlockSink for Verifier<'_> {
             self.start = g.start;
             self.high = g.key.map(|k| k << 4);
             self.blocks = self.grouped.group_blocks(g);
-            self.warm = self.warm_groups.binary_search(&(group as u32)).is_ok();
-        }
-        if self.warm {
-            return self.threshold;
         }
         let first = self.start + block * FS_BLOCK;
         self.verified += mask.count_ones() as u64;
@@ -504,16 +437,7 @@ impl BlockSink for Verifier<'_> {
     }
 
     fn skip(&mut self, groups: Range<usize>) {
-        let all = self.grouped.groups();
-        let (first, last) = (&all[groups.start], &all[groups.end - 1]);
-        let warm = self.warm_groups;
-        let warm = &warm[warm.partition_point(|&g| (g as usize) < groups.start)..];
-        let warm_vectors: usize = warm
-            .iter()
-            .take_while(|&&g| (g as usize) < groups.end)
-            .map(|&g| all[g as usize].len)
-            .sum();
-        self.skipped += (last.start + last.len - first.start - warm_vectors) as u64;
+        self.skipped += vectors(self.grouped, groups) as u64;
     }
 }
 
@@ -538,9 +462,11 @@ mod tests {
         )
     }
 
-    #[test]
-    fn warm_up_counts_its_groups_and_the_fast_path_leaves_them_out() {
-        let n = 3_000;
+    /// The fixture's index for `c` 0–4 under the portable and the automatic
+    /// kernel, over tie-heavy and flat tables, with the vectors each run
+    /// holds in the order a scan with those tables visits the runs.
+    fn layouts(n: usize) -> Vec<(String, FastScanIndex, DistanceTables, Vec<usize>, bool)> {
+        let mut layouts = Vec::new();
         for c in 0..=4usize {
             for kernel in [Kernel::Portable, Kernel::Auto] {
                 let opts = ScanOpts::default()
@@ -549,26 +475,91 @@ mod tests {
                 for flat in [false, true] {
                     let (codes, tables) = fixture(n, flat);
                     let index = FastScanIndex::build(&codes, &opts).unwrap();
-                    let groups = index.grouped().groups();
-                    let mut scratch = ScanScratch::default();
-                    for topk in [10, 100, n + 5] {
-                        let case = format!("c={c} {kernel:?} flat={flat} topk={topk}");
-                        let params = ScanParams::new(topk);
-                        let got = scan_with(&index, &tables, &params, &mut scratch, None).unwrap();
-                        let warm = &scratch.warm_groups;
-                        assert!(warm.windows(2).all(|w| w[0] < w[1]), "{case}");
-                        let held: usize = warm.iter().map(|&g| groups[g as usize].len).sum();
-                        assert_eq!(got.stats.warmup, held as u64, "{case}");
-                        assert!(held >= topk.min(n), "{case}");
-                        // A warm-up vector verified again would be counted
-                        // twice here...
-                        if flat {
-                            assert_eq!(got.stats.verified, (n - held) as u64, "{case}");
-                        }
-                        // ...and returned twice here.
-                        let ids: HashSet<u64> = got.ids().into_iter().collect();
-                        assert_eq!(ids.len(), topk.min(n), "{case}");
+                    let grouped = index.grouped();
+                    let minima = std::array::from_fn(|j| tables.portion_minima(j));
+                    let mut order = [0u8; MAX_RUNS];
+                    let runs = run_order(grouped, &minima, &mut order).iter();
+                    let held = runs.map(|&r| {
+                        let run = &grouped.runs()[r as usize];
+                        vectors(grouped, run.start as usize..run.end as usize)
+                    });
+                    let held = held.collect();
+                    let name = format!("c={c} {kernel:?} flat={flat}");
+                    layouts.push((name, index, tables, held, flat));
+                }
+            }
+        }
+        layouts
+    }
+
+    /// How many runs at the head of `held` hold `warmup` vectors, if a head
+    /// holds exactly that many.
+    fn head_holding(held: &[usize], warmup: u64) -> Option<usize> {
+        let sums = held.iter().scan(0, |sum, &h| {
+            *sum += h;
+            Some(*sum)
+        });
+        let mut heads = std::iter::once(0).chain(sums);
+        heads.position(|sum| sum as u64 == warmup)
+    }
+
+    #[test]
+    fn warm_up_counts_its_groups_and_the_fast_path_leaves_them_out() {
+        let n = 3_000;
+        let pool = ThreadPool::new(2);
+        for (layout, index, tables, held, flat) in layouts(n) {
+            let mut scratch = ScanScratch::default();
+            for topk in [10, 100, n + 5] {
+                let params = ScanParams::new(topk);
+                let whole = scan_with(&index, &tables, &params, &mut scratch, None).unwrap();
+                let split = scan_with(&index, &tables, &params, &mut scratch, Some(&pool));
+                let split = split.unwrap();
+                assert_eq!(whole.neighbors, split.neighbors, "{layout} topk={topk}");
+                for (got, shards) in [(whole, 1), (split, SHARDS)] {
+                    let case = format!("{layout} topk={topk} shards={shards}");
+                    let s = got.stats;
+                    assert!(head_holding(&held, s.warmup).is_some(), "{case}");
+                    assert!(s.warmup >= topk.min(n) as u64, "{case}");
+                    assert!(s.accepted <= s.warmup + s.verified, "{case}");
+                    // A warm-up vector verified again, or a run neither
+                    // warmed up nor handed to a shard, would show here...
+                    if flat {
+                        assert_eq!(s.verified, n as u64 - s.warmup, "{case}");
                     }
+                    // ...and a vector returned twice here.
+                    let ids: HashSet<u64> = got.ids().into_iter().collect();
+                    assert_eq!(ids.len(), topk.min(n), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_up_is_the_shortest_head_of_the_run_order_holding_the_goal() {
+        let n = 3_000;
+        for (layout, index, tables, held, flat) in layouts(n) {
+            let some = scan(&index, &tables, &ScanParams::new(40)).unwrap();
+            let finite = some.neighbors[39].dist;
+            let unbounded = [0.0, 0.005, 1.0]
+                .into_iter()
+                .flat_map(|keep| [10, 100, n + 5].map(|topk| (keep, topk, f32::INFINITY)));
+            for (keep, topk, bound) in unbounded.chain([(0.005, 100, finite)]) {
+                let case = format!("{layout} keep={keep} topk={topk} bound={bound}");
+                let params = ScanParams::new(topk).with_keep(keep).with_bound(bound);
+                let s = scan(&index, &tables, &params).unwrap().stats;
+                let goal = match keep > 0.0 && bound == f32::INFINITY {
+                    true => ((keep * n as f64).ceil() as usize).max(topk),
+                    false => 0,
+                };
+                let head = head_holding(&held, s.warmup);
+                let head = head.unwrap_or_else(|| panic!("not a head of the run order: {case}"));
+                assert!(s.warmup >= goal.min(n) as u64, "{case}");
+                if head > 0 {
+                    let short: usize = held[..head - 1].iter().sum();
+                    assert!(short < goal, "{case}: {short} held without the last run");
+                }
+                if flat {
+                    assert_eq!(s.verified, n as u64 - s.warmup, "{case}");
                 }
             }
         }

@@ -321,9 +321,9 @@ fn keyed_codes(groups: &[KeyedGroup]) -> Arc<RowMajorCodes> {
     Arc::new(RowMajorCodes::new(bytes, M))
 }
 
-/// The warm-up scans the whole groups under the smallest portion minima
-/// (docs/FASTSCAN.md §2): some of the keys it selects name no group, and the
-/// groups it finds may hold fewer than `topk` vectors.
+/// The warm-up scans the nearest runs of groups until they hold the goal
+/// (docs/FASTSCAN.md §2): the nearest keys may name no group, and the nearest
+/// groups may hold fewer than `topk` vectors.
 #[test]
 fn warm_up_groups_may_be_absent_or_small() {
     // Portion minima ascend with the portion index in every table, so the
@@ -334,24 +334,25 @@ fn warm_up_groups_may_be_absent_or_small() {
         .collect();
     let tables = DistanceTables::from_raw(data, M, KSUB);
     let naive = Backend::Naive.scanner(&ScanOpts::default());
-    // n = 5 000 grouped on 2 components, topk 100: t = 3 is the smallest
-    // with (t/16)² · n >= 100, nine keys.
+    // n = 5 000 grouped on 2 components (a run is one group), topk 100:
+    // the goal is max(⌈0.005 · n⌉, 100) = 100 vectors.
     let cases: [(&str, &[KeyedGroup], usize, u64); 3] = [
-        // (0,1), (0,2), (1,2), (2,*) are absent; the three present hold 150.
+        // (0,1), (0,2), (1,2), (2,*) are absent; the three nearest present
+        // hold 150, the first two 90.
         (
             "absent",
             &[((0, 0), 40), ((1, 0), 50), ((1, 1), 60), ((7, 7), 4_850)],
             100,
             150,
         ),
-        // The nine keys hold 3 vectors: t widens to 6, which reaches (5,5).
+        // The nearest group holds 3 vectors: the warm-up reaches (5,5).
         (
             "small",
             &[((0, 0), 3), ((5, 5), 200), ((9, 9), 4_797)],
             100,
             203,
         ),
-        // No choice of groups holds topk vectors: t = 16, all of them.
+        // No head of the run order holds topk vectors: all of them.
         ("topk > n", &[((0, 0), 3), ((9, 9), 4_997)], 5_005, 5_000),
     ];
     for (name, groups, topk, warmup) in cases {

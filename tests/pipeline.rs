@@ -244,8 +244,9 @@ fn group_chosen_warm_up_keeps_verification_low() {
         stats.merge(&index.scan(&tables, &ScanParams::new(100)).unwrap().stats);
     }
     assert_eq!(stats.warmup + stats.pruned + stats.verified, stats.scanned);
-    // 24 927 of 400 000 here; a warm-up sample spread over all groups, or
-    // the groups of the *largest* portion minima, leave about 110 000.
+    // 1 610 of 400 000 here, after a warm-up of 5 641 vectors; a warm-up
+    // sample spread over all groups, or the groups of the *largest* portion
+    // minima, left about 110 000 under an earlier kernel.
     assert!(
         stats.verified <= 40_000,
         "the warm-up's threshold let {} of {} vectors through",
