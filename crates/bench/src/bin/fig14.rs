@@ -6,7 +6,7 @@
 //! Scan by ~4x.
 //!
 //! ```sh
-//! cargo run --release -p pqfs-bench --bin fig14
+//! cargo run --release -p pqfs_bench --bin fig14
 //! ```
 
 #![forbid(unsafe_code)]

@@ -3,7 +3,7 @@
 //! the *measured* pruning statistics), plus measured per-vector time.
 //!
 //! ```sh
-//! cargo run --release -p pqfs-bench --bin fig15
+//! cargo run --release -p pqfs_bench --bin fig15
 //! ```
 
 #![forbid(unsafe_code)]

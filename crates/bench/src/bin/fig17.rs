@@ -6,7 +6,7 @@
 //! of Fast Scan's pruning loss comes from the minimum tables instead.
 //!
 //! ```sh
-//! cargo run --release -p pqfs-bench --bin fig17
+//! cargo run --release -p pqfs_bench --bin fig17
 //! ```
 
 #![forbid(unsafe_code)]

@@ -6,7 +6,7 @@
 //! decreases.
 //!
 //! ```sh
-//! cargo run --release -p pqfs-bench --bin fig18
+//! cargo run --release -p pqfs_bench --bin fig18
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,10 +1,11 @@
 //! Figure 20 — the large-scale experiment (scaled ANN_SIFT1B, 128
 //! partitions): mean response time, memory use, and scan speed across
-//! kernel back-ends (the Table 5 multi-platform substitute, DESIGN.md §2).
+//! kernel back-ends (the Table 5 multi-platform substitute; README.md,
+//! "Reproducing the paper").
 //!
 //! ```sh
-//! cargo run --release -p pqfs-bench --bin fig20
-//! SCALE: PQFS_SCALE=4 cargo run --release -p pqfs-bench --bin fig20
+//! cargo run --release -p pqfs_bench --bin fig20
+//! SCALE: PQFS_SCALE=4 cargo run --release -p pqfs_bench --bin fig20
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,11 +2,11 @@
 //! Scan implementations (naive, libpq, avx, gather).
 //!
 //! Wall-clock times are measured; the L1-load / instruction / µop columns
-//! come from the exact operation-count model (`pqfs-metrics::counters`,
-//! the hardware-counter substitute documented in DESIGN.md §2).
+//! come from the exact operation-count model (`pqfs_bench::counters`, the
+//! hardware-counter substitute; README.md, "Reproducing the paper").
 //!
 //! ```sh
-//! cargo run --release -p pqfs-bench --bin fig3
+//! cargo run --release -p pqfs_bench --bin fig3
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,7 +2,7 @@
 //! configurations' distance tables each level can hold.
 //!
 //! ```sh
-//! cargo run --release -p pqfs-bench --bin table1
+//! cargo run --release -p pqfs_bench --bin table1
 //! ```
 
 #![forbid(unsafe_code)]

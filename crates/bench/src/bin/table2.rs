@@ -2,7 +2,7 @@
 //! a live microbenchmark of the two lookup strategies on this host.
 //!
 //! ```sh
-//! cargo run --release -p pqfs-bench --bin table2
+//! cargo run --release -p pqfs_bench --bin table2
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,12 +1,12 @@
 //! Table 3 — sizes of the 8 IVF partitions of ANN_SIFT100M1 and the number
 //! of queries the coarse index routes to each.
 //!
-//! The base set is a scaled synthetic substitute (DESIGN.md §2); the
+//! The base set is a scaled synthetic substitute (`pqfs_data::synthetic`); the
 //! structure under test — an 8-cell coarse quantizer producing unequal
 //! partitions, with queries routed to their nearest cell — is the same.
 //!
 //! ```sh
-//! cargo run --release -p pqfs-bench --bin table3
+//! cargo run --release -p pqfs_bench --bin table3
 //! ```
 
 #![forbid(unsafe_code)]

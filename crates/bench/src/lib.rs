@@ -1,35 +1,32 @@
 //! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the paper (see DESIGN.md §4 for the index).
+//! and figure of the paper (README.md, "Reproducing the paper", lists them).
 //!
 //! All binaries accept two environment variables:
 //!
 //! * `PQFS_SCALE` — multiplier on the default workload sizes (default `1`,
-//!   where partition 0 holds 500 000 vectors = Table 3's 25 M ÷ 50). Raise
+//!   where partition 0 holds 1 000 000 vectors = Table 3's 25 M ÷ 25). Raise
 //!   it on beefy machines to approach the paper's regime.
 //! * `PQFS_QUERIES` — queries per measurement point (default varies per
 //!   experiment).
 //!
-//! Workloads are synthetic SIFT-like mixtures (see `pqfs-data`); DESIGN.md
+//! Workloads are synthetic SIFT-like mixtures; `pqfs_data::synthetic`
 //! documents why this substitution preserves the paper's effects.
 //!
 //! Beside it: the unsafe SIMD scans, [`baselines`] (what the paper measures
-//! but does not serve: §3.2's "avx" and "gather", §5.5's quantization-only)
-//! and [`columnar`] (§6); and the measurement helpers [`stats`], [`table`],
-//! [`timer`], [`recall`], [`counters`] and [`cost_model`].
+//! but does not serve: §3.2's "avx" and "gather", §5.5's quantization-only);
+//! and the measurement helpers [`stats`], [`table`], [`timer`], [`counters`]
+//! and [`cost_model`].
 
 pub mod baselines;
-pub mod columnar;
 pub mod components;
 pub mod cost_model;
 pub mod counters;
-pub mod recall;
 pub mod stats;
 pub mod table;
 pub mod timer;
 
 pub use cost_model::{table_cache_level, CacheLevel, InstrProps, GATHER, PSHUFB};
 pub use counters::{fastscan_ops, pqscan_ops, FastScanProfile, PerVectorOps, PqScanImpl};
-pub use recall::{mean_recall_at_r, recall_at_r};
 pub use stats::Summary;
 pub use table::{fmt_count, fmt_f, TextTable};
 pub use timer::{measure_ms, mvecs_per_sec, time_ms};

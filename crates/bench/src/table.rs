@@ -1,7 +1,7 @@
 //! Minimal aligned text tables for the experiment harnesses.
 //!
-//! Every `fig*`/`table*` binary prints its series through this type so the
-//! output (and EXPERIMENTS.md) has one consistent format.
+//! Every `fig*`/`table*` binary prints its series through this type so their
+//! output has one consistent format.
 
 /// A text table with a header row and aligned columns.
 #[derive(Debug, Clone, Default)]

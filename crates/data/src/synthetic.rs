@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on ANN_SIFT1B: 128-dimensional SIFT descriptors with
 //! byte-range components. Two statistical properties of that corpus matter
-//! to the algorithms under test (DESIGN.md §2):
+//! to the algorithms under test (README.md, "Reproducing the paper"):
 //!
 //! 1. **global clustering** — queries have true near neighbors and IVF
 //!    partitions are meaningful;

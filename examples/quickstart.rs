@@ -12,7 +12,7 @@ fn main() {
     let dim = 128;
     println!("== PQ Fast Scan quickstart ==");
 
-    // 1. Synthetic SIFT-like data (ANN_SIFT1B substitute, see DESIGN.md).
+    // 1. Synthetic SIFT-like data (ANN_SIFT1B substitute, see `pqfs_data::synthetic`).
     let config = SyntheticConfig::sift_like().with_seed(42);
     let mut dataset = SyntheticDataset::new(&config);
     let train = dataset.sample(5_000);

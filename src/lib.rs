@@ -12,8 +12,8 @@
 //! results*.
 //!
 //! This facade crate re-exports the search library's public API (the
-//! figure harness, its measurement helpers and the §6 compressed-column
-//! scans live in `pqfs_bench`, which only the experiments use):
+//! figure harness and its measurement helpers live in `pqfs_bench`, which
+//! only the experiments use):
 //!
 //! * [`kmeans`] — clustering substrate (Lloyd + same-size k-means);
 //! * [`core`] — product quantization, ADC distance tables, layouts, top-k;
@@ -27,7 +27,8 @@
 //!   the persistence and degraded-search paths; armed via the
 //!   `PQFS_FAILPOINTS` environment variable, a no-op when disarmed;
 //! * [`server`] — the TCP serving layer: length-prefixed binary protocol,
-//!   request batching with admission control, graceful shutdown.
+//!   each request run to completion on its connection thread, admission
+//!   control, graceful shutdown.
 //!
 //! ## Quickstart
 //!

@@ -1,6 +1,7 @@
 //! Invariants no rustc or clippy lint sees (docs/STATIC_ANALYSIS.md): failpoint
-//! sites and metric names against their registries, both ways, and each
-//! manifest's unsafe-code lints. Library code is each `crates/*/src/**/*.rs`
+//! sites and metric names against their registries, both ways, each
+//! manifest's unsafe-code lints, and the packages and documents that run
+//! commands and comments name. Library code is each `crates/*/src/**/*.rs`
 //! and `src/**/*.rs` file cut at its first column-0 `#[cfg(test)]`, comment
 //! lines dropped. Cargo runs tests in the repository root: paths are relative.
 
@@ -14,13 +15,25 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Every file under `dir`.
+/// Every file under `dir`, outside hidden and `target` directories.
 fn walk(dir: &Path) -> Vec<PathBuf> {
     let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{dir:?}: {e}"));
     let paths = entries.map(|entry| entry.expect("a directory entry").path());
+    let skipped = |p: &PathBuf| {
+        let name = p.file_name().unwrap_or_default().to_string_lossy();
+        p.is_dir() && (name.starts_with('.') || name == "target")
+    };
     paths
+        .filter(|p| !skipped(p))
         .flat_map(|p| if p.is_dir() { walk(&p) } else { vec![p] })
         .collect()
+}
+
+/// Every Rust file of the repository, the benchmark's and the shims' too.
+fn rust_files() -> Vec<PathBuf> {
+    let mut files = walk(Path::new("."));
+    files.retain(|p| p.extension().is_some_and(|e| e == "rs"));
+    files
 }
 
 fn library_code() -> String {
@@ -174,4 +187,80 @@ fn manifests_and_binaries_carry_their_unsafe_code_policy() {
         unsafe_crates += 1;
     }
     assert_eq!(unsafe_crates, UNSAFE_CRATES.len());
+}
+
+/// The packages a `cargo -p` can name: the root workspace's members and the
+/// standalone benchmark.
+fn package_names() -> BTreeSet<String> {
+    let mut manifests = vec![PathBuf::from("Cargo.toml"), "benchmark/Cargo.toml".into()];
+    for members in ["crates", "vendor"] {
+        manifests.extend(
+            walk(Path::new(members))
+                .into_iter()
+                .filter(|p| p.ends_with("Cargo.toml")),
+        );
+    }
+    let name = |text: String| {
+        let mut package = text.lines().skip_while(|l| *l != "[package]");
+        let name = package.find_map(|l| l.strip_prefix("name = \""))?;
+        Some(name.trim_end_matches('"').to_owned())
+    };
+    let names: BTreeSet<String> = manifests.iter().filter_map(|m| name(read(m))).collect();
+    assert_eq!(
+        names.len(),
+        manifests.len(),
+        "a manifest without a package name"
+    );
+    names
+}
+
+#[test]
+fn run_commands_name_packages_that_exist() {
+    let packages = package_names();
+    let mut files = rust_files();
+    files.extend(walk(Path::new("docs")));
+    files.extend(["README.md", ".github/workflows/ci.yml"].map(PathBuf::from));
+    let (mut named, mut unknown) = (0, Vec::new());
+    for file in files {
+        for line in read(&file).lines().filter(|l| l.contains("cargo ")) {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            for pair in words.windows(2).filter(|w| w[0] == "-p") {
+                let package = pair[1].trim_end_matches(['`', ')', ';', ',']);
+                if !packages.contains(package) {
+                    unknown.push(format!("{}: -p {package}", file.display()));
+                }
+                named += 1;
+            }
+        }
+    }
+    assert!(named > 20, "the scan found only {named} package flags");
+    assert!(unknown.is_empty(), "no such package: {unknown:#?}");
+}
+
+#[test]
+fn documents_cited_in_comments_exist() {
+    let mut cited = BTreeSet::new();
+    for file in rust_files() {
+        for line in read(&file).lines() {
+            let Some((_, comment)) = line.split_once("//") else {
+                continue;
+            };
+            let path_char = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
+            for (at, _) in comment.match_indices(".md") {
+                let start = comment[..at].trim_end_matches(path_char).len();
+                let end = at + ".md".len();
+                if start == at || comment[end..].starts_with(|c: char| c.is_alphanumeric()) {
+                    continue;
+                }
+                cited.insert((comment[start..end].to_owned(), file.clone()));
+            }
+        }
+    }
+    assert!(cited.len() > 20, "the scan found only {cited:?}");
+    let exists = |doc: &String| Path::new(doc).is_file() || Path::new("docs").join(doc).is_file();
+    cited.retain(|(doc, _)| !exists(doc));
+    assert!(
+        cited.is_empty(),
+        "in neither the root nor docs/: {cited:#?}"
+    );
 }
