@@ -13,7 +13,6 @@
 
 use pq_fast_scan::prelude::*;
 use pqfs_bench::{env_usize, fmt_count, time_ms, Summary};
-use std::sync::Arc;
 
 fn main() {
     let dim = 128;
@@ -79,23 +78,18 @@ fn main() {
         )
     };
 
-    // PQ Scan reads row-major codes: the baseline prepares its own from the
+    // PQ Scan reads row-major codes: the baseline rebuilds them from the
     // index's rows, outside the timed region, and scans them with the
     // tables the index builds (`probe_tables`), so both pay the same steps
     // 1 and 2 of Algorithm 1.
-    let pq_scan: Vec<_> = (0..index.num_partitions())
-        .map(|p| {
-            Backend::Naive
-                .scanner(&ScanOpts::default())
-                .prepare(Arc::new(index.partition_rows(p).1))
-                .expect("prepare")
-        })
+    let rows: Vec<_> = (0..index.num_partitions())
+        .map(|p| index.partition_rows(p).1)
         .collect();
     let (slow, avg_scanned) = run(&|q| {
         let probes = index.probe_tables(q, 1).expect("tables");
         let (p, tables) = &probes[0];
-        let result = pq_scan[*p].scan(tables, &ScanParams::new(100));
-        result.expect("scan").stats.scanned
+        let result = scan_naive(tables, &rows[*p], &ScanParams::new(100));
+        result.stats.scanned
     });
     let (fast, _) = run(&|q| {
         let outcome = index.search_probes(q, 100, SearchBackend::FastScan, 0.01, 1);

@@ -13,8 +13,7 @@
 
 use pqfs_bench::{env_usize, header, scale, Fixture, DIM};
 use pqfs_bench::{fmt_f, time_ms, Summary, TextTable};
-use pqfs_scan::{Backend, ScanOpts, ScanParams};
-use std::sync::Arc;
+use pqfs_scan::{scan_libpq, FastScanIndex, ScanOpts, ScanParams};
 
 fn main() {
     let n = (1_000_000.0 * scale()) as usize;
@@ -26,16 +25,8 @@ fn main() {
     );
 
     let mut fx = Fixture::train(14);
-    let codes = Arc::new(fx.partition(n));
-    let opts = ScanOpts::default();
-    let fastpq = Backend::FastScan
-        .scanner(&opts)
-        .prepare(Arc::clone(&codes))
-        .expect("prepare");
-    let libpq = Backend::Libpq
-        .scanner(&opts)
-        .prepare(Arc::clone(&codes))
-        .expect("prepare");
+    let codes = fx.partition(n);
+    let fastpq = FastScanIndex::build(&codes, &ScanOpts::default()).expect("index");
     let queries = fx.queries(n_queries);
     let params = ScanParams::new(100).with_keep(0.005);
 
@@ -44,7 +35,7 @@ fn main() {
     for q in queries.chunks_exact(DIM) {
         let tables = fx.tables(q);
         let (fast, t_fast) = time_ms(|| fastpq.scan(&tables, &params).unwrap());
-        let (slow, t_slow) = time_ms(|| libpq.scan(&tables, &params).unwrap());
+        let (slow, t_slow) = time_ms(|| scan_libpq(&tables, &codes, &params));
         assert_eq!(fast.ids(), slow.ids(), "implementations must agree");
         fast_times.push(t_fast);
         slow_times.push(t_slow);

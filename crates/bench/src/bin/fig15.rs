@@ -12,8 +12,7 @@ use pqfs_bench::{env_usize, header, scale, Fixture, DIM};
 use pqfs_bench::{
     fastscan_ops, fmt_f, measure_ms, pqscan_ops, FastScanProfile, PqScanImpl, Summary, TextTable,
 };
-use pqfs_scan::{Backend, FastScanIndex, ScanOpts, ScanParams};
-use std::sync::Arc;
+use pqfs_scan::{scan_libpq, FastScanIndex, ScanOpts, ScanParams};
 
 fn main() {
     let n = (1_000_000.0 * scale()) as usize;
@@ -25,14 +24,9 @@ fn main() {
     );
 
     let mut fx = Fixture::train(15);
-    let codes = Arc::new(fx.partition(n));
-    // The raw FastScanIndex (not just the registry handle) is kept for the
-    // operation-count model, which needs grouping internals.
+    let codes = fx.partition(n);
+    // The operation-count model also reads the index's grouping.
     let index = FastScanIndex::build(&codes, &ScanOpts::default()).expect("index");
-    let libpq = Backend::Libpq
-        .scanner(&ScanOpts::default())
-        .prepare(Arc::clone(&codes))
-        .expect("prepare");
     let queries = fx.queries(n_queries);
     let params = ScanParams::new(100).with_keep(0.005);
 
@@ -43,7 +37,7 @@ fn main() {
         let tables = fx.tables(q);
         let f = measure_ms(3, || index.scan(&tables, &params).unwrap());
         fast_times.push(Summary::from_values(&f).median());
-        let s = measure_ms(3, || libpq.scan(&tables, &params).unwrap());
+        let s = measure_ms(3, || scan_libpq(&tables, &codes, &params));
         slow_times.push(Summary::from_values(&s).median());
         let stats = index.scan(&tables, &params).unwrap().stats;
         let fastpath = (stats.scanned - stats.warmup).max(1);

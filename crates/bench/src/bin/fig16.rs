@@ -17,8 +17,7 @@
 
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};
 use pqfs_bench::{fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
-use pqfs_scan::{Backend, PreparedScanner, ScanOpts, ScanParams};
-use std::sync::Arc;
+use pqfs_scan::{scan_libpq, FastScanIndex, ScanOpts, ScanParams};
 
 fn main() {
     let sizes = scaled_partition_sizes();
@@ -30,22 +29,11 @@ fn main() {
     );
 
     let mut fx = Fixture::train(16);
-    let opts = ScanOpts::default();
-    let prepare = |backend: Backend, codes: &Arc<pqfs_core::RowMajorCodes>| {
-        backend
-            .scanner(&opts)
-            .prepare(Arc::clone(codes))
-            .expect("prepare")
-    };
-    let partitions: Vec<Arc<pqfs_core::RowMajorCodes>> =
-        sizes.iter().map(|&n| Arc::new(fx.partition(n))).collect();
-    let indexes: Vec<Box<dyn PreparedScanner>> = partitions
+    let partitions: Vec<pqfs_core::RowMajorCodes> =
+        sizes.iter().map(|&n| fx.partition(n)).collect();
+    let indexes: Vec<FastScanIndex> = partitions
         .iter()
-        .map(|codes| prepare(Backend::FastScan, codes))
-        .collect();
-    let libpqs: Vec<Box<dyn PreparedScanner>> = partitions
-        .iter()
-        .map(|codes| prepare(Backend::Libpq, codes))
+        .map(|codes| FastScanIndex::build(codes, &ScanOpts::default()).expect("index"))
         .collect();
 
     let keeps = [0.0001, 0.001, 0.005, 0.01, 0.05, 0.1];
@@ -62,10 +50,10 @@ fn main() {
     for topk in [100usize, 1000] {
         // libpq reference speed (keep-independent).
         let mut libpq_speeds = Vec::new();
-        for (codes, libpq) in partitions.iter().zip(&libpqs) {
+        for codes in &partitions {
             let q = fx.queries(1);
             let tables = fx.tables(&q);
-            let (_, ms) = time_ms(|| libpq.scan(&tables, &ScanParams::new(topk)).unwrap());
+            let (_, ms) = time_ms(|| scan_libpq(&tables, codes, &ScanParams::new(topk)));
             libpq_speeds.push(mvecs_per_sec(codes.len(), ms));
         }
         let libpq_med = Summary::from_values(&libpq_speeds).median();

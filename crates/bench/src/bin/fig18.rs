@@ -14,8 +14,7 @@
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture};
 use pqfs_bench::{fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
 use pqfs_core::RowMajorCodes;
-use pqfs_scan::{Backend, PreparedScanner, ScanOpts, ScanParams};
-use std::sync::Arc;
+use pqfs_scan::{scan_libpq, FastScanIndex, ScanOpts, ScanParams};
 
 fn main() {
     let sizes = scaled_partition_sizes();
@@ -27,22 +26,11 @@ fn main() {
     );
 
     let mut fx = Fixture::train(18);
-    let opts = ScanOpts::default();
-    let partitions: Vec<Arc<RowMajorCodes>> =
-        sizes.iter().map(|&n| Arc::new(fx.partition(n))).collect();
-    let prepare = |backend: Backend| -> Vec<Box<dyn PreparedScanner>> {
-        partitions
-            .iter()
-            .map(|codes| {
-                backend
-                    .scanner(&opts)
-                    .prepare(Arc::clone(codes))
-                    .expect("prepare")
-            })
-            .collect()
-    };
-    let indexes = prepare(Backend::FastScan);
-    let libpqs = prepare(Backend::Libpq);
+    let partitions: Vec<RowMajorCodes> = sizes.iter().map(|&n| fx.partition(n)).collect();
+    let indexes: Vec<FastScanIndex> = partitions
+        .iter()
+        .map(|codes| FastScanIndex::build(codes, &ScanOpts::default()).expect("index"))
+        .collect();
 
     let mut t = TextTable::new(vec![
         "topk",
@@ -57,14 +45,14 @@ fn main() {
         let mut pruned = Vec::new();
         let mut fast_speeds = Vec::new();
         let mut slow_speeds = Vec::new();
-        for ((codes, index), libpq) in partitions.iter().zip(&indexes).zip(&libpqs) {
+        for (codes, index) in partitions.iter().zip(&indexes) {
             for _ in 0..queries_per_partition {
                 let q = fx.queries(1);
                 let tables = fx.tables(&q);
                 let (r, ms) = time_ms(|| index.scan(&tables, &params).unwrap());
                 pruned.push(100.0 * r.stats.pruned_fraction());
                 fast_speeds.push(mvecs_per_sec(codes.len(), ms));
-                let (_, ms) = time_ms(|| libpq.scan(&tables, &params).unwrap());
+                let (_, ms) = time_ms(|| scan_libpq(&tables, codes, &params));
                 slow_speeds.push(mvecs_per_sec(codes.len(), ms));
             }
         }

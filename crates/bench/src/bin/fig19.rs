@@ -18,24 +18,15 @@ use pqfs_bench::components::{crossover, COLUMNS};
 use pqfs_bench::{env_usize, header, scaled_partition_sizes, Fixture, DIM};
 use pqfs_bench::{fmt_count, fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
 use pqfs_core::RowMajorCodes;
-use pqfs_scan::{Backend, FastScanIndex, Kernel, PreparedScanner, ScanOpts, ScanParams};
-use std::sync::Arc;
+use pqfs_scan::{scan_libpq, FastScanIndex, Kernel, ScanOpts, ScanParams};
 
 /// Rounds of the second table (docs/FASTSCAN.md §10's method).
 const ROUNDS: usize = 3;
-
-fn libpq_scanner(codes: &Arc<RowMajorCodes>) -> Box<dyn PreparedScanner> {
-    Backend::Libpq
-        .scanner(&ScanOpts::default())
-        .prepare(Arc::clone(codes))
-        .expect("prepare")
-}
 
 fn measure(
     fx: &mut Fixture,
     codes: &RowMajorCodes,
     index: &FastScanIndex,
-    libpq: &dyn PreparedScanner,
     queries: usize,
 ) -> (f64, f64, f64) {
     let params = ScanParams::new(100).with_keep(0.005);
@@ -48,7 +39,7 @@ fn measure(
         let (r, ms) = time_ms(|| index.scan(&tables, &params).unwrap());
         pruned.push(100.0 * r.stats.pruned_fraction());
         fast.push(mvecs_per_sec(index.len(), ms));
-        let (_, ms) = time_ms(|| libpq.scan(&tables, &params).unwrap());
+        let (_, ms) = time_ms(|| scan_libpq(&tables, codes, &params));
         slow.push(mvecs_per_sec(codes.len(), ms));
     }
     (
@@ -79,17 +70,11 @@ fn main() {
         "fastpq [Mv/s]",
         "libpq [Mv/s]",
     ]);
-    let mut stored: Vec<(usize, Arc<RowMajorCodes>)> = Vec::new();
+    let mut stored: Vec<(usize, RowMajorCodes)> = Vec::new();
     for &n in &sizes {
-        let codes = Arc::new(fx.partition(n));
+        let codes = fx.partition(n);
         let index = FastScanIndex::build(&codes, &ScanOpts::default()).expect("index");
-        let (pruned, fast, slow) = measure(
-            &mut fx,
-            &codes,
-            &index,
-            libpq_scanner(&codes).as_ref(),
-            queries,
-        );
+        let (pruned, fast, slow) = measure(&mut fx, &codes, &index, queries);
         t.row(vec![
             fmt_count(n as u64),
             index.group_components().to_string(),

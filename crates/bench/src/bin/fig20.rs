@@ -14,8 +14,7 @@ use pqfs_bench::{env_usize, header, host_description, scale, Fixture, DIM};
 use pqfs_bench::{fmt_count, fmt_f, mvecs_per_sec, time_ms, Summary, TextTable};
 use pqfs_data::{SyntheticConfig, SyntheticDataset};
 use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend};
-use pqfs_scan::{Backend, Kernel, ScanOpts, ScanParams};
-use std::sync::Arc;
+use pqfs_scan::{scan_libpq, FastScanIndex, Kernel, ScanOpts, ScanParams};
 
 fn main() {
     let n_base = (2_000_000.0 * scale()) as usize;
@@ -42,21 +41,16 @@ fn main() {
         Summary::from_values(&times)
     };
     // libpq scans row-major codes, which the index does not keep: the
-    // baseline prepares its own from the index's rows, outside the timed
+    // baseline rebuilds them from the index's rows, outside the timed
     // region, and scans them with the tables the index builds
     // (`probe_tables`), so both pay the same steps 1 and 2.
-    let libpq: Vec<_> = (0..index.num_partitions())
-        .map(|p| {
-            Backend::Libpq
-                .scanner(&ScanOpts::default())
-                .prepare(Arc::new(index.partition_rows(p).1))
-                .expect("prepare")
-        })
+    let rows: Vec<_> = (0..index.num_partitions())
+        .map(|p| index.partition_rows(p).1)
         .collect();
     let slow = time_queries(&|q| {
         let probes = index.probe_tables(q, 1).expect("tables");
         let (p, tables) = &probes[0];
-        libpq[*p].scan(tables, &ScanParams::new(100)).expect("scan");
+        scan_libpq(tables, &rows[*p], &ScanParams::new(100));
     });
     let fast = time_queries(&|q| {
         index
@@ -103,20 +97,16 @@ fn main() {
     // ---- Scan speed across kernel back-ends (platform substitute). -----
     println!("scan speed by kernel back-end on {} :", host_description());
     let mut fx = Fixture::train(20);
-    let codes = Arc::new(fx.partition((1_000_000.0 * scale()) as usize));
+    let codes = fx.partition((1_000_000.0 * scale()) as usize);
     let mut k = TextTable::new(vec!["backend", "speed [M vecs/s]", "vs libpq"]);
     let q = fx.queries(5);
     let params = ScanParams::new(100).with_keep(0.005);
 
     // libpq reference.
-    let libpq = Backend::Libpq
-        .scanner(&ScanOpts::default())
-        .prepare(Arc::clone(&codes))
-        .expect("prepare");
     let mut libpq_speeds = Vec::new();
     for q in q.chunks_exact(DIM) {
         let tables = fx.tables(q);
-        let (_, ms) = time_ms(|| libpq.scan(&tables, &params).unwrap());
+        let (_, ms) = time_ms(|| scan_libpq(&tables, &codes, &params));
         libpq_speeds.push(mvecs_per_sec(codes.len(), ms));
     }
     let libpq_speed = Summary::from_values(&libpq_speeds).median();
@@ -133,7 +123,7 @@ fn main() {
         ("fastpq avx512vbmi", Kernel::Avx512Vbmi),
     ] {
         let opts = ScanOpts::default().with_kernel(kernel);
-        let index = match Backend::FastScan.scanner(&opts).prepare(Arc::clone(&codes)) {
+        let index = match FastScanIndex::build(&codes, &opts) {
             Ok(i) => i,
             Err(_) => continue,
         };

@@ -38,7 +38,7 @@ fn unpack(key: u128) -> Neighbor {
 }
 
 /// A bounded collector of the `k` smallest `(distance, id)` pairs: a binary
-/// max-heap of [`pack`]ed keys in a plain `Vec`, whose root is the current
+/// max-heap of `pack`ed keys in a plain `Vec`, whose root is the current
 /// *worst* retained neighbor and is replaced in place by an accepted one.
 #[derive(Debug, Clone)]
 pub struct TopK {

@@ -1018,7 +1018,7 @@ impl IvfadcIndex {
     /// The global ids of partition `p` and its codes rebuilt row-major, in
     /// partition-position order: what [`save`](Self::save) writes, what the
     /// oracle path scans, and what a caller timing a row-major baseline
-    /// prepares its own scanner from.
+    /// passes to `scan_naive` or `scan_libpq`.
     ///
     /// # Panics
     ///
@@ -1050,7 +1050,7 @@ impl IvfadcIndex {
 
     /// The scanner options every index's partitions are grouped under:
     /// always [`ScanOpts::default`] (automatic components, `Kernel::Auto`),
-    /// for a caller that prepares its own scanner over
+    /// for a caller that builds its own `FastScanIndex` over
     /// [`partition_rows`](Self::partition_rows).
     pub fn scan_opts(&self) -> &'static ScanOpts {
         &SCAN_OPTS

@@ -1,5 +1,5 @@
 //! IVFADC — the indexed ANN search system PQ Fast Scan plugs into
-//! (paper §2.2, following Jégou et al. [14]).
+//! (paper §2.2, following Jégou et al. \[14\]).
 //!
 //! Answering a query takes three steps (Algorithm 1):
 //!

@@ -23,10 +23,10 @@
 //! [`Kernel::Auto`] picks one from the running CPU; every other target has
 //! the portable kernel only.
 //!
-//! **Traversal.** Every kernel visits the partition through [`traverse`]:
+//! **Traversal.** Every kernel visits the partition through `traverse`:
 //! the runs of the grouped layout in the caller's order, nearest to the query
 //! first, passing over each run and group whose quantized lower bound
-//! ([`GroupBounds`]) is above the threshold of the moment — its blocks would
+//! (`GroupBounds`) is above the threshold of the moment — its blocks would
 //! all mask to zero, and none of its code is read (docs/FASTSCAN.md §6).
 //!
 //! **Second bound.** The minimum tables exist because `pshufb` holds 16
@@ -37,10 +37,10 @@
 //! portable kernel has the same mode as that kernel's oracle.
 //!
 //! **Hand-off.** A kernel never looks at a survivor itself. Each block whose
-//! mask is non-zero goes to a [`BlockSink`] as `(group, block, lane mask)`,
+//! mask is non-zero goes to a `BlockSink` as `(group, block, lane mask)`,
 //! once, together with the kernel's own `C`; the sink verifies the masked
 //! lanes and returns the quantized threshold to prune the following blocks
-//! with (docs/FASTSCAN.md §3). [`scan_all`] is the one
+//! with (docs/FASTSCAN.md §3). `scan_all` is the one
 //! entry point: it picks the `C` instantiation and the back-end, and when
 //! `PQFS_CHECK_RATE` is set shadow-runs the portable oracle
 //! ([`crate::checked`]).

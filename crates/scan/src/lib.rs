@@ -15,31 +15,24 @@
 //! quantization-only scan) live with the experiment binaries in
 //! `pqfs_bench::baselines`.
 //!
-//! # The `Scanner` trait and `Backend` registry
+//! # Scanning
 //!
-//! The three implementations are interchangeable behind the [`Scanner`]
-//! trait, and the [`Backend`] enum is the registry that constructs them:
-//! [`Backend::ALL`] enumerates them, [`Backend::scanner`] builds one from
-//! [`ScanOpts`], and `Backend: FromStr` parses the names the CLI, the wire
-//! protocol and bench flags use.
-//!
-//! For repeated queries over one partition, [`Scanner::prepare`] converts
-//! the codes into the backend's native layout once (grouping + packing for
-//! Fast Scan) and returns a [`PreparedScanner`] that serves queries without
-//! conversion cost.
+//! Fast Scan builds its layout once per partition and scans many times;
+//! the oracles scan row-major codes as they are. The [`Backend`] enum names
+//! the three: [`Backend::ALL`] enumerates them and `Backend: FromStr`
+//! parses the names the CLI, the wire protocol and bench flags use.
 //!
 //! ```
 //! use pqfs_core::{DistanceTables, RowMajorCodes};
-//! use pqfs_scan::{Backend, ScanOpts};
+//! use pqfs_scan::{scan_naive, FastScanIndex, ScanOpts, ScanParams};
 //!
 //! let tables = DistanceTables::from_raw((0..8 * 256).map(|x| x as f32).collect(), 8, 256);
 //! let codes = RowMajorCodes::new((0..256 * 8).map(|x| (x * 7 % 256) as u8).collect(), 8);
-//! let backend: Backend = "fastscan".parse().unwrap();
-//! let result = backend
-//!     .scanner(&ScanOpts::default())
-//!     .scan(&tables, &codes, 10)
-//!     .unwrap();
+//! let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
+//! let params = ScanParams::new(10);
+//! let result = index.scan(&tables, &params).unwrap();
 //! assert_eq!(result.neighbors.len(), 10);
+//! assert_eq!(result.ids(), scan_naive(&tables, &codes, &params).ids());
 //! ```
 //!
 //! On x86-64 the SIMD paths are always compiled and selected by runtime CPU
@@ -63,4 +56,4 @@ pub use libpq::scan_libpq;
 pub use naive::scan_naive;
 pub use quantize::{DistanceQuantizer, DEFAULT_BINS, NO_PRUNE};
 pub use result::{ScanResult, ScanStats};
-pub use scanner::{Backend, PreparedScanner, Scanner};
+pub use scanner::{Backend, BackendScanner, PreparedScanner};

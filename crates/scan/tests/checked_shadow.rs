@@ -6,7 +6,9 @@
 //! oracles must agree with Fast Scan on the result set.
 
 use pqfs_core::{DistanceTables, RowMajorCodes};
-use pqfs_scan::{Backend, Kernel, ScanOpts};
+use pqfs_scan::{
+    scan_libpq, scan_naive, Backend, FastScanIndex, Kernel, ScanOpts, ScanParams, ScanResult,
+};
 
 fn tables(m: usize, ksub: usize) -> DistanceTables {
     let raw: Vec<f32> = (0..m * ksub)
@@ -17,6 +19,24 @@ fn tables(m: usize, ksub: usize) -> DistanceTables {
 
 fn codes(n: usize, m: usize) -> RowMajorCodes {
     RowMajorCodes::new((0..n * m).map(|x| (x * 131 % 256) as u8).collect(), m)
+}
+
+/// The `topk` nearest of `codes` under `backend`, Fast Scan on the default
+/// options.
+fn scan(
+    backend: Backend,
+    tables: &DistanceTables,
+    codes: &RowMajorCodes,
+    topk: usize,
+) -> ScanResult {
+    let params = ScanParams::new(topk);
+    match backend {
+        Backend::Naive => scan_naive(tables, codes, &params),
+        Backend::Libpq => scan_libpq(tables, codes, &params),
+        Backend::FastScan => FastScanIndex::build(codes, &ScanOpts::default())
+            .and_then(|index| index.scan(tables, &params))
+            .unwrap_or_else(|e| panic!("Fast Scan n={} failed: {e}", codes.len())),
+    }
 }
 
 /// Every backend scans with shadow-checking on every kernel invocation;
@@ -35,10 +55,7 @@ fn every_backend_survives_full_rate_shadow_checking() {
 
     let mut expected: Option<Vec<(u64, f32)>> = None;
     for backend in Backend::ALL {
-        let result = backend
-            .scanner(&ScanOpts::default())
-            .scan(&tables, &codes, topk)
-            .unwrap_or_else(|e| panic!("{backend:?} scan failed: {e}"));
+        let result = scan(backend, &tables, &codes, topk);
         let pairs: Vec<(u64, f32)> = result.neighbors.iter().map(|n| (n.id, n.dist)).collect();
         match &expected {
             None => expected = Some(pairs),
@@ -55,10 +72,7 @@ fn ragged_lengths_survive_shadow_checking() {
     for n in [1usize, 15, 16, 17, 63, 64, 65, 1000] {
         let codes = codes(n, 8);
         for backend in Backend::ALL {
-            backend
-                .scanner(&ScanOpts::default())
-                .scan(&tables, &codes, 5)
-                .unwrap_or_else(|e| panic!("{backend:?} n={n} scan failed: {e}"));
+            scan(backend, &tables, &codes, 5);
         }
     }
 }

@@ -10,11 +10,11 @@
 
 use pqfs_core::{DistanceTables, RowMajorCodes};
 use pqfs_scan::{
-    Backend, Kernel, PreparedScanner, ScanError, ScanOpts, ScanParams, ScanResult, ScanStats,
+    scan_libpq, scan_naive, Backend, FastScanIndex, Kernel, ScanError, ScanOpts, ScanParams,
+    ScanResult, ScanStats,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 const M: usize = 8;
 const KSUB: usize = 256;
@@ -22,12 +22,12 @@ const KSUB: usize = 256;
 /// `n` codes whose grouped components take two high nibbles only, so even
 /// `c = 4` forms groups of many blocks (odd block counts, ragged tails) and
 /// not one group per vector.
-fn codes(n: usize) -> Arc<RowMajorCodes> {
+fn codes(n: usize) -> RowMajorCodes {
     let mut rng = StdRng::seed_from_u64(n as u64);
     let bytes = (0..n * M)
         .map(|i| rng.gen_range(0..=if i % M < 4 { 0x1Fu8 } else { 0xFF }))
         .collect();
-    Arc::new(RowMajorCodes::new(bytes, M))
+    RowMajorCodes::new(bytes, M)
 }
 
 /// `tables(PORTIONED)`: each 16-entry portion a band of its own, as the
@@ -63,20 +63,24 @@ const KERNELS: [Kernel; 4] = [
 ];
 
 /// The same Fast Scan partition once per kernel, grouped on `c` components.
-fn fastscan_per_kernel(
-    codes: &Arc<RowMajorCodes>,
-    c: usize,
-) -> Vec<(Kernel, Box<dyn PreparedScanner>)> {
+fn fastscan_per_kernel(codes: &RowMajorCodes, c: usize) -> Vec<(Kernel, FastScanIndex)> {
     KERNELS
         .into_iter()
-        .map(|kernel| {
-            let opts = ScanOpts::default()
-                .with_group_components(c)
-                .with_kernel(kernel);
-            let scanner = Backend::FastScan.scanner(&opts);
-            (kernel, scanner.prepare(Arc::clone(codes)).unwrap())
-        })
+        .map(|kernel| (kernel, fastscan(codes, c, kernel)))
         .collect()
+}
+
+/// Fast Scan over `codes`, grouped on `c` components, on `kernel`.
+fn fastscan(codes: &RowMajorCodes, c: usize, kernel: Kernel) -> FastScanIndex {
+    let opts = ScanOpts::default()
+        .with_group_components(c)
+        .with_kernel(kernel);
+    FastScanIndex::build(codes, &opts).unwrap()
+}
+
+/// The naive PQ Scan's `topk` nearest: the oracle every Fast Scan matches.
+fn naive(tables: &DistanceTables, codes: &RowMajorCodes, topk: usize) -> ScanResult {
+    scan_naive(tables, codes, &ScanParams::new(topk))
 }
 
 /// Scans with each kernel this CPU has and checks what must hold of every
@@ -86,7 +90,7 @@ fn fastscan_per_kernel(
 /// AVX2 pair kernel may verify a few lanes more, the refining kernel verifies
 /// a subset of the AVX2 kernel's, and nothing else differs).
 fn scan_with_each_kernel(
-    prepared: &[(Kernel, Box<dyn PreparedScanner>)],
+    prepared: &[(Kernel, FastScanIndex)],
     tables: &DistanceTables,
     params: &ScanParams,
     case: &str,
@@ -94,8 +98,8 @@ fn scan_with_each_kernel(
     let mut results = Vec::new();
     let mut portable: Option<ScanStats> = None;
     let mut avx2_verified = u64::MAX;
-    for (kernel, scanner) in prepared {
-        let got = match scanner.scan(tables, params) {
+    for (kernel, index) in prepared {
+        let got = match index.scan(tables, params) {
             Ok(got) => got,
             // The CPU lacks this kernel: nothing to check.
             Err(ScanError::KernelUnavailable { .. }) => continue,
@@ -135,7 +139,6 @@ fn scan_with_each_kernel(
 
 #[test]
 fn every_handoff_path_equals_naive() {
-    let naive = Backend::Naive.scanner(&ScanOpts::default());
     let (mut scans, mut skipped) = (0usize, 0u64);
     for n in [1usize, 15, 16, 17, 31, 33, 5_000] {
         let codes = codes(n);
@@ -144,7 +147,7 @@ fn every_handoff_path_equals_naive() {
             for levels in [0u32, 5, PORTIONED] {
                 let tables = tables(levels);
                 for topk in [1, 10, 100, 1000, n + 5] {
-                    let want = naive.scan(&tables, &codes, topk).unwrap();
+                    let want = naive(&tables, &codes, topk);
                     for keep in [0.0, 0.005, 1.0] {
                         let case = format!("n={n} levels={levels} topk={topk} c={c} keep={keep}");
                         let params = ScanParams::new(topk).with_keep(keep);
@@ -172,16 +175,15 @@ fn every_handoff_path_equals_naive() {
 /// key prefix has no run, and the few runs there are hold one ragged block.
 #[test]
 fn sparse_keys_leave_most_prefixes_without_a_run() {
-    let naive = Backend::Naive.scanner(&ScanOpts::default());
     let tables = tables(0);
     for n in 15usize..=40 {
         let mut rng = StdRng::seed_from_u64(1_000 + n as u64);
         let bytes = (0..n * M).map(|_| rng.gen_range(0..=0xFFu8)).collect();
-        let codes = Arc::new(RowMajorCodes::new(bytes, M));
+        let codes = RowMajorCodes::new(bytes, M);
         for c in 0..=4usize {
             let prepared = fastscan_per_kernel(&codes, c);
             for topk in [1, 10, n + 5] {
-                let want = naive.scan(&tables, &codes, topk).unwrap();
+                let want = naive(&tables, &codes, topk);
                 let bounded =
                     ScanParams::new(topk).with_bound(want.neighbors[topk.min(n) - 1].dist);
                 for params in [ScanParams::new(topk), bounded] {
@@ -206,39 +208,23 @@ fn just_below(x: f32) -> f32 {
 
 #[test]
 fn every_backend_honours_the_entry_bound() {
-    let naive = Backend::Naive.scanner(&ScanOpts::default());
     let mut scans = 0usize;
     let mut bounded_out = 0usize;
     for n in [17usize, 33, 5_000] {
         let codes = codes(n);
-        // Every backend once, Fast Scan once per grouping count and kernel.
-        let mut prepared: Vec<(String, Box<dyn PreparedScanner>)> = Vec::new();
-        for backend in Backend::ALL {
-            if backend != Backend::FastScan {
-                let scanner = backend.scanner(&ScanOpts::default());
-                prepared.push((
-                    backend.to_string(),
-                    scanner.prepare(Arc::clone(&codes)).unwrap(),
-                ));
-            }
-        }
+        // Fast Scan once per grouping count and kernel.
+        let mut fastscans = Vec::new();
         for c in 0..=4usize {
             for kernel in KERNELS {
-                let opts = ScanOpts::default()
-                    .with_group_components(c)
-                    .with_kernel(kernel);
-                let scanner = Backend::FastScan.scanner(&opts);
-                prepared.push((
-                    format!("fastscan c={c} {kernel:?}"),
-                    scanner.prepare(Arc::clone(&codes)).unwrap(),
-                ));
+                let name = format!("fastscan c={c} {kernel:?}");
+                fastscans.push((name, fastscan(&codes, c, kernel)));
             }
         }
         for levels in [0u32, 5, PORTIONED] {
             let tables = tables(levels);
             // Every vector, ascending by (distance, id): the oracle filters
             // and cuts this list itself.
-            let all = naive.scan(&tables, &codes, n).unwrap().neighbors;
+            let all = naive(&tables, &codes, n).neighbors;
             let tied = all
                 .windows(2)
                 .find(|w| w[0].dist == w[1].dist)
@@ -259,10 +245,25 @@ fn every_backend_honours_the_entry_bound() {
                         .map(|nb| (nb.dist.to_bits(), nb.id))
                         .collect();
                     let params = ScanParams::new(topk).with_bound(bound);
-                    for (name, scanner) in &prepared {
+                    // Every backend: the oracles once, Fast Scan on each index.
+                    let runs = Backend::ALL.into_iter().flat_map(|backend| match backend {
+                        Backend::Naive => {
+                            vec![(backend, "naive", Ok(scan_naive(&tables, &codes, &params)))]
+                        }
+                        Backend::Libpq => {
+                            vec![(backend, "libpq", Ok(scan_libpq(&tables, &codes, &params)))]
+                        }
+                        Backend::FastScan => fastscans
+                            .iter()
+                            .map(|(name, index)| {
+                                (backend, name.as_str(), index.scan(&tables, &params))
+                            })
+                            .collect(),
+                    });
+                    for (backend, name, got) in runs {
                         let case =
                             format!("n={n} levels={levels} topk={topk} bound={bound} {name}");
-                        let got = match scanner.scan(&tables, &params) {
+                        let got = match got {
                             Ok(got) => got,
                             // The CPU lacks this kernel: nothing to check.
                             Err(ScanError::KernelUnavailable { .. }) => continue,
@@ -276,12 +277,12 @@ fn every_backend_honours_the_entry_bound() {
                         assert_eq!(have, want, "{case}");
                         let s = got.stats;
                         assert_eq!(s.scanned, n as u64, "{case}");
-                        if scanner.backend() == Backend::FastScan {
+                        if backend == Backend::FastScan {
                             assert_eq!(s.warmup + s.pruned + s.verified, s.scanned, "{case}");
                             assert!(s.skipped <= s.pruned, "{case}");
                             assert!(s.accepted <= s.warmup + s.verified, "{case}");
                         }
-                        if scanner.backend() == Backend::FastScan && bound == below_every_distance {
+                        if backend == Backend::FastScan && bound == below_every_distance {
                             // Answered from the bound alone.
                             assert_eq!(
                                 (s.pruned, s.verified, s.warmup),
@@ -307,7 +308,7 @@ type KeyedGroup = ((u8, u8), usize);
 
 /// Codes with the given high nibbles on their first two components, `len`
 /// of each, everything else random.
-fn keyed_codes(groups: &[KeyedGroup]) -> Arc<RowMajorCodes> {
+fn keyed_codes(groups: &[KeyedGroup]) -> RowMajorCodes {
     let mut rng = StdRng::seed_from_u64(3);
     let mut bytes = Vec::new();
     for &((k0, k1), len) in groups {
@@ -318,7 +319,7 @@ fn keyed_codes(groups: &[KeyedGroup]) -> Arc<RowMajorCodes> {
             bytes.extend(code);
         }
     }
-    Arc::new(RowMajorCodes::new(bytes, M))
+    RowMajorCodes::new(bytes, M)
 }
 
 /// The warm-up scans the nearest runs of groups until they hold the goal
@@ -333,7 +334,6 @@ fn warm_up_groups_may_be_absent_or_small() {
         .map(|i| (i % KSUB / 16 * 1_000) as f32 + rng.gen_range(0.0f32..900.0))
         .collect();
     let tables = DistanceTables::from_raw(data, M, KSUB);
-    let naive = Backend::Naive.scanner(&ScanOpts::default());
     // n = 5 000 grouped on 2 components (a run is one group), topk 100:
     // the goal is max(⌈0.005 · n⌉, 100) = 100 vectors.
     let cases: [(&str, &[KeyedGroup], usize, u64); 3] = [
@@ -357,13 +357,9 @@ fn warm_up_groups_may_be_absent_or_small() {
     ];
     for (name, groups, topk, warmup) in cases {
         let codes = keyed_codes(groups);
-        let want = naive.scan(&tables, &codes, topk).unwrap();
+        let want = naive(&tables, &codes, topk);
         for kernel in KERNELS {
-            let opts = ScanOpts::default()
-                .with_group_components(2)
-                .with_kernel(kernel);
-            let prepared = Backend::FastScan.scanner(&opts).prepare(Arc::clone(&codes));
-            let got = match prepared.unwrap().scan(&tables, &ScanParams::new(topk)) {
+            let got = match fastscan(&codes, 2, kernel).scan(&tables, &ScanParams::new(topk)) {
                 Ok(got) => got,
                 Err(ScanError::KernelUnavailable { .. }) => continue,
                 Err(e) => panic!("{name} {kernel:?}: {e}"),

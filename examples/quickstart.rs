@@ -49,11 +49,10 @@ fn main() {
     let start = Instant::now();
     let fast = index.scan(&tables, &params).expect("scan");
     let fast_ms = start.elapsed().as_secs_f64() * 1e3;
-    // The reference backend comes from the same registry the CLI and the
-    // figure binaries use; every `Backend::ALL` entry returns this result.
-    let naive = Backend::Naive.scanner(&ScanOpts::default());
+    // The reference is Algorithm 1's naive PQ Scan over the same row-major
+    // codes; every `Backend::ALL` entry returns this result.
     let start = Instant::now();
-    let slow = naive.scan(&tables, &codes, 10).expect("scan");
+    let slow = scan_naive(&tables, &codes, &ScanParams::new(10));
     let slow_ms = start.elapsed().as_secs_f64() * 1e3;
 
     println!("\ntop-10 neighbors (id, squared ADC distance):");

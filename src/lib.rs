@@ -17,8 +17,8 @@
 //!
 //! * [`kmeans`] — clustering substrate (Lloyd + same-size k-means);
 //! * [`core`] — product quantization, ADC distance tables, layouts, top-k;
-//! * [`scan`] — [`FastScanIndex`], its PQ Scan oracles, and the
-//!   [`Backend`](scan::Backend) registry they sit behind;
+//! * [`scan`] — [`FastScanIndex`](scan::FastScanIndex), its PQ Scan
+//!   oracles, and the [`Backend`](scan::Backend) enum that names them;
 //! * [`ivf`] — the IVFADC indexed-search pipeline;
 //! * [`pool`] — the shared thread pool every parallel path
 //!   (batch search, multi-probe fan-out, batch encoding, training) runs on;
@@ -47,13 +47,14 @@
 //! pq.optimize_assignment(16, 42).unwrap();
 //! let codes = pq.encode_batch(&base).unwrap();
 //!
-//! // Pick backends from the registry and run a query: Fast Scan returns
-//! // exactly what the naive PQ Scan reference returns.
+//! // Build the Fast Scan index and run a query: it returns exactly what
+//! // the naive PQ Scan reference returns.
+//! let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
 //! let query = dataset.sample(1);
 //! let tables = DistanceTables::compute(&pq, &query).unwrap();
-//! let opts = ScanOpts::default();
-//! let result = Backend::FastScan.scanner(&opts).scan(&tables, &codes, 10).unwrap();
-//! let reference = Backend::Naive.scanner(&opts).scan(&tables, &codes, 10).unwrap();
+//! let params = ScanParams::new(10);
+//! let result = index.scan(&tables, &params).unwrap();
+//! let reference = scan_naive(&tables, &codes, &params);
 //!
 //! assert_eq!(result.neighbors.len(), 10);
 //! assert_eq!(result.ids(), reference.ids());
@@ -78,7 +79,7 @@ pub mod prelude {
     pub use pqfs_kmeans::{KMeans, KMeansConfig};
     pub use pqfs_pool::ThreadPool;
     pub use pqfs_scan::{
-        scan_libpq, scan_naive, Backend, FastScanIndex, Kernel, PreparedScanner, ScanOpts,
-        ScanParams, ScanResult, ScanStats, Scanner,
+        scan_libpq, scan_naive, Backend, FastScanIndex, Kernel, ScanOpts, ScanParams, ScanResult,
+        ScanStats,
     };
 }

@@ -264,3 +264,25 @@ fn documents_cited_in_comments_exist() {
         "in neither the root nor docs/: {cited:#?}"
     );
 }
+
+/// The scan crate's prepared-scanner shim serves the benchmark's traced pass
+/// only: every other caller scans through `FastScanIndex`, `scan_naive` or
+/// `scan_libpq`.
+#[test]
+fn only_the_benchmark_scans_through_the_shim() {
+    // Built from pieces, so that this file does not match its own needles.
+    let needles = [concat!("Prepared", "Scanner"), concat!(".scan", "ner(")];
+    let home = ["crates/scan/src/scanner.rs", "crates/scan/src/lib.rs"];
+    let mut callers = BTreeSet::new();
+    for file in rust_files() {
+        let path = file.strip_prefix(".").unwrap_or(&file);
+        if path.starts_with("benchmark") || home.iter().any(|h| path == Path::new(h)) {
+            continue;
+        }
+        let text = read(&file);
+        for needle in needles.iter().filter(|n| text.contains(**n)) {
+            callers.insert(format!("{}: {needle}", path.display()));
+        }
+    }
+    assert!(callers.is_empty(), "outside the benchmark: {callers:#?}");
+}

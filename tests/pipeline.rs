@@ -35,7 +35,6 @@ fn full_pipeline_fastscan_equals_pqscan_and_finds_true_neighbors() {
     let codes = pq.encode_batch(&base).unwrap();
     let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
 
-    let naive = Backend::Naive.scanner(&ScanOpts::default());
     let mut recall_hits = 0usize;
     let mut pruned_total = 0.0;
     for q in queries.chunks_exact(DIM) {
@@ -43,7 +42,7 @@ fn full_pipeline_fastscan_equals_pqscan_and_finds_true_neighbors() {
         let fast = index
             .scan(&tables, &ScanParams::new(100).with_keep(0.01))
             .unwrap();
-        let slow = naive.scan(&tables, &codes, 100).unwrap();
+        let slow = scan_naive(&tables, &codes, &ScanParams::new(100));
         assert_eq!(fast.ids(), slow.ids());
         assert_eq!(fast.distances(), slow.distances());
         pruned_total += fast.stats.pruned_fraction();
@@ -64,7 +63,7 @@ fn full_pipeline_fastscan_equals_pqscan_and_finds_true_neighbors() {
 }
 
 /// The paper's §5 exactness guarantee as one table-driven test: every
-/// backend in the registry, and Fast Scan under every kernel this CPU has,
+/// backend, and Fast Scan under every kernel this CPU has,
 /// returns the identical top-k set on a seeded synthetic dataset.
 #[test]
 fn every_backend_returns_the_identical_topk_set() {
@@ -77,24 +76,29 @@ fn every_backend_returns_the_identical_topk_set() {
     pq.optimize_assignment(16, 9).unwrap();
     let codes = pq.encode_batch(&base).unwrap();
 
-    let opts = ScanOpts::default();
+    let params = ScanParams::new(100);
+    let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
+    let by_kernel = KERNELS.map(|kernel| {
+        let opts = ScanOpts::default().with_kernel(kernel);
+        (kernel, FastScanIndex::build(&codes, &opts).unwrap())
+    });
     for (qi, q) in queries.chunks_exact(DIM).enumerate() {
         let tables = DistanceTables::compute(&pq, q).unwrap();
-        let reference = Backend::Naive
-            .scanner(&opts)
-            .scan(&tables, &codes, 100)
-            .unwrap();
+        let reference = scan_naive(&tables, &codes, &params);
         for backend in Backend::ALL {
-            let result = backend.scanner(&opts).scan(&tables, &codes, 100).unwrap();
+            let result = match backend {
+                Backend::Naive => scan_naive(&tables, &codes, &params),
+                Backend::Libpq => scan_libpq(&tables, &codes, &params),
+                Backend::FastScan => index.scan(&tables, &params).unwrap(),
+            };
             assert_eq!(
                 result.ids(),
                 reference.ids(),
                 "backend '{backend}' diverged from naive on query {qi}"
             );
         }
-        for kernel in KERNELS {
-            let scanner = Backend::FastScan.scanner(&opts.clone().with_kernel(kernel));
-            match scanner.scan(&tables, &codes, 100) {
+        for (kernel, index) in &by_kernel {
+            match index.scan(&tables, &params) {
                 Ok(result) => {
                     let bits = |r: &ScanResult| -> Vec<(u32, u64)> {
                         let pair = |n: &Neighbor| (n.dist.to_bits(), n.id);
