@@ -122,6 +122,9 @@ pub fn cmd_bench_client(args: &Args) -> Result<Outcome, CliError> {
 fn query_params(args: &Args) -> Result<QueryParams, String> {
     let default = QueryParams::default();
     let topk = args.usize("topk", default.topk as usize)?;
+    if topk == 0 {
+        return Err("--topk must be positive".into());
+    }
     let nprobe = args.usize("nprobe", default.nprobe as usize)?;
     Ok(QueryParams {
         topk: u32::try_from(topk).unwrap_or(u32::MAX),
@@ -191,5 +194,9 @@ mod tests {
             (set.topk, set.nprobe, set.keep, set.deadline_us),
             (100, 1, 0.05, 3_000)
         );
+        // The server rejects a frame asking for no neighbours, so the
+        // client refuses it before it connects.
+        let refused = query_params(&args("--topk 0")).unwrap_err();
+        assert!(refused.contains("--topk"), "{refused}");
     }
 }

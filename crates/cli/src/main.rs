@@ -23,13 +23,15 @@
 //! execution run on (default: all cores, or `PQFS_THREADS`).
 //!
 //! Every command accepts `--metrics-out FILE`: on exit the process-wide
-//! telemetry registry is written there — Prometheus text exposition when
-//! the file ends in `.prom`/`.txt`, a JSON snapshot otherwise. `query
-//! --trace true` additionally prints a per-query stage waterfall (coarse
-//! quantization, per-probe table build + scan, merge) to stderr.
+//! telemetry registry is written there as a JSON snapshot, whatever the
+//! file's extension. `query --trace true` additionally prints a per-query
+//! stage waterfall (coarse quantization, per-probe table build + scan,
+//! merge) to stderr.
 //!
-//! Vector files use the TEXMEX `.fvecs` format (ANN_SIFT1B's float format),
-//! so the real corpus drops in directly.
+//! Vector files are TEXMEX `.fvecs` (32-bit floats), the only format `pqfs`
+//! reads. ANN_SIFT1B ships its vectors as `.bvecs` (bytes) and its ground
+//! truth as `.ivecs`; `pqfs_data` reads both, and its vectors must be
+//! written out as `.fvecs` before `pqfs` can use them.
 
 use pqfs_data::{read_fvecs, write_fvecs, SyntheticConfig, SyntheticDataset};
 use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend, SearchRequest};
@@ -158,15 +160,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Writes the global telemetry registry to `path`: Prometheus text for
-/// `.prom`/`.txt` files, a JSON snapshot otherwise.
+/// Writes the global telemetry registry to `path` as a JSON snapshot.
 fn write_metrics(path: &str) -> std::io::Result<()> {
-    let text = if path.ends_with(".prom") || path.ends_with(".txt") {
-        pqfs_obs::global_prometheus_text()
-    } else {
-        pqfs_obs::global_json_snapshot()
-    };
-    std::fs::write(path, text)
+    std::fs::write(path, pqfs_obs::global_json_snapshot())
 }
 
 /// The usage text, with the backend list pulled from the scan registry so
@@ -207,9 +203,9 @@ USAGE:
                per-probe tables + scan, merge) to stderr. Not available
                with --batch true.
   --metrics-out <file>
-               write the telemetry registry on exit (any command,
-               including serve's drain-then-exit): Prometheus text for
-               .prom/.txt files, JSON otherwise.
+               write the telemetry registry on exit as a JSON snapshot
+               (any command, including serve's drain-then-exit; the same
+               JSON whatever the file's extension).
 
   serve keeps the index hot in memory and answers the binary protocol
   (see docs/SERVING.md) until SIGTERM/ctrl-c, then drains in-flight
@@ -264,6 +260,9 @@ fn cmd_gen(args: &Args) -> Result<Outcome, CliError> {
         return Err(CliError::Other("--n must be positive".into()));
     }
     let dim = args.usize("dim", 128)?;
+    if dim == 0 {
+        return Err(CliError::Other("--dim must be positive".into()));
+    }
     let seed = args.u64("seed", 0)?;
     let cfg = SyntheticConfig::sift_like().with_dim(dim).with_seed(seed);
     let data = SyntheticDataset::new(&cfg).sample(n);

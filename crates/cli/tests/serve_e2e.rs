@@ -165,15 +165,20 @@ fn serve_answers_load_then_drains_on_sigterm() {
         assert!(line.contains("\"qps\":"), "{what} reports qps: {line}");
     }
 
-    // Nothing answered: the JSON line still prints, then exit 1.
-    let refused = pqfs(&["bench-client", "--addr", &addr, "--n", "4", "--topk", "0"]);
+    // Nothing answered: the JSON line still prints, then exit 1. The server
+    // refuses every frame whose topk is above the protocol's 2^20.
+    let topk = "2000000";
+    let refused = pqfs(&["bench-client", "--addr", &addr, "--n", "4", "--topk", topk]);
     let stderr = String::from_utf8_lossy(&refused.stderr);
-    assert_eq!(refused.status.code(), Some(1), "--topk 0: {stderr}");
-    assert!(stderr.contains("requests failed"), "--topk 0: {stderr}");
-    let line = json_line(&refused, "--topk 0");
-    assert!(line.contains("\"answered\": 0"), "--topk 0: {line}");
+    assert_eq!(refused.status.code(), Some(1), "--topk {topk}: {stderr}");
+    assert!(
+        stderr.contains("requests failed"),
+        "--topk {topk}: {stderr}"
+    );
+    let line = json_line(&refused, "--topk above 2^20");
+    assert!(line.contains("\"answered\": 0"), "--topk {topk}: {line}");
     assert!(line.contains("\"qps\": 0.0"), "qps counts answers: {line}");
-    assert!(line.contains("\"p50_ms\": null"), "--topk 0: {line}");
+    assert!(line.contains("\"p50_ms\": null"), "--topk {topk}: {line}");
 
     // SIGTERM must drain and exit 0.
     sigterm(&child);
@@ -272,6 +277,16 @@ fn serve_rejects_bad_flags_and_missing_index() {
             assert!(stderr.contains("outside (0, 1]"), "{what}");
         }
     }
+}
+
+/// A zero dimension is a bad argument (exit 1 naming the flag), not a panic
+/// in the generator.
+#[test]
+fn gen_rejects_a_zero_dimension() {
+    let out = pqfs(&["gen", "--out", "never.fvecs", "--n", "1", "--dim", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "gen --dim 0: {stderr}");
+    assert!(stderr.contains("--dim"), "gen --dim 0: {stderr}");
 }
 
 #[test]

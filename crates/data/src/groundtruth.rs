@@ -42,23 +42,6 @@ pub fn exact_knn(base: &[f32], dim: usize, query: &[f32], k: usize) -> Vec<TrueN
     all
 }
 
-/// Ground truth for a batch of queries.
-pub fn exact_knn_batch(
-    base: &[f32],
-    dim: usize,
-    queries: &[f32],
-    k: usize,
-) -> Vec<Vec<TrueNeighbor>> {
-    assert!(
-        dim > 0 && queries.len().is_multiple_of(dim),
-        "queries must be n x dim"
-    );
-    queries
-        .chunks_exact(dim)
-        .map(|q| exact_knn(base, dim, q, k))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,15 +68,5 @@ mod tests {
         let base = [0.0f32, 0.0];
         let result = exact_knn(&base, 2, &[1.0, 1.0], 10);
         assert_eq!(result.len(), 1);
-    }
-
-    #[test]
-    fn batch_matches_single_queries() {
-        let base: Vec<f32> = (0..20).map(|i| i as f32).collect();
-        let queries = [0.5f32, 1.5, 15.0, 16.0];
-        let batch = exact_knn_batch(&base, 2, &queries, 3);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0], exact_knn(&base, 2, &queries[..2], 3));
-        assert_eq!(batch[1], exact_knn(&base, 2, &queries[2..], 3));
     }
 }

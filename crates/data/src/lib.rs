@@ -1,7 +1,7 @@
 //! Dataset substrate for the PQ Fast Scan reproduction.
 //!
 //! The paper evaluates on ANN_SIFT1B, which cannot be shipped with this
-//! repository. This crate provides (DESIGN §2):
+//! repository. This crate provides (README.md, "Reproducing the paper"):
 //!
 //! * [`synthetic`] — a seeded SIFT-like mixture-of-Gaussians generator that
 //!   reproduces the properties the algorithms care about (byte-range
@@ -14,7 +14,7 @@ pub mod groundtruth;
 pub mod io;
 pub mod synthetic;
 
-pub use groundtruth::{exact_knn, exact_knn_batch, TrueNeighbor};
+pub use groundtruth::{exact_knn, TrueNeighbor};
 pub use io::{
     read_bvecs, read_fvecs, read_ivecs, write_bvecs, write_fvecs, write_ivecs, DataError,
     VectorFile,

@@ -77,18 +77,6 @@ impl SyntheticConfig {
         self.clusters = clusters;
         self
     }
-
-    /// Replaces the block coherence (clamped to `[0, 1]`).
-    pub fn with_block_coherence(mut self, coherence: f64) -> Self {
-        self.block_coherence = coherence.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Replaces the point noise level.
-    pub fn with_cluster_std(mut self, std: f32) -> Self {
-        self.cluster_std = std;
-        self
-    }
 }
 
 /// A reusable generator: cluster centers are materialized once, vectors are

@@ -212,11 +212,8 @@ mod registry {
 
     /// Injected faults by failpoint site, so operators can see which sites
     /// are firing without parsing logs.
-    static INJECTED: pqfs_obs::CounterFamily = pqfs_obs::CounterFamily::new(
-        "pqfs_fault_injected_total",
-        "Faults injected, by failpoint site",
-        "site",
-    );
+    static INJECTED: pqfs_obs::CounterFamily =
+        pqfs_obs::CounterFamily::new("pqfs_fault_injected_total", "site");
 
     /// Consumes one trigger of `site`: the armed action, or `None` when the
     /// site is disarmed (or its trigger budget is spent).

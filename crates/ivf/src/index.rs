@@ -15,88 +15,29 @@ use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-static QUERIES: Counter = Counter::new("pqfs_ivf_queries_total", "IVF queries served");
-static PROBES_OK: Counter = Counter::labeled(
-    "pqfs_ivf_probes_total",
-    "Probed partitions by outcome",
-    "outcome",
-    "ok",
-);
-static PROBES_FAILED: Counter = Counter::labeled(
-    "pqfs_ivf_probes_total",
-    "Probed partitions by outcome",
-    "outcome",
-    "failed",
-);
-static PROBES_SKIPPED: Counter = Counter::labeled(
-    "pqfs_ivf_probes_total",
-    "Probed partitions by outcome",
-    "outcome",
-    "skipped",
-);
-static PROBES_BOUNDED_OUT: Counter = Counter::new(
-    "pqfs_ivf_probes_bounded_out_total",
-    "Probes answered from the entry bound alone: it was below the sum of the table minima",
-);
-static TABLES_BUILT: Counter = Counter::new(
-    "pqfs_ivf_tables_built_total",
-    "Distance-table computations (Algorithm 1 step 2)",
-);
-static COARSE_NS: Histogram = Histogram::new(
-    "pqfs_ivf_coarse_ns",
-    "Coarse quantization (partition selection) latency",
-);
-static TABLES_NS: Histogram = Histogram::new(
-    "pqfs_ivf_tables_ns",
-    "Per-probe distance-table build latency",
-);
-static SCAN_NS: Histogram = Histogram::new("pqfs_ivf_scan_ns", "Per-probe partition scan latency");
-static MERGE_NS: Histogram = Histogram::new("pqfs_ivf_merge_ns", "Result merge latency");
-static TOTAL_NS: Histogram = Histogram::new("pqfs_ivf_query_ns", "Whole-query latency");
+static QUERIES: Counter = Counter::new("pqfs_ivf_queries_total");
+static PROBES_OK: Counter = Counter::labeled("pqfs_ivf_probes_total", "outcome", "ok");
+static PROBES_FAILED: Counter = Counter::labeled("pqfs_ivf_probes_total", "outcome", "failed");
+static PROBES_SKIPPED: Counter = Counter::labeled("pqfs_ivf_probes_total", "outcome", "skipped");
+static PROBES_BOUNDED_OUT: Counter = Counter::new("pqfs_ivf_probes_bounded_out_total");
+static TABLES_BUILT: Counter = Counter::new("pqfs_ivf_tables_built_total");
+static COARSE_NS: Histogram = Histogram::new("pqfs_ivf_coarse_ns");
+static TABLES_NS: Histogram = Histogram::new("pqfs_ivf_tables_ns");
+static SCAN_NS: Histogram = Histogram::new("pqfs_ivf_scan_ns");
+static MERGE_NS: Histogram = Histogram::new("pqfs_ivf_merge_ns");
+static TOTAL_NS: Histogram = Histogram::new("pqfs_ivf_query_ns");
 
-const SCANNED_HELP: &str = "Vectors scanned, by backend";
-const PRUNED_HELP: &str = "Vectors pruned by the lower-bound test, by backend";
 /// Per-backend scanned/pruned counters, indexed by the backend's position
 /// in [`SearchBackend::ALL`] (see [`backend_slot`]).
 static SCANNED_BY_BACKEND: [Counter; 3] = [
-    Counter::labeled(
-        "pqfs_scan_vectors_scanned_total",
-        SCANNED_HELP,
-        "backend",
-        "naive",
-    ),
-    Counter::labeled(
-        "pqfs_scan_vectors_scanned_total",
-        SCANNED_HELP,
-        "backend",
-        "libpq",
-    ),
-    Counter::labeled(
-        "pqfs_scan_vectors_scanned_total",
-        SCANNED_HELP,
-        "backend",
-        "fastscan",
-    ),
+    Counter::labeled("pqfs_scan_vectors_scanned_total", "backend", "naive"),
+    Counter::labeled("pqfs_scan_vectors_scanned_total", "backend", "libpq"),
+    Counter::labeled("pqfs_scan_vectors_scanned_total", "backend", "fastscan"),
 ];
 static PRUNED_BY_BACKEND: [Counter; 3] = [
-    Counter::labeled(
-        "pqfs_scan_vectors_pruned_total",
-        PRUNED_HELP,
-        "backend",
-        "naive",
-    ),
-    Counter::labeled(
-        "pqfs_scan_vectors_pruned_total",
-        PRUNED_HELP,
-        "backend",
-        "libpq",
-    ),
-    Counter::labeled(
-        "pqfs_scan_vectors_pruned_total",
-        PRUNED_HELP,
-        "backend",
-        "fastscan",
-    ),
+    Counter::labeled("pqfs_scan_vectors_pruned_total", "backend", "naive"),
+    Counter::labeled("pqfs_scan_vectors_pruned_total", "backend", "libpq"),
+    Counter::labeled("pqfs_scan_vectors_pruned_total", "backend", "fastscan"),
 ];
 // The counter arrays above are positional over SearchBackend::ALL.
 const _: () = assert!(pqfs_scan::Backend::ALL.len() == 3);

@@ -65,9 +65,9 @@ pub struct Histogram {
 
 impl Histogram {
     /// A histogram.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
+    pub const fn new(name: &'static str) -> Self {
         Histogram {
-            meta: Meta::new(name, help),
+            meta: Meta::new(name),
             buckets: [const { AtomicU64::new(0) }; BUCKET_COUNT],
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
@@ -100,7 +100,7 @@ impl Histogram {
     }
 
     /// Per-bucket (non-cumulative) counts, in bucket order.
-    pub fn bucket_counts(&self) -> [u64; BUCKET_COUNT] {
+    fn bucket_counts(&self) -> [u64; BUCKET_COUNT] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
@@ -160,7 +160,7 @@ mod tests {
     }
 
     fn leaked() -> &'static Histogram {
-        Box::leak(Box::new(Histogram::new("t", "")))
+        Box::leak(Box::new(Histogram::new("t")))
     }
 
     #[test]

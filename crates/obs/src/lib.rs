@@ -10,21 +10,21 @@
 //!   [`Gauge`]s, and log-bucketed [`Histogram`]s, each a `const` `static`
 //!   that registers itself in a process-wide registry on its first
 //!   record. Recording is a few relaxed atomics.
-//! * **Exposition** ([`expose`]): Prometheus text format and a JSON
-//!   snapshot rendered from one consistent walk of the registry, plus a
-//!   dependency-free line-grammar validator used in tests and CI.
+//! * **Exposition** ([`expose`]): one JSON snapshot rendered from one walk
+//!   of the registry: what `pqfs --metrics-out` writes and the server's
+//!   stats frame carries.
 //! * **Tracing** ([`trace`]): a reusable per-query [`QueryTrace`] capturing
 //!   the `coarse_quantize → tables → probe[i] scan → merge` waterfall with
 //!   per-probe backend, scanned/pruned counts, and outcome.
-//! * **JSON** ([`jsonv`]): a minimal parser so snapshots can be validated
-//!   against a schema without external dependencies.
+//! * **JSON** ([`jsonv`]): a minimal parser, so tests and the benchmark
+//!   read snapshots without external dependencies.
 //!
 //! # Instrumentation-site idiom
 //!
 //! ```
 //! use pqfs_obs::Counter;
 //!
-//! static QUERIES: Counter = Counter::new("myapp_queries_total", "Queries served");
+//! static QUERIES: Counter = Counter::new("myapp_queries_total");
 //!
 //! fn serve() {
 //!     QUERIES.inc(); // one relaxed flag load and one relaxed atomic add
@@ -40,10 +40,7 @@ pub mod jsonv;
 pub mod registry;
 pub mod trace;
 
-pub use expose::{
-    global_json_snapshot, global_prometheus_text, json_snapshot, prometheus_text,
-    validate_prometheus,
-};
-pub use histogram::{bucket_index, bucket_le, Histogram, HistogramSnapshot, BUCKET_COUNT};
+pub use expose::{global_json_snapshot, json_snapshot};
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{counter_value, global, Counter, CounterFamily, Gauge, Registry};
 pub use trace::{fmt_ns, ProbeOutcome, ProbeTrace, QueryTrace};

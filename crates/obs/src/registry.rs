@@ -29,20 +29,18 @@ thread_local! {
     static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
 }
 
-/// What every metric carries besides its data: its name, its help text,
-/// and whether a registry holds it yet.
+/// What every metric carries besides its data: its name and whether a
+/// registry holds it yet.
 #[derive(Debug)]
 pub(crate) struct Meta {
     pub(crate) name: &'static str,
-    pub(crate) help: &'static str,
     registered: AtomicBool,
 }
 
 impl Meta {
-    pub(crate) const fn new(name: &'static str, help: &'static str) -> Self {
+    pub(crate) const fn new(name: &'static str) -> Self {
         Meta {
             name,
-            help,
             registered: AtomicBool::new(false),
         }
     }
@@ -75,9 +73,9 @@ pub struct Counter {
 
 impl Counter {
     /// A counter with no labels.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
+    pub const fn new(name: &'static str) -> Self {
         Counter {
-            meta: Meta::new(name, help),
+            meta: Meta::new(name),
             label: None,
             shards: [const { Shard(AtomicU64::new(0)) }; SHARDS],
         }
@@ -87,13 +85,12 @@ impl Counter {
     /// metric `name`.
     pub const fn labeled(
         name: &'static str,
-        help: &'static str,
         label_key: &'static str,
         label_value: &'static str,
     ) -> Self {
         Counter {
             label: Some((label_key, label_value)),
-            ..Counter::new(name, help)
+            ..Counter::new(name)
         }
     }
 
@@ -138,9 +135,9 @@ pub struct Gauge {
 
 impl Gauge {
     /// A gauge.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
+    pub const fn new(name: &'static str) -> Self {
         Gauge {
-            meta: Meta::new(name, help),
+            meta: Meta::new(name),
             value: AtomicU64::new(0),
         }
     }
@@ -241,7 +238,6 @@ impl Registry {
         let value: &'static str = Box::leak(value.into());
         let c: &'static Counter = Box::leak(Box::new(Counter::labeled(
             family.name,
-            family.help,
             family.label_key,
             value,
         )));
@@ -266,34 +262,24 @@ impl Registry {
         let mut out = Collected::default();
         for metric in self.lock().values() {
             match *metric {
-                Metric::Counter(c) => {
-                    let Meta { name, help, .. } = c.meta;
-                    out.counters.push((name, help, c.label, c.value()));
-                }
-                Metric::Gauge(g) => out.gauges.push((g.meta.name, g.meta.help, g.value())),
-                Metric::Histogram(h) => {
-                    out.histograms
-                        .push((h.meta.name, h.meta.help, h.bucket_counts(), h.snapshot()))
-                }
+                Metric::Counter(c) => out.counters.push((c.meta.name, c.label, c.value())),
+                Metric::Gauge(g) => out.gauges.push((g.meta.name, g.value())),
+                Metric::Histogram(h) => out.histograms.push((h.meta.name, h.snapshot())),
             }
         }
         out
     }
 }
 
-/// Materialized metric values handed to the exposition formats.
+/// Materialized metric values handed to the JSON snapshot.
 #[derive(Default)]
 pub(crate) struct Collected {
-    /// `(name, help, label, value)`.
-    pub counters: Vec<(&'static str, &'static str, Label, u64)>,
-    /// `(name, help, value)`.
-    pub gauges: Vec<(&'static str, &'static str, u64)>,
-    pub histograms: Vec<(
-        &'static str,
-        &'static str,
-        [u64; crate::histogram::BUCKET_COUNT],
-        HistogramSnapshot,
-    )>,
+    /// `(name, label, value)`.
+    pub counters: Vec<(&'static str, Label, u64)>,
+    /// `(name, value)`.
+    pub gauges: Vec<(&'static str, u64)>,
+    /// `(name, snapshot)`.
+    pub histograms: Vec<(&'static str, HistogramSnapshot)>,
 }
 
 static GLOBAL: Registry = Registry::new();
@@ -311,18 +297,13 @@ pub fn global() -> &'static Registry {
 #[derive(Debug)]
 pub struct CounterFamily {
     name: &'static str,
-    help: &'static str,
     label_key: &'static str,
 }
 
 impl CounterFamily {
     /// A family site.
-    pub const fn new(name: &'static str, help: &'static str, label_key: &'static str) -> Self {
-        CounterFamily {
-            name,
-            help,
-            label_key,
-        }
+    pub const fn new(name: &'static str, label_key: &'static str) -> Self {
+        CounterFamily { name, label_key }
     }
 
     /// Adds `n` to the series labeled `label_value`.
@@ -353,7 +334,7 @@ mod tests {
     #[test]
     fn counters_sum_over_shards() {
         let reg = Registry::new();
-        let c = leak(Counter::new("t_total", "help"));
+        let c = leak(Counter::new("t_total"));
         c.register(&reg);
         c.add(3);
         c.inc();
@@ -364,8 +345,8 @@ mod tests {
     #[test]
     fn labeled_counters_are_distinct_series() {
         let reg = Registry::new();
-        let a = leak(Counter::labeled("t_by_kind", "h", "kind", "a"));
-        let b = leak(Counter::labeled("t_by_kind", "h", "kind", "b"));
+        let a = leak(Counter::labeled("t_by_kind", "kind", "a"));
+        let b = leak(Counter::labeled("t_by_kind", "kind", "b"));
         a.register(&reg);
         b.register(&reg);
         a.add(1);
@@ -378,7 +359,7 @@ mod tests {
 
     #[test]
     fn first_record_registers_in_the_global_registry() {
-        static C: Counter = Counter::labeled("t_global_total", "h", "kind", "first");
+        static C: Counter = Counter::labeled("t_global_total", "kind", "first");
         let series = Some(("kind", "first"));
         assert_eq!(counter_value("t_global_total", series), 0);
         C.add(2);
@@ -388,7 +369,7 @@ mod tests {
 
     #[test]
     fn gauges_set_and_record_max() {
-        let g = leak(Gauge::new("t_gauge", "h"));
+        let g = leak(Gauge::new("t_gauge"));
         g.register(&Registry::new());
         g.set(5);
         g.record_max(3);

@@ -93,10 +93,7 @@ pub fn default_threads() -> usize {
 
 static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 
-static POOL_THREADS: pqfs_obs::Gauge = pqfs_obs::Gauge::new(
-    "pqfs_pool_threads",
-    "Participating threads of the global pool (workers plus submitter)",
-);
+static POOL_THREADS: pqfs_obs::Gauge = pqfs_obs::Gauge::new("pqfs_pool_threads");
 
 impl ThreadPool {
     /// The process-wide shared pool, created on first use with

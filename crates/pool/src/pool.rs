@@ -9,18 +9,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-static TASKS: Counter = Counter::new(
-    "pqfs_pool_tasks_total",
-    "Pool tasks executed (by workers and by helping submitter threads)",
-);
-static BUSY_NS: Counter = Counter::new(
-    "pqfs_pool_busy_ns_total",
-    "Nanoseconds spent executing pool tasks",
-);
-static QUEUE_HWM: Gauge = Gauge::new(
-    "pqfs_pool_queue_depth_hwm",
-    "High-water mark of tasks queued",
-);
+static TASKS: Counter = Counter::new("pqfs_pool_tasks_total");
+static BUSY_NS: Counter = Counter::new("pqfs_pool_busy_ns_total");
+static QUEUE_HWM: Gauge = Gauge::new("pqfs_pool_queue_depth_hwm");
 
 thread_local! {
     /// How many counted tasks this thread is inside: a task that runs a

@@ -50,78 +50,22 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-static CONNECTIONS_TOTAL: Counter = Counter::new(
-    "pqfs_server_connections_total",
-    "Client connections accepted",
-);
-static CONNECTIONS_ACTIVE: Gauge = Gauge::new(
-    "pqfs_server_connections_active",
-    "Client connections currently open",
-);
-static REQ_QUERY: Counter = Counter::labeled(
-    "pqfs_server_requests_total",
-    "Requests received, by frame type",
-    "type",
-    "query",
-);
-static REQ_BATCH: Counter = Counter::labeled(
-    "pqfs_server_requests_total",
-    "Requests received, by frame type",
-    "type",
-    "batch",
-);
-static REQ_HEALTH: Counter = Counter::labeled(
-    "pqfs_server_requests_total",
-    "Requests received, by frame type",
-    "type",
-    "health",
-);
-static REQ_STATS: Counter = Counter::labeled(
-    "pqfs_server_requests_total",
-    "Requests received, by frame type",
-    "type",
-    "stats",
-);
-static SHED_TOTAL: Counter = Counter::new(
-    "pqfs_server_shed_total",
-    "Requests shed by admission control (in-flight count at --queue)",
-);
-static PROTO_ERRORS: Counter = Counter::new(
-    "pqfs_server_protocol_errors_total",
-    "Connections dropped on malformed or corrupted frames",
-);
-static ACCEPT_ERRORS: Counter = Counter::new(
-    "pqfs_server_accept_errors_total",
-    "Connections dropped at accept time",
-);
-static BATCHES_TOTAL: Counter = Counter::new(
-    "pqfs_server_batches_total",
-    "Query and batch requests executed (admitted, not shed)",
-);
-static BATCH_QUERIES: Histogram = Histogram::new(
-    "pqfs_server_batch_queries",
-    "Queries per executed request (count, not ns)",
-);
-static QUEUE_DEPTH_HWM: Gauge = Gauge::new(
-    "pqfs_server_queue_depth_hwm",
-    "High-water mark of the requests in flight (admitted, not yet answered)",
-);
-static QUEUE_WAIT_NS: Histogram = Histogram::new(
-    "pqfs_server_queue_wait_ns",
-    "Per request: admission to execution start",
-);
-static EXECUTE_NS: Histogram = Histogram::new(
-    "pqfs_server_execute_ns",
-    "Per request: execution start to answers ready",
-);
-static WRITE_NS: Histogram = Histogram::new(
-    "pqfs_server_write_ns",
-    "Per request: response encode and socket flush",
-);
-static REQUEST_NS: Histogram = Histogram::new(
-    "pqfs_server_request_ns",
-    "Request latency, frame decoded to response flushed",
-);
+static CONNECTIONS_TOTAL: Counter = Counter::new("pqfs_server_connections_total");
+static CONNECTIONS_ACTIVE: Gauge = Gauge::new("pqfs_server_connections_active");
+static REQ_QUERY: Counter = Counter::labeled("pqfs_server_requests_total", "type", "query");
+static REQ_BATCH: Counter = Counter::labeled("pqfs_server_requests_total", "type", "batch");
+static REQ_HEALTH: Counter = Counter::labeled("pqfs_server_requests_total", "type", "health");
+static REQ_STATS: Counter = Counter::labeled("pqfs_server_requests_total", "type", "stats");
+static SHED_TOTAL: Counter = Counter::new("pqfs_server_shed_total");
+static PROTO_ERRORS: Counter = Counter::new("pqfs_server_protocol_errors_total");
+static ACCEPT_ERRORS: Counter = Counter::new("pqfs_server_accept_errors_total");
+static BATCHES_TOTAL: Counter = Counter::new("pqfs_server_batches_total");
+static BATCH_QUERIES: Histogram = Histogram::new("pqfs_server_batch_queries");
+static QUEUE_DEPTH_HWM: Gauge = Gauge::new("pqfs_server_queue_depth_hwm");
+static QUEUE_WAIT_NS: Histogram = Histogram::new("pqfs_server_queue_wait_ns");
+static EXECUTE_NS: Histogram = Histogram::new("pqfs_server_execute_ns");
+static WRITE_NS: Histogram = Histogram::new("pqfs_server_write_ns");
+static REQUEST_NS: Histogram = Histogram::new("pqfs_server_request_ns");
 
 /// Connections currently open, mirrored into [`CONNECTIONS_ACTIVE`].
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);

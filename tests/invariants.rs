@@ -237,6 +237,8 @@ fn run_commands_name_packages_that_exist() {
     assert!(unknown.is_empty(), "no such package: {unknown:#?}");
 }
 
+/// A markdown path a comment names, or a bare all-caps name before a section
+/// sign (`README §2` cites `README.md`), must be a file in the root or `docs/`.
 #[test]
 fn documents_cited_in_comments_exist() {
     let mut cited = BTreeSet::new();
@@ -253,6 +255,15 @@ fn documents_cited_in_comments_exist() {
                     continue;
                 }
                 cited.insert((comment[start..end].to_owned(), file.clone()));
+            }
+            let caps_char = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+            for (at, _) in comment.match_indices(" §") {
+                let start = comment[..at].trim_end_matches(caps_char).len();
+                let (before, word) = (&comment[..start], &comment[start..at]);
+                let bare = !before.ends_with(|c: char| c.is_alphanumeric());
+                if bare && word.len() > 1 && word.starts_with(|c: char| c.is_ascii_uppercase()) {
+                    cited.insert((format!("{word}.md"), file.clone()));
+                }
             }
         }
     }
