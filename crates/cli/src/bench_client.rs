@@ -16,6 +16,9 @@ struct Tally {
     answered: usize,
     errors: usize,
     shed: usize,
+    /// Why the first failed request failed: the server's error code and
+    /// message, else the client's error.
+    cause: Option<String>,
 }
 
 pub fn cmd_bench_client(args: &Args) -> Result<Outcome, CliError> {
@@ -77,6 +80,7 @@ pub fn cmd_bench_client(args: &Args) -> Result<Outcome, CliError> {
         all.answered += tally.answered;
         all.errors += tally.errors;
         all.shed += tally.shed;
+        all.cause = all.cause.or(tally.cause);
     }
     let seconds = started.elapsed().as_secs_f64();
     let queries = all.answered + all.errors + all.shed;
@@ -108,8 +112,9 @@ pub fn cmd_bench_client(args: &Args) -> Result<Outcome, CliError> {
         all.shed
     );
     if all.errors > 0 || all.answered == 0 {
+        let cause = all.cause.map_or(String::new(), |c| format!("; first: {c}"));
         return Err(CliError::Other(format!(
-            "{} of {} requests failed, {} shed",
+            "{} of {} requests failed, {} shed{cause}",
             all.errors, queries, all.shed
         )));
     }
@@ -170,7 +175,14 @@ fn run_worker(
                 tally.latencies_ms.push(ms);
             }
             Ok(Response::Overloaded { .. }) => tally.shed += take,
-            Ok(_) | Err(_) => tally.errors += take,
+            failed => {
+                tally.errors += take;
+                tally.cause.get_or_insert_with(|| match failed {
+                    Ok(Response::Error { code, message }) => format!("{code}: {message}"),
+                    Ok(other) => format!("unexpected response {other:?}"),
+                    Err(e) => e.to_string(),
+                });
+            }
         }
         sent += take;
     }

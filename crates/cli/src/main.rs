@@ -28,10 +28,10 @@
 //! stage waterfall (coarse quantization, per-probe table build + scan,
 //! merge) to stderr.
 //!
-//! Vector files are TEXMEX `.fvecs` (32-bit floats), the only format `pqfs`
-//! reads. ANN_SIFT1B ships its vectors as `.bvecs` (bytes) and its ground
-//! truth as `.ivecs`; `pqfs_data` reads both, and its vectors must be
-//! written out as `.fvecs` before `pqfs` can use them.
+//! Vector files are TEXMEX `.fvecs` (32-bit floats), the only vector format
+//! in the workspace. ANN_SIFT1B ships its vectors as `.bvecs` (bytes) and
+//! its ground truth as `.ivecs`; neither is read here, so its vectors must
+//! be converted to `.fvecs` before `pqfs` can use them.
 
 use pqfs_data::{read_fvecs, write_fvecs, SyntheticConfig, SyntheticDataset};
 use pqfs_ivf::{IvfadcConfig, IvfadcIndex, SearchBackend, SearchRequest};

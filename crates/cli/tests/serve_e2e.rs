@@ -175,6 +175,11 @@ fn serve_answers_load_then_drains_on_sigterm() {
         stderr.contains("requests failed"),
         "--topk {topk}: {stderr}"
     );
+    // ... and says why: the server's answer to the first request.
+    assert!(
+        stderr.contains("topk 2000000 out of range"),
+        "--topk {topk}: {stderr}"
+    );
     let line = json_line(&refused, "--topk above 2^20");
     assert!(line.contains("\"answered\": 0"), "--topk {topk}: {line}");
     assert!(line.contains("\"qps\": 0.0"), "qps counts answers: {line}");

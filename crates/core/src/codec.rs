@@ -1,7 +1,6 @@
-//! The one binary codec behind every byte format the workspace reads and
-//! writes: the quantizer file (PQFS, [`crate::persist`]), the index file
-//! (PQIV, `pqfs_ivf::persist`) and the wire protocol (PQSV,
-//! `pqfs_server::proto`), all little-endian.
+//! The one binary codec behind both byte formats the workspace reads and
+//! writes: the index file (PQIV, `pqfs_ivf::persist`) and the wire protocol
+//! (PQSV, `pqfs_server::proto`), both little-endian.
 //!
 //! * [`Reader`] is a bounds-checked cursor over a byte slice: a short read
 //!   is [`CodecError::Truncated`], a count over its cap is

@@ -40,7 +40,6 @@ pub mod codec;
 pub mod config;
 mod error;
 pub mod layout;
-pub mod persist;
 pub mod pq;
 pub mod tables;
 pub mod topk;
@@ -50,7 +49,6 @@ pub use codec::crc32;
 pub use config::PqConfig;
 pub use error::PqError;
 pub use layout::RowMajorCodes;
-pub use persist::{load_pq, save_pq, PersistError};
 pub use pq::ProductQuantizer;
 pub use tables::DistanceTables;
 pub use topk::{Neighbor, TopK};

@@ -1,7 +1,8 @@
 //! Exact brute-force nearest neighbors, used as recall ground truth.
 //!
-//! ANN_SIFT1B ships precomputed ground truth (`.ivecs`); for synthetic data
-//! we compute it exactly by linear scan over the float vectors.
+//! ANN_SIFT1B ships precomputed ground truth as `.ivecs`, which this crate
+//! does not read; it is computed here exactly, by a linear scan over the
+//! float vectors.
 
 /// One exact neighbor: base-set position and squared distance.
 #[derive(Debug, Clone, Copy, PartialEq)]

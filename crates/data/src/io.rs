@@ -1,11 +1,11 @@
-//! Readers and writers for the TEXMEX vector file formats.
+//! Reader and writer for the TEXMEX `.fvecs` vector file format.
 //!
-//! ANN_SIFT1B (the paper's dataset, <http://corpus-texmex.irisa.fr/>) ships
-//! as `.bvecs` (byte vectors), `.fvecs` (float vectors) and `.ivecs`
-//! (integer vectors, used for ground truth). Every vector is stored as a
-//! little-endian `i32` dimensionality followed by the components. These
-//! routines let the harness load the real corpus when it is available; the
-//! synthetic generator ([`crate::synthetic`]) covers the offline case.
+//! Every vector is stored as a little-endian `i32` dimensionality followed
+//! by its 32-bit float components. ANN_SIFT1B (the paper's dataset,
+//! <http://corpus-texmex.irisa.fr/>) ships its base vectors as `.bvecs`
+//! (bytes) and its ground truth as `.ivecs`, which this crate does not
+//! read: converted to `.fvecs`, the corpus loads here. The synthetic
+//! generator ([`crate::synthetic`]) covers the offline case.
 
 use pqfs_fault::{FaultRead, FaultWrite};
 use std::fs::File;
@@ -168,30 +168,6 @@ pub fn write_fvecs(path: impl AsRef<Path>, data: &[f32], dim: usize) -> Result<(
     })
 }
 
-/// Reads a `.bvecs` file (unsigned bytes, SIFT1B's base format).
-pub fn read_bvecs(path: impl AsRef<Path>) -> Result<VectorFile<u8>, DataError> {
-    read_records(path.as_ref(), 1, |b| b[0])
-}
-
-/// Writes a `.bvecs` file.
-pub fn write_bvecs(path: impl AsRef<Path>, data: &[u8], dim: usize) -> Result<(), DataError> {
-    write_records(path.as_ref(), data, dim, |v, buf| buf.push(*v))
-}
-
-/// Reads an `.ivecs` file (32-bit little-endian integers; ground truth ids).
-pub fn read_ivecs(path: impl AsRef<Path>) -> Result<VectorFile<i32>, DataError> {
-    read_records(path.as_ref(), 4, |b| {
-        i32::from_le_bytes([b[0], b[1], b[2], b[3]])
-    })
-}
-
-/// Writes an `.ivecs` file.
-pub fn write_ivecs(path: impl AsRef<Path>, data: &[i32], dim: usize) -> Result<(), DataError> {
-    write_records(path.as_ref(), data, dim, |v, buf| {
-        buf.extend_from_slice(&v.to_le_bytes())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,30 +187,6 @@ mod tests {
         let file = read_fvecs(&path).unwrap();
         assert_eq!(file.dim, 4);
         assert_eq!(file.len(), 3);
-        assert_eq!(file.data, data);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn bvecs_roundtrip() {
-        let _lock = pqfs_fault::exclusive();
-        let path = tmp("b.bvecs");
-        let data: Vec<u8> = (0..=255).collect();
-        write_bvecs(&path, &data, 128).unwrap();
-        let file = read_bvecs(&path).unwrap();
-        assert_eq!(file.dim, 128);
-        assert_eq!(file.len(), 2);
-        assert_eq!(file.data, data);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn ivecs_roundtrip() {
-        let _lock = pqfs_fault::exclusive();
-        let path = tmp("i.ivecs");
-        let data: Vec<i32> = vec![5, -3, 1000000, 0, 7, 42];
-        write_ivecs(&path, &data, 3).unwrap();
-        let file = read_ivecs(&path).unwrap();
         assert_eq!(file.data, data);
         std::fs::remove_file(path).ok();
     }

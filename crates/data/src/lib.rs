@@ -6,8 +6,8 @@
 //! * [`synthetic`] — a seeded SIFT-like mixture-of-Gaussians generator that
 //!   reproduces the properties the algorithms care about (byte-range
 //!   coordinates, clustered structure, distance contrast);
-//! * [`io`] — readers/writers for the TEXMEX `.fvecs`/`.bvecs`/`.ivecs`
-//!   formats, so the real corpus can be dropped in when available;
+//! * [`io`] — the reader and writer for the TEXMEX `.fvecs` format, so the
+//!   real corpus, converted from its `.bvecs` bytes, can be dropped in;
 //! * [`groundtruth`] — exact brute-force k-NN for recall measurements.
 
 pub mod groundtruth;
@@ -15,8 +15,5 @@ pub mod io;
 pub mod synthetic;
 
 pub use groundtruth::{exact_knn, TrueNeighbor};
-pub use io::{
-    read_bvecs, read_fvecs, read_ivecs, write_bvecs, write_fvecs, write_ivecs, DataError,
-    VectorFile,
-};
+pub use io::{read_fvecs, write_fvecs, DataError, VectorFile};
 pub use synthetic::{generate, SyntheticConfig, SyntheticDataset};

@@ -1,10 +1,7 @@
 //! Property-based tests of the dataset substrate: file-format roundtrips
 //! and generator invariants.
 
-use pqfs_data::{
-    exact_knn, generate, read_bvecs, read_fvecs, read_ivecs, write_bvecs, write_fvecs, write_ivecs,
-    SyntheticConfig,
-};
+use pqfs_data::{exact_knn, generate, read_fvecs, write_fvecs, SyntheticConfig};
 use proptest::prelude::*;
 
 fn tmp_path(tag: &str) -> std::path::PathBuf {
@@ -38,42 +35,6 @@ proptest! {
         let file = read_fvecs(&path).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(file.dim, dim);
-        prop_assert_eq!(file.data, data);
-    }
-
-    /// bvecs roundtrip preserves bytes.
-    #[test]
-    fn bvecs_roundtrip(
-        dim in 1usize..32,
-        n in 1usize..20,
-        seed in any::<u8>(),
-    ) {
-        let data: Vec<u8> = (0..n * dim).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect();
-        let path = tmp_path("b");
-        write_bvecs(&path, &data, dim).unwrap();
-        let file = read_bvecs(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(file.len(), n);
-        prop_assert_eq!(file.data, data);
-    }
-
-    /// ivecs roundtrip preserves signed integers.
-    #[test]
-    fn ivecs_roundtrip(
-        dim in 1usize..8,
-        rows in prop::collection::vec(prop::collection::vec(any::<i32>(), 1..8), 1..10),
-    ) {
-        let data: Vec<i32> = rows.iter().flat_map(|r| r.iter().take(dim).copied()).collect();
-        let data = {
-            let mut d = data;
-            d.truncate(d.len() / dim * dim);
-            d
-        };
-        prop_assume!(!data.is_empty());
-        let path = tmp_path("i");
-        write_ivecs(&path, &data, dim).unwrap();
-        let file = read_ivecs(&path).unwrap();
-        std::fs::remove_file(&path).ok();
         prop_assert_eq!(file.data, data);
     }
 

@@ -916,18 +916,17 @@ impl IvfadcIndex {
     ///
     /// `partitions` holds `(global ids, row-major code bytes)` per cell,
     /// regrouped here as [`build`](Self::build) groups them (grouping is
-    /// deterministic).
+    /// deterministic). The loader makes `pq` `PQ 8×8` from the stored
+    /// dimension.
     ///
     /// # Errors
     ///
-    /// [`IvfError::Config`] when shapes disagree, [`IvfError::Scan`] for a
-    /// quantizer that is not `PQ 8×8`.
+    /// [`IvfError::Config`] when shapes disagree.
     pub(crate) fn from_parts(
         coarse: CoarseQuantizer,
         pq: ProductQuantizer,
         partitions: Vec<(Vec<u64>, Vec<u8>)>,
     ) -> Result<Self, IvfError> {
-        require_pq8x8(pq.config())?;
         if coarse.partitions() != partitions.len() {
             return Err(IvfError::Config(format!(
                 "coarse quantizer has {} cells but {} partitions were provided",

@@ -1,4 +1,5 @@
-//! Binary persistence for a built IVFADC index.
+//! Binary persistence for a built IVFADC index, the one file format the
+//! workspace writes.
 //!
 //! Building an index over a large base set costs minutes of training and
 //! encoding; serving processes load the finished artifact instead. The
@@ -7,29 +8,25 @@
 //!
 //! ```text
 //! magic   "PQIV"           4 bytes
-//! version u32              currently 3
-//! header  section          dim u64, partitions u64, one reserved byte
-//!                          (written 0), scan-options block (12 reserved
-//!                          bytes)
+//! version u32              currently 4
+//! header  section          dim u64, partitions u64
 //! centroids section        partitions × dim × f32
-//! quantizer section        embedded pqfs-core persist format (v3)
+//! codebooks section        8 × 256 × dim/8 f32 (the PQ 8×8 codebooks)
 //! partition sections       one per partition: count u64, ids, codes
 //! footer  u32              CRC-32 of every preceding byte
 //! ```
 //!
 //! The container, its CRC-32 sections and the footer are
 //! `pqfs_core::codec`'s; lengths and counts are checked against each other
-//! and against sanity limits **before** allocating. [`IvfadcIndex::save_file`]
-//! writes **atomically** (temp file, fsync, rename).
+//! and against sanity limits **before** allocating. An index is `PQ 8×8`,
+//! so the quantizer's shape follows from `dim` and is not stored.
+//! [`IvfadcIndex::save_file`] writes **atomically** (temp file, fsync,
+//! rename).
 //!
 //! Partition sections hold row-major codes: [`IvfadcIndex::save`] rebuilds
 //! them from the resident grouped layout and [`IvfadcIndex::load`] regroups
 //! them as a build does (grouping is deterministic, so save → load → save
-//! reproduces the file). The reserved header byte was the prepared-backend
-//! mask of earlier writers, and the scan-options block's four slots (`keep`,
-//! `bins`, grouping components, kernel) held settings the index no longer
-//! has; none of them is interpreted, and the slots are written as every
-//! default build wrote them.
+//! reproduces the file).
 //!
 //! Failpoint sites (see `pqfs_fault`): `ivf.persist.read`,
 //! `ivf.persist.write`, `ivf.persist.create`, `ivf.persist.fsync`,
@@ -37,49 +34,127 @@
 
 use crate::coarse::CoarseQuantizer;
 use crate::index::{IvfadcIndex, MAX_PARTITIONS};
-use pqfs_core::codec::{write_file, FileReader, Put, Reader};
-use pqfs_core::persist::{atomic_write_file, load_pq, save_pq, AtomicWriteSites, PersistError};
-use pqfs_fault::FaultRead;
+use pqfs_core::codec::{write_file, CodecError, FileReader, Put, Reader};
+use pqfs_core::{Codebook, PqConfig, ProductQuantizer};
+use pqfs_fault::{FaultRead, FaultWrite};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"PQIV";
-const VERSION: u32 = 3;
+/// The one version written and read. Versions 1 and 2 had no checksums;
+/// version 3 nested the quantizer in a file of its own and kept reserved
+/// header slots. All three are refused.
+const VERSION: u32 = 4;
 
 /// Sanity limits applied before any size-driven allocation (the partition
 /// count's also bounds the expansion terms derived at load).
 const MAX_DIM: u64 = 1 << 20;
-const MAX_QUANTIZER_SECTION: u64 = 1 << 32;
 const MAX_PARTITION_SECTION: u64 = 1 << 40;
 
-/// What the scan-options block's reserved slots hold: the warm-up fraction,
-/// quantization bin count, grouping components and kernel tag earlier
-/// writers stored, at the values every default build wrote (`0xFF` is
-/// "automatic", `0` is `Kernel::Auto`). They are written as these and not
-/// interpreted on load: the fraction is per query, Fast Scan is exact at any
-/// bin count, and every index groups on automatic components under
-/// `Kernel::Auto`.
-const RESERVED_KEEP: f64 = 0.005;
-const RESERVED_BINS: u16 = pqfs_scan::DEFAULT_BINS;
-const RESERVED_COMPONENTS: u8 = u8::MAX;
-const RESERVED_KERNEL: u8 = 0;
-
-/// Writes the fixed 12-byte scan-options block.
-fn put_scan_opts(out: &mut Vec<u8>) {
-    out.put_f64(RESERVED_KEEP);
-    out.put_u16(RESERVED_BINS);
-    out.put_u8(RESERVED_COMPONENTS);
-    out.put_u8(RESERVED_KERNEL);
+/// Errors from index persistence.
+#[derive(Debug)]
+#[non_exhaustive]
+pub enum PersistError {
+    /// Underlying IO failure.
+    Io(io::Error),
+    /// Structurally invalid or incompatible file.
+    Format(String),
+    /// A stored checksum does not match the data (bit rot, torn write).
+    Checksum {
+        /// Which checksummed region failed ("index header", "codebooks",
+        /// "file", …).
+        section: &'static str,
+        /// The checksum stored in the file.
+        stored: u32,
+        /// The checksum computed over the data actually read.
+        computed: u32,
+    },
+    /// A stored size exceeds the sanity limit for its field; the load is
+    /// rejected before attempting the allocation.
+    Limit {
+        /// The offending field.
+        what: &'static str,
+        /// The stored value.
+        value: u64,
+        /// The maximum this implementation accepts.
+        max: u64,
+    },
 }
 
-/// Reads past the fixed 12-byte scan-options block.
-fn skip_scan_opts(rd: &mut Reader<'_>) -> Result<(), PersistError> {
-    let (_keep, _bins, _components, _kernel) = (rd.f64()?, rd.u16()?, rd.u8()?, rd.u8()?);
-    Ok(())
+impl std::fmt::Display for PersistError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PersistError::Io(e) => write!(f, "io error: {e}"),
+            PersistError::Format(msg) => write!(f, "format error: {msg}"),
+            PersistError::Checksum {
+                section,
+                stored,
+                computed,
+            } => write!(
+                f,
+                "checksum mismatch in {section}: stored {stored:#010x}, computed {computed:#010x}"
+            ),
+            PersistError::Limit { what, value, max } => {
+                write!(f, "{what} {value} exceeds the sanity limit {max}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PersistError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            PersistError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<io::Error> for PersistError {
+    fn from(e: io::Error) -> Self {
+        PersistError::Io(e)
+    }
+}
+
+impl From<CodecError> for PersistError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Io(e) => PersistError::Io(e),
+            CodecError::Truncated(what) => PersistError::Format(format!("truncated {what}")),
+            CodecError::TrailingBytes(n) => {
+                PersistError::Format(format!("{n} trailing bytes in a section"))
+            }
+            CodecError::Limit { what, value, max } => PersistError::Limit { what, value, max },
+            CodecError::Checksum {
+                section,
+                stored,
+                computed,
+            } => PersistError::Checksum {
+                section,
+                stored,
+                computed,
+            },
+            CodecError::Format(msg) => PersistError::Format(msg),
+        }
+    }
+}
+
+/// Reads a section of packed floats that must all be finite.
+fn finite_f32s<R: Read>(
+    file: &mut FileReader<R>,
+    what: &'static str,
+    n: usize,
+) -> Result<Vec<f32>, PersistError> {
+    let bytes = file.section(what, n as u64 * 4)?;
+    let floats = Reader::new(&bytes, what).f32s(n)?;
+    if floats.iter().any(|v| !v.is_finite()) {
+        return Err(PersistError::Format(format!("non-finite value in {what}")));
+    }
+    Ok(floats)
 }
 
 impl IvfadcIndex {
-    /// Writes the index to `w` in format v3 (checksummed sections plus a
+    /// Writes the index to `w` in format v4 (checksummed sections plus a
     /// whole-file footer checksum).
     ///
     /// # Errors
@@ -88,17 +163,17 @@ impl IvfadcIndex {
     pub fn save(&self, w: &mut impl Write) -> Result<(), PersistError> {
         let dim = self.coarse().dim();
         let parts = self.num_partitions();
-        let mut header = Vec::with_capacity(29);
+        let mut header = Vec::with_capacity(16);
         header.put_u64(dim as u64);
         header.put_u64(parts as u64);
-        header.put_u8(0); // reserved
-        put_scan_opts(&mut header);
         let mut centroids = Vec::with_capacity(parts * dim * 4);
         for p in 0..parts {
             centroids.put_f32s(self.coarse().centroid(p));
         }
-        let mut quantizer = Vec::new();
-        save_pq(self.pq(), &mut quantizer)?;
+        let mut codebooks = Vec::new();
+        for j in 0..self.pq().config().m() {
+            codebooks.put_f32s(self.pq().codebook(j).centroids());
+        }
         // Partition sections are built one at a time as they are written.
         let partitions = (0..parts).map(|p| {
             let (ids, codes) = self.partition_rows(p);
@@ -110,7 +185,7 @@ impl IvfadcIndex {
             payload.put_bytes(codes.as_bytes());
             payload
         });
-        let sections = [header, centroids, quantizer].into_iter().chain(partitions);
+        let sections = [header, centroids, codebooks].into_iter().chain(partitions);
         Ok(write_file(w, MAGIC, VERSION, sections)?)
     }
 
@@ -119,41 +194,28 @@ impl IvfadcIndex {
     /// # Errors
     ///
     /// [`PersistError`] on IO failures, bad magic/version, truncation,
-    /// checksum mismatches, absurd stored sizes, or an embedded quantizer
-    /// that is invalid or not `PQ 8×8` — never a panic.
+    /// checksum mismatches, absurd stored sizes, a dimension that is not a
+    /// positive multiple of 8, or non-finite centroids — never a panic.
     pub fn load(r: &mut impl Read) -> Result<Self, PersistError> {
         // Exact-size caps: a read that succeeds consumes the whole section.
         let mut file = FileReader::open(r, MAGIC, VERSION)?;
-        let header = file.section("index header", 29)?;
+        let header = file.section("index header", 16)?;
         let mut rd = Reader::new(&header, "index header");
-        let (dim, parts, _reserved) = (rd.u64()?, rd.u64()?, rd.u8()?);
-        skip_scan_opts(&mut rd)?;
-        if dim == 0 || parts == 0 {
-            return Err(PersistError::Format(
-                "empty dimension or partition count".into(),
-            ));
-        }
+        let (dim, parts) = (rd.u64()?, rd.u64()?);
         let dim = Reader::count(dim, MAX_DIM, "dimension")?;
         let parts = Reader::count(parts, MAX_PARTITIONS as u64, "partition count")?;
+        if parts == 0 {
+            return Err(PersistError::Format("empty partition count".into()));
+        }
+        // An index is `PQ 8×8`: its shape follows from `dim`.
+        let config = PqConfig::new(dim, 8, 8)
+            .map_err(|e| PersistError::Format(format!("index header: {e}")))?;
+        let (m, dsub) = (config.m(), config.dsub());
 
         // ≤ 2^46 bytes by the limits above.
-        let bytes = file.section("coarse centroids", (parts * dim * 4) as u64)?;
-        let centroids = Reader::new(&bytes, "coarse centroids").f32s(parts * dim)?;
-        if centroids.iter().any(|v| !v.is_finite()) {
-            return Err(PersistError::Format(
-                "non-finite value in coarse centroids".into(),
-            ));
-        }
+        let centroids = finite_f32s(&mut file, "coarse centroids", parts * dim)?;
+        let codebooks = finite_f32s(&mut file, "codebooks", config.ksub() * dim)?;
 
-        let pq = load_pq(&mut file.section("quantizer", MAX_QUANTIZER_SECTION)?.as_slice())?;
-        if pq.config().dim() != dim {
-            return Err(PersistError::Format(format!(
-                "quantizer dim {} != index dim {dim}",
-                pq.config().dim()
-            )));
-        }
-
-        let m = pq.config().m();
         let mut partitions = Vec::with_capacity(parts);
         for _ in 0..parts {
             let payload = file.section("partition", MAX_PARTITION_SECTION)?;
@@ -171,31 +233,63 @@ impl IvfadcIndex {
         }
         file.finish()?;
 
+        let codebooks = codebooks
+            .chunks_exact(config.ksub() * dsub)
+            .map(|c| Codebook::new(c.to_vec(), dsub))
+            .collect();
         IvfadcIndex::from_parts(
             CoarseQuantizer::from_centroids(centroids, dim),
-            pq,
+            ProductQuantizer::from_codebooks(config, codebooks),
             partitions,
         )
         .map_err(|e| PersistError::Format(e.to_string()))
     }
 
-    /// Saves to a file, atomically (temp file + fsync + rename): on any
-    /// failure the previously published artifact is left untouched.
+    /// Saves to a file, atomically: writes a sibling temporary file, fsyncs
+    /// it and renames it over `path`. On any failure the temporary file is
+    /// removed and the previously published artifact is left untouched — a
+    /// reader never observes a half-written file.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`] on any IO failure.
+    /// [`PersistError::Io`] on create/write/fsync/rename failures
+    /// (including injected ones).
     pub fn save_file(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        atomic_write_file(
-            path,
-            AtomicWriteSites {
-                create: "ivf.persist.create",
-                write: "ivf.persist.write",
-                fsync: "ivf.persist.fsync",
-                rename: "ivf.persist.rename",
-            },
-            |w| self.save(w),
-        )
+        let path = path.as_ref();
+        let mut name = path
+            .file_name()
+            .map(|n| n.to_os_string())
+            .unwrap_or_default();
+        name.push(format!(".tmp.{}", std::process::id()));
+        let tmp = path.with_file_name(name);
+
+        let result = (|| {
+            pqfs_fault::check("ivf.persist.create")?;
+            let file = std::fs::File::create(&tmp)?;
+            let mut w = io::BufWriter::new(FaultWrite::new(file, "ivf.persist.write"));
+            self.save(&mut w)?;
+            w.flush()?;
+            let file = w.into_inner().map_err(|e| e.into_error())?.into_inner();
+            pqfs_fault::check("ivf.persist.fsync")?;
+            file.sync_all()?;
+            drop(file);
+            pqfs_fault::check("ivf.persist.rename")?;
+            std::fs::rename(&tmp, path)?;
+            // Make the rename itself durable: fsync the containing directory.
+            #[cfg(unix)]
+            {
+                let dir = match path.parent() {
+                    Some(d) if !d.as_os_str().is_empty() => d,
+                    _ => Path::new("."),
+                };
+                std::fs::File::open(dir)?.sync_all()?;
+            }
+            Ok(())
+        })();
+        if result.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        result
     }
 
     /// Loads from a file.
@@ -215,7 +309,7 @@ impl IvfadcIndex {
 mod tests {
     use super::*;
     use crate::index::{IvfadcConfig, SearchBackend};
-    use pqfs_core::codec::{crc32, write_block};
+    use pqfs_core::codec::crc32;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -232,15 +326,28 @@ mod tests {
         (index, base)
     }
 
-    /// Byte offset of the header section's body: magic, version, length.
-    const HEADER_AT: usize = 16;
+    /// A current-format image of `sections` under valid section and file
+    /// CRCs, so the check that rejects it is the one on the stored values.
+    fn image(sections: &[Vec<u8>]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_file(&mut buf, MAGIC, VERSION, sections).unwrap();
+        buf
+    }
 
-    /// Recomputes the file footer after an edit that kept the sections'
-    /// own checksums valid.
-    fn reseal(buf: &mut [u8]) {
-        let end = buf.len() - 4;
-        let footer = crc32(&buf[..end]);
-        buf[end..].copy_from_slice(&footer.to_le_bytes());
+    fn header(dim: u64, parts: u64) -> Vec<u8> {
+        let mut header = Vec::new();
+        header.put_u64(dim);
+        header.put_u64(parts);
+        header
+    }
+
+    /// `n` packed floats, all 1.0 but a NaN at `nan_at`.
+    fn floats(n: usize, nan_at: Option<usize>) -> Vec<u8> {
+        let mut out = Vec::new();
+        for i in 0..n {
+            out.put_f32(if Some(i) == nan_at { f32::NAN } else { 1.0 });
+        }
+        out
     }
 
     /// The bytes of a hand-built index (PQ 8×8, dim 16, fixed centroids,
@@ -248,7 +355,6 @@ mod tests {
     /// moves one byte fails here, which no round trip shows.
     #[test]
     fn golden_pqiv_image() {
-        use pqfs_core::{Codebook, PqConfig, ProductQuantizer};
         let config = PqConfig::new(DIM, 8, 8).unwrap();
         let codebooks = (0..8)
             .map(|j| {
@@ -272,10 +378,14 @@ mod tests {
         .unwrap();
         let mut buf = Vec::new();
         index.save(&mut buf).unwrap();
-        // The CRC of a whole image is the CRC-32 residue for any valid footer,
-        // so the pin is the CRC of the bytes the footer covers.
+        // Magic and version 8, then each section's u64 length, payload and
+        // CRC: header 8 + 16 + 4, centroids 8 + 2 × 16 × 4 + 4, codebooks
+        // 8 + 8 × 256 × 2 × 4 + 4, partitions 8 + (8 + 3 × 16) + 4 and
+        // 8 + (8 + 2 × 16) + 4, footer 4: 16 696 bytes. The CRC of a whole
+        // image is the CRC-32 residue for any valid footer, so the pin is the
+        // CRC of the bytes the footer covers.
         let body = &buf[..buf.len() - 4];
-        assert_eq!((buf.len(), crc32(body)), (16_762, 0x319A_FFD7));
+        assert_eq!((buf.len(), crc32(body)), (16_696, 0xC3DB_9BC4));
         let mut again = Vec::new();
         IvfadcIndex::load(&mut buf.as_slice())
             .unwrap()
@@ -310,74 +420,14 @@ mod tests {
         }
     }
 
-    /// Earlier v3 writers stored the prepared-backend mask in header byte
-    /// 16. Whatever it holds, the image loads and serves.
-    #[test]
-    fn images_with_a_backend_mask_in_the_reserved_byte_load_and_serve() {
-        let _lock = pqfs_fault::exclusive();
-        let (index, base) = build();
-        let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
-        assert_eq!(buf[HEADER_AT + 16], 0);
-        let want = index
-            .search_probes(&base[..DIM], 7, SearchBackend::FastScan, 0.01, 1)
-            .unwrap();
-        for mask in [0x01u8, 0x3F] {
-            buf[HEADER_AT + 16] = mask;
-            let crc = crc32(&buf[HEADER_AT..HEADER_AT + 29]);
-            buf[HEADER_AT + 29..HEADER_AT + 33].copy_from_slice(&crc.to_le_bytes());
-            reseal(&mut buf);
-            let loaded = IvfadcIndex::load(&mut buf.as_slice()).unwrap();
-            let got = loaded
-                .search_probes(&base[..DIM], 7, SearchBackend::FastScan, 0.01, 1)
-                .unwrap();
-            assert_eq!(got.neighbors, want.neighbors, "mask {mask:#04x}");
-            assert_eq!(got.stats, want.stats, "mask {mask:#04x}");
-        }
-    }
-
-    /// An index is PQ 8x8. An image whose sections are all intact but whose
-    /// quantizer has another shape is refused with a typed error.
-    #[test]
-    fn an_embedded_quantizer_that_is_not_pq8x8_is_a_format_error() {
-        use pqfs_core::{PqConfig, ProductQuantizer};
-        let mut rng = StdRng::seed_from_u64(59);
-        let train: Vec<f32> = (0..1000 * DIM)
-            .map(|_| rng.gen_range(0.0f32..255.0))
-            .collect();
-        // An empty base: the partition sections hold no codes, so they are
-        // well-formed under any `m`.
-        let index = IvfadcIndex::build(&train, &[], &IvfadcConfig::new(DIM, 2)).unwrap();
-        let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
-
-        let narrow = PqConfig::new(DIM, 4, 8).unwrap();
-        let mut pq_bytes = Vec::new();
-        save_pq(
-            &ProductQuantizer::train(&train, &narrow, 1).unwrap(),
-            &mut pq_bytes,
-        )
-        .unwrap();
-        let mut section = Vec::new();
-        section.put_u64(pq_bytes.len() as u64);
-        write_block(&mut section, &pq_bytes).unwrap();
-        // Header section (8 + 29 + 4), then the centroids section.
-        let pq_at = HEADER_AT + 29 + 4 + 8 + 2 * DIM * 4 + 4;
-        let pq_len = Reader::new(&buf[pq_at..], "length").u64().unwrap() as usize;
-        buf.splice(pq_at..pq_at + 8 + pq_len + 4, section);
-        reseal(&mut buf);
-        match IvfadcIndex::load(&mut buf.as_slice()) {
-            Err(PersistError::Format(msg)) => assert!(msg.contains("PQ 8x8"), "{msg}"),
-            other => panic!("{:?}", other.map(|_| ())),
-        }
-    }
-
+    /// Versions 1 and 2 had no checksums; version 3 had them but nested
+    /// the quantizer in a file of its own. None of them loads.
     #[test]
     fn versions_without_checksums_are_refused() {
         let (index, _) = build();
         let mut buf = Vec::new();
         index.save(&mut buf).unwrap();
-        for version in [1u32, 2] {
+        for version in [1u32, 2, 3] {
             buf[4..8].copy_from_slice(&version.to_le_bytes());
             match IvfadcIndex::load(&mut buf.as_slice()) {
                 Err(PersistError::Format(msg)) => {
@@ -432,27 +482,106 @@ mod tests {
         assert!(IvfadcIndex::load(&mut &truncated[..]).is_err());
     }
 
+    /// Loading `image` fails with a typed `Format` error.
+    fn assert_format_error(image: &[u8], what: &str) {
+        match IvfadcIndex::load(&mut &image[..]) {
+            Err(PersistError::Format(_)) => {}
+            other => panic!("{what}: {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn rejects_bad_magic_and_version() {
+        let (index, _) = build();
+        let mut buf = Vec::new();
+        index.save(&mut buf).unwrap();
+        let mut bad_magic = buf.clone();
+        bad_magic[0] = b'X';
+        assert_format_error(&bad_magic, "bad magic");
+        buf[4] = 99;
+        assert_format_error(&buf, "version 99");
+    }
+
+    #[test]
+    fn rejects_truncation_and_trailing_bytes() {
+        let (index, _) = build();
+        let mut buf = Vec::new();
+        index.save(&mut buf).unwrap();
+        assert_format_error(&buf[..buf.len() - 5], "truncated");
+        buf.push(0);
+        assert_format_error(&buf, "one trailing byte");
+    }
+
     #[test]
     fn rejects_absurd_counts_before_allocating() {
-        // A header section (its CRC valid) claiming 2^50 partitions, or
-        // one more than the cap on the 8 KiB of expansion terms each cell
-        // gets at load, must fail on the Limit check, not OOM allocating
-        // centroid, partition or term buffers.
-        for parts in [1 << 50, MAX_PARTITIONS as u64 + 1] {
-            let mut header = Vec::new();
-            header.put_u64(16); // dim
-            header.put_u64(parts);
-            header.put_u8(0); // reserved
-            put_scan_opts(&mut header);
-            let mut buf = Vec::new();
-            write_file(&mut buf, MAGIC, VERSION, [header]).unwrap();
+        // A header section (its CRC valid) claiming 2^50 partitions, one
+        // more than the cap on the 8 KiB of expansion terms each cell gets
+        // at load, or a 2^21 dimension must fail on the Limit check, not OOM
+        // allocating centroid, codebook, partition or term buffers.
+        for (dim, parts) in [(16, 1 << 50), (16, MAX_PARTITIONS as u64 + 1), (1 << 21, 1)] {
             assert!(
                 matches!(
-                    IvfadcIndex::load(&mut buf.as_slice()),
+                    IvfadcIndex::load(&mut image(&[header(dim, parts)]).as_slice()),
                     Err(PersistError::Limit { .. })
                 ),
-                "{parts} partitions"
+                "dim {dim}, {parts} partitions"
             );
+        }
+    }
+
+    /// An index is `PQ 8×8`: a dimension that is not a positive multiple
+    /// of 8 has no such quantizer, and a header without partitions has no
+    /// index.
+    #[test]
+    fn rejects_invalid_stored_config() {
+        for (dim, parts) in [(12, 1), (0, 1), (16, 0)] {
+            match IvfadcIndex::load(&mut image(&[header(dim, parts)]).as_slice()) {
+                Err(PersistError::Format(_)) => {}
+                other => panic!("dim {dim}, {parts} partitions: {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    /// A NaN in the coarse centroids or in the codebooks, under valid CRCs,
+    /// is refused by name.
+    #[test]
+    fn rejects_non_finite_centroids() {
+        let empty_partition = 0u64.to_le_bytes().to_vec();
+        for (centroids, codebooks) in [(Some(3), None), (None, Some(4000))] {
+            let sections = [
+                header(DIM as u64, 1),
+                floats(DIM, centroids),
+                floats(256 * DIM, codebooks),
+                empty_partition.clone(),
+            ];
+            match IvfadcIndex::load(&mut image(&sections).as_slice()) {
+                Err(PersistError::Format(msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+                other => panic!("{:?}", other.map(|_| ())),
+            }
+        }
+        // The same sections without a NaN load.
+        let sections = [
+            header(DIM as u64, 1),
+            floats(DIM, None),
+            floats(256 * DIM, None),
+            empty_partition,
+        ];
+        assert!(IvfadcIndex::load(&mut image(&sections).as_slice()).is_ok());
+    }
+
+    #[test]
+    fn checksum_mismatch_is_a_typed_error() {
+        let (index, _) = build();
+        let mut buf = Vec::new();
+        index.save(&mut buf).unwrap();
+        // Flip one codebook byte: the section checksum catches it first.
+        // Magic and version, the header section, the centroids section of
+        // 4 cells, then the codebooks' length.
+        let codebooks_at = 8 + (8 + 16 + 4) + (8 + 4 * DIM * 4 + 4) + 8;
+        buf[codebooks_at + 100] ^= 1;
+        match IvfadcIndex::load(&mut buf.as_slice()) {
+            Err(PersistError::Checksum { section, .. }) => assert_eq!(section, "codebooks"),
+            other => panic!("{:?}", other.map(|_| ())),
         }
     }
 

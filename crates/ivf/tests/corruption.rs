@@ -1,4 +1,4 @@
-//! Corruption torture suite for the v3 persist format.
+//! Corruption torture suite for the v4 index file format.
 //!
 //! A served index artifact can be damaged anywhere — a torn write, a
 //! truncated copy, a flipped bit on a failing disk. The contract of
@@ -14,7 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const DIM: usize = 16;
 
-/// Builds a small index and returns its serialized v3 image.
+/// Builds a small index and returns its serialized v4 image.
 fn index_bytes() -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(99);
     let mut gen =
@@ -106,72 +106,4 @@ fn corrupt_embedded_quantizer_bytes_are_rejected() {
     let mut bad = buf.clone();
     bad[mid..mid + 4].copy_from_slice(&f32::NAN.to_le_bytes());
     assert_rejected(&bad, "NaN spliced into the middle of the image");
-}
-
-/// Where the scan-options block keeps its reserved slots, in the header
-/// section's 29-byte body, which magic, version and the section's length
-/// precede: `keep` f64, `bins` u16, grouping components u8 and kernel tag u8.
-const HEADER_AT: usize = 16;
-const KEEP_AT: usize = HEADER_AT + 17;
-const BINS_AT: usize = HEADER_AT + 25;
-const COMPONENTS_AT: usize = HEADER_AT + 27;
-const KERNEL_TAG_AT: usize = HEADER_AT + 28;
-
-/// `buf` with `bytes` written at `at`, in the header section, and every
-/// checksum valid again.
-fn resealed(mut buf: Vec<u8>, at: usize, bytes: &[u8]) -> Vec<u8> {
-    buf[at..at + bytes.len()].copy_from_slice(bytes);
-    let crc = pqfs_core::crc32(&buf[HEADER_AT..HEADER_AT + 29]);
-    buf[HEADER_AT + 29..HEADER_AT + 33].copy_from_slice(&crc.to_le_bytes());
-    let end = buf.len() - 4;
-    let footer = pqfs_core::crc32(&buf[..end]);
-    buf[end..].copy_from_slice(&footer.to_le_bytes());
-    buf
-}
-
-/// Whatever older writers stored in the reserved slots — a warm-up
-/// fraction, a bin count, a fixed component count, a kernel tag, valid or
-/// not — the image loads with automatic grouping under `Kernel::Auto` and
-/// answers exactly as the default image does.
-#[test]
-fn reserved_header_slots_are_not_interpreted() {
-    let default = index_bytes();
-    assert_eq!(default[KEEP_AT..KEEP_AT + 8], 0.005f64.to_le_bytes());
-    assert_eq!(default[BINS_AT..BINS_AT + 2], 253u16.to_le_bytes());
-    assert_eq!(default[COMPONENTS_AT], 0xFF, "automatic components");
-    assert_eq!(default[KERNEL_TAG_AT], 0, "Kernel::Auto");
-    let index = IvfadcIndex::load(&mut default.as_slice()).unwrap();
-    // What older writers stored for a 0.02 warm-up and 126 bins, then each
-    // (components, kernel tag) pair: 1 and 7 components, the portable and
-    // the VBMI kernel, and a tag no writer used.
-    let older = resealed(default.clone(), KEEP_AT, &0.02f64.to_le_bytes());
-    let older = resealed(older, BINS_AT, &126u16.to_le_bytes());
-    for (components, tag) in [(1u8, 1u8), (7, 4), (1, 5), (7, 5)] {
-        let image = resealed(older.clone(), COMPONENTS_AT, &[components, tag]);
-        let loaded = IvfadcIndex::load(&mut image.as_slice()).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..8 {
-            let query: Vec<f32> = (0..DIM).map(|_| rng.gen_range(0.0f32..255.0)).collect();
-            for backend in SearchBackend::ALL {
-                for nprobe in [1, 4] {
-                    let case = format!("c {components} tag {tag} {backend} nprobe {nprobe}");
-                    let want = index.search_probes(&query, 10, backend, 0.005, nprobe);
-                    let got = loaded.search_probes(&query, 10, backend, 0.005, nprobe);
-                    let (want, got) = (want.unwrap(), got.unwrap());
-                    let bits = |o: &pqfs_ivf::SearchOutcome| -> Vec<(u32, u64)> {
-                        o.neighbors
-                            .iter()
-                            .map(|n| (n.dist.to_bits(), n.id))
-                            .collect()
-                    };
-                    assert_eq!(bits(&got), bits(&want), "{case}");
-                    assert_eq!(got.stats, want.stats, "{case}");
-                }
-            }
-        }
-        // The slots are re-written as every default build writes them.
-        let mut again = Vec::new();
-        loaded.save(&mut again).unwrap();
-        assert_eq!(again, default, "c {components} tag {tag}");
-    }
 }

@@ -11,7 +11,7 @@
 //!
 //! 1. **Protocol** ([`proto`]): a small length-prefixed binary protocol —
 //!    versioned 12-byte header, then the payload as `pqfs_core::codec`'s
-//!    CRC-trailed block (the persist formats' section body), typed
+//!    CRC-trailed block (the index file's section body), typed
 //!    request/response frames (query, batch, health, stats, error,
 //!    overloaded). Decoding is bounds-checked and panic-free; a torn or
 //!    corrupted frame is a typed error, never UB or a hang.

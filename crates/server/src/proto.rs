@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Payload plus CRC is [`pqfs_core::codec`]'s CRC-trailed block, the one
-//! the persist formats put after a `u64` length, and payloads decode
+//! the index file puts after a `u64` length, and payloads decode
 //! through its [`Reader`]: a flipped payload bit is [`ProtoError::Crc`],
 //! EOF inside a frame [`ProtoError::Truncated`], every count is capped
 //! before anything is allocated, trailing garbage is

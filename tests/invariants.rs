@@ -1,7 +1,8 @@
 //! Invariants no rustc or clippy lint sees (docs/STATIC_ANALYSIS.md): failpoint
 //! sites and metric names against their registries, both ways, each
-//! manifest's unsafe-code lints, and the packages and documents that run
-//! commands and comments name. Library code is each `crates/*/src/**/*.rs`
+//! manifest's unsafe-code lints, the packages and documents that run
+//! commands and comments name, and the one module that writes a file
+//! container. Library code is each `crates/*/src/**/*.rs`
 //! and `src/**/*.rs` file cut at its first column-0 `#[cfg(test)]`, comment
 //! lines dropped. Cargo runs tests in the repository root: paths are relative.
 
@@ -83,7 +84,7 @@ fn first_literals<'a>(code: &'a str, needles: &[impl AsRef<str>]) -> BTreeSet<&'
 fn failpoint_sites_and_the_registry_match_both_ways() {
     let code = library_code();
     let mut sites = first_literals(&code, &["check(", "arm(", "arm_limited(", "scoped("]);
-    for needle in ["FaultRead::new(", "FaultWrite::new(", "AtomicWriteSites {"] {
+    for needle in ["FaultRead::new(", "FaultWrite::new("] {
         for group in groups(&code, needle) {
             sites.extend(group.split('"').skip(1).step_by(2));
         }
@@ -296,4 +297,31 @@ fn only_the_benchmark_scans_through_the_shim() {
         }
     }
     assert!(callers.is_empty(), "outside the benchmark: {callers:#?}");
+}
+
+/// The file container is `pqfs_core::codec`'s and the index file is the
+/// one format written with it: only the module that knows the index's
+/// bytes opens or writes a container.
+#[test]
+fn only_the_index_format_writes_a_file_container() {
+    // Built from pieces, so that this file does not match its own needles.
+    let needles = [concat!("write", "_file("), concat!("FileReader", "::open(")];
+    let home = ["crates/core/src/codec.rs", "crates/ivf/src/persist.rs"];
+    let mut callers = BTreeSet::new();
+    for file in rust_files() {
+        let path = file.strip_prefix(".").unwrap_or(&file);
+        if home.iter().any(|h| path == Path::new(h)) {
+            continue;
+        }
+        let text = read(&file);
+        for needle in needles {
+            let called = text
+                .match_indices(needle)
+                .any(|(at, _)| !text[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'));
+            if called {
+                callers.insert(format!("{}: {needle}", path.display()));
+            }
+        }
+    }
+    assert!(callers.is_empty(), "outside the index format: {callers:#?}");
 }
