@@ -350,11 +350,10 @@ mod tests {
         out
     }
 
-    /// The bytes of a hand-built index (PQ 8×8, dim 16, fixed centroids,
-    /// ids and codes), pinned by length and CRC: a writer change that
-    /// moves one byte fails here, which no round trip shows.
-    #[test]
-    fn golden_pqiv_image() {
+    /// A hand-built index: PQ 8×8 over dim 16 whose codebook floats are
+    /// `(k % 97) × 0.5` in storage order `k`, two fixed coarse centroids,
+    /// and fixed ids and codes in two partitions.
+    fn golden_index() -> IvfadcIndex {
         let config = PqConfig::new(DIM, 8, 8).unwrap();
         let codebooks = (0..8)
             .map(|j| {
@@ -370,14 +369,20 @@ mod tests {
                 .collect();
             (ids, codes)
         };
-        let index = IvfadcIndex::from_parts(
+        IvfadcIndex::from_parts(
             CoarseQuantizer::from_centroids(centroids, DIM),
             pq,
             vec![rows(vec![5, 2, 9], 0), rows(vec![1, 7], 1)],
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// The bytes of [`golden_index`], pinned by length and CRC: a writer
+    /// change that moves one byte fails here, which no round trip shows.
+    #[test]
+    fn golden_pqiv_image() {
         let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
+        golden_index().save(&mut buf).unwrap();
         // Magic and version 8, then each section's u64 length, payload and
         // CRC: header 8 + 16 + 4, centroids 8 + 2 × 16 × 4 + 4, codebooks
         // 8 + 8 × 256 × 2 × 4 + 4, partitions 8 + (8 + 3 × 16) + 4 and
@@ -392,6 +397,54 @@ mod tests {
             .save(&mut again)
             .unwrap();
         assert_eq!(again, buf);
+    }
+
+    /// The PQ Fast Scan quantizer's bytes inside [`golden_index`]'s image,
+    /// byte for byte: the codebooks section follows the header and
+    /// centroids sections and holds the 8 codebooks in order, each as its
+    /// 256 centroids of 2 little-endian f32s, under its own CRC.
+    #[test]
+    fn golden_pqfs_image() {
+        let mut buf = Vec::new();
+        golden_index().save(&mut buf).unwrap();
+        // Magic and version, header 8 + 16 + 4, centroids 8 + 2 × 16 × 4 + 4.
+        let at = 8 + 28 + 140;
+        let len = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()) as usize;
+        assert_eq!(len, 8 * 256 * 2 * 4);
+        let payload = &buf[at + 8..at + 8 + len];
+        let want: Vec<u8> = (0..8 * 256 * 2)
+            .flat_map(|k| ((k % 97) as f32 * 0.5).to_le_bytes())
+            .collect();
+        assert_eq!(payload, &want[..]);
+        let crc = &buf[at + 8 + len..at + 12 + len];
+        assert_eq!(u32::from_le_bytes(crc.try_into().unwrap()), crc32(payload));
+    }
+
+    /// Save → load keeps every codebook and coarse centroid bit for bit,
+    /// so the loaded quantizer encodes as the saved one does.
+    #[test]
+    fn roundtrip_preserves_quantizer_exactly() {
+        let (index, base) = build();
+        let mut buf = Vec::new();
+        index.save(&mut buf).unwrap();
+        let loaded = IvfadcIndex::load(&mut buf.as_slice()).unwrap();
+        assert_eq!(loaded.pq().config(), index.pq().config());
+        for j in 0..index.pq().config().m() {
+            let bits = |pq: &ProductQuantizer| -> Vec<u32> {
+                pq.codebook(j)
+                    .centroids()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(loaded.pq()), bits(index.pq()), "codebook {j}");
+        }
+        for p in 0..index.num_partitions() {
+            assert_eq!(loaded.coarse().centroid(p), index.coarse().centroid(p));
+        }
+        for v in [&[42.5f32; DIM][..], &base[..DIM]] {
+            assert_eq!(loaded.pq().encode(v), index.pq().encode(v));
+        }
     }
 
     #[test]
@@ -514,17 +567,33 @@ mod tests {
 
     #[test]
     fn rejects_absurd_counts_before_allocating() {
-        // A header section (its CRC valid) claiming 2^50 partitions, one
-        // more than the cap on the 8 KiB of expansion terms each cell gets
-        // at load, or a 2^21 dimension must fail on the Limit check, not OOM
-        // allocating centroid, codebook, partition or term buffers.
-        for (dim, parts) in [(16, 1 << 50), (16, MAX_PARTITIONS as u64 + 1), (1 << 21, 1)] {
+        // A header section (its CRC valid) claiming 2^50 partitions, or
+        // one more than the cap on the 8 KiB of expansion terms each cell
+        // gets at load, must fail on the Limit check, not OOM allocating
+        // centroid, partition or term buffers.
+        for parts in [1 << 50, MAX_PARTITIONS as u64 + 1] {
             assert!(
                 matches!(
-                    IvfadcIndex::load(&mut image(&[header(dim, parts)]).as_slice()),
+                    IvfadcIndex::load(&mut image(&[header(16, parts)]).as_slice()),
                     Err(PersistError::Limit { .. })
                 ),
-                "dim {dim}, {parts} partitions"
+                "{parts} partitions"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_absurd_dimension_before_allocating() {
+        // A header section (its CRC valid) claiming a dimension above 2^20,
+        // all multiples of 8, must fail on the Limit check, not OOM
+        // allocating centroid or codebook buffers.
+        for dim in [1 << 21, 1 << 60, u64::MAX - 7] {
+            assert!(
+                matches!(
+                    IvfadcIndex::load(&mut image(&[header(dim, 1)]).as_slice()),
+                    Err(PersistError::Limit { .. })
+                ),
+                "dim {dim}"
             );
         }
     }
@@ -538,6 +607,26 @@ mod tests {
             match IvfadcIndex::load(&mut image(&[header(dim, parts)]).as_slice()) {
                 Err(PersistError::Format(_)) => {}
                 other => panic!("dim {dim}, {parts} partitions: {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    /// An index is `PQ 8×8`. An image whose sections are all intact but
+    /// whose codebooks section holds a quantizer with fewer than 256
+    /// centroids per sub-quantizer (PQ 8×4 or 8×6 over dim 16) is refused
+    /// with a typed error naming the codebooks.
+    #[test]
+    fn an_embedded_quantizer_that_is_not_pq8x8_is_a_format_error() {
+        for nbits in [4, 6] {
+            let sections = [
+                header(DIM as u64, 1),
+                floats(DIM, None),
+                floats((1 << nbits) * DIM, None),
+                0u64.to_le_bytes().to_vec(),
+            ];
+            match IvfadcIndex::load(&mut image(&sections).as_slice()) {
+                Err(PersistError::Format(msg)) => assert!(msg.contains("codebooks"), "{msg}"),
+                other => panic!("PQ 8x{nbits}: {:?}", other.map(|_| ())),
             }
         }
     }
