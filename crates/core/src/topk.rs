@@ -40,6 +40,11 @@ fn unpack(key: u128) -> Neighbor {
 /// A bounded collector of the `k` smallest `(distance, id)` pairs: a binary
 /// max-heap of `pack`ed keys in a plain `Vec`, whose root is the current
 /// *worst* retained neighbor and is replaced in place by an accepted one.
+///
+/// Candidates arrive one at a time through [`push`](Self::push), or many
+/// at once through [`batch`](Self::batch), which selects instead of
+/// sifting. The `Vec` has room for `2k` keys from construction, what a batch
+/// needs, so neither path allocates again.
 #[derive(Debug, Clone)]
 pub struct TopK {
     heap: Vec<u128>,
@@ -55,7 +60,7 @@ impl TopK {
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "topk must be positive");
         TopK {
-            heap: Vec::with_capacity(k),
+            heap: Vec::with_capacity(k.saturating_mul(2)),
             k,
         }
     }
@@ -122,6 +127,47 @@ impl TopK {
         true
     }
 
+    /// Offers many candidates at once: `fill` offers each through
+    /// [`Batch::offer`], and its return value is returned. Afterwards the
+    /// collector holds what pushing the same candidates one at a time would
+    /// have left: the `k` smallest keys of the heap and the batch, so the
+    /// same [`threshold`](Self::threshold) and the same
+    /// [`into_sorted`](Self::into_sorted).
+    ///
+    /// A candidate is appended unless a one-comparison cut rejects it: the
+    /// cut is the `k`-th key of the heap the batch started from, or of the
+    /// last compaction. Whenever the buffer holds `2k` keys,
+    /// `select_nth_unstable` cuts it back to the `k` smallest and lowers the
+    /// cut; one more selection and one heapify close the batch. That is
+    /// `O(1)` per candidate on average where a push sifts through `log k`
+    /// levels: the Fast Scan warm-up offers ~2 000 candidates at topk 1 000
+    /// (docs/FASTSCAN.md §7).
+    pub fn batch<R>(&mut self, fill: impl FnOnce(&mut Batch<'_>) -> R) -> R {
+        let room = self.k.saturating_mul(2);
+        // A no-op unless this heap is a clone, whose buffer is its length.
+        self.heap.reserve_exact(room - self.heap.len());
+        let ceiling = match self.is_full() {
+            true => self.heap[0].saturating_sub(1),
+            false => u128::MAX,
+        };
+        let mut batch = Batch {
+            keys: &mut self.heap,
+            k: self.k,
+            room,
+            ceiling,
+        };
+        let result = fill(&mut batch);
+        if self.heap.len() > self.k {
+            self.heap.select_nth_unstable(self.k - 1);
+            self.heap.truncate(self.k);
+        }
+        for pos in (0..self.heap.len() / 2).rev() {
+            let key = self.heap[pos];
+            sink(&mut self.heap, pos, key);
+        }
+        result
+    }
+
     /// Moves the key at `pos` up to where its parent is no smaller.
     fn sift_up(&mut self, mut pos: usize) {
         let key = self.heap[pos];
@@ -137,30 +183,9 @@ impl TopK {
     }
 
     /// Overwrites the root with the smaller `key` and sinks it below every
-    /// larger child: one pass, where `pop` + `push` would make two. While a
-    /// node has two children the larger is picked without a branch — which
-    /// one it is, is a coin toss the predictor cannot learn, and at k = 1 000
-    /// that misprediction was half the cost of a push — and the lone last
-    /// child of an even-length heap is handled once, at the bottom.
+    /// larger child: one pass, where `pop` + `push` would make two.
     fn replace_root(&mut self, key: u128) {
-        let heap = self.heap.as_mut_slice();
-        let len = heap.len();
-        let (mut pos, mut child) = (0, 1);
-        while child + 1 < len {
-            child += (heap[child + 1] > heap[child]) as usize;
-            if heap[child] <= key {
-                heap[pos] = key;
-                return;
-            }
-            heap[pos] = heap[child];
-            pos = child;
-            child = 2 * pos + 1;
-        }
-        if child + 1 == len && heap[child] > key {
-            heap[pos] = heap[child];
-            pos = child;
-        }
-        heap[pos] = key;
+        sink(&mut self.heap, 0, key);
     }
 
     /// Consumes the collector and returns neighbors sorted ascending by
@@ -169,6 +194,74 @@ impl TopK {
         // Equal keys are equal candidates: an unstable sort loses nothing.
         self.heap.sort_unstable();
         self.heap.into_iter().map(unpack).collect()
+    }
+}
+
+/// Writes `key` at `pos` of `heap` and sinks it below every larger child,
+/// which makes the subtree at `pos` a max-heap if its children's subtrees
+/// are. While a node has two children the larger is picked without a branch — which one it
+/// is, is a coin toss the predictor cannot learn, and at k = 1 000 that
+/// misprediction was half the cost of a push — and the lone last child of
+/// an even-length heap is handled once, at the bottom.
+#[inline]
+fn sink(heap: &mut [u128], mut pos: usize, key: u128) {
+    let len = heap.len();
+    let mut child = 2 * pos + 1;
+    while child + 1 < len {
+        child += (heap[child + 1] > heap[child]) as usize;
+        if heap[child] <= key {
+            heap[pos] = key;
+            return;
+        }
+        heap[pos] = heap[child];
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    if child + 1 == len && heap[child] > key {
+        heap[pos] = heap[child];
+        pos = child;
+    }
+    heap[pos] = key;
+}
+
+/// The candidates of one [`TopK::batch`]: an unordered buffer of keys, in
+/// the heap's own `Vec`, that never holds more than `2k`.
+#[derive(Debug)]
+pub struct Batch<'a> {
+    keys: &'a mut Vec<u128>,
+    k: usize,
+    /// `2k`: the length that triggers a compaction.
+    room: usize,
+    /// The largest key still appended: one below the `k`-th key of the last
+    /// compaction, or of the full heap the batch started from; `u128::MAX`
+    /// before either. (Were the `k`-th key 0, a key equal to it would still
+    /// be appended, which costs room and changes no result.)
+    ceiling: u128,
+}
+
+impl Batch<'_> {
+    /// Offers a candidate; returns `true` if it was appended. An appended
+    /// candidate may still be cut before the batch ends; a rejected one
+    /// would not have been retained by [`TopK::push`] either.
+    #[inline]
+    pub fn offer(&mut self, dist: f32, id: u64) -> bool {
+        let key = pack(dist, id);
+        if key > self.ceiling {
+            return false;
+        }
+        self.keys.push(key);
+        if self.keys.len() == self.room {
+            self.compact();
+        }
+        true
+    }
+
+    /// Keeps the `k` smallest keys and lowers the cut below the `k`-th.
+    #[cold]
+    fn compact(&mut self) {
+        let (_, &mut kth, _) = self.keys.select_nth_unstable(self.k - 1);
+        self.keys.truncate(self.k);
+        self.ceiling = kth.saturating_sub(1);
     }
 }
 
@@ -275,26 +368,27 @@ mod tests {
         }
     }
 
+    /// Negative, signed-zero, subnormal and infinite distances, ascending.
+    const EXTREMES: [f32; 12] = [
+        f32::NEG_INFINITY,
+        f32::MIN,
+        -1.5,
+        -f32::MIN_POSITIVE,
+        -f32::from_bits(1),
+        -0.0,
+        0.0,
+        f32::from_bits(1),
+        f32::MIN_POSITIVE,
+        1.5,
+        f32::MAX,
+        f32::INFINITY,
+    ];
+
     #[test]
     fn extreme_distances_order_like_total_cmp() {
-        // Negative, signed-zero, subnormal and infinite distances: the
-        // packed key must order them as `total_cmp` does and give back the
-        // same bits.
-        let subnormal = f32::from_bits(1);
-        let dists = [
-            f32::NEG_INFINITY,
-            f32::MIN,
-            -1.5,
-            -f32::MIN_POSITIVE,
-            -subnormal,
-            -0.0,
-            0.0,
-            subnormal,
-            f32::MIN_POSITIVE,
-            1.5,
-            f32::MAX,
-            f32::INFINITY,
-        ];
+        // The packed key must order them as `total_cmp` does and give back
+        // the same bits.
+        let dists = EXTREMES;
         for (i, &a) in dists.iter().enumerate() {
             assert_eq!(unpack(pack(a, u64::MAX)).dist.to_bits(), a.to_bits());
             assert_eq!(unpack(pack(a, u64::MAX)).id, u64::MAX);
@@ -352,6 +446,105 @@ mod tests {
                 assert_eq!(got, oracle, "len={len} ({d}, {id})");
             }
         }
+    }
+
+    /// Every key of `topk` is no smaller than its children.
+    fn is_max_heap(topk: &TopK) -> bool {
+        let heap = &topk.heap;
+        (1..heap.len()).all(|c| heap[(c - 1) / 2] >= heap[c])
+    }
+
+    #[test]
+    fn a_batch_leaves_what_pushing_one_at_a_time_leaves() {
+        // Tie-heavy: 13 and 2 distinct distances over 3 000 distinct ids.
+        let ties = |levels: u64| -> Vec<(f32, u64)> {
+            let ids = (0..3000u64).map(|i| (i, (i * 2654435761) % 3001));
+            ids.map(|(i, id)| (((i * 7919) % levels) as f32, id))
+                .collect()
+        };
+        // The extreme distances, each twice.
+        let extremes: Vec<(f32, u64)> = EXTREMES
+            .iter()
+            .rev()
+            .flat_map(|&d| [(d, 9), (d, 2)])
+            .collect();
+        let bits = |topk: TopK| -> Vec<(u32, u64)> {
+            let sorted = topk.into_sorted().into_iter();
+            sorted.map(|n| (n.dist.to_bits(), n.id)).collect()
+        };
+        // One distance, the even ids up, then the odd ids down: the first odd
+        // id below a cut is one below its key, the closest a candidate can
+        // be and still enter.
+        let (evens, odds) = (
+            (0..1500u64).map(|i| 2 * i),
+            (0..1500u64).rev().map(|i| 2 * i + 1),
+        );
+        let gaps: Vec<(f32, u64)> = evens.chain(odds).map(|id| (1.0, id)).collect();
+        let sets = [
+            ("13 levels", ties(13)),
+            ("2 levels", ties(2)),
+            ("gaps", gaps),
+            ("extremes", extremes),
+        ];
+        for (name, candidates) in &sets {
+            for k in [1usize, 7, 1000] {
+                // Pushed before the batch: nothing, half of `k`, more than `k`.
+                for before in [0, k / 2, k + 3] {
+                    let case = format!("{name} k={k} before={before}");
+                    let (first, rest) = candidates.split_at(before.min(candidates.len()));
+                    let (mut pushed, mut batched) = (TopK::new(k), TopK::new(k));
+                    for &(d, id) in first {
+                        pushed.push(d, id);
+                        batched.push(d, id);
+                    }
+                    let appended = batched.batch(|batch| {
+                        let mut appended = 0;
+                        for &(d, id) in rest {
+                            let offered = batch.offer(d, id);
+                            // The cut never drops what a push would keep.
+                            assert!(offered || !pushed.push(d, id), "{case} ({d}, {id})");
+                            if offered {
+                                pushed.push(d, id);
+                            }
+                            appended += offered as usize;
+                            assert!(batch.keys.len() < 2 * k, "{case}");
+                            assert!(batch.keys.capacity() <= 2 * k, "{case}");
+                        }
+                        appended
+                    });
+                    assert!(appended <= rest.len(), "{case}");
+                    assert!(is_max_heap(&batched), "{case}");
+                    assert_eq!(batched.len(), pushed.len(), "{case}");
+                    assert!(batched.heap.capacity() <= 2 * k, "{case}");
+                    let threshold = batched.threshold().to_bits();
+                    assert_eq!(threshold, pushed.threshold().to_bits(), "{case}");
+                    // The batch leaves a heap that later pushes keep exact.
+                    for &(d, id) in candidates.iter().rev().step_by(3) {
+                        assert_eq!(batched.push(d, id), pushed.push(d, id), "{case}");
+                    }
+                    assert_eq!(bits(batched), bits(pushed), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_on_a_clone_grows_its_buffer_once_to_2k() {
+        let mut topk = TopK::new(5);
+        for i in 0..5u64 {
+            topk.push(i as f32, i);
+        }
+        let mut clone = topk.clone();
+        clone.batch(|batch| {
+            for i in 0..100u64 {
+                batch.offer(100.0 - i as f32, i + 10);
+            }
+        });
+        assert_eq!(clone.heap.capacity(), 10);
+        for i in 0..100u64 {
+            topk.push(100.0 - i as f32, i + 10);
+        }
+        assert_eq!(clone.into_sorted(), topk.into_sorted());
     }
 
     #[test]

@@ -53,14 +53,14 @@ impl From<std::io::Error> for DataError {
 
 /// A set of vectors read from disk: row-major data plus dimensionality.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VectorFile<T> {
+pub struct VectorFile {
     /// Row-major `n × dim` components.
-    pub data: Vec<T>,
+    pub data: Vec<f32>,
     /// Dimensionality shared by all records.
     pub dim: usize,
 }
 
-impl<T> VectorFile<T> {
+impl VectorFile {
     /// Number of vectors.
     pub fn len(&self) -> usize {
         self.data.len().checked_div(self.dim).unwrap_or(0)
@@ -72,14 +72,11 @@ impl<T> VectorFile<T> {
     }
 }
 
-fn read_records<T, F>(
-    path: &Path,
-    elem_size: usize,
-    mut decode: F,
-) -> Result<VectorFile<T>, DataError>
-where
-    F: FnMut(&[u8]) -> T,
-{
+/// Bytes per component: a little-endian `f32`.
+const ELEM: usize = 4;
+
+/// Reads a `.fvecs` file (32-bit little-endian floats).
+pub fn read_fvecs(path: impl AsRef<Path>) -> Result<VectorFile, DataError> {
     let file = File::open(path)?;
     // Every record's payload must fit in the bytes the file actually has;
     // checking against this running remainder rejects a corrupt dimension
@@ -110,18 +107,21 @@ where
             }
             _ => {}
         }
-        let record = (d as u64) * (elem_size as u64);
+        let record = (d as u64) * (ELEM as u64);
         if record > remaining {
             return Err(DataError::Format(format!(
                 "record claims {record} bytes but only {remaining} remain in the file"
             )));
         }
-        let mut buf = vec![0u8; d * elem_size];
+        let mut buf = vec![0u8; d * ELEM];
         reader
             .read_exact(&mut buf)
             .map_err(|_| DataError::Format("truncated record".into()))?;
         remaining -= record;
-        data.extend(buf.chunks_exact(elem_size).map(&mut decode));
+        data.extend(
+            buf.chunks_exact(ELEM)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+        );
     }
     Ok(VectorFile {
         data,
@@ -129,10 +129,8 @@ where
     })
 }
 
-fn write_records<T, F>(path: &Path, data: &[T], dim: usize, mut encode: F) -> Result<(), DataError>
-where
-    F: FnMut(&T, &mut Vec<u8>),
-{
+/// Writes a `.fvecs` file.
+pub fn write_fvecs(path: impl AsRef<Path>, data: &[f32], dim: usize) -> Result<(), DataError> {
     if dim == 0 || !data.len().is_multiple_of(dim) {
         return Err(DataError::Format(format!(
             "data length {} is not a positive multiple of dim {dim}",
@@ -146,26 +144,12 @@ where
         writer.write_all(&header)?;
         buf.clear();
         for v in row {
-            encode(v, &mut buf);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
         writer.write_all(&buf)?;
     }
     writer.flush()?;
     Ok(())
-}
-
-/// Reads a `.fvecs` file (32-bit little-endian floats).
-pub fn read_fvecs(path: impl AsRef<Path>) -> Result<VectorFile<f32>, DataError> {
-    read_records(path.as_ref(), 4, |b| {
-        f32::from_le_bytes([b[0], b[1], b[2], b[3]])
-    })
-}
-
-/// Writes a `.fvecs` file.
-pub fn write_fvecs(path: impl AsRef<Path>, data: &[f32], dim: usize) -> Result<(), DataError> {
-    write_records(path.as_ref(), data, dim, |v, buf| {
-        buf.extend_from_slice(&v.to_le_bytes())
-    })
 }
 
 #[cfg(test)]

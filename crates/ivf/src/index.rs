@@ -435,10 +435,14 @@ impl IvfadcIndex {
     /// answers without reading a code (docs/FASTSCAN.md §5). The further
     /// probes fan out across `pool` (intra-query parallelism; a 1-thread
     /// pool runs them inline), all under that same bound, and the per-probe
-    /// result lists are merged in probe order — so neighbors, stats and
-    /// health are bit-identical to a sequential probe loop for any pool
-    /// size, and the neighbors are exactly those of independent unbounded
-    /// scans.
+    /// result lists are merged in probe order — so neighbors and health are
+    /// bit-identical to a sequential probe loop for any pool size, and the
+    /// neighbors are exactly those of independent unbounded scans. The
+    /// stats are equal on every pool of two or more threads and, on one
+    /// thread, equal to the unsplit scan's: a nearest cell of at least
+    /// [`SPLIT_MIN`](pqfs_scan::SPLIT_MIN) vectors scans as two shards on a
+    /// pool of two or more threads, and the shards verify more than one
+    /// scan would (docs/FASTSCAN.md §9).
     ///
     /// `SearchOutcome::partition` reports the nearest (first) probed cell;
     /// `stats` accumulates over all probed cells.

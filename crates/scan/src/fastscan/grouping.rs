@@ -229,6 +229,12 @@ impl GroupedCodes {
         self.ids[pos]
     }
 
+    /// Original partition positions of group `g`'s vectors, in storage order.
+    #[inline]
+    pub(crate) fn group_ids(&self, g: &GroupMeta) -> &[u32] {
+        &self.ids[g.start..g.start + g.len]
+    }
+
     /// The packed blocks of group `g`.
     #[inline]
     pub fn group_blocks(&self, g: &GroupMeta) -> &[u8] {

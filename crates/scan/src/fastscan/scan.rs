@@ -4,7 +4,8 @@
 //! A scan orders the runs of groups nearest-first ([`run_order`],
 //! docs/FASTSCAN.md §6) and is then four steps. **Warm-up** computes exact
 //! distances for the shortest head of that order whose runs hold
-//! `max(keep · n, topk)` vectors and pushes them into the result heap.
+//! `max(keep · n, topk)` vectors and offers them to the result heap in one
+//! batch.
 //! **Quantization** derives `qmax` from that heap and fills the 8-bit
 //! tables. The **kernel** ([`kernel::scan_all`]) visits the rest of the
 //! order, passes over the runs and groups the threshold already excludes,
@@ -21,7 +22,7 @@
 //! A split scan runs the fast path as [`SHARDS`] shards on a pool, shard `s`
 //! over the runs `s, s + SHARDS, …` of what the warm-up left of the run
 //! order, each with its own copy of the warm-up's heap, and merges their
-//! lists (docs/FASTSCAN.md §9).
+//! two ascending lists in one pass (docs/FASTSCAN.md §9).
 
 use crate::fastscan::grouping::GroupedCodes;
 use crate::fastscan::kernel::{self, BlockSink, ScanTables};
@@ -30,8 +31,9 @@ use crate::fastscan::FastScanIndex;
 use crate::quantize::{DistanceQuantizer, DEFAULT_BINS};
 use crate::result::{ScanResult, ScanStats};
 use crate::ScanError;
-use pqfs_core::{DistanceTables, TopK};
+use pqfs_core::{DistanceTables, Neighbor, TopK};
 use pqfs_pool::ThreadPool;
+use std::cmp::Ordering;
 use std::ops::Range;
 
 /// The fewest vectors a partition holds for [`FastScanIndex::scan_on`] to
@@ -183,7 +185,7 @@ pub(crate) fn scan_with(
     let order = run_order(grouped, &minima, &mut order);
 
     // ---- Warm-up: plain PQ Scan over the head of the run order (§4.4;
-    // docs/FASTSCAN.md §2). Its vectors are pushed into the real heap and
+    // docs/FASTSCAN.md §2). Its vectors are offered to the real heap and
     // its runs left out of the fast path, so the overall result is exactly
     // PQ Scan's.
     let mut head = 0;
@@ -283,16 +285,10 @@ pub(crate) fn scan_with(
             let shards: [Vec<u8>; SHARDS] =
                 std::array::from_fn(|s| runs.iter().skip(s).step_by(SHARDS).copied().collect());
             let lists = pool.parallel_map(&shards, |_, runs| fast_path(heap.clone(), runs));
-            let (mut merged, mut counts) = (Vec::new(), ScanStats::default());
-            for (list, shard) in lists {
-                merged.extend(list);
-                counts.merge(&shard);
-            }
-            // Two ascending runs: the sort merges them.
-            merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-            merged.dedup_by_key(|n| n.id);
-            merged.truncate(heap.k());
-            (merged, counts)
+            let [(a, mut counts), (b, other)] = <[_; SHARDS]>::try_from(lists)
+                .unwrap_or_else(|_| unreachable!("one list per shard"));
+            counts.merge(&other);
+            (merge(&a, &b, heap.k()), counts)
         }
     };
     stats.verified = counts.verified;
@@ -347,32 +343,63 @@ fn vectors(grouped: &GroupedCodes, groups: Range<usize>) -> usize {
 }
 
 /// Plain PQ Scan over whole runs: every vector of the runs `runs` lists
-/// goes into `heap` with its exact distance; returns how many of them it
-/// accepted. Monomorphized on the layout's grouping count like the
-/// verification loop, which is worth a quarter of the warm-up's time. `C`
-/// must equal `grouped.layout().c()`.
+/// is offered to `heap` with its exact distance, in one
+/// [`TopK::batch`]; returns how many of them the batch appended (a
+/// superset of those it keeps: the batch's cut lags the heap's threshold
+/// between compactions). Monomorphized on the layout's grouping count like
+/// the verification loop, which is worth a quarter of the warm-up's time.
+/// `C` must equal `grouped.layout().c()`.
 fn warm_up<const C: usize>(
     grouped: &GroupedCodes,
     float_tables: &[f32; FS_M * KSUB],
     runs: &[u8],
     heap: &mut TopK,
 ) -> u64 {
-    let mut accepted = 0;
     let all_runs = grouped.runs();
-    for run in runs.iter().map(|&r| &all_runs[r as usize]) {
-        for g in &grouped.groups()[run.start as usize..run.end as usize] {
-            let high = g.key.map(|k| k << 4);
-            let blocks = grouped.group_blocks(g).chunks_exact(bytes_per_block(C));
-            for (b, block) in blocks.enumerate() {
-                let first = b * FS_BLOCK;
-                for lane in 0..(g.len - first).min(FS_BLOCK) {
-                    let d = lane_distance(C, float_tables, high, block, lane);
-                    accepted += heap.push(d, grouped.id(g.start + first + lane) as u64) as u64;
+    heap.batch(|batch| {
+        let mut accepted = 0;
+        for run in runs.iter().map(|&r| &all_runs[r as usize]) {
+            for g in &grouped.groups()[run.start as usize..run.end as usize] {
+                let high = g.key.map(|k| k << 4);
+                let blocks = grouped.group_blocks(g).chunks_exact(bytes_per_block(C));
+                let ids = grouped.group_ids(g).chunks(FS_BLOCK);
+                for (block, ids) in blocks.zip(ids) {
+                    for (lane, &id) in ids.iter().enumerate() {
+                        let d = lane_distance(C, float_tables, high, block, lane);
+                        accepted += batch.offer(d, id as u64) as u64;
+                    }
                 }
             }
         }
+        accepted
+    })
+}
+
+/// The `k` smallest of two lists ascending by `(dist, id)`, in that order:
+/// one linear merge. A neighbor both lists hold — a warm-up vector, in
+/// every shard's heap with the same distance — is taken once.
+fn merge(a: &[Neighbor], b: &[Neighbor], k: usize) -> Vec<Neighbor> {
+    let mut merged = Vec::with_capacity(k.min(a.len() + b.len()));
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    while merged.len() < k {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => match x.dist.total_cmp(&y.dist).then(x.id.cmp(&y.id)) {
+                Ordering::Less => a.next(),
+                Ordering::Greater => b.next(),
+                Ordering::Equal => {
+                    b.next();
+                    a.next()
+                }
+            },
+            (Some(_), None) => a.next(),
+            (None, _) => b.next(),
+        };
+        match next {
+            Some(&n) => merged.push(n),
+            None => break,
+        }
     }
-    accepted
+    merged
 }
 
 /// The exact side of the fast path: receives each block's survivors from

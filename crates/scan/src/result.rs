@@ -20,9 +20,12 @@ pub struct ScanStats {
     /// Vectors scanned by the scalar warm-up pass that seeds `qmax`
     /// (Fast Scan only; these are included in `scanned`).
     pub warmup: u64,
-    /// Candidates the result heap took, from the warm-up or verification:
-    /// each a heap update and a new threshold (Fast Scan only;
-    /// `accepted <= warmup + verified`).
+    /// Candidates the result heap took, from the warm-up or verification
+    /// (Fast Scan only; `accepted <= warmup + verified`). In verification
+    /// each is a heap update and a new threshold. The warm-up offers its
+    /// vectors in one batch ([`TopK::batch`](pqfs_core::TopK::batch)), and
+    /// counts those the batch appended: a superset of those it keeps, since
+    /// its cut tightens only when the buffer is compacted.
     pub accepted: u64,
     /// Pruned vectors whose whole group the nearest-first traversal passed
     /// over, its lower bound already above the threshold, without reading

@@ -4,7 +4,7 @@
 //! the same on every such pool, and on one thread they are the unsplit
 //! scan's.
 
-use pqfs_core::{DistanceTables, RowMajorCodes};
+use pqfs_core::{DistanceTables, Neighbor, RowMajorCodes};
 use pqfs_pool::ThreadPool;
 use pqfs_scan::{FastScanIndex, Kernel, ScanOpts, ScanParams, ScanResult, ScanScratch, SPLIT_MIN};
 
@@ -21,6 +21,16 @@ fn codes(n: usize) -> RowMajorCodes {
 fn tables() -> DistanceTables {
     let data = (0..M * KSUB)
         .map(|i| ((i as u32).wrapping_mul(2654435761) % 100_000) as f32 / 10.0)
+        .collect();
+    DistanceTables::from_raw(data, M, KSUB)
+}
+
+/// Tables of `levels` distinct integer entries: with few levels most
+/// distances tie, and the id decides the order.
+fn few_level_tables(levels: u32) -> DistanceTables {
+    let data = (0..M * KSUB)
+        .map(|i| ((i as u32).wrapping_mul(2654435761) >> 7) % levels)
+        .map(|level| level as f32)
         .collect();
     DistanceTables::from_raw(data, M, KSUB)
 }
@@ -95,4 +105,37 @@ fn partitions_below_the_split_minimum_scan_unsplit() {
         .unwrap();
     assert_eq!(bits(&got), bits(&want));
     assert_eq!(got.stats, want.stats);
+}
+
+#[test]
+fn the_shard_merge_breaks_ties_by_id_and_keeps_one_copy() {
+    let n = SPLIT_MIN + 7_000;
+    let (codes, tables) = (codes(n), few_level_tables(3));
+    let index = FastScanIndex::build(&codes, &ScanOpts::default()).unwrap();
+    let pools = [1, 2, 8].map(ThreadPool::new);
+    let mut scratch = ScanScratch::default();
+    let every = index.scan(&tables, &ScanParams::new(n)).unwrap().neighbors;
+    for topk in [100, 1_000, n + 5] {
+        let params = ScanParams::new(topk);
+        let want = index.scan_with(&tables, &params, &mut scratch).unwrap();
+        // The k-th distance ties with vectors left out, so the ids decide
+        // which of them are in.
+        let last = want.neighbors[want.neighbors.len() - 1].dist;
+        let tied = |list: &[Neighbor]| list.iter().filter(|n| n.dist == last).count();
+        assert!(
+            topk > n || tied(&every) > tied(&want.neighbors),
+            "topk={topk}"
+        );
+        for pool in &pools {
+            let case = format!("topk={topk} threads={}", pool.threads());
+            let got = index.scan_on(&tables, &params, &mut scratch, pool).unwrap();
+            assert_eq!(index.shards(pool), pool.threads().min(2), "{case}");
+            assert_eq!(bits(&got), bits(&want), "{case}");
+            let mut ids = got.ids();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), got.neighbors.len(), "{case}: an id twice");
+            assert_eq!(got.neighbors.len(), topk.min(n), "{case}");
+        }
+    }
 }
